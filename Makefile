@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: build test verify verify-extended chaos crash corrupt serve-chaos fleet-chaos cache-chaos disk-chaos leakcheck metrics-lint bench bench-json bench-cache lint-docs tools
+.PHONY: build test verify verify-extended chaos crash corrupt serve-chaos fleet-chaos cache-chaos disk-chaos leakcheck metrics-lint bench bench-e2e bench-check bench-cache lint-docs tools
 
 build:
 	$(GO) build ./...
@@ -96,13 +96,30 @@ leakcheck:
 bench:
 	$(GO) test -bench=. -benchmem .
 
-# Bench trajectory: both abstraction engines over the full corpus
-# (Table 2 subjects and the Table 1 drivers' converged predicate
-# pools), written to the committed BENCH_abstraction.json. absbench
-# exits nonzero if the engines' boolean programs ever diverge, so the
-# committed numbers always describe identical outputs.
-bench-json:
-	$(GO) run ./cmd/absbench -o BENCH_abstraction.json
+# End-to-end benchmark: the four BENCHMARK.json workloads through
+# cmd/bench (see cmd/bench/README.md), one invocation each, appended as
+# JSON lines to $(BENCH_OUT). bench-check runs the same into a fresh
+# file and compares it with BASE, lines an earlier bench-e2e wrote:
+# every count metric must match exactly and no bounded metric may be
+# worse than its BENCHMARK.json bound.
+#
+#   make bench-e2e BENCH_OUT=before.jsonl
+#   make bench-check BASE=before.jsonl
+BENCH_SEED ?= 1
+BENCH_SECONDS ?= 24
+BENCH_OUT ?= .bench_build/e2e.jsonl
+
+bench-e2e:
+	@mkdir -p .bench_build
+	for w in drivers-cegar drivers-models table2-c2bp bebop-check; do \
+		bash cmd/bench/run.sh --workload $$w --seed $(BENCH_SEED) --seconds $(BENCH_SECONDS) --trace 0 -o $(BENCH_OUT) || exit 1; \
+	done
+
+bench-check:
+	@test -n "$(BASE)" || { echo "usage: make bench-check BASE=<jsonl from bench-e2e>"; exit 2; }
+	@mkdir -p .bench_build && rm -f .bench_build/check.jsonl
+	$(MAKE) bench-e2e BENCH_OUT=.bench_build/check.jsonl
+	bash cmd/bench/run.sh -check $(BASE) .bench_build/check.jsonl
 
 # Cache trajectory: every Table 1 driver verified with no remote tier,
 # against a cold predcached store, and against a fleet-warmed one —

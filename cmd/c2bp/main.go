@@ -133,6 +133,8 @@ func run() (code int) {
 			fmt.Fprintf(os.Stderr, "prover sessions: %d\nsession checks: %d\nmodels extracted: %d\nblocking clauses: %d\n",
 				s.ProverSessions, s.SessionChecks, s.ModelsExtracted, s.BlockingClauses)
 		}
+		fmt.Fprintf(os.Stderr, "prover search nodes: %d\ntheory leaves: %d (memo hits: %d)\n",
+			s.SearchNodes, s.TheoryLeaves, s.TheoryMemoHits)
 		fmt.Fprintf(os.Stderr, "stage parse+check+normalize: %v\nstage alias analysis: %v\nstage signatures: %v\nstage abstraction: %v\n  of which cube search: %v\n  of which theory solving: %v\n",
 			s.ParseTime, s.AliasTime, s.SignatureTime, s.AbstractTime, s.CubeSearchTime, s.SolverTime)
 		for _, pt := range s.ProcTimes {

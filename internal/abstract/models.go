@@ -109,10 +109,13 @@ func (e *enumeration) run() {
 
 // close ends the session and its trace span.
 func (e *enumeration) close() {
+	nodes, leaves := e.sess.Effort()
 	e.span.End(trace.Str("kind", e.kind),
 		trace.Int("checks", e.checks),
 		trace.Int("models", len(e.minterms)),
 		trace.Int("cache_hits", e.sess.CacheHits()),
+		trace.Int64("nodes", nodes),
+		trace.Int64("leaves", leaves),
 		trace.Bool("complete", e.complete))
 	e.sess.Pop()
 	e.sess.Close()

@@ -2,6 +2,7 @@ package prover
 
 import (
 	"fmt"
+	"strconv"
 
 	"predabs/internal/form"
 )
@@ -78,7 +79,7 @@ func (c *cc) sig(i int) string {
 	n := c.nodes[i]
 	s := n.label
 	for _, a := range n.args {
-		s += fmt.Sprintf("|%d", c.find(a))
+		s += "|" + strconv.Itoa(c.find(a))
 	}
 	return s
 }
@@ -265,15 +266,4 @@ func (c *cc) fail(msg string) {
 func (c *cc) classConst(i int) (int64, bool) {
 	r := c.find(i)
 	return c.nodes[r].numVal, c.nodes[r].hasNum
-}
-
-// repKey returns a stable key naming the class of term t (for the linear
-// arithmetic solver's variable naming). The term must have been interned.
-func (c *cc) repKey(t form.Term) string {
-	id, ok := c.byKey[t.String()]
-	if !ok {
-		id = c.add(t)
-	}
-	r := c.find(id)
-	return fmt.Sprintf("c%d", r)
 }

@@ -15,38 +15,7 @@ import (
 // Run under `go test -race` (part of the tier-1 verify recipe) this also
 // exercises the striped cache for data races.
 func TestConcurrentQueries(t *testing.T) {
-	mk := func(src string) form.Formula {
-		e, err := cparse.ParseExpr(src)
-		if err != nil {
-			t.Fatal(err)
-		}
-		f, err := form.FromCond(e)
-		if err != nil {
-			t.Fatal(err)
-		}
-		return f
-	}
-	type query struct {
-		hyp, goal string
-		valid     bool
-	}
-	queries := []query{
-		{"x == 1", "x < 2", true},
-		{"x == 1", "x > 2", false},
-		{"p == q && *p == 3", "*q == 3", true},
-		{"i <= j && j <= i", "i == j", true},
-		{"a[i] == 1 && i == j", "a[j] == 1", true},
-		{"x > 0", "x > 1", false},
-		{"curr != NULL && prev == NULL", "prev != curr", true},
-		{"x + y == 4 && x - y == 2", "x == 3", true},
-	}
-	hyps := make([]form.Formula, len(queries))
-	goals := make([]form.Formula, len(queries))
-	for i, q := range queries {
-		hyps[i] = mk(q.hyp)
-		goals[i] = mk(q.goal)
-	}
-
+	hyps, goals, wants := concurrentQueries(t)
 	p := New()
 	const workers = 8
 	const rounds = 50
@@ -58,17 +27,17 @@ func TestConcurrentQueries(t *testing.T) {
 		go func() {
 			defer wg.Done()
 			for r := 0; r < rounds; r++ {
-				i := (w + r) % len(queries)
-				if got := p.Valid(hyps[i], goals[i]); got != queries[i].valid {
+				i := (w + r) % len(hyps)
+				if got := p.Valid(hyps[i], goals[i]); got != wants[i] {
 					errs <- fmt.Sprintf("worker %d: Valid(%s => %s) = %v, want %v",
-						w, queries[i].hyp, queries[i].goal, got, queries[i].valid)
+						w, hyps[i], goals[i], got, wants[i])
 					return
 				}
 				// Unsat of hyp ∧ ¬goal is the same question.
 				f := form.MkAnd(hyps[i], form.MkNot(goals[i]))
-				if got := p.Unsat(f); got != queries[i].valid {
+				if got := p.Unsat(f); got != wants[i] {
 					errs <- fmt.Sprintf("worker %d: Unsat round-trip for (%s => %s) = %v, want %v",
-						w, queries[i].hyp, queries[i].goal, got, queries[i].valid)
+						w, hyps[i], goals[i], got, wants[i])
 					return
 				}
 			}
@@ -91,5 +60,83 @@ func TestConcurrentQueries(t *testing.T) {
 	}
 	if p.SolverTime() <= 0 {
 		t.Error("SolverTime should be positive after uncached queries")
+	}
+}
+
+// concurrentQueries is a set of validity questions with known answers.
+func concurrentQueries(t *testing.T) (hyps, goals []form.Formula, wants []bool) {
+	mk := func(src string) form.Formula {
+		e, err := cparse.ParseExpr(src)
+		if err != nil {
+			t.Fatal(err)
+		}
+		f, err := form.FromCond(e)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return f
+	}
+	for _, q := range []struct {
+		hyp, goal string
+		valid     bool
+	}{
+		{"x == 1", "x < 2", true},
+		{"x == 1", "x > 2", false},
+		{"p == q && *p == 3", "*q == 3", true},
+		{"i <= j && j <= i", "i == j", true},
+		{"a[i] == 1 && i == j", "a[j] == 1", true},
+		{"x > 0", "x > 1", false},
+		{"curr != NULL && prev == NULL", "prev != curr", true},
+		{"x + y == 4 && x - y == 2", "x == 3", true},
+	} {
+		hyps = append(hyps, mk(q.hyp))
+		goals = append(goals, mk(q.goal))
+		wants = append(wants, q.valid)
+	}
+	return hyps, goals, wants
+}
+
+// TestConcurrentTheoryMemo shares the prover-wide literal table and
+// theory-leaf memo between goroutines that all search: the query cache
+// is off, and half the workers ask through sessions. Every answer must
+// stay right and every leaf after the first round must come from the memo.
+func TestConcurrentTheoryMemo(t *testing.T) {
+	hyps, goals, wants := concurrentQueries(t)
+	p := New()
+	p.DisableCache = true
+	const workers = 8
+	const rounds = 20
+	var wg sync.WaitGroup
+	errs := make(chan string, workers)
+	for w := 0; w < workers; w++ {
+		w := w
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for r := 0; r < rounds; r++ {
+				i := (w + r) % len(hyps)
+				got := p.Valid(hyps[i], goals[i])
+				if w%2 == 1 {
+					s := p.NewSession()
+					s.Assert(hyps[i])
+					s.Assert(form.MkNot(goals[i]))
+					v, _, _ := s.Check()
+					s.Close()
+					got = v == Unsat
+				}
+				if got != wants[i] {
+					errs <- fmt.Sprintf("worker %d: %s => %s answered %v, want %v", w, hyps[i], goals[i], got, wants[i])
+					return
+				}
+			}
+		}()
+	}
+	wg.Wait()
+	close(errs)
+	for e := range errs {
+		t.Error(e)
+	}
+	if leaves, hits := p.TheoryLeaves(), p.TheoryMemoHits(); hits == 0 || hits >= leaves {
+		t.Errorf("theory leaves %d, memo hits %d: want hits in (0, leaves)", leaves, hits)
 	}
 }

@@ -11,15 +11,14 @@
 //
 // A Prover is safe for concurrent use: results are memoized in a
 // mutex-striped cache keyed by the canonical formula string (the paper's
-// optimization 5), and the statistics counters are atomic, so the
-// parallel cube search in internal/abstract can share one instance
-// across workers.
+// optimization 5), theory-leaf verdicts in a second striped memo keyed
+// by the interned literal sequence, and the statistics counters are
+// atomic, so the parallel cube search in internal/abstract can share one
+// instance across workers.
 package prover
 
 import (
-	"fmt"
 	"hash/maphash"
-	"strconv"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -57,9 +56,11 @@ type cacheShard struct {
 // concurrent use, except that DisableCache must be set before the
 // prover is shared between goroutines.
 type Prover struct {
-	// DisableCache turns result caching off (for ablation benchmarks).
-	// Set it before issuing queries; it must not be flipped while other
-	// goroutines are calling Valid/Unsat.
+	// DisableCache turns the query cache off (for ablation benchmarks):
+	// Valid, Unsat and Session.Check neither consult nor fill it. The
+	// theory-leaf memo stays on; it cannot change a verdict. Set it before
+	// issuing queries; it must not be flipped while other goroutines are
+	// calling Valid/Unsat.
 	DisableCache bool
 
 	// Trace, when non-nil, receives one prover.query event per Valid/Unsat
@@ -97,8 +98,14 @@ type Prover struct {
 	modelsExtracted atomic.Int64
 	blockingClauses atomic.Int64
 
+	searchNodes  atomic.Int64
+	theoryLeaves atomic.Int64
+	memoHits     atomic.Int64
+
 	seed   maphash.Seed
 	shards [cacheShards]cacheShard
+	lits   litTable
+	memo   [cacheShards]memoShard
 }
 
 var _ Querier = (*Prover)(nil)
@@ -156,6 +163,18 @@ func (p *Prover) ModelsExtracted() int { return int(p.modelsExtracted.Load()) }
 // enumeration loop's iteration count across all sessions.
 func (p *Prover) BlockingClauses() int { return int(p.blockingClauses.Load()) }
 
+// SearchNodes reports the number of DPLL search nodes visited across
+// all uncached queries and session checks.
+func (p *Prover) SearchNodes() int { return int(p.searchNodes.Load()) }
+
+// TheoryLeaves reports the number of theory-consistency checks at full
+// search leaves (memo hits included): the leaf budget's unit.
+func (p *Prover) TheoryLeaves() int { return int(p.theoryLeaves.Load()) }
+
+// TheoryMemoHits reports how many theory leaves were answered from the
+// prover-wide theory-leaf memo.
+func (p *Prover) TheoryMemoHits() int { return int(p.memoHits.Load()) }
+
 // shard picks the cache stripe for a key.
 func (p *Prover) shard(key string) *cacheShard {
 	h := maphash.String(p.seed, key)
@@ -199,25 +218,26 @@ func queryDesc(key string) string {
 // candidate cube (Section 4.1). Safe for concurrent use.
 func (p *Prover) Valid(hyp, goal form.Formula) bool {
 	key := "V\x00" + hyp.String() + "\x00" + goal.String()
-	return p.decide("valid", key, form.MkAnd(hyp, form.MkNot(goal)))
+	return p.decide("valid", key, hyp, goal)
 }
 
 // Unsat reports whether f is definitely unsatisfiable (used for the
 // enforce invariant F_V(false) of Section 5.1 and Newton's path
 // conditions). Safe for concurrent use.
 func (p *Prover) Unsat(f form.Formula) bool {
-	return p.decide("unsat", "U\x00"+f.String(), f)
+	return p.decide("unsat", "U\x00"+f.String(), f, nil)
 }
 
-// decide answers one query (unsat of f under the key's kind) through
-// the cache, the cancellation fast path and the budgeted search.
-func (p *Prover) decide(kind, key string, f form.Formula) bool {
+// decide answers one query — unsatisfiability of f ∧ ¬negated, where a
+// nil negated stands for false — through the cache, the cancellation
+// fast path and the budgeted search.
+func (p *Prover) decide(kind, key string, f, negated form.Formula) bool {
 	p.calls.Add(1)
 	if !p.DisableCache {
 		if v, ok := p.cacheGet(key); ok {
 			p.cacheHits.Add(1)
 			if p.Trace != nil {
-				p.Trace.ProverQuery(kind, queryDesc(key), len(key), 0, v, true, false)
+				p.Trace.ProverQuery(kind, queryDesc(key), len(key), 0, v, true, false, 0, 0)
 			}
 			return v
 		}
@@ -228,7 +248,7 @@ func (p *Prover) decide(kind, key string, f form.Formula) bool {
 		p.gaveUp.Add(1)
 		p.cancels.Add(1)
 		if p.Trace != nil {
-			p.Trace.ProverQuery(kind, queryDesc(key), len(key), 0, false, false, true)
+			p.Trace.ProverQuery(kind, queryDesc(key), len(key), 0, false, false, true, 0, 0)
 		}
 		return false
 	}
@@ -244,20 +264,28 @@ func (p *Prover) decide(kind, key string, f form.Formula) bool {
 				p.cachePut(key, v)
 			}
 			if p.Trace != nil {
-				p.Trace.ProverQuery(kind, queryDesc(key), len(key), 0, v, true, false)
+				p.Trace.ProverQuery(kind, queryDesc(key), len(key), 0, v, true, false, 0, 0)
 			}
 			return v
 		}
 	}
 	start := time.Now()
-	st := satState{budget: maxLeafChecks}
-	if p.QueryTimeout > 0 {
-		st.deadline = start.Add(p.QueryTimeout)
+	st := p.newSatState(start)
+	pr := newProgram()
+	roots := []int32{pr.compile(f, false)}
+	if negated != nil {
+		roots = append(roots, pr.compile(negated, true))
 	}
-	if p.Budget != nil {
-		st.done = p.Budget.Context().Done()
+	s := newSearcher(p, pr, &st)
+	res := !s.dfs(roots)
+	p.noteEffort(s)
+	if searchHook != nil {
+		q := f
+		if negated != nil {
+			q = form.MkAnd(f, form.MkNot(negated))
+		}
+		searchHook(q, nil, s, !res)
 	}
-	res := !p.sat(form.NNF(f), nil, &st)
 	gave := st.budget <= 0 || st.stop != stopNone
 	if gave {
 		p.gaveUp.Add(1)
@@ -287,9 +315,36 @@ func (p *Prover) decide(kind, key string, f form.Formula) bool {
 		p.Remote.Publish(key, res)
 	}
 	if p.Trace != nil {
-		p.Trace.ProverQuery(kind, queryDesc(key), len(key), dur, res, false, gave)
+		p.Trace.ProverQuery(kind, queryDesc(key), len(key), dur, res, false, gave, s.nodes, s.leaves)
 	}
 	return res
+}
+
+// newSatState starts one search's limits: the leaf budget, the query
+// timeout and the run's cancellation.
+func (p *Prover) newSatState(start time.Time) satState {
+	st := satState{budget: maxLeafChecks}
+	if p.QueryTimeout > 0 {
+		st.deadline = start.Add(p.QueryTimeout)
+	}
+	if p.Budget != nil {
+		st.done = p.Budget.Context().Done()
+	}
+	return st
+}
+
+// searchHook, when non-nil, observes every finished search with the
+// formula it decided, the session's tracked atoms (nil for Valid and
+// Unsat) and whether a model was found (or, for Valid and Unsat, the
+// search gave up). Tests set it to replay the corpus's queries through the
+// reference solver; it must be set before queries start.
+var searchHook func(q form.Formula, tracked []trackedAtom, s *searcher, found bool)
+
+// noteEffort adds a finished search's effort to the prover's counters.
+func (p *Prover) noteEffort(s *searcher) {
+	p.searchNodes.Add(s.nodes)
+	p.theoryLeaves.Add(s.leaves)
+	p.memoHits.Add(s.memoHits)
 }
 
 // Sat reports whether f has a model as far as the prover can tell
@@ -375,9 +430,8 @@ const (
 // checkStride is how many search nodes run between wall-clock /
 // cancellation polls. Polling at nodes rather than theory leaves
 // matters: a propositionally hard skeleton can burn arbitrary time
-// folding constants without ever reaching a leaf. A node does O(|f|)
-// work in assignAtom, so a counter increment plus a rare time.Now is
-// noise.
+// without ever reaching a leaf. A node evaluates the compiled formula,
+// O(|f|) work, so a counter increment plus a rare time.Now is noise.
 const checkStride = 16
 
 // satState is one query's search state: the leaf-check budget plus the
@@ -411,113 +465,6 @@ func (st *satState) tick() {
 	}
 }
 
-// sat performs DPLL-style search on the boolean skeleton with theory
-// checks at the leaves.
-func (p *Prover) sat(f form.Formula, lits []lit, st *satState) bool {
-	st.tick()
-	if st.budget <= 0 || st.stop != stopNone {
-		return true // give up: cannot prove unsat
-	}
-	switch f.(type) {
-	case form.FalseF:
-		return false
-	case form.TrueF:
-		st.budget--
-		return theoryConsistent(lits)
-	}
-	atom := firstAtom(f)
-	key, flip := atomKey(atom)
-	for _, val := range []bool{true, false} {
-		// assignAtom takes the truth of the canonical base atom; val is
-		// the truth of the picked atom, which may be its negation.
-		f2 := assignAtom(f, key, val != flip)
-		if p.sat(f2, append(lits, litOf(atom, val)), st) {
-			return true
-		}
-	}
-	return false
-}
-
-// firstAtom returns the first comparison atom in f (f is in NNF and not a
-// constant, so one exists).
-func firstAtom(f form.Formula) form.Cmp {
-	switch f := f.(type) {
-	case form.Cmp:
-		return f
-	case form.Not:
-		return firstAtom(f.F)
-	case form.And:
-		for _, g := range f.Fs {
-			if a, ok := tryFirstAtom(g); ok {
-				return a
-			}
-		}
-	case form.Or:
-		for _, g := range f.Fs {
-			if a, ok := tryFirstAtom(g); ok {
-				return a
-			}
-		}
-	}
-	panic(fmt.Sprintf("prover: no atom in %s", f))
-}
-
-func tryFirstAtom(f form.Formula) (form.Cmp, bool) {
-	switch f := f.(type) {
-	case form.Cmp:
-		return f, true
-	case form.Not:
-		return tryFirstAtom(f.F)
-	case form.And:
-		for _, g := range f.Fs {
-			if a, ok := tryFirstAtom(g); ok {
-				return a, true
-			}
-		}
-	case form.Or:
-		for _, g := range f.Fs {
-			if a, ok := tryFirstAtom(g); ok {
-				return a, true
-			}
-		}
-	}
-	return form.Cmp{}, false
-}
-
-// assignAtom substitutes a truth value for every atom with the given
-// canonical key and folds constants.
-func assignAtom(f form.Formula, key string, val bool) form.Formula {
-	switch f := f.(type) {
-	case form.TrueF, form.FalseF:
-		return f
-	case form.Cmp:
-		k, flip := atomKey(f)
-		if k != key {
-			return f
-		}
-		v := val != flip
-		if v {
-			return form.TrueF{}
-		}
-		return form.FalseF{}
-	case form.Not:
-		return form.MkNot(assignAtom(f.F, key, val))
-	case form.And:
-		out := make([]form.Formula, len(f.Fs))
-		for i, g := range f.Fs {
-			out[i] = assignAtom(g, key, val)
-		}
-		return form.MkAnd(out...)
-	case form.Or:
-		out := make([]form.Formula, len(f.Fs))
-		for i, g := range f.Fs {
-			out[i] = assignAtom(g, key, val)
-		}
-		return form.MkOr(out...)
-	}
-	return f
-}
-
 // --- Theory combination (Nelson-Oppen light) ---
 
 // maxCombineIters bounds the CC ↔ LA equality-exchange loop.
@@ -548,9 +495,10 @@ func theoryConsistent(lits []lit) bool {
 		}
 	}
 
+	la := newLA(c, lits)
 	for iter := 0; iter < maxCombineIters; iter++ {
-		cons, neqs := buildLA(c, lits)
-		feasible, precise := laFeasible(cons)
+		la.build(c)
+		feasible, precise := la.feasible(nil)
 		if !feasible {
 			return false
 		}
@@ -558,13 +506,13 @@ func theoryConsistent(lits []lit) bool {
 			return true // gave up: cannot prove inconsistency
 		}
 		// Disequalities refuted by arithmetic.
-		for _, d := range neqs {
-			if entailsZero(cons, d.coefs, d.k) {
+		for off := 0; off < len(la.neqs); off += la.w + 1 {
+			if la.entailsZero(la.neqs[off : off+la.w+1]) {
 				return false
 			}
 		}
 		// Equality propagation LA → CC.
-		if !propagateEqualities(c, cons) {
+		if !la.propagateEqualities(c) {
 			if c.failed {
 				return false
 			}
@@ -575,194 +523,4 @@ func theoryConsistent(lits []lit) bool {
 		}
 	}
 	return true
-}
-
-// buildLA constructs the linear constraint system from the literals,
-// naming variables by congruence-class representative so that equalities
-// known to the congruence closure transfer for free. It also returns the
-// linear differences asserted non-zero (from Ne literals).
-func buildLA(c *cc, lits []lit) (cons []linCons, neqs []linExpr) {
-	for _, l := range lits {
-		lx := linearize(c, l.x)
-		ly := linearize(c, l.y)
-		d := lx.sub(ly)
-		switch l.op {
-		case form.Eq:
-			cons = append(cons,
-				linCons{coefs: d.coefs, k: -d.k},
-				negCons(d))
-		case form.Le:
-			cons = append(cons, linCons{coefs: d.coefs, k: -d.k})
-		case form.Lt:
-			cons = append(cons, linCons{coefs: d.coefs, k: -d.k - 1})
-		case form.Ne:
-			neqs = append(neqs, d)
-		}
-	}
-	return cons, neqs
-}
-
-func negCons(d linExpr) linCons {
-	m := map[string]int64{}
-	for v, co := range d.coefs {
-		m[v] = -co
-	}
-	return linCons{coefs: m, k: d.k}
-}
-
-// linearize maps a term to a linear expression over congruence-class
-// keys. Non-arithmetic terms (and nonlinear applications) become opaque
-// variables named by their class; classes holding an integer constant
-// fold to that constant.
-func linearize(c *cc, t form.Term) linExpr {
-	switch t := t.(type) {
-	case form.Num:
-		return linExpr{coefs: map[string]int64{}, k: t.V}
-	case form.Neg:
-		e := linearize(c, t.X)
-		for v := range e.coefs {
-			e.coefs[v] = -e.coefs[v]
-		}
-		e.k = -e.k
-		return e
-	case form.Arith:
-		switch t.Op {
-		case form.OpAdd, form.OpSub:
-			x := linearize(c, t.X)
-			y := linearize(c, t.Y)
-			if t.Op == form.OpAdd {
-				out := linExpr{coefs: map[string]int64{}, k: x.k + y.k}
-				for v, co := range x.coefs {
-					out.coefs[v] += co
-				}
-				for v, co := range y.coefs {
-					out.coefs[v] += co
-				}
-				return out
-			}
-			return x.sub(y)
-		case form.OpMul:
-			if n, ok := t.X.(form.Num); ok {
-				y := linearize(c, t.Y)
-				for v := range y.coefs {
-					y.coefs[v] *= n.V
-				}
-				y.k *= n.V
-				return y
-			}
-			if n, ok := t.Y.(form.Num); ok {
-				x := linearize(c, t.X)
-				for v := range x.coefs {
-					x.coefs[v] *= n.V
-				}
-				x.k *= n.V
-				return x
-			}
-		}
-	}
-	// Opaque: one variable named by congruence class (or its constant).
-	id, ok := c.byKey[t.String()]
-	if !ok {
-		id = c.add(t)
-	}
-	if v, has := c.classConst(id); has {
-		return linExpr{coefs: map[string]int64{}, k: v}
-	}
-	key := c.repKey(t)
-	return linExpr{coefs: map[string]int64{key: 1}, k: 0}
-}
-
-// propagateEqualities probes pairs of LA variables (and constants) for
-// entailed equalities and merges the corresponding congruence classes.
-// It reports whether any new merge happened.
-func propagateEqualities(c *cc, cons []linCons) bool {
-	varSet := map[string]bool{}
-	for _, cn := range cons {
-		for v := range cn.coefs {
-			varSet[v] = true
-		}
-	}
-	if len(varSet) == 0 || len(varSet) > maxProbeVars {
-		return false
-	}
-	vars := make([]string, 0, len(varSet))
-	for v := range varSet {
-		vars = append(vars, v)
-	}
-	// Deterministic order.
-	sortStrings(vars)
-
-	changed := false
-	// Pairwise variable equalities.
-	for i := 0; i < len(vars) && !c.failed; i++ {
-		for j := i + 1; j < len(vars) && !c.failed; j++ {
-			ni, nj := classID(vars[i]), classID(vars[j])
-			if ni < 0 || nj < 0 || c.find(ni) == c.find(nj) {
-				continue
-			}
-			d := linExpr{coefs: map[string]int64{vars[i]: 1, vars[j]: -1}}
-			if entailsZero(cons, d.coefs, d.k) {
-				c.mergeIDs(ni, nj)
-				changed = true
-			}
-		}
-	}
-	// Variable = integer constant.
-	consts := collectConstants(c)
-	for _, v := range vars {
-		if c.failed {
-			break
-		}
-		ni := classID(v)
-		if ni < 0 {
-			continue
-		}
-		if _, has := c.classConst(ni); has {
-			continue
-		}
-		for _, kv := range consts {
-			d := linExpr{coefs: map[string]int64{v: 1}, k: -kv.val}
-			if entailsZero(cons, d.coefs, d.k) {
-				c.mergeIDs(ni, kv.id)
-				changed = true
-				break
-			}
-		}
-	}
-	return changed
-}
-
-type constNode struct {
-	id  int
-	val int64
-}
-
-func collectConstants(c *cc) []constNode {
-	var out []constNode
-	for _, n := range c.nodes {
-		if n.parent == n.id && n.hasNum {
-			out = append(out, constNode{id: n.id, val: n.numVal})
-		}
-	}
-	return out
-}
-
-// classID parses the "c<id>" key produced by cc.repKey.
-func classID(key string) int {
-	if !strings.HasPrefix(key, "c") {
-		return -1
-	}
-	n, err := strconv.Atoi(key[1:])
-	if err != nil {
-		return -1
-	}
-	return n
-}
-
-func sortStrings(s []string) {
-	for i := 1; i < len(s); i++ {
-		for j := i; j > 0 && s[j] < s[j-1]; j-- {
-			s[j], s[j-1] = s[j-1], s[j]
-		}
-	}
 }

@@ -1,6 +1,7 @@
 package prover
 
 import (
+	"strings"
 	"time"
 
 	"predabs/internal/budget"
@@ -87,24 +88,33 @@ func (m *Model) Eval(f form.Formula) (val, ok bool) {
 	return false, false
 }
 
-// trackedAtom is one atom registered via Track, with its canonical key
-// and a representative comparison to rebuild theory literals from.
+// trackedAtom is one atom registered via Track: its canonical key and
+// the representative comparison (in NNF, as first seen) that theory
+// literals are built from.
 type trackedAtom struct {
-	key  string
-	c    form.Cmp
-	flip bool // the representative is the negation of the canonical base
+	key string
+	occurrence
 }
 
-// binding is one canonical atom assignment along a search path.
-type binding struct {
-	key string
-	val bool // truth of the canonical base atom
+// conjunct is one top-level conjunct on a session's assertion stack,
+// compiled once when asserted.
+type conjunct struct {
+	f    form.Formula // as asserted, for searchHook
+	str  string       // canonical string, for the query-cache key
+	root int32        // compiled root in the session's program
+	// dup: an earlier conjunct on the stack has the same string, so the
+	// conjunction (which MkAnd deduplicates) does not repeat it.
+	dup bool
 }
 
 // Session is an incremental assertion scope over a Prover: assert
 // formulas, push/pop scopes, and extract models from the DPLL core. The
 // model-enumeration abstraction engine uses one session per blocking
 // loop (assert the query once, then get-model / block / re-check).
+//
+// Each Assert or Block is compiled once into the session's program and
+// kept, with its canonical string, on the push/pop stack; Check searches
+// the conjunction of the live conjuncts.
 //
 // A Session is NOT safe for concurrent use; it is designed for the
 // single coordinating goroutine of the abstraction engine. The
@@ -115,19 +125,29 @@ type binding struct {
 // of the formula, not of the machine's load at the time.
 type Session struct {
 	p       *Prover
-	asserts []form.Formula
-	marks   []int
+	pr      *program
+	conj    []conjunct
+	count   map[string]int // conjunct string -> occurrences on the stack
+	falses  int            // conjuncts that are the constant false
+	marks   []sessionMark
 	tracked []trackedAtom
 	keys    map[string]bool
 	hits    int
+	nodes   int64
+	leaves  int64
 	closed  bool
+}
+
+// sessionMark records the stack and program sizes at a Push.
+type sessionMark struct {
+	conj, nodes, occs, falses int
 }
 
 // NewSession opens an incremental session on the prover. Close it when
 // done; sessions are cheap (no solver process, just a stack).
 func (p *Prover) NewSession() *Session {
 	p.sessions.Add(1)
-	return &Session{p: p, keys: map[string]bool{}}
+	return &Session{p: p, pr: newProgram(), count: map[string]int{}, keys: map[string]bool{}}
 }
 
 // Push opens a new assertion scope. Formulas asserted after Push are
@@ -136,7 +156,8 @@ func (p *Prover) NewSession() *Session {
 // across scopes.
 func (s *Session) Push() {
 	s.mustOpen()
-	s.marks = append(s.marks, len(s.asserts))
+	s.marks = append(s.marks, sessionMark{
+		conj: len(s.conj), nodes: len(s.pr.nodes), occs: len(s.pr.occs), falses: s.falses})
 }
 
 // Pop retracts every assertion made since the matching Push.
@@ -146,14 +167,20 @@ func (s *Session) Pop() {
 		panic("prover: Session.Pop without matching Push")
 	}
 	n := len(s.marks) - 1
-	s.asserts = s.asserts[:s.marks[n]]
+	m := s.marks[n]
+	for _, c := range s.conj[m.conj:] {
+		s.count[c.str]--
+	}
+	s.conj = s.conj[:m.conj]
+	s.pr.nodes, s.pr.occs = s.pr.nodes[:m.nodes], s.pr.occs[:m.occs]
+	s.falses = m.falses
 	s.marks = s.marks[:n]
 }
 
 // Assert conjoins f onto the current assertion scope.
 func (s *Session) Assert(f form.Formula) {
 	s.mustOpen()
-	s.asserts = append(s.asserts, f)
+	s.push(f)
 }
 
 // Block asserts a blocking clause: semantically identical to Assert,
@@ -162,7 +189,66 @@ func (s *Session) Assert(f form.Formula) {
 func (s *Session) Block(f form.Formula) {
 	s.mustOpen()
 	s.p.blockingClauses.Add(1)
-	s.asserts = append(s.asserts, f)
+	s.push(f)
+}
+
+// push splits f into top-level conjuncts exactly as MkAnd flattens its
+// arguments, and compiles each.
+func (s *Session) push(f form.Formula) {
+	switch f := f.(type) {
+	case form.TrueF:
+	case form.And:
+		for _, g := range f.Fs {
+			if _, ok := g.(form.TrueF); !ok {
+				s.pushConjunct(g)
+			}
+		}
+	default:
+		s.pushConjunct(f)
+	}
+}
+
+func (s *Session) pushConjunct(g form.Formula) {
+	if _, ok := g.(form.FalseF); ok {
+		s.falses++
+	}
+	str := g.String()
+	s.conj = append(s.conj, conjunct{f: g, str: str, root: s.pr.compile(g, false), dup: s.count[str] > 0})
+	s.count[str]++
+}
+
+// cacheKey is the Unsat cache key of the asserted conjunction: "U\x00"
+// followed by MkAnd(asserted...).String().
+func (s *Session) cacheKey() string {
+	if s.falses > 0 {
+		return "U\x00false"
+	}
+	var live []string
+	n := 2
+	for _, c := range s.conj {
+		if !c.dup {
+			live = append(live, c.str)
+			n += len(c.str) + 6
+		}
+	}
+	switch len(live) {
+	case 0:
+		return "U\x00true"
+	case 1:
+		return "U\x00" + live[0]
+	}
+	var b strings.Builder
+	b.Grow(n)
+	b.WriteString("U\x00")
+	for i, str := range live {
+		if i > 0 {
+			b.WriteString(" && ")
+		}
+		b.WriteByte('(')
+		b.WriteString(str)
+		b.WriteByte(')')
+	}
+	return b.String()
 }
 
 // Track registers every atom of f for model extraction: Check keeps
@@ -181,7 +267,8 @@ func (s *Session) trackAtoms(f form.Formula) {
 		key, flip := atomKey(f)
 		if !s.keys[key] {
 			s.keys[key] = true
-			s.tracked = append(s.tracked, trackedAtom{key: key, c: f, flip: flip})
+			s.tracked = append(s.tracked, trackedAtom{key: key, occurrence: occurrence{
+				cmp: f, atom: s.pr.atom(key), flip: flip, lits: [2]int32{-1, -1}}})
 		}
 	case form.Not:
 		s.trackAtoms(f.F)
@@ -207,12 +294,17 @@ func (s *Session) trackAtoms(f form.Formula) {
 // "definitely unsat" answers without searching; any other cached value
 // cannot carry a model, so the search runs. Definitive results are
 // cached; wall-clock stops (timeout, cancellation) never are.
+//
+// The search is DPLL over the conjunction's boolean skeleton, then over
+// any still-unassigned tracked atoms, with a theory-consistency check at
+// each full leaf. The model is the first one in the deterministic branch
+// order (formula atoms in discovery order, then tracked atoms in
+// registration order; true before false).
 func (s *Session) Check() (Verdict, *Model, string) {
 	s.mustOpen()
 	p := s.p
 	p.sessionChecks.Add(1)
-	f := form.MkAnd(s.asserts...)
-	key := "U\x00" + f.String()
+	key := s.cacheKey()
 	if !p.DisableCache {
 		if v, ok := p.cacheGet(key); ok && v {
 			p.cacheHits.Add(1)
@@ -227,14 +319,27 @@ func (s *Session) Check() (Verdict, *Model, string) {
 		return Unknown, nil, budget.LimitDeadline
 	}
 	start := time.Now()
-	st := satState{budget: maxLeafChecks}
-	if p.QueryTimeout > 0 {
-		st.deadline = start.Add(p.QueryTimeout)
+	st := p.newSatState(start)
+	se := newSearcher(p, s.pr, &st)
+	se.models, se.tracked = true, s.tracked
+	var roots []int32
+	for _, c := range s.conj {
+		if !c.dup {
+			roots = append(roots, c.root)
+		}
 	}
-	if p.Budget != nil {
-		st.done = p.Budget.Context().Done()
+	se.dfs(roots)
+	m := se.model
+	p.noteEffort(se)
+	if searchHook != nil {
+		fs := make([]form.Formula, len(s.conj))
+		for i, c := range s.conj {
+			fs[i] = c.f
+		}
+		searchHook(form.MkAnd(fs...), s.tracked, se, m != nil)
 	}
-	m := s.satModel(form.NNF(f), nil, nil, &st)
+	s.nodes += se.nodes
+	s.leaves += se.leaves
 	p.theoryNS.Add(int64(time.Since(start)))
 	if m != nil {
 		// A found model is definitive even if the budget ran out at that
@@ -275,91 +380,21 @@ func (s *Session) Check() (Verdict, *Model, string) {
 // cache misses across both query styles.
 func (s *Session) CacheHits() int { return s.hits }
 
+// Effort reports the search nodes and theory leaves this session's
+// checks visited (they also count toward the prover's SearchNodes and
+// TheoryLeaves). Trace spans carry them, as prover.query events do for
+// Valid and Unsat.
+func (s *Session) Effort() (nodes, leaves int64) { return s.nodes, s.leaves }
+
 // Close ends the session. Further use panics. Models already extracted
 // remain valid.
 func (s *Session) Close() {
 	s.closed = true
-	s.asserts, s.marks, s.tracked, s.keys = nil, nil, nil, nil
+	s.pr, s.conj, s.count, s.marks, s.tracked, s.keys = nil, nil, nil, nil, nil, nil
 }
 
 func (s *Session) mustOpen() {
 	if s.closed {
 		panic("prover: use of closed Session")
 	}
-}
-
-// satModel is the model-extracting variant of Prover.sat: DPLL over the
-// formula's boolean skeleton, then over any still-unassigned tracked
-// atoms, with a theory-consistency check at each full leaf. It returns
-// the first model in the deterministic branch order (formula atoms in
-// discovery order, then tracked atoms in registration order; true
-// before false), or nil if none was found — the caller distinguishes
-// "exhausted" from "gave up" via st.
-func (s *Session) satModel(f form.Formula, lits []lit, binds []binding, st *satState) *Model {
-	st.tick()
-	if st.budget <= 0 || st.stop != stopNone {
-		return nil // give up; st records why
-	}
-	switch f.(type) {
-	case form.FalseF:
-		return nil
-	case form.TrueF:
-		ta, ok := s.nextTracked(binds)
-		if !ok {
-			st.budget--
-			if theoryConsistent(lits) {
-				return newModel(binds)
-			}
-			return nil
-		}
-		for _, val := range []bool{true, false} {
-			// val is the truth of the representative atom as registered
-			// (so a tracked predicate is tried true-first even when its
-			// canonical base is its negation); the binding records the
-			// canonical base's truth.
-			m := s.satModel(f, append(lits, litOf(ta.c, val)),
-				append(binds, binding{key: ta.key, val: val != ta.flip}), st)
-			if m != nil {
-				return m
-			}
-		}
-		return nil
-	}
-	atom := firstAtom(f)
-	key, flip := atomKey(atom)
-	for _, val := range []bool{true, false} {
-		f2 := assignAtom(f, key, val != flip)
-		m := s.satModel(f2, append(lits, litOf(atom, val)),
-			append(binds, binding{key: key, val: val != flip}), st)
-		if m != nil {
-			return m
-		}
-	}
-	return nil
-}
-
-// nextTracked returns the first tracked atom not yet bound on the path.
-func (s *Session) nextTracked(binds []binding) (trackedAtom, bool) {
-	for _, ta := range s.tracked {
-		bound := false
-		for _, b := range binds {
-			if b.key == ta.key {
-				bound = true
-				break
-			}
-		}
-		if !bound {
-			return ta, true
-		}
-	}
-	return trackedAtom{}, false
-}
-
-// newModel snapshots the path's bindings into an immutable model.
-func newModel(binds []binding) *Model {
-	m := &Model{assign: make(map[string]bool, len(binds))}
-	for _, b := range binds {
-		m.assign[b.key] = b.val
-	}
-	return m
 }

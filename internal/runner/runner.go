@@ -210,6 +210,8 @@ func Run(in Input, stdout, stderr io.Writer) (code int, outcome string) {
 			fmt.Fprintf(stderr, "prover sessions: %d\nsession checks: %d\nmodels extracted: %d\nblocking clauses: %d\n",
 				res.ProverSessions, res.SessionChecks, res.ModelsExtracted, res.BlockingClauses)
 		}
+		fmt.Fprintf(stderr, "prover search nodes: %d\ntheory leaves: %d (memo hits: %d)\n",
+			res.SearchNodes, res.TheoryLeaves, res.TheoryMemoHits)
 		fmt.Fprintf(stderr, "stage abstraction (c2bp): %v\nstage model checking (bebop): %v\nstage predicate discovery (newton): %v\n",
 			res.AbstractTime, res.CheckTime, res.NewtonTime)
 		fmt.Fprintf(stderr, "bebop iterations: %d\n", res.CheckIterations)

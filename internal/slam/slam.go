@@ -137,6 +137,13 @@ type Result struct {
 	SessionChecks   int
 	ModelsExtracted int
 	BlockingClauses int
+	// SearchNodes, TheoryLeaves and TheoryMemoHits are the prover's
+	// search effort (see prover.Prover.SearchNodes): DPLL nodes, theory
+	// leaves and leaves answered from the theory-leaf memo. They count
+	// this process's work only; a resumed run does not inherit them.
+	SearchNodes    int
+	TheoryLeaves   int
+	TheoryMemoHits int
 	// SolverTime is the cumulative wall time inside the decision
 	// procedures.
 	SolverTime time.Duration
@@ -588,6 +595,13 @@ func recordProverStats(out *Result, pv prover.Querier, base checkpoint.Counters)
 	}
 	if s, ok := pv.(interface{ BlockingClauses() int }); ok {
 		out.BlockingClauses = base.BlockingClauses + s.BlockingClauses()
+	}
+	if s, ok := pv.(interface {
+		SearchNodes() int
+		TheoryLeaves() int
+		TheoryMemoHits() int
+	}); ok {
+		out.SearchNodes, out.TheoryLeaves, out.TheoryMemoHits = s.SearchNodes(), s.TheoryLeaves(), s.TheoryMemoHits()
 	}
 }
 

@@ -112,6 +112,11 @@ type Report struct {
 	CacheMisses  int   `json:"cache_misses"`
 	ProverGaveUp int   `json:"prover_gave_up"`
 	SolverNS     int64 `json:"solver_ns"`
+	// SearchNodes and TheoryLeaves sum the prover's search effort — DPLL
+	// nodes and theory leaves — over the searched prover.query events and
+	// the abs.enum session spans.
+	SearchNodes  int64 `json:"search_nodes"`
+	TheoryLeaves int64 `json:"theory_leaves"`
 
 	// Sessions, SessionChecks and ModelsExtracted aggregate the
 	// model-enumeration engine's "abs.enum" spans; all zero (and omitted)
@@ -172,6 +177,8 @@ type aggregator struct {
 	cacheHits    int
 	proverGaveUp int
 	solverNS     int64
+	searchNodes  int64
+	theoryLeaves int64
 
 	cubeRounds   int
 	cubesChecked int
@@ -293,6 +300,7 @@ func (a *aggregator) consume(cat, name string, dur time.Duration, fields []Field
 		if n, ok := fieldIntVal(fields, "cache_hits"); ok {
 			a.cacheHits += int(n)
 		}
+		a.noteEffort(fields)
 	case "prover":
 		if name != "query" {
 			return
@@ -305,6 +313,7 @@ func (a *aggregator) consume(cat, name string, dur time.Duration, fields []Field
 		if fieldBoolVal(fields, "gave_up") {
 			a.proverGaveUp++
 		}
+		a.noteEffort(fields)
 		a.solverNS += int64(dur)
 		a.hist[histBucket(dur)]++
 		a.noteQuery(fields, dur)
@@ -391,6 +400,16 @@ func (a *aggregator) consume(cat, name string, dur time.Duration, fields []Field
 	}
 }
 
+// noteEffort adds an event's search-effort fields to the totals.
+func (a *aggregator) noteEffort(fields []Field) {
+	if n, ok := fieldIntVal(fields, "nodes"); ok {
+		a.searchNodes += n
+	}
+	if n, ok := fieldIntVal(fields, "leaves"); ok {
+		a.theoryLeaves += n
+	}
+}
+
 // noteQuery inserts a query into the bounded top-K list.
 func (a *aggregator) noteQuery(fields []Field, dur time.Duration) {
 	if len(a.topQ) == topKQueries && int64(dur) <= a.topQ[len(a.topQ)-1].NS {
@@ -453,6 +472,8 @@ func (t *Tracer) Report() *Report {
 		CacheMisses:  a.proverCalls + a.sessionChecks - a.cacheHits,
 		ProverGaveUp: a.proverGaveUp,
 		SolverNS:     a.solverNS,
+		SearchNodes:  a.searchNodes,
+		TheoryLeaves: a.theoryLeaves,
 
 		Sessions:        a.sessions,
 		SessionChecks:   a.sessionChecks,
@@ -518,6 +539,7 @@ func (r *Report) Text() string {
 			r.Sessions, r.SessionChecks, r.ModelsExtracted)
 	}
 	fmt.Fprintf(&b, "cubes checked: %d (in %d search rounds)\n", r.CubesChecked, r.CubeRounds)
+	fmt.Fprintf(&b, "prover search: %d nodes, %d theory leaves\n", r.SearchNodes, r.TheoryLeaves)
 	fmt.Fprintf(&b, "theory solver time: %v\n", time.Duration(r.SolverNS))
 
 	var stages []string

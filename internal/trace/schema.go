@@ -21,7 +21,8 @@ import (
 //
 // Categories and event names form a closed taxonomy (Taxonomy). Adding a
 // new trace point means adding it there first — tests validate every
-// emitted line against it.
+// emitted line against it. Events listed in RequiredFields must also
+// carry those fields with those JSON types.
 
 // Taxonomy is the closed registry of event categories and names.
 var Taxonomy = map[string][]string{
@@ -63,6 +64,17 @@ var Taxonomy = map[string][]string{
 	// the instant the verify mode benched the tier after a remote verdict
 	// contradicted the local decision procedure.
 	"cache": {"lookup", "flush", "quarantine"},
+}
+
+// RequiredFields maps "cat/name" to the fields every such event must
+// carry and their JSON types ("string", "count" — an integer ≥ 0 — or
+// "bool"). A prover.query event always reports its search effort: nodes
+// and leaves are 0 for a cache hit.
+var RequiredFields = map[string]map[string]string{
+	"prover/query": {
+		"kind": "string", "size": "count", "verdict": "bool", "cache_hit": "bool",
+		"gave_up": "bool", "nodes": "count", "leaves": "count", "desc": "string",
+	},
 }
 
 // rawEvent mirrors one JSONL line for validation.
@@ -109,6 +121,11 @@ func ValidateLine(line []byte) error {
 	if e.Tid != nil && *e.Tid < 1 {
 		return fmt.Errorf("explicit tid must be >= 1")
 	}
+	for k, typ := range RequiredFields[e.Cat+"/"+e.Name] {
+		if err := checkFieldType(e.Fields[k], typ); err != nil {
+			return fmt.Errorf("%s/%s field %q: %v", e.Cat, e.Name, k, err)
+		}
+	}
 	for k, v := range e.Fields {
 		if k == "" {
 			return fmt.Errorf("empty field key")
@@ -119,6 +136,29 @@ func ValidateLine(line []byte) error {
 		if json.Unmarshal(v, &s) != nil && json.Unmarshal(v, &n) != nil && json.Unmarshal(v, &bo) != nil {
 			return fmt.Errorf("field %q is not string|number|bool", k)
 		}
+	}
+	return nil
+}
+
+// checkFieldType checks one required field's raw JSON value.
+func checkFieldType(v json.RawMessage, typ string) error {
+	if v == nil {
+		return fmt.Errorf("missing")
+	}
+	var ok bool
+	switch typ {
+	case "string":
+		var s string
+		ok = json.Unmarshal(v, &s) == nil
+	case "bool":
+		var b bool
+		ok = json.Unmarshal(v, &b) == nil
+	case "count":
+		var n int64
+		ok = json.Unmarshal(v, &n) == nil && n >= 0
+	}
+	if !ok {
+		return fmt.Errorf("not a %s: %s", typ, v)
 	}
 	return nil
 }

@@ -178,10 +178,11 @@ func (t *Tracer) SpanAt(cat, name string, start time.Time, d time.Duration, fiel
 // ProverQuery records one theorem-prover query: its kind ("valid" or
 // "unsat"), a size proxy (length of the canonical formula key), the
 // query wall time, verdict, whether the memo cache answered it, whether
-// the resource cap fired, and a truncated description of the formula.
-// This is a dedicated method (rather than Event with fields) because it
-// is the hottest trace point in the system.
-func (t *Tracer) ProverQuery(kind string, desc string, size int, d time.Duration, verdict, cacheHit, gaveUp bool) {
+// the resource cap fired, the search effort (DPLL nodes and theory
+// leaves; 0 for a cache hit), and a truncated description of the
+// formula. This is a dedicated method (rather than Event with fields)
+// because it is the hottest trace point in the system.
+func (t *Tracer) ProverQuery(kind string, desc string, size int, d time.Duration, verdict, cacheHit, gaveUp bool, nodes, leaves int64) {
 	if t == nil {
 		return
 	}
@@ -195,6 +196,8 @@ func (t *Tracer) ProverQuery(kind string, desc string, size int, d time.Duration
 		Bool("verdict", verdict),
 		Bool("cache_hit", cacheHit),
 		Bool("gave_up", gaveUp),
+		Int64("nodes", nodes),
+		Int64("leaves", leaves),
 		Str("desc", truncate(desc, maxQueryDesc)),
 	})
 }

@@ -26,7 +26,7 @@ func TestNilTracerZeroAlloc(t *testing.T) {
 			tr.Event("bebop", "iter", Str("proc", "main"), Int("worklist", 7), Int("bdd_nodes", 100))
 		},
 		"ProverQuery": func() {
-			tr.ProverQuery("valid", "x>0 => x>=0", 12, time.Microsecond, true, false, false)
+			tr.ProverQuery("valid", "x>0 => x>=0", 12, time.Microsecond, true, false, false, 3, 1)
 		},
 		"SpanAt": func() {
 			tr.SpanAt("frontend", "parse", time.Time{}, time.Millisecond, DurNS("t_ns", time.Millisecond))
@@ -51,9 +51,9 @@ func emitSample(tr *Tracer) {
 	cs := tr.Begin("cube", "search")
 	rd := tr.Begin("cube", "round")
 	w := tr.BeginLane(1, "cube", "worker")
-	tr.ProverQuery("valid", "p & q => r", 11, 3*time.Microsecond, true, false, false)
-	tr.ProverQuery("valid", "p & q => r", 11, 0, true, true, false)
-	tr.ProverQuery("unsat", strings.Repeat("x", 500), 500, 90*time.Microsecond, false, false, true)
+	tr.ProverQuery("valid", "p & q => r", 11, 3*time.Microsecond, true, false, false, 5, 2)
+	tr.ProverQuery("valid", "p & q => r", 11, 0, true, true, false, 0, 0)
+	tr.ProverQuery("unsat", strings.Repeat("x", 500), 500, 90*time.Microsecond, false, false, true, 7, 3)
 	w.End()
 	rd.End(Int("candidates", 3), Int("len", 1))
 	cs.End()
@@ -99,22 +99,24 @@ func TestJSONLValidatesAgainstSchema(t *testing.T) {
 
 func TestValidateLineRejections(t *testing.T) {
 	bad := []string{
-		`{"type":"span","dur":1,"cat":"cube","name":"round"}`,             // missing ts
-		`{"ts":1,"type":"span","cat":"cube","name":"round"}`,              // span without dur
-		`{"ts":1,"type":"event","dur":3,"cat":"cube","name":"round"}`,     // event with dur
-		`{"ts":1,"type":"span","dur":1,"cat":"nope","name":"round"}`,      // unknown category
-		`{"ts":1,"type":"span","dur":1,"cat":"cube","name":"nope"}`,       // unknown name
-		`{"ts":1,"type":"huh","cat":"cube","name":"round"}`,               // bad type
-		`{"ts":1,"type":"event","cat":"cube","name":"round","tid":0}`,     // explicit tid 0
-		`{"ts":1,"type":"event","cat":"cube","name":"round","extra":1}`,   // unknown key
+		`{"type":"span","dur":1,"cat":"cube","name":"round"}`,                    // missing ts
+		`{"ts":1,"type":"span","cat":"cube","name":"round"}`,                     // span without dur
+		`{"ts":1,"type":"event","dur":3,"cat":"cube","name":"round"}`,            // event with dur
+		`{"ts":1,"type":"span","dur":1,"cat":"nope","name":"round"}`,             // unknown category
+		`{"ts":1,"type":"span","dur":1,"cat":"cube","name":"nope"}`,              // unknown name
+		`{"ts":1,"type":"huh","cat":"cube","name":"round"}`,                      // bad type
+		`{"ts":1,"type":"event","cat":"cube","name":"round","tid":0}`,            // explicit tid 0
+		`{"ts":1,"type":"event","cat":"cube","name":"round","extra":1}`,          // unknown key
 		`{"ts":1,"type":"event","cat":"cube","name":"round","fields":{"x":[1]}}`, // non-scalar field
+		`{"ts":0,"type":"span","dur":42,"cat":"prover","name":"query","fields":{"kind":"valid","size":9,"verdict":true,"cache_hit":false,"gave_up":false,"leaves":1,"desc":"x"}}`,            // no nodes
+		`{"ts":0,"type":"span","dur":42,"cat":"prover","name":"query","fields":{"kind":"valid","size":9,"verdict":true,"cache_hit":false,"gave_up":false,"nodes":-1,"leaves":1,"desc":"x"}}`, // negative count
 	}
 	for _, line := range bad {
 		if err := ValidateLine([]byte(line)); err == nil {
 			t.Errorf("ValidateLine accepted invalid line: %s", line)
 		}
 	}
-	good := `{"ts":0,"type":"span","dur":42,"cat":"prover","name":"query","tid":2,"fields":{"kind":"valid","size":9,"cache_hit":false}}`
+	good := `{"ts":0,"type":"span","dur":42,"cat":"prover","name":"query","tid":2,"fields":{"kind":"valid","size":9,"verdict":true,"cache_hit":false,"gave_up":false,"nodes":3,"leaves":1,"desc":"x > 0 => x >= 0"}}`
 	if err := ValidateLine([]byte(good)); err != nil {
 		t.Errorf("ValidateLine rejected valid line: %v", err)
 	}
@@ -134,6 +136,9 @@ func TestReportAggregation(t *testing.T) {
 	if r.ProverCalls != 3 || r.CacheHits != 1 || r.CacheMisses != 2 || r.ProverGaveUp != 1 {
 		t.Errorf("prover counts = %d/%d/%d/%d, want 3/1/2/1",
 			r.ProverCalls, r.CacheHits, r.CacheMisses, r.ProverGaveUp)
+	}
+	if r.SearchNodes != 12 || r.TheoryLeaves != 5 {
+		t.Errorf("search nodes/leaves = %d/%d, want 12/5", r.SearchNodes, r.TheoryLeaves)
 	}
 	if r.CubeRounds != 1 || r.CubesChecked != 3 {
 		t.Errorf("cube rounds/checked = %d/%d, want 1/3", r.CubeRounds, r.CubesChecked)
@@ -191,7 +196,7 @@ func TestReportAggregation(t *testing.T) {
 func TestTopQueryBound(t *testing.T) {
 	tr := New(Config{})
 	for i := 0; i < 100; i++ {
-		tr.ProverQuery("valid", "q", 1, time.Duration(i)*time.Microsecond, true, false, false)
+		tr.ProverQuery("valid", "q", 1, time.Duration(i)*time.Microsecond, true, false, false, 1, 1)
 	}
 	r := tr.Report()
 	if len(r.TopQueries) != topKQueries {
@@ -267,7 +272,7 @@ func TestConcurrentEmission(t *testing.T) {
 			defer func() { done <- struct{}{} }()
 			for i := 0; i < 50; i++ {
 				s := tr.BeginLane(w+1, "cube", "worker")
-				tr.ProverQuery("valid", "f", 1, time.Microsecond, true, false, false)
+				tr.ProverQuery("valid", "f", 1, time.Microsecond, true, false, false, 1, 1)
 				s.End()
 			}
 		}(w)

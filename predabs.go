@@ -193,6 +193,14 @@ type AbstractStats struct {
 	// enumeration's loop iterations.
 	BlockingClauses int
 
+	// SearchNodes and TheoryLeaves are the prover's search effort: DPLL
+	// nodes visited and theory-consistency checks at full leaves, over
+	// every uncached query and session check. TheoryMemoHits counts the
+	// leaves answered from the prover's theory-leaf memo.
+	SearchNodes    int
+	TheoryLeaves   int
+	TheoryMemoHits int
+
 	// ParseTime covers parsing, type checking and normalization (from
 	// Load).
 	ParseTime time.Duration
@@ -328,16 +336,19 @@ func (p *Program) AbstractCheckpointed(ctx context.Context, predicates string, o
 			SessionChecks:   pv.SessionChecks(),
 			ModelsExtracted: pv.ModelsExtracted(),
 			BlockingClauses: pv.BlockingClauses(),
-			ParseTime:      p.parseTime,
-			AliasTime:      p.aliasTime,
-			SignatureTime:  res.Stats.SignatureTime,
-			AbstractTime:   abstractTime,
-			CubeSearchTime: res.Stats.CubeSearchTime,
-			SolverTime:     pv.SolverTime(),
-			ProcTimes:      procTimes,
-			ProcCubes:      append([]ProcCubeStat{}, res.Stats.ProcCubes...),
-			DegradedProcs:  append([]string{}, res.Stats.DegradedProcs...),
-			Degradations:   bt.Events(),
+			SearchNodes:     pv.SearchNodes(),
+			TheoryLeaves:    pv.TheoryLeaves(),
+			TheoryMemoHits:  pv.TheoryMemoHits(),
+			ParseTime:       p.parseTime,
+			AliasTime:       p.aliasTime,
+			SignatureTime:   res.Stats.SignatureTime,
+			AbstractTime:    abstractTime,
+			CubeSearchTime:  res.Stats.CubeSearchTime,
+			SolverTime:      pv.SolverTime(),
+			ProcTimes:       procTimes,
+			ProcCubes:       append([]ProcCubeStat{}, res.Stats.ProcCubes...),
+			DegradedProcs:   append([]string{}, res.Stats.DegradedProcs...),
+			Degradations:    bt.Events(),
 		},
 	}, nil
 }

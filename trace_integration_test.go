@@ -267,6 +267,8 @@ func TestReportTotalsMatchStats(t *testing.T) {
 				{"sessions", rep.Sessions, s.ProverSessions},
 				{"session checks", rep.SessionChecks, s.SessionChecks},
 				{"models extracted", rep.ModelsExtracted, s.ModelsExtracted},
+				{"search nodes", int(rep.SearchNodes), s.SearchNodes},
+				{"theory leaves", int(rep.TheoryLeaves), s.TheoryLeaves},
 			} {
 				if c.rep != c.stat {
 					t.Errorf("%s: report %d != stats %d", c.name, c.rep, c.stat)
