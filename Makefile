@@ -105,14 +105,12 @@ bench:
 #
 #   make bench-e2e BENCH_OUT=before.jsonl
 #   make bench-check BASE=before.jsonl
-BENCH_SEED ?= 1
-BENCH_SECONDS ?= 24
 BENCH_OUT ?= .bench_build/e2e.jsonl
 
 bench-e2e:
 	@mkdir -p .bench_build
 	for w in drivers-cegar drivers-models table2-c2bp bebop-check; do \
-		bash cmd/bench/run.sh --workload $$w --seed $(BENCH_SEED) --seconds $(BENCH_SECONDS) --trace 0 -o $(BENCH_OUT) || exit 1; \
+		bash cmd/bench/run.sh --workload $$w --trace 0 -o $(BENCH_OUT) || exit 1; \
 	done
 
 bench-check:

@@ -1,13 +1,17 @@
 package predabs
 
 import (
+	"crypto/sha256"
 	"fmt"
 	"math/rand"
+	"os"
+	"sort"
 	"strings"
 	"testing"
 
 	"predabs/internal/bp"
 	"predabs/internal/corpus"
+	"predabs/internal/prover"
 )
 
 // abstractWith runs one corpus subject's abstraction under the given
@@ -35,16 +39,100 @@ func abstractWith(t *testing.T, p corpus.Program, engine string) *BooleanProgram
 // calls plus incremental session checks.
 func totalQueries(s AbstractStats) int { return s.ProverCalls + s.SessionChecks }
 
+// corpusGolden pins what every corpus subject produces under both
+// engines, one line per engine and subject (see corpusLine). A prover
+// rewrite that keeps its search tree keeps the file byte for byte.
+const corpusGolden = "testdata/corpus_outputs.golden"
+
+// corpusLine is a subject's line in corpusGolden: the verdict, a SHA-256
+// of the verdict, boolean program and error trace, the prover call and
+// session-check counts, and the iterations (CEGAR iterations on a
+// driver, Bebop iterations on a Table 2 program).
+func corpusLine(engine, name, verdict, prog, errTrace string, calls, checks, iterations int) string {
+	sum := sha256.Sum256([]byte(verdict + "\n" + prog + "\n" + errTrace))
+	return fmt.Sprintf("%s %s verdict=%s sha256=%x calls=%d session_checks=%d iterations=%d\n",
+		engine, name, verdict, sum, calls, checks, iterations)
+}
+
+// checkCorpusGolden compares the lines a test produced, keyed by
+// "engine subject", with theirs in corpusGolden. With UPDATE_GOLDEN set
+// it rewrites those lines and keeps the others.
+func checkCorpusGolden(t *testing.T, got map[string]string) {
+	t.Helper()
+	update := os.Getenv("UPDATE_GOLDEN") != ""
+	data, err := os.ReadFile(corpusGolden)
+	if err != nil && !update {
+		t.Fatal(err)
+	}
+	want := map[string]string{}
+	for _, l := range strings.SplitAfter(string(data), "\n") {
+		if f := strings.Fields(l); len(f) > 2 {
+			want[f[0]+" "+f[1]] = l
+		}
+	}
+	if update {
+		for k, l := range got {
+			want[k] = l
+		}
+		var b strings.Builder
+		for _, engine := range []string{EngineCubes, EngineModels} {
+			for _, p := range append(corpus.Table2(), corpus.Drivers()...) {
+				b.WriteString(want[engine+" "+p.Name])
+			}
+		}
+		if err := os.WriteFile(corpusGolden, []byte(b.String()), 0o644); err != nil {
+			t.Fatal(err)
+		}
+		return
+	}
+	keys := make([]string, 0, len(got))
+	for k := range got {
+		keys = append(keys, k)
+	}
+	sort.Strings(keys)
+	for _, k := range keys {
+		if got[k] != want[k] {
+			t.Errorf("%s changed; regenerate with UPDATE_GOLDEN=1 go test -run %s .\n got: %s want: %s",
+				k, t.Name(), got[k], want[k])
+		}
+	}
+}
+
+// table2Line checks a Table 2 abstraction with Bebop and returns its
+// corpusGolden line. No query may give up on a resource cap, so that the
+// golden's byte identity never rests on a budget cutoff.
+func table2Line(t *testing.T, p corpus.Program, engine string, b *BooleanProgram) string {
+	t.Helper()
+	ch, err := b.Check(p.Entry)
+	if err != nil {
+		t.Fatal(err)
+	}
+	verdict := "verified"
+	if _, _, bad := ch.ErrorReachable(); bad {
+		verdict = "error-found"
+	}
+	s := b.Stats()
+	if s.ProverGaveUp != 0 {
+		t.Errorf("%s: %d prover queries gave up", engine, s.ProverGaveUp)
+	}
+	return corpusLine(engine, p.Name, verdict, b.Text(), "", s.ProverCalls, s.SessionChecks, ch.Stats().Iterations)
+}
+
 // TestEngineDifferentialTable2 is the corpus-wide differential oracle
 // for the abstraction step: on every Table 2 subject the two engines
 // must emit byte-identical boolean programs, and the model engine must
-// never issue more prover interactions than the cube engine.
+// never issue more prover interactions than the cube engine. Each
+// engine's output is also pinned by corpusGolden.
 func TestEngineDifferentialTable2(t *testing.T) {
+	golden := map[string]string{}
+	defer checkCorpusGolden(t, golden)
 	for _, p := range corpus.Table2() {
 		p := p
 		t.Run(p.Name, func(t *testing.T) {
 			cubes := abstractWith(t, p, EngineCubes)
 			models := abstractWith(t, p, EngineModels)
+			golden[EngineCubes+" "+p.Name] = table2Line(t, p, EngineCubes, cubes)
+			golden[EngineModels+" "+p.Name] = table2Line(t, p, EngineModels, models)
 			if cubes.Text() != models.Text() {
 				t.Errorf("boolean programs differ\n--- cubes ---\n%s\n--- models ---\n%s",
 					cubes.Text(), models.Text())
@@ -66,21 +154,31 @@ func TestEngineDifferentialTable2(t *testing.T) {
 // Table 1 driver under both engines: the verdict, iteration count,
 // final predicate pool and final boolean program must be byte-identical,
 // and the model engine's total query count must never exceed the cube
-// engine's.
+// engine's. Each engine's output is also pinned by corpusGolden.
 func TestEngineDifferentialDrivers(t *testing.T) {
 	if testing.Short() {
 		t.Skip("full driver corpus in -short mode")
 	}
+	golden := map[string]string{}
+	defer checkCorpusGolden(t, golden)
 	for _, p := range corpus.Drivers() {
 		p := p
 		t.Run(p.Name, func(t *testing.T) {
 			run := func(engine string) *VerifyResult {
+				pv := prover.New()
 				cfg := DefaultVerifyConfig()
 				cfg.Opts.Engine = engine
+				cfg.Prover = pv
 				res, err := VerifySpec(p.Source, p.Spec, p.Entry, cfg)
 				if err != nil {
 					t.Fatal(err)
 				}
+				if n := pv.GaveUp(); n != 0 {
+					t.Errorf("%s: %d prover queries gave up", engine, n)
+				}
+				verdict := res.Outcome.String()
+				golden[engine+" "+p.Name] = corpusLine(engine, p.Name, verdict, bp.Print(res.FinalBP),
+					strings.Join(res.ErrorTrace, "\n"), res.ProverCalls, res.SessionChecks, res.Iterations)
 				return res
 			}
 			cubes := run(EngineCubes)

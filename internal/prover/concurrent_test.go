@@ -98,8 +98,9 @@ func concurrentQueries(t *testing.T) (hyps, goals []form.Formula, wants []bool) 
 
 // TestConcurrentTheoryMemo shares the prover-wide literal table and
 // theory-leaf memo between goroutines that all search: the query cache
-// is off, and half the workers ask through sessions. Every answer must
-// stay right and every leaf after the first round must come from the memo.
+// is off, and half the workers also ask through sessions, which fill and
+// read the memo. Every answer must stay right, and some session leaves
+// must come from the memo.
 func TestConcurrentTheoryMemo(t *testing.T) {
 	hyps, goals, wants := concurrentQueries(t)
 	p := New()

@@ -9,14 +9,9 @@ package prover_test
 import (
 	"testing"
 
-	"predabs/internal/abstract"
-	"predabs/internal/alias"
-	"predabs/internal/cnorm"
+	"predabs"
 	"predabs/internal/corpus"
-	"predabs/internal/cparse"
-	"predabs/internal/ctype"
 	"predabs/internal/prover"
-	"predabs/internal/slam"
 )
 
 // TestCorpusQueriesMatchOracle replays every search the corpus triggers —
@@ -28,16 +23,28 @@ func TestCorpusQueriesMatchOracle(t *testing.T) {
 	if testing.Short() {
 		t.Skip("replays the whole corpus through the reference solver")
 	}
-	for _, engine := range []string{abstract.EngineCubes, abstract.EngineModels} {
+	for _, engine := range []string{predabs.EngineCubes, predabs.EngineModels} {
 		t.Run(engine, func(t *testing.T) {
 			stop := prover.ReplayAgainstOracle()
 			for _, p := range corpus.Table2() {
-				abstractTable2(t, p, engine)
+				load := predabs.Load
+				if p.GhostAliasing {
+					load = predabs.LoadGhostAliasing
+				}
+				prog, err := load(p.Source)
+				if err != nil {
+					t.Fatalf("%s: %v", p.Name, err)
+				}
+				opts := predabs.DefaultOptions()
+				opts.Engine = engine
+				if _, err := prog.Abstract(p.Preds, opts); err != nil {
+					t.Fatalf("%s: %v", p.Name, err)
+				}
 			}
 			for _, d := range corpus.Drivers() {
-				cfg := slam.DefaultConfig()
+				cfg := predabs.DefaultVerifyConfig()
 				cfg.Opts.Engine = engine
-				if _, err := slam.VerifySpec(d.Source, d.Spec, d.Entry, cfg); err != nil {
+				if _, err := predabs.VerifySpec(d.Source, d.Spec, d.Entry, cfg); err != nil {
 					t.Fatalf("%s: %v", d.Name, err)
 				}
 			}
@@ -47,31 +54,5 @@ func TestCorpusQueriesMatchOracle(t *testing.T) {
 			}
 			t.Logf("%d searches agree with the reference solver", n)
 		})
-	}
-}
-
-func abstractTable2(t *testing.T, p corpus.Program, engine string) {
-	t.Helper()
-	prog, err := cparse.Parse(p.Source)
-	if err != nil {
-		t.Fatal(err)
-	}
-	info, err := ctype.Check(prog)
-	if err != nil {
-		t.Fatal(err)
-	}
-	norm, err := cnorm.Normalize(info)
-	if err != nil {
-		t.Fatal(err)
-	}
-	secs, err := cparse.ParsePredFile(p.Preds)
-	if err != nil {
-		t.Fatal(err)
-	}
-	opts := abstract.DefaultOptions()
-	opts.Engine = engine
-	aa := alias.AnalyzeOpts(norm, alias.Options{OpenCallers: !p.GhostAliasing})
-	if _, err := abstract.Abstract(norm, aa, prover.New(), secs, opts); err != nil {
-		t.Fatal(err)
 	}
 }

@@ -230,8 +230,9 @@ func TestCheckedArithmetic(t *testing.T) {
 
 // TestSearchEffortCounters pins the effort counters on a query whose tree
 // is known: x<y ∧ y<x branches x<y true (then y<x true: leaf, refuted;
-// y<x false: pruned) and x<y false (pruned), then the refuted leaf
-// repeats from the memo on a fresh, uncached prover query.
+// y<x false: pruned) and x<y false (pruned). A repeated uncached query
+// searches again without the theory memo; a repeated session check
+// answers its leaves from the memo.
 func TestSearchEffortCounters(t *testing.T) {
 	x, y := form.Var{Name: "x"}, form.Var{Name: "y"}
 	f := form.MkAnd(form.Cmp{Op: form.Lt, X: x, Y: y}, form.Cmp{Op: form.Lt, X: y, Y: x})
@@ -248,8 +249,20 @@ func TestSearchEffortCounters(t *testing.T) {
 	}
 	leaves := p.TheoryLeaves()
 	p.Unsat(f)
-	if p.TheoryLeaves() != 2*leaves || p.TheoryMemoHits() != leaves {
-		t.Fatalf("repeat query: leaves %d, memo hits %d; want %d and %d",
-			p.TheoryLeaves(), p.TheoryMemoHits(), 2*leaves, leaves)
+	if p.TheoryLeaves() != 2*leaves || p.TheoryMemoHits() != 0 {
+		t.Fatalf("repeat query: leaves %d, memo hits %d; want %d and 0",
+			p.TheoryLeaves(), p.TheoryMemoHits(), 2*leaves)
+	}
+	for i := 0; i < 2; i++ {
+		s := p.NewSession()
+		s.Assert(f)
+		if v, _, _ := s.Check(); v != Unsat {
+			t.Fatalf("session check %d: %v, want unsat", i, v)
+		}
+		s.Close()
+	}
+	if p.TheoryLeaves() != 4*leaves || p.TheoryMemoHits() != leaves {
+		t.Fatalf("two session checks: leaves %d, memo hits %d; want %d and %d",
+			p.TheoryLeaves(), p.TheoryMemoHits(), 4*leaves, leaves)
 	}
 }

@@ -11,8 +11,8 @@
 //
 // A Prover is safe for concurrent use: results are memoized in a
 // mutex-striped cache keyed by the canonical formula string (the paper's
-// optimization 5), theory-leaf verdicts in a second striped memo keyed
-// by the interned literal sequence, and the statistics counters are
+// optimization 5), session theory-leaf verdicts in a second striped memo
+// keyed by the interned literal sequence, and the statistics counters are
 // atomic, so the parallel cube search in internal/abstract can share one
 // instance across workers.
 package prover
@@ -172,7 +172,7 @@ func (p *Prover) SearchNodes() int { return int(p.searchNodes.Load()) }
 func (p *Prover) TheoryLeaves() int { return int(p.theoryLeaves.Load()) }
 
 // TheoryMemoHits reports how many theory leaves were answered from the
-// prover-wide theory-leaf memo.
+// prover-wide theory-leaf memo, which session checks consult.
 func (p *Prover) TheoryMemoHits() int { return int(p.memoHits.Load()) }
 
 // shard picks the cache stripe for a key.

@@ -47,7 +47,7 @@ type occurrence struct {
 	atom int32 // canonical atom id
 	flip bool  // cmp is the negation of the canonical base atom
 	// lits caches the interned theory literal ids of cmp being true and
-	// false (-1 until first branched on).
+	// false (-1 until a model search first branches on it).
 	lits [2]int32
 }
 
@@ -152,7 +152,7 @@ type searcher struct {
 	assign []int8  // atom id -> 0 unassigned, +1 / -1 canonical base true / false
 	trail  []int32 // assigned atom ids, in order
 	lits   []lit   // the path's theory literals
-	litIDs []int32 // their interned ids: the theory memo key
+	litIDs []int32 // their interned ids, the theory memo key (model search only)
 	open   []int32 // stack of each open node's still-undetermined roots
 	keyBuf []byte
 
@@ -265,11 +265,14 @@ func (s *searcher) dfs(roots []int32) bool {
 		}
 		s.st.budget--
 		s.leaves++
+		if !s.models {
+			return theoryConsistent(s.lits)
+		}
 		ok, hit := s.p.theoryCheck(s.lits, s.litIDs, &s.keyBuf)
 		if hit {
 			s.memoHits++
 		}
-		if ok && s.models {
+		if ok {
 			s.model = s.snapshot()
 		}
 		return ok
@@ -286,13 +289,6 @@ func (s *searcher) dfs(roots []int32) bool {
 // extends the path with the matching literal and searches the roots below.
 func (s *searcher) branch(roots []int32, o *occurrence, val bool) bool {
 	l := litOf(o.cmp, val)
-	slot := 0
-	if !val {
-		slot = 1
-	}
-	if o.lits[slot] < 0 {
-		o.lits[slot] = s.p.lits.intern(l)
-	}
 	if val != o.flip { // the canonical base atom's truth
 		s.assign[o.atom] = 1
 	} else {
@@ -301,10 +297,22 @@ func (s *searcher) branch(roots []int32, o *occurrence, val bool) bool {
 	n := len(s.lits)
 	s.trail = append(s.trail, o.atom)
 	s.lits = append(s.lits, l)
-	s.litIDs = append(s.litIDs, o.lits[slot])
+	if s.models {
+		slot := 0
+		if !val {
+			slot = 1
+		}
+		if o.lits[slot] < 0 {
+			o.lits[slot] = s.p.lits.intern(l)
+		}
+		s.litIDs = append(s.litIDs, o.lits[slot])
+	}
 	found := s.dfs(roots)
 	s.assign[o.atom] = 0
-	s.trail, s.lits, s.litIDs = s.trail[:n], s.lits[:n], s.litIDs[:n]
+	s.trail, s.lits = s.trail[:n], s.lits[:n]
+	if s.models {
+		s.litIDs = s.litIDs[:n]
+	}
 	return found
 }
 
@@ -319,7 +327,7 @@ func (s *searcher) snapshot() *Model {
 
 // litTable interns theory literals prover-wide, structurally (terms are
 // comparable values), so that equal literal sequences from different
-// queries and sessions share theory-memo entries.
+// sessions share theory-memo entries.
 type litTable struct {
 	mu  sync.RWMutex
 	ids map[lit]int32
@@ -350,15 +358,18 @@ type memoShard struct {
 	m  map[string]bool
 }
 
-// memoShardCap bounds each memo stripe; a full stripe stops memoizing
-// (the memo is an accelerator, never a source of verdicts).
-const memoShardCap = 1 << 12
-
-// theoryCheck decides a leaf's literal conjunction through the
+// theoryCheck decides a session leaf's literal conjunction through the
 // prover-wide memo, keyed by the interned literal sequence. The theory
 // check is a pure function of that sequence, so a memoized answer is
 // exactly the one a recomputation would give, and the search tree is the
-// same with or without the memo.
+// same with or without the memo. Like the query cache, the memo grows by
+// at most one entry per theory check actually run.
+//
+// Only session searches use it: each Check re-explores the branches that
+// earlier blocking clauses closed, so most of its leaves repeat (92% on
+// the drivers), while a one-shot query's leaves rarely recur once the
+// query cache has answered the repeated queries (6–10% on the corpus),
+// too few to pay for the key and the locks.
 func (p *Prover) theoryCheck(lits []lit, ids []int32, buf *[]byte) (consistent, hit bool) {
 	b := (*buf)[:0]
 	for _, id := range ids {
@@ -377,9 +388,7 @@ func (p *Prover) theoryCheck(lits []lit, ids []int32, buf *[]byte) (consistent, 
 	if sh.m == nil {
 		sh.m = map[string]bool{}
 	}
-	if len(sh.m) < memoShardCap {
-		sh.m[string(b)] = v
-	}
+	sh.m[string(b)] = v
 	sh.mu.Unlock()
 	return v, false
 }
