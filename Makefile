@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: build test verify verify-extended chaos crash corrupt serve-chaos fleet-chaos cache-chaos disk-chaos leakcheck metrics-lint bench bench-e2e bench-check bench-cache lint-docs tools
+.PHONY: build test verify verify-extended chaos crash corrupt serve-chaos fleet-chaos disk-chaos leakcheck metrics-lint bench bench-e2e bench-check lint-docs tools
 
 build:
 	$(GO) build ./...
@@ -14,7 +14,7 @@ verify: build test
 # Extended gate: static analysis plus the race detector over the whole
 # tree (exercises the parallel cube search and the concurrent tracer),
 # then the fault-injection matrix and the cancellation leak check.
-verify-extended: verify lint-docs metrics-lint chaos crash corrupt serve-chaos fleet-chaos cache-chaos disk-chaos leakcheck
+verify-extended: verify lint-docs metrics-lint chaos crash corrupt serve-chaos fleet-chaos disk-chaos leakcheck
 	$(GO) test -race ./...
 
 # Chaos gate: the deterministic fault-injection matrix (seeded prover
@@ -55,26 +55,16 @@ serve-chaos:
 fleet-chaos:
 	$(GO) test -count=1 -timeout 10m -run 'TestFleetChaos' ./internal/faultinject/
 
-# Cache-chaos gate: the shared prover cache must be a pure accelerator.
-# Every cell — warm cache, cache SIGKILLed mid-run, nothing listening,
-# restart over a torn/corrupted store, responses slower than the lookup
-# budget, garbage responses, and a poisoned cache under verify mode —
-# requires verdict stdout byte-identical to a cache-off run; the poison
-# cell additionally requires detection and quarantine.
-cache-chaos:
-	$(GO) test -count=1 -timeout 10m -run 'TestCacheChaos' ./internal/faultinject/
-
 # Disk-chaos gate: deterministic filesystem fault schedules (ENOSPC,
 # short writes, fsync and read EIO, rename failure) injected under every
-# durable store — journal, job ledger, per-job event logs, fleet ledger,
-# cache store — plus their compaction/rotation paths. Every cell
-# requires: no wrong verdict, no crash on an injected fault, sticky
-# persistence-degraded shedding while the disk is bad, restart recovery
-# of every acked record via torn-tail repair, compacted generations
-# serving byte-identically to unbounded twins, and no job or cache entry
-# lost or double-credited.
+# durable store — journal, job ledger, per-job event logs, fleet ledger —
+# plus their compaction/rotation paths. Every cell requires: no wrong
+# verdict, no crash on an injected fault, sticky persistence-degraded
+# shedding while the disk is bad, restart recovery of every acked record
+# via torn-tail repair, compacted generations serving byte-identically to
+# unbounded twins, and no job lost or double-credited.
 disk-chaos:
-	$(GO) test -race -count=1 -timeout 10m -run 'TestDiskChaos' ./internal/faultinject/ ./internal/checkpoint/ ./internal/server/ ./internal/fleet/ ./internal/cacheserv/
+	$(GO) test -race -count=1 -timeout 10m -run 'TestDiskChaos' ./internal/faultinject/ ./internal/checkpoint/ ./internal/server/ ./internal/fleet/
 
 # Metrics gate: the Prometheus exposition's golden byte-for-byte family
 # ordering, the disabled-registry zero-allocation pin (the nil-tracer
@@ -82,8 +72,6 @@ disk-chaos:
 # detector with racing registration, updates, and scrapes.
 metrics-lint:
 	$(GO) test -race -count=1 -run 'TestPromExpositionGolden|TestDisabledMetricsZeroAlloc|TestRegistryConcurrentStress' ./internal/metrics/
-	$(GO) test -race -count=1 -run 'TestCacheMetricsExpositionDeterministic' ./internal/cacheserv/
-	$(GO) test -race -count=1 -run 'TestNilRemoteTierZeroAlloc|TestRemoteWireFormatGolden' ./internal/prover/
 
 # Leak gate: concurrent cancellation mid-cube-search at -j 8 must leave
 # no goroutine behind and keep the degraded report deterministic, and
@@ -118,14 +106,6 @@ bench-check:
 	@mkdir -p .bench_build && rm -f .bench_build/check.jsonl
 	$(MAKE) bench-e2e BENCH_OUT=.bench_build/check.jsonl
 	bash cmd/bench/run.sh -check $(BASE) .bench_build/check.jsonl
-
-# Cache trajectory: every Table 1 driver verified with no remote tier,
-# against a cold predcached store, and against a fleet-warmed one —
-# wall clock, prover queries and remote hit/fallback traffic, written
-# to the committed BENCH_cache.json. cachebench exits nonzero if any
-# mode's verdict or prover-call count diverges.
-bench-cache:
-	$(GO) run ./cmd/cachebench -o BENCH_cache.json
 
 # Doc gate: static analysis plus the exported-identifier doc-comment
 # check over the facade and the prover (the packages the paper's

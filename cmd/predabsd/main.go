@@ -20,15 +20,6 @@
 //
 //	predabsd -frontend http://n1:8745,http://n2:8745 -data /var/lib/predabs-fe
 //
-// With -cache the same binary runs as predcached, the fleet-shared
-// prover cache: a durable store of decided prover verdicts partitioned
-// by checkpoint compatibility hash, served over batched GET/PUT (see
-// internal/cacheserv). Workers reach it via -cache-url (stamped into
-// their environment as PREDABSD_CACHE_URL):
-//
-//	predabsd -cache -data /var/lib/predcached [-addr :8750]
-//	predabsd -data /var/lib/predabs -cache-url http://cachehost:8750
-//
 // The same binary re-execs itself as the worker (-worker -dir, internal).
 package main
 
@@ -45,7 +36,6 @@ import (
 	"time"
 
 	"predabs"
-	"predabs/internal/cacheserv"
 	"predabs/internal/fleet"
 	"predabs/internal/metrics"
 	"predabs/internal/server"
@@ -81,10 +71,6 @@ func run() (code int) {
 	pollInterval := flag.Duration("poll-interval", 500*time.Millisecond, "with -frontend: backend event-stream poll spacing")
 	dispatchRetries := flag.Int("dispatch-retries", 4, "with -frontend: backend attempts per run before failing it unknown")
 	eventWait := flag.Duration("event-wait", 0, "with -frontend: long-poll hold per backend event fetch (0 = min(lease-ttl/3, 5s), negative disables)")
-	cache := flag.Bool("cache", false, "run as predcached, the fleet-shared prover cache service")
-	cacheURL := flag.String("cache-url", "", "shared prover cache (predcached) base URL workers inherit; empty disables the remote tier")
-	cacheVerify := flag.Bool("cache-verify", false, "make workers revalidate sampled remote cache hits locally, quarantining the cache on any mismatch")
-	cacheMaxBytes := flag.Int64("cache-max-bytes", 0, "with -cache: compact the store into a new generation above this size, evicting cold partitions (0 = unbounded)")
 	ledgerSnapshotBytes := flag.Int64("ledger-snapshot-bytes", 0, "fold terminal jobs into a snapshot record at restart replay once the ledger exceeds this size (0 = never fold)")
 	eventsMaxBytes := flag.Int64("events-max-bytes", 0, "rotate each job's event log behind a truncation record above this size (0 = unbounded)")
 	flag.Parse()
@@ -97,7 +83,7 @@ func run() (code int) {
 		return server.RunWorker(*dir, os.Stderr)
 	}
 	if flag.NArg() != 0 || *data == "" {
-		fmt.Fprintln(os.Stderr, "usage: predabsd -data <dir> [-addr host:port] [-frontend url,url | -cache]")
+		fmt.Fprintln(os.Stderr, "usage: predabsd -data <dir> [-addr host:port] [-frontend url,url]")
 		return 2
 	}
 	logf := func(string, ...any) {}
@@ -105,22 +91,6 @@ func run() (code int) {
 		logf = func(format string, args ...any) {
 			fmt.Fprintf(os.Stderr, format+"\n", args...)
 		}
-	}
-	if *cache {
-		fmt.Fprintf(os.Stderr, "predabsd: version %s starting (cache)\n", predabs.Version)
-		cs, err := cacheserv.New(cacheserv.Config{
-			Dir:      *data,
-			MaxBytes: *cacheMaxBytes,
-			Metrics:  metrics.New(),
-			Logf:     logf,
-		})
-		if err != nil {
-			fmt.Fprintln(os.Stderr, "predabsd:", err)
-			return 1
-		}
-		return serveAPI(cs.Handler(), *addr, *drainTimeout, func(context.Context) error {
-			return cs.Close()
-		})
 	}
 	if *frontend != "" {
 		if *dispatchRetries <= 0 || *leaseTTL <= 0 || *pollInterval <= 0 || *queueCap <= 0 {
@@ -136,7 +106,6 @@ func run() (code int) {
 			LeaseTTL:            *leaseTTL,
 			PollInterval:        *pollInterval,
 			EventWait:           *eventWait,
-			CacheURL:            *cacheURL,
 			AllowJobEnv:         *allowJobEnv,
 			LedgerSnapshotBytes: *ledgerSnapshotBytes,
 			Metrics:             metrics.New(),
@@ -189,8 +158,6 @@ func run() (code int) {
 		RetryMax:            *retryMax,
 		Artifacts:           *artifacts,
 		AllowJobEnv:         *allowJobEnv,
-		CacheURL:            *cacheURL,
-		CacheVerify:         *cacheVerify,
 		LedgerSnapshotBytes: *ledgerSnapshotBytes,
 		EventsMaxBytes:      *eventsMaxBytes,
 		Metrics:             metrics.New(),

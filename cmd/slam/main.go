@@ -42,8 +42,6 @@ func run() (code int) {
 	maxIters := flag.Int("maxiters", 10, "maximum abstraction refinement iterations")
 	jobs := flag.Int("j", 0, "cube-search worker pool size (0 = GOMAXPROCS, 1 = sequential)")
 	absEngine := flag.String("abs-engine", "cubes", "abstraction engine: cubes (per-cube prover queries) or models (incremental model enumeration)")
-	cacheURL := flag.String("cache-url", "", "shared prover cache (predcached) base URL; empty disables the remote tier")
-	cacheVerify := flag.Bool("cache-verify", false, "revalidate a sample of remote cache hits against the local prover; any mismatch quarantines the cache for the run")
 	stats := flag.Bool("stats", false, "print per-stage timings and prover statistics to stderr")
 	explain := flag.Bool("explain", false, "render a found error path as an annotated source-level trace")
 	verbose := flag.Bool("v", false, "log each refinement iteration")
@@ -84,20 +82,18 @@ func run() (code int) {
 		}
 	}
 	code, _ = runner.Run(runner.Input{
-		SourceName:  flag.Arg(0),
-		Source:      string(src),
-		Spec:        string(specSrc),
-		HasSpec:     *specFile != "",
-		Entry:       *entry,
-		MaxIters:    *maxIters,
-		Jobs:        *jobs,
-		Engine:      *absEngine,
-		Stats:       *stats,
-		Explain:     *explain,
-		Verbose:     *verbose,
-		CacheURL:    *cacheURL,
-		CacheVerify: *cacheVerify,
-		Obs:         obsFlags,
+		SourceName: flag.Arg(0),
+		Source:     string(src),
+		Spec:       string(specSrc),
+		HasSpec:    *specFile != "",
+		Entry:      *entry,
+		MaxIters:   *maxIters,
+		Jobs:       *jobs,
+		Engine:     *absEngine,
+		Stats:      *stats,
+		Explain:    *explain,
+		Verbose:    *verbose,
+		Obs:        obsFlags,
 	}, os.Stdout, os.Stderr)
 	return code
 }

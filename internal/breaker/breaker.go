@@ -1,9 +1,8 @@
-// Package breaker implements the circuit breaker shared by the fleet
-// frontend (per-backend dispatch gating, internal/fleet) and the
-// prover's remote cache tier (internal/prover): trip open after N
-// consecutive failures, refuse everything for a jittered reopen delay,
-// then admit exactly one half-open probe whose outcome decides between
-// closing and re-opening.
+// Package breaker implements the circuit breaker the fleet frontend
+// uses to gate dispatch to each backend (internal/fleet): trip open
+// after N consecutive failures, refuse everything for a jittered
+// reopen delay, then admit exactly one half-open probe whose outcome
+// decides between closing and re-opening.
 package breaker
 
 import (

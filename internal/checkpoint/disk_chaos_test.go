@@ -1,10 +1,10 @@
 // Disk-chaos tests for the framed-log substrate: every durable store in
 // the system (job journal, server ledger, per-job event logs, fleet
-// ledger, cache store) rides checkpoint.Log or the journal Manager, so
-// the invariants pinned here — acked records survive any injected disk
+// ledger) rides checkpoint.Log or the journal Manager, so the
+// invariants pinned here — acked records survive any injected disk
 // fault, appends degrade stickily instead of corrupting, read errors
 // never masquerade as corruption, and generation rewrites commit
-// atomically — are the floor under all five owners' own chaos suites.
+// atomically — are the floor under all four owners' own chaos suites.
 package checkpoint_test
 
 import (
@@ -20,9 +20,10 @@ import (
 	"predabs/internal/faultinject"
 )
 
-// storeMagics mirrors the five durable stores' file formats. The tests
-// run the same fault matrix over each: the substrate must behave
-// identically no matter which owner's magic stamps the file.
+// storeMagics mirrors the four durable stores' file formats, plus a
+// two-byte-longer magic ("cache") so the matrix covers a second header
+// length. The tests run the same fault matrix over each: the substrate
+// must behave identically no matter which magic stamps the file.
 var storeMagics = []struct{ name, magic string }{
 	{"journal", "PREDABSJNL1\x00"},
 	{"ledger", "PREDABSLGR1\x00"},

@@ -239,7 +239,7 @@ func ReplayLogFS(fsys FS, path, magic string, replay func(payload []byte)) error
 // the old generation intact, after it the new one; no schedule can
 // surface a torn mix. This is the one rewrite primitive behind every
 // store's compaction/rotation (ledger snapshots, event-log retention,
-// fleet ledger folds, cache generations). Any open handle on the old
+// fleet ledger folds). Any open handle on the old
 // generation keeps reading the old inode, so a concurrent ReplayLogFS
 // reader never observes the swap mid-file.
 func RewriteLog(fsys FS, path, magic string, payloads [][]byte) error {

@@ -20,8 +20,8 @@ type File interface {
 }
 
 // FS is the filesystem seam under every durable predabs store: the
-// CEGAR journal, the daemon ledger, the per-job event logs, the fleet
-// ledger and the cache store. The default implementation (OSFS) is the
+// CEGAR journal, the daemon ledger, the per-job event logs and the
+// fleet ledger. The default implementation (OSFS) is the
 // real filesystem; fault-injecting implementations wrap it to prove the
 // durability layer degrades soundly when the disk itself misbehaves.
 //

@@ -70,7 +70,7 @@ type FSConfig struct {
 // FaultFS wraps a checkpoint.FS with the deterministic fault schedule
 // cfg describes. It is the disk-level sibling of the prover's fault
 // injector: the chaos matrix threads it through every durable store
-// (journal, ledger, events, fleet ledger, cache) and asserts the owner
+// (journal, ledger, events, fleet ledger) and asserts the owner
 // degrades soundly — keeps serving, never crashes, never flips a
 // verdict — exactly as it must under SIGKILL.
 type FaultFS struct {

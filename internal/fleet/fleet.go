@@ -85,10 +85,6 @@ type Config struct {
 	// AllowJobEnv permits specs carrying Env overrides, mirroring the
 	// backend daemon's -allow-job-env flag (the chaos harness needs it).
 	AllowJobEnv bool
-	// CacheURL is the fleet's shared prover-cache service (predcached)
-	// base URL, advertised to clients via /healthz and /statz so
-	// operators can point backend workers at the same tier. Optional.
-	CacheURL string
 	// FS is the filesystem the fleet ledger lives on (default: the real
 	// OS filesystem). Tests inject fault-injecting implementations.
 	FS checkpoint.FS
@@ -484,14 +480,10 @@ func (f *Frontend) Handler() http.Handler {
 			return nil
 		},
 		Healthz: func() map[string]any {
-			h := map[string]any{"status": "ok", "role": "frontend",
+			return map[string]any{"status": "ok", "role": "frontend",
 				"uptime_s":             int64(time.Since(f.start).Seconds()),
 				"persistence_degraded": f.led.degradedErr() != nil,
 			}
-			if f.cfg.CacheURL != "" {
-				h["cache_url"] = f.cfg.CacheURL
-			}
-			return h
 		},
 		Statz: f.statz,
 	})
@@ -521,9 +513,6 @@ func (f *Frontend) statz() map[string]any {
 	}
 	if derr := f.led.degradedErr(); derr != nil {
 		st["persistence_error"] = derr.Error()
-	}
-	if f.cfg.CacheURL != "" {
-		st["cache_url"] = f.cfg.CacheURL
 	}
 	return st
 }

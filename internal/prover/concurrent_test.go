@@ -2,6 +2,7 @@ package prover
 
 import (
 	"fmt"
+	"sort"
 	"sync"
 	"testing"
 
@@ -139,5 +140,57 @@ func TestConcurrentTheoryMemo(t *testing.T) {
 	}
 	if leaves, hits := p.TheoryLeaves(), p.TheoryMemoHits(); hits == 0 || hits >= leaves {
 		t.Errorf("theory leaves %d, memo hits %d: want hits in (0, leaves)", leaves, hits)
+	}
+}
+
+// TestImportExportCacheConcurrent hammers ImportCache / ExportCache /
+// live queries from many goroutines (run under -race by
+// verify-extended): exports must always be sorted, internally
+// consistent snapshots, and the final state must contain every import.
+func TestImportExportCacheConcurrent(t *testing.T) {
+	p := New()
+	const goroutines = 8
+	const perG = 200
+	var wg sync.WaitGroup
+	for g := 0; g < goroutines; g++ {
+		g := g
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for i := 0; i < perG; i++ {
+				p.ImportCache([]CacheEntry{{Key: fmt.Sprintf("U\x00imp-%d-%d", g, i), Val: i%2 == 0}})
+			}
+		}()
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for i := 0; i < 20; i++ {
+				out := p.ExportCache()
+				if !sort.SliceIsSorted(out, func(a, b int) bool { return out[a].Key < out[b].Key }) {
+					t.Error("concurrent export not in canonical order")
+					return
+				}
+			}
+		}()
+	}
+	wg.Wait()
+	out := p.ExportCache()
+	if len(out) != goroutines*perG {
+		t.Fatalf("final export has %d entries, want %d", len(out), goroutines*perG)
+	}
+	if p.CacheSize() != goroutines*perG {
+		t.Fatalf("CacheSize = %d, want %d", p.CacheSize(), goroutines*perG)
+	}
+	// Round-trip: importing an export into a fresh prover reproduces it.
+	p2 := New()
+	p2.ImportCache(out)
+	out2 := p2.ExportCache()
+	if len(out2) != len(out) {
+		t.Fatalf("round-tripped export has %d entries, want %d", len(out2), len(out))
+	}
+	for i := range out {
+		if out[i] != out2[i] {
+			t.Fatalf("round-trip diverged at %d: %+v vs %+v", i, out[i], out2[i])
+		}
 	}
 }

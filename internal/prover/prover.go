@@ -79,13 +79,6 @@ type Prover struct {
 	// "could not prove" immediately. Set before sharing.
 	Budget *budget.Tracker
 
-	// Remote, when non-nil, layers a shared cache tier behind the local
-	// sharded cache: consulted only on a local miss, published to only
-	// for fully decided verdicts. nil costs exactly nothing on the hot
-	// path (no allocations, no goroutines) — the nil-tracer contract.
-	// Set before sharing.
-	Remote *RemoteTier
-
 	calls     atomic.Int64
 	cacheHits atomic.Int64
 	gaveUp    atomic.Int64
@@ -252,23 +245,6 @@ func (p *Prover) decide(kind, key string, f, negated form.Formula) bool {
 		}
 		return false
 	}
-	// Remote tier, strictly behind the local cache: a trusted shared
-	// verdict short-circuits the search (and warms the local cache so
-	// the next identical query never leaves the process); any other
-	// outcome falls through to the local decision procedure. The counted
-	// entry point (calls) and verdict are identical either way, so
-	// remote hits can never change the run's output.
-	if p.Remote != nil {
-		if v, ok := p.Remote.Lookup(key); ok {
-			if !p.DisableCache {
-				p.cachePut(key, v)
-			}
-			if p.Trace != nil {
-				p.Trace.ProverQuery(kind, queryDesc(key), len(key), 0, v, true, false, 0, 0)
-			}
-			return v
-		}
-	}
 	start := time.Now()
 	st := p.newSatState(start)
 	pr := newProgram()
@@ -306,13 +282,6 @@ func (p *Prover) decide(kind, key string, f, negated form.Formula) bool {
 	// retry or a faster machine — so they are never memoized.
 	if !p.DisableCache && st.stop == stopNone {
 		p.cachePut(key, res)
-	}
-	// The remote publish condition mirrors the local memoization
-	// condition exactly: only fully decided verdicts (never wall-clock
-	// or cancellation stops) reach the shared cache — the ExportCache
-	// contract, fleet-wide.
-	if p.Remote != nil && st.stop == stopNone {
-		p.Remote.Publish(key, res)
 	}
 	if p.Trace != nil {
 		p.Trace.ProverQuery(kind, queryDesc(key), len(key), dur, res, false, gave, s.nodes, s.leaves)

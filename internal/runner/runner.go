@@ -17,7 +17,6 @@ import (
 	"predabs"
 	"predabs/internal/checkpoint"
 	"predabs/internal/obs"
-	"predabs/internal/prover"
 )
 
 // Input is one verification run's full configuration: the program text
@@ -51,17 +50,6 @@ type Input struct {
 	Stats   bool
 	Explain bool
 	Verbose bool
-	// CacheURL, when non-empty, layers the shared predcached prover
-	// cache behind the local cache (cmd/slam -cache-url; predabsd
-	// workers inherit it via PREDABSD_CACHE_URL). The tier is
-	// partitioned by the same compatibility key as the checkpoint
-	// journal, and every failure mode degrades to local-only behavior,
-	// so the verdict is byte-identical with or without it.
-	CacheURL string
-	// CacheVerify enables the remote tier's revalidation mode: remote
-	// hits never short-circuit; a deterministic sample is recomputed
-	// locally and any disagreement quarantines the tier for the run.
-	CacheVerify bool
 	// Progress receives CEGAR iteration-boundary heartbeats (see
 	// predabs.VerifyConfig.Progress). The predabsd worker uses it to
 	// append durable progress records to its job's event log; nil
@@ -141,9 +129,7 @@ func Run(in Input, stdout, stderr io.Writer) (code int, outcome string) {
 	// The compatibility key covers everything that changes what the run
 	// computes. -j and the wall-clock limits are deliberately absent:
 	// results are worker-count-independent, and wall-clock degradations
-	// are never persisted. The same key partitions the shared prover
-	// cache: only runs that would compute identical verdicts exchange
-	// them.
+	// are never persisted.
 	key := checkpoint.CompatKey{
 		Tool: "slam", Version: predabs.Version,
 		Program: in.Source, Spec: in.Spec, Entry: in.Entry,
@@ -159,26 +145,6 @@ func Run(in Input, stdout, stderr io.Writer) (code int, outcome string) {
 	}
 	defer ckpt.Close()
 	cfg.Checkpoint = ckpt
-	if in.CacheURL != "" {
-		tier := prover.NewRemoteTier(prover.RemoteConfig{
-			URL:       in.CacheURL,
-			Partition: key.Hash(),
-			Verify:    in.CacheVerify,
-			Trace:     tracer,
-			Logf: func(format string, args ...any) {
-				fmt.Fprintf(stderr, "slam: "+format+"\n", args...)
-			},
-		})
-		defer func() {
-			tier.Close()
-			if in.Stats {
-				s := tier.Stats()
-				fmt.Fprintf(stderr, "remote cache: lookups %d, hits %d, misses %d, fallbacks %d, published %d, dropped %d, verified %d, mismatches %d, quarantined %t\n",
-					s.Lookups, s.Hits, s.Misses, s.Fallbacks, s.Published, s.Dropped, s.Verified, s.Mismatches, s.Quarantined)
-			}
-		}()
-		cfg.RemoteCache = tier
-	}
 	ctx, cancel := flags.Context()
 	defer cancel()
 	pipelineHook()

@@ -171,15 +171,6 @@ const (
 	JobIDEnv = "PREDABSD_JOB_ID"
 	// AttemptEnv carries the 1-based attempt number into the worker.
 	AttemptEnv = "PREDABSD_ATTEMPT"
-	// CacheURLEnv carries the shared prover cache (predcached) base URL
-	// into the worker; empty or unset leaves the remote tier off. The
-	// supervisor stamps it from Config.CacheURL, so every worker on a
-	// node shares (and warms) the same cache.
-	CacheURLEnv = "PREDABSD_CACHE_URL"
-	// CacheVerifyEnv, when set to "1", puts the worker's remote cache
-	// tier in verify mode: sampled remote hits are recomputed locally
-	// and any mismatch quarantines the tier for the run.
-	CacheVerifyEnv = "PREDABSD_CACHE_VERIFY"
 	// EventsMaxEnv carries the daemon's -events-max-bytes retention cap
 	// into the worker, whose progress heartbeats append to the same
 	// event log the supervisor rotates.
@@ -242,19 +233,17 @@ func RunWorker(dir string, stderr io.Writer) int {
 	}
 	var stdout bytes.Buffer
 	code, outcome := runner.Run(runner.Input{
-		SourceName:  "job.c",
-		Source:      spec.Source,
-		Spec:        spec.Spec,
-		HasSpec:     spec.Spec != "",
-		Entry:       spec.Entry,
-		MaxIters:    spec.MaxIters,
-		Jobs:        spec.Jobs,
-		Engine:      spec.AbsEngine,
-		Explain:     spec.Explain,
-		CacheURL:    os.Getenv(CacheURLEnv),
-		CacheVerify: os.Getenv(CacheVerifyEnv) == "1",
-		Progress:    progress,
-		Obs:         flags,
+		SourceName: "job.c",
+		Source:     spec.Source,
+		Spec:       spec.Spec,
+		HasSpec:    spec.Spec != "",
+		Entry:      spec.Entry,
+		MaxIters:   spec.MaxIters,
+		Jobs:       spec.Jobs,
+		Engine:     spec.AbsEngine,
+		Explain:    spec.Explain,
+		Progress:   progress,
+		Obs:        flags,
 	}, &stdout, stderr)
 	res := WorkerResult{SpecHash: SpecHash(spec), ExitCode: code, Outcome: outcome, Stdout: stdout.String()}
 	if err := writeFileAtomic(filepath.Join(dir, resultFile), res); err != nil {

@@ -59,13 +59,6 @@ type Config struct {
 	// AllowJobEnv honours JobSpec.Env (worker environment injection).
 	// Leave it off outside chaos testing.
 	AllowJobEnv bool
-	// CacheURL, when non-empty, is the shared prover cache (predcached)
-	// base URL every worker inherits via PREDABSD_CACHE_URL. CacheVerify
-	// additionally puts the workers' remote tiers in verify mode
-	// (PREDABSD_CACHE_VERIFY=1). Both degrade soundly: a dead, slow or
-	// lying cache never changes a verdict, only its speed.
-	CacheURL    string
-	CacheVerify bool
 	// Metrics receives the daemon's instrument registrations and backs
 	// GET /metrics. Nil disables metrics: every instrument update then
 	// no-ops at zero allocations (the nil-tracer contract), and /metrics
@@ -410,16 +403,12 @@ func (s *Server) Handler() http.Handler {
 			return nil
 		},
 		Healthz: func() map[string]any {
-			h := map[string]any{
+			return map[string]any{
 				"status":               "ok",
 				"version":              predabs.Version,
 				"uptime_seconds":       int64(time.Since(s.start).Seconds()),
 				"persistence_degraded": s.ledger.degradedErr() != nil,
 			}
-			if s.cfg.CacheURL != "" {
-				h["cache_url"] = s.cfg.CacheURL
-			}
-			return h
 		},
 		Statz: func() map[string]any {
 			s.mu.Lock()
@@ -438,9 +427,6 @@ func (s *Server) Handler() http.Handler {
 			}
 			if derr := s.ledger.degradedErr(); derr != nil {
 				st["persistence_error"] = derr.Error()
-			}
-			if s.cfg.CacheURL != "" {
-				st["cache_url"] = s.cfg.CacheURL
 			}
 			return st
 		},

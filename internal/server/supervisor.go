@@ -148,12 +148,6 @@ func (s *Server) runAttempt(j *job, attempt int) (*WorkerResult, string) {
 		// supervisor just rotated.
 		cmd.Env = append(cmd.Env, EventsMaxEnv+"="+strconv.FormatInt(s.cfg.EventsMaxBytes, 10))
 	}
-	if s.cfg.CacheURL != "" {
-		cmd.Env = append(cmd.Env, CacheURLEnv+"="+s.cfg.CacheURL)
-		if s.cfg.CacheVerify {
-			cmd.Env = append(cmd.Env, CacheVerifyEnv+"=1")
-		}
-	}
 	cmd.Env = append(cmd.Env, j.spec.Env...)
 	logf, err := os.OpenFile(filepath.Join(j.dir, workerLogFile),
 		os.O_CREATE|os.O_WRONLY|os.O_APPEND, 0o644)

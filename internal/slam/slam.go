@@ -101,13 +101,6 @@ type Config struct {
 	// Result only when the override implements the optional Calls /
 	// CacheHits / SolverTime / Timeouts methods.
 	Prover prover.Querier
-	// RemoteCache attaches a shared prover-cache tier to the prover the
-	// loop builds when Prover is nil (a Prover override manages its own
-	// tiers). The tier only serves verdicts the local decision procedure
-	// could have computed, and every failure mode degrades to local-only
-	// behavior, so results stay byte-identical with or without it. nil
-	// disables the tier at zero cost.
-	RemoteCache *prover.RemoteTier
 }
 
 // DefaultConfig returns the standard configuration.
@@ -297,7 +290,6 @@ func verifyProgram(ctx context.Context, prog *cast.Program, entry string, cfg Co
 		p.Trace = tracer
 		p.QueryTimeout = cfg.Limits.QueryTimeout
 		p.Budget = bt
-		p.Remote = cfg.RemoteCache
 		pv = p
 	}
 

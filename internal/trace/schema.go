@@ -58,12 +58,6 @@ var Taxonomy = map[string][]string{
 	// like "daemon": no worker emits these, they exist so fleet event
 	// streams rendered into merged traces validate under one schema.
 	"fleet": {"admit", "dispatch", "lease", "adopt", "verdict"},
-	// Remote prover-cache tier (internal/prover + internal/cacheserv):
-	// "lookup" spans one budgeted remote fetch (hit/fallback fields),
-	// "flush" spans one batched background publish, and "quarantine" is
-	// the instant the verify mode benched the tier after a remote verdict
-	// contradicted the local decision procedure.
-	"cache": {"lookup", "flush", "quarantine"},
 }
 
 // RequiredFields maps "cat/name" to the fields every such event must

@@ -104,6 +104,7 @@ func TestValidateLineRejections(t *testing.T) {
 		`{"ts":1,"type":"event","dur":3,"cat":"cube","name":"round"}`,            // event with dur
 		`{"ts":1,"type":"span","dur":1,"cat":"nope","name":"round"}`,             // unknown category
 		`{"ts":1,"type":"span","dur":1,"cat":"cube","name":"nope"}`,              // unknown name
+		`{"ts":1,"type":"span","dur":1,"cat":"cache","name":"lookup"}`,           // unknown category (cache)
 		`{"ts":1,"type":"huh","cat":"cube","name":"round"}`,                      // bad type
 		`{"ts":1,"type":"event","cat":"cube","name":"round","tid":0}`,            // explicit tid 0
 		`{"ts":1,"type":"event","cat":"cube","name":"round","extra":1}`,          // unknown key

@@ -196,7 +196,10 @@ type AbstractStats struct {
 	// SearchNodes and TheoryLeaves are the prover's search effort: DPLL
 	// nodes visited and theory-consistency checks at full leaves, over
 	// every uncached query and session check. TheoryMemoHits counts the
-	// leaves answered from the prover's theory-leaf memo.
+	// leaves answered from the prover's theory-leaf memo. They count
+	// this process's work only; a run warm-started from a checkpoint does
+	// not inherit them, and the queries its restored cache answers add
+	// none.
 	SearchNodes    int
 	TheoryLeaves   int
 	TheoryMemoHits int
