@@ -10,8 +10,10 @@ import (
 // Log is a minimal append-only durable record log with the journal's
 // frame discipline — magic prefix, length+CRC32 framing, fsync per
 // append, torn-tail truncation on open — but none of the journal's
-// replay semantics. predabsd's job ledger is built on it; anything that
-// needs crash-safe ordered records can reuse it.
+// replay semantics. Both ledgers are built on it through Ledger —
+// predabsd's job ledger and the fleet frontend's ledger — and so are
+// predabsd's per-job event logs; anything that needs crash-safe ordered
+// records can reuse it.
 //
 // A Log's corruption contract matches the journal's: a record is either
 // replayed intact or it (and everything after it) is discarded, so a
@@ -24,8 +26,6 @@ import (
 // error. Err exposes that state; owners surface it as a
 // persistence-degraded condition and keep serving from memory.
 type Log struct {
-	path     string
-	fsys     FS
 	f        File
 	size     int64 // bytes of trusted log prefix (magic + intact frames)
 	failed   error // first append/sync error; sticky
@@ -53,7 +53,7 @@ func OpenLogFS(fsys FS, path, magic string, replay func(payload []byte)) (*Log, 
 	if err != nil {
 		return nil, fmt.Errorf("log: %w", err)
 	}
-	l := &Log{path: path, fsys: fsys, f: f}
+	l := &Log{f: f}
 	size, err := f.Seek(0, io.SeekEnd)
 	if err != nil {
 		f.Close()
@@ -132,14 +132,6 @@ func (l *Log) Warnings() []string {
 		return nil
 	}
 	return append([]string(nil), l.warnings...)
-}
-
-// Path returns the log's file path.
-func (l *Log) Path() string {
-	if l == nil {
-		return ""
-	}
-	return l.path
 }
 
 // Size returns the trusted on-disk size in bytes: the magic plus every

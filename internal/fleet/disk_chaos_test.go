@@ -13,11 +13,38 @@ import (
 	"net/http/httptest"
 	"os"
 	"path/filepath"
+	"strings"
+	"sync"
 	"testing"
 
 	"predabs/internal/faultinject"
 	"predabs/internal/server"
 )
+
+// logCapture collects a frontend's Logf lines (dispatchers log
+// concurrently).
+type logCapture struct {
+	mu    sync.Mutex
+	lines []string
+}
+
+func (c *logCapture) logf(format string, args ...any) {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	c.lines = append(c.lines, fmt.Sprintf(format, args...))
+}
+
+// has reports whether any captured line contains substr.
+func (c *logCapture) has(substr string) bool {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	for _, line := range c.lines {
+		if strings.Contains(line, substr) {
+			return true
+		}
+	}
+	return false
+}
 
 // verdictSeqOf returns the Seq and Dropped of the verdict event in a
 // job's synthesized stream.
@@ -42,7 +69,8 @@ func verdictSeqOf(t *testing.T, f *Frontend, id string) (uint64, uint64) {
 // contract end to end: verdicts and dedup joins survive, every
 // synthesized verdict keeps its pre-compaction sequence number behind
 // an explicit Dropped declaration, the streams still validate, and a
-// second fold finds nothing left to elide.
+// second fold finds nothing left to elide. A rename fault at the fold's
+// commit point keeps the full ledger byte-identical and says so.
 func TestDiskChaosFleetLedgerSnapshotFold(t *testing.T) {
 	fb := newFakeBackend(t, true)
 	cfg := testConfig(t, fb.url())
@@ -89,8 +117,35 @@ func TestDiskChaosFleetLedgerSnapshotFold(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	raw, err := os.ReadFile(ledgerPath)
+	if err != nil {
+		t.Fatal(err)
+	}
 
 	cfg.LedgerSnapshotBytes = 1
+	// Rename fault at the fold's commit point: the frontend keeps
+	// serving the full ledger, byte-identical, and logs the failure.
+	faulted := cfg
+	faulted.FS = faultinject.NewFS(nil, faultinject.FSConfig{FailRenameAfter: 1})
+	logs := &logCapture{}
+	faulted.Logf = logs.logf
+	fr, err := New(faulted)
+	if err != nil {
+		t.Fatalf("fold under rename fault must keep serving: %v", err)
+	}
+	for _, id := range ids {
+		if st, ok := fr.Lookup(id); !ok || st.State != pre[id].status.State {
+			t.Fatalf("aborted fold lost job %s: ok=%v %+v", id, ok, st)
+		}
+	}
+	fr.Shutdown()
+	if !logs.has("fold failed") {
+		t.Fatalf("aborted fold not logged: %q", logs.lines)
+	}
+	if after, err := os.ReadFile(ledgerPath); err != nil || !bytes.Equal(after, raw) {
+		t.Fatalf("aborted fold changed the ledger bytes (err %v)", err)
+	}
+
 	f2, err := New(cfg)
 	if err != nil {
 		t.Fatalf("restart with fold: %v", err)
@@ -259,11 +314,19 @@ func TestDiskChaosFleetTornTailRepairedOnReopen(t *testing.T) {
 	fh.Write([]byte("\xde\xadtorn-fleet-frame"))
 	fh.Close()
 
+	// The reopen also folds: the first replay's repair must still be
+	// reported alongside the fold's outcome.
+	cfg.LedgerSnapshotBytes = 1
+	logs := &logCapture{}
+	cfg.Logf = logs.logf
 	f2, err := New(cfg)
 	if err != nil {
 		t.Fatalf("reopen over a torn tail: %v", err)
 	}
 	defer f2.Shutdown()
+	if !logs.has("truncated to last good record") {
+		t.Fatalf("torn-tail repair not logged: %q", logs.lines)
+	}
 	st, ok := f2.Lookup(id)
 	if !ok || st.State != server.StateDone || st.Stdout != want.Stdout {
 		t.Fatalf("verdict lost across torn-tail repair: ok=%v %+v", ok, st)

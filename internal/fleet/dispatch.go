@@ -138,7 +138,7 @@ func (f *Frontend) tryAdopt(r *run, backend, bid string) bool {
 		f.expireLease(r, backend, bid, reason)
 		return false
 	}
-	if _, err := f.led.append(Record{Type: RecAdopt, Key: r.key, Backend: backend, BackendID: bid}); err != nil {
+	if _, err := f.led.Append(Record{Type: RecAdopt, Key: r.key, Backend: backend, BackendID: bid}); err != nil {
 		f.cfg.Logf("fleet ledger: adopt append failed: %v", err)
 		f.expireLease(r, backend, bid, "fleet ledger unwritable at adopt")
 		return false
@@ -156,7 +156,7 @@ func (f *Frontend) tryAdopt(r *run, backend, bid string) bool {
 // is durable the run may be re-dispatched, and a frontend killed
 // before it restarts into the adoption probe instead.
 func (f *Frontend) expireLease(r *run, backend, bid, reason string) {
-	if _, err := f.led.append(Record{Type: RecLease, Key: r.key, Lease: "expired",
+	if _, err := f.led.Append(Record{Type: RecLease, Key: r.key, Lease: "expired",
 		Backend: backend, BackendID: bid, Detail: reason}); err != nil {
 		f.cfg.Logf("fleet ledger: lease append failed: %v", err)
 	}
@@ -191,7 +191,7 @@ func (f *Frontend) submitRun(r *run) (*node, string) {
 		r.mu.Lock()
 		dispatch := r.dispatches + 1
 		r.mu.Unlock()
-		if _, err := f.led.append(Record{Type: RecDispatch, Key: r.key,
+		if _, err := f.led.Append(Record{Type: RecDispatch, Key: r.key,
 			Backend: n.url, BackendID: bid, Dispatch: dispatch}); err != nil {
 			f.cfg.Logf("fleet ledger: dispatch append failed: %v", err)
 			return nil, ""

@@ -24,6 +24,7 @@
 package fleet
 
 import (
+	"errors"
 	"fmt"
 	"net/http"
 	"sort"
@@ -198,22 +199,19 @@ func New(cfg Config) (*Frontend, error) {
 	if err := cfg.setDefaults(); err != nil {
 		return nil, err
 	}
-	led, st, err := openFleetLedger(cfg.FS, cfg.DataDir, cfg.LedgerSnapshotBytes)
+	led, st, warnings, err := openLedger(cfg.FS, cfg.DataDir, cfg.LedgerSnapshotBytes)
 	if err != nil {
 		return nil, err
 	}
-	for _, w := range led.log.Warnings() {
+	for _, w := range warnings {
 		cfg.Logf("fleet ledger: %s", w)
 	}
-	if led.compactions > 0 {
-		cfg.Logf("fleet ledger: compacted, reclaimed %d bytes", led.reclaimedBytes)
-	}
 	cfg.Metrics.GaugeFunc("fleet_ledger_log_bytes",
-		"Fleet ledger size on disk in bytes.", led.size)
+		"Fleet ledger size on disk in bytes.", led.Size)
 	cfg.Metrics.GaugeFunc("fleet_persistence_degraded",
 		"1 while the fleet ledger is persistence-degraded (appends failing); the frontend sheds new admissions but keeps serving.",
 		func() int64 {
-			if led.degradedErr() != nil {
+			if led.Err() != nil {
 				return 1
 			}
 			return 0
@@ -229,8 +227,10 @@ func New(cfg Config) (*Frontend, error) {
 		start: time.Now(),
 		met:   newFleetMetrics(cfg.Metrics),
 	}
-	f.met.ledgerCompactions.Add(led.compactions)
-	f.met.ledgerReclaimed.Add(led.reclaimedBytes)
+	if reclaimed := led.Reclaimed(); reclaimed > 0 {
+		f.met.ledgerCompactions.Inc()
+		f.met.ledgerReclaimed.Add(reclaimed)
+	}
 
 	// Rebuild runs from the replay, one per creating admit.
 	type pendingRun struct {
@@ -308,7 +308,7 @@ func (f *Frontend) Submit(spec server.JobSpec) (string, error) {
 	if f.draining.Load() {
 		return "", server.ErrDraining
 	}
-	if derr := f.led.degradedErr(); derr != nil {
+	if derr := f.led.Err(); derr != nil {
 		// The ledger cannot make new admissions durable: shed them with
 		// Retry-After (503 at the API layer) rather than acknowledge a
 		// job a restart would forget. Already-admitted work keeps
@@ -327,7 +327,7 @@ func (f *Frontend) Submit(spec server.JobSpec) (string, error) {
 	}
 	f.nextSeq++
 	id := fmt.Sprintf("job-%06d", f.nextSeq)
-	rec, err := f.led.append(Record{Type: RecAdmit, Job: id, Key: key, Dedup: !created,
+	rec, err := f.led.Append(Record{Type: RecAdmit, Job: id, Key: key, Dedup: !created,
 		Spec: specForLedger(spec, created)})
 	if err != nil {
 		// The job was never durably admitted; undo the table entry.
@@ -339,7 +339,11 @@ func (f *Frontend) Submit(spec server.JobSpec) (string, error) {
 			f.runs.mu.Unlock()
 		}
 		f.nextSeq--
-		if derr := f.led.degradedErr(); derr != nil {
+		if errors.Is(err, checkpoint.ErrLedgerClosed) {
+			// The append lost the race with Shutdown's ledger close.
+			return "", server.ErrDraining
+		}
+		if derr := f.led.Err(); derr != nil {
 			// This append is the one that discovered the disk failure.
 			f.met.shedDegraded.Inc()
 			return "", fmt.Errorf("%w: %v", server.ErrPersistDegraded, derr)
@@ -482,7 +486,7 @@ func (f *Frontend) Handler() http.Handler {
 		Healthz: func() map[string]any {
 			return map[string]any{"status": "ok", "role": "frontend",
 				"uptime_s":             int64(time.Since(f.start).Seconds()),
-				"persistence_degraded": f.led.degradedErr() != nil,
+				"persistence_degraded": f.led.Err() != nil,
 			}
 		},
 		Statz: f.statz,
@@ -508,10 +512,10 @@ func (f *Frontend) statz() map[string]any {
 		"queue_depth":          len(f.queue),
 		"backends":             backends,
 		"uptime_s":             int64(time.Since(f.start).Seconds()),
-		"ledger_log_bytes":     f.led.size(),
-		"persistence_degraded": f.led.degradedErr() != nil,
+		"ledger_log_bytes":     f.led.Size(),
+		"persistence_degraded": f.led.Err() != nil,
 	}
-	if derr := f.led.degradedErr(); derr != nil {
+	if derr := f.led.Err(); derr != nil {
 		st["persistence_error"] = derr.Error()
 	}
 	return st
@@ -521,7 +525,7 @@ func (f *Frontend) statz() map[string]any {
 // in-memory transition — the durable-before-visible ordering the whole
 // design rests on. Exactly one verdict record per run.
 func (f *Frontend) finishRun(r *run, state string, exit int, outcome, stdout, errmsg string) {
-	if _, err := f.led.append(Record{Type: RecVerdict, Key: r.key,
+	if _, err := f.led.Append(Record{Type: RecVerdict, Key: r.key,
 		State: state, ExitCode: exit, Outcome: outcome, Stdout: stdout, Detail: errmsg}); err != nil {
 		// The ledger is unwritable, so the verdict is not durable — but
 		// it is still the backend's real, sound answer: serve it from
@@ -552,7 +556,7 @@ func (f *Frontend) Shutdown() {
 	close(f.quit)
 	f.reg.stop()
 	f.wg.Wait()
-	if err := f.led.close(); err != nil {
+	if err := f.led.Close(); err != nil {
 		f.cfg.Logf("fleet ledger: close: %v", err)
 	}
 }

@@ -3,6 +3,7 @@ package fleet
 import (
 	"bytes"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"net/http"
 	"net/http/httptest"
@@ -533,6 +534,24 @@ func TestQueueFullSheds(t *testing.T) {
 	// again after drain must be admissible.
 	if f.runs.size() != 2 {
 		t.Fatalf("dedup table holds %d entries after shed, want 2", f.runs.size())
+	}
+}
+
+// TestSubmitRacingLedgerCloseIsDraining: an admission that passed the
+// draining check but lost the race with Shutdown's ledger close must
+// report ErrDraining (503, retryable), not a client error, and leave no
+// trace.
+func TestSubmitRacingLedgerCloseIsDraining(t *testing.T) {
+	fb := newFakeBackend(t, true)
+	f := startFrontend(t, testConfig(t, fb.url()))
+	if err := f.led.Close(); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := f.Submit(testSpec("void main() { int closed; }")); !errors.Is(err, server.ErrDraining) {
+		t.Fatalf("submit after ledger close: err = %v, want ErrDraining", err)
+	}
+	if f.runs.size() != 0 {
+		t.Fatalf("refused submit left %d dedup entries", f.runs.size())
 	}
 }
 

@@ -1,7 +1,6 @@
 package fleet
 
 import (
-	"encoding/json"
 	"fmt"
 	"os"
 	"path/filepath"
@@ -117,17 +116,15 @@ type Record struct {
 // yet observed.
 const CrashEnv = "PREDABS_FLEET_CRASH"
 
-// fleetLedger owns the framed log plus the in-memory record list the
-// event synthesizer reads. Appends are serialized under mu; Seq is
-// assigned from the replayed maximum so restarts never duplicate one.
+// fleetLedger is the frontend's checkpoint.Ledger plus the in-memory
+// record list the event synthesizer reads. Appends are serialized under
+// mu so Seq order is append order; Seq continues from the replayed
+// maximum so restarts never duplicate one.
 type fleetLedger struct {
+	*checkpoint.Ledger[Record]
 	mu      sync.Mutex
-	log     *checkpoint.Log
 	seq     uint64
 	records []Record // every durable record, replayed + appended
-
-	compactions    int64 // restart-time snapshot folds performed (0 or 1)
-	reclaimedBytes int64 // bytes reclaimed by the fold
 
 	crashType  string // CrashEnv hook
 	crashAfter int
@@ -163,101 +160,57 @@ type replayJob struct {
 // joined the failed run must keep observing ITS verdict, not the
 // replacement's.
 type replayState struct {
+	seq      uint64   // highest replayed Seq
+	records  []Record // every replayed record, in log order
 	jobs     []replayJob
 	runs     map[uint64]*replayRun // creating-admit seq -> run
 	runStart map[string]uint64     // key -> live run's creating admit seq
 }
 
-// openFleetLedger opens (or creates) dir's fleet ledger, folding every
-// durable record into the returned replay state. A bad-magic file is a
-// *checkpoint.CorruptError surfaced to the caller; a torn tail is
-// truncated by checkpoint.OpenLog with a warning; a device read error
-// fails the open (never truncates good records).
+// openLedger opens (or creates) dir's fleet ledger, folding every
+// durable record into the returned replay state (see
+// checkpoint.OpenLedger for torn tails, bad magic and read errors).
 //
 // When snapshotBytes > 0 and the replayed log exceeds it, terminal runs
 // are folded in place: each keeps its admits (creating admit stripped
 // of its spec) plus one RecSnapshot record, while in-flight runs keep
-// every record verbatim. The rewrite lands under an atomic rename; on
-// any rewrite failure the full log is kept and served unchanged.
-func openFleetLedger(fsys checkpoint.FS, dir string, snapshotBytes int64) (*fleetLedger, *replayState, error) {
+// every record verbatim.
+func openLedger(fsys checkpoint.FS, dir string, snapshotBytes int64) (*fleetLedger, *replayState, []string, error) {
 	l := &fleetLedger{}
 	if v := os.Getenv(CrashEnv); v != "" {
 		typ, n, ok := strings.Cut(v, ":")
 		if !ok {
-			return nil, nil, fmt.Errorf("%s: %q: want \"<type>:<n>\"", CrashEnv, v)
+			return nil, nil, nil, fmt.Errorf("%s: %q: want \"<type>:<n>\"", CrashEnv, v)
 		}
 		after, err := strconv.Atoi(n)
 		if err != nil || after < 1 {
-			return nil, nil, fmt.Errorf("%s: %q: want a positive count", CrashEnv, v)
+			return nil, nil, nil, fmt.Errorf("%s: %q: want a positive count", CrashEnv, v)
 		}
 		l.crashType, l.crashAfter = typ, after
 	}
-	path := filepath.Join(dir, LedgerName)
-	log, seq, records, st, err := replayFleetLedger(fsys, path)
+	led, st, warnings, err := checkpoint.OpenLedger(fsys, filepath.Join(dir, LedgerName), fleetMagic, snapshotBytes,
+		func() *replayState {
+			return &replayState{runs: map[uint64]*replayRun{}, runStart: map[string]uint64{}}
+		},
+		(*replayState).fold, (*replayState).compact)
 	if err != nil {
-		return nil, nil, err
+		return nil, nil, nil, err
 	}
-	if snapshotBytes > 0 && log.Size() > snapshotBytes {
-		if frames, elided := compactFleetFrames(records, st); elided > 0 {
-			before := log.Size()
-			if cerr := log.Close(); cerr != nil {
-				return nil, nil, cerr
-			}
-			if rerr := checkpoint.RewriteLog(fsys, path, fleetMagic, frames); rerr != nil {
-				// Compaction is an optimization; the full log is still the
-				// truth. Reopen it and keep serving.
-				log, seq, records, st, err = replayFleetLedger(fsys, path)
-				if err != nil {
-					return nil, nil, fmt.Errorf("fleet ledger: reopen after failed compaction (%v): %w", rerr, err)
-				}
-			} else {
-				log, seq, records, st, err = replayFleetLedger(fsys, path)
-				if err != nil {
-					return nil, nil, err
-				}
-				l.compactions = 1
-				l.reclaimedBytes = before - log.Size()
-			}
-		}
-	}
-	l.log, l.seq, l.records = log, seq, records
-	return l, st, nil
+	l.Ledger, l.seq, l.records = led, st.seq, st.records
+	return l, st, warnings, nil
 }
 
-// replayFleetLedger opens path and folds every durable record.
-func replayFleetLedger(fsys checkpoint.FS, path string) (*checkpoint.Log, uint64, []Record, *replayState, error) {
-	var seq uint64
-	var records []Record
-	st := &replayState{runs: map[uint64]*replayRun{}, runStart: map[string]uint64{}}
-	log, err := checkpoint.OpenLogFS(fsys, path, fleetMagic,
-		func(payload []byte) {
-			var rec Record
-			if json.Unmarshal(payload, &rec) != nil {
-				return
-			}
-			if rec.Seq > seq {
-				seq = rec.Seq
-			}
-			records = append(records, rec)
-			st.fold(rec)
-		})
-	if err != nil {
-		return nil, 0, nil, nil, err
-	}
-	return log, seq, records, st, nil
-}
-
-// compactFleetFrames rebuilds the ledger's frame list with every
-// terminal run folded: its creating admit kept spec-less, its dedup
-// admits kept verbatim, its dispatch/lease/adopt records elided, and
-// its verdict replaced by a RecSnapshot declaring the elision. Records
-// of in-flight runs — and any record the fold could not attribute —
-// survive byte-identically. Global sequence numbers are preserved (the
+// compact rebuilds the ledger's record list with every terminal run
+// folded: its creating admit kept spec-less, its dedup admits kept
+// verbatim, its dispatch/lease/adopt records elided, and its verdict
+// replaced by a RecSnapshot declaring the elision. Records of in-flight
+// runs — and any record the fold could not attribute — survive
+// byte-identically. Global sequence numbers are preserved (the
 // compacted log has declared gaps, never renumbering), so restarts
 // continue the sequence and synthesized event streams keep their
-// pre-compaction numbering. Returns the frames and how many records
-// were elided or shrunk; 0 means compaction would not reclaim anything.
-func compactFleetFrames(records []Record, st *replayState) ([][]byte, int) {
+// pre-compaction numbering. Returns nil when no record would be elided
+// or shrunk.
+func (st *replayState) compact() []Record {
 	terminal := map[uint64]bool{}
 	for start, rr := range st.runs {
 		if rr.verdict != nil {
@@ -266,16 +219,9 @@ func compactFleetFrames(records []Record, st *replayState) ([][]byte, int) {
 	}
 	cur := map[string]uint64{}     // key -> creating admit seq at this point in the log
 	dropped := map[uint64]uint64{} // creating admit seq -> elided record count
-	var frames [][]byte
+	var out []Record
 	elided := 0
-	appendRec := func(rec Record) {
-		payload, err := json.Marshal(rec)
-		if err != nil {
-			return // unmarshalable records were skipped at replay too
-		}
-		frames = append(frames, payload)
-	}
-	for _, rec := range records {
+	for _, rec := range st.records {
 		switch rec.Type {
 		case RecAdmit:
 			if !rec.Dedup {
@@ -285,30 +231,31 @@ func compactFleetFrames(records []Record, st *replayState) ([][]byte, int) {
 					elided++
 				}
 			}
-			appendRec(rec)
 		case RecDispatch, RecLease, RecAdopt:
-			start := cur[rec.Key]
-			if terminal[start] {
+			if start := cur[rec.Key]; terminal[start] {
 				dropped[start]++
 				elided++
 				continue
 			}
-			appendRec(rec)
 		case RecVerdict:
 			if start := cur[rec.Key]; terminal[start] && dropped[start] > 0 {
 				rec.Type = RecSnapshot
 				rec.Dropped = dropped[start]
 			}
-			appendRec(rec)
-		default: // RecSnapshot from an earlier fold, or future types: keep
-			appendRec(rec)
 		}
+		// RecSnapshot from an earlier fold, or future types: keep.
+		out = append(out, rec)
 	}
-	return frames, elided
+	if elided == 0 {
+		return nil
+	}
+	return out
 }
 
 // fold applies one replayed record to the state.
 func (st *replayState) fold(rec Record) {
+	st.seq = max(st.seq, rec.Seq)
+	st.records = append(st.records, rec)
 	switch rec.Type {
 	case RecAdmit:
 		if !rec.Dedup && rec.Key != "" {
@@ -352,11 +299,11 @@ func (st *replayState) live(key string) *replayRun {
 	return st.runs[st.runStart[key]]
 }
 
-// append durably writes one record, assigns its sequence number, and
+// Append durably writes one record, assigns its sequence number, and
 // retains it for event synthesis. The CrashEnv hook fires AFTER the
 // fsync, so the chaos harness always dies with the record on disk —
 // the restart must honor it.
-func (l *fleetLedger) append(rec Record) (Record, error) {
+func (l *fleetLedger) Append(rec Record) (Record, error) {
 	l.mu.Lock()
 	defer l.mu.Unlock()
 	l.seq++
@@ -364,11 +311,7 @@ func (l *fleetLedger) append(rec Record) (Record, error) {
 	if rec.TS == 0 {
 		rec.TS = time.Now().UnixNano()
 	}
-	payload, err := json.Marshal(rec)
-	if err != nil {
-		return Record{}, err
-	}
-	if err := l.log.Append(payload); err != nil {
+	if err := l.Ledger.Append(rec); err != nil {
 		return Record{}, err
 	}
 	l.records = append(l.records, rec)
@@ -388,27 +331,4 @@ func (l *fleetLedger) snapshot() []Record {
 	l.mu.Lock()
 	defer l.mu.Unlock()
 	return l.records[:len(l.records):len(l.records)]
-}
-
-// size reports the ledger's on-disk byte size (metrics/statz).
-func (l *fleetLedger) size() int64 {
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	return l.log.Size()
-}
-
-// degradedErr reports the sticky persistence failure poisoning the
-// ledger, nil while healthy. Once set, every future append fails fast
-// with the same error; the frontend sheds new admissions but keeps
-// serving lookups and in-flight runs from memory.
-func (l *fleetLedger) degradedErr() error {
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	return l.log.Err()
-}
-
-func (l *fleetLedger) close() error {
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	return l.log.Close()
 }

@@ -6,6 +6,7 @@ package server
 
 import (
 	"bytes"
+	"context"
 	"encoding/json"
 	"errors"
 	"fmt"
@@ -124,8 +125,9 @@ func TestDiskChaosLedgerSnapshotFoldEquivalence(t *testing.T) {
 	specs := map[string]JobSpec{}
 	for i := 0; i < 8; i++ {
 		id := fmt.Sprintf("job-%06d", i+1)
-		specs[id] = chaosSpec(i)
-		if err := l.admit(id, specs[id]); err != nil {
+		spec := chaosSpec(i)
+		specs[id] = spec
+		if err := l.Append(ledgerRecord{Type: "admit", ID: id, Spec: &spec}); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -133,17 +135,17 @@ func TestDiskChaosLedgerSnapshotFoldEquivalence(t *testing.T) {
 	// with a burned attempt; 8 is freshly queued.
 	for i := 0; i < 6; i++ {
 		id := fmt.Sprintf("job-%06d", i+1)
-		l.attempt(id, 1)
+		l.Append(ledgerRecord{Type: "attempt", ID: id, Attempt: 1})
 		state, outcome := StateDone, "verified"
 		if i%3 == 2 {
 			state, outcome = StateFailed, ""
 		}
-		if err := l.done(id, state, 0, outcome, ""); err != nil {
+		if err := l.Append(ledgerRecord{Type: "done", ID: id, State: state, Outcome: outcome}); err != nil {
 			t.Fatal(err)
 		}
 	}
-	l.attempt("job-000007", 1)
-	if err := l.close(); err != nil {
+	l.Append(ledgerRecord{Type: "attempt", ID: "job-000007", Attempt: 1})
+	if err := l.Close(); err != nil {
 		t.Fatal(err)
 	}
 	raw, err := os.ReadFile(path)
@@ -160,19 +162,19 @@ func TestDiskChaosLedgerSnapshotFoldEquivalence(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	lt.close()
+	lt.Close()
 
 	// Folded: same visible state, smaller log.
 	lf, gotJobs, gotOrder, warnings, err := openLedger(nil, path, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if lf.compactions != 1 || lf.reclaimedBytes <= 0 {
-		t.Fatalf("fold did not happen: compactions=%d reclaimed=%d (warnings %v)",
-			lf.compactions, lf.reclaimedBytes, warnings)
+	if lf.Reclaimed() <= 0 {
+		t.Fatalf("fold did not happen: reclaimed=%d (warnings %v)",
+			lf.Reclaimed(), warnings)
 	}
-	foldedSize := lf.size()
-	lf.close()
+	foldedSize := lf.Size()
+	lf.Close()
 	if len(gotJobs) != len(wantJobs) {
 		t.Fatalf("folded replay has %d jobs, twin %d", len(gotJobs), len(wantJobs))
 	}
@@ -205,11 +207,11 @@ func TestDiskChaosLedgerSnapshotFoldEquivalence(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if lf2.compactions != 0 || lf2.size() != foldedSize {
-		t.Fatalf("re-fold churned a stable ledger: compactions=%d size %d -> %d",
-			lf2.compactions, foldedSize, lf2.size())
+	if lf2.Reclaimed() != 0 || lf2.Size() != foldedSize {
+		t.Fatalf("re-fold churned a stable ledger: reclaimed=%d size %d -> %d",
+			lf2.Reclaimed(), foldedSize, lf2.Size())
 	}
-	lf2.close()
+	lf2.Close()
 
 	// Rename fault at the fold's commit point: the full twin stays
 	// byte-identical and replays completely.
@@ -218,7 +220,7 @@ func TestDiskChaosLedgerSnapshotFoldEquivalence(t *testing.T) {
 	if err != nil {
 		t.Fatalf("fold under rename fault must keep serving: %v", err)
 	}
-	lr.close()
+	lr.Close()
 	if len(faultJobs) != len(wantJobs) {
 		t.Fatalf("aborted fold lost jobs: %d vs %d", len(faultJobs), len(wantJobs))
 	}
@@ -234,6 +236,29 @@ func TestDiskChaosLedgerSnapshotFoldEquivalence(t *testing.T) {
 	after, err := os.ReadFile(twin)
 	if err != nil || !bytes.Equal(after, raw) {
 		t.Fatalf("aborted fold changed the ledger bytes (err %v)", err)
+	}
+}
+
+// TestDiskChaosLedgerQuarantineRenameFault pins the corrupt-ledger
+// quarantine to the FS seam: when the rename that sets the evidence
+// aside fails, New reports it instead of starting over the bad file.
+func TestDiskChaosLedgerQuarantineRenameFault(t *testing.T) {
+	dir := t.TempDir()
+	path := filepath.Join(dir, LedgerName)
+	if err := os.WriteFile(path, []byte("not a ledger at all"), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	ffs := faultinject.NewFS(nil, faultinject.FSConfig{FailRenameAfter: 1})
+	s, err := New(Config{DataDir: dir, WorkerBin: "/nonexistent", FS: ffs})
+	if err == nil {
+		s.Shutdown(context.Background())
+		t.Fatal("quarantine rename fault swallowed: New succeeded")
+	}
+	if !strings.Contains(err.Error(), "quarantining corrupt ledger") {
+		t.Fatalf("New error = %v, want the quarantine failure", err)
+	}
+	if raw, rerr := os.ReadFile(path); rerr != nil || string(raw) != "not a ledger at all" {
+		t.Fatalf("corrupt ledger altered by a failed quarantine: %q, %v", raw, rerr)
 	}
 }
 

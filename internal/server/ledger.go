@@ -1,13 +1,9 @@
 package server
 
 import (
-	"encoding/json"
-	"errors"
-	"fmt"
 	"sort"
 	"strconv"
 	"strings"
-	"sync"
 
 	"predabs/internal/checkpoint"
 )
@@ -73,96 +69,78 @@ type replayedJob struct {
 	detail   string
 }
 
-// errLedgerClosed marks appends that lost the race with shutdown's
-// ledger close; admission maps it to ErrDraining.
-var errLedgerClosed = errors.New("ledger closed")
-
-// ledger is the durable job log. All appends are fsynced and serialized
-// under mu; replay happens once, at open.
-type ledger struct {
-	mu  sync.Mutex
-	log *checkpoint.Log
-
-	// Compaction stats from open (immutable afterwards).
-	compactions    int64
-	reclaimedBytes int64
+// ledgerState is the ledger's fold: per-job state with admission order
+// preserved, plus the per-job records each job contributed (what a
+// snapshot would elide).
+type ledgerState struct {
+	jobs  map[string]*replayedJob
+	order []string
+	recs  map[string]int
 }
 
-// foldLedgerRecord applies one replayed record to the per-job state.
-// It returns the number of per-job records a future snapshot fold would
-// elide for this record (1 for the per-job types, 0 for snapshot).
-func foldLedgerRecord(jobs map[string]*replayedJob, order *[]string, rec ledgerRecord) int {
+// fold applies one replayed record to the per-job state, counting each
+// per-job record (admit, attempt, preempt, done) against its job.
+func (st *ledgerState) fold(rec ledgerRecord) {
 	switch rec.Type {
 	case "admit":
 		if rec.ID == "" || rec.Spec == nil {
-			return 0
+			return
 		}
-		if _, ok := jobs[rec.ID]; !ok {
-			*order = append(*order, rec.ID)
+		if _, ok := st.jobs[rec.ID]; !ok {
+			st.order = append(st.order, rec.ID)
 		}
-		jobs[rec.ID] = &replayedJob{spec: *rec.Spec, hash: SpecHash(*rec.Spec)}
-		return 1
+		st.jobs[rec.ID] = &replayedJob{spec: *rec.Spec, hash: SpecHash(*rec.Spec)}
 	case "attempt":
-		if j, ok := jobs[rec.ID]; ok && rec.Attempt > j.attempts {
+		if j, ok := st.jobs[rec.ID]; ok && rec.Attempt > j.attempts {
 			j.attempts = rec.Attempt
 		}
-		return 1
 	case "preempt":
-		if j, ok := jobs[rec.ID]; ok && rec.Attempt == j.attempts {
+		if j, ok := st.jobs[rec.ID]; ok && rec.Attempt == j.attempts {
 			j.attempts--
 		}
-		return 1
 	case "done":
-		if j, ok := jobs[rec.ID]; ok {
+		if j, ok := st.jobs[rec.ID]; ok {
 			j.done = true
 			j.state, j.exit, j.outcome, j.detail = rec.State, rec.Exit, rec.Outcome, rec.Detail
 		}
-		return 1
 	case "snapshot":
 		for _, sj := range rec.Jobs {
 			if sj.ID == "" {
 				continue
 			}
-			if _, ok := jobs[sj.ID]; !ok {
-				*order = append(*order, sj.ID)
+			if _, ok := st.jobs[sj.ID]; !ok {
+				st.order = append(st.order, sj.ID)
 			}
-			jobs[sj.ID] = &replayedJob{
+			st.jobs[sj.ID] = &replayedJob{
 				hash: sj.Hash, attempts: sj.Attempts, done: true,
 				state: sj.State, exit: sj.Exit, outcome: sj.Outcome, detail: sj.Detail,
 			}
 		}
+		return
+	default:
+		return
 	}
-	return 0
+	st.recs[rec.ID]++
 }
 
-// replayLedger opens the log at path and folds it; recs counts the
-// per-job records each job contributed (what a snapshot would elide).
-func replayLedger(fsys checkpoint.FS, path string) (log *checkpoint.Log, jobs map[string]*replayedJob, order []string, recs map[string]int, err error) {
-	jobs = map[string]*replayedJob{}
-	recs = map[string]int{}
-	log, err = checkpoint.OpenLogFS(fsys, path, ledgerMagic, func(payload []byte) {
-		var rec ledgerRecord
-		if json.Unmarshal(payload, &rec) != nil {
-			// An unknown or damaged-but-CRC-valid record cannot happen
-			// short of a format bug; skipping is the conservative move.
-			return
+// compact builds the new-generation ledger: one snapshot record folding
+// every terminal job, then each live job's admit (full spec) and
+// attempt count, all in admission order. It returns nil when no
+// terminal job has a per-job record left to elide.
+func (st *ledgerState) compact() []ledgerRecord {
+	foldable := 0
+	for id, j := range st.jobs {
+		if j.done {
+			foldable += st.recs[id]
 		}
-		recs[rec.ID] += foldLedgerRecord(jobs, &order, rec)
-	})
-	if err != nil {
-		return nil, nil, nil, nil, err
 	}
-	return log, jobs, order, recs, nil
-}
-
-// compactFrames builds the new-generation ledger: one snapshot record
-// folding every terminal job, then each live job's admit (full spec)
-// and attempt count, all in admission order.
-func compactFrames(jobs map[string]*replayedJob, order []string) ([][]byte, error) {
+	if foldable == 0 {
+		return nil
+	}
 	snap := ledgerRecord{Type: "snapshot"}
 	var live []ledgerRecord
-	for _, id := range order {
-		j := jobs[id]
+	for _, id := range st.order {
+		j := st.jobs[id]
 		if j == nil {
 			continue
 		}
@@ -179,119 +157,25 @@ func compactFrames(jobs map[string]*replayedJob, order []string) ([][]byte, erro
 			live = append(live, ledgerRecord{Type: "attempt", ID: id, Attempt: j.attempts})
 		}
 	}
-	frames := make([][]byte, 0, len(live)+1)
-	for _, rec := range append([]ledgerRecord{snap}, live...) {
-		payload, err := json.Marshal(rec)
-		if err != nil {
-			return nil, err
-		}
-		frames = append(frames, payload)
-	}
-	return frames, nil
+	return append([]ledgerRecord{snap}, live...)
 }
 
 // openLedger opens (or creates) the ledger at path and folds its
 // records into per-job state, returned with admission order preserved.
-// When snapshotBytes > 0 and the replayed log is larger, terminal jobs
-// are folded into one snapshot record and the log atomically rewritten
-// (RewriteLog's rename commit point), then re-replayed — a failed
-// rewrite keeps the full log with a warning, never the reverse. A
-// ledger whose magic cannot be validated is reported via
+// When snapshotBytes > 0 and the log is larger, terminal jobs are
+// folded into one snapshot record (see checkpoint.OpenLedger). A ledger
+// whose magic cannot be validated is reported via
 // *checkpoint.CorruptError so the caller can quarantine it.
-func openLedger(fsys checkpoint.FS, path string, snapshotBytes int64) (l *ledger, jobs map[string]*replayedJob, order []string, warnings []string, err error) {
-	log, jobs, order, recs, err := replayLedger(fsys, path)
+func openLedger(fsys checkpoint.FS, path string, snapshotBytes int64) (*checkpoint.Ledger[ledgerRecord], map[string]*replayedJob, []string, []string, error) {
+	l, st, warnings, err := checkpoint.OpenLedger(fsys, path, ledgerMagic, snapshotBytes,
+		func() *ledgerState {
+			return &ledgerState{jobs: map[string]*replayedJob{}, recs: map[string]int{}}
+		},
+		(*ledgerState).fold, (*ledgerState).compact)
 	if err != nil {
 		return nil, nil, nil, nil, err
 	}
-	warnings = log.Warnings()
-	l = &ledger{log: log}
-	foldable := 0
-	for id, j := range jobs {
-		if j.done {
-			foldable += recs[id]
-		}
-	}
-	if snapshotBytes > 0 && log.Size() > snapshotBytes && foldable > 0 {
-		frames, ferr := compactFrames(jobs, order)
-		oldSize := log.Size()
-		if ferr == nil {
-			log.Close()
-			if rerr := checkpoint.RewriteLog(fsys, path, ledgerMagic, frames); rerr != nil {
-				warnings = append(warnings,
-					fmt.Sprintf("ledger snapshot fold failed (keeping full log): %v", rerr))
-			}
-			// Re-replay whichever generation the rename left behind: the
-			// folded one on success, the intact original on failure.
-			log, jobs, order, _, err = replayLedger(fsys, path)
-			if err != nil {
-				return nil, nil, nil, nil, err
-			}
-			warnings = append(warnings, log.Warnings()...)
-			l.log = log
-			if reclaimed := oldSize - log.Size(); reclaimed > 0 {
-				l.compactions = 1
-				l.reclaimedBytes = reclaimed
-				warnings = append(warnings,
-					fmt.Sprintf("ledger snapshot fold reclaimed %d bytes (%d -> %d)", reclaimed, oldSize, log.Size()))
-			}
-		}
-	}
-	return l, jobs, order, warnings, nil
-}
-
-func (l *ledger) append(rec ledgerRecord) error {
-	payload, err := json.Marshal(rec)
-	if err != nil {
-		return err
-	}
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	if l.log == nil {
-		return errLedgerClosed
-	}
-	return l.log.Append(payload)
-}
-
-func (l *ledger) admit(id string, spec JobSpec) error {
-	return l.append(ledgerRecord{Type: "admit", ID: id, Spec: &spec})
-}
-
-func (l *ledger) attempt(id string, n int) error {
-	return l.append(ledgerRecord{Type: "attempt", ID: id, Attempt: n})
-}
-
-func (l *ledger) preempt(id string, n int) error {
-	return l.append(ledgerRecord{Type: "preempt", ID: id, Attempt: n})
-}
-
-func (l *ledger) done(id, state string, exit int, outcome, detail string) error {
-	return l.append(ledgerRecord{Type: "done", ID: id, State: state, Exit: exit, Outcome: outcome, Detail: detail})
-}
-
-// size returns the ledger log's trusted on-disk bytes (0 once closed).
-func (l *ledger) size() int64 {
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	return l.log.Size()
-}
-
-// degradedErr returns the sticky append/sync failure that put the
-// ledger in persistence-degraded state, or nil.
-func (l *ledger) degradedErr() error {
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	return l.log.Err()
-}
-
-func (l *ledger) close() error {
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	if l.log == nil {
-		return nil
-	}
-	err := l.log.Close()
-	l.log = nil
-	return err
+	return l, st.jobs, st.order, warnings, nil
 }
 
 // nextJobSeq returns the successor of the highest job sequence number

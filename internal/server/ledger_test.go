@@ -22,20 +22,20 @@ func TestLedgerReplayFolding(t *testing.T) {
 	}
 	spec := JobSpec{Source: "void main() {}", Entry: "main", MaxIters: 10}
 	// job 1: finished. job 2: two attempts, still in flight. job 7: queued.
-	for _, step := range []func() error{
-		func() error { return l.admit("job-000001", spec) },
-		func() error { return l.attempt("job-000001", 1) },
-		func() error { return l.done("job-000001", StateDone, 0, "verified", "") },
-		func() error { return l.admit("job-000002", spec) },
-		func() error { return l.attempt("job-000002", 1) },
-		func() error { return l.attempt("job-000002", 2) },
-		func() error { return l.admit("job-000007", spec) },
+	for _, rec := range []ledgerRecord{
+		{Type: "admit", ID: "job-000001", Spec: &spec},
+		{Type: "attempt", ID: "job-000001", Attempt: 1},
+		{Type: "done", ID: "job-000001", State: StateDone, Outcome: "verified"},
+		{Type: "admit", ID: "job-000002", Spec: &spec},
+		{Type: "attempt", ID: "job-000002", Attempt: 1},
+		{Type: "attempt", ID: "job-000002", Attempt: 2},
+		{Type: "admit", ID: "job-000007", Spec: &spec},
 	} {
-		if err := step(); err != nil {
+		if err := l.Append(rec); err != nil {
 			t.Fatal(err)
 		}
 	}
-	if err := l.close(); err != nil {
+	if err := l.Close(); err != nil {
 		t.Fatal(err)
 	}
 
@@ -43,7 +43,7 @@ func TestLedgerReplayFolding(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer l2.close()
+	defer l2.Close()
 	if len(warnings) != 0 {
 		t.Fatalf("clean ledger produced warnings: %v", warnings)
 	}
@@ -109,10 +109,10 @@ func TestAdoptionOfOrphanedResult(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := l.admit("job-000001", spec); err != nil {
+	if err := l.Append(ledgerRecord{Type: "admit", ID: "job-000001", Spec: &spec}); err != nil {
 		t.Fatal(err)
 	}
-	if err := l.close(); err != nil {
+	if err := l.Close(); err != nil {
 		t.Fatal(err)
 	}
 
@@ -172,10 +172,10 @@ func TestStaleResultFromRecycledJobIDNotAdopted(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := l.admit("job-000001", spec); err != nil {
+	if err := l.Append(ledgerRecord{Type: "admit", ID: "job-000001", Spec: &spec}); err != nil {
 		t.Fatal(err)
 	}
-	if err := l.close(); err != nil {
+	if err := l.Close(); err != nil {
 		t.Fatal(err)
 	}
 
@@ -277,24 +277,24 @@ func TestLedgerPreemptRefundsAttempt(t *testing.T) {
 		t.Fatal(err)
 	}
 	spec := JobSpec{Source: "void main() {}", Entry: "main", MaxIters: 10}
-	for _, step := range []func() error{
-		func() error { return l.admit("job-000001", spec) },
-		func() error { return l.attempt("job-000001", 1) },
-		func() error { return l.attempt("job-000001", 2) },
-		func() error { return l.preempt("job-000001", 2) },
+	for _, rec := range []ledgerRecord{
+		{Type: "admit", ID: "job-000001", Spec: &spec},
+		{Type: "attempt", ID: "job-000001", Attempt: 1},
+		{Type: "attempt", ID: "job-000001", Attempt: 2},
+		{Type: "preempt", ID: "job-000001", Attempt: 2},
 	} {
-		if err := step(); err != nil {
+		if err := l.Append(rec); err != nil {
 			t.Fatal(err)
 		}
 	}
-	if err := l.close(); err != nil {
+	if err := l.Close(); err != nil {
 		t.Fatal(err)
 	}
 	l2, jobs, order, _, err := openLedger(nil, path, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer l2.close()
+	defer l2.Close()
 	j := jobs["job-000001"]
 	if j == nil || j.done || j.attempts != 1 {
 		t.Fatalf("preempted job folded to %+v, want pending with 1 attempt", j)

@@ -108,6 +108,9 @@ func (c *Config) fill() error {
 	if c.Logf == nil {
 		c.Logf = func(string, ...any) {}
 	}
+	if c.FS == nil {
+		c.FS = checkpoint.OSFS()
+	}
 	return nil
 }
 
@@ -196,7 +199,7 @@ func (j *job) status() JobStatus {
 // Server is the verification daemon: admission, supervision, ledger.
 type Server struct {
 	cfg    Config
-	ledger *ledger
+	ledger *checkpoint.Ledger[ledgerRecord]
 
 	mu      sync.Mutex // guards jobs, nextSeq, and queue admission
 	jobs    map[string]*job
@@ -243,7 +246,7 @@ func New(cfg Config) (*Server, error) {
 		// A ledger that cannot be trusted is quarantined, never deleted:
 		// availability wins, the evidence stays on disk.
 		quarantine := path + ".corrupt"
-		if rerr := os.Rename(path, quarantine); rerr != nil {
+		if rerr := cfg.FS.Rename(path, quarantine); rerr != nil {
 			return nil, fmt.Errorf("server: quarantining corrupt ledger: %w", rerr)
 		}
 		cfg.Logf("predabsd: %v; ledger quarantined to %s, starting fresh", err, quarantine)
@@ -285,17 +288,19 @@ func New(cfg Config) (*Server, error) {
 	// failed; the daemon keeps serving but sheds new admissions).
 	cfg.Metrics.GaugeFunc("predabsd_ledger_log_bytes",
 		"Trusted on-disk size of the job ledger in bytes.",
-		func() int64 { return led.size() })
+		led.Size)
 	cfg.Metrics.GaugeFunc("predabsd_persistence_degraded",
 		"1 while the ledger is persistence-degraded (append/fsync failed), else 0.",
 		func() int64 {
-			if led.degradedErr() != nil {
+			if led.Err() != nil {
 				return 1
 			}
 			return 0
 		})
-	s.met.ledgerCompactions.Add(led.compactions)
-	s.met.ledgerReclaimed.Add(led.reclaimedBytes)
+	if reclaimed := led.Reclaimed(); reclaimed > 0 {
+		s.met.ledgerCompactions.Inc()
+		s.met.ledgerReclaimed.Add(reclaimed)
+	}
 	for id, rj := range replayed {
 		j := &job{id: id, dir: s.jobDir(id), hash: rj.hash, spec: rj.spec, attempts: rj.attempts}
 		if rj.done {
@@ -364,7 +369,7 @@ func (s *Server) Shutdown(ctx context.Context) error {
 	c := s.CounterSnapshot()
 	s.cfg.Logf("predabsd: shutdown: submitted=%d completed=%d failed=%d retries=%d kills=%d shed=%d resumed=%d",
 		c.Submitted, c.Completed, c.Failed, c.Retries, c.Kills, c.Shed, c.Resumed)
-	if cerr := s.ledger.close(); err == nil {
+	if cerr := s.ledger.Close(); err == nil {
 		err = cerr
 	}
 	return err
@@ -407,7 +412,7 @@ func (s *Server) Handler() http.Handler {
 				"status":               "ok",
 				"version":              predabs.Version,
 				"uptime_seconds":       int64(time.Since(s.start).Seconds()),
-				"persistence_degraded": s.ledger.degradedErr() != nil,
+				"persistence_degraded": s.ledger.Err() != nil,
 			}
 		},
 		Statz: func() map[string]any {
@@ -422,10 +427,10 @@ func (s *Server) Handler() http.Handler {
 				"retries_in_backoff":   s.inBackoff.Load(),
 				"version":              predabs.Version,
 				"uptime_seconds":       int64(time.Since(s.start).Seconds()),
-				"ledger_log_bytes":     s.ledger.size(),
-				"persistence_degraded": s.ledger.degradedErr() != nil,
+				"ledger_log_bytes":     s.ledger.Size(),
+				"persistence_degraded": s.ledger.Err() != nil,
 			}
-			if derr := s.ledger.degradedErr(); derr != nil {
+			if derr := s.ledger.Err(); derr != nil {
 				st["persistence_error"] = derr.Error()
 			}
 			return st
@@ -483,7 +488,7 @@ func (s *Server) Submit(spec JobSpec) (string, error) {
 		s.met.shed.Inc()
 		return "", ErrQueueFull
 	}
-	if derr := s.ledger.degradedErr(); derr != nil {
+	if derr := s.ledger.Err(); derr != nil {
 		s.mu.Unlock()
 		s.shed.Add(1)
 		s.met.shedDegraded.Inc()
@@ -494,10 +499,10 @@ func (s *Server) Submit(spec JobSpec) (string, error) {
 	j := &job{id: id, dir: s.jobDir(id), hash: SpecHash(spec), spec: spec, state: StateQueued}
 	if err := s.admit(j); err != nil {
 		s.mu.Unlock()
-		if errors.Is(err, errLedgerClosed) {
+		if errors.Is(err, checkpoint.ErrLedgerClosed) {
 			return "", ErrDraining
 		}
-		if s.ledger.degradedErr() != nil {
+		if s.ledger.Err() != nil {
 			// The admit append itself hit the disk fault: the job never
 			// went durable, so refuse it rather than run unjournaled work.
 			s.shed.Add(1)
@@ -550,7 +555,7 @@ func (s *Server) admit(j *job) error {
 	if err := writeFileAtomic(filepath.Join(j.dir, jobSpecFile), j.spec); err != nil {
 		return err
 	}
-	return s.ledger.admit(j.id, j.spec)
+	return s.ledger.Append(ledgerRecord{Type: "admit", ID: j.id, Spec: &j.spec})
 }
 
 // List returns every job's status in ID order (the JobAPI surface

@@ -63,7 +63,7 @@ func (s *Server) supervise(j *job) {
 			s.retries.Add(1)
 			s.met.retries.Inc()
 		}
-		if err := s.ledger.attempt(j.id, attempt); err != nil {
+		if err := s.ledger.Append(ledgerRecord{Type: "attempt", ID: j.id, Attempt: attempt}); err != nil {
 			s.cfg.Logf("predabsd: %s: ledger attempt record: %v", j.id, err)
 		}
 		j.mu.Lock()
@@ -84,7 +84,7 @@ func (s *Server) supervise(j *job) {
 			// attempt: the next daemon start re-runs it. At most one
 			// refund per job per daemon lifetime, so the budget stays
 			// bounded even across repeated drains.
-			if err := s.ledger.preempt(j.id, attempt); err != nil {
+			if err := s.ledger.Append(ledgerRecord{Type: "preempt", ID: j.id, Attempt: attempt}); err != nil {
 				s.cfg.Logf("predabsd: %s: ledger preempt record: %v", j.id, err)
 			}
 			j.mu.Lock()
@@ -229,7 +229,7 @@ func (s *Server) finishDone(j *job, res WorkerResult) {
 	// Durable records first, in-memory state last: a client that observes
 	// a terminal status can rely on the event stream already ending with
 	// the matching record.
-	if err := s.ledger.done(j.id, StateDone, res.ExitCode, res.Outcome, ""); err != nil {
+	if err := s.ledger.Append(ledgerRecord{Type: "done", ID: j.id, State: StateDone, Exit: res.ExitCode, Outcome: res.Outcome}); err != nil {
 		s.cfg.Logf("predabsd: %s: ledger done record: %v", j.id, err)
 	}
 	s.event(j, JobEvent{Type: EventState, State: StateDone, Attempt: attempts,
@@ -256,7 +256,7 @@ func (s *Server) finishFailed(j *job, detail string) {
 	j.mu.Unlock()
 	// Same ordering as finishDone: durable records before the terminal
 	// status becomes observable.
-	if err := s.ledger.done(j.id, StateFailed, 0, "unknown", detail); err != nil {
+	if err := s.ledger.Append(ledgerRecord{Type: "done", ID: j.id, State: StateFailed, Outcome: "unknown", Detail: detail}); err != nil {
 		s.cfg.Logf("predabsd: %s: ledger done record: %v", j.id, err)
 	}
 	s.event(j, JobEvent{Type: EventState, State: StateFailed, Attempt: attempts,
