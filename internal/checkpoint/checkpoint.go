@@ -6,9 +6,16 @@
 // continues from there with a warm prover cache — a resumed run produces
 // byte-identical final reports to an uninterrupted one.
 //
+// The journal is one owner of the package's framed record log, Log,
+// which also carries predabsd's job ledger, its per-job event logs and
+// the fleet ledger: every durable store opens, repairs, appends and
+// closes through the same code.
+//
 // # Journal format
 //
-// One file, journal.predabs, inside the state directory:
+// One file, journal.predabs, inside the state directory: a Log (the
+// package's framed record log, shared with every other durable store)
+// under the journal's magic:
 //
 //	magic "PREDABSJNL1\x00"                       (12 bytes)
 //	record*                                       (append-only)
@@ -32,7 +39,9 @@
 // compatibility-hash mismatch (different program, spec, tool version or
 // deterministic limit flags), rejects the whole journal with a typed
 // error so the caller can fall back to a cold start with a clear
-// diagnostic. Nothing after a checksum failure is ever trusted.
+// diagnostic. The header is checked by a read-only pass before anything
+// may repair the tail, so a rejected journal is never written to.
+// Nothing after a checksum failure is ever trusted.
 //
 // # Soundness under crashes
 //
@@ -49,13 +58,10 @@
 package checkpoint
 
 import (
-	"encoding/binary"
 	"encoding/json"
 	"errors"
 	"fmt"
-	"hash/crc32"
-	"io"
-	"os"
+	"io/fs"
 	"path/filepath"
 	"sort"
 	"sync"
@@ -69,10 +75,6 @@ const JournalName = "journal.predabs"
 
 // magic identifies a predabs checkpoint journal (format 1).
 const magic = "PREDABSJNL1\x00"
-
-// maxRecordLen bounds one record's payload, so a corrupted length field
-// cannot drive a huge allocation.
-const maxRecordLen = 1 << 28
 
 // CorruptError reports a journal whose magic or header cannot be
 // trusted; the caller should cold-start (Create) with a diagnostic.
@@ -178,194 +180,133 @@ type finalPayload struct {
 // incompatible change (it also feeds the compatibility hash).
 const formatVersion = 1
 
-// Manager owns one open journal: it replays existing state on Open and
-// appends commit records durably (each append is fsynced before it
-// returns). Safe for concurrent use, though the CEGAR loop commits from
-// a single goroutine.
+// Manager owns one open journal, a Log under the journal's magic: it
+// folds existing state on Open and appends commit records durably (each
+// append is fsynced before it returns). Safe for concurrent use, though
+// the CEGAR loop commits from a single goroutine.
 type Manager struct {
-	path     string
-	fsys     FS
 	readOnly bool
 
 	mu        sync.Mutex
-	f         File
+	log       *Log            // nil when read-only, inert or closed
 	persisted map[string]bool // cache keys already journaled
 	snap      *Snapshot
 	warnings  []string
 	commits   int
 	lastErr   error
-	degraded  error // first frame-write/fsync failure; sticky
 }
 
-// Open validates and replays the journal under dir for the given
-// compatibility key. A missing journal is created fresh (cold start). A
-// journal whose magic/header cannot be validated returns *CorruptError;
-// a valid journal for a different key returns *IncompatibleError — in
-// both cases the caller decides whether to Create over it. A torn or
-// corrupted tail is truncated (never trusted) and noted in Warnings;
-// replay resumes from the last intact record.
+// Open validates and replays the journal under dir over fsys (nil is
+// the real filesystem) for the given compatibility key. A missing
+// journal is created fresh (cold start). A journal whose magic/header
+// cannot be validated returns *CorruptError; a valid journal for a
+// different key returns *IncompatibleError — in both cases the file is
+// left untouched and the caller decides whether to Create over it. A
+// torn or corrupted tail is truncated (never trusted) and noted in
+// Warnings; replay resumes from the last intact record.
 //
 // readOnly opens for warm-start only: nothing is written, not even the
 // truncation repair of a torn tail (the tail is simply ignored).
-func Open(dir string, key CompatKey, readOnly bool) (*Manager, error) {
-	return OpenFS(nil, dir, key, readOnly)
-}
-
-// OpenFS is Open over an explicit filesystem seam; a nil fsys is the
-// real filesystem.
-func OpenFS(fsys FS, dir string, key CompatKey, readOnly bool) (*Manager, error) {
-	fsys = orOS(fsys)
+func Open(fsys FS, dir string, key CompatKey, readOnly bool) (*Manager, error) {
 	path := filepath.Join(dir, JournalName)
-	if _, err := fsys.Stat(path); errors.Is(err, os.ErrNotExist) {
-		if readOnly {
-			// Nothing to resume and nothing may be written: an inert
-			// manager whose commits are no-ops.
-			return &Manager{path: path, fsys: fsys, readOnly: true, persisted: map[string]bool{}}, nil
-		}
-		return CreateFS(fsys, dir, key)
-	}
-	flag := os.O_RDWR
-	if readOnly {
-		flag = os.O_RDONLY
-	}
-	f, err := fsys.OpenFile(path, flag, 0o644)
-	if err != nil {
-		return nil, fmt.Errorf("checkpoint: %w", err)
-	}
-	m := &Manager{path: path, fsys: fsys, f: f, readOnly: readOnly, persisted: map[string]bool{}}
-	if err := m.replay(key); err != nil {
-		f.Close()
+	m := &Manager{readOnly: readOnly, persisted: map[string]bool{}}
+	// The read-only fold validates the header before anything may
+	// repair the tail.
+	warnings, err := m.replay(fsys, path, key)
+	switch {
+	case errors.Is(err, fs.ErrNotExist) && readOnly:
+		// Nothing to resume and nothing may be written: an inert
+		// manager whose commits are no-ops.
+		return m, nil
+	case errors.Is(err, fs.ErrNotExist):
+		return Create(fsys, dir, key)
+	case err != nil:
 		return nil, err
+	}
+	if !readOnly {
+		if m.log, err = OpenLog(fsys, path, magic, nil); err != nil {
+			return nil, fmt.Errorf("checkpoint: %w", err)
+		}
+		warnings = m.log.Warnings()
+	}
+	for _, w := range warnings {
+		m.warnings = append(m.warnings, "journal "+w)
 	}
 	return m, nil
 }
 
-// Create starts a fresh journal under dir (truncating any previous
-// one), writing the magic and the header record for the key.
-func Create(dir string, key CompatKey) (*Manager, error) {
-	return CreateFS(nil, dir, key)
-}
-
-// CreateFS is Create over an explicit filesystem seam; a nil fsys is
-// the real filesystem.
-func CreateFS(fsys FS, dir string, key CompatKey) (*Manager, error) {
+// Create starts a fresh journal under dir over fsys (nil is the real
+// filesystem) holding just the header record for key, replacing any
+// previous journal. The replacement commits by rename, so a crash
+// mid-create leaves the previous journal, never a half-written one.
+func Create(fsys FS, dir string, key CompatKey) (*Manager, error) {
 	fsys = orOS(fsys)
 	if err := fsys.MkdirAll(dir, 0o755); err != nil {
 		return nil, fmt.Errorf("checkpoint: %w", err)
 	}
-	path := filepath.Join(dir, JournalName)
-	f, err := fsys.OpenFile(path, os.O_RDWR|os.O_CREATE|os.O_TRUNC, 0o644)
-	if err != nil {
-		return nil, fmt.Errorf("checkpoint: %w", err)
-	}
-	m := &Manager{path: path, fsys: fsys, f: f, persisted: map[string]bool{}}
 	hdr, err := json.Marshal(headerPayload{Type: "header", Version: formatVersion, Tool: key.Tool, Hash: key.Hash()})
 	if err != nil {
-		f.Close()
 		return nil, err
 	}
-	if _, err := f.Write([]byte(magic)); err != nil {
-		f.Close()
+	path := filepath.Join(dir, JournalName)
+	if err := RewriteLog(fsys, path, magic, [][]byte{hdr}); err != nil {
 		return nil, fmt.Errorf("checkpoint: %w", err)
 	}
-	if err := m.writeFrame(hdr); err != nil {
-		f.Close()
-		return nil, err
-	}
-	if err := f.Sync(); err != nil {
-		f.Close()
+	log, err := OpenLog(fsys, path, magic, nil)
+	if err != nil {
 		return nil, fmt.Errorf("checkpoint: %w", err)
 	}
-	return m, nil
+	return &Manager{log: log, persisted: map[string]bool{}}, nil
 }
 
-// replay validates the magic and header, then folds every intact record
-// into the snapshot, truncating a bad tail.
-func (m *Manager) replay(key CompatKey) error {
-	buf := make([]byte, len(magic))
-	if _, err := m.f.ReadAt(buf, 0); err != nil {
-		if err == io.EOF || err == io.ErrUnexpectedEOF {
-			return &CorruptError{Path: m.path, Detail: "bad magic"}
-		}
-		// A device read error is not corruption: recreating over the
-		// journal would discard commit points that are probably intact.
-		return fmt.Errorf("checkpoint: reading magic: %w", err)
-	}
-	if string(buf) != magic {
-		return &CorruptError{Path: m.path, Detail: "bad magic"}
-	}
-	hdrPayload, _, err := readFrame(m.f, int64(len(magic)))
-	if err != nil {
-		if ioErr := readIOError(err); ioErr != nil {
-			return fmt.Errorf("checkpoint: reading header record: %w", ioErr)
-		}
-		return &CorruptError{Path: m.path, Detail: "unreadable header record"}
-	}
-	var hdr headerPayload
-	if json.Unmarshal(hdrPayload, &hdr) != nil || hdr.Type != "header" {
-		return &CorruptError{Path: m.path, Detail: "malformed header record"}
-	}
-	if hdr.Version != formatVersion {
-		return &CorruptError{Path: m.path, Detail: fmt.Sprintf("journal format version %d, want %d", hdr.Version, formatVersion)}
-	}
-	if want := key.Hash(); hdr.Hash != want {
-		return &IncompatibleError{Path: m.path, Want: want, Got: hdr.Hash}
-	}
-
-	offset := int64(len(magic)) + frameOverhead + int64(len(hdrPayload))
+// replay folds the journal at path read-only. The first record must be
+// a header for key; then every iteration record adds its cache spill
+// to persisted and the last one, with the last final outcome, becomes
+// the snapshot. It returns the warning for an ignored torn tail.
+func (m *Manager) replay(fsys FS, path string, key CompatKey) ([]string, error) {
+	header := false // the first record has been seen
+	var reject error
 	var last *iterationPayload
 	outcome := ""
-	for {
-		payload, n, err := readFrame(m.f, offset)
-		if err == io.EOF {
-			break
+	warnings, err := ReplayLog(fsys, path, magic, func(payload []byte) {
+		if !header {
+			header = true
+			reject = checkHeader(path, payload, key)
+			return
 		}
-		if err != nil {
-			if ioErr := readIOError(err); ioErr != nil {
-				// A real read error (EIO, not a torn frame): truncating
-				// here could discard good durable records, so fail the
-				// open instead of "repairing".
-				return fmt.Errorf("checkpoint: reading record at offset %d: %w", offset, ioErr)
-			}
-			// Torn or corrupted tail: truncate back to the last good
-			// record (append must start from a trusted prefix) and stop
-			// trusting anything beyond it.
-			m.warnings = append(m.warnings,
-				fmt.Sprintf("journal tail invalid at offset %d (%v): truncated to last good record", offset, err))
-			if !m.readOnly {
-				if terr := m.f.Truncate(offset); terr != nil {
-					return fmt.Errorf("checkpoint: repairing torn tail: %w", terr)
-				}
-				if serr := m.f.Sync(); serr != nil {
-					return fmt.Errorf("checkpoint: repairing torn tail: %w", serr)
-				}
-			}
-			break
+		if reject != nil {
+			return
 		}
 		var probe struct {
 			Type string `json:"type"`
 		}
-		if json.Unmarshal(payload, &probe) == nil {
-			switch probe.Type {
-			case "iteration":
-				var it iterationPayload
-				if json.Unmarshal(payload, &it) == nil && it.Iter > 0 {
-					for _, e := range it.Cache {
-						m.persisted[e.Key] = e.Val
-					}
-					last = &it
+		if json.Unmarshal(payload, &probe) != nil {
+			return
+		}
+		switch probe.Type {
+		case "iteration":
+			var it iterationPayload
+			if json.Unmarshal(payload, &it) == nil && it.Iter > 0 {
+				for _, e := range it.Cache {
+					m.persisted[e.Key] = e.Val
 				}
-			case "final":
-				var fin finalPayload
-				if json.Unmarshal(payload, &fin) == nil {
-					outcome = fin.Outcome
-				}
+				last = &it
+			}
+		case "final":
+			var fin finalPayload
+			if json.Unmarshal(payload, &fin) == nil {
+				outcome = fin.Outcome
 			}
 		}
-		offset += n
+	})
+	if reject != nil {
+		return nil, reject
 	}
-	if _, err := m.f.Seek(offset, io.SeekStart); err != nil {
-		return fmt.Errorf("checkpoint: %w", err)
+	if err != nil {
+		return nil, err
+	}
+	if !header {
+		return nil, &CorruptError{Path: path, Detail: "unreadable header record"}
 	}
 	if last != nil {
 		snap := &Snapshot{
@@ -382,6 +323,21 @@ func (m *Manager) replay(key CompatKey) error {
 		sort.Slice(snap.Cache, func(i, j int) bool { return snap.Cache[i].Key < snap.Cache[j].Key })
 		m.snap = snap
 	}
+	return warnings, nil
+}
+
+// checkHeader validates the journal's first record against key.
+func checkHeader(path string, payload []byte, key CompatKey) error {
+	var hdr headerPayload
+	if json.Unmarshal(payload, &hdr) != nil || hdr.Type != "header" {
+		return &CorruptError{Path: path, Detail: "malformed header record"}
+	}
+	if hdr.Version != formatVersion {
+		return &CorruptError{Path: path, Detail: fmt.Sprintf("journal format version %d, want %d", hdr.Version, formatVersion)}
+	}
+	if want := key.Hash(); hdr.Hash != want {
+		return &IncompatibleError{Path: path, Want: want, Got: hdr.Hash}
+	}
 	return nil
 }
 
@@ -396,8 +352,8 @@ func (m *Manager) Snapshot() *Snapshot {
 	return m.snap
 }
 
-// Warnings lists non-fatal journal repairs (torn-tail truncations)
-// performed on Open.
+// Warnings lists the torn tail found on Open: truncated, or ignored
+// when read-only.
 func (m *Manager) Warnings() []string {
 	if m == nil {
 		return nil
@@ -405,14 +361,6 @@ func (m *Manager) Warnings() []string {
 	m.mu.Lock()
 	defer m.mu.Unlock()
 	return append([]string(nil), m.warnings...)
-}
-
-// Path returns the journal file path ("" for an inert manager).
-func (m *Manager) Path() string {
-	if m == nil {
-		return ""
-	}
-	return m.path
 }
 
 // ReadOnly reports whether commits are disabled (-no-persist).
@@ -428,7 +376,7 @@ func (m *Manager) Commits() int {
 	return m.commits
 }
 
-// Err returns the first append error, if any. Persistence failures
+// Err returns the last append error, if any. Persistence failures
 // never abort the verification run; callers surface them at exit.
 func (m *Manager) Err() error {
 	if m == nil {
@@ -441,19 +389,22 @@ func (m *Manager) Err() error {
 
 // AppendIteration durably commits one iteration record: the cache spill
 // is reduced to the delta against everything already journaled, the
-// frame is appended, and the file is fsynced before returning. Nil
-// managers and read-only managers are no-ops.
+// frame is appended, and the file is fsynced before returning. Nil,
+// read-only and closed managers are no-ops. After any failed append the
+// journal is degraded (see Log): persistence stays best-effort — the
+// verification run continues and surfaces Err at exit; only durability
+// is lost.
 func (m *Manager) AppendIteration(rec IterationRecord) error {
-	if m == nil || m.readOnly {
+	if m == nil {
 		return nil
 	}
 	m.mu.Lock()
 	defer m.mu.Unlock()
-	if m.f == nil {
+	if m.log == nil {
 		return nil
 	}
-	if m.degraded != nil {
-		return m.degraded
+	if err := m.log.Err(); err != nil {
+		return err
 	}
 	delta := make([]prover.CacheEntry, 0, 16)
 	for _, e := range rec.Cache {
@@ -470,13 +421,9 @@ func (m *Manager) AppendIteration(rec IterationRecord) error {
 		return err
 	}
 	m.commits++
-	crashHook(m.commits, m.f, payload)
-	if err := m.writeFrame(payload); err != nil {
-		m.fail(err)
-		return err
-	}
-	if err := m.f.Sync(); err != nil {
-		m.fail(err)
+	crashHook(m.commits, m.log, payload)
+	if err := m.log.Append(payload); err != nil {
+		m.lastErr = err
 		return err
 	}
 	for _, e := range delta {
@@ -485,48 +432,27 @@ func (m *Manager) AppendIteration(rec IterationRecord) error {
 	return nil
 }
 
-// fail records a frame-write or fsync failure. The journal tail is now
-// untrusted (a partial or unsynced frame may precede any new one), so
-// the degraded state is sticky: every later append fails fast with the
-// original error. Persistence stays best-effort — the verification run
-// continues and surfaces Err at exit; only durability is lost.
-func (m *Manager) fail(err error) {
-	m.lastErr = err
-	if m.degraded == nil {
-		m.degraded = err
-	}
-}
-
 // AppendFinal durably journals the run outcome (and the limit that
 // stopped it, if any). Called on every loop exit, including the
 // deadline retreat, so a -timeout run's last commit is flushed before
 // the process exits 2.
 func (m *Manager) AppendFinal(outcome, limit string) error {
-	if m == nil || m.readOnly {
+	if m == nil {
 		return nil
 	}
 	m.mu.Lock()
 	defer m.mu.Unlock()
-	if m.f == nil {
+	if m.log == nil {
 		return nil
 	}
-	if m.degraded != nil {
-		return m.degraded
-	}
 	payload, err := json.Marshal(finalPayload{Type: "final", Outcome: outcome, Limit: limit})
+	if err == nil {
+		err = m.log.Append(payload)
+	}
 	if err != nil {
 		m.lastErr = err
-		return err
 	}
-	if err := m.writeFrame(payload); err != nil {
-		m.fail(err)
-		return err
-	}
-	if err := m.f.Sync(); err != nil {
-		m.fail(err)
-		return err
-	}
-	return nil
+	return err
 }
 
 // Close syncs and closes the journal.
@@ -536,100 +462,7 @@ func (m *Manager) Close() error {
 	}
 	m.mu.Lock()
 	defer m.mu.Unlock()
-	if m.f == nil {
-		return nil
-	}
-	var err error
-	if !m.readOnly && m.degraded == nil {
-		err = m.f.Sync()
-	}
-	if cerr := m.f.Close(); err == nil {
-		err = cerr
-	}
-	m.f = nil
+	err := m.log.Close()
+	m.log = nil
 	return err
-}
-
-// frameOverhead is the per-record framing cost: u32 length + u32 CRC.
-const frameOverhead = 8
-
-// FrameOverhead is frameOverhead for store owners sizing their own
-// rotation/compaction targets (bytes per record = payload + overhead).
-const FrameOverhead = frameOverhead
-
-// writeFrame appends one length-prefixed, checksummed record. The
-// caller holds m.mu and syncs afterwards.
-func (m *Manager) writeFrame(payload []byte) error {
-	return appendFrame(m.f, payload)
-}
-
-// appendFrame writes one length-prefixed, checksummed record at f's
-// current offset; shared by the journal and the generic Log.
-func appendFrame(f File, payload []byte) error {
-	var hdr [frameOverhead]byte
-	binary.LittleEndian.PutUint32(hdr[0:4], uint32(len(payload)))
-	binary.LittleEndian.PutUint32(hdr[4:8], crc32.ChecksumIEEE(payload))
-	if _, err := f.Write(hdr[:]); err != nil {
-		return fmt.Errorf("checkpoint: append: %w", err)
-	}
-	if _, err := f.Write(payload); err != nil {
-		return fmt.Errorf("checkpoint: append: %w", err)
-	}
-	return nil
-}
-
-// readError marks a real device read failure (EIO), as opposed to the
-// structural torn-frame errors that replay repairs by truncation.
-// Truncating a log because the disk failed to *read* it would destroy
-// good durable records, so the two must never be conflated.
-type readError struct{ err error }
-
-func (e *readError) Error() string { return e.err.Error() }
-func (e *readError) Unwrap() error { return e.err }
-
-// readIOError returns the underlying device error when err is a real
-// read failure from readFrame, or nil for structural (torn/corrupt)
-// errors and io.EOF.
-func readIOError(err error) error {
-	var re *readError
-	if errors.As(err, &re) {
-		return re.err
-	}
-	return nil
-}
-
-// readFrame reads the record at offset, validating length and CRC. It
-// returns the payload and the total frame size. A structural violation
-// — short header, oversized length, short payload, checksum mismatch —
-// comes back as a plain non-EOF error (a torn tail the caller may
-// repair); a device read failure comes back as a *readError (which the
-// caller must NOT repair by truncation); a clean end-of-file is io.EOF.
-func readFrame(f File, offset int64) (payload []byte, size int64, err error) {
-	var hdr [frameOverhead]byte
-	n, err := f.ReadAt(hdr[:], offset)
-	if n == 0 && err == io.EOF {
-		return nil, 0, io.EOF
-	}
-	if err != nil && err != io.EOF {
-		return nil, 0, &readError{err}
-	}
-	if n < frameOverhead {
-		return nil, 0, fmt.Errorf("torn record header")
-	}
-	length := binary.LittleEndian.Uint32(hdr[0:4])
-	want := binary.LittleEndian.Uint32(hdr[4:8])
-	if length > maxRecordLen {
-		return nil, 0, fmt.Errorf("implausible record length %d", length)
-	}
-	payload = make([]byte, length)
-	if _, err := f.ReadAt(payload, offset+frameOverhead); err != nil {
-		if err != io.EOF && err != io.ErrUnexpectedEOF {
-			return nil, 0, &readError{err}
-		}
-		return nil, 0, fmt.Errorf("torn record payload")
-	}
-	if crc32.ChecksumIEEE(payload) != want {
-		return nil, 0, fmt.Errorf("checksum mismatch")
-	}
-	return payload, frameOverhead + int64(length), nil
 }

@@ -2,9 +2,9 @@ package checkpoint
 
 import (
 	"errors"
-	"io"
 	"os"
 	"path/filepath"
+	"strings"
 	"testing"
 
 	"predabs/internal/abstract"
@@ -37,7 +37,7 @@ func testRecord(iter int) IterationRecord {
 func TestRoundTrip(t *testing.T) {
 	dir := t.TempDir()
 	key := testKey()
-	m, err := Create(dir, key)
+	m, err := Create(nil, dir, key)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -56,7 +56,7 @@ func TestRoundTrip(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	re, err := Open(dir, key, false)
+	re, err := Open(nil, dir, key, false)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -96,7 +96,7 @@ func TestRoundTrip(t *testing.T) {
 
 func TestDeltaSpill(t *testing.T) {
 	dir := t.TempDir()
-	m, err := Create(dir, testKey())
+	m, err := Create(nil, dir, testKey())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -122,7 +122,7 @@ func TestDeltaSpill(t *testing.T) {
 func TestTornTailTruncated(t *testing.T) {
 	dir := t.TempDir()
 	key := testKey()
-	m, err := Create(dir, key)
+	m, err := Create(nil, dir, key)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -144,7 +144,7 @@ func TestTornTailTruncated(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	re, err := Open(dir, key, false)
+	re, err := Open(nil, dir, key, false)
 	if err != nil {
 		t.Fatalf("torn tail must not fail open: %v", err)
 	}
@@ -161,7 +161,7 @@ func TestTornTailTruncated(t *testing.T) {
 		t.Fatal(err)
 	}
 	re.Close()
-	re2, err := Open(dir, key, false)
+	re2, err := Open(nil, dir, key, false)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -174,14 +174,14 @@ func TestTornTailTruncated(t *testing.T) {
 func TestBitFlipTruncatesFromFlip(t *testing.T) {
 	dir := t.TempDir()
 	key := testKey()
-	m, err := Create(dir, key)
+	m, err := Create(nil, dir, key)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if err := m.AppendIteration(testRecord(1)); err != nil {
 		t.Fatal(err)
 	}
-	off, _ := m.f.Seek(0, io.SeekEnd)
+	off := m.log.Size()
 	if err := m.AppendIteration(testRecord(2)); err != nil {
 		t.Fatal(err)
 	}
@@ -195,7 +195,7 @@ func TestBitFlipTruncatesFromFlip(t *testing.T) {
 	raw[off+frameOverhead+3] ^= 0x40 // flip a bit inside record 2's payload
 	os.WriteFile(path, raw, 0o644)
 
-	re, err := Open(dir, key, false)
+	re, err := Open(nil, dir, key, false)
 	if err != nil {
 		t.Fatalf("bit flip must not fail open: %v", err)
 	}
@@ -209,36 +209,91 @@ func TestBitFlipTruncatesFromFlip(t *testing.T) {
 	}
 }
 
-func TestBadMagicIsCorrupt(t *testing.T) {
-	dir := t.TempDir()
-	key := testKey()
-	m, _ := Create(dir, key)
-	m.AppendIteration(testRecord(1))
-	m.Close()
-	path := filepath.Join(dir, JournalName)
-	raw, _ := os.ReadFile(path)
-	raw[0] ^= 0xFF
-	os.WriteFile(path, raw, 0o644)
+// writeJournal creates a journal for key with one committed iteration
+// and returns its path.
+func writeJournal(t *testing.T, dir string, key CompatKey) string {
+	t.Helper()
+	m, err := Create(nil, dir, key)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := m.AppendIteration(testRecord(1)); err != nil {
+		t.Fatal(err)
+	}
+	if err := m.Close(); err != nil {
+		t.Fatal(err)
+	}
+	return filepath.Join(dir, JournalName)
+}
 
-	_, err := Open(dir, key, false)
-	var ce *CorruptError
-	if !errors.As(err, &ce) {
-		t.Fatalf("want CorruptError for bad magic, got %v", err)
+// openRejected damages the journal at path, opens it for key and
+// returns the error; a rejected journal must be left byte-identical.
+func openRejected(t *testing.T, dir, path string, key CompatKey, damage func([]byte) []byte) error {
+	t.Helper()
+	raw, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	raw = damage(raw)
+	if err := os.WriteFile(path, raw, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	m, err := Open(nil, dir, key, false)
+	if err == nil {
+		m.Close()
+		t.Fatal("damaged journal was accepted")
+	}
+	if after, rerr := os.ReadFile(path); rerr != nil || string(after) != string(raw) {
+		t.Fatalf("Open changed a journal it rejected (%v)", rerr)
+	}
+	return err
+}
+
+func tornTail(raw []byte) []byte { return raw[:len(raw)-7] }
+
+func TestBadMagicIsCorrupt(t *testing.T) {
+	badMagic := func(raw []byte) []byte { raw[0] ^= 0xFF; return raw }
+	badHeaderCRC := func(raw []byte) []byte { raw[len(magic)+4] ^= 0x01; return raw }
+	for _, tc := range []struct {
+		name   string
+		damage func([]byte) []byte
+	}{
+		{"magic", badMagic},
+		{"magic+torn-tail", func(raw []byte) []byte { return tornTail(badMagic(raw)) }},
+		{"header-crc", badHeaderCRC},
+		{"header-crc+torn-tail", func(raw []byte) []byte { return tornTail(badHeaderCRC(raw)) }},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			dir := t.TempDir()
+			key := testKey()
+			err := openRejected(t, dir, writeJournal(t, dir, key), key, tc.damage)
+			var ce *CorruptError
+			if !errors.As(err, &ce) {
+				t.Fatalf("want CorruptError, got %v", err)
+			}
+		})
 	}
 }
 
 func TestWrongKeyIsIncompatible(t *testing.T) {
-	dir := t.TempDir()
-	m, _ := Create(dir, testKey())
-	m.AppendIteration(testRecord(1))
-	m.Close()
-
-	other := testKey()
-	other.Program = "void main() { int x; }"
-	_, err := Open(dir, other, false)
-	var ie *IncompatibleError
-	if !errors.As(err, &ie) {
-		t.Fatalf("want IncompatibleError for different program, got %v", err)
+	for _, tc := range []struct {
+		name   string
+		damage func([]byte) []byte
+	}{
+		{"intact", func(raw []byte) []byte { return raw }},
+		{"torn-tail", tornTail},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			dir := t.TempDir()
+			path := writeJournal(t, dir, testKey())
+			other := testKey()
+			other.Program = "void main() { int x; }"
+			err := openRejected(t, dir, path, other, tc.damage)
+			var ie *IncompatibleError
+			if !errors.As(err, &ie) {
+				t.Fatalf("want IncompatibleError for different program, got %v", err)
+			}
+		})
 	}
 }
 
@@ -275,40 +330,63 @@ func TestCompatKeyFields(t *testing.T) {
 }
 
 func TestReadOnlyMode(t *testing.T) {
-	dir := t.TempDir()
-	key := testKey()
-	m, _ := Create(dir, key)
-	m.AppendIteration(testRecord(1))
-	m.Close()
-	path := filepath.Join(dir, JournalName)
-	before, _ := os.ReadFile(path)
+	for _, tc := range []struct {
+		name     string
+		damage   func([]byte) []byte
+		iter     int // the iteration the snapshot replays to
+		warnings int
+	}{
+		{"intact", func(raw []byte) []byte { return raw }, 2, 0},
+		{"torn-tail", tornTail, 1, 1},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			dir := t.TempDir()
+			key := testKey()
+			m, _ := Create(nil, dir, key)
+			m.AppendIteration(testRecord(1))
+			m.AppendIteration(testRecord(2))
+			m.Close()
+			path := filepath.Join(dir, JournalName)
+			raw, _ := os.ReadFile(path)
+			before := tc.damage(raw)
+			os.WriteFile(path, before, 0o644)
 
-	ro, err := Open(dir, key, true)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !ro.ReadOnly() {
-		t.Error("ReadOnly() = false")
-	}
-	if snap := ro.Snapshot(); snap == nil || snap.Iter != 1 {
-		t.Fatalf("read-only open must still replay, got %+v", snap)
-	}
-	if err := ro.AppendIteration(testRecord(2)); err != nil {
-		t.Fatal(err)
-	}
-	if err := ro.AppendFinal("Verified", ""); err != nil {
-		t.Fatal(err)
-	}
-	ro.Close()
-	after, _ := os.ReadFile(path)
-	if string(before) != string(after) {
-		t.Error("read-only manager modified the journal")
+			ro, err := Open(nil, dir, key, true)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !ro.ReadOnly() {
+				t.Error("ReadOnly() = false")
+			}
+			if snap := ro.Snapshot(); snap == nil || snap.Iter != tc.iter {
+				t.Fatalf("read-only open must still replay to iteration %d, got %+v", tc.iter, snap)
+			}
+			if got := len(ro.Warnings()); got != tc.warnings {
+				t.Errorf("want %d warnings, got %v", tc.warnings, ro.Warnings())
+			}
+			for _, w := range ro.Warnings() {
+				if strings.Contains(w, "truncated") {
+					t.Errorf("read-only open claims a truncation it never made: %q", w)
+				}
+			}
+			if err := ro.AppendIteration(testRecord(3)); err != nil {
+				t.Fatal(err)
+			}
+			if err := ro.AppendFinal("Verified", ""); err != nil {
+				t.Fatal(err)
+			}
+			ro.Close()
+			after, _ := os.ReadFile(path)
+			if string(before) != string(after) {
+				t.Error("read-only manager modified the journal")
+			}
+		})
 	}
 }
 
 func TestReadOnlyMissingJournal(t *testing.T) {
 	dir := t.TempDir()
-	ro, err := Open(dir, testKey(), true)
+	ro, err := Open(nil, dir, testKey(), true)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -324,7 +402,7 @@ func TestReadOnlyMissingJournal(t *testing.T) {
 func TestOpenMissingCreates(t *testing.T) {
 	dir := t.TempDir()
 	key := testKey()
-	m, err := Open(dir, key, false)
+	m, err := Open(nil, dir, key, false)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -333,7 +411,7 @@ func TestOpenMissingCreates(t *testing.T) {
 	}
 	m.AppendIteration(testRecord(1))
 	m.Close()
-	re, err := Open(dir, key, false)
+	re, err := Open(nil, dir, key, false)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -351,7 +429,7 @@ func TestNilManagerSafe(t *testing.T) {
 	if err := m.AppendFinal("Verified", ""); err != nil {
 		t.Fatal(err)
 	}
-	if m.Snapshot() != nil || m.Warnings() != nil || m.Commits() != 0 || m.Err() != nil || m.ReadOnly() || m.Path() != "" {
+	if m.Snapshot() != nil || m.Warnings() != nil || m.Commits() != 0 || m.Err() != nil || m.ReadOnly() {
 		t.Error("nil manager accessors must be inert")
 	}
 	if err := m.Close(); err != nil {

@@ -1,8 +1,6 @@
 package checkpoint
 
 import (
-	"encoding/binary"
-	"hash/crc32"
 	"os"
 	"strconv"
 	"strings"
@@ -24,9 +22,10 @@ import (
 const CrashEnv = "PREDABS_CRASH_COMMIT"
 
 // crashHook implements CrashEnv. Called with the commit ordinal and the
-// marshaled payload BEFORE the real frame is written; on a torn-mode
-// match it performs the partial write itself and then kills the process.
-func crashHook(commit int, f File, payload []byte) {
+// marshaled payload BEFORE the real frame is appended; on a match it
+// appends the frame itself (whole, or torn: the header and half the
+// payload) and then kills the process.
+func crashHook(commit int, l *Log, payload []byte) {
 	v := os.Getenv(CrashEnv)
 	if v == "" {
 		return
@@ -36,23 +35,14 @@ func crashHook(commit int, f File, payload []byte) {
 	if err != nil || n != commit {
 		return
 	}
-	if torn {
-		var hdr [frameOverhead]byte
-		binary.LittleEndian.PutUint32(hdr[0:4], uint32(len(payload)))
-		binary.LittleEndian.PutUint32(hdr[4:8], crc32.ChecksumIEEE(payload))
-		f.Write(hdr[:])
-		f.Write(payload[:len(payload)/2]) // half a record, then the lights go out
-		f.Sync()
+	if !torn {
+		l.Append(payload)
 		kill()
 	}
-	// Full-commit mode: let the real write+sync happen, then die on the
-	// next hook entry — simplest is to write here ourselves and kill.
-	var hdr [frameOverhead]byte
-	binary.LittleEndian.PutUint32(hdr[0:4], uint32(len(payload)))
-	binary.LittleEndian.PutUint32(hdr[4:8], crc32.ChecksumIEEE(payload))
-	f.Write(hdr[:])
-	f.Write(payload)
-	f.Sync()
+	hdr := frameHeader(payload)
+	l.f.Write(hdr[:])
+	l.f.Write(payload[:len(payload)/2]) // half a record, then the lights go out
+	l.f.Sync()
 	kill()
 }
 

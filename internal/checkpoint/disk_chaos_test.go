@@ -1,6 +1,6 @@
 // Disk-chaos tests for the framed-log substrate: every durable store in
 // the system (job journal, server ledger, per-job event logs, fleet
-// ledger) rides checkpoint.Log or the journal Manager, so the
+// ledger) rides checkpoint.Log, so the
 // invariants pinned here — acked records survive any injected disk
 // fault, appends degrade stickily instead of corrupting, read errors
 // never masquerade as corruption, and generation rewrites commit
@@ -41,9 +41,9 @@ func payloadFor(i int) []byte {
 // of acked appends and the first append error (nil if none fired).
 func runFaultedAppends(t *testing.T, ffs checkpoint.FS, path, magic string, maxRecords int) (int, error) {
 	t.Helper()
-	log, err := checkpoint.OpenLogFS(ffs, path, magic, nil)
+	log, err := checkpoint.OpenLog(ffs, path, magic, nil)
 	if err != nil {
-		t.Fatalf("OpenLogFS: %v", err)
+		t.Fatalf("OpenLog: %v", err)
 	}
 	defer log.Close()
 	acked := 0
@@ -68,7 +68,7 @@ func runFaultedAppends(t *testing.T, ffs checkpoint.FS, path, magic string, maxR
 func replayAll(t *testing.T, path, magic string) ([]string, []string) {
 	t.Helper()
 	var got []string
-	log, err := checkpoint.OpenLog(path, magic, func(p []byte) { got = append(got, string(p)) })
+	log, err := checkpoint.OpenLog(nil, path, magic, func(p []byte) { got = append(got, string(p)) })
 	if err != nil {
 		t.Fatalf("clean reopen: %v", err)
 	}
@@ -159,7 +159,7 @@ func TestDiskChaosLogSeededRates(t *testing.T) {
 					SyncFailRate:   0.05,
 					Sticky:         true,
 				})
-				log, err := checkpoint.OpenLogFS(ffs, path, "PREDABSLGR1\x00", nil)
+				log, err := checkpoint.OpenLog(ffs, path, "PREDABSLGR1\x00", nil)
 				if err != nil {
 					// The schedule killed the fresh-file magic write/sync:
 					// a valid outcome (the owner fails startup), encoded as
@@ -211,20 +211,34 @@ func TestDiskChaosReadErrorFailsOpenWithoutTruncation(t *testing.T) {
 	sizeBefore := info.Size()
 
 	// Reads during open: 1 is the magic, then one header + one payload
-	// read per record. Fail each in turn.
+	// read per record. Fail each in turn, for the repairing open and for
+	// the read-only replay alike.
 	for n := int64(1); n <= 1+2*records; n++ {
-		ffs := faultinject.NewFS(nil, faultinject.FSConfig{FailReadAfter: n})
-		_, oerr := checkpoint.OpenLogFS(ffs, path, magic, nil)
-		if oerr == nil {
-			t.Fatalf("read fault at op %d: open succeeded", n)
-		}
-		var corrupt *checkpoint.CorruptError
-		if errors.As(oerr, &corrupt) {
-			t.Fatalf("read fault at op %d misreported as corruption: %v", n, oerr)
-		}
-		if info, err := os.Stat(path); err != nil || info.Size() != sizeBefore {
-			t.Fatalf("read fault at op %d changed the file: size %d -> %d (%v)",
-				n, sizeBefore, info.Size(), err)
+		for _, open := range []struct {
+			name string
+			run  func(checkpoint.FS) error
+		}{
+			{"OpenLog", func(ffs checkpoint.FS) error {
+				_, err := checkpoint.OpenLog(ffs, path, magic, nil)
+				return err
+			}},
+			{"ReplayLog", func(ffs checkpoint.FS) error {
+				_, err := checkpoint.ReplayLog(ffs, path, magic, nil)
+				return err
+			}},
+		} {
+			oerr := open.run(faultinject.NewFS(nil, faultinject.FSConfig{FailReadAfter: n}))
+			if oerr == nil {
+				t.Fatalf("%s: read fault at op %d: open succeeded", open.name, n)
+			}
+			var corrupt *checkpoint.CorruptError
+			if errors.As(oerr, &corrupt) {
+				t.Fatalf("%s: read fault at op %d misreported as corruption: %v", open.name, n, oerr)
+			}
+			if info, err := os.Stat(path); err != nil || info.Size() != sizeBefore {
+				t.Fatalf("%s: read fault at op %d changed the file: size %d -> %d (%v)",
+					open.name, n, sizeBefore, info.Size(), err)
+			}
 		}
 	}
 	got, warnings := replayAll(t, path, magic)
@@ -247,9 +261,9 @@ func TestDiskChaosShortWriteLeavesRepairableTail(t *testing.T) {
 				t.Fatalf("seeding: acked %d, err %v", acked, err)
 			}
 			ffs := faultinject.NewFS(nil, faultinject.FSConfig{ShortWriteAfter: 1, Sticky: true})
-			log, err := checkpoint.OpenLogFS(ffs, path, store.magic, nil)
+			log, err := checkpoint.OpenLog(ffs, path, store.magic, nil)
 			if err != nil {
-				t.Fatalf("OpenLogFS: %v", err)
+				t.Fatalf("OpenLog: %v", err)
 			}
 			if err := log.Append([]byte(`{"rec":2,"torn":true}`)); err == nil {
 				t.Fatalf("short write did not fail the append")
@@ -300,7 +314,7 @@ func TestDiskChaosRewriteRenameFailKeepsOldGeneration(t *testing.T) {
 		t.Fatalf("clean rewrite: %v", err)
 	}
 	var got []string
-	if err := checkpoint.ReplayLog(path, magic, func(p []byte) { got = append(got, string(p)) }); err != nil {
+	if _, err := checkpoint.ReplayLog(nil, path, magic, func(p []byte) { got = append(got, string(p)) }); err != nil {
 		t.Fatalf("replay new generation: %v", err)
 	}
 	if len(got) != 1 || got[0] != `{"gen":2}` {
@@ -325,9 +339,9 @@ func TestDiskChaosJournalManagerFaults(t *testing.T) {
 		t.Run(sched.name, func(t *testing.T) {
 			dir := t.TempDir()
 			ffs := faultinject.NewFS(nil, sched.cfg)
-			m, err := checkpoint.CreateFS(ffs, dir, key)
+			m, err := checkpoint.Create(ffs, dir, key)
 			if err != nil {
-				t.Fatalf("CreateFS: %v", err)
+				t.Fatalf("Create: %v", err)
 			}
 			acked := 0
 			var ferr error
@@ -352,7 +366,7 @@ func TestDiskChaosJournalManagerFaults(t *testing.T) {
 				t.Fatalf("schedule never fired; raise the trigger count")
 			}
 
-			m2, err := checkpoint.Open(dir, key, false)
+			m2, err := checkpoint.Open(nil, dir, key, false)
 			if err != nil {
 				t.Fatalf("clean reopen: %v", err)
 			}
@@ -374,4 +388,60 @@ func TestDiskChaosJournalManagerFaults(t *testing.T) {
 			}
 		})
 	}
+
+	// A read fault at any read of either open mode fails the open: not
+	// as corruption (which would cold-start over good commits), and
+	// without touching the file.
+	t.Run("read-fail", func(t *testing.T) {
+		dir := t.TempDir()
+		m, err := checkpoint.Create(nil, dir, key)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for i := 1; i <= 3; i++ {
+			if err := m.AppendIteration(checkpoint.IterationRecord{Iter: i}); err != nil {
+				t.Fatal(err)
+			}
+		}
+		m.Close()
+		path := filepath.Join(dir, checkpoint.JournalName)
+		info, err := os.Stat(path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		sizeBefore := info.Size()
+		for _, readOnly := range []bool{false, true} {
+			// Walk the fault across every read until one lands past the
+			// last read the open makes.
+			faulted := 0
+			for n := int64(1); ; n++ {
+				ffs := faultinject.NewFS(nil, faultinject.FSConfig{FailReadAfter: n})
+				m, oerr := checkpoint.Open(ffs, dir, key, readOnly)
+				if ffs.InjectedTotal() == 0 {
+					if oerr != nil {
+						t.Fatalf("readOnly=%v: clean open failed: %v", readOnly, oerr)
+					}
+					m.Close()
+					break
+				}
+				faulted++
+				if oerr == nil {
+					t.Fatalf("readOnly=%v: read fault at op %d: open succeeded", readOnly, n)
+				}
+				var corrupt *checkpoint.CorruptError
+				if errors.As(oerr, &corrupt) {
+					t.Fatalf("readOnly=%v: read fault at op %d misreported as corruption: %v", readOnly, n, oerr)
+				}
+				if info, err := os.Stat(path); err != nil || info.Size() != sizeBefore {
+					t.Fatalf("readOnly=%v: read fault at op %d changed the file: size %d -> %d (%v)",
+						readOnly, n, sizeBefore, info.Size(), err)
+				}
+			}
+			// Magic, then header and payload of the header record and
+			// three iteration records, then the end-of-file probe.
+			if faulted < 10 {
+				t.Fatalf("readOnly=%v: only %d reads faulted", readOnly, faulted)
+			}
+		}
+	})
 }

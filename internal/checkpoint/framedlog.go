@@ -1,24 +1,24 @@
 package checkpoint
 
 import (
+	"encoding/binary"
+	"errors"
 	"fmt"
+	"hash/crc32"
 	"io"
 	"os"
 	"path/filepath"
 )
 
-// Log is a minimal append-only durable record log with the journal's
-// frame discipline — magic prefix, length+CRC32 framing, fsync per
-// append, torn-tail truncation on open — but none of the journal's
-// replay semantics. Both ledgers are built on it through Ledger —
-// predabsd's job ledger and the fleet frontend's ledger — and so are
-// predabsd's per-job event logs; anything that needs crash-safe ordered
-// records can reuse it.
+// Log is the append-only durable record log under every predabs store:
+// magic prefix, length+CRC32 framing, fsync per append, torn-tail
+// truncation on open. The CEGAR journal (Manager) and both ledgers
+// (through Ledger) are built on it, and so are predabsd's per-job event
+// logs; each owner adds only its own record schema and fold.
 //
-// A Log's corruption contract matches the journal's: a record is either
-// replayed intact or it (and everything after it) is discarded, so a
-// crash mid-append can lose at most the record being written, never
-// corrupt an earlier one.
+// Every record is either replayed intact or it (and everything after
+// it) is discarded, so a crash mid-append can lose at most the record
+// being written, never corrupt an earlier one.
 //
 // Append failures are sticky: once a frame write or fsync fails, the
 // on-disk tail is untrusted (a partial or unsynced frame may precede
@@ -32,19 +32,15 @@ type Log struct {
 	warnings []string
 }
 
-// OpenLog opens (or creates) the framed log at path, whose first bytes
-// must be magic (pad or terminate it so no valid log with a different
-// schema shares a prefix). Every intact record payload is passed to
-// replay in append order. A torn or corrupted tail is truncated with a
-// warning; a file whose magic does not match is a *CorruptError — the
-// caller decides whether to delete and recreate.
-func OpenLog(path, magic string, replay func(payload []byte)) (*Log, error) {
-	return OpenLogFS(nil, path, magic, replay)
-}
-
-// OpenLogFS is OpenLog over an explicit filesystem seam; a nil fsys is
-// the real filesystem.
-func OpenLogFS(fsys FS, path, magic string, replay func(payload []byte)) (*Log, error) {
+// OpenLog opens (or creates) the framed log at path over fsys (nil is
+// the real filesystem), whose first bytes must be magic (pad or
+// terminate it so no valid log with a different schema shares a
+// prefix). Every intact record payload is passed to replay in append
+// order. A torn or corrupted tail is truncated with a warning; a file
+// whose magic does not match is a *CorruptError and a device read error
+// a plain error — neither touches the file, and the caller decides
+// whether to delete and recreate.
+func OpenLog(fsys FS, path, magic string, replay func(payload []byte)) (*Log, error) {
 	fsys = orOS(fsys)
 	if err := fsys.MkdirAll(filepath.Dir(path), 0o755); err != nil {
 		return nil, fmt.Errorf("log: %w", err)
@@ -72,58 +68,67 @@ func OpenLogFS(fsys FS, path, magic string, replay func(payload []byte)) (*Log, 
 		l.size = int64(len(magic))
 		return l, nil
 	}
+	end, tail, err := scanLog(f, path, magic, replay)
+	if err != nil {
+		f.Close()
+		return nil, err
+	}
+	if tail != nil {
+		// Appends must start from a trusted prefix.
+		l.warnings = append(l.warnings,
+			fmt.Sprintf("tail invalid at offset %d (%v): truncated to last good record", end, tail))
+		if terr := f.Truncate(end); terr != nil {
+			f.Close()
+			return nil, fmt.Errorf("log: repairing torn tail: %w", terr)
+		}
+		if serr := f.Sync(); serr != nil {
+			f.Close()
+			return nil, fmt.Errorf("log: repairing torn tail: %w", serr)
+		}
+	}
+	if _, err := f.Seek(end, io.SeekStart); err != nil {
+		f.Close()
+		return nil, fmt.Errorf("log: %w", err)
+	}
+	l.size = end
+	return l, nil
+}
+
+// scanLog checks f's magic and passes every intact record payload to
+// replay in append order. It returns the offset just past the last
+// intact record and, when the scan stopped at a torn or corrupted frame
+// rather than a clean end of file, that frame's error. A bad magic (a
+// *CorruptError) or a device read error comes back as err instead: a
+// log the disk failed to read may be fine, so no caller may repair it.
+func scanLog(f File, path, magic string, replay func(payload []byte)) (end int64, tail, err error) {
 	buf := make([]byte, len(magic))
 	if _, err := f.ReadAt(buf, 0); err != nil {
-		f.Close()
 		if err == io.EOF || err == io.ErrUnexpectedEOF {
 			// Shorter than the magic: no valid log starts this way.
-			return nil, &CorruptError{Path: path, Detail: "bad magic"}
+			return 0, nil, &CorruptError{Path: path, Detail: "bad magic"}
 		}
-		// A device read error is not corruption: quarantining (or
-		// recreating) here would destroy a log that is probably fine.
-		return nil, fmt.Errorf("log: reading magic: %w", err)
+		return 0, nil, fmt.Errorf("log: reading magic: %w", err)
 	}
 	if string(buf) != magic {
-		f.Close()
-		return nil, &CorruptError{Path: path, Detail: "bad magic"}
+		return 0, nil, &CorruptError{Path: path, Detail: "bad magic"}
 	}
-	offset := int64(len(magic))
+	end = int64(len(magic))
 	for {
-		payload, n, err := readFrame(f, offset)
-		if err == io.EOF {
-			break
-		}
-		if err != nil {
-			if ioErr := readIOError(err); ioErr != nil {
-				// A real read error (EIO, not a torn frame): truncating
-				// here could discard good durable records, so fail the
-				// open instead of "repairing".
-				f.Close()
-				return nil, fmt.Errorf("log: reading record at offset %d: %w", offset, ioErr)
-			}
-			l.warnings = append(l.warnings,
-				fmt.Sprintf("log tail invalid at offset %d (%v): truncated to last good record", offset, err))
-			if terr := f.Truncate(offset); terr != nil {
-				f.Close()
-				return nil, fmt.Errorf("log: repairing torn tail: %w", terr)
-			}
-			if serr := f.Sync(); serr != nil {
-				f.Close()
-				return nil, fmt.Errorf("log: repairing torn tail: %w", serr)
-			}
-			break
+		payload, n, err := readFrame(f, end)
+		var re *readError
+		switch {
+		case err == io.EOF:
+			return end, nil, nil
+		case errors.As(err, &re):
+			return end, nil, fmt.Errorf("log: reading record at offset %d: %w", end, re.err)
+		case err != nil:
+			return end, err, nil
 		}
 		if replay != nil {
 			replay(payload)
 		}
-		offset += n
+		end += n
 	}
-	if _, err := f.Seek(offset, io.SeekStart); err != nil {
-		f.Close()
-		return nil, fmt.Errorf("log: %w", err)
-	}
-	l.size = offset
-	return l, nil
 }
 
 // Warnings lists the torn-tail repairs performed on open.
@@ -178,50 +183,27 @@ func (l *Log) Append(payload []byte) error {
 	return nil
 }
 
-// ReplayLog reads the framed log at path strictly read-only: every
-// intact record payload is passed to replay in append order, and a torn
-// or invalid tail simply ends the replay — it is NOT truncated. This is
-// the accessor for concurrent readers (predabsd's event-stream handlers
-// read a log its worker may be appending to right now): an in-progress
-// append looks like a torn tail, and repairing it from the reader would
-// corrupt the writer's next frame. A missing file surfaces as the
-// open error (satisfying errors.Is(err, fs.ErrNotExist)); a bad magic
-// is a *CorruptError.
-func ReplayLog(path, magic string, replay func(payload []byte)) error {
-	return ReplayLogFS(nil, path, magic, replay)
-}
-
-// ReplayLogFS is ReplayLog over an explicit filesystem seam; a nil fsys
-// is the real filesystem.
-func ReplayLogFS(fsys FS, path, magic string, replay func(payload []byte)) error {
+// ReplayLog reads the framed log at path over fsys (nil is the real
+// filesystem) strictly read-only: every intact record payload is passed
+// to replay in append order, and a torn or invalid tail ends the replay
+// with a warning — it is NOT truncated. This is the accessor for
+// concurrent readers (predabsd's event-stream handlers read a log its
+// worker may be appending to right now): an in-progress append looks
+// like a torn tail, and repairing it from the reader would corrupt the
+// writer's next frame. A missing file surfaces as the open error
+// (satisfying errors.Is(err, fs.ErrNotExist)); a bad magic is a
+// *CorruptError and a device read error a plain error, as in OpenLog.
+func ReplayLog(fsys FS, path, magic string, replay func(payload []byte)) (warnings []string, err error) {
 	f, err := orOS(fsys).OpenFile(path, os.O_RDONLY, 0)
 	if err != nil {
-		return err
+		return nil, err
 	}
 	defer f.Close()
-	buf := make([]byte, len(magic))
-	if _, err := f.ReadAt(buf, 0); err != nil {
-		if err == io.EOF || err == io.ErrUnexpectedEOF {
-			return &CorruptError{Path: path, Detail: "bad magic"}
-		}
-		return fmt.Errorf("log: reading magic: %w", err)
+	end, tail, err := scanLog(f, path, magic, replay)
+	if err != nil || tail == nil {
+		return nil, err
 	}
-	if string(buf) != magic {
-		return &CorruptError{Path: path, Detail: "bad magic"}
-	}
-	offset := int64(len(magic))
-	for {
-		payload, n, err := readFrame(f, offset)
-		if err != nil {
-			// io.EOF is the clean end; anything else is a torn or
-			// in-progress tail, which a reader must leave alone.
-			return nil
-		}
-		if replay != nil {
-			replay(payload)
-		}
-		offset += n
-	}
+	return []string{fmt.Sprintf("tail invalid at offset %d (%v): ignored", end, tail)}, nil
 }
 
 // RewriteLog atomically replaces the framed log at path with a new
@@ -231,8 +213,8 @@ func ReplayLogFS(fsys FS, path, magic string, replay func(payload []byte)) error
 // the old generation intact, after it the new one; no schedule can
 // surface a torn mix. This is the one rewrite primitive behind every
 // store's compaction/rotation (ledger snapshots, event-log retention,
-// fleet ledger folds). Any open handle on the old
-// generation keeps reading the old inode, so a concurrent ReplayLogFS
+// fleet ledger folds) and behind journal creation. Any open handle on the old
+// generation keeps reading the old inode, so a concurrent ReplayLog
 // reader never observes the swap mid-file.
 func RewriteLog(fsys FS, path, magic string, payloads [][]byte) error {
 	fsys = orOS(fsys)
@@ -283,4 +265,81 @@ func (l *Log) Close() error {
 	}
 	l.f = nil
 	return err
+}
+
+// maxRecordLen bounds one record's payload, so a corrupted length field
+// cannot drive a huge allocation.
+const maxRecordLen = 1 << 28
+
+// frameOverhead is the per-record framing cost: u32 length + u32 CRC.
+const frameOverhead = 8
+
+// FrameOverhead is frameOverhead for store owners sizing their own
+// rotation/compaction targets (bytes per record = payload + overhead).
+const FrameOverhead = frameOverhead
+
+// frameHeader encodes the length and CRC32 that precede payload on disk.
+func frameHeader(payload []byte) [frameOverhead]byte {
+	var hdr [frameOverhead]byte
+	binary.LittleEndian.PutUint32(hdr[0:4], uint32(len(payload)))
+	binary.LittleEndian.PutUint32(hdr[4:8], crc32.ChecksumIEEE(payload))
+	return hdr
+}
+
+// appendFrame writes one length-prefixed, checksummed record at f's
+// current offset.
+func appendFrame(f File, payload []byte) error {
+	hdr := frameHeader(payload)
+	if _, err := f.Write(hdr[:]); err != nil {
+		return fmt.Errorf("checkpoint: append: %w", err)
+	}
+	if _, err := f.Write(payload); err != nil {
+		return fmt.Errorf("checkpoint: append: %w", err)
+	}
+	return nil
+}
+
+// readError marks a real device read failure (EIO), as opposed to the
+// structural torn-frame errors that OpenLog repairs by truncation.
+// Truncating a log because the disk failed to *read* it would destroy
+// good durable records, so the two must never be conflated.
+type readError struct{ err error }
+
+func (e *readError) Error() string { return e.err.Error() }
+func (e *readError) Unwrap() error { return e.err }
+
+// readFrame reads the record at offset, validating length and CRC. It
+// returns the payload and the total frame size. A structural violation
+// — short header, oversized length, short payload, checksum mismatch —
+// comes back as a plain non-EOF error (a torn tail the caller may
+// repair); a device read failure comes back as a *readError (which the
+// caller must NOT repair by truncation); a clean end-of-file is io.EOF.
+func readFrame(f File, offset int64) (payload []byte, size int64, err error) {
+	var hdr [frameOverhead]byte
+	n, err := f.ReadAt(hdr[:], offset)
+	if n == 0 && err == io.EOF {
+		return nil, 0, io.EOF
+	}
+	if err != nil && err != io.EOF {
+		return nil, 0, &readError{err}
+	}
+	if n < frameOverhead {
+		return nil, 0, fmt.Errorf("torn record header")
+	}
+	length := binary.LittleEndian.Uint32(hdr[0:4])
+	want := binary.LittleEndian.Uint32(hdr[4:8])
+	if length > maxRecordLen {
+		return nil, 0, fmt.Errorf("implausible record length %d", length)
+	}
+	payload = make([]byte, length)
+	if _, err := f.ReadAt(payload, offset+frameOverhead); err != nil {
+		if err != io.EOF && err != io.ErrUnexpectedEOF {
+			return nil, 0, &readError{err}
+		}
+		return nil, 0, fmt.Errorf("torn record payload")
+	}
+	if crc32.ChecksumIEEE(payload) != want {
+		return nil, 0, fmt.Errorf("checksum mismatch")
+	}
+	return payload, frameOverhead + int64(length), nil
 }

@@ -14,7 +14,7 @@ const testLogMagic = "PREDABSTLOG\x00"
 func openTestLog(t *testing.T, path string) (*Log, []string) {
 	t.Helper()
 	var got []string
-	l, err := OpenLog(path, testLogMagic, func(p []byte) { got = append(got, string(p)) })
+	l, err := OpenLog(nil, path, testLogMagic, func(p []byte) { got = append(got, string(p)) })
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -98,7 +98,7 @@ func TestLogBadMagicRejected(t *testing.T) {
 	if err := os.WriteFile(path, []byte("NOTTHELOGFMT-and-some-content"), 0o644); err != nil {
 		t.Fatal(err)
 	}
-	_, err := OpenLog(path, testLogMagic, nil)
+	_, err := OpenLog(nil, path, testLogMagic, nil)
 	var ce *CorruptError
 	if !errors.As(err, &ce) {
 		t.Fatalf("bad magic: got %v, want *CorruptError", err)

@@ -43,7 +43,7 @@ func OpenLedger[R, S any](fsys FS, path, magic string, snapshotBytes int64,
 	var warnings []string
 	replay := func() (*Log, S, error) {
 		st := newState()
-		log, err := OpenLogFS(fsys, path, magic, func(payload []byte) {
+		log, err := OpenLog(fsys, path, magic, func(payload []byte) {
 			var rec R
 			if json.Unmarshal(payload, &rec) == nil {
 				fold(st, rec)

@@ -117,7 +117,7 @@ func TestDiskChaosStickyFaultPoisonsAllWrites(t *testing.T) {
 func TestDiskChaosPathFilterScopesFaults(t *testing.T) {
 	dir := t.TempDir()
 	ffs := NewFS(nil, FSConfig{FailWriteAfter: 1, Sticky: true, PathFilter: "ledger.predabs"})
-	clean, err := checkpoint.OpenLogFS(ffs, filepath.Join(dir, "events.predabs"), "EVT\x00", nil)
+	clean, err := checkpoint.OpenLog(ffs, filepath.Join(dir, "events.predabs"), "EVT\x00", nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -125,7 +125,7 @@ func TestDiskChaosPathFilterScopesFaults(t *testing.T) {
 	if err := clean.Append([]byte("fine")); err != nil {
 		t.Fatalf("out-of-scope store hit the fault: %v", err)
 	}
-	if _, err := checkpoint.OpenLogFS(ffs, filepath.Join(dir, "ledger.predabs"), "LGR\x00", nil); err == nil {
+	if _, err := checkpoint.OpenLog(ffs, filepath.Join(dir, "ledger.predabs"), "LGR\x00", nil); err == nil {
 		t.Fatal("in-scope store never saw the fault")
 	}
 	if err := clean.Append([]byte("still fine")); err != nil {

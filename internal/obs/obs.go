@@ -97,7 +97,7 @@ func (f *Flags) OpenCheckpointW(w io.Writer, key checkpoint.CompatKey, tracer *t
 		}
 		return nil, nil
 	}
-	m, err := checkpoint.Open(f.State, key, f.NoPersist)
+	m, err := checkpoint.Open(nil, f.State, key, f.NoPersist)
 	if err != nil {
 		var ce *checkpoint.CorruptError
 		var ie *checkpoint.IncompatibleError
@@ -113,7 +113,7 @@ func (f *Flags) OpenCheckpointW(w io.Writer, key checkpoint.CompatKey, tracer *t
 			// Nothing to recreate read-only: run stateless.
 			return nil, nil
 		}
-		return checkpoint.Create(f.State, key)
+		return checkpoint.Create(nil, f.State, key)
 	}
 	for _, warning := range m.Warnings() {
 		fmt.Fprintf(w, "warning: checkpoint: %s\n", warning)

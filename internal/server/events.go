@@ -101,7 +101,7 @@ func appendJobEventFS(fsys checkpoint.FS, dir string, maxBytes int64, ev JobEven
 	var last uint64
 	var kept []eventFrame
 	path := filepath.Join(dir, EventsName)
-	log, err := checkpoint.OpenLogFS(fsys, path, eventsMagic,
+	log, err := checkpoint.OpenLog(fsys, path, eventsMagic,
 		func(payload []byte) {
 			var e JobEvent
 			if json.Unmarshal(payload, &e) == nil {
@@ -182,7 +182,7 @@ func rotateEvents(fsys checkpoint.FS, path string, maxBytes int64, events []even
 // it is never repaired from here — see checkpoint.ReplayLog).
 func readJobEvents(dir string, after uint64) ([]JobEvent, error) {
 	var out []JobEvent
-	err := checkpoint.ReplayLog(filepath.Join(dir, EventsName), eventsMagic,
+	_, err := checkpoint.ReplayLog(nil, filepath.Join(dir, EventsName), eventsMagic,
 		func(payload []byte) {
 			var e JobEvent
 			if json.Unmarshal(payload, &e) == nil && e.Seq > after {

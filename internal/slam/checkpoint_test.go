@@ -75,7 +75,7 @@ func TestCheckpointResumeMatchesUninterrupted(t *testing.T) {
 	// first (refining) iteration — from the journal's point of view,
 	// indistinguishable from a crash after commit 1.
 	dir := t.TempDir()
-	m1, err := checkpoint.Create(dir, ckptKey())
+	m1, err := checkpoint.Create(nil, dir, ckptKey())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -95,7 +95,7 @@ func TestCheckpointResumeMatchesUninterrupted(t *testing.T) {
 	}
 
 	// Resume with the full budget: must reproduce the reference run.
-	m2, err := checkpoint.Open(dir, ckptKey(), false)
+	m2, err := checkpoint.Open(nil, dir, ckptKey(), false)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -120,7 +120,7 @@ func TestCheckpointResumeCompletedRun(t *testing.T) {
 	cfg := DefaultConfig()
 	dir := t.TempDir()
 	key := ckptKey()
-	m1, err := checkpoint.Create(dir, key)
+	m1, err := checkpoint.Create(nil, dir, key)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -134,7 +134,7 @@ func TestCheckpointResumeCompletedRun(t *testing.T) {
 
 	// Re-running a completed run replays the last refinement and lands
 	// on the same verdict.
-	m2, err := checkpoint.Open(dir, key, false)
+	m2, err := checkpoint.Open(nil, dir, key, false)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -155,7 +155,7 @@ func TestCheckpointReadOnlyResume(t *testing.T) {
 	cfg := DefaultConfig()
 	dir := t.TempDir()
 	key := ckptKey()
-	m1, err := checkpoint.Create(dir, key)
+	m1, err := checkpoint.Create(nil, dir, key)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -173,7 +173,7 @@ func TestCheckpointReadOnlyResume(t *testing.T) {
 	}
 
 	// -no-persist: warm-start from the journal but never write to it.
-	ro, err := checkpoint.Open(dir, key, true)
+	ro, err := checkpoint.Open(nil, dir, key, true)
 	if err != nil {
 		t.Fatal(err)
 	}
