@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: build test verify verify-extended chaos crash corrupt serve-chaos fleet-chaos disk-chaos leakcheck metrics-lint bench bench-e2e bench-check lint-docs tools
+.PHONY: build test verify verify-extended golden chaos crash corrupt serve-chaos fleet-chaos disk-chaos leakcheck metrics-lint bench bench-e2e bench-check lint-docs tools
 
 build:
 	$(GO) build ./...
@@ -16,6 +16,15 @@ verify: build test
 # then the fault-injection matrix and the cancellation leak check.
 verify-extended: verify lint-docs metrics-lint chaos crash corrupt serve-chaos fleet-chaos disk-chaos leakcheck
 	$(GO) test -race ./...
+
+# Golden regeneration: rewrite the files that pin prover query counts
+# after a change that alters which queries the abstraction asks — the
+# corpus outputs (only calls= and session_checks= may move; every
+# sha256=, verdict= and iterations= field must stay) and the golden
+# subject's prover-cache export. Review the diff before committing.
+golden:
+	UPDATE_GOLDEN=1 $(GO) test -count=1 -run 'TestEngineDifferential(Table2|Drivers)' .
+	$(GO) test -count=1 -run 'TestGoldenCacheExport' ./internal/checkpoint/ -update
 
 # Chaos gate: the deterministic fault-injection matrix (seeded prover
 # timeouts, spurious failures, forced unknowns, latency spikes, crashes)

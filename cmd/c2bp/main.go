@@ -127,8 +127,8 @@ func run() (code int) {
 	fmt.Print(bprog.Text())
 	if *stats {
 		s := bprog.Stats()
-		fmt.Fprintf(os.Stderr, "predicates: %d\ntheorem prover calls: %d\nprover cache hits: %d\nprover cache misses: %d\nprover gave up: %d\ncubes checked: %d\ncube-search rounds: %d\n",
-			s.Predicates, s.ProverCalls, s.CacheHits, s.CacheMisses, s.ProverGaveUp, s.CubesChecked, s.CubeRounds)
+		fmt.Fprintf(os.Stderr, "predicates: %d\ntheorem prover calls: %d\nprover cache hits: %d\nprover cache misses: %d\nprover gave up: %d\ncubes checked: %d\ncube-search rounds: %d\nenforce cubes skipped: %d\n",
+			s.Predicates, s.ProverCalls, s.CacheHits, s.CacheMisses, s.ProverGaveUp, s.CubesChecked, s.CubeRounds, s.CubesSkipped)
 		if s.ProverSessions > 0 {
 			fmt.Fprintf(os.Stderr, "prover sessions: %d\nsession checks: %d\nmodels extracted: %d\nblocking clauses: %d\n",
 				s.ProverSessions, s.SessionChecks, s.ModelsExtracted, s.BlockingClauses)

@@ -107,6 +107,10 @@ type Stats struct {
 	// CubesChecked counts cube implication candidates submitted to the
 	// prover-backed search (after superset pruning).
 	CubesChecked int
+	// CubesSkipped counts enforce candidates that survived superset
+	// pruning but were never submitted: their predicates split into
+	// groups the prover cannot relate, so they are satisfiable.
+	CubesSkipped int
 	// CubeRounds counts prover-backed search rounds (one per cube size
 	// that produced candidates, across every F_V/G_V/enforce invocation).
 	CubeRounds int

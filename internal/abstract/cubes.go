@@ -1,6 +1,7 @@
 package abstract
 
 import (
+	"math/bits"
 	"runtime"
 	"sync"
 	"sync/atomic"
@@ -428,7 +429,8 @@ func (ab *Abstractor) predTouches(fn string, p Pred, locs []form.Term) bool {
 // (Section 5.1): F_V(false) is the disjunction of minimal inconsistent
 // cubes over the predicates, which the enforce statement rules out. The
 // rounds run on the same worker pool as fv with the same deterministic
-// merge.
+// merge, and ask the prover only about connected candidates (see
+// linkGraph).
 func (ab *Abstractor) enforceExpr(fn string, preds []Pred) bp.Expr {
 	// A degraded procedure emits no (or a partial) enforce invariant.
 	// Every cube the search did record is genuinely unsatisfiable, so a
@@ -439,9 +441,10 @@ func (ab *Abstractor) enforceExpr(fn string, preds []Pred) bp.Expr {
 	}
 	searchStart := time.Now()
 	searchSpan := ab.opts.Tracer.Begin("cube", "enforce")
+	skipped0 := ab.Stats.CubesSkipped
 	defer func() {
 		ab.Stats.CubeSearchTime += time.Since(searchStart)
-		searchSpan.End()
+		searchSpan.End(trace.Int("skipped", ab.Stats.CubesSkipped-skipped0))
 	}()
 
 	maxLen := ab.opts.MaxCubeLen
@@ -451,18 +454,19 @@ func (ab *Abstractor) enforceExpr(fn string, preds []Pred) bp.Expr {
 	if len(preds) == 0 {
 		return nil
 	}
+	links := predLinks(preds)
 	// Engine dispatch, mirroring fv: the model engine replaces the
 	// per-candidate Unsat queries with one consistent-minterm
 	// enumeration per scope, then replays the identical rounds below
-	// with membership verdicts. The guard keeps tiny scopes on the cube
-	// path, where enumerating every minterm costs more checks than the
-	// handful of candidate queries it would replace — both paths compute
-	// the same verdicts, so the emitted invariant does not depend on the
-	// choice.
-	if ab.useModels() && enforceEnumWins(len(preds), maxLen) {
-		return ab.enforceModels(preds, maxLen)
+	// with membership verdicts. The guard keeps small or loosely linked
+	// scopes on the cube path, where enumerating every minterm costs
+	// more checks than the handful of connected candidate queries it
+	// would replace — both paths compute the same verdicts, so the
+	// emitted invariant does not depend on the choice.
+	if ab.useModels() && enforceEnumWins(links, maxLen) {
+		return ab.enforceModels(preds, links, maxLen)
 	}
-	return ab.enforceRounds(preds, maxLen, func(cands [][]literal, verdicts []cubeVerdict) {
+	return ab.enforceRounds(preds, links, maxLen, func(cands [][]literal, verdicts []cubeVerdict) {
 		checkRound(ab.opts.Tracer, len(cands), ab.jobs(), func(i int) {
 			if ab.pv.Unsat(cubeFormula(preds, cands[i])) {
 				verdicts[i] = verdictContradiction
@@ -472,26 +476,28 @@ func (ab *Abstractor) enforceExpr(fn string, preds []Pred) bp.Expr {
 }
 
 // enforceEnumWins reports whether minterm enumeration can beat the
-// per-candidate search on a scope of n predicates: its worst case is
-// every minterm consistent (2^n sat checks plus the closing unsat),
-// while the cube engine's worst case is one query per candidate with no
-// pruning. When the enumeration's worst case is not strictly smaller —
-// n == 1, or large n against the maxLen-bounded candidate count — the
-// cube path preserves the model engine's never-more-queries guarantee.
-func enforceEnumWins(n, maxLen int) bool {
+// per-candidate search on a scope whose predicates are linked by links:
+// its worst case is every minterm consistent (2^n sat checks plus the
+// closing unsat), while the cube engine's worst case is one query per
+// connected candidate with no pruning. When the enumeration's worst
+// case is not strictly smaller — n == 1, a scope of mostly unlinked
+// predicates, or large n against the maxLen-bounded candidate count —
+// the cube path preserves the model engine's never-more-queries
+// guarantee.
+func enforceEnumWins(links linkGraph, maxLen int) bool {
+	n := len(links)
 	if n >= 30 {
 		return false // 2^n dwarfs any candidate count long before here
 	}
 	enumWorst := int64(1)<<uint(n) + 1
 	candWorst := int64(0)
-	// Σ_{k=1..maxLen} C(n,k)·2^k, accumulated incrementally.
-	binom := int64(1)
-	for k := 1; k <= maxLen && k <= n; k++ {
-		binom = binom * int64(n-k+1) / int64(k)
-		candWorst += binom << uint(k)
-		if candWorst >= enumWorst {
-			return true
-		}
+	for size := 1; size <= maxLen && candWorst <= enumWorst; size++ {
+		enumerateCubes(n, size, func(cube []literal) bool {
+			if links.connected(cube) {
+				candWorst++
+			}
+			return false
+		})
 	}
 	return enumWorst < candWorst
 }
@@ -499,9 +505,20 @@ func enforceEnumWins(n, maxLen int) bool {
 // enforceRounds is the sized-round skeleton of the enforce search,
 // shared by both engines so the emitted invariant is byte-identical:
 // candidate enumeration order, superset pruning against already-found
-// inconsistent cubes, cube-budget accounting and the collection order
-// depend only on the verdicts, never on which engine produced them.
-func (ab *Abstractor) enforceRounds(preds []Pred, maxLen int, classify func(cands [][]literal, verdicts []cubeVerdict)) bp.Expr {
+// inconsistent cubes, the connectivity filter, cube-budget accounting
+// and the collection order depend only on the verdicts, never on which
+// engine produced them.
+//
+// A candidate that survives superset pruning but is not connected under
+// links is skipped without a verdict. Its connected components are
+// proper sub-cubes that earlier rounds already classified as
+// satisfiable (an unsatisfiable one would have pruned the candidate),
+// and parts that share no symbol the prover relates are jointly
+// satisfiable exactly when each part is (Nelson–Oppen), so the candidate
+// could never be inconsistent. A sub-cube whose query gave up is not
+// known satisfiable; skipping its supersets then only leaves disjuncts
+// out of the invariant, which is sound.
+func (ab *Abstractor) enforceRounds(preds []Pred, links linkGraph, maxLen int, classify func(cands [][]literal, verdicts []cubeVerdict)) bp.Expr {
 	var found [][]literal
 	var disjuncts []bp.Expr
 	for size := 1; size <= maxLen; size++ {
@@ -509,7 +526,17 @@ func (ab *Abstractor) enforceRounds(preds []Pred, maxLen int, classify func(cand
 			break
 		}
 		cands := enumerateCubes(len(preds), size, func(cube []literal) bool {
-			return !supersetOfAny(cube, found)
+			if supersetOfAny(cube, found) {
+				return false
+			}
+			if !links.connected(cube) {
+				ab.Stats.CubesSkipped++
+				if SkippedCubeHook != nil {
+					SkippedCubeHook(cubeFormula(preds, cube))
+				}
+				return false
+			}
+			return true
 		})
 		cands = ab.takeCubes(cands)
 		if len(cands) == 0 {
@@ -532,4 +559,99 @@ func (ab *Abstractor) enforceRounds(preds []Pred, maxLen int, classify func(cand
 		return nil
 	}
 	return bp.MkNot(bp.OrAll(disjuncts))
+}
+
+// SkippedCubeHook, when non-nil, receives the formula of every enforce
+// candidate the connectivity filter skips. It is a test seam: the
+// differential test re-asks each one of a fresh prover. Set it only
+// while no abstraction is running.
+var SkippedCubeHook func(cube form.Formula)
+
+// linkGraph is the "may interact in the prover" relation over a scope's
+// predicates: links[i][j] holds when predicates i and j share a
+// variable name anywhere in them, or both contain an uninterpreted
+// application (see uninterpreted). Predicates with no such link share
+// no symbol the prover's theories relate — linear arithmetic over
+// disjoint variables splits, and numerals are rigid — so a conjunction
+// of unlinked parts is satisfiable exactly when each part is.
+// Applications count as shared even without a common variable because
+// congruence closure relates them through implied equalities of their
+// arguments: a == 5 ∧ a->f == 1 and b == 5 ∧ b->f == 2 are each
+// satisfiable, their conjunction is not.
+type linkGraph [][]bool
+
+// predLinks builds the link relation over preds.
+func predLinks(preds []Pred) linkGraph {
+	vars := make([]map[string]bool, len(preds))
+	app := make([]bool, len(preds))
+	for i, p := range preds {
+		vars[i] = map[string]bool{}
+		for _, v := range form.FormulaVars(p.F) {
+			vars[i][v] = true
+		}
+		app[i] = uninterpreted(p.F)
+	}
+	g := make(linkGraph, len(preds))
+	for i := range g {
+		g[i] = make([]bool, len(preds))
+	}
+	for i := range preds {
+		for j := 0; j < i; j++ {
+			linked := app[i] && app[j]
+			for v := range vars[i] {
+				linked = linked || vars[j][v]
+			}
+			g[i][j], g[j][i] = linked, linked
+		}
+	}
+	return g
+}
+
+// uninterpreted reports whether f contains a term the prover treats as
+// an uninterpreted application: a dereference, field selection, array
+// element, address-of, or a multiplication, division or remainder.
+func uninterpreted(f form.Formula) bool {
+	for _, a := range form.Atoms(f) {
+		if uninterpretedTerm(a.X) || uninterpretedTerm(a.Y) {
+			return true
+		}
+	}
+	return false
+}
+
+func uninterpretedTerm(t form.Term) bool {
+	switch t := t.(type) {
+	case form.Deref, form.Sel, form.Idx, form.AddrOf:
+		return true
+	case form.Arith:
+		return t.Op == form.OpMul || t.Op == form.OpDiv || t.Op == form.OpMod ||
+			uninterpretedTerm(t.X) || uninterpretedTerm(t.Y)
+	case form.Neg:
+		return uninterpretedTerm(t.X)
+	}
+	return false
+}
+
+// connected reports whether the cube's predicates form one connected
+// component of the link graph. Cubes of more than 63 literals (far
+// beyond any enumerable round) are conservatively reported connected.
+func (g linkGraph) connected(cube []literal) bool {
+	k := len(cube)
+	if k <= 1 || k > 63 {
+		return true
+	}
+	// Breadth-first search over cube positions, as bitmasks.
+	reached, frontier := uint64(1), uint64(1)
+	for frontier != 0 {
+		i := bits.TrailingZeros64(frontier)
+		frontier &^= 1 << i
+		row := g[cube[i].idx]
+		for j := 1; j < k; j++ {
+			if reached&(1<<j) == 0 && row[cube[j].idx] {
+				reached |= 1 << j
+				frontier |= 1 << j
+			}
+		}
+	}
+	return reached == 1<<k-1
 }

@@ -228,7 +228,7 @@ func (ab *Abstractor) fvModels(fn string, preds []Pred, phi form.Formula) bp.Exp
 // the procedure degrades and no invariant is emitted — weaker than the
 // cube engine's behaviour (which keeps the contradictions it already
 // proved), but sound: enforce only ever prunes impossible states.
-func (ab *Abstractor) enforceModels(preds []Pred, maxLen int) bp.Expr {
+func (ab *Abstractor) enforceModels(preds []Pred, links linkGraph, maxLen int) bp.Expr {
 	sp := ab.pv.(sessionProver)
 	e := ab.startEnum(sp, form.TrueF{}, preds, "enforce")
 	defer e.close()
@@ -237,7 +237,7 @@ func (ab *Abstractor) enforceModels(preds []Pred, maxLen int) bp.Expr {
 		ab.markDegraded(e.limit)
 		return nil
 	}
-	return ab.enforceRounds(preds, maxLen, func(cands [][]literal, verdicts []cubeVerdict) {
+	return ab.enforceRounds(preds, links, maxLen, func(cands [][]literal, verdicts []cubeVerdict) {
 		for i, cube := range cands {
 			if !compatibleAny(e.minterms, cube) {
 				verdicts[i] = verdictContradiction

@@ -25,7 +25,9 @@ var update = flag.Bool("update", false, "rewrite golden files")
 // on this canonical form. If this test fails after a refactor of the
 // Signature computation or the cache export, the journal format has
 // changed — bump formatVersion rather than updating the golden file in
-// place.
+// place. The cache export also drifts, with unchanged key encoding and
+// ordering, when the abstraction asks a different set of queries; then
+// regenerate it with -update (make golden).
 const goldenSource = `
 int lock;
 void acquire() { assume(lock == 0); lock = 1; }
@@ -95,7 +97,9 @@ func checkGolden(t *testing.T, name string, got string) {
 		t.Fatalf("missing golden file (run with -update to create): %v", err)
 	}
 	if got != string(want) {
-		t.Errorf("%s drifted from golden form — the checkpoint journal format changed.\n got:\n%s\nwant:\n%s", name, got, string(want))
+		t.Errorf("%s drifted from golden form: either the checkpoint journal format changed (bump formatVersion) "+
+			"or the abstraction now asks a different set of prover queries (regenerate with -update).\n got:\n%s\nwant:\n%s",
+			name, got, string(want))
 	}
 }
 

@@ -170,8 +170,8 @@ func Run(in Input, stdout, stderr io.Writer) (code int, outcome string) {
 	fmt.Fprintf(stdout, "RESULT: %s (iterations: %d, predicates: %d, prover calls: %d)\n",
 		res.Outcome, res.Iterations, res.PredCount, res.ProverCalls)
 	if in.Stats {
-		fmt.Fprintf(stderr, "prover calls: %d\nprover cache hits: %d\ntheory solver time: %v\n",
-			res.ProverCalls, res.CacheHits, res.SolverTime)
+		fmt.Fprintf(stderr, "prover calls: %d\nprover cache hits: %d\ntheory solver time: %v\nenforce cubes skipped: %d\n",
+			res.ProverCalls, res.CacheHits, res.SolverTime, res.CubesSkipped)
 		if res.ProverSessions > 0 {
 			fmt.Fprintf(stderr, "prover sessions: %d\nsession checks: %d\nmodels extracted: %d\nblocking clauses: %d\n",
 				res.ProverSessions, res.SessionChecks, res.ModelsExtracted, res.BlockingClauses)

@@ -137,6 +137,10 @@ type Result struct {
 	SearchNodes    int
 	TheoryLeaves   int
 	TheoryMemoHits int
+	// CubesSkipped counts, across this process's rounds, the enforce
+	// candidates the abstraction never submitted because their
+	// predicates share no symbol the prover relates.
+	CubesSkipped int
 	// SolverTime is the cumulative wall time inside the decision
 	// procedures.
 	SolverTime time.Duration
@@ -436,6 +440,7 @@ func verifyProgram(ctx context.Context, prog *cast.Program, entry string, cfg Co
 			return nil, fmt.Errorf("slam (iteration %d): %w", iter, err)
 		}
 		out.FinalBP = abs.BP
+		out.CubesSkipped += abs.Stats.CubesSkipped
 		recordProverStats(out, pv, base)
 
 		checkStart := time.Now()

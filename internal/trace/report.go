@@ -128,6 +128,10 @@ type Report struct {
 
 	CubeRounds   int `json:"cube_rounds"`
 	CubesChecked int `json:"cubes_checked"`
+	// CubesSkipped sums the "skipped" field of the cube/enforce spans:
+	// enforce candidates never submitted because their predicates share
+	// no symbol the prover relates.
+	CubesSkipped int `json:"cubes_skipped"`
 
 	// StageNS maps pipeline stage names (parse, alias, signatures,
 	// abstract, cube-search, check, newton) to cumulative wall time.
@@ -182,6 +186,7 @@ type aggregator struct {
 
 	cubeRounds   int
 	cubesChecked int
+	cubesSkipped int
 
 	sessions        int
 	sessionChecks   int
@@ -277,6 +282,9 @@ func (a *aggregator) consume(cat, name string, dur time.Duration, fields []Field
 		switch name {
 		case "search", "enforce":
 			a.stageNS["cube-search"] += int64(dur)
+			if n, ok := fieldIntVal(fields, "skipped"); ok {
+				a.cubesSkipped += int(n)
+			}
 		case "round":
 			a.cubeRounds++
 			if n, ok := fieldIntVal(fields, "candidates"); ok {
@@ -481,6 +489,7 @@ func (t *Tracer) Report() *Report {
 
 		CubeRounds:   a.cubeRounds,
 		CubesChecked: a.cubesChecked,
+		CubesSkipped: a.cubesSkipped,
 		StageNS:      map[string]int64{},
 
 		BebopIterations: a.bebopIters,
@@ -538,7 +547,8 @@ func (r *Report) Text() string {
 		fmt.Fprintf(&b, "prover sessions: %d (checks: %d, models extracted: %d)\n",
 			r.Sessions, r.SessionChecks, r.ModelsExtracted)
 	}
-	fmt.Fprintf(&b, "cubes checked: %d (in %d search rounds)\n", r.CubesChecked, r.CubeRounds)
+	fmt.Fprintf(&b, "cubes checked: %d (in %d search rounds; %d disconnected enforce cubes skipped)\n",
+		r.CubesChecked, r.CubeRounds, r.CubesSkipped)
 	fmt.Fprintf(&b, "prover search: %d nodes, %d theory leaves\n", r.SearchNodes, r.TheoryLeaves)
 	fmt.Fprintf(&b, "theory solver time: %v\n", time.Duration(r.SolverNS))
 

@@ -174,6 +174,10 @@ type AbstractStats struct {
 	ProverTimeouts int
 	// CubesChecked counts cube implication candidates examined.
 	CubesChecked int
+	// CubesSkipped counts enforce candidates never submitted because
+	// their predicates share no symbol the prover relates (such a cube
+	// is satisfiable whenever its parts are).
+	CubesSkipped int
 	// CubeRounds counts prover-backed cube-search rounds (one per cube
 	// size that produced candidates).
 	CubeRounds int
@@ -333,6 +337,7 @@ func (p *Program) AbstractCheckpointed(ctx context.Context, predicates string, o
 			ProverGaveUp:    pv.GaveUp(),
 			ProverTimeouts:  pv.Timeouts(),
 			CubesChecked:    res.Stats.CubesChecked,
+			CubesSkipped:    res.Stats.CubesSkipped,
 			CubeRounds:      res.Stats.CubeRounds,
 			Predicates:      n,
 			ProverSessions:  pv.Sessions(),

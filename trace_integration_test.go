@@ -262,6 +262,7 @@ func TestReportTotalsMatchStats(t *testing.T) {
 				{"cache misses", rep.CacheMisses, s.CacheMisses},
 				{"gave up", rep.ProverGaveUp, s.ProverGaveUp},
 				{"cubes checked", rep.CubesChecked, s.CubesChecked},
+				{"cubes skipped", rep.CubesSkipped, s.CubesSkipped},
 				{"cube rounds", rep.CubeRounds, s.CubeRounds},
 				{"predicates", rep.Predicates, s.Predicates},
 				{"sessions", rep.Sessions, s.ProverSessions},
