@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: build test verify verify-extended golden chaos crash corrupt serve-chaos fleet-chaos disk-chaos leakcheck metrics-lint bench bench-e2e bench-check lint-docs tools
+.PHONY: build test bench-module verify verify-extended golden chaos crash corrupt serve-chaos fleet-chaos disk-chaos leakcheck metrics-lint bench bench-e2e bench-check lint-docs tools
 
 build:
 	$(GO) build ./...
@@ -8,8 +8,15 @@ build:
 test:
 	$(GO) test ./...
 
+# The benchmark harness is its own module, so the root build never
+# compiles it: build, vet and test it too, so that a change to the
+# prover or slam API it reads breaks this gate instead of the benchmark
+# (-o /dev/null: build the harness without leaving its binary behind).
+bench-module:
+	cd cmd/bench && $(GO) build -o /dev/null ./... && $(GO) vet ./... && $(GO) test ./...
+
 # Tier-1 gate: everything must build and the full suite must pass.
-verify: build test
+verify: build test bench-module
 
 # Extended gate: static analysis plus the race detector over the whole
 # tree (exercises the parallel cube search and the concurrent tracer),

@@ -219,13 +219,6 @@ func (ab *Abstractor) fv(fn string, preds []Pred, phi form.Formula) bp.Expr {
 		return bp.Const{Val: false}
 	}
 
-	// Engine dispatch: everything above (constant folding, syntactic
-	// heuristics, FOnAtoms distribution, degraded fallback) is shared;
-	// only the prover-backed search below differs between engines.
-	if ab.useModels() {
-		return ab.fvModels(fn, preds, phi)
-	}
-
 	// Everything below is prover-backed cube search; time it as one stage.
 	searchStart := time.Now()
 	searchSpan := ab.opts.Tracer.Begin("cube", "search")
@@ -234,34 +227,40 @@ func (ab *Abstractor) fv(fn string, preds []Pred, phi form.Formula) bp.Expr {
 		searchSpan.End()
 	}()
 
-	// Degenerate goals: a valid phi needs no cubes at all, and an
-	// unsatisfiable phi has none.
-	if ab.pv.Valid(form.TrueF{}, phi) {
-		return bp.Const{Val: true}
-	}
-	if ab.pv.Valid(phi, form.FalseF{}) {
-		return bp.Const{Val: false}
-	}
-
-	// Optimization 3: cone of influence.
+	// Optimization 3: cone of influence. The cone is purely syntactic, so
+	// computing it before the degenerate checks costs no queries, and the
+	// model engine's sessions track exactly the cube domain's atoms.
 	domain := preds
 	if ab.opts.ConeOfInfluence {
 		domain = ab.cone(fn, preds, phi)
 	}
-	if len(domain) == 0 {
-		return bp.Const{Val: false}
-	}
 
-	maxLen := ab.opts.MaxCubeLen
-	if maxLen <= 0 || maxLen > len(domain) {
-		maxLen = len(domain)
+	// Engine dispatch: everything above is shared, and so are the rounds
+	// below; the engines differ only in how a candidate gets its verdict.
+	classifierFor := ab.fvQueries
+	if ab.useModels() {
+		classifierFor = ab.fvModels
 	}
+	classify, early := classifierFor(domain, phi)
+	if early != nil {
+		return early
+	}
+	return bp.OrAll(ab.rounds(domain, verdictImplicant, nil, classify))
+}
 
-	// Optimization 1: enumerate cubes by increasing length, pruning
-	// supersets of accepted implicants (redundant) and of cubes that imply
-	// ¬phi (can never imply phi consistently).
+// fvQueries is the cube engine's F_V classifier: Valid(cube, φ), then
+// Valid(cube, ¬φ), per candidate on the worker pool. It first answers
+// the degenerate goals early: a valid φ needs no cubes at all, and an
+// unsatisfiable φ has none.
+func (ab *Abstractor) fvQueries(domain []Pred, phi form.Formula) (classifier, bp.Expr) {
+	if ab.pv.Valid(form.TrueF{}, phi) {
+		return nil, bp.Const{Val: true}
+	}
+	if ab.pv.Valid(phi, form.FalseF{}) {
+		return nil, bp.Const{Val: false}
+	}
 	notPhi := form.NNF(form.MkNot(phi))
-	disjuncts := ab.fvRounds(domain, maxLen, func(cands [][]literal, verdicts []cubeVerdict) {
+	return func(cands [][]literal, verdicts []cubeVerdict) {
 		checkRound(ab.opts.Tracer, len(cands), ab.jobs(), func(i int) {
 			cubeF := cubeFormula(domain, cands[i])
 			if ab.pv.Valid(cubeF, phi) {
@@ -270,32 +269,45 @@ func (ab *Abstractor) fv(fn string, preds []Pred, phi form.Formula) bp.Expr {
 				verdicts[i] = verdictContradiction
 			}
 		})
-	})
-	return bp.OrAll(disjuncts)
+	}, nil
 }
 
-// fvRounds runs the sized-round candidate enumeration shared by both
-// abstraction engines: cubes by increasing length, superset pruning
-// against accepted implicants and contradictions, the per-procedure
-// cube budget, and the canonical-order merge. classify assigns a
-// verdict to each candidate of one round — prover-backed for the cube
-// engine, model-membership for the enumeration engine. Because the
-// candidate generation, pruning and merge live here, the two engines
-// produce byte-identical disjunct lists whenever classify agrees.
-func (ab *Abstractor) fvRounds(domain []Pred, maxLen int,
-	classify func(cands [][]literal, verdicts []cubeVerdict)) []bp.Expr {
+// classifier assigns a verdict to each candidate of one round: one
+// prover query per cube for the cube engine, model membership for the
+// enumeration engine.
+type classifier func(cands [][]literal, verdicts []cubeVerdict)
 
-	var implicants [][]literal
-	var contradictions [][]literal
+// maxCubeLen is the longest cube the search enumerates over a domain of
+// n predicates (Options.MaxCubeLen; <= 0 means no bound).
+func (ab *Abstractor) maxCubeLen(n int) int {
+	if m := ab.opts.MaxCubeLen; m > 0 && m < n {
+		return m
+	}
+	return n
+}
+
+// rounds is the sized-round cube search behind both F_V and the enforce
+// invariant ¬F_V(false), shared by both engines: cubes by increasing
+// length (Section 5.2, optimization 1), pruning every superset of a cube
+// that already got a verdict — a superset of an implicant is redundant,
+// and a superset of a cube that implies ¬goal can never imply the goal
+// consistently — then the per-procedure cube budget and the merge in
+// canonical order. keep, when non-nil, filters the candidates that
+// survive pruning. It returns the cubes whose verdict is want, as
+// boolean-program expressions. Because candidate generation, pruning and
+// merge live here, the engines produce byte-identical disjunct lists
+// whenever their classifiers agree.
+func (ab *Abstractor) rounds(domain []Pred, want cubeVerdict, keep func([]literal) bool, classify classifier) []bp.Expr {
+	var decided [][]literal
 	var disjuncts []bp.Expr
-	for size := 1; size <= maxLen; size++ {
-		// A mid-search limit keeps the implicants found so far: each one
-		// individually implies phi, so the partial disjunction is sound.
+	for size := 1; size <= ab.maxCubeLen(len(domain)); size++ {
+		// A mid-search limit keeps the cubes found so far: each one
+		// individually has its verdict, so the partial result is sound.
 		if ab.degraded() {
 			break
 		}
 		cands := enumerateCubes(len(domain), size, func(cube []literal) bool {
-			return !supersetOfAny(cube, implicants) && !supersetOfAny(cube, contradictions)
+			return !supersetOfAny(cube, decided) && (keep == nil || keep(cube))
 		})
 		cands = ab.takeCubes(cands)
 		if len(cands) == 0 {
@@ -308,12 +320,11 @@ func (ab *Abstractor) fvRounds(domain []Pred, maxLen int,
 		classify(cands, verdicts)
 		roundSpan.End(trace.Int("len", size), trace.Int("candidates", len(cands)))
 		for i, v := range verdicts {
-			switch v {
-			case verdictImplicant:
-				implicants = append(implicants, cands[i])
+			if v != verdictNone {
+				decided = append(decided, cands[i])
+			}
+			if v == want {
 				disjuncts = append(disjuncts, cubeExpr(domain, cands[i]))
-			case verdictContradiction:
-				contradictions = append(contradictions, cands[i])
 			}
 		}
 	}
@@ -427,10 +438,19 @@ func (ab *Abstractor) predTouches(fn string, p Pred, locs []form.Term) bool {
 
 // enforceExpr computes the per-procedure data invariant ¬F_{V}(false)
 // (Section 5.1): F_V(false) is the disjunction of minimal inconsistent
-// cubes over the predicates, which the enforce statement rules out. The
-// rounds run on the same worker pool as fv with the same deterministic
-// merge, and ask the prover only about connected candidates (see
-// linkGraph).
+// cubes over the predicates, which the enforce statement rules out. It
+// runs fv's rounds, on the same worker pool and with the same
+// deterministic merge, and asks only about connected candidates.
+//
+// A candidate that survives superset pruning but is not connected under
+// linkGraph is skipped without a verdict. Its connected components are
+// proper sub-cubes that earlier rounds already classified as
+// satisfiable (an unsatisfiable one would have pruned the candidate),
+// and parts that share no symbol the prover relates are jointly
+// satisfiable exactly when each part is (Nelson–Oppen), so the candidate
+// could never be inconsistent. A sub-cube whose query gave up is not
+// known satisfiable; skipping its supersets then only leaves disjuncts
+// out of the invariant, which is sound.
 func (ab *Abstractor) enforceExpr(fn string, preds []Pred) bp.Expr {
 	// A degraded procedure emits no (or a partial) enforce invariant.
 	// Every cube the search did record is genuinely unsatisfiable, so a
@@ -447,32 +467,57 @@ func (ab *Abstractor) enforceExpr(fn string, preds []Pred) bp.Expr {
 		searchSpan.End(trace.Int("skipped", ab.Stats.CubesSkipped-skipped0))
 	}()
 
-	maxLen := ab.opts.MaxCubeLen
-	if maxLen <= 0 || maxLen > len(preds) {
-		maxLen = len(preds)
-	}
-	if len(preds) == 0 {
-		return nil
-	}
 	links := predLinks(preds)
-	// Engine dispatch, mirroring fv: the model engine replaces the
-	// per-candidate Unsat queries with one consistent-minterm
-	// enumeration per scope, then replays the identical rounds below
-	// with membership verdicts. The guard keeps small or loosely linked
-	// scopes on the cube path, where enumerating every minterm costs
-	// more checks than the handful of connected candidate queries it
-	// would replace — both paths compute the same verdicts, so the
-	// emitted invariant does not depend on the choice.
-	if ab.useModels() && enforceEnumWins(links, maxLen) {
-		return ab.enforceModels(preds, links, maxLen)
-	}
-	return ab.enforceRounds(preds, links, maxLen, func(cands [][]literal, verdicts []cubeVerdict) {
+	classify := func(cands [][]literal, verdicts []cubeVerdict) {
 		checkRound(ab.opts.Tracer, len(cands), ab.jobs(), func(i int) {
 			if ab.pv.Unsat(cubeFormula(preds, cands[i])) {
 				verdicts[i] = verdictContradiction
 			}
 		})
-	})
+	}
+	// Engine dispatch, mirroring fv: the model engine replaces the
+	// per-candidate Unsat queries with one enumeration of the
+	// theory-consistent minterms over the scope (models of an
+	// unconstrained session), and a cube is unsatisfiable exactly when no
+	// consistent minterm is compatible with it. On the driver corpus,
+	// whose spec-state predicates are heavily mutually exclusive, the
+	// minterm set is far smaller than the candidate set. The guard keeps
+	// small or loosely linked scopes on the cube path, where enumerating
+	// every minterm costs more checks than the handful of connected
+	// candidate queries it would replace — both paths compute the same
+	// verdicts, so the emitted invariant does not depend on the choice.
+	if ab.useModels() && enforceEnumWins(links, ab.maxCubeLen(len(preds))) {
+		e := ab.startEnum(ab.pv.(sessionProver), form.TrueF{}, preds, "enforce")
+		e.run()
+		e.close()
+		// An interrupted enumeration degrades the procedure and emits no
+		// invariant — weaker than the cube path, which keeps the
+		// contradictions it already proved, but sound.
+		if !e.complete {
+			return nil
+		}
+		classify = func(cands [][]literal, verdicts []cubeVerdict) {
+			for i, cube := range cands {
+				if !compatibleAny(e.minterms, cube) {
+					verdicts[i] = verdictContradiction
+				}
+			}
+		}
+	}
+	disjuncts := ab.rounds(preds, verdictContradiction, func(cube []literal) bool {
+		if links.connected(cube) {
+			return true
+		}
+		ab.Stats.CubesSkipped++
+		if SkippedCubeHook != nil {
+			SkippedCubeHook(cubeFormula(preds, cube))
+		}
+		return false
+	}, classify)
+	if len(disjuncts) == 0 {
+		return nil
+	}
+	return bp.MkNot(bp.OrAll(disjuncts))
 }
 
 // enforceEnumWins reports whether minterm enumeration can beat the
@@ -500,65 +545,6 @@ func enforceEnumWins(links linkGraph, maxLen int) bool {
 		})
 	}
 	return enumWorst < candWorst
-}
-
-// enforceRounds is the sized-round skeleton of the enforce search,
-// shared by both engines so the emitted invariant is byte-identical:
-// candidate enumeration order, superset pruning against already-found
-// inconsistent cubes, the connectivity filter, cube-budget accounting
-// and the collection order depend only on the verdicts, never on which
-// engine produced them.
-//
-// A candidate that survives superset pruning but is not connected under
-// links is skipped without a verdict. Its connected components are
-// proper sub-cubes that earlier rounds already classified as
-// satisfiable (an unsatisfiable one would have pruned the candidate),
-// and parts that share no symbol the prover relates are jointly
-// satisfiable exactly when each part is (Nelson–Oppen), so the candidate
-// could never be inconsistent. A sub-cube whose query gave up is not
-// known satisfiable; skipping its supersets then only leaves disjuncts
-// out of the invariant, which is sound.
-func (ab *Abstractor) enforceRounds(preds []Pred, links linkGraph, maxLen int, classify func(cands [][]literal, verdicts []cubeVerdict)) bp.Expr {
-	var found [][]literal
-	var disjuncts []bp.Expr
-	for size := 1; size <= maxLen; size++ {
-		if ab.degraded() {
-			break
-		}
-		cands := enumerateCubes(len(preds), size, func(cube []literal) bool {
-			if supersetOfAny(cube, found) {
-				return false
-			}
-			if !links.connected(cube) {
-				ab.Stats.CubesSkipped++
-				if SkippedCubeHook != nil {
-					SkippedCubeHook(cubeFormula(preds, cube))
-				}
-				return false
-			}
-			return true
-		})
-		cands = ab.takeCubes(cands)
-		if len(cands) == 0 {
-			continue
-		}
-		ab.Stats.CubesChecked += len(cands)
-		ab.Stats.CubeRounds++
-		roundSpan := ab.opts.Tracer.Begin("cube", "round")
-		verdicts := make([]cubeVerdict, len(cands))
-		classify(cands, verdicts)
-		roundSpan.End(trace.Int("len", size), trace.Int("candidates", len(cands)))
-		for i, v := range verdicts {
-			if v == verdictContradiction {
-				found = append(found, cands[i])
-				disjuncts = append(disjuncts, cubeExpr(preds, cands[i]))
-			}
-		}
-	}
-	if len(disjuncts) == 0 {
-		return nil
-	}
-	return bp.MkNot(bp.OrAll(disjuncts))
 }
 
 // SkippedCubeHook, when non-nil, receives the formula of every enforce

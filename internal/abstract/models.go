@@ -1,8 +1,6 @@
 package abstract
 
 import (
-	"time"
-
 	"predabs/internal/bp"
 	"predabs/internal/budget"
 	"predabs/internal/form"
@@ -32,8 +30,8 @@ func (ab *Abstractor) useModels() bool {
 // enumeration is one blocking-clause loop over a base formula: assert
 // it once, then get-model → project onto the predicate domain → block
 // the projection → re-check, until the prover reports unsat (the
-// minterm set is complete) or gives up (it is not, and the caller must
-// degrade). Minterms come out in the prover's deterministic first-model
+// minterm set is complete) or gives up (it is not, and the procedure
+// degrades). Minterms come out in the prover's deterministic first-model
 // order, independent of Options.Jobs — the loop is inherently
 // sequential, so the engine's output needs no parallel merge at all.
 type enumeration struct {
@@ -57,7 +55,6 @@ func (ab *Abstractor) startEnum(sp sessionProver, base form.Formula, domain []Pr
 	for _, p := range domain {
 		e.sess.Track(p.F)
 	}
-	e.sess.Push()
 	e.sess.Assert(base)
 	return e
 }
@@ -65,6 +62,12 @@ func (ab *Abstractor) startEnum(sp sessionProver, base form.Formula, domain []Pr
 // step runs one check of the blocking loop and reports whether more
 // models may exist. After a false return, either complete is true (the
 // set is exhaustive) or limit names the budget that fired.
+//
+// Soundness under budgets: an interrupted enumeration makes every
+// absence-of-model verdict untrustworthy, so the interruption degrades
+// the whole procedure, exactly like an exhausted cube budget — F_V
+// answers false, the weakest sound value, and enforce emits no
+// invariant, instead of emitting unproven cubes.
 func (e *enumeration) step() bool {
 	if e.complete || e.limit != "" {
 		return false
@@ -76,7 +79,7 @@ func (e *enumeration) step() bool {
 		e.complete = true
 		return false
 	case prover.Unknown:
-		e.limit = limit
+		e.interrupt(limit)
 		return false
 	}
 	mt := make([]bool, len(e.domain))
@@ -86,7 +89,7 @@ func (e *enumeration) step() bool {
 		if !ok {
 			// Unreachable (every atom of every domain predicate is
 			// tracked); treat as an incomplete enumeration to stay sound.
-			e.limit = budget.LimitProverBudget
+			e.interrupt(budget.LimitProverBudget)
 			return false
 		}
 		mt[i] = val
@@ -99,6 +102,13 @@ func (e *enumeration) step() bool {
 	e.minterms = append(e.minterms, mt)
 	e.sess.Block(form.NNF(form.MkNot(form.MkAnd(lits...))))
 	return true
+}
+
+// interrupt records the budget limit that stopped the loop and degrades
+// the procedure.
+func (e *enumeration) interrupt(limit string) {
+	e.limit = limit
+	e.ab.markDegraded(limit)
 }
 
 // run drains the blocking loop.
@@ -117,12 +127,11 @@ func (e *enumeration) close() {
 		trace.Int64("nodes", nodes),
 		trace.Int64("leaves", leaves),
 		trace.Bool("complete", e.complete))
-	e.sess.Pop()
 	e.sess.Close()
 }
 
-// fvModels computes F_V(phi) by model enumeration instead of per-cube
-// Valid queries. Two enumerations drive it:
+// fvModels is the enumeration engine's F_V classifier: membership
+// tests instead of per-cube Valid queries. Two enumerations drive it:
 //
 //	S = projections onto the domain of prover models of ¬φ
 //	T = projections onto the domain of prover models of φ
@@ -130,78 +139,33 @@ func (e *enumeration) close() {
 // A cube with no compatible minterm in S implies φ (any model of
 // cube ∧ ¬φ would have projected into S), and a cube with no compatible
 // minterm in T implies ¬φ — both verdicts are membership tests, so the
-// candidate rounds below issue zero prover queries. The first check of
-// S mirrors the cube engine's Valid(true, φ) degenerate query and the
-// first check of T mirrors Valid(φ, false), keeping the engines'
-// query counts aligned on degenerate goals. Candidate generation,
-// superset pruning, the cube budget and the merge are the shared
-// fvRounds, so the emitted disjunction is byte-identical to the cube
-// engine's whenever the provers' theory verdicts agree (see DESIGN.md
-// for the incompleteness corner).
-//
-// Soundness under budgets: if either enumeration is interrupted, its
-// absence-of-model verdicts are untrustworthy, so the procedure
-// degrades exactly like an exhausted cube budget — F_V answers false,
-// the weakest sound value — instead of emitting unproven implicants.
-func (ab *Abstractor) fvModels(fn string, preds []Pred, phi form.Formula) bp.Expr {
+// candidate rounds issue zero prover queries. The first check of S
+// mirrors the cube engine's Valid(true, φ) degenerate query and the
+// first check of T mirrors Valid(φ, false), keeping the engines' query
+// counts aligned on degenerate goals; either answers early. The shared
+// rounds then emit a disjunction byte-identical to the cube engine's
+// whenever the provers' theory verdicts agree (see DESIGN.md for the
+// incompleteness corner). An interrupted enumeration answers false.
+func (ab *Abstractor) fvModels(domain []Pred, phi form.Formula) (classifier, bp.Expr) {
 	sp := ab.pv.(sessionProver)
-	searchStart := time.Now()
-	searchSpan := ab.opts.Tracer.Begin("cube", "search")
-	defer func() {
-		ab.Stats.CubeSearchTime += time.Since(searchStart)
-		searchSpan.End()
-	}()
-
-	// The cone is purely syntactic; computing it before the degenerate
-	// checks (the cube engine computes it after) costs no queries and
-	// lets the sessions track exactly the cube domain's atoms.
-	domain := preds
-	if ab.opts.ConeOfInfluence {
-		domain = ab.cone(fn, preds, phi)
-	}
-	notPhi := form.NNF(form.MkNot(phi))
-
-	eS := ab.startEnum(sp, notPhi, domain, "notphi")
+	eS := ab.startEnum(sp, form.NNF(form.MkNot(phi)), domain, "notphi")
 	defer eS.close()
-	moreS := eS.step()
-	if eS.limit != "" {
-		ab.markDegraded(eS.limit)
-		return bp.Const{Val: false}
+	if !eS.step() {
+		// ¬φ unsat: φ is valid. Interrupted: false.
+		return nil, bp.Const{Val: eS.complete}
 	}
-	if !moreS {
-		return bp.Const{Val: true} // ¬φ unsat: φ is valid
-	}
-
 	eT := ab.startEnum(sp, phi, domain, "phi")
 	defer eT.close()
-	moreT := eT.step()
-	if eT.limit != "" {
-		ab.markDegraded(eT.limit)
-		return bp.Const{Val: false}
+	if !eT.step() || len(domain) == 0 {
+		// φ unsat, or no domain: no consistent cube implies φ.
+		return nil, bp.Const{Val: false}
 	}
-	if !moreT {
-		return bp.Const{Val: false} // φ unsat: no consistent cube implies it
-	}
-	if len(domain) == 0 {
-		return bp.Const{Val: false}
-	}
-
 	eS.run()
 	eT.run()
-	if lim := eS.limit; lim != "" {
-		ab.markDegraded(lim)
-		return bp.Const{Val: false}
+	if !eS.complete || !eT.complete {
+		return nil, bp.Const{Val: false}
 	}
-	if lim := eT.limit; lim != "" {
-		ab.markDegraded(lim)
-		return bp.Const{Val: false}
-	}
-
-	maxLen := ab.opts.MaxCubeLen
-	if maxLen <= 0 || maxLen > len(domain) {
-		maxLen = len(domain)
-	}
-	disjuncts := ab.fvRounds(domain, maxLen, func(cands [][]literal, verdicts []cubeVerdict) {
+	return func(cands [][]literal, verdicts []cubeVerdict) {
 		for i, cube := range cands {
 			if !compatibleAny(eS.minterms, cube) {
 				verdicts[i] = verdictImplicant
@@ -209,41 +173,7 @@ func (ab *Abstractor) fvModels(fn string, preds []Pred, phi form.Formula) bp.Exp
 				verdicts[i] = verdictContradiction
 			}
 		}
-	})
-	return bp.OrAll(disjuncts)
-}
-
-// enforceModels computes the enforce invariant ¬F_V(false) by
-// enumerating the theory-consistent minterms over the scope's
-// predicates once (models of an unconstrained session, projected onto
-// the predicate pool): a cube is unsatisfiable exactly when no
-// consistent minterm is compatible with it, so the candidate rounds
-// classify by membership with zero further prover queries. The cube
-// engine instead pays one Unsat query per candidate — on the driver
-// corpus, whose spec-state predicates are heavily mutually exclusive,
-// the minterm set is far smaller than the candidate set and this is
-// where most of the model engine's query savings come from.
-//
-// A give-up mid-enumeration means absence-of-model is untrustworthy, so
-// the procedure degrades and no invariant is emitted — weaker than the
-// cube engine's behaviour (which keeps the contradictions it already
-// proved), but sound: enforce only ever prunes impossible states.
-func (ab *Abstractor) enforceModels(preds []Pred, links linkGraph, maxLen int) bp.Expr {
-	sp := ab.pv.(sessionProver)
-	e := ab.startEnum(sp, form.TrueF{}, preds, "enforce")
-	defer e.close()
-	e.run()
-	if e.limit != "" {
-		ab.markDegraded(e.limit)
-		return nil
-	}
-	return ab.enforceRounds(preds, links, maxLen, func(cands [][]literal, verdicts []cubeVerdict) {
-		for i, cube := range cands {
-			if !compatibleAny(e.minterms, cube) {
-				verdicts[i] = verdictContradiction
-			}
-		}
-	})
+	}, nil
 }
 
 // compatible reports whether every literal of the cube agrees with the

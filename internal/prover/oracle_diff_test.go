@@ -50,7 +50,7 @@ func TestOracleQuickUnsatValid(t *testing.T) {
 
 // TestOracleQuickSessions replays blocking-clause enumerations over the
 // decodeFormula space: every check's model, verdict and effort must match
-// the reference model search, across push/pop.
+// the reference model search.
 func TestOracleQuickSessions(t *testing.T) {
 	x, y := form.Var{Name: "x"}, form.Var{Name: "y"}
 	tracked := []form.Formula{
@@ -74,7 +74,6 @@ func TestOracleQuickSessions(t *testing.T) {
 				s.Track(f)
 			}
 			s.Assert(decodeFormula(cs))
-			s.Push()
 			s.Assert(decodeFormula(bs))
 			for i := 0; i < 10; i++ {
 				v, m, _ := s.Check()
@@ -92,8 +91,6 @@ func TestOracleQuickSessions(t *testing.T) {
 				}
 				s.Block(form.NNF(form.MkNot(form.MkAnd(lits...))))
 			}
-			s.Pop()
-			s.Check()
 			return true
 		}, cfg); err != nil {
 			t.Fatal(err)
@@ -136,8 +133,8 @@ func TestOracleTheoryLeaves(t *testing.T) {
 }
 
 // TestSessionCacheKeyMatchesConjunction pins that a session's compiled
-// stack spells the same Unsat cache key as MkAnd over its assertions,
-// through flattening, constants, duplicates and pops.
+// assertions spell the same Unsat cache key as MkAnd over them, through
+// flattening, constants and duplicates.
 func TestSessionCacheKeyMatchesConjunction(t *testing.T) {
 	x, y := form.Var{Name: "x"}, form.Var{Name: "y"}
 	a := form.Cmp{Op: form.Lt, X: x, Y: y}
@@ -156,16 +153,7 @@ func TestSessionCacheKeyMatchesConjunction(t *testing.T) {
 		}
 	}
 	check()
-	for i, f := range steps {
-		if i%3 == 0 {
-			s.Push()
-			s.Assert(f)
-			asserted = append(asserted, f)
-			check()
-			s.Pop()
-			asserted = asserted[:len(asserted)-1]
-			check()
-		}
+	for _, f := range steps {
 		s.Assert(f)
 		asserted = append(asserted, f)
 		check()

@@ -235,58 +235,78 @@ func (p *Prover) decide(kind, key string, f, negated form.Formula) bool {
 			return v
 		}
 	}
-	// Fast path: the run is already cancelled. Answer "could not prove"
-	// without searching, and without poisoning the cache.
-	if p.Budget.Cancelled() {
-		p.gaveUp.Add(1)
-		p.cancels.Add(1)
+	if p.cancelled() {
 		if p.Trace != nil {
 			p.Trace.ProverQuery(kind, queryDesc(key), len(key), 0, false, false, true, 0, 0)
 		}
 		return false
 	}
-	start := time.Now()
-	st := p.newSatState(start)
 	pr := newProgram()
 	roots := []int32{pr.compile(f, false)}
 	if negated != nil {
 		roots = append(roots, pr.compile(negated, true))
 	}
-	s := newSearcher(p, pr, &st)
-	res := !s.dfs(roots)
-	p.noteEffort(s)
-	if searchHook != nil {
-		q := f
-		if negated != nil {
-			q = form.MkAnd(f, form.MkNot(negated))
+	s := newSearcher(p, pr)
+	res, dur := p.search(key, s, roots, func() form.Formula {
+		if negated == nil {
+			return f
 		}
-		searchHook(q, nil, s, !res)
+		return form.MkAnd(f, form.MkNot(negated))
+	})
+	if p.Trace != nil {
+		p.Trace.ProverQuery(kind, queryDesc(key), len(key), dur, res, false, s.gaveUp, s.nodes, s.leaves)
 	}
-	gave := st.budget <= 0 || st.stop != stopNone
-	if gave {
+	return res
+}
+
+// cancelled is the fast path of a run that is already cancelled: the
+// query gives up without searching, and without poisoning the cache.
+func (p *Prover) cancelled() bool {
+	if !p.Budget.Cancelled() {
+		return false
+	}
+	p.gaveUp.Add(1)
+	p.cancels.Add(1)
+	return true
+}
+
+// search runs one budgeted DPLL search of the conjunction of roots and
+// does the bookkeeping every query shares: effort, the search hook, the
+// give-up, timeout and cancel counters, solver time and the cache fill.
+// query rebuilds the searched formula, for the hook only. It reports
+// whether the search proved the conjunction unsatisfiable, and how long
+// it took.
+func (p *Prover) search(key string, s *searcher, roots []int32, query func() form.Formula) (unsat bool, dur time.Duration) {
+	start := time.Now()
+	s.st = p.newSatState(start)
+	found := s.dfs(roots)
+	p.searchNodes.Add(s.nodes)
+	p.theoryLeaves.Add(s.leaves)
+	p.memoHits.Add(s.memoHits)
+	if searchHook != nil {
+		searchHook(query(), s.tracked, s, found)
+	}
+	unsat = !found && !s.gaveUp
+	if s.gaveUp {
 		p.gaveUp.Add(1)
-		res = false // could not complete the search: do not claim the result
 	}
-	switch st.stop {
+	switch s.st.stop {
 	case stopTimeout:
 		p.timeouts.Add(1)
 		p.Budget.Degrade("prover", budget.LimitQueryTimeout, queryDesc(key))
 	case stopCancel:
 		p.cancels.Add(1)
 	}
-	dur := time.Since(start)
+	dur = time.Since(start)
 	p.theoryNS.Add(int64(dur))
 	// Leaf-budget exhaustion is deterministic for a given formula, so it
 	// is cacheable like any other verdict. Wall-clock stops are
 	// environmental — the same query could finish within the timeout on a
 	// retry or a faster machine — so they are never memoized.
-	if !p.DisableCache && st.stop == stopNone {
-		p.cachePut(key, res)
+	if !p.DisableCache && s.st.stop == stopNone {
+		p.cachePut(key, unsat)
 	}
-	if p.Trace != nil {
-		p.Trace.ProverQuery(kind, queryDesc(key), len(key), dur, res, false, gave, s.nodes, s.leaves)
-	}
-	return res
+	return unsat, dur
 }
 
 // newSatState starts one search's limits: the leaf budget, the query
@@ -308,18 +328,6 @@ func (p *Prover) newSatState(start time.Time) satState {
 // search gave up). Tests set it to replay the corpus's queries through the
 // reference solver; it must be set before queries start.
 var searchHook func(q form.Formula, tracked []trackedAtom, s *searcher, found bool)
-
-// noteEffort adds a finished search's effort to the prover's counters.
-func (p *Prover) noteEffort(s *searcher) {
-	p.searchNodes.Add(s.nodes)
-	p.theoryLeaves.Add(s.leaves)
-	p.memoHits.Add(s.memoHits)
-}
-
-// Sat reports whether f has a model as far as the prover can tell
-// (!Unsat; may answer true for formulas it cannot decide). Safe for
-// concurrent use.
-func (p *Prover) Sat(f form.Formula) bool { return !p.Unsat(f) }
 
 // lit is a theory literal after polarity resolution.
 type lit struct {

@@ -52,7 +52,7 @@ type occurrence struct {
 }
 
 // program is a set of compiled formulas over one canonical atom table: a
-// single query's, or a session's whole assertion stack.
+// single query's, or every assertion of a session.
 type program struct {
 	nodes []cnode
 	occs  []occurrence
@@ -139,7 +139,10 @@ type searcher struct {
 	pr   *program
 	tree []cnode      // pr.nodes
 	occs []occurrence // pr.occs
-	st   *satState
+	st   satState
+	// gaveUp: dfs abandoned the search on the leaf budget or a
+	// wall-clock stop, so it proved no unsatisfiability.
+	gaveUp bool
 
 	// models selects Session.Check's search: at a leaf, branch on the
 	// still-unassigned tracked atoms before the theory check, and keep a
@@ -159,8 +162,8 @@ type searcher struct {
 	nodes, leaves, memoHits int64
 }
 
-func newSearcher(p *Prover, pr *program, st *satState) *searcher {
-	return &searcher{p: p, pr: pr, tree: pr.nodes, occs: pr.occs, st: st, assign: make([]int8, len(pr.keys))}
+func newSearcher(p *Prover, pr *program) *searcher {
+	return &searcher{p: p, pr: pr, tree: pr.nodes, occs: pr.occs, assign: make([]int8, len(pr.keys))}
 }
 
 // eval returns the three-valued value of the subtree at i and, when it is
@@ -237,6 +240,7 @@ func (s *searcher) dfs(roots []int32) bool {
 	s.nodes++
 	s.st.tick()
 	if s.st.budget <= 0 || s.st.stop != stopNone {
+		s.gaveUp = true
 		return !s.models
 	}
 	base := len(s.open)

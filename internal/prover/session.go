@@ -2,7 +2,6 @@ package prover
 
 import (
 	"strings"
-	"time"
 
 	"predabs/internal/budget"
 	"predabs/internal/form"
@@ -96,25 +95,25 @@ type trackedAtom struct {
 	occurrence
 }
 
-// conjunct is one top-level conjunct on a session's assertion stack,
+// conjunct is one top-level conjunct of a session's assertions,
 // compiled once when asserted.
 type conjunct struct {
 	f    form.Formula // as asserted, for searchHook
 	str  string       // canonical string, for the query-cache key
 	root int32        // compiled root in the session's program
-	// dup: an earlier conjunct on the stack has the same string, so the
-	// conjunction (which MkAnd deduplicates) does not repeat it.
+	// dup: an earlier conjunct has the same string, so the conjunction
+	// (which MkAnd deduplicates) does not repeat it.
 	dup bool
 }
 
-// Session is an incremental assertion scope over a Prover: assert
-// formulas, push/pop scopes, and extract models from the DPLL core. The
-// model-enumeration abstraction engine uses one session per blocking
-// loop (assert the query once, then get-model / block / re-check).
+// Session is an incremental assertion set over a Prover: assert
+// formulas and extract models from the DPLL core. The model-enumeration
+// abstraction engine uses one session per blocking loop (assert the
+// query once, then get-model / block / re-check).
 //
 // Each Assert or Block is compiled once into the session's program and
-// kept, with its canonical string, on the push/pop stack; Check searches
-// the conjunction of the live conjuncts.
+// kept with its canonical string; Check searches the conjunction of
+// everything asserted so far. Assertions are never retracted.
 //
 // A Session is NOT safe for concurrent use; it is designed for the
 // single coordinating goroutine of the abstraction engine. The
@@ -124,63 +123,30 @@ type conjunct struct {
 // checks never populate the cache — a cached verdict must be a property
 // of the formula, not of the machine's load at the time.
 type Session struct {
-	p       *Prover
-	pr      *program
-	conj    []conjunct
-	count   map[string]int // conjunct string -> occurrences on the stack
-	falses  int            // conjuncts that are the constant false
-	marks   []sessionMark
-	tracked []trackedAtom
-	keys    map[string]bool
-	hits    int
-	nodes   int64
-	leaves  int64
-	closed  bool
-}
-
-// sessionMark records the stack and program sizes at a Push.
-type sessionMark struct {
-	conj, nodes, occs, falses int
+	p        *Prover
+	pr       *program
+	conj     []conjunct
+	seen     map[string]bool // conjunct strings asserted so far
+	hasFalse bool            // some conjunct is the constant false
+	tracked  []trackedAtom
+	keys     map[string]bool
+	hits     int
+	nodes    int64
+	leaves   int64
+	closed   bool
 }
 
 // NewSession opens an incremental session on the prover. Close it when
-// done; sessions are cheap (no solver process, just a stack).
+// done; sessions are cheap (no solver process, just a conjunct list).
 func (p *Prover) NewSession() *Session {
 	p.sessions.Add(1)
-	return &Session{p: p, pr: newProgram(), count: map[string]int{}, keys: map[string]bool{}}
+	return &Session{p: p, pr: newProgram(), seen: map[string]bool{}, keys: map[string]bool{}}
 }
 
-// Push opens a new assertion scope. Formulas asserted after Push are
-// retracted by the matching Pop. Tracked atoms are session-global and
-// survive Pop: tracking widens what models report, which stays correct
-// across scopes.
-func (s *Session) Push() {
-	s.mustOpen()
-	s.marks = append(s.marks, sessionMark{
-		conj: len(s.conj), nodes: len(s.pr.nodes), occs: len(s.pr.occs), falses: s.falses})
-}
-
-// Pop retracts every assertion made since the matching Push.
-func (s *Session) Pop() {
-	s.mustOpen()
-	if len(s.marks) == 0 {
-		panic("prover: Session.Pop without matching Push")
-	}
-	n := len(s.marks) - 1
-	m := s.marks[n]
-	for _, c := range s.conj[m.conj:] {
-		s.count[c.str]--
-	}
-	s.conj = s.conj[:m.conj]
-	s.pr.nodes, s.pr.occs = s.pr.nodes[:m.nodes], s.pr.occs[:m.occs]
-	s.falses = m.falses
-	s.marks = s.marks[:n]
-}
-
-// Assert conjoins f onto the current assertion scope.
+// Assert conjoins f onto the session's assertions.
 func (s *Session) Assert(f form.Formula) {
 	s.mustOpen()
-	s.push(f)
+	s.add(f)
 }
 
 // Block asserts a blocking clause: semantically identical to Assert,
@@ -189,38 +155,38 @@ func (s *Session) Assert(f form.Formula) {
 func (s *Session) Block(f form.Formula) {
 	s.mustOpen()
 	s.p.blockingClauses.Add(1)
-	s.push(f)
+	s.add(f)
 }
 
-// push splits f into top-level conjuncts exactly as MkAnd flattens its
+// add splits f into top-level conjuncts exactly as MkAnd flattens its
 // arguments, and compiles each.
-func (s *Session) push(f form.Formula) {
+func (s *Session) add(f form.Formula) {
 	switch f := f.(type) {
 	case form.TrueF:
 	case form.And:
 		for _, g := range f.Fs {
 			if _, ok := g.(form.TrueF); !ok {
-				s.pushConjunct(g)
+				s.addConjunct(g)
 			}
 		}
 	default:
-		s.pushConjunct(f)
+		s.addConjunct(f)
 	}
 }
 
-func (s *Session) pushConjunct(g form.Formula) {
+func (s *Session) addConjunct(g form.Formula) {
 	if _, ok := g.(form.FalseF); ok {
-		s.falses++
+		s.hasFalse = true
 	}
 	str := g.String()
-	s.conj = append(s.conj, conjunct{f: g, str: str, root: s.pr.compile(g, false), dup: s.count[str] > 0})
-	s.count[str]++
+	s.conj = append(s.conj, conjunct{f: g, str: str, root: s.pr.compile(g, false), dup: s.seen[str]})
+	s.seen[str] = true
 }
 
 // cacheKey is the Unsat cache key of the asserted conjunction: "U\x00"
 // followed by MkAnd(asserted...).String().
 func (s *Session) cacheKey() string {
-	if s.falses > 0 {
+	if s.hasFalse {
 		return "U\x00false"
 	}
 	var live []string
@@ -283,7 +249,7 @@ func (s *Session) trackAtoms(f form.Formula) {
 	}
 }
 
-// Check decides the current assertion stack. It returns:
+// Check decides the conjunction of the session's assertions. It returns:
 //
 //	Unsat, nil, ""      — the conjunction is definitely unsatisfiable;
 //	Sat, model, ""      — a model was found (covering every tracked atom);
@@ -312,15 +278,10 @@ func (s *Session) Check() (Verdict, *Model, string) {
 			return Unsat, nil, ""
 		}
 	}
-	// Fast path: the run is already cancelled (mirrors Prover.decide).
-	if p.Budget.Cancelled() {
-		p.gaveUp.Add(1)
-		p.cancels.Add(1)
+	if p.cancelled() {
 		return Unknown, nil, budget.LimitDeadline
 	}
-	start := time.Now()
-	st := p.newSatState(start)
-	se := newSearcher(p, s.pr, &st)
+	se := newSearcher(p, s.pr)
 	se.models, se.tracked = true, s.tracked
 	var roots []int32
 	for _, c := range s.conj {
@@ -328,50 +289,27 @@ func (s *Session) Check() (Verdict, *Model, string) {
 			roots = append(roots, c.root)
 		}
 	}
-	se.dfs(roots)
-	m := se.model
-	p.noteEffort(se)
-	if searchHook != nil {
+	unsat, _ := p.search(key, se, roots, func() form.Formula {
 		fs := make([]form.Formula, len(s.conj))
 		for i, c := range s.conj {
 			fs[i] = c.f
 		}
-		searchHook(form.MkAnd(fs...), s.tracked, se, m != nil)
-	}
+		return form.MkAnd(fs...)
+	})
 	s.nodes += se.nodes
 	s.leaves += se.leaves
-	p.theoryNS.Add(int64(time.Since(start)))
-	if m != nil {
-		// A found model is definitive even if the budget ran out at that
-		// exact leaf: the conjunction is satisfiable, hence not unsat.
+	switch {
+	case se.model != nil:
 		p.modelsExtracted.Add(1)
-		if !p.DisableCache && st.stop == stopNone {
-			p.cachePut(key, false)
-		}
-		return Sat, m, ""
+		return Sat, se.model, ""
+	case unsat:
+		return Unsat, nil, ""
+	case se.st.stop == stopTimeout:
+		return Unknown, nil, budget.LimitQueryTimeout
+	case se.st.stop == stopCancel:
+		return Unknown, nil, budget.LimitDeadline
 	}
-	if gave := st.budget <= 0 || st.stop != stopNone; gave {
-		p.gaveUp.Add(1)
-		switch st.stop {
-		case stopTimeout:
-			p.timeouts.Add(1)
-			p.Budget.Degrade("prover", budget.LimitQueryTimeout, queryDesc(key))
-			return Unknown, nil, budget.LimitQueryTimeout
-		case stopCancel:
-			p.cancels.Add(1)
-			return Unknown, nil, budget.LimitDeadline
-		}
-		// Leaf-budget exhaustion: deterministic for the formula, so the
-		// "could not prove unsat" verdict is cacheable like in decide.
-		if !p.DisableCache {
-			p.cachePut(key, false)
-		}
-		return Unknown, nil, budget.LimitProverBudget
-	}
-	if !p.DisableCache {
-		p.cachePut(key, true)
-	}
-	return Unsat, nil, ""
+	return Unknown, nil, budget.LimitProverBudget
 }
 
 // CacheHits reports how many of this session's checks were answered
@@ -390,7 +328,7 @@ func (s *Session) Effort() (nodes, leaves int64) { return s.nodes, s.leaves }
 // remain valid.
 func (s *Session) Close() {
 	s.closed = true
-	s.pr, s.conj, s.count, s.marks, s.tracked, s.keys = nil, nil, nil, nil, nil, nil
+	s.pr, s.conj, s.seen, s.tracked, s.keys = nil, nil, nil, nil, nil
 }
 
 func (s *Session) mustOpen() {

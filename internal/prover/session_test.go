@@ -35,50 +35,6 @@ func TestSessionBasicVerdicts(t *testing.T) {
 	}
 }
 
-func TestSessionPushPop(t *testing.T) {
-	p := New()
-	s := p.NewSession()
-	defer s.Close()
-
-	s.Assert(pf(t, "x == 1"))
-	s.Push()
-	s.Assert(pf(t, "x == 2"))
-	if v, _, _ := s.Check(); v != Unsat {
-		t.Fatalf("inner scope: got %v, want unsat", v)
-	}
-	s.Pop()
-	if v, _, _ := s.Check(); v != Sat {
-		t.Fatalf("after pop: got %v, want sat", v)
-	}
-	// Nested scopes retract in LIFO order.
-	s.Push()
-	s.Assert(pf(t, "x < 5"))
-	s.Push()
-	s.Assert(pf(t, "x > 5"))
-	if v, _, _ := s.Check(); v != Unsat {
-		t.Fatalf("nested inner: got %v, want unsat", v)
-	}
-	s.Pop()
-	if v, _, _ := s.Check(); v != Sat {
-		t.Fatalf("nested after one pop: got %v, want sat", v)
-	}
-	s.Pop()
-	if v, _, _ := s.Check(); v != Sat {
-		t.Fatalf("nested after both pops: got %v, want sat", v)
-	}
-}
-
-func TestSessionPopWithoutPushPanics(t *testing.T) {
-	defer func() {
-		if recover() == nil {
-			t.Fatal("Pop without Push did not panic")
-		}
-	}()
-	p := New()
-	s := p.NewSession()
-	s.Pop()
-}
-
 func TestSessionTrackedModelExtraction(t *testing.T) {
 	p := New()
 	s := p.NewSession()
@@ -188,6 +144,36 @@ func TestSessionCacheInterop(t *testing.T) {
 	if p.CacheHits() != hits0+1 {
 		t.Errorf("cache hits = %d, want %d (session check should hit Unsat cache)",
 			p.CacheHits(), hits0+1)
+	}
+
+	// The other direction: a session check fills the cache that Unsat of
+	// the same conjunction then answers from, for either verdict.
+	for _, tc := range []struct {
+		asserted []string
+		want     Verdict
+	}{
+		{[]string{"y > 0", "y < 5"}, Sat},
+		{[]string{"y > 0", "y < 0"}, Unsat},
+	} {
+		p := New()
+		s := p.NewSession()
+		var fs []form.Formula
+		for _, q := range tc.asserted {
+			s.Assert(pf(t, q))
+			fs = append(fs, pf(t, q))
+		}
+		if v, _, _ := s.Check(); v != tc.want {
+			t.Fatalf("%v: check got %v, want %v", tc.asserted, v, tc.want)
+		}
+		s.Close()
+		hits0, nodes0 := p.CacheHits(), p.SearchNodes()
+		if got := p.Unsat(form.MkAnd(fs...)); got != (tc.want == Unsat) {
+			t.Errorf("%v: Unsat after a %v check = %v", tc.asserted, tc.want, got)
+		}
+		if p.CacheHits() != hits0+1 || p.SearchNodes() != nodes0 {
+			t.Errorf("%v: Unsat after a %v check: cache hits %d -> %d, search nodes %d -> %d; want one hit and no search",
+				tc.asserted, tc.want, hits0, p.CacheHits(), nodes0, p.SearchNodes())
+		}
 	}
 }
 
