@@ -137,6 +137,11 @@ type Result struct {
 	SearchNodes    int
 	TheoryLeaves   int
 	TheoryMemoHits int
+	// FMRuns, EqualityProbes and CCUnions are the theory leaves' effort
+	// (see prover.Prover.FMRuns), likewise for this process only.
+	FMRuns         int
+	EqualityProbes int
+	CCUnions       int
 	// CubesSkipped counts, across this process's rounds, the enforce
 	// candidates the abstraction never submitted because their
 	// predicates share no symbol the prover relates.
@@ -599,6 +604,13 @@ func recordProverStats(out *Result, pv prover.Querier, base checkpoint.Counters)
 		TheoryMemoHits() int
 	}); ok {
 		out.SearchNodes, out.TheoryLeaves, out.TheoryMemoHits = s.SearchNodes(), s.TheoryLeaves(), s.TheoryMemoHits()
+	}
+	if s, ok := pv.(interface {
+		FMRuns() int
+		EqualityProbes() int
+		CCUnions() int
+	}); ok {
+		out.FMRuns, out.EqualityProbes, out.CCUnions = s.FMRuns(), s.EqualityProbes(), s.CCUnions()
 	}
 }
 

@@ -207,6 +207,13 @@ type AbstractStats struct {
 	SearchNodes    int
 	TheoryLeaves   int
 	TheoryMemoHits int
+	// FMRuns, EqualityProbes and CCUnions are the theory leaves' effort
+	// (see prover.Prover.FMRuns): Fourier–Motzkin runs, entailed-equality
+	// probes and congruence-closure class merges, in the leaves the
+	// memo did not answer.
+	FMRuns         int
+	EqualityProbes int
+	CCUnions       int
 
 	// ParseTime covers parsing, type checking and normalization (from
 	// Load).
@@ -347,6 +354,9 @@ func (p *Program) AbstractCheckpointed(ctx context.Context, predicates string, o
 			SearchNodes:     pv.SearchNodes(),
 			TheoryLeaves:    pv.TheoryLeaves(),
 			TheoryMemoHits:  pv.TheoryMemoHits(),
+			FMRuns:          pv.FMRuns(),
+			EqualityProbes:  pv.EqualityProbes(),
+			CCUnions:        pv.CCUnions(),
 			ParseTime:       p.parseTime,
 			AliasTime:       p.aliasTime,
 			SignatureTime:   res.Stats.SignatureTime,
