@@ -2,6 +2,7 @@ package prover
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 	"sync"
 	"testing"
@@ -97,7 +98,7 @@ func concurrentQueries(t *testing.T) (hyps, goals []form.Formula, wants []bool) 
 	return hyps, goals, wants
 }
 
-// TestConcurrentTheoryMemo shares the prover-wide literal table and
+// TestConcurrentTheoryMemo shares the prover-wide compiled table and
 // theory-leaf memo between goroutines that all search: the query cache
 // is off, and half the workers also ask through sessions, which fill and
 // read the memo. Every answer must stay right, and some session leaves
@@ -141,6 +142,106 @@ func TestConcurrentTheoryMemo(t *testing.T) {
 	if leaves, hits := p.TheoryLeaves(), p.TheoryMemoHits(); hits == 0 || hits >= leaves {
 		t.Errorf("theory leaves %d, memo hits %d: want hits in (0, leaves)", leaves, hits)
 	}
+}
+
+// TestConcurrentCompiledTable grows one prover's compiled table from many
+// goroutines at once: each worker first-sees comparisons over its own
+// fresh variables, mixed with comparisons every worker shares, while a
+// session enumerates models on the same prover. Every verdict and model
+// must equal the one a fresh prover gives single-threaded.
+func TestConcurrentCompiledTable(t *testing.T) {
+	const workers = 8
+	const rounds = 6
+	p := New()
+	var wg sync.WaitGroup
+	got := make([][]string, workers+1)
+	for w := 0; w <= workers; w++ {
+		w := w
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			if w == workers {
+				got[w] = tableSessionRun(p)
+				return
+			}
+			got[w] = tableWorkerRun(p, w, rounds)
+		}()
+	}
+	wg.Wait()
+	for w := 0; w <= workers; w++ {
+		var want []string
+		if w == workers {
+			want = tableSessionRun(New())
+		} else {
+			want = tableWorkerRun(New(), w, rounds)
+		}
+		if !slices.Equal(got[w], want) {
+			t.Errorf("goroutine %d: verdicts %v, fresh prover %v", w, got[w], want)
+		}
+	}
+}
+
+// tableWorkerRun asks worker w's queries: per round, comparisons over
+// variables no other worker or round names, and comparisons shared by all.
+func tableWorkerRun(p *Prover, w, rounds int) []string {
+	x, y := form.Var{Name: "x"}, form.Var{Name: "y"}
+	var out []string
+	for r := 0; r < rounds; r++ {
+		u := form.Var{Name: fmt.Sprintf("u%d_%d", w, r)}
+		v := form.Var{Name: fmt.Sprintf("v%d_%d", w, r)}
+		q := form.Var{Name: fmt.Sprintf("q%d_%d", w, r)}
+		one := form.Arith{Op: form.OpAdd, X: u, Y: form.Num{V: 1}}
+		out = append(out, fmt.Sprint(
+			p.Unsat(form.MkAnd(form.Cmp{Op: form.Lt, X: u, Y: v}, form.Cmp{Op: form.Lt, X: v, Y: u})),
+			p.Valid(form.MkAnd(form.Cmp{Op: form.Eq, X: q, Y: form.AddrOf{X: u}}, form.Cmp{Op: form.Eq, X: u, Y: x}),
+				form.Cmp{Op: form.Eq, X: form.Deref{X: q}, Y: x}),
+			p.Valid(form.MkAnd(form.Cmp{Op: form.Le, X: x, Y: y}, form.Cmp{Op: form.Le, X: y, Y: x}),
+				form.Cmp{Op: form.Eq, X: x, Y: y}),
+			p.Unsat(form.MkAnd(form.Cmp{Op: form.Le, X: one, Y: x}, form.Cmp{Op: form.Le, X: x, Y: u})),
+			p.Valid(form.Cmp{Op: form.Le, X: u, Y: form.Num{V: 3}}, form.Cmp{Op: form.Lt, X: u, Y: form.Num{V: 3}}),
+			p.Unsat(form.MkAnd(form.Cmp{Op: form.Eq, X: form.AddrOf{X: u}, Y: form.AddrOf{X: v}}, form.Cmp{Op: form.Ne, X: x, Y: y})),
+		))
+	}
+	return out
+}
+
+// tableSessionRun enumerates, per round, the models of a session over
+// fresh and shared comparisons, blocking each model found.
+func tableSessionRun(p *Prover) []string {
+	x, y := form.Var{Name: "x"}, form.Var{Name: "y"}
+	var out []string
+	for r := 0; r < 4; r++ {
+		s := form.Var{Name: fmt.Sprintf("s%d", r)}
+		tracked := []form.Formula{
+			form.Cmp{Op: form.Lt, X: x, Y: y},
+			form.Cmp{Op: form.Eq, X: s, Y: form.Num{V: 0}},
+			form.Cmp{Op: form.Le, X: s, Y: x},
+		}
+		se := p.NewSession()
+		for _, f := range tracked {
+			se.Track(f)
+		}
+		se.Assert(form.Cmp{Op: form.Ge, X: x, Y: form.Num{V: 0}})
+		for i := 0; i < 10; i++ {
+			v, m, _ := se.Check()
+			out = append(out, v.String())
+			if v != Sat {
+				break
+			}
+			var lits []form.Formula
+			for _, f := range tracked {
+				if val, _ := m.Eval(f); val {
+					lits = append(lits, f)
+				} else {
+					lits = append(lits, form.MkNot(f))
+				}
+			}
+			out = append(out, fmt.Sprint(lits))
+			se.Block(form.NNF(form.MkNot(form.MkAnd(lits...))))
+		}
+		se.Close()
+	}
+	return out
 }
 
 // TestImportExportCacheConcurrent hammers ImportCache / ExportCache /

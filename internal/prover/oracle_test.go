@@ -223,21 +223,9 @@ func assignAtom(f form.Formula, key string, val bool) form.Formula {
 // --- Reference theory combination with map-based linear arithmetic ---
 
 func oracleTheoryConsistent(lits []lit) bool {
-	c := newCC()
-	for _, l := range lits {
-		switch l.op {
-		case form.Eq:
-			c.merge(l.x, l.y)
-		case form.Ne:
-			c.disequal(l.x, l.y)
-		default:
-			c.add(l.x)
-			c.add(l.y)
-			c.propagate()
-		}
-		if c.failed {
-			return false
-		}
+	c, ok := refAssert(lits)
+	if !ok {
+		return false
 	}
 	for iter := 0; iter < maxCombineIters; iter++ {
 		cons, neqs := oBuildLA(c, lits)
@@ -264,6 +252,27 @@ func oracleTheoryConsistent(lits []lit) bool {
 		}
 	}
 	return true
+}
+
+// refAssert runs the reference congruence closure over the literals.
+func refAssert(lits []lit) (*refCC, bool) {
+	c := newRefCC()
+	for _, l := range lits {
+		switch l.op {
+		case form.Eq:
+			c.merge(l.x, l.y)
+		case form.Ne:
+			c.disequal(l.x, l.y)
+		default:
+			c.add(l.x)
+			c.add(l.y)
+			c.propagate()
+		}
+		if c.failed {
+			return c, false
+		}
+	}
+	return c, true
 }
 
 // oLinCons is Σ coefs[v]·v ≤ k.
@@ -423,7 +432,7 @@ func (e oLinExpr) sub(o oLinExpr) oLinExpr {
 	return out
 }
 
-func oBuildLA(c *cc, lits []lit) (cons []oLinCons, neqs []oLinExpr) {
+func oBuildLA(c *refCC, lits []lit) (cons []oLinCons, neqs []oLinExpr) {
 	for _, l := range lits {
 		lx := oLinearize(c, l.x)
 		ly := oLinearize(c, l.y)
@@ -448,7 +457,7 @@ func oBuildLA(c *cc, lits []lit) (cons []oLinCons, neqs []oLinExpr) {
 	return cons, neqs
 }
 
-func oLinearize(c *cc, t form.Term) oLinExpr {
+func oLinearize(c *refCC, t form.Term) oLinExpr {
 	switch t := t.(type) {
 	case form.Num:
 		return oLinExpr{coefs: map[string]int64{}, k: t.V}
@@ -504,7 +513,7 @@ func oLinearize(c *cc, t form.Term) oLinExpr {
 	return oLinExpr{coefs: map[string]int64{fmt.Sprintf("c%d", c.find(id)): 1}, k: 0}
 }
 
-func oPropagateEqualities(c *cc, cons []oLinCons) bool {
+func oPropagateEqualities(c *refCC, cons []oLinCons) bool {
 	varSet := map[string]bool{}
 	for _, cn := range cons {
 		for v := range cn.coefs {
@@ -532,7 +541,7 @@ func oPropagateEqualities(c *cc, cons []oLinCons) bool {
 			}
 		}
 	}
-	consts := collectConstants(c)
+	consts := refCollectConstants(c)
 	for _, v := range vars {
 		if c.failed {
 			break

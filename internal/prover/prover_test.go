@@ -308,3 +308,33 @@ func TestValidSoundnessAgainstBruteForce(t *testing.T) {
 		}
 	}
 }
+
+// TestTheoryLeafZeroAlloc pins that a warmed theory check allocates
+// nothing: the closure, the linear arithmetic and the equality exchange
+// all run in reused storage. The state is held here, not taken from the
+// pool, which a garbage collection may empty. The leaf mixes EUF and LA
+// and takes one equality-propagation round: x <= y and y <= x entail
+// x == y, which congruence lifts to *x == *y against *x != *y.
+func TestTheoryLeafZeroAlloc(t *testing.T) {
+	x, y, a, b := form.Var{Name: "x"}, form.Var{Name: "y"}, form.Var{Name: "a"}, form.Var{Name: "b"}
+	tab := newTermTable()
+	ids := compileLits(tab, []lit{
+		{form.Le, x, y},
+		{form.Ne, form.Deref{X: x}, form.Deref{X: y}},
+		{form.Lt, form.Arith{Op: form.OpAdd, X: a, Y: form.Num{V: 1}}, b},
+		{form.Le, y, x},
+		{form.Eq, form.Sel{X: form.Deref{X: a}, Field: "f"}, x},
+	})
+	snap := tab.snapshot()
+	var th theory
+	var eff theoryEffort
+	if th.check(snap, ids, &eff) {
+		t.Fatal("leaf not refuted")
+	}
+	if eff.probes == 0 || eff.unions == 0 || eff.fmRuns == 0 {
+		t.Fatalf("effort %+v: the leaf must run FM, probe and merge", eff)
+	}
+	if n := testing.AllocsPerRun(100, func() { th.check(snap, ids, &eff) }); n != 0 {
+		t.Fatalf("warmed theory check: %v allocs, want 0", n)
+	}
+}

@@ -39,6 +39,7 @@ func (v Verdict) String() string {
 // prover's canonical atom key. Models are immutable snapshots; they stay
 // valid after the session moves on or closes.
 type Model struct {
+	tab    *termTable
 	assign map[string]bool // canonical atom key -> truth of canonical base
 }
 
@@ -52,12 +53,12 @@ func (m *Model) Eval(f form.Formula) (val, ok bool) {
 	case form.FalseF:
 		return false, true
 	case form.Cmp:
-		key, flip := atomKey(f)
-		v, has := m.assign[key]
+		e := m.tab.atom(f)
+		v, has := m.assign[e.key]
 		if !has {
 			return false, false
 		}
-		return v != flip, true
+		return v != e.flip, true
 	case form.Not:
 		v, has := m.Eval(f.F)
 		return !v, has
@@ -88,10 +89,11 @@ func (m *Model) Eval(f form.Formula) (val, ok bool) {
 }
 
 // trackedAtom is one atom registered via Track: its canonical key and
-// the representative comparison (in NNF, as first seen) that theory
-// literals are built from.
+// the representative comparison (in NNF, as first seen) that its theory
+// literals are compiled from.
 type trackedAtom struct {
 	key string
+	cmp form.Cmp
 	occurrence
 }
 
@@ -129,7 +131,7 @@ type Session struct {
 	seen     map[string]bool // conjunct strings asserted so far
 	hasFalse bool            // some conjunct is the constant false
 	tracked  []trackedAtom
-	keys     map[string]bool
+	keys     map[int32]bool // atom key ids tracked so far
 	hits     int
 	nodes    int64
 	leaves   int64
@@ -140,7 +142,7 @@ type Session struct {
 // done; sessions are cheap (no solver process, just a conjunct list).
 func (p *Prover) NewSession() *Session {
 	p.sessions.Add(1)
-	return &Session{p: p, pr: newProgram(), seen: map[string]bool{}, keys: map[string]bool{}}
+	return &Session{p: p, pr: newProgram(p.terms), seen: map[string]bool{}, keys: map[int32]bool{}}
 }
 
 // Assert conjoins f onto the session's assertions.
@@ -230,11 +232,10 @@ func (s *Session) Track(f form.Formula) {
 func (s *Session) trackAtoms(f form.Formula) {
 	switch f := f.(type) {
 	case form.Cmp:
-		key, flip := atomKey(f)
-		if !s.keys[key] {
-			s.keys[key] = true
-			s.tracked = append(s.tracked, trackedAtom{key: key, occurrence: occurrence{
-				cmp: f, atom: s.pr.atom(key), flip: flip, lits: [2]int32{-1, -1}}})
+		e := s.p.terms.atom(f)
+		if !s.keys[e.akey] {
+			s.keys[e.akey] = true
+			s.tracked = append(s.tracked, trackedAtom{key: e.key, cmp: f, occurrence: s.pr.occurrence(e)})
 		}
 	case form.Not:
 		s.trackAtoms(f.F)
