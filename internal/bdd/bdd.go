@@ -3,49 +3,84 @@
 // existential quantification, variable renaming, satisfying-assignment
 // enumeration and counting. The paper's Bebop represents reachable-state
 // sets and transfer functions with BDDs (Section 2.2).
+//
+// A Manager keeps its nodes in one flat store indexed by node id, with
+// two open-addressed tables beside it: the unique table (node ids,
+// hash-consing) and the apply memo (exact: it never drops an entry).
+// Exists, Replace, Restrict and Support memoise on one node-indexed
+// scratch stamped with a generation counter, so a warm manager allocates
+// nothing per call. Every operation recurses low cofactor before high,
+// so a sequence of calls creates the same nodes, with the same ids, on
+// every run.
 package bdd
 
 import (
 	"fmt"
 	"math"
-	"sort"
 	"strings"
 )
 
 // terminalVar orders terminals below every real variable.
-const terminalVar = int(^uint(0) >> 1)
+const terminalVar = math.MaxInt32
+
+// maxNodes caps the node store so that every id fits an int32 (a
+// variable so tests can lower it).
+var maxNodes = math.MaxInt32
+
+// The unique table and the apply memo start at 2^initialBits slots and
+// double at load ½.
+const initialBits = 6
 
 type node struct {
-	v      int // variable index
-	lo, hi int // cofactor node ids
+	v      int32 // variable index
+	lo, hi int32 // cofactor node ids
 }
 
-type triple struct{ v, lo, hi int }
+// applyEntry is one apply-memo slot: op(a, b) = r. op 0 marks an empty
+// slot.
+type applyEntry struct {
+	a, b, r int32
+	op      byte
+}
 
-type applyKey struct {
-	op   byte
-	a, b int
+// memoEntry is one per-call scratch slot, valid while gen is current.
+type memoEntry struct {
+	gen uint32
+	r   int32
 }
 
 // Manager owns a shared node store for a set of BDDs. It is not safe for
 // concurrent use.
 type Manager struct {
-	nodes   []node
-	unique  map[triple]int
-	apply   map[applyKey]int
-	notMemo map[int]int
+	nodes  []node
+	unique []int32 // node ids by hash of (v, lo, hi); 0 is empty
+	uShift uint    // 64 - log2(len(unique))
+	apply  []applyEntry
+	aShift uint // 64 - log2(len(apply))
+	applyN int  // filled apply slots
+	// notMemo[f] is 1+¬f, or 0 while ¬f is unknown.
+	notMemo []int32
+	// The per-call scratch of Exists, Replace, Restrict and Support:
+	// memo by node id, the variable set (and Replace's renaming) by
+	// variable. An entry counts only while its stamp equals gen.
+	memo    []memoEntry
+	varGen  []uint32
+	varTo   []int
+	gen     uint32
 	numVars int
 }
 
 // New returns a manager with n variables (more can be added with AddVar).
 func New(n int) *Manager {
 	m := &Manager{
-		unique:  map[triple]int{},
-		apply:   map[applyKey]int{},
-		notMemo: map[int]int{},
+		unique:  make([]int32, 1<<initialBits),
+		uShift:  64 - initialBits,
+		apply:   make([]applyEntry, 1<<initialBits),
+		aShift:  64 - initialBits,
 		numVars: n,
 	}
-	// Node 0 = false, node 1 = true.
+	// Node 0 = false, node 1 = true. Terminals never enter the unique
+	// table, so id 0 can mark its empty slots.
 	m.nodes = append(m.nodes, node{v: terminalVar}, node{v: terminalVar})
 	return m
 }
@@ -75,67 +110,109 @@ func (m *Manager) IsFalse(f int) bool { return f == 0 }
 // IsTrue reports whether f is the constant true.
 func (m *Manager) IsTrue(f int) bool { return f == 1 }
 
-func (m *Manager) mk(v, lo, hi int) int {
+// hash3 mixes three ids into the top bits of a 64-bit word (Fibonacci
+// hashing): a table of 2^k slots indexes by the top k bits.
+func hash3(a, b, c int32) uint64 {
+	h := uint64(uint32(a))<<32 | uint64(uint32(b))
+	h ^= uint64(uint32(c)) * 0xC2B2AE3D27D4EB4F
+	return h * 0x9E3779B97F4A7C15
+}
+
+// find returns the unique-table slot that holds node (v, lo, hi), or the
+// empty slot where it belongs.
+func (m *Manager) find(v, lo, hi int32) uint64 {
+	mask := uint64(len(m.unique) - 1)
+	for i := hash3(lo, hi, v) >> m.uShift; ; i = (i + 1) & mask {
+		id := m.unique[i]
+		if id == 0 {
+			return i
+		}
+		if n := m.nodes[id]; n.v == v && n.lo == lo && n.hi == hi {
+			return i
+		}
+	}
+}
+
+func (m *Manager) mk(v, lo, hi int32) int32 {
 	if lo == hi {
 		return lo
 	}
-	key := triple{v, lo, hi}
-	if id, ok := m.unique[key]; ok {
+	i := m.find(v, lo, hi)
+	if id := m.unique[i]; id != 0 {
 		return id
 	}
-	id := len(m.nodes)
+	if len(m.nodes) >= maxNodes {
+		panic(fmt.Sprintf("bdd: node store full at %d nodes (node ids are int32)", len(m.nodes)))
+	}
+	id := int32(len(m.nodes))
 	m.nodes = append(m.nodes, node{v: v, lo: lo, hi: hi})
-	m.unique[key] = id
+	m.unique[i] = id
+	if 2*(len(m.nodes)-2) > len(m.unique) {
+		// Double and re-insert in id order; no node is equal to another,
+		// so find returns an empty slot for each.
+		m.unique = make([]int32, 2*len(m.unique))
+		m.uShift--
+		for j := 2; j < len(m.nodes); j++ {
+			n := m.nodes[j]
+			m.unique[m.find(n.v, n.lo, n.hi)] = int32(j)
+		}
+	}
 	return id
 }
 
-// Var returns the BDD for variable i.
+// Var returns the BDD for variable i. Every node's variable is thus in
+// [0, NumVars), which the variable-indexed scratch relies on.
 func (m *Manager) Var(i int) int {
-	if i >= m.numVars {
+	if i < 0 || i >= m.numVars {
 		panic(fmt.Sprintf("bdd: variable %d out of range (%d vars)", i, m.numVars))
 	}
-	return m.mk(i, 0, 1)
+	return int(m.mk(int32(i), 0, 1))
 }
 
 // NVar returns the BDD for ¬variable i.
 func (m *Manager) NVar(i int) int {
-	if i >= m.numVars {
+	if i < 0 || i >= m.numVars {
 		panic(fmt.Sprintf("bdd: variable %d out of range (%d vars)", i, m.numVars))
 	}
-	return m.mk(i, 1, 0)
+	return int(m.mk(int32(i), 1, 0))
 }
 
 // Not returns ¬f.
-func (m *Manager) Not(f int) int {
+func (m *Manager) Not(f int) int { return int(m.not(int32(f))) }
+
+func (m *Manager) not(f int32) int32 {
 	switch f {
 	case 0:
 		return 1
 	case 1:
 		return 0
 	}
-	if r, ok := m.notMemo[f]; ok {
-		return r
+	if int(f) < len(m.notMemo) && m.notMemo[f] != 0 {
+		return m.notMemo[f] - 1
 	}
 	n := m.nodes[f]
-	r := m.mk(n.v, m.Not(n.lo), m.Not(n.hi))
-	m.notMemo[f] = r
+	r := m.mk(n.v, m.not(n.lo), m.not(n.hi))
+	if int(f) >= len(m.notMemo) {
+		m.notMemo = append(m.notMemo, make([]int32, len(m.nodes)-len(m.notMemo))...)
+	}
+	m.notMemo[f] = r + 1
 	return r
 }
 
 const (
-	opAnd byte = iota
+	opAnd byte = 1 + iota
 	opOr
 	opXor
 )
 
 // And returns a ∧ b.
-func (m *Manager) And(a, b int) int { return m.applyOp(opAnd, a, b) }
+func (m *Manager) And(a, b int) int { return int(m.applyOp(opAnd, int32(a), int32(b))) }
 
 // Or returns a ∨ b.
-func (m *Manager) Or(a, b int) int { return m.applyOp(opOr, a, b) }
+func (m *Manager) Or(a, b int) int { return int(m.applyOp(opOr, int32(a), int32(b))) }
 
 // Xor returns a ⊕ b.
-func (m *Manager) Xor(a, b int) int { return m.applyOp(opXor, a, b) }
+func (m *Manager) Xor(a, b int) int { return int(m.applyOp(opXor, int32(a), int32(b))) }
 
 // Implies returns a → b.
 func (m *Manager) Implies(a, b int) int { return m.Or(m.Not(a), b) }
@@ -144,11 +221,24 @@ func (m *Manager) Implies(a, b int) int { return m.Or(m.Not(a), b) }
 func (m *Manager) Iff(a, b int) int { return m.Not(m.Xor(a, b)) }
 
 // Ite returns if f then g else h.
-func (m *Manager) Ite(f, g, h int) int {
-	return m.Or(m.And(f, g), m.And(m.Not(f), h))
+func (m *Manager) Ite(f, g, h int) int { return int(m.ite(int32(f), int32(g), int32(h))) }
+
+func (m *Manager) ite(f, g, h int32) int32 {
+	return m.applyOp(opOr, m.applyOp(opAnd, f, g), m.applyOp(opAnd, m.not(f), h))
 }
 
-func (m *Manager) applyOp(op byte, a, b int) int {
+// applySlot returns the apply-memo slot that holds op(a, b), or the empty
+// slot where it belongs.
+func (m *Manager) applySlot(op byte, a, b int32) uint64 {
+	mask := uint64(len(m.apply) - 1)
+	for i := hash3(a, b, int32(op)) >> m.aShift; ; i = (i + 1) & mask {
+		if e := &m.apply[i]; e.op == 0 || e.op == op && e.a == a && e.b == b {
+			return i
+		}
+	}
+}
+
+func (m *Manager) applyOp(op byte, a, b int32) int32 {
 	switch op {
 	case opAnd:
 		if a == 0 || b == 0 {
@@ -187,12 +277,11 @@ func (m *Manager) applyOp(op byte, a, b int) int {
 			return 0
 		}
 	}
-	if a > b && (op == opAnd || op == opOr || op == opXor) {
-		a, b = b, a // commutative: canonical order doubles cache hits
+	if a > b {
+		a, b = b, a // all three ops commute: canonical order doubles cache hits
 	}
-	key := applyKey{op, a, b}
-	if r, ok := m.apply[key]; ok {
-		return r
+	if e := m.apply[m.applySlot(op, a, b)]; e.op != 0 {
+		return e.r
 	}
 	na, nb := m.nodes[a], m.nodes[b]
 	v := na.v
@@ -208,7 +297,19 @@ func (m *Manager) applyOp(op byte, a, b int) int {
 		blo, bhi = nb.lo, nb.hi
 	}
 	r := m.mk(v, m.applyOp(op, alo, blo), m.applyOp(op, ahi, bhi))
-	m.apply[key] = r
+	// Probe again: the recursion may have filled or regrown the table.
+	m.apply[m.applySlot(op, a, b)] = applyEntry{a: a, b: b, r: r, op: op}
+	m.applyN++
+	if 2*m.applyN > len(m.apply) {
+		old := m.apply
+		m.apply = make([]applyEntry, 2*len(old))
+		m.aShift--
+		for _, e := range old {
+			if e.op != 0 {
+				m.apply[m.applySlot(e.op, e.a, e.b)] = e
+			}
+		}
+	}
 	return r
 }
 
@@ -230,36 +331,58 @@ func (m *Manager) OrN(fs ...int) int {
 	return r
 }
 
+// begin starts a traversal on the per-call scratch: a fresh generation
+// invalidates every memo entry and variable mark at once. The scratch
+// covers the nodes that exist now, which are all a traversal of an
+// existing BDD visits; traversals never nest.
+func (m *Manager) begin() {
+	m.gen++
+	if m.gen == 0 {
+		clear(m.memo)
+		clear(m.varGen)
+		m.gen = 1
+	}
+	if n := len(m.nodes); len(m.memo) < n {
+		m.memo = append(m.memo, make([]memoEntry, n-len(m.memo))...)
+	}
+	if n := m.numVars; len(m.varGen) < n {
+		m.varGen = append(m.varGen, make([]uint32, n-len(m.varGen))...)
+		m.varTo = append(m.varTo, make([]int, n-len(m.varTo))...)
+	}
+}
+
 // Exists existentially quantifies the given variables out of f.
 func (m *Manager) Exists(f int, vars []int) int {
 	if len(vars) == 0 {
 		return f
 	}
-	set := map[int]bool{}
+	m.begin()
 	for _, v := range vars {
-		set[v] = true
+		// A variable no node can carry changes nothing.
+		if v >= 0 && v < m.numVars {
+			m.varGen[v] = m.gen
+		}
 	}
-	memo := map[int]int{}
-	return m.exists(f, set, memo)
+	return int(m.exists(int32(f)))
 }
 
-func (m *Manager) exists(f int, set map[int]bool, memo map[int]int) int {
+func (m *Manager) exists(f int32) int32 {
 	if f <= 1 {
 		return f
 	}
-	if r, ok := memo[f]; ok {
-		return r
+	if e := m.memo[f]; e.gen == m.gen {
+		return e.r
 	}
 	n := m.nodes[f]
-	lo := m.exists(n.lo, set, memo)
-	hi := m.exists(n.hi, set, memo)
-	var r int
-	if set[n.v] {
-		r = m.Or(lo, hi)
+	lo := m.exists(n.lo)
+	hi := m.exists(n.hi)
+	var r int32
+	if m.varGen[n.v] == m.gen {
+		r = m.applyOp(opOr, lo, hi)
 	} else {
 		r = m.mk(n.v, lo, hi)
 	}
-	memo[f] = r
+	m.memo[f] = memoEntry{m.gen, r}
 	return r
 }
 
@@ -277,68 +400,74 @@ func (m *Manager) Replace(f int, rename map[int]int) int {
 	if len(rename) == 0 {
 		return f
 	}
-	memo := map[int]int{}
-	return m.replace(f, rename, memo)
+	m.begin()
+	for v, nv := range rename {
+		if v >= 0 && v < m.numVars {
+			m.varGen[v] = m.gen
+			m.varTo[v] = nv
+		}
+	}
+	return int(m.replace(int32(f)))
 }
 
-func (m *Manager) replace(f int, rename map[int]int, memo map[int]int) int {
+func (m *Manager) replace(f int32) int32 {
 	if f <= 1 {
 		return f
 	}
-	if r, ok := memo[f]; ok {
-		return r
+	if e := m.memo[f]; e.gen == m.gen {
+		return e.r
 	}
 	n := m.nodes[f]
-	v := n.v
-	if nv, ok := rename[v]; ok {
-		v = nv
+	v := int(n.v)
+	if m.varGen[n.v] == m.gen {
+		v = m.varTo[v]
 	}
-	lo := m.replace(n.lo, rename, memo)
-	hi := m.replace(n.hi, rename, memo)
-	r := m.Ite(m.Var(v), hi, lo)
-	memo[f] = r
+	lo := m.replace(n.lo)
+	hi := m.replace(n.hi)
+	r := m.ite(int32(m.Var(v)), hi, lo)
+	m.memo[f] = memoEntry{m.gen, r}
 	return r
 }
 
 // Restrict fixes variable v to value val in f.
 func (m *Manager) Restrict(f, v int, val bool) int {
-	memo := map[int]int{}
-	var rec func(int) int
-	rec = func(g int) int {
-		if g <= 1 {
-			return g
-		}
-		if r, ok := memo[g]; ok {
-			return r
-		}
-		n := m.nodes[g]
-		var r int
-		switch {
-		case n.v == v:
-			if val {
-				r = n.hi
-			} else {
-				r = n.lo
-			}
-		case n.v > v:
-			r = g
-		default:
-			r = m.mk(n.v, rec(n.lo), rec(n.hi))
-		}
-		memo[g] = r
-		return r
+	m.begin()
+	return int(m.restrict(int32(f), v, val))
+}
+
+func (m *Manager) restrict(g int32, v int, val bool) int32 {
+	if g <= 1 {
+		return g
 	}
-	return rec(f)
+	if e := m.memo[g]; e.gen == m.gen {
+		return e.r
+	}
+	n := m.nodes[g]
+	var r int32
+	switch {
+	case int(n.v) == v:
+		if val {
+			r = n.hi
+		} else {
+			r = n.lo
+		}
+	case int(n.v) > v:
+		r = g
+	default:
+		r = m.mk(n.v, m.restrict(n.lo, v, val), m.restrict(n.hi, v, val))
+	}
+	m.memo[g] = memoEntry{m.gen, r}
+	return r
 }
 
 // Eval evaluates f under a total assignment (indexed by variable).
 func (m *Manager) Eval(f int, assignment []bool) bool {
 	for f > 1 {
 		n := m.nodes[f]
-		if n.v < len(assignment) && assignment[n.v] {
-			f = n.hi
+		if int(n.v) < len(assignment) && assignment[n.v] {
+			f = int(n.hi)
 		} else {
-			f = n.lo
+			f = int(n.lo)
 		}
 	}
 	return f == 1
@@ -346,34 +475,34 @@ func (m *Manager) Eval(f int, assignment []bool) bool {
 
 // Support returns the sorted set of variables f depends on.
 func (m *Manager) Support(f int) []int {
-	set := map[int]bool{}
-	seen := map[int]bool{}
-	var rec func(int)
-	rec = func(g int) {
-		if g <= 1 || seen[g] {
-			return
+	m.begin()
+	m.support(int32(f))
+	out := []int{}
+	for v := 0; v < m.numVars; v++ {
+		if m.varGen[v] == m.gen {
+			out = append(out, v)
 		}
-		seen[g] = true
-		n := m.nodes[g]
-		set[n.v] = true
-		rec(n.lo)
-		rec(n.hi)
 	}
-	rec(f)
-	out := make([]int, 0, len(set))
-	for v := range set {
-		out = append(out, v)
-	}
-	sort.Ints(out)
 	return out
+}
+
+func (m *Manager) support(g int32) {
+	if g <= 1 || m.memo[g].gen == m.gen {
+		return
+	}
+	m.memo[g].gen = m.gen
+	n := m.nodes[g]
+	m.varGen[n.v] = m.gen
+	m.support(n.lo)
+	m.support(n.hi)
 }
 
 // SatCount returns the number of satisfying assignments of f over the
 // given number of variables.
 func (m *Manager) SatCount(f, nvars int) float64 {
-	memo := map[int]float64{}
-	var rec func(int) float64
-	rec = func(g int) float64 {
+	memo := map[int32]float64{}
+	var rec func(int32) float64
+	rec = func(g int32) float64 {
 		if g == 0 {
 			return 0
 		}
@@ -384,7 +513,7 @@ func (m *Manager) SatCount(f, nvars int) float64 {
 			return r
 		}
 		n := m.nodes[g]
-		r := rec(n.lo)*weight(m, n.lo, n.v) + rec(n.hi)*weight(m, n.hi, n.v)
+		r := rec(n.lo)*m.weight(n.lo, n.v) + rec(n.hi)*m.weight(n.hi, n.v)
 		memo[g] = r
 		return r
 	}
@@ -395,18 +524,14 @@ func (m *Manager) SatCount(f, nvars int) float64 {
 		return 0
 	}
 	top := m.nodes[f].v
-	return rec(f) * math.Exp2(float64(top))
+	return rec(int32(f)) * math.Exp2(float64(top))
 }
 
 // weight accounts for variables skipped between a node and its child.
-func weight(m *Manager, child, parentVar int) float64 {
-	cv := terminalVar
+func (m *Manager) weight(child, parentVar int32) float64 {
+	gap := m.numVars - int(parentVar) - 1
 	if child > 1 {
-		cv = m.nodes[child].v
-	}
-	gap := cv - parentVar - 1
-	if child <= 1 {
-		gap = m.numVars - parentVar - 1
+		gap = int(m.nodes[child].v - parentVar - 1)
 	}
 	return math.Exp2(float64(gap))
 }
@@ -415,10 +540,6 @@ func weight(m *Manager, child, parentVar int) float64 {
 // result maps (by position) to 0, 1. Variables outside the BDD's support
 // are expanded, so every returned vector is a concrete assignment.
 func (m *Manager) AllSat(f int, vars []int) [][]byte {
-	pos := map[int]int{}
-	for i, v := range vars {
-		pos[v] = i
-	}
 	var out [][]byte
 	cur := make([]byte, len(vars))
 	var rec func(f int, idx int)
@@ -427,11 +548,11 @@ func (m *Manager) AllSat(f int, vars []int) [][]byte {
 			return
 		}
 		if idx == len(vars) {
-			if m.forcedTrue(f, pos) {
-				row := make([]byte, len(cur))
-				copy(row, cur)
-				out = append(out, row)
-			}
+			// Every projected variable is restricted away and f is not
+			// false, so the row is satisfiable.
+			row := make([]byte, len(cur))
+			copy(row, cur)
+			out = append(out, row)
 			return
 		}
 		v := vars[idx]
@@ -442,12 +563,6 @@ func (m *Manager) AllSat(f int, vars []int) [][]byte {
 	}
 	rec(f, 0)
 	return out
-}
-
-// forcedTrue reports whether f is satisfiable regardless of the projected
-// variables (all of which have been restricted away by AllSat).
-func (m *Manager) forcedTrue(f int, _ map[int]int) bool {
-	return f != 0
 }
 
 // AnySat returns one satisfying assignment over the given variables, or

@@ -1,0 +1,200 @@
+package bdd
+
+import (
+	"math"
+	"math/rand"
+	"reflect"
+	"strings"
+	"testing"
+)
+
+// TestMatchesReference drives the flat-table Manager and the map-based
+// reference through one seeded operation sequence and requires, after
+// every operation, the same result and the same node count. Bebop's
+// -bdd-max-nodes cut-off and its node-count metric depend on this order.
+func TestMatchesReference(t *testing.T) {
+	for seed := int64(1); seed <= 40; seed++ {
+		r := rand.New(rand.NewSource(seed))
+		n := 3 + r.Intn(6)
+		m, ref := New(n), newRef(n)
+		pool := []int{0, 1}
+		pick := func() int { return pool[r.Intn(len(pool))] }
+		// randVars draws up to k variables, some outside the support or
+		// the manager's range.
+		randVars := func(k int) []int {
+			vs := make([]int, r.Intn(k+1))
+			for i := range vs {
+				vs[i] = r.Intn(m.NumVars()+3) - 1
+			}
+			return vs
+		}
+		// distinctVars draws up to k distinct in-range variables.
+		distinctVars := func(k int) []int {
+			return r.Perm(m.NumVars())[:r.Intn(min(k, m.NumVars())+1)]
+		}
+		for step := 0; step < 700; step++ {
+			var op string
+			var got, want int
+			a, b, c := pick(), pick(), pick()
+			switch k := r.Intn(17); k {
+			case 0:
+				v := r.Intn(m.NumVars())
+				op, got, want = "Var", m.Var(v), ref.Var(v)
+			case 1:
+				v := r.Intn(m.NumVars())
+				op, got, want = "NVar", m.NVar(v), ref.NVar(v)
+			case 2:
+				op, got, want = "And", m.And(a, b), ref.And(a, b)
+			case 3:
+				op, got, want = "Or", m.Or(a, b), ref.Or(a, b)
+			case 4:
+				op, got, want = "Xor", m.Xor(a, b), ref.Xor(a, b)
+			case 5:
+				op, got, want = "Not", m.Not(a), ref.Not(a)
+			case 6:
+				op, got, want = "Ite", m.Ite(a, b, c), ref.Ite(a, b, c)
+			case 7:
+				op, got, want = "Iff", m.Iff(a, b), ref.Iff(a, b)
+			case 8:
+				op, got, want = "Implies", m.Implies(a, b), ref.Implies(a, b)
+			case 9:
+				if m.NumVars() >= 12 {
+					continue
+				}
+				op, got, want = "AddVar", m.AddVar(), ref.AddVar()
+			case 10:
+				vs := randVars(4)
+				op, got, want = "Exists", m.Exists(a, vs), ref.Exists(a, vs)
+			case 11:
+				vs := randVars(3)
+				op, got, want = "RelProd", m.RelProd(a, b, vs), ref.RelProd(a, b, vs)
+			case 12:
+				rn := overlappingRename(r, m.NumVars())
+				op, got, want = "Replace", m.Replace(a, rn), ref.Replace(a, rn)
+			case 13:
+				v, val := r.Intn(m.NumVars()+1), r.Intn(2) == 0
+				op, got, want = "Restrict", m.Restrict(a, v, val), ref.Restrict(a, v, val)
+			case 14:
+				vs := distinctVars(5)
+				if g, w := m.AllSat(a, vs), ref.AllSat(a, vs); !reflect.DeepEqual(g, w) {
+					t.Fatalf("seed %d step %d: AllSat(%d, %v) rows %v, reference %v", seed, step, a, vs, g, w)
+				}
+				op = "AllSat"
+			case 15:
+				vs := distinctVars(6)
+				if g, w := m.AnySat(a, vs), ref.AnySat(a, vs); !reflect.DeepEqual(g, w) {
+					t.Fatalf("seed %d step %d: AnySat(%d, %v) = %v, reference %v", seed, step, a, vs, g, w)
+				}
+				op = "AnySat"
+			case 16:
+				if g, w := m.SatCount(a, m.NumVars()), ref.SatCount(a, ref.NumVars()); g != w {
+					t.Fatalf("seed %d step %d: SatCount(%d) = %v, reference %v", seed, step, a, g, w)
+				}
+				if g, w := m.Support(a), ref.Support(a); !reflect.DeepEqual(g, w) {
+					t.Fatalf("seed %d step %d: Support(%d) = %v, reference %v", seed, step, a, g, w)
+				}
+				op = "SatCount/Support"
+			}
+			if got != want || m.NumNodes() != ref.NumNodes() {
+				t.Fatalf("seed %d step %d: %s = %d with %d nodes, reference %d with %d nodes",
+					seed, step, op, got, m.NumNodes(), want, ref.NumNodes())
+			}
+			if got > 1 && op != "AddVar" {
+				pool = append(pool, got)
+			}
+		}
+	}
+}
+
+// overlappingRename returns an injective renaming whose source and
+// target ranges overlap: a shift of a variable range by ±1 or a cycle.
+func overlappingRename(r *rand.Rand, n int) map[int]int {
+	rn := map[int]int{}
+	lo := r.Intn(n - 1)
+	hi := lo + 1 + r.Intn(n-lo-1) // lo < hi < n
+	switch r.Intn(3) {
+	case 0: // v → v+1 on [lo, hi)
+		for v := lo; v < hi; v++ {
+			rn[v] = v + 1
+		}
+	case 1: // v → v-1 on (lo, hi]
+		for v := lo + 1; v <= hi; v++ {
+			rn[v] = v - 1
+		}
+	default: // the cycle lo → lo+1 → … → hi → lo
+		for v := lo; v < hi; v++ {
+			rn[v] = v + 1
+		}
+		rn[hi] = lo
+	}
+	return rn
+}
+
+// TestScratchGenerationWrap checks that a wrapped generation counter
+// does not revive stale per-call memo entries.
+func TestScratchGenerationWrap(t *testing.T) {
+	m, ref := New(5), newRef(5)
+	f := m.Xor(m.And(m.Var(0), m.Var(2)), m.Or(m.Var(1), m.NVar(4)))
+	rf := ref.Xor(ref.And(ref.Var(0), ref.Var(2)), ref.Or(ref.Var(1), ref.NVar(4)))
+	// Stamp memo entries with generation 1, then wrap the counter so
+	// the next call would stamp 1 again without the reset.
+	m.Exists(f, []int{2})
+	ref.Exists(rf, []int{2})
+	m.gen = math.MaxUint32
+	for _, vs := range [][]int{{1}, {0, 3}, {2}} {
+		if got, want := m.Exists(f, vs), ref.Exists(rf, vs); got != want {
+			t.Fatalf("Exists %v after wrap = %d, want %d", vs, got, want)
+		}
+	}
+}
+
+// TestWarmOperationsAllocateNothing pins the per-call scratch: once the
+// manager is warm, quantifying, renaming, restricting and conjoining
+// existing nodes must not allocate.
+func TestWarmOperationsAllocateNothing(t *testing.T) {
+	m := New(8)
+	r := rand.New(rand.NewSource(7))
+	f, _ := randomFormula(m, r, 5)
+	g, _ := randomFormula(m, r, 5)
+	vars := []int{1, 4, 6}
+	rename := map[int]int{0: 1, 1: 2, 2: 0}
+	cases := []struct {
+		name string
+		fn   func()
+	}{
+		{"Exists", func() { m.Exists(f, vars) }},
+		{"Replace", func() { m.Replace(f, rename) }},
+		{"Restrict", func() { m.Restrict(f, 3, true) }},
+		{"And", func() { m.And(f, g) }},
+	}
+	for _, c := range cases {
+		c.fn()
+	}
+	for _, c := range cases {
+		if n := testing.AllocsPerRun(100, c.fn); n != 0 {
+			t.Errorf("warm %s: %v allocs/op, want 0", c.name, n)
+		}
+	}
+}
+
+// TestNodeStoreFullPanics checks the int32 capacity guard (lowered here
+// so the test need not build 2^31 nodes).
+func TestNodeStoreFullPanics(t *testing.T) {
+	defer func(n int) { maxNodes = n }(maxNodes)
+	m := New(3)
+	maxNodes = m.NumNodes() + 2
+	m.Var(0)
+	m.Var(1)
+	m.Var(1) // hash-consed: no new node
+	defer func() {
+		msg, _ := recover().(string)
+		if !strings.Contains(msg, "node store full") {
+			t.Fatalf("panic %q, want the node-store-full message", msg)
+		}
+		if m.NumNodes() != maxNodes {
+			t.Fatalf("%d nodes after the guard, want %d", m.NumNodes(), maxNodes)
+		}
+	}()
+	m.Var(2)
+	t.Fatal("mk passed the node cap without panicking")
+}
