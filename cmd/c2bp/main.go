@@ -128,13 +128,8 @@ func run() (code int) {
 	if *stats {
 		s := bprog.Stats()
 		fmt.Fprintf(os.Stderr, "predicates: %d\ntheorem prover calls: %d\nprover cache hits: %d\nprover cache misses: %d\nprover gave up: %d\ncubes checked: %d\ncube-search rounds: %d\nenforce cubes skipped: %d\n",
-			s.Predicates, s.ProverCalls, s.CacheHits, s.CacheMisses, s.ProverGaveUp, s.CubesChecked, s.CubeRounds, s.CubesSkipped)
-		if s.ProverSessions > 0 {
-			fmt.Fprintf(os.Stderr, "prover sessions: %d\nsession checks: %d\nmodels extracted: %d\nblocking clauses: %d\n",
-				s.ProverSessions, s.SessionChecks, s.ModelsExtracted, s.BlockingClauses)
-		}
-		fmt.Fprintf(os.Stderr, "prover search nodes: %d\ntheory leaves: %d (memo hits: %d)\nfourier-motzkin runs: %d\nequality probes: %d\ncongruence unions: %d\n",
-			s.SearchNodes, s.TheoryLeaves, s.TheoryMemoHits, s.FMRuns, s.EqualityProbes, s.CCUnions)
+			s.Predicates, s.ProverCalls, s.CacheHits, s.CacheMisses(), s.ProverGaveUp, s.CubesChecked, s.CubeRounds, s.CubesSkipped)
+		obs.WriteProverStats(os.Stderr, s.Stats)
 		fmt.Fprintf(os.Stderr, "stage parse+check+normalize: %v\nstage alias analysis: %v\nstage signatures: %v\nstage abstraction: %v\n  of which cube search: %v\n  of which theory solving: %v\n",
 			s.ParseTime, s.AliasTime, s.SignatureTime, s.AbstractTime, s.CubeSearchTime, s.SolverTime)
 		for _, pt := range s.ProcTimes {

@@ -50,18 +50,16 @@ type Options struct {
 	// rounds, worker lanes). nil disables tracing at zero cost. A pointer
 	// keeps Options comparable.
 	Tracer *trace.Tracer
-	// CubeBudget caps the cube candidates submitted to the prover per
+	// Budget, when non-nil, carries the run deadline/cancellation, the
+	// limits and the degradation log (internal/budget). Its CubeBudget
+	// limit caps the cube candidates submitted to the prover per
 	// procedure. Once spent, the procedure's remaining transfer functions
 	// degrade soundly: F_V answers false, so assignments become the
 	// trivially sound choose(*,*) havoc and assumes become assume(true).
 	// The budget is consumed by truncating candidate lists in canonical
 	// enumeration order, so the (weaker) output stays byte-identical for
-	// every Jobs value. <= 0 means unlimited.
-	CubeBudget int
-	// Budget, when non-nil, carries the run deadline/cancellation and the
-	// degradation log (internal/budget). A cancelled run degrades every
-	// remaining procedure the same sound way the cube budget does. A
-	// pointer keeps Options comparable.
+	// every Jobs value. A cancelled run degrades every remaining procedure
+	// the same sound way. A pointer keeps Options comparable.
 	Budget *budget.Tracker
 	// Engine selects the prover-backed F_V search: EngineCubes (or "")
 	// enumerates candidate cubes with one Valid query each (the paper's
@@ -187,8 +185,8 @@ type Abstractor struct {
 	opts Options
 
 	// Per-procedure degradation state (reset by beginProc). cubesUsed
-	// counts upward against opts.CubeBudget so that a zero-value
-	// Abstractor (unit tests drive fv directly) is unlimited.
+	// counts upward against the budget's CubeBudget limit so that a
+	// zero-value Abstractor (unit tests drive fv directly) is unlimited.
 	curProc      string
 	cubesUsed    int
 	procDegraded bool
@@ -541,7 +539,7 @@ func (ab *Abstractor) markDegraded(limit string) {
 // byte-identical for every worker count) and marking the procedure
 // degraded when the budget runs dry.
 func (ab *Abstractor) takeCubes(cands [][]literal) [][]literal {
-	limit := ab.opts.CubeBudget
+	limit := ab.opts.Budget.Limits().CubeBudget
 	if limit <= 0 {
 		return cands
 	}

@@ -54,7 +54,6 @@ func TestCubeBudgetDegradesSoundly(t *testing.T) {
 				t.Fatalf("unlimited run degraded: %v", full.Stats.DegradedProcs)
 			}
 
-			opts.CubeBudget = 8
 			bt := budget.New(context.Background(), budget.Limits{CubeBudget: 8}, nil)
 			opts.Budget = bt
 			lim := degradePipeline(t, opts)
@@ -88,7 +87,7 @@ func TestCubeBudgetPartialOutputDeterministic(t *testing.T) {
 			render := func(jobs int) string {
 				opts := DefaultOptions()
 				opts.Engine = engine
-				opts.CubeBudget = 13
+				opts.Budget = budget.New(context.Background(), budget.Limits{CubeBudget: 13}, nil)
 				opts.Jobs = jobs
 				return bp.Print(degradePipeline(t, opts).BP)
 			}

@@ -19,18 +19,6 @@ import (
 	"predabs/internal/trace"
 )
 
-// Limits bounds one model-checking run. The zero value is unlimited.
-type Limits struct {
-	// Budget carries the run deadline/cancellation and the degradation
-	// log; nil means no deadline.
-	Budget *budget.Tracker
-	// MaxBDDNodes stops the fixpoint once the BDD node table exceeds this
-	// many nodes (<= 0: unlimited). The paper reports Bebop's BDDs
-	// staying small in practice; this is the safety net for the cases
-	// where they do not.
-	MaxBDDNodes int
-}
-
 // Column identifies one of the per-variable BDD variable copies.
 type column int
 
@@ -139,14 +127,16 @@ func Check(prog *bp.Program, entry string) (*Checker, error) {
 // CheckTraced is Check with a structured-event tracer attached (nil
 // behaves exactly like Check).
 func CheckTraced(prog *bp.Program, entry string, tr *trace.Tracer) (*Checker, error) {
-	return CheckLimited(prog, entry, tr, Limits{})
+	return CheckLimited(prog, entry, tr, nil)
 }
 
-// CheckLimited is CheckTraced under resource limits: the fixpoint stops
-// early when the run deadline passes or the BDD node table exceeds
-// lim.MaxBDDNodes, leaving the Checker Degraded (see that field's
-// soundness note).
-func CheckLimited(prog *bp.Program, entry string, tr *trace.Tracer, lim Limits) (*Checker, error) {
+// CheckLimited is CheckTraced under the run's budget tracker: the
+// fixpoint stops early when the run deadline passes or the BDD node
+// table exceeds the tracker's BDDMaxNodes limit, leaving the Checker
+// Degraded (see that field's soundness note). The paper reports Bebop's
+// BDDs staying small in practice; the node ceiling is the safety net for
+// the cases where they do not. A nil tracker is unlimited.
+func CheckLimited(prog *bp.Program, entry string, tr *trace.Tracer, bt *budget.Tracker) (*Checker, error) {
 	e := prog.Proc(entry)
 	if e == nil {
 		return nil, fmt.Errorf("bebop: no procedure %q", entry)
@@ -166,7 +156,7 @@ func CheckLimited(prog *bp.Program, entry string, tr *trace.Tracer, lim Limits) 
 	c.buildCFGs()
 	start := time.Now()
 	fixSpan := tr.Begin("bebop", "fixpoint")
-	c.run(entry, lim)
+	c.run(entry, bt)
 	fixSpan.End(trace.Int("iterations", c.Iterations))
 	c.FixpointTime = time.Since(start)
 	checkSpan.End(trace.Int("bdd_nodes", c.m.NumNodes()))
@@ -388,13 +378,14 @@ type workItem struct {
 const cancelPollStride = 32
 
 // degrade marks the fixpoint as truncated and records the event.
-func (c *Checker) degrade(lim Limits, limit, detail string) {
+func (c *Checker) degrade(bt *budget.Tracker, limit, detail string) {
 	c.Degraded = true
 	c.DegradeReason = limit
-	lim.Budget.Degrade("bebop", limit, detail)
+	bt.Degrade("bebop", limit, detail)
 }
 
-func (c *Checker) run(entry string, lim Limits) {
+func (c *Checker) run(entry string, bt *budget.Tracker) {
+	maxNodes := bt.Limits().BDDMaxNodes
 	for name, pi := range c.procs {
 		c.pathEdges[name] = make([]int, len(pi.proc.Stmts))
 		c.summaries[name] = c.m.False()
@@ -428,13 +419,13 @@ func (c *Checker) run(entry string, lim Limits) {
 	for len(queue) > 0 {
 		// Resource limits: stopping the worklist early leaves the path
 		// edges an under-approximation (see Checker.Degraded).
-		if lim.MaxBDDNodes > 0 && c.m.NumNodes() > lim.MaxBDDNodes {
-			c.degrade(lim, budget.LimitBDDNodes,
+		if maxNodes > 0 && c.m.NumNodes() > maxNodes {
+			c.degrade(bt, budget.LimitBDDNodes,
 				fmt.Sprintf("%d nodes after %d iterations", c.m.NumNodes(), c.Iterations))
 			return
 		}
-		if c.Iterations%cancelPollStride == 0 && lim.Budget.Cancelled() {
-			c.degrade(lim, budget.LimitDeadline,
+		if c.Iterations%cancelPollStride == 0 && bt.Cancelled() {
+			c.degrade(bt, budget.LimitDeadline,
 				fmt.Sprintf("after %d iterations", c.Iterations))
 			return
 		}

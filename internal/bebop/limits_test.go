@@ -31,7 +31,7 @@ func TestBDDNodeCeilingDegrades(t *testing.T) {
 		t.Fatal(err)
 	}
 	bt := budget.New(context.Background(), budget.Limits{BDDMaxNodes: 1}, nil)
-	c, err := CheckLimited(prog, "main", nil, Limits{Budget: bt, MaxBDDNodes: 1})
+	c, err := CheckLimited(prog, "main", nil, bt)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -55,7 +55,7 @@ func TestCancelledContextStopsFixpoint(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
 	bt := budget.New(ctx, budget.Limits{}, nil)
-	c, err := CheckLimited(prog, "main", nil, Limits{Budget: bt})
+	c, err := CheckLimited(prog, "main", nil, bt)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -72,7 +72,7 @@ func TestZeroLimitsUnchanged(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	c, err := CheckLimited(prog, "main", nil, Limits{})
+	c, err := CheckLimited(prog, "main", nil, nil)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -125,6 +125,33 @@ type Counters struct {
 	BlockingClauses int `json:"blocking_clauses,omitempty"`
 }
 
+// ProverCounters journals the prover counters of s a resume continues
+// from. Give-ups, search and theory effort and solver time are not
+// journaled: they count one process's work only.
+func ProverCounters(s prover.Stats) Counters {
+	return Counters{
+		ProverCalls:     s.ProverCalls,
+		CacheHits:       s.CacheHits,
+		ProverSessions:  s.ProverSessions,
+		SessionChecks:   s.SessionChecks,
+		ModelsExtracted: s.ModelsExtracted,
+		BlockingClauses: s.BlockingClauses,
+	}
+}
+
+// Plus returns s, the counters of a process that resumed from c, with
+// the journaled prover totals added: the totals an uninterrupted run
+// reports.
+func (c Counters) Plus(s prover.Stats) prover.Stats {
+	s.ProverCalls += c.ProverCalls
+	s.CacheHits += c.CacheHits
+	s.ProverSessions += c.ProverSessions
+	s.SessionChecks += c.SessionChecks
+	s.ModelsExtracted += c.ModelsExtracted
+	s.BlockingClauses += c.BlockingClauses
+	return s
+}
+
 // IterationRecord is one commit point: the full state needed to resume
 // the CEGAR loop after this iteration. Cache carries the FULL prover
 // cache at the boundary; the Manager spills only the delta against

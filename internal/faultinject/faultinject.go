@@ -72,7 +72,7 @@ type Config struct {
 // prover.Querier itself, so it can stand in anywhere a prover is
 // accepted (slam.Config.Prover, abstract.Abstract, the soundness
 // oracle). Prover statistics of the inner prover pass through via the
-// optional Calls / CacheHits / SolverTime methods.
+// optional Stats method.
 type Prover struct {
 	Inner prover.Querier
 	cfg   Config
@@ -191,27 +191,11 @@ func (p *Prover) InjectedTotal() int64 {
 	return p.injTimeout.Load() + p.injUnknown.Load() + p.injFailure.Load()
 }
 
-// Calls passes the inner prover's query count through (0 when the inner
-// prover does not expose one).
-func (p *Prover) Calls() int {
-	if s, ok := p.Inner.(interface{ Calls() int }); ok {
-		return s.Calls()
+// Stats passes the inner prover's counters through (the zero Stats when
+// the inner prover does not expose them).
+func (p *Prover) Stats() prover.Stats {
+	if s, ok := p.Inner.(interface{ Stats() prover.Stats }); ok {
+		return s.Stats()
 	}
-	return 0
-}
-
-// CacheHits passes the inner prover's cache-hit count through.
-func (p *Prover) CacheHits() int {
-	if s, ok := p.Inner.(interface{ CacheHits() int }); ok {
-		return s.CacheHits()
-	}
-	return 0
-}
-
-// SolverTime passes the inner prover's decision-procedure time through.
-func (p *Prover) SolverTime() time.Duration {
-	if s, ok := p.Inner.(interface{ SolverTime() time.Duration }); ok {
-		return s.SolverTime()
-	}
-	return 0
+	return prover.Stats{}
 }

@@ -19,7 +19,7 @@ void main(void) {
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
 	bt := budget.New(ctx, budget.Limits{}, nil)
-	nres, err := AnalyzeLimited(res, aa, pv, trace, nil, bt)
+	nres, err := Analyze(res, aa, pv, trace, nil, bt)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -41,7 +41,7 @@ void main(void) {
 }
 `
 	res, aa, pv, trace := setup(t, src, "", "main")
-	nres, err := AnalyzeLimited(res, aa, pv, trace, nil, nil)
+	nres, err := Analyze(res, aa, pv, trace, nil, nil)
 	if err != nil {
 		t.Fatal(err)
 	}

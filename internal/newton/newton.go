@@ -66,23 +66,14 @@ const frameSep = "::"
 
 // Analyze decides the feasibility of a Bebop counterexample trace against
 // the original (normalized) C program.
-func Analyze(res *cnorm.Result, aa *alias.Analysis, pv prover.Querier, trace []bebop.Step) (*Result, error) {
-	return AnalyzeTraced(res, aa, pv, trace, nil)
-}
-
-// AnalyzeTraced is Analyze with a structured-event tracer attached: one
-// newton.analyze span per refinement round, carrying the path length,
-// the infeasibility point and the number of predicates harvested. A nil
-// tracer behaves exactly like Analyze.
-func AnalyzeTraced(res *cnorm.Result, aa *alias.Analysis, pv prover.Querier, steps []bebop.Step, tr *tracepkg.Tracer) (*Result, error) {
-	return AnalyzeLimited(res, aa, pv, steps, tr, nil)
-}
-
-// AnalyzeLimited is AnalyzeTraced with a resource-budget tracker attached.
-// A cancelled tracker makes the backward sweep give up at the next step
-// boundary: GaveUp is reported and no verdict is claimed, which is sound
-// because SLAM maps GaveUp to Unknown. A nil tracker never cancels.
-func AnalyzeLimited(res *cnorm.Result, aa *alias.Analysis, pv prover.Querier, steps []bebop.Step, tr *tracepkg.Tracer, bt *budget.Tracker) (*Result, error) {
+//
+// tr, when non-nil, receives one newton.analyze span per refinement
+// round, carrying the path length, the infeasibility point and the
+// number of predicates harvested. A cancelled bt makes the backward
+// sweep give up at the next step boundary: GaveUp is reported and no
+// verdict is claimed, which is sound because SLAM maps GaveUp to
+// Unknown. A nil bt never cancels.
+func Analyze(res *cnorm.Result, aa *alias.Analysis, pv prover.Querier, steps []bebop.Step, tr *tracepkg.Tracer, bt *budget.Tracker) (*Result, error) {
 	span := tr.Begin("newton", "analyze")
 	out, err := analyze(res, aa, pv, steps, bt)
 	if err != nil {

@@ -69,7 +69,7 @@ void main(void) {
 }
 `
 	res, aa, pv, trace := setup(t, src, "", "main")
-	nres, err := Analyze(res, aa, pv, trace)
+	nres, err := Analyze(res, aa, pv, trace, nil, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -96,7 +96,7 @@ void main(int x) {
 }
 `
 	res, aa, pv, trace := setup(t, src, "", "main")
-	nres, err := Analyze(res, aa, pv, trace)
+	nres, err := Analyze(res, aa, pv, trace, nil, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -122,7 +122,7 @@ void main(int x) {
 	// With no predicates the abstraction lets the error path take the
 	// then branch first and the else branch second.
 	res, aa, pv, trace := setup(t, src, "", "main")
-	nres, err := Analyze(res, aa, pv, trace)
+	nres, err := Analyze(res, aa, pv, trace, nil, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -152,7 +152,7 @@ void main(void) {
 }
 `
 	res, aa, pv, trace := setup(t, src, "", "main")
-	nres, err := Analyze(res, aa, pv, trace)
+	nres, err := Analyze(res, aa, pv, trace, nil, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -172,7 +172,7 @@ void main(void) {
 }
 `
 	res, aa, pv, trace := setup(t, src, "", "main")
-	nres, err := Analyze(res, aa, pv, trace)
+	nres, err := Analyze(res, aa, pv, trace, nil, nil)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -17,6 +17,7 @@ import (
 
 	"predabs/internal/budget"
 	"predabs/internal/checkpoint"
+	"predabs/internal/prover"
 	"predabs/internal/trace"
 )
 
@@ -149,6 +150,18 @@ func (f *Flags) Validate() error {
 		return fmt.Errorf("flag -bdd-max-nodes: %d: must not be negative (0 = unlimited)", f.BDDMaxNodes)
 	}
 	return nil
+}
+
+// WriteProverStats renders the prover lines that the -stats output of
+// c2bp and slam share: the incremental-session counters (only when a
+// session was opened) and the search and theory effort.
+func WriteProverStats(w io.Writer, s prover.Stats) {
+	if s.ProverSessions > 0 {
+		fmt.Fprintf(w, "prover sessions: %d\nsession checks: %d\nmodels extracted: %d\nblocking clauses: %d\n",
+			s.ProverSessions, s.SessionChecks, s.ModelsExtracted, s.BlockingClauses)
+	}
+	fmt.Fprintf(w, "prover search nodes: %d\ntheory leaves: %d (memo hits: %d)\nfourier-motzkin runs: %d\nequality probes: %d\ncongruence unions: %d\n",
+		s.SearchNodes, s.TheoryLeaves, s.TheoryMemoHits, s.FMRuns, s.EqualityProbes, s.CCUnions)
 }
 
 // Limits bundles the resource-limit flag values.

@@ -139,7 +139,7 @@ func TestConcurrentTheoryMemo(t *testing.T) {
 	for e := range errs {
 		t.Error(e)
 	}
-	if leaves, hits := p.TheoryLeaves(), p.TheoryMemoHits(); hits == 0 || hits >= leaves {
+	if leaves, hits := p.Stats().TheoryLeaves, p.Stats().TheoryMemoHits; hits == 0 || hits >= leaves {
 		t.Errorf("theory leaves %d, memo hits %d: want hits in (0, leaves)", leaves, hits)
 	}
 }

@@ -50,12 +50,11 @@ func TestQueryTimeoutGivesUpSoundlyAndSkipsCache(t *testing.T) {
 	p = New()
 	bt := budget.New(context.Background(), budget.Limits{QueryTimeout: time.Nanosecond}, nil)
 	p.Budget = bt
-	p.QueryTimeout = time.Nanosecond
 	if p.Unsat(php) {
 		t.Fatal("timed-out query claimed unsat — unsound degradation")
 	}
-	if p.Timeouts() != 1 || p.GaveUp() != 1 {
-		t.Fatalf("Timeouts=%d GaveUp=%d, want 1/1", p.Timeouts(), p.GaveUp())
+	if st := p.Stats(); st.ProverTimeouts != 1 || st.ProverGaveUp != 1 {
+		t.Fatalf("Timeouts=%d GaveUp=%d, want 1/1", st.ProverTimeouts, st.ProverGaveUp)
 	}
 	evs := bt.Events()
 	if len(evs) != 1 || evs[0].Stage != "prover" || evs[0].Limit != budget.LimitQueryTimeout {
@@ -64,7 +63,7 @@ func TestQueryTimeoutGivesUpSoundlyAndSkipsCache(t *testing.T) {
 
 	// The timed-out verdict must not be memoized: with the limit lifted,
 	// the same prover decides the query for real.
-	p.QueryTimeout = 0
+	p.Budget = nil
 	if !p.Unsat(php) {
 		t.Fatal("post-timeout retry did not recompute (cache poisoned by timeout)")
 	}
@@ -88,8 +87,8 @@ func TestCancelledRunShortCircuitsQueries(t *testing.T) {
 	if p.Valid(form.TrueF{}, valid) {
 		t.Fatal("cancelled prover claimed validity")
 	}
-	if p.Cancels() != 1 || p.GaveUp() != 1 {
-		t.Fatalf("Cancels=%d GaveUp=%d, want 1/1", p.Cancels(), p.GaveUp())
+	if st := p.Stats(); st.ProverCancels != 1 || st.ProverGaveUp != 1 {
+		t.Fatalf("Cancels=%d GaveUp=%d, want 1/1", st.ProverCancels, st.ProverGaveUp)
 	}
 
 	// Nothing was cached, so a fresh uncancelled prover sharing no state

@@ -282,17 +282,17 @@ func TestSearchEffortCounters(t *testing.T) {
 	if !p.Unsat(f) {
 		t.Fatal("x<y && y<x not refuted")
 	}
-	if _, st := oracleDecide(f); p.SearchNodes() != st.nodes || p.TheoryLeaves() != st.leaves {
-		t.Fatalf("nodes/leaves = %d/%d, reference %d/%d", p.SearchNodes(), p.TheoryLeaves(), st.nodes, st.leaves)
+	if _, st := oracleDecide(f); p.Stats().SearchNodes != st.nodes || p.Stats().TheoryLeaves != st.leaves {
+		t.Fatalf("nodes/leaves = %d/%d, reference %d/%d", p.Stats().SearchNodes, p.Stats().TheoryLeaves, st.nodes, st.leaves)
 	}
-	if p.TheoryMemoHits() != 0 {
-		t.Fatalf("memo hits = %d on a first query", p.TheoryMemoHits())
+	if p.Stats().TheoryMemoHits != 0 {
+		t.Fatalf("memo hits = %d on a first query", p.Stats().TheoryMemoHits)
 	}
-	leaves := p.TheoryLeaves()
+	leaves := p.Stats().TheoryLeaves
 	p.Unsat(f)
-	if p.TheoryLeaves() != 2*leaves || p.TheoryMemoHits() != 0 {
+	if p.Stats().TheoryLeaves != 2*leaves || p.Stats().TheoryMemoHits != 0 {
 		t.Fatalf("repeat query: leaves %d, memo hits %d; want %d and 0",
-			p.TheoryLeaves(), p.TheoryMemoHits(), 2*leaves)
+			p.Stats().TheoryLeaves, p.Stats().TheoryMemoHits, 2*leaves)
 	}
 	for i := 0; i < 2; i++ {
 		s := p.NewSession()
@@ -302,8 +302,8 @@ func TestSearchEffortCounters(t *testing.T) {
 		}
 		s.Close()
 	}
-	if p.TheoryLeaves() != 4*leaves || p.TheoryMemoHits() != leaves {
+	if p.Stats().TheoryLeaves != 4*leaves || p.Stats().TheoryMemoHits != leaves {
 		t.Fatalf("two session checks: leaves %d, memo hits %d; want %d and %d",
-			p.TheoryLeaves(), p.TheoryMemoHits(), 4*leaves, leaves)
+			p.Stats().TheoryLeaves, p.Stats().TheoryMemoHits, 4*leaves, leaves)
 	}
 }

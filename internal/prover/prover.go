@@ -75,15 +75,14 @@ type Prover struct {
 	// goroutines; the tracer itself is concurrency-safe.
 	Trace *trace.Tracer
 
-	// QueryTimeout, when positive, bounds each uncached query's wall
-	// clock. A query that exceeds it answers "could not prove" — sound
-	// per the package contract — and the result is NOT cached (wall-clock
-	// stops are environmental, not semantic). Set before sharing.
-	QueryTimeout time.Duration
-
-	// Budget, when non-nil, carries the run's cancellation context and
-	// degradation log: a cancelled run makes every subsequent query answer
-	// "could not prove" immediately. Set before sharing.
+	// Budget, when non-nil, carries the run's cancellation context, its
+	// limits and the degradation log: a cancelled run makes every
+	// subsequent query answer "could not prove" immediately, and its
+	// Limits().QueryTimeout, when positive, bounds each uncached query's
+	// wall clock. A query that exceeds it answers "could not prove" —
+	// sound per the package contract — and the result is NOT cached
+	// (wall-clock stops are environmental, not semantic). Set before
+	// sharing.
 	Budget *budget.Tracker
 
 	calls     atomic.Int64
@@ -122,74 +121,115 @@ func New() *Prover {
 	return p
 }
 
-// Calls reports the number of Valid/Unsat entry points taken — the
-// paper's "thm. prover calls" column in Tables 1 and 2.
-func (p *Prover) Calls() int { return int(p.calls.Load()) }
+// Stats is a snapshot of a Prover's counters, the one list every
+// statistics surface (c2bp and slam -stats, predabs.AbstractStats,
+// slam.Result) carries.
+type Stats struct {
+	// ProverCalls is the number of Valid/Unsat entry points taken — the
+	// paper's "thm. prover calls" column in Tables 1 and 2.
+	ProverCalls int
+	// CacheHits counts queries answered from the memo cache (the paper's
+	// optimization 5).
+	CacheHits int
+	// ProverGaveUp counts queries abandoned on resource caps (answered
+	// conservatively: "could not prove"). It includes timeouts and
+	// cancellations.
+	ProverGaveUp int
+	// ProverTimeouts counts queries abandoned on the run's per-query
+	// timeout (a subset of ProverGaveUp; their verdicts are not cached).
+	ProverTimeouts int
+	// ProverCancels counts queries abandoned because the run context was
+	// cancelled (deadline or external cancellation).
+	ProverCancels int
 
-// CacheHits reports the number of queries answered from the memo cache.
-func (p *Prover) CacheHits() int { return int(p.cacheHits.Load()) }
+	// ProverSessions counts incremental sessions opened with NewSession
+	// (zero under the cube engine).
+	ProverSessions int
+	// SessionChecks counts Session.Check calls. The model-enumeration
+	// engine's session checks replace the cube engine's Valid calls, so
+	// ProverCalls + SessionChecks is the run's total query count, the
+	// number to compare across engines.
+	SessionChecks int
+	// ModelsExtracted counts models returned by Session.Check (one per
+	// satisfiable check).
+	ModelsExtracted int
+	// BlockingClauses counts Session.Block assertions — the enumeration
+	// loop's iteration count across all sessions.
+	BlockingClauses int
 
-// GaveUp reports the number of queries abandoned on resource caps
-// (answered conservatively: "could not prove"). It includes timeouts
-// and cancellations.
-func (p *Prover) GaveUp() int { return int(p.gaveUp.Load()) }
+	// SearchNodes and TheoryLeaves are the search effort over every
+	// uncached query and session check: DPLL nodes visited and
+	// theory-consistency checks at full leaves (memo hits included: the
+	// leaf budget's unit). TheoryMemoHits counts the leaves answered from
+	// the prover-wide theory-leaf memo, which session checks consult.
+	SearchNodes    int
+	TheoryLeaves   int
+	TheoryMemoHits int
+	// FMRuns, EqualityProbes and CCUnions are the theory effort of the
+	// leaves actually checked (memo hits run none): Fourier–Motzkin
+	// feasibility runs, entailed-equality probes (disequality refutations
+	// and the LA → CC equality exchange, each up to two Fourier–Motzkin
+	// runs) and congruence-closure class merges.
+	FMRuns         int
+	EqualityProbes int
+	CCUnions       int
 
-// Timeouts reports the number of queries abandoned on QueryTimeout.
-func (p *Prover) Timeouts() int { return int(p.timeouts.Load()) }
-
-// Cancels reports the number of queries abandoned because the run
-// context was cancelled (deadline or external cancellation).
-func (p *Prover) Cancels() int { return int(p.cancels.Load()) }
-
-// SolverTime reports the cumulative wall-clock time spent inside the
-// decision procedures (cache hits excluded). Under the parallel cube
-// search this sums across workers, so it can exceed elapsed time.
-func (p *Prover) SolverTime() time.Duration {
-	return time.Duration(p.theoryNS.Load())
+	// SolverTime is the cumulative wall time inside the decision
+	// procedures (cache hits excluded). Under the parallel cube search it
+	// sums across workers, so it can exceed elapsed time.
+	SolverTime time.Duration
 }
 
-// Sessions reports the number of incremental sessions opened with
-// NewSession.
+// CacheMisses is the number of queries that reached the decision
+// procedures: calls plus session checks, less cache hits.
+func (s Stats) CacheMisses() int { return s.ProverCalls + s.SessionChecks - s.CacheHits }
+
+// Stats snapshots every counter. Each is loaded once; under concurrent
+// queries the fields may come from slightly different instants.
+func (p *Prover) Stats() Stats {
+	return Stats{
+		ProverCalls:     int(p.calls.Load()),
+		CacheHits:       int(p.cacheHits.Load()),
+		ProverGaveUp:    int(p.gaveUp.Load()),
+		ProverTimeouts:  int(p.timeouts.Load()),
+		ProverCancels:   int(p.cancels.Load()),
+		ProverSessions:  int(p.sessions.Load()),
+		SessionChecks:   int(p.sessionChecks.Load()),
+		ModelsExtracted: int(p.modelsExtracted.Load()),
+		BlockingClauses: int(p.blockingClauses.Load()),
+		SearchNodes:     int(p.searchNodes.Load()),
+		TheoryLeaves:    int(p.theoryLeaves.Load()),
+		TheoryMemoHits:  int(p.memoHits.Load()),
+		FMRuns:          int(p.fmRuns.Load()),
+		EqualityProbes:  int(p.eqProbes.Load()),
+		CCUnions:        int(p.ccUnions.Load()),
+		SolverTime:      time.Duration(p.theoryNS.Load()),
+	}
+}
+
+// Calls reports Stats().ProverCalls.
+func (p *Prover) Calls() int { return int(p.calls.Load()) }
+
+// CacheHits reports Stats().CacheHits.
+func (p *Prover) CacheHits() int { return int(p.cacheHits.Load()) }
+
+// GaveUp reports Stats().ProverGaveUp.
+func (p *Prover) GaveUp() int { return int(p.gaveUp.Load()) }
+
+// SolverTime reports Stats().SolverTime.
+func (p *Prover) SolverTime() time.Duration { return time.Duration(p.theoryNS.Load()) }
+
+// Sessions reports Stats().ProverSessions.
 func (p *Prover) Sessions() int { return int(p.sessions.Load()) }
 
-// SessionChecks reports the number of Session.Check calls. Together
-// with Calls it is the run's total query count: the model-enumeration
-// engine's session checks replace the cube engine's Valid calls, so
-// engine comparisons use Calls() + SessionChecks().
+// SessionChecks reports Stats().SessionChecks.
 func (p *Prover) SessionChecks() int { return int(p.sessionChecks.Load()) }
 
-// ModelsExtracted reports the number of models returned by
-// Session.Check (one per satisfiable check).
+// ModelsExtracted reports Stats().ModelsExtracted.
 func (p *Prover) ModelsExtracted() int { return int(p.modelsExtracted.Load()) }
 
-// BlockingClauses reports the number of Session.Block assertions — the
-// enumeration loop's iteration count across all sessions.
+// BlockingClauses reports Stats().BlockingClauses.
 func (p *Prover) BlockingClauses() int { return int(p.blockingClauses.Load()) }
-
-// SearchNodes reports the number of DPLL search nodes visited across
-// all uncached queries and session checks.
-func (p *Prover) SearchNodes() int { return int(p.searchNodes.Load()) }
-
-// TheoryLeaves reports the number of theory-consistency checks at full
-// search leaves (memo hits included): the leaf budget's unit.
-func (p *Prover) TheoryLeaves() int { return int(p.theoryLeaves.Load()) }
-
-// TheoryMemoHits reports how many theory leaves were answered from the
-// prover-wide theory-leaf memo, which session checks consult.
-func (p *Prover) TheoryMemoHits() int { return int(p.memoHits.Load()) }
-
-// FMRuns reports the number of Fourier–Motzkin feasibility runs in the
-// theory leaves actually checked (memo hits run none).
-func (p *Prover) FMRuns() int { return int(p.fmRuns.Load()) }
-
-// EqualityProbes reports the number of entailed-equality probes the
-// linear arithmetic made: disequality refutations and the LA → CC
-// equality exchange. Each probe is up to two Fourier–Motzkin runs.
-func (p *Prover) EqualityProbes() int { return int(p.eqProbes.Load()) }
-
-// CCUnions reports the number of class merges the congruence closure
-// made in the theory leaves actually checked.
-func (p *Prover) CCUnions() int { return int(p.ccUnions.Load()) }
 
 // shard picks the cache stripe for a key.
 func (p *Prover) shard(key string) *cacheShard {
@@ -339,10 +379,10 @@ func (p *Prover) search(key string, s *searcher, roots []int32, query func() for
 // timeout and the run's cancellation.
 func (p *Prover) newSatState(start time.Time) satState {
 	st := satState{budget: maxLeafChecks}
-	if p.QueryTimeout > 0 {
-		st.deadline = start.Add(p.QueryTimeout)
-	}
 	if p.Budget != nil {
+		if d := p.Budget.Limits().QueryTimeout; d > 0 {
+			st.deadline = start.Add(d)
+		}
 		st.done = p.Budget.Context().Done()
 	}
 	return st
@@ -426,7 +466,7 @@ type stopReason uint8
 
 const (
 	stopNone    stopReason = iota
-	stopTimeout            // QueryTimeout elapsed
+	stopTimeout            // the run's query timeout elapsed
 	stopCancel             // run context cancelled
 )
 

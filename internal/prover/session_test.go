@@ -166,20 +166,21 @@ func TestSessionCacheInterop(t *testing.T) {
 			t.Fatalf("%v: check got %v, want %v", tc.asserted, v, tc.want)
 		}
 		s.Close()
-		hits0, nodes0 := p.CacheHits(), p.SearchNodes()
+		hits0, nodes0 := p.CacheHits(), p.Stats().SearchNodes
 		if got := p.Unsat(form.MkAnd(fs...)); got != (tc.want == Unsat) {
 			t.Errorf("%v: Unsat after a %v check = %v", tc.asserted, tc.want, got)
 		}
-		if p.CacheHits() != hits0+1 || p.SearchNodes() != nodes0 {
+		if p.CacheHits() != hits0+1 || p.Stats().SearchNodes != nodes0 {
 			t.Errorf("%v: Unsat after a %v check: cache hits %d -> %d, search nodes %d -> %d; want one hit and no search",
-				tc.asserted, tc.want, hits0, p.CacheHits(), nodes0, p.SearchNodes())
+				tc.asserted, tc.want, hits0, p.CacheHits(), nodes0, p.Stats().SearchNodes)
 		}
 	}
 }
 
 func TestSessionTimeoutNeverCached(t *testing.T) {
 	p := New()
-	p.QueryTimeout = 1 // 1ns: every real search times out
+	// 1ns: every real search times out.
+	p.Budget = budget.New(context.Background(), budget.Limits{QueryTimeout: 1}, nil)
 	s := p.NewSession()
 	defer s.Close()
 	// Large conjunction so the search cannot finish before the first poll.
@@ -198,8 +199,8 @@ func TestSessionTimeoutNeverCached(t *testing.T) {
 	if n := p.CacheSize(); n != 0 {
 		t.Errorf("timed-out session check populated the cache (%d entries)", n)
 	}
-	if p.Timeouts() == 0 || p.GaveUp() == 0 {
-		t.Errorf("timeout counters not bumped: timeouts=%d gaveUp=%d", p.Timeouts(), p.GaveUp())
+	if st := p.Stats(); st.ProverTimeouts == 0 || st.ProverGaveUp == 0 {
+		t.Errorf("timeout counters not bumped: timeouts=%d gaveUp=%d", st.ProverTimeouts, st.ProverGaveUp)
 	}
 }
 
@@ -215,7 +216,7 @@ func TestSessionCancelledRun(t *testing.T) {
 	if v != Unknown || limit != budget.LimitDeadline {
 		t.Fatalf("cancelled run: got %v/%q, want unknown/%q", v, limit, budget.LimitDeadline)
 	}
-	if p.Cancels() == 0 {
+	if p.Stats().ProverCancels == 0 {
 		t.Error("cancel counter not bumped")
 	}
 }

@@ -172,12 +172,7 @@ func Run(in Input, stdout, stderr io.Writer) (code int, outcome string) {
 	if in.Stats {
 		fmt.Fprintf(stderr, "prover calls: %d\nprover cache hits: %d\ntheory solver time: %v\nenforce cubes skipped: %d\n",
 			res.ProverCalls, res.CacheHits, res.SolverTime, res.CubesSkipped)
-		if res.ProverSessions > 0 {
-			fmt.Fprintf(stderr, "prover sessions: %d\nsession checks: %d\nmodels extracted: %d\nblocking clauses: %d\n",
-				res.ProverSessions, res.SessionChecks, res.ModelsExtracted, res.BlockingClauses)
-		}
-		fmt.Fprintf(stderr, "prover search nodes: %d\ntheory leaves: %d (memo hits: %d)\nfourier-motzkin runs: %d\nequality probes: %d\ncongruence unions: %d\n",
-			res.SearchNodes, res.TheoryLeaves, res.TheoryMemoHits, res.FMRuns, res.EqualityProbes, res.CCUnions)
+		obs.WriteProverStats(stderr, res.Stats)
 		fmt.Fprintf(stderr, "stage abstraction (c2bp): %v\nstage model checking (bebop): %v\nstage predicate discovery (newton): %v\n",
 			res.AbstractTime, res.CheckTime, res.NewtonTime)
 		fmt.Fprintf(stderr, "bebop iterations: %d\n", res.CheckIterations)

@@ -42,6 +42,8 @@ const (
 	Unknown
 )
 
+// String returns the outcome's label: "verified", "error-found" or
+// "unknown".
 func (o Outcome) String() string {
 	switch o {
 	case Verified:
@@ -96,10 +98,11 @@ type Config struct {
 	Progress func(iter, preds int, queries int64, engine string)
 	// Prover overrides the theorem prover — the hook for fault injection
 	// and alternative decision procedures. nil builds a prover.New()
-	// configured from Limits. An override is used as-is (QueryTimeout
-	// from Limits is NOT applied to it); prover statistics appear in the
-	// Result only when the override implements the optional Calls /
-	// CacheHits / SolverTime / Timeouts methods.
+	// that reads its query timeout from the run's budget tracker. An
+	// override is used as-is (the query timeout in Limits reaches it only
+	// through a Budget of its own); prover statistics appear in the
+	// Result only when the override implements the optional
+	// Stats() prover.Stats method.
 	Prover prover.Querier
 }
 
@@ -116,39 +119,20 @@ type Result struct {
 	Predicates map[string][]string
 	// PredCount is the total number of predicates in the final round.
 	PredCount int
-	// ProverCalls accumulates theorem prover calls across all rounds.
-	ProverCalls int
-	// CacheHits accumulates prover queries answered from the memo cache
-	// (optimization 5 working across CEGAR iterations).
-	CacheHits int
-	// ProverSessions, SessionChecks, ModelsExtracted and BlockingClauses
-	// accumulate the model-enumeration engine's incremental-session
-	// activity across all rounds; all zero under the default cube engine.
-	// ProverCalls + SessionChecks is the run's total prover interaction
-	// count, the number to compare across engines.
-	ProverSessions  int
-	SessionChecks   int
-	ModelsExtracted int
-	BlockingClauses int
-	// SearchNodes, TheoryLeaves and TheoryMemoHits are the prover's
-	// search effort (see prover.Prover.SearchNodes): DPLL nodes, theory
-	// leaves and leaves answered from the theory-leaf memo. They count
-	// this process's work only; a resumed run does not inherit them.
-	SearchNodes    int
-	TheoryLeaves   int
-	TheoryMemoHits int
-	// FMRuns, EqualityProbes and CCUnions are the theory leaves' effort
-	// (see prover.Prover.FMRuns), likewise for this process only.
-	FMRuns         int
-	EqualityProbes int
-	CCUnions       int
+	// Stats carries the prover's counters across all rounds: calls and
+	// cache hits (optimization 5 working across CEGAR iterations), the
+	// model-enumeration engine's session activity (all zero under the
+	// default cube engine; ProverCalls + SessionChecks is the run's total
+	// prover interaction count, the number to compare across engines),
+	// search and theory effort and solver time. A resumed run inherits
+	// the journaled calls, hits and session counters (see
+	// checkpoint.Counters); give-ups, effort and solver time count this
+	// process's work only.
+	prover.Stats
 	// CubesSkipped counts, across this process's rounds, the enforce
 	// candidates the abstraction never submitted because their
 	// predicates share no symbol the prover relates.
 	CubesSkipped int
-	// SolverTime is the cumulative wall time inside the decision
-	// procedures.
-	SolverTime time.Duration
 	// AbstractTime, CheckTime and NewtonTime are the per-stage wall
 	// times accumulated across all CEGAR iterations (C2bp, Bebop, Newton
 	// respectively), the paper's "C2bp dominates the cost" observation
@@ -269,10 +253,6 @@ func verifyProgram(ctx context.Context, prog *cast.Program, entry string, cfg Co
 	}
 	bt := budget.New(ctx, cfg.Limits, tracer)
 	cfg.Opts.Budget = bt
-	if cfg.Limits.CubeBudget > 0 {
-		cfg.Opts.CubeBudget = cfg.Limits.CubeBudget
-	}
-	bebopLimits := bebop.Limits{Budget: bt, MaxBDDNodes: cfg.Limits.BDDMaxNodes}
 
 	var res *cnorm.Result
 	var aa *alias.Analysis
@@ -297,7 +277,6 @@ func verifyProgram(ctx context.Context, prog *cast.Program, entry string, cfg Co
 	if pv == nil {
 		p := prover.New()
 		p.Trace = tracer
-		p.QueryTimeout = cfg.Limits.QueryTimeout
 		p.Budget = bt
 		pv = p
 	}
@@ -372,12 +351,7 @@ func verifyProgram(ctx context.Context, prog *cast.Program, entry string, cfg Co
 		// where the loop body never runs — reports the same totals an
 		// uninterrupted run would.
 		out.Iterations = snap.Iter
-		out.ProverCalls = base.ProverCalls
-		out.CacheHits = base.CacheHits
-		out.ProverSessions = base.ProverSessions
-		out.SessionChecks = base.SessionChecks
-		out.ModelsExtracted = base.ModelsExtracted
-		out.BlockingClauses = base.BlockingClauses
+		out.Stats = base.Plus(prover.Stats{})
 		out.CheckIterations = base.CheckIterations
 		for p, n := range base.CheckIterationsByProc {
 			out.CheckIterationsByProc[p] = n
@@ -451,7 +425,7 @@ func verifyProgram(ctx context.Context, prog *cast.Program, entry string, cfg Co
 		checkStart := time.Now()
 		var checker *bebop.Checker
 		err = runStage("bebop", func() (err error) {
-			checker, err = bebop.CheckLimited(abs.BP, entry, tracer, bebopLimits)
+			checker, err = bebop.CheckLimited(abs.BP, entry, tracer, bt)
 			return err
 		})
 		out.CheckTime += time.Since(checkStart)
@@ -492,7 +466,7 @@ func verifyProgram(ctx context.Context, prog *cast.Program, entry string, cfg Co
 		newtonStart := time.Now()
 		var nres *newton.Result
 		err = runStage("newton", func() (err error) {
-			nres, err = newton.AnalyzeLimited(res, aa, pv, trace, tracer, bt)
+			nres, err = newton.Analyze(res, aa, pv, trace, tracer, bt)
 			return err
 		})
 		out.NewtonTime += time.Since(newtonStart)
@@ -577,40 +551,8 @@ func verifyProgram(ctx context.Context, prog *cast.Program, entry string, cfg Co
 // fresh process's prover counts only post-resume work, and the sum
 // reproduces the uninterrupted run's totals.
 func recordProverStats(out *Result, pv prover.Querier, base checkpoint.Counters) {
-	if s, ok := pv.(interface{ Calls() int }); ok {
-		out.ProverCalls = base.ProverCalls + s.Calls()
-	}
-	if s, ok := pv.(interface{ CacheHits() int }); ok {
-		out.CacheHits = base.CacheHits + s.CacheHits()
-	}
-	if s, ok := pv.(interface{ SolverTime() time.Duration }); ok {
-		out.SolverTime = s.SolverTime()
-	}
-	if s, ok := pv.(interface{ Sessions() int }); ok {
-		out.ProverSessions = base.ProverSessions + s.Sessions()
-	}
-	if s, ok := pv.(interface{ SessionChecks() int }); ok {
-		out.SessionChecks = base.SessionChecks + s.SessionChecks()
-	}
-	if s, ok := pv.(interface{ ModelsExtracted() int }); ok {
-		out.ModelsExtracted = base.ModelsExtracted + s.ModelsExtracted()
-	}
-	if s, ok := pv.(interface{ BlockingClauses() int }); ok {
-		out.BlockingClauses = base.BlockingClauses + s.BlockingClauses()
-	}
-	if s, ok := pv.(interface {
-		SearchNodes() int
-		TheoryLeaves() int
-		TheoryMemoHits() int
-	}); ok {
-		out.SearchNodes, out.TheoryLeaves, out.TheoryMemoHits = s.SearchNodes(), s.TheoryLeaves(), s.TheoryMemoHits()
-	}
-	if s, ok := pv.(interface {
-		FMRuns() int
-		EqualityProbes() int
-		CCUnions() int
-	}); ok {
-		out.FMRuns, out.EqualityProbes, out.CCUnions = s.FMRuns(), s.EqualityProbes(), s.CCUnions()
+	if s, ok := pv.(interface{ Stats() prover.Stats }); ok {
+		out.Stats = base.Plus(s.Stats())
 	}
 }
 
@@ -639,16 +581,9 @@ func commitCheckpoint(ckpt *checkpoint.Manager, tracer *tracepkg.Tracer, logf fu
 	if exp, ok := pv.(interface{ ExportCache() []prover.CacheEntry }); ok {
 		rec.Cache = exp.ExportCache()
 	}
-	rec.Counters = checkpoint.Counters{
-		ProverCalls:           out.ProverCalls,
-		CacheHits:             out.CacheHits,
-		CheckIterations:       out.CheckIterations,
-		CheckIterationsByProc: out.CheckIterationsByProc,
-		ProverSessions:        out.ProverSessions,
-		SessionChecks:         out.SessionChecks,
-		ModelsExtracted:       out.ModelsExtracted,
-		BlockingClauses:       out.BlockingClauses,
-	}
+	rec.Counters = checkpoint.ProverCounters(out.Stats)
+	rec.Counters.CheckIterations = out.CheckIterations
+	rec.Counters.CheckIterationsByProc = out.CheckIterationsByProc
 	if err := ckpt.AppendIteration(rec); err != nil {
 		logf("slam: checkpoint commit failed: %v (continuing without persistence)", err)
 	}

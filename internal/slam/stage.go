@@ -22,6 +22,8 @@ type StageError struct {
 	Err error
 }
 
+// Error names the stage and whether it failed or panicked, followed by
+// the underlying error.
 func (e *StageError) Error() string {
 	if e.Panicked {
 		return fmt.Sprintf("stage %s panicked: %v", e.Stage, e.Err)
@@ -29,6 +31,7 @@ func (e *StageError) Error() string {
 	return fmt.Sprintf("stage %s: %v", e.Stage, e.Err)
 }
 
+// Unwrap returns the underlying failure, for errors.Is and errors.As.
 func (e *StageError) Unwrap() error { return e.Err }
 
 // maxStackLines bounds the stack rendering inside a recovered panic; the

@@ -150,28 +150,21 @@ func LoadGhostAliasing(src string) (*Program, error) {
 
 // StageTime is a named wall-time measurement (per-procedure abstraction
 // times in AbstractStats).
-type StageTime struct {
-	Name string
-	D    time.Duration
-}
+type StageTime = abstract.ProcTime
 
 // AbstractStats reports the cost of one abstraction run: the columns of
 // the paper's Tables 1 and 2, plus the per-stage timings and prover
 // cache behaviour behind the -stats flag of cmd/c2bp.
 type AbstractStats struct {
-	// ProverCalls is the number of theorem-prover queries.
-	ProverCalls int
-	// CacheHits counts prover queries answered from the memo cache
-	// (the paper's optimization 5).
-	CacheHits int
-	// CacheMisses counts prover queries that reached the decision
-	// procedures (ProverCalls - CacheHits).
-	CacheMisses int
-	// ProverGaveUp counts queries abandoned on resource caps.
-	ProverGaveUp int
-	// ProverTimeouts counts queries abandoned on the per-query deadline
-	// (a subset of ProverGaveUp; their verdicts are not cached).
-	ProverTimeouts int
+	// Stats carries the prover's counters: ProverCalls is the number of
+	// theorem-prover queries, CacheHits the queries answered from the
+	// memo cache (the paper's optimization 5), and CacheMisses() the ones
+	// that reached the decision procedures. Search and theory effort
+	// count this process's work only; a run warm-started from a
+	// checkpoint does not inherit them, and the queries its restored
+	// cache answers add none. SolverTime sums across cube-search workers
+	// (it can exceed AbstractTime when Options.Jobs > 1).
+	prover.Stats
 	// CubesChecked counts cube implication candidates examined.
 	CubesChecked int
 	// CubesSkipped counts enforce candidates never submitted because
@@ -183,37 +176,6 @@ type AbstractStats struct {
 	CubeRounds int
 	// Predicates is the number of input predicates.
 	Predicates int
-
-	// ProverSessions counts incremental prover sessions opened by the
-	// model-enumeration engine (zero under the default cube engine).
-	ProverSessions int
-	// SessionChecks counts incremental session checks; ProverCalls +
-	// SessionChecks is the run's total query count, the number to use
-	// when comparing engines.
-	SessionChecks int
-	// ModelsExtracted counts models returned by session checks.
-	ModelsExtracted int
-	// BlockingClauses counts blocking-clause assertions — the model
-	// enumeration's loop iterations.
-	BlockingClauses int
-
-	// SearchNodes and TheoryLeaves are the prover's search effort: DPLL
-	// nodes visited and theory-consistency checks at full leaves, over
-	// every uncached query and session check. TheoryMemoHits counts the
-	// leaves answered from the prover's theory-leaf memo. They count
-	// this process's work only; a run warm-started from a checkpoint does
-	// not inherit them, and the queries its restored cache answers add
-	// none.
-	SearchNodes    int
-	TheoryLeaves   int
-	TheoryMemoHits int
-	// FMRuns, EqualityProbes and CCUnions are the theory leaves' effort
-	// (see prover.Prover.FMRuns): Fourier–Motzkin runs, entailed-equality
-	// probes and congruence-closure class merges, in the leaves the
-	// memo did not answer.
-	FMRuns         int
-	EqualityProbes int
-	CCUnions       int
 
 	// ParseTime covers parsing, type checking and normalization (from
 	// Load).
@@ -227,10 +189,6 @@ type AbstractStats struct {
 	// CubeSearchTime is the portion of AbstractTime spent in the
 	// prover-backed cube search F_V/G_V (the paper's dominant cost).
 	CubeSearchTime time.Duration
-	// SolverTime is the wall time inside the decision procedures,
-	// summed across cube-search workers (can exceed AbstractTime when
-	// Options.Jobs > 1).
-	SolverTime time.Duration
 	// ProcTimes lists the abstraction wall time of each procedure.
 	ProcTimes []StageTime
 	// ProcCubes lists each procedure's cube-search rounds and candidate
@@ -291,12 +249,8 @@ func (p *Program) AbstractCheckpointed(ctx context.Context, predicates string, o
 	}
 	bt := budget.New(ctx, lim, opts.Tracer)
 	opts.Budget = bt
-	if lim.CubeBudget > 0 {
-		opts.CubeBudget = lim.CubeBudget
-	}
 	pv := prover.New()
 	pv.Trace = opts.Tracer
-	pv.QueryTimeout = lim.QueryTimeout
 	pv.Budget = bt
 	if snap := ckpt.Snapshot(); snap != nil {
 		restoreSpan := opts.Tracer.Begin("checkpoint", "restore")
@@ -322,7 +276,7 @@ func (p *Program) AbstractCheckpointed(ctx context.Context, predicates string, o
 			procOrder = append(procOrder, f.Name)
 		}
 		rec.Sigs = abstract.SignatureRecords(res.Sigs, procOrder)
-		rec.Counters = checkpoint.Counters{ProverCalls: pv.Calls(), CacheHits: pv.CacheHits()}
+		rec.Counters = checkpoint.ProverCounters(pv.Stats())
 		ckpt.AppendIteration(rec)
 		ckpt.AppendFinal("abstracted", "")
 		commitSpan.End(trace.Int("n", 1), trace.Int("cache_entries", len(rec.Cache)))
@@ -331,42 +285,23 @@ func (p *Program) AbstractCheckpointed(ctx context.Context, predicates string, o
 	for _, sec := range sections {
 		n += len(sec.Exprs)
 	}
-	procTimes := make([]StageTime, len(res.Stats.ProcTimes))
-	for i, pt := range res.Stats.ProcTimes {
-		procTimes[i] = StageTime{Name: pt.Name, D: pt.D}
-	}
 	return &BooleanProgram{
 		prog: res.BP,
 		stats: AbstractStats{
-			ProverCalls:     pv.Calls(),
-			CacheHits:       pv.CacheHits(),
-			CacheMisses:     pv.Calls() + pv.SessionChecks() - pv.CacheHits(),
-			ProverGaveUp:    pv.GaveUp(),
-			ProverTimeouts:  pv.Timeouts(),
-			CubesChecked:    res.Stats.CubesChecked,
-			CubesSkipped:    res.Stats.CubesSkipped,
-			CubeRounds:      res.Stats.CubeRounds,
-			Predicates:      n,
-			ProverSessions:  pv.Sessions(),
-			SessionChecks:   pv.SessionChecks(),
-			ModelsExtracted: pv.ModelsExtracted(),
-			BlockingClauses: pv.BlockingClauses(),
-			SearchNodes:     pv.SearchNodes(),
-			TheoryLeaves:    pv.TheoryLeaves(),
-			TheoryMemoHits:  pv.TheoryMemoHits(),
-			FMRuns:          pv.FMRuns(),
-			EqualityProbes:  pv.EqualityProbes(),
-			CCUnions:        pv.CCUnions(),
-			ParseTime:       p.parseTime,
-			AliasTime:       p.aliasTime,
-			SignatureTime:   res.Stats.SignatureTime,
-			AbstractTime:    abstractTime,
-			CubeSearchTime:  res.Stats.CubeSearchTime,
-			SolverTime:      pv.SolverTime(),
-			ProcTimes:       procTimes,
-			ProcCubes:       append([]ProcCubeStat{}, res.Stats.ProcCubes...),
-			DegradedProcs:   append([]string{}, res.Stats.DegradedProcs...),
-			Degradations:    bt.Events(),
+			Stats:          pv.Stats(),
+			CubesChecked:   res.Stats.CubesChecked,
+			CubesSkipped:   res.Stats.CubesSkipped,
+			CubeRounds:     res.Stats.CubeRounds,
+			Predicates:     n,
+			ParseTime:      p.parseTime,
+			AliasTime:      p.aliasTime,
+			SignatureTime:  res.Stats.SignatureTime,
+			AbstractTime:   abstractTime,
+			CubeSearchTime: res.Stats.CubeSearchTime,
+			ProcTimes:      append([]StageTime{}, res.Stats.ProcTimes...),
+			ProcCubes:      append([]ProcCubeStat{}, res.Stats.ProcCubes...),
+			DegradedProcs:  append([]string{}, res.Stats.DegradedProcs...),
+			Degradations:   bt.Events(),
 		},
 	}, nil
 }
@@ -435,7 +370,7 @@ func (b *BooleanProgram) CheckCtx(ctx context.Context, entry string, tr *trace.T
 		defer cancel()
 	}
 	bt := budget.New(ctx, lim, tr)
-	ch, err := bebop.CheckLimited(b.prog, entry, tr, bebop.Limits{Budget: bt, MaxBDDNodes: lim.BDDMaxNodes})
+	ch, err := bebop.CheckLimited(b.prog, entry, tr, bt)
 	if err != nil {
 		return nil, fmt.Errorf("predabs: bebop: %w", err)
 	}
@@ -595,7 +530,7 @@ func (p *Program) PathFeasibility(predicates, entry string) (feasible bool, newP
 	if !ok {
 		return false, nil, fmt.Errorf("predabs: trace extraction failed")
 	}
-	nres, err := newton.Analyze(p.norm, p.alias, prover.New(), trace)
+	nres, err := newton.Analyze(p.norm, p.alias, prover.New(), trace, nil, nil)
 	if err != nil {
 		return false, nil, err
 	}

@@ -11,6 +11,7 @@ import (
 	"strings"
 	"testing"
 
+	"predabs/internal/prover"
 	"predabs/internal/trace"
 )
 
@@ -233,7 +234,9 @@ func TestReportAggregateDeterminism(t *testing.T) {
 // counters aggregated from the event stream must equal the ones the
 // facade reports through AbstractStats / CheckStats — for both
 // abstraction engines (the models sub-run also pins the session
-// counters, which the cube engine must leave at zero).
+// counters, which the cube engine must leave at zero). Under each engine
+// a slam run handed its own prover must also report exactly that
+// prover's counters.
 func TestReportTotalsMatchStats(t *testing.T) {
 	var bprog *BooleanProgram
 	for _, engine := range []string{EngineCubes, EngineModels} {
@@ -259,7 +262,7 @@ func TestReportTotalsMatchStats(t *testing.T) {
 			}{
 				{"prover calls", rep.ProverCalls, s.ProverCalls},
 				{"cache hits", rep.CacheHits, s.CacheHits},
-				{"cache misses", rep.CacheMisses, s.CacheMisses},
+				{"cache misses", rep.CacheMisses, s.CacheMisses()},
 				{"gave up", rep.ProverGaveUp, s.ProverGaveUp},
 				{"cubes checked", rep.CubesChecked, s.CubesChecked},
 				{"cubes skipped", rep.CubesSkipped, s.CubesSkipped},
@@ -297,6 +300,22 @@ func TestReportTotalsMatchStats(t *testing.T) {
 			}
 			if !reflect.DeepEqual(repProcs, s.ProcCubes) {
 				t.Errorf("per-proc cube stats: report %+v != stats %+v", repProcs, s.ProcCubes)
+			}
+
+			pv := prover.New()
+			cfg := DefaultVerifyConfig()
+			cfg.Opts.Jobs = 1
+			cfg.Opts.Engine = engine
+			cfg.Prover = pv
+			res, err := VerifySpec(lockBadSrc, lockSpecSrc, "main", cfg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if res.Stats != pv.Stats() {
+				t.Errorf("slam result stats %+v != its prover's %+v", res.Stats, pv.Stats())
+			}
+			if engine == EngineModels && res.SessionChecks == 0 {
+				t.Error("models engine made no session checks in slam")
 			}
 		})
 	}
