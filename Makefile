@@ -124,11 +124,10 @@ bench-check:
 	bash cmd/bench/run.sh -check $(BASE) .bench_build/check.jsonl
 
 # Doc gate: static analysis plus the exported-identifier doc-comment
-# check over the facade and the pipeline packages behind it (the
-# packages the paper's readers land in first).
+# check over every package of the root module.
 lint-docs:
 	$(GO) vet ./...
-	$(GO) run ./cmd/lintdocs . ./internal/prover ./internal/slam ./internal/budget ./internal/newton ./internal/bebop ./internal/abstract
+	$(GO) run ./cmd/lintdocs $$($(GO) list -f '{{.Dir}}' ./...)
 
 tools:
 	$(GO) build -o bin/ ./cmd/...

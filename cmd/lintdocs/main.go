@@ -3,8 +3,8 @@
 // on an exported type, type, variable and constant must carry a doc
 // comment (a group comment on the enclosing var/const/type block
 // counts). It prints one file:line per violation and exits nonzero if
-// any were found — `make lint-docs` runs it over the facade and the
-// prover as part of verify-extended.
+// any were found — `make lint-docs` runs it over every package of the
+// root module as part of verify-extended.
 package main
 
 import (

@@ -1,13 +1,13 @@
 // Package bdd implements reduced ordered binary decision diagrams with the
-// operations the Bebop model checker needs: boolean connectives, ite,
-// existential quantification, variable renaming, satisfying-assignment
-// enumeration and counting. The paper's Bebop represents reachable-state
+// operations the Bebop model checker needs: boolean connectives,
+// existential quantification, variable renaming, restriction and
+// satisfying-assignment enumeration. The paper's Bebop represents reachable-state
 // sets and transfer functions with BDDs (Section 2.2).
 //
 // A Manager keeps its nodes in one flat store indexed by node id, with
 // two open-addressed tables beside it: the unique table (node ids,
 // hash-consing) and the apply memo (exact: it never drops an entry).
-// Exists, Replace, Restrict and Support memoise on one node-indexed
+// Exists, Replace and Restrict memoise on one node-indexed
 // scratch stamped with a generation counter, so a warm manager allocates
 // nothing per call. Every operation recurses low cofactor before high,
 // so a sequence of calls creates the same nodes, with the same ids, on
@@ -17,7 +17,6 @@ package bdd
 import (
 	"fmt"
 	"math"
-	"strings"
 )
 
 // terminalVar orders terminals below every real variable.
@@ -60,7 +59,7 @@ type Manager struct {
 	applyN int  // filled apply slots
 	// notMemo[f] is 1+¬f, or 0 while ¬f is unknown.
 	notMemo []int32
-	// The per-call scratch of Exists, Replace, Restrict and Support:
+	// The per-call scratch of Exists, Replace and Restrict:
 	// memo by node id, the variable set (and Replace's renaming) by
 	// variable. An entry counts only while its stamp equals gen.
 	memo    []memoEntry
@@ -106,9 +105,6 @@ func (m *Manager) True() int { return 1 }
 
 // IsFalse reports whether f is the constant false.
 func (m *Manager) IsFalse(f int) bool { return f == 0 }
-
-// IsTrue reports whether f is the constant true.
-func (m *Manager) IsTrue(f int) bool { return f == 1 }
 
 // hash3 mixes three ids into the top bits of a 64-bit word (Fibonacci
 // hashing): a table of 2^k slots indexes by the top k bits.
@@ -169,14 +165,6 @@ func (m *Manager) Var(i int) int {
 	return int(m.mk(int32(i), 0, 1))
 }
 
-// NVar returns the BDD for ¬variable i.
-func (m *Manager) NVar(i int) int {
-	if i < 0 || i >= m.numVars {
-		panic(fmt.Sprintf("bdd: variable %d out of range (%d vars)", i, m.numVars))
-	}
-	return int(m.mk(int32(i), 1, 0))
-}
-
 // Not returns ¬f.
 func (m *Manager) Not(f int) int { return int(m.not(int32(f))) }
 
@@ -220,9 +208,7 @@ func (m *Manager) Implies(a, b int) int { return m.Or(m.Not(a), b) }
 // Iff returns a ↔ b.
 func (m *Manager) Iff(a, b int) int { return m.Not(m.Xor(a, b)) }
 
-// Ite returns if f then g else h.
-func (m *Manager) Ite(f, g, h int) int { return int(m.ite(int32(f), int32(g), int32(h))) }
-
+// ite returns if f then g else h.
 func (m *Manager) ite(f, g, h int32) int32 {
 	return m.applyOp(opOr, m.applyOp(opAnd, f, g), m.applyOp(opAnd, m.not(f), h))
 }
@@ -322,15 +308,6 @@ func (m *Manager) AndN(fs ...int) int {
 	return r
 }
 
-// OrN folds Or over the arguments (false for none).
-func (m *Manager) OrN(fs ...int) int {
-	r := 0
-	for _, f := range fs {
-		r = m.Or(r, f)
-	}
-	return r
-}
-
 // begin starts a traversal on the per-call scratch: a fresh generation
 // invalidates every memo entry and variable mark at once. The scratch
 // covers the nodes that exist now, which are all a traversal of an
@@ -384,13 +361,6 @@ func (m *Manager) exists(f int32) int32 {
 	}
 	m.memo[f] = memoEntry{m.gen, r}
 	return r
-}
-
-// RelProd returns ∃vars. a ∧ b (conjoin-then-quantify, fused).
-func (m *Manager) RelProd(a, b int, vars []int) int {
-	// The fused version matters for very large relations; at Bebop's
-	// scale conjoin-then-quantify is fine and simpler to trust.
-	return m.Exists(m.And(a, b), vars)
 }
 
 // Replace renames variables in f according to the map (variables not in
@@ -460,82 +430,6 @@ func (m *Manager) restrict(g int32, v int, val bool) int32 {
 	return r
 }
 
-// Eval evaluates f under a total assignment (indexed by variable).
-func (m *Manager) Eval(f int, assignment []bool) bool {
-	for f > 1 {
-		n := m.nodes[f]
-		if int(n.v) < len(assignment) && assignment[n.v] {
-			f = int(n.hi)
-		} else {
-			f = int(n.lo)
-		}
-	}
-	return f == 1
-}
-
-// Support returns the sorted set of variables f depends on.
-func (m *Manager) Support(f int) []int {
-	m.begin()
-	m.support(int32(f))
-	out := []int{}
-	for v := 0; v < m.numVars; v++ {
-		if m.varGen[v] == m.gen {
-			out = append(out, v)
-		}
-	}
-	return out
-}
-
-func (m *Manager) support(g int32) {
-	if g <= 1 || m.memo[g].gen == m.gen {
-		return
-	}
-	m.memo[g].gen = m.gen
-	n := m.nodes[g]
-	m.varGen[n.v] = m.gen
-	m.support(n.lo)
-	m.support(n.hi)
-}
-
-// SatCount returns the number of satisfying assignments of f over the
-// given number of variables.
-func (m *Manager) SatCount(f, nvars int) float64 {
-	memo := map[int32]float64{}
-	var rec func(int32) float64
-	rec = func(g int32) float64 {
-		if g == 0 {
-			return 0
-		}
-		if g == 1 {
-			return 1
-		}
-		if r, ok := memo[g]; ok {
-			return r
-		}
-		n := m.nodes[g]
-		r := rec(n.lo)*m.weight(n.lo, n.v) + rec(n.hi)*m.weight(n.hi, n.v)
-		memo[g] = r
-		return r
-	}
-	if f <= 1 {
-		if f == 1 {
-			return math.Exp2(float64(nvars))
-		}
-		return 0
-	}
-	top := m.nodes[f].v
-	return rec(int32(f)) * math.Exp2(float64(top))
-}
-
-// weight accounts for variables skipped between a node and its child.
-func (m *Manager) weight(child, parentVar int32) float64 {
-	gap := m.numVars - int(parentVar) - 1
-	if child > 1 {
-		gap = int(m.nodes[child].v - parentVar - 1)
-	}
-	return math.Exp2(float64(gap))
-}
-
 // AllSat enumerates satisfying assignments of f projected onto vars: each
 // result maps (by position) to 0, 1. Variables outside the BDD's support
 // are expanded, so every returned vector is a concrete assignment.
@@ -563,52 +457,4 @@ func (m *Manager) AllSat(f int, vars []int) [][]byte {
 	}
 	rec(f, 0)
 	return out
-}
-
-// AnySat returns one satisfying assignment over the given variables, or
-// nil if f is unsatisfiable.
-func (m *Manager) AnySat(f int, vars []int) []byte {
-	if f == 0 {
-		return nil
-	}
-	cur := make([]byte, len(vars))
-	for i, v := range vars {
-		lo := m.Restrict(f, v, false)
-		if lo != 0 {
-			cur[i] = 0
-			f = lo
-		} else {
-			cur[i] = 1
-			f = m.Restrict(f, v, true)
-		}
-	}
-	if f == 0 {
-		return nil
-	}
-	return cur
-}
-
-// String renders f as a sum of cubes over its support (diagnostics).
-func (m *Manager) String(f int) string {
-	if f == 0 {
-		return "false"
-	}
-	if f == 1 {
-		return "true"
-	}
-	support := m.Support(f)
-	rows := m.AllSat(f, support)
-	var parts []string
-	for _, row := range rows {
-		var cube []string
-		for i, b := range row {
-			if b == 1 {
-				cube = append(cube, fmt.Sprintf("v%d", support[i]))
-			} else {
-				cube = append(cube, fmt.Sprintf("!v%d", support[i]))
-			}
-		}
-		parts = append(parts, strings.Join(cube, "&"))
-	}
-	return strings.Join(parts, " | ")
 }

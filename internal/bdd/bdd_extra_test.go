@@ -5,19 +5,6 @@ import (
 	"testing"
 )
 
-func TestRelProdEqualsExistsAnd(t *testing.T) {
-	r := rand.New(rand.NewSource(91))
-	for trial := 0; trial < 80; trial++ {
-		m := New(6)
-		a, _ := randomFormula(m, r, 3)
-		b, _ := randomFormula(m, r, 3)
-		vars := []int{r.Intn(6), r.Intn(6)}
-		if m.RelProd(a, b, vars) != m.Exists(m.And(a, b), vars) {
-			t.Fatal("RelProd != Exists∘And")
-		}
-	}
-}
-
 func TestImpliesAndIff(t *testing.T) {
 	m := New(2)
 	a, b := m.Var(0), m.Var(1)
@@ -41,11 +28,12 @@ func TestRestrictThenSupport(t *testing.T) {
 	g := m.Restrict(f, 1, true)
 	// With v1=1, f reduces to v0.
 	if g != m.Var(0) {
-		t.Errorf("restrict: got %s", m.String(g))
+		t.Errorf("restrict: got node %d, want %d", g, m.Var(0))
 	}
-	sup := m.Support(g)
-	if len(sup) != 1 || sup[0] != 0 {
-		t.Errorf("support: %v", sup)
+	// Its support is {v0}: quantifying v0 out changes it, quantifying
+	// the other variables out does not.
+	if m.Exists(g, []int{1, 2, 3}) != g || m.Exists(g, []int{0}) == g {
+		t.Errorf("support of node %d is not {v0}", g)
 	}
 }
 
@@ -56,7 +44,7 @@ func TestAddVarGrowsManager(t *testing.T) {
 		t.Fatalf("AddVar: %d, NumVars %d", v, m.NumVars())
 	}
 	f := m.And(m.Var(0), m.Var(v))
-	if m.SatCount(f, 2) != 1 {
+	if !m.Eval(f, []bool{true, true}) || m.Eval(f, []bool{true, false}) {
 		t.Error("new variable unusable")
 	}
 }
@@ -64,9 +52,9 @@ func TestAddVarGrowsManager(t *testing.T) {
 func TestReplaceWithOverlappingRange(t *testing.T) {
 	// Rename into variables that interleave with the existing support.
 	m := New(6)
-	f := m.And(m.Var(1), m.NVar(3))
+	f := m.And(m.Var(1), m.Not(m.Var(3)))
 	g := m.Replace(f, map[int]int{1: 2, 3: 0})
-	want := m.And(m.Var(2), m.NVar(0))
+	want := m.And(m.Var(2), m.Not(m.Var(0)))
 	if g != want {
 		t.Error("interleaved replace failed")
 	}
@@ -78,7 +66,7 @@ func TestAllSatCoversExactly(t *testing.T) {
 		m := New(5)
 		f, _ := randomFormula(m, r, 3)
 		rows := m.AllSat(f, []int{0, 1, 2, 3, 4})
-		// Every row satisfies f, and the count matches SatCount.
+		// Every row satisfies f, and there is one row per model.
 		for _, row := range rows {
 			a := make([]bool, 5)
 			for i, b := range row {
@@ -88,8 +76,18 @@ func TestAllSatCoversExactly(t *testing.T) {
 				t.Fatalf("AllSat row %v does not satisfy f", row)
 			}
 		}
-		if float64(len(rows)) != m.SatCount(f, 5) {
-			t.Fatalf("AllSat %d rows, SatCount %v", len(rows), m.SatCount(f, 5))
+		models := 0
+		for mask := 0; mask < 1<<5; mask++ {
+			a := make([]bool, 5)
+			for i := range a {
+				a[i] = mask&(1<<i) != 0
+			}
+			if m.Eval(f, a) {
+				models++
+			}
+		}
+		if len(rows) != models {
+			t.Fatalf("AllSat %d rows, %d models", len(rows), models)
 		}
 	}
 }

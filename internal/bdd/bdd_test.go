@@ -24,9 +24,6 @@ func TestBasicIdentities(t *testing.T) {
 	if m.Xor(a, a) != m.False() {
 		t.Error("a ⊕ a != false")
 	}
-	if m.NVar(0) != m.Not(m.Var(0)) {
-		t.Error("NVar != Not(Var)")
-	}
 }
 
 func TestCanonicity(t *testing.T) {
@@ -40,6 +37,20 @@ func TestCanonicity(t *testing.T) {
 	}
 }
 
+// Eval evaluates f under a total assignment (indexed by variable): the
+// truth-table oracle the properties below check BDDs against.
+func (m *Manager) Eval(f int, assignment []bool) bool {
+	for f > 1 {
+		n := m.nodes[f]
+		if int(n.v) < len(assignment) && assignment[n.v] {
+			f = int(n.hi)
+		} else {
+			f = int(n.lo)
+		}
+	}
+	return f == 1
+}
+
 // randomFormula builds a random BDD and a mirror evaluator function.
 func randomFormula(m *Manager, r *rand.Rand, depth int) (int, func([]bool) bool) {
 	if depth == 0 || r.Intn(4) == 0 {
@@ -47,7 +58,7 @@ func randomFormula(m *Manager, r *rand.Rand, depth int) (int, func([]bool) bool)
 		if r.Intn(2) == 0 {
 			return m.Var(v), func(a []bool) bool { return a[v] }
 		}
-		return m.NVar(v), func(a []bool) bool { return !a[v] }
+		return m.Not(m.Var(v)), func(a []bool) bool { return !a[v] }
 	}
 	l, fl := randomFormula(m, r, depth-1)
 	rr, fr := randomFormula(m, r, depth-1)
@@ -156,7 +167,7 @@ func randomFormula4(m *Manager, r *rand.Rand) (int, func([]bool) bool) {
 			if r.Intn(2) == 0 {
 				return m.Var(v)
 			}
-			return m.NVar(v)
+			return m.Not(m.Var(v))
 		}
 		l, rr := rec(depth-1), rec(depth-1)
 		switch r.Intn(3) {
@@ -169,50 +180,6 @@ func randomFormula4(m *Manager, r *rand.Rand) (int, func([]bool) bool) {
 		}
 	}
 	return rec(3), nil
-}
-
-func TestSatCount(t *testing.T) {
-	m := New(3)
-	a, b := m.Var(0), m.Var(1)
-	cases := []struct {
-		f    int
-		want float64
-	}{
-		{m.True(), 8},
-		{m.False(), 0},
-		{a, 4},
-		{m.And(a, b), 2},
-		{m.Or(a, b), 6},
-		{m.Xor(a, b), 4},
-	}
-	for i, c := range cases {
-		if got := m.SatCount(c.f, 3); got != c.want {
-			t.Errorf("case %d: SatCount = %v, want %v", i, got, c.want)
-		}
-	}
-}
-
-// Property: SatCount equals brute-force model counting.
-func TestSatCountBruteForce(t *testing.T) {
-	r := rand.New(rand.NewSource(31))
-	const nvars = 5
-	for trial := 0; trial < 100; trial++ {
-		m := New(nvars)
-		f, _ := randomFormula(m, r, 3)
-		count := 0
-		for mask := 0; mask < 1<<nvars; mask++ {
-			a := make([]bool, nvars)
-			for i := range a {
-				a[i] = mask&(1<<i) != 0
-			}
-			if m.Eval(f, a) {
-				count++
-			}
-		}
-		if got := m.SatCount(f, nvars); got != float64(count) {
-			t.Fatalf("trial %d: SatCount %v, brute force %d", trial, got, count)
-		}
-	}
 }
 
 func TestAllSat(t *testing.T) {
@@ -230,41 +197,7 @@ func TestAllSat(t *testing.T) {
 	}
 }
 
-func TestAnySat(t *testing.T) {
-	m := New(4)
-	f := m.AndN(m.Var(0), m.NVar(1), m.Var(3))
-	row := m.AnySat(f, []int{0, 1, 2, 3})
-	if row == nil {
-		t.Fatal("no assignment found")
-	}
-	a := make([]bool, 4)
-	for i, b := range row {
-		a[i] = b == 1
-	}
-	if !m.Eval(f, a) {
-		t.Fatalf("returned assignment %v does not satisfy f", row)
-	}
-	if m.AnySat(m.False(), []int{0}) != nil {
-		t.Error("false has no satisfying assignment")
-	}
-}
-
-func TestSupport(t *testing.T) {
-	m := New(5)
-	f := m.And(m.Var(1), m.Or(m.Var(3), m.NVar(4)))
-	got := m.Support(f)
-	want := []int{1, 3, 4}
-	if len(got) != len(want) {
-		t.Fatalf("support %v, want %v", got, want)
-	}
-	for i := range want {
-		if got[i] != want[i] {
-			t.Fatalf("support %v, want %v", got, want)
-		}
-	}
-}
-
-// quick.Check property: Ite(f,g,h) == (f∧g)∨(¬f∧h) pointwise.
+// quick.Check property: ite(f,g,h) == (f∧g)∨(¬f∧h) pointwise.
 func TestIteQuick(t *testing.T) {
 	m := New(4)
 	cfg := &quick.Config{MaxCount: 200}
@@ -276,7 +209,7 @@ func TestIteQuick(t *testing.T) {
 				case 0:
 					f = m.And(f, m.Var(i))
 				case 1:
-					f = m.Or(f, m.NVar(i))
+					f = m.Or(f, m.Not(m.Var(i)))
 				case 2:
 					f = m.Xor(f, m.Var(i))
 				}
@@ -284,7 +217,7 @@ func TestIteQuick(t *testing.T) {
 			return f
 		}
 		f, g, h := mk(s0), mk(s1), mk(s2)
-		ite := m.Ite(f, g, h)
+		ite := int(m.ite(int32(f), int32(g), int32(h)))
 		a := make([]bool, 4)
 		for i := range a {
 			a[i] = mask&(1<<i) != 0

@@ -1,10 +1,6 @@
 package bdd
 
-import (
-	"fmt"
-	"math"
-	"sort"
-)
+import "fmt"
 
 // refManager is the map-based manager the flat-table Manager replaced,
 // kept as a test-only oracle: same algorithms, same recursion order, so
@@ -74,13 +70,6 @@ func (m *refManager) Var(i int) int {
 	return m.mk(i, 0, 1)
 }
 
-func (m *refManager) NVar(i int) int {
-	if i >= m.numVars {
-		panic(fmt.Sprintf("bdd: variable %d out of range (%d vars)", i, m.numVars))
-	}
-	return m.mk(i, 1, 0)
-}
-
 func (m *refManager) Not(f int) int {
 	switch f {
 	case 0:
@@ -103,7 +92,7 @@ func (m *refManager) Xor(a, b int) int     { return m.applyOp(opXor, a, b) }
 func (m *refManager) Implies(a, b int) int { return m.Or(m.Not(a), b) }
 func (m *refManager) Iff(a, b int) int     { return m.Not(m.Xor(a, b)) }
 
-func (m *refManager) Ite(f, g, h int) int {
+func (m *refManager) ite(f, g, h int) int {
 	return m.Or(m.And(f, g), m.And(m.Not(f), h))
 }
 
@@ -203,10 +192,6 @@ func (m *refManager) exists(f int, set map[int]bool, memo map[int]int) int {
 	return r
 }
 
-func (m *refManager) RelProd(a, b int, vars []int) int {
-	return m.Exists(m.And(a, b), vars)
-}
-
 func (m *refManager) Replace(f int, rename map[int]int) int {
 	if len(rename) == 0 {
 		return f
@@ -229,7 +214,7 @@ func (m *refManager) replace(f int, rename map[int]int, memo map[int]int) int {
 	}
 	lo := m.replace(n.lo, rename, memo)
 	hi := m.replace(n.hi, rename, memo)
-	r := m.Ite(m.Var(v), hi, lo)
+	r := m.ite(m.Var(v), hi, lo)
 	memo[f] = r
 	return r
 }
@@ -264,69 +249,6 @@ func (m *refManager) Restrict(f, v int, val bool) int {
 	return rec(f)
 }
 
-func (m *refManager) Support(f int) []int {
-	set := map[int]bool{}
-	seen := map[int]bool{}
-	var rec func(int)
-	rec = func(g int) {
-		if g <= 1 || seen[g] {
-			return
-		}
-		seen[g] = true
-		n := m.nodes[g]
-		set[n.v] = true
-		rec(n.lo)
-		rec(n.hi)
-	}
-	rec(f)
-	out := make([]int, 0, len(set))
-	for v := range set {
-		out = append(out, v)
-	}
-	sort.Ints(out)
-	return out
-}
-
-func (m *refManager) SatCount(f, nvars int) float64 {
-	memo := map[int]float64{}
-	var rec func(int) float64
-	rec = func(g int) float64 {
-		if g == 0 {
-			return 0
-		}
-		if g == 1 {
-			return 1
-		}
-		if r, ok := memo[g]; ok {
-			return r
-		}
-		n := m.nodes[g]
-		r := rec(n.lo)*refWeight(m, n.lo, n.v) + rec(n.hi)*refWeight(m, n.hi, n.v)
-		memo[g] = r
-		return r
-	}
-	if f <= 1 {
-		if f == 1 {
-			return math.Exp2(float64(nvars))
-		}
-		return 0
-	}
-	top := m.nodes[f].v
-	return rec(f) * math.Exp2(float64(top))
-}
-
-func refWeight(m *refManager, child, parentVar int) float64 {
-	cv := refTerminalVar
-	if child > 1 {
-		cv = m.nodes[child].v
-	}
-	gap := cv - parentVar - 1
-	if child <= 1 {
-		gap = m.numVars - parentVar - 1
-	}
-	return math.Exp2(float64(gap))
-}
-
 // AllSat keeps the original's leaf test, forcedTrue(f, pos), inlined:
 // forcedTrue ignored pos and returned f != 0.
 func (m *refManager) AllSat(f int, vars []int) [][]byte {
@@ -353,25 +275,4 @@ func (m *refManager) AllSat(f int, vars []int) [][]byte {
 	}
 	rec(f, 0)
 	return out
-}
-
-func (m *refManager) AnySat(f int, vars []int) []byte {
-	if f == 0 {
-		return nil
-	}
-	cur := make([]byte, len(vars))
-	for i, v := range vars {
-		lo := m.Restrict(f, v, false)
-		if lo != 0 {
-			cur[i] = 0
-			f = lo
-		} else {
-			cur[i] = 1
-			f = m.Restrict(f, v, true)
-		}
-	}
-	if f == 0 {
-		return nil
-	}
-	return cur
 }

@@ -48,6 +48,7 @@ const (
 	Iff
 )
 
+// String renders the operator in boolean-program syntax.
 func (op BinOp) String() string {
 	switch op {
 	case And:
@@ -74,6 +75,7 @@ func (Not) expr()     {}
 func (Bin) expr()     {}
 func (Choose) expr()  {}
 
+// String renders e in boolean-program syntax.
 func (e Const) String() string {
 	if e.Val {
 		return "true"
@@ -107,6 +109,7 @@ func isPlainIdent(s string) bool {
 	return true
 }
 
+// String renders e in boolean-program syntax.
 func (e Ref) String() string {
 	if isPlainIdent(e.Name) {
 		return e.Name
@@ -114,14 +117,18 @@ func (e Ref) String() string {
 	return "{" + e.Name + "}"
 }
 
+// String renders e in boolean-program syntax.
 func (Unknown) String() string { return "*" }
 
+// String renders e in boolean-program syntax.
 func (e Not) String() string { return "!" + parenE(e.X) }
 
+// String renders e in boolean-program syntax.
 func (e Bin) String() string {
 	return parenE(e.X) + " " + e.Op.String() + " " + parenE(e.Y)
 }
 
+// String renders e in boolean-program syntax.
 func (e Choose) String() string {
 	return "choose(" + e.Pos.String() + ", " + e.Neg.String() + ")"
 }
@@ -217,15 +224,6 @@ func (p *Program) Proc(name string) *Proc {
 func (pr *Proc) LabelIndex(label string) (int, bool) {
 	i, ok := pr.labelIdx[label]
 	return i, ok
-}
-
-// Vars returns the variables in scope in the procedure: globals are not
-// included; callers combine with Program.Globals.
-func (pr *Proc) Vars() []string {
-	out := make([]string, 0, len(pr.Params)+len(pr.Locals))
-	out = append(out, pr.Params...)
-	out = append(out, pr.Locals...)
-	return out
 }
 
 // Resolve validates the program: labels resolve, variables are declared,
@@ -417,15 +415,6 @@ func MkOr(a, b Expr) Expr {
 		return a
 	}
 	return Bin{Op: Or, X: a, Y: b}
-}
-
-// AndAll folds MkAnd (true for empty).
-func AndAll(es []Expr) Expr {
-	out := Expr(Const{true})
-	for _, e := range es {
-		out = MkAnd(out, e)
-	}
-	return out
 }
 
 // OrAll folds MkOr (false for empty).

@@ -22,25 +22,6 @@ type RandChooser struct{ R *rand.Rand }
 // Choose returns a uniform value in [0, n).
 func (c RandChooser) Choose(n int) int { return c.R.Intn(n) }
 
-// ScriptChooser replays a fixed sequence of choices (then zeroes).
-type ScriptChooser struct {
-	Script []int
-	pos    int
-}
-
-// Choose returns the next scripted choice.
-func (c *ScriptChooser) Choose(n int) int {
-	if c.pos >= len(c.Script) {
-		return 0
-	}
-	v := c.Script[c.pos]
-	c.pos++
-	if v >= n {
-		v = n - 1
-	}
-	return v
-}
-
 // Status describes how a run ended.
 type Status int
 
@@ -56,6 +37,7 @@ const (
 	OutOfFuel
 )
 
+// String names the outcome.
 func (s Status) String() string {
 	switch s {
 	case Completed:

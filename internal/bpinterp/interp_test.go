@@ -202,6 +202,25 @@ end`
 	}
 }
 
+// ScriptChooser replays a fixed sequence of choices (then zeroes).
+type ScriptChooser struct {
+	Script []int
+	pos    int
+}
+
+// Choose returns the next scripted choice.
+func (c *ScriptChooser) Choose(n int) int {
+	if c.pos >= len(c.Script) {
+		return 0
+	}
+	v := c.Script[c.pos]
+	c.pos++
+	if v >= n {
+		v = n - 1
+	}
+	return v
+}
+
 func TestScriptChooser(t *testing.T) {
 	src := `
 void main() begin

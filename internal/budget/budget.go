@@ -74,9 +74,6 @@ type Limits struct {
 	BDDMaxNodes int
 }
 
-// Zero reports whether no limit is set.
-func (l Limits) Zero() bool { return l == Limits{} }
-
 // Event records one class of degradation: a (stage, limit) pair that
 // fired, with the detail of the first occurrence and a total count.
 type Event struct {
@@ -150,22 +147,6 @@ func (t *Tracker) Cancelled() bool {
 	}
 }
 
-// Err returns the context error once Cancelled (nil otherwise).
-func (t *Tracker) Err() error {
-	if t == nil || t.ctx == nil {
-		return nil
-	}
-	return t.ctx.Err()
-}
-
-// Deadline reports the run deadline, if the context carries one.
-func (t *Tracker) Deadline() (time.Time, bool) {
-	if t == nil || t.ctx == nil {
-		return time.Time{}, false
-	}
-	return t.ctx.Deadline()
-}
-
 // Degrade records one degradation. The first occurrence of a
 // (stage, limit) pair also emits a degrade/limit trace event; repeats
 // only bump the count, so a run with thousands of query timeouts stays
@@ -202,16 +183,6 @@ func (t *Tracker) Events() []Event {
 		out = append(out, *t.events[key])
 	}
 	return out
-}
-
-// Degraded reports whether any limit has fired.
-func (t *Tracker) Degraded() bool {
-	if t == nil {
-		return false
-	}
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	return len(t.order) > 0
 }
 
 // First returns the first degradation recorded, if any — the limit a

@@ -18,6 +18,7 @@ const (
 	AddrOf                // &x
 )
 
+// String renders the operator in C syntax.
 func (op UnaryOp) String() string {
 	switch op {
 	case Neg:
@@ -52,6 +53,7 @@ const (
 	LOr
 )
 
+// String renders the operator in C syntax.
 func (op BinOp) String() string {
 	switch op {
 	case Add:
@@ -159,18 +161,26 @@ type Call struct {
 	Args []Expr
 }
 
-func (e *IntLit) String() string  { return fmt.Sprintf("%d", e.Value) }
-func (e *NullLit) String() string { return "NULL" }
-func (e *VarRef) String() string  { return e.Name }
+// String renders e in C syntax.
+func (e *IntLit) String() string { return fmt.Sprintf("%d", e.Value) }
 
+// String renders e in C syntax.
+func (e *NullLit) String() string { return "NULL" }
+
+// String renders e in C syntax.
+func (e *VarRef) String() string { return e.Name }
+
+// String renders e in C syntax.
 func (e *Unary) String() string {
 	return fmt.Sprintf("%s%s", e.Op, parenExpr(e.X))
 }
 
+// String renders e in C syntax.
 func (e *Binary) String() string {
 	return fmt.Sprintf("%s %s %s", parenExpr(e.X), e.Op, parenExpr(e.Y))
 }
 
+// String renders e in C syntax.
 func (e *Field) String() string {
 	sep := "."
 	if e.Arrow {
@@ -179,8 +189,10 @@ func (e *Field) String() string {
 	return parenExpr(e.X) + sep + e.Name
 }
 
+// String renders e in C syntax.
 func (e *Index) String() string { return fmt.Sprintf("%s[%s]", parenExpr(e.X), e.I) }
 
+// String renders e in C syntax.
 func (e *Call) String() string {
 	args := make([]string, len(e.Args))
 	for i, a := range e.Args {

@@ -41,12 +41,21 @@ func (StructType) typ()  {}
 func (PointerType) typ() {}
 func (ArrayType) typ()   {}
 
-func (IntType) String() string      { return "int" }
-func (VoidType) String() string     { return "void" }
+// String renders the type in C syntax.
+func (IntType) String() string { return "int" }
+
+// String renders the type in C syntax.
+func (VoidType) String() string { return "void" }
+
+// String renders the type in C syntax.
 func (t StructType) String() string { return "struct " + t.Name }
+
+// String renders the type in C syntax.
 func (t PointerType) String() string {
 	return t.Elem.String() + "*"
 }
+
+// String renders the type in C syntax.
 func (t ArrayType) String() string {
 	if t.Len < 0 {
 		return t.Elem.String() + "[]"
@@ -116,6 +125,7 @@ func (s *StructDef) Field(name string) *FieldDef {
 	return nil
 }
 
+// String renders the definition in C syntax.
 func (s *StructDef) String() string {
 	var b strings.Builder
 	fmt.Fprintf(&b, "struct %s { ", s.Name)

@@ -83,6 +83,7 @@ type CorruptError struct {
 	Detail string
 }
 
+// Error names the journal and what is corrupt in it.
 func (e *CorruptError) Error() string {
 	return fmt.Sprintf("checkpoint: %s: corrupted journal (%s)", e.Path, e.Detail)
 }
@@ -95,6 +96,7 @@ type IncompatibleError struct {
 	Got  string
 }
 
+// Error names the journal and both compatibility hashes.
 func (e *IncompatibleError) Error() string {
 	return fmt.Sprintf("checkpoint: %s: journal belongs to a different run (compatibility hash %.12s…, want %.12s…)",
 		e.Path, e.Got, e.Want)

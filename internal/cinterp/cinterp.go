@@ -33,6 +33,7 @@ const (
 	Stuck
 )
 
+// String names the outcome.
 func (s Status) String() string {
 	switch s {
 	case Completed:
@@ -74,10 +75,9 @@ type Interp struct {
 	// to execute.
 	OnStmt func(StmtVisit)
 
-	steps   int
-	frameN  int
-	status  Status
-	failMsg string
+	steps  int
+	frameN int
+	status Status
 }
 
 // instr is one flattened instruction.
@@ -321,7 +321,6 @@ func (in *Interp) call(fn string, args []int64) (int64, error) {
 			}
 			if !v {
 				in.status = AssertFailed
-				in.failMsg = fmt.Sprintf("%s: assert(%s)", fn, ins.cond)
 				return 0, nil
 			}
 			pc++
@@ -412,6 +411,3 @@ func (in *Interp) store(fr *frame, lhs cast.Expr, v int64) error {
 	}
 	return in.Env.Store(fr.renameTerm(t), v)
 }
-
-// FailMessage describes a failed assert.
-func (in *Interp) FailMessage() string { return in.failMsg }

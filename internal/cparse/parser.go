@@ -7,7 +7,6 @@ package cparse
 import (
 	"fmt"
 	"strconv"
-	"strings"
 
 	"predabs/internal/cast"
 	"predabs/internal/ctok"
@@ -19,6 +18,7 @@ type Error struct {
 	Msg string
 }
 
+// Error renders the error as "position: message".
 func (e *Error) Error() string { return fmt.Sprintf("%s: %s", e.Pos, e.Msg) }
 
 // parser holds the token stream and typedef environment.
@@ -662,13 +662,4 @@ func (p *parser) primaryExpr() cast.Expr {
 	e := &cast.IntLit{Value: 0}
 	e.P = t.Pos
 	return e
-}
-
-// FormatTokens is a debugging aid that renders a token slice compactly.
-func FormatTokens(toks []ctok.Token) string {
-	parts := make([]string, len(toks))
-	for i, t := range toks {
-		parts[i] = t.String()
-	}
-	return strings.Join(parts, " ")
 }

@@ -175,22 +175,6 @@ func (p *Prover) roll(kind, key string, rate float64) bool {
 	return float64(h.Sum64())/math.MaxUint64 < rate
 }
 
-// Injected reports how many faults of each kind fired.
-func (p *Prover) Injected() map[string]int64 {
-	return map[string]int64{
-		KindTimeout: p.injTimeout.Load(),
-		KindUnknown: p.injUnknown.Load(),
-		KindFailure: p.injFailure.Load(),
-		KindLatency: p.injLatency.Load(),
-		KindPanic:   p.injPanic.Load(),
-	}
-}
-
-// InjectedTotal sums the degrading faults (timeout+unknown+failure).
-func (p *Prover) InjectedTotal() int64 {
-	return p.injTimeout.Load() + p.injUnknown.Load() + p.injFailure.Load()
-}
-
 // Stats passes the inner prover's counters through (the zero Stats when
 // the inner prover does not expose them).
 func (p *Prover) Stats() prover.Stats {

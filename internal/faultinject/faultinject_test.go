@@ -12,6 +12,22 @@ import (
 	"predabs/internal/slam"
 )
 
+// Injected reports how many faults of each kind fired.
+func (p *Prover) Injected() map[string]int64 {
+	return map[string]int64{
+		KindTimeout: p.injTimeout.Load(),
+		KindUnknown: p.injUnknown.Load(),
+		KindFailure: p.injFailure.Load(),
+		KindLatency: p.injLatency.Load(),
+		KindPanic:   p.injPanic.Load(),
+	}
+}
+
+// InjectedTotal sums the degrading faults (timeout+unknown+failure).
+func (p *Prover) InjectedTotal() int64 {
+	return p.injTimeout.Load() + p.injUnknown.Load() + p.injFailure.Load()
+}
+
 func eq(name string, v int64) form.Formula {
 	return form.Cmp{Op: form.Eq, X: form.Var{Name: name}, Y: form.Num{V: v}}
 }

@@ -40,13 +40,6 @@ func newRun(key string, spec server.JobSpec) *run {
 	return &run{key: key, spec: spec, state: runPending, done: make(chan struct{})}
 }
 
-// terminal reports whether the run has reached done or failed.
-func (r *run) terminal() bool {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	return r.state == runDone || r.state == runFailed
-}
-
 // runTable is the content-addressed dedup index with single-flight
 // semantics: the first Submit of a key creates the run, concurrent and
 // later identical submits join it, and exactly one dispatcher drives

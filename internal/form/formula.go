@@ -1,7 +1,6 @@
 package form
 
 import (
-	"sort"
 	"strings"
 )
 
@@ -18,6 +17,7 @@ const (
 	Ge
 )
 
+// String renders the operator in C syntax.
 func (op RelOp) String() string {
 	switch op {
 	case Eq:
@@ -51,21 +51,6 @@ func (op RelOp) Negate() RelOp {
 		return Le
 	case Ge:
 		return Lt
-	}
-	return op
-}
-
-// Flip returns the operator with swapped operands (x op y == y Flip(op) x).
-func (op RelOp) Flip() RelOp {
-	switch op {
-	case Lt:
-		return Gt
-	case Le:
-		return Ge
-	case Gt:
-		return Lt
-	case Ge:
-		return Le
 	}
 	return op
 }
@@ -105,15 +90,21 @@ func (Not) formula()    {}
 func (And) formula()    {}
 func (Or) formula()     {}
 
-func (TrueF) String() string  { return "true" }
+// String renders f in C syntax.
+func (TrueF) String() string { return "true" }
+
+// String renders f in C syntax.
 func (FalseF) String() string { return "false" }
 
+// String renders f in C syntax.
 func (f Cmp) String() string {
 	return f.X.String() + " " + f.Op.String() + " " + f.Y.String()
 }
 
+// String renders f in C syntax.
 func (f Not) String() string { return "!(" + f.F.String() + ")" }
 
+// String renders f in C syntax.
 func (f And) String() string {
 	if len(f.Fs) == 0 {
 		return "true"
@@ -125,6 +116,7 @@ func (f And) String() string {
 	return strings.Join(parts, " && ")
 }
 
+// String renders f in C syntax.
 func (f Or) String() string {
 	if len(f.Fs) == 0 {
 		return "false"
@@ -373,26 +365,6 @@ func Subst(f Formula, old, repl Term) Formula {
 	return f
 }
 
-// FormulaLocations returns the distinct location subterms of f, outer
-// (larger) locations first.
-func FormulaLocations(f Formula) []Term {
-	var terms []Term
-	collectFormulaTerms(f, &terms)
-	var out []Term
-	seen := map[string]bool{}
-	for _, t := range terms {
-		for _, loc := range Locations(t) {
-			k := loc.String()
-			if !seen[k] {
-				seen[k] = true
-				out = append(out, loc)
-			}
-		}
-	}
-	sortBySizeDesc(out)
-	return out
-}
-
 func collectFormulaTerms(f Formula, out *[]Term) {
 	switch f := f.(type) {
 	case Cmp:
@@ -447,9 +419,4 @@ func Atoms(f Formula) []Cmp {
 	}
 	walk(f)
 	return out
-}
-
-// SortFormulas orders formulas by canonical string, for deterministic output.
-func SortFormulas(fs []Formula) {
-	sort.Slice(fs, func(i, j int) bool { return fs[i].String() < fs[j].String() })
 }

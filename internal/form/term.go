@@ -13,7 +13,6 @@ package form
 import (
 	"fmt"
 	"sort"
-	"strings"
 )
 
 // Term is an integer- or pointer-valued term.
@@ -62,6 +61,7 @@ const (
 	OpMod
 )
 
+// String renders the operator in C syntax.
 func (op ArithOp) String() string {
 	switch op {
 	case OpAdd:
@@ -96,11 +96,16 @@ func (AddrOf) term() {}
 func (Arith) term()  {}
 func (Neg) term()    {}
 
+// String renders t in C syntax.
 func (t Num) String() string { return fmt.Sprintf("%d", t.V) }
+
+// String renders t in C syntax.
 func (t Var) String() string { return t.Name }
 
+// String renders t in C syntax.
 func (t Deref) String() string { return "*" + parenTerm(t.X) }
 
+// String renders t in C syntax.
 func (t Sel) String() string {
 	// Render Sel{Deref{p}, f} as p->f, like the source syntax.
 	if d, ok := t.X.(Deref); ok {
@@ -109,14 +114,18 @@ func (t Sel) String() string {
 	return parenTerm(t.X) + "." + t.Field
 }
 
+// String renders t in C syntax.
 func (t Idx) String() string { return parenTerm(t.X) + "[" + t.I.String() + "]" }
 
+// String renders t in C syntax.
 func (t AddrOf) String() string { return "&" + parenTerm(t.X) }
 
+// String renders t in C syntax.
 func (t Arith) String() string {
 	return "(" + t.X.String() + " " + t.Op.String() + " " + t.Y.String() + ")"
 }
 
+// String renders t in C syntax.
 func (t Neg) String() string { return "-" + parenTerm(t.X) }
 
 func parenTerm(t Term) string {
@@ -130,64 +139,6 @@ func parenTerm(t Term) string {
 
 // TermEq reports structural equality, using canonical strings.
 func TermEq(a, b Term) bool { return a.String() == b.String() }
-
-// IsLocation reports whether t is a location in the paper's sense: a
-// variable, a field access from a location, a dereference of a location,
-// or an array element.
-func IsLocation(t Term) bool {
-	switch t := t.(type) {
-	case Var:
-		return true
-	case Deref:
-		return true
-	case Sel:
-		return IsLocation(t.X) || isStructDeref(t.X)
-	case Idx:
-		return true
-	}
-	return false
-}
-
-func isStructDeref(t Term) bool {
-	_, ok := t.(Deref)
-	return ok
-}
-
-// Locations returns the distinct maximal-first list of location subterms of
-// t (outer locations before the locations nested inside them).
-func Locations(t Term) []Term {
-	var out []Term
-	seen := map[string]bool{}
-	var walk func(t Term)
-	walk = func(t Term) {
-		if IsLocation(t) {
-			k := t.String()
-			if !seen[k] {
-				seen[k] = true
-				out = append(out, t)
-			}
-		}
-		switch t := t.(type) {
-		case Deref:
-			walk(t.X)
-		case Sel:
-			walk(t.X)
-		case Idx:
-			walk(t.X)
-			walk(t.I)
-		case AddrOf:
-			walk(t.X)
-		case Arith:
-			walk(t.X)
-			walk(t.Y)
-		case Neg:
-			walk(t.X)
-		}
-	}
-	walk(t)
-	sortBySizeDesc(out)
-	return out
-}
 
 // sortBySizeDesc orders terms with larger (outer) terms first, breaking ties
 // by string for determinism.
@@ -291,13 +242,4 @@ func Addr(loc Term) Term {
 		return d.X
 	}
 	return AddrOf{X: loc}
-}
-
-// JoinTerms renders a term list for diagnostics.
-func JoinTerms(ts []Term, sep string) string {
-	parts := make([]string, len(ts))
-	for i, t := range ts {
-		parts[i] = t.String()
-	}
-	return strings.Join(parts, sep)
 }

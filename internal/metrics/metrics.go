@@ -126,22 +126,6 @@ func (h *Histogram) Observe(v float64) {
 	}
 }
 
-// Count returns the number of observations.
-func (h *Histogram) Count() int64 {
-	if h == nil {
-		return 0
-	}
-	return h.count.Load()
-}
-
-// Sum returns the sum of observed values.
-func (h *Histogram) Sum() float64 {
-	if h == nil {
-		return 0
-	}
-	return math.Float64frombits(h.sum.Load())
-}
-
 // CounterVec is a counter family keyed by one label: every With(value)
 // returns the counter for that label value, creating it on first use.
 // The fleet frontend uses it for per-backend counters — one family, one

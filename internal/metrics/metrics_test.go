@@ -9,6 +9,14 @@ import (
 	"testing"
 )
 
+// Count returns the number of observations.
+func (h *Histogram) Count() int64 {
+	if h == nil {
+		return 0
+	}
+	return h.count.Load()
+}
+
 // TestPromExpositionGolden pins the Prometheus text output byte for
 // byte: family ordering (sorted by name regardless of registration
 // order), HELP/TYPE lines, histogram bucket layout and float rendering.

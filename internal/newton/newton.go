@@ -357,13 +357,8 @@ func condOf(s cast.Stmt) (form.Formula, error) {
 	return nil, fmt.Errorf("newton: branch origin is %T", s)
 }
 
-// qualify attaches a frame id and owning function to a local variable
+// qualifyFn attaches a frame id and owning function to a local variable
 // name: "f<id>@<fn>::name".
-func qualify(frameID int, name string) string {
-	return fmt.Sprintf("f%d%s%s", frameID, frameSep, name)
-}
-
-// qualifyFn is qualify with the owning function recorded.
 func qualifyFn(frameID int, fn, name string) string {
 	return fmt.Sprintf("f%d@%s%s%s", frameID, fn, frameSep, name)
 }

@@ -178,20 +178,37 @@ func TestSessionCacheInterop(t *testing.T) {
 }
 
 func TestSessionTimeoutNeverCached(t *testing.T) {
+	// x > 0 ∧ x < 0 ∧ (a > 0 ∨ a < 0) ∧ … ∧ (f > 0 ∨ f < 0): every
+	// propositional leaf is theory-inconsistent, so the search runs far
+	// more than checkStride nodes before it can answer and the deadline
+	// is polled mid-search.
+	query := func() form.Formula {
+		fs := []form.Formula{pf(t, "x > 0"), pf(t, "x < 0")}
+		for _, v := range []string{"a", "b", "c", "d", "e", "f"} {
+			fs = append(fs, form.MkOr(pf(t, v+" > 0"), pf(t, v+" < 0")))
+		}
+		return form.MkAnd(fs...)
+	}
+	untimed := New()
+	us := untimed.NewSession()
+	us.Assert(query())
+	if v, _, _ := us.Check(); v != Unsat {
+		t.Fatalf("untimed check = %v, want unsat", v)
+	}
+	us.Close()
+	if n := untimed.Stats().SearchNodes; n <= checkStride {
+		t.Fatalf("untimed search took %d nodes, want more than checkStride (%d)", n, checkStride)
+	}
+
 	p := New()
-	// 1ns: every real search times out.
+	// 1ns: the first poll finds the deadline passed.
 	p.Budget = budget.New(context.Background(), budget.Limits{QueryTimeout: 1}, nil)
 	s := p.NewSession()
 	defer s.Close()
-	// Large conjunction so the search cannot finish before the first poll.
-	var fs []form.Formula
-	for _, q := range []string{"a > 0", "b > 0", "c > 0", "d > 0", "e > 0", "f > 0", "g > 0"} {
-		fs = append(fs, pf(t, q))
-	}
-	s.Assert(form.MkAnd(fs...))
+	s.Assert(query())
 	v, _, limit := s.Check()
 	if v != Unknown {
-		t.Skipf("search finished inside 1ns timeout (verdict %v); cannot exercise the stop path", v)
+		t.Fatalf("verdict %v inside a 1ns timeout, want unknown", v)
 	}
 	if limit != budget.LimitQueryTimeout {
 		t.Errorf("limit = %q, want %q", limit, budget.LimitQueryTimeout)

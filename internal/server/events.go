@@ -74,18 +74,6 @@ type JobEvent struct {
 	Dropped uint64 `json:"dropped,omitempty"`
 }
 
-// appendJobEvent durably appends ev to dir's event log, assigning the
-// next sequence number from the replayed maximum. Open-append-close per
-// record keeps the log single-writer-at-a-time under the supervisor /
-// worker temporal handoff (neither holds a stale write offset across
-// the other's appends) and makes restart replay idempotent by
-// construction. The fsync cost is one frame per supervision transition
-// or CEGAR iteration — noise next to the checkpoint commit each
-// iteration already pays.
-func appendJobEvent(dir string, ev JobEvent) (uint64, error) {
-	return appendJobEventFS(nil, dir, 0, ev)
-}
-
 // eventFrame pairs a retained event's sequence with its raw payload,
 // so rotation rewrites the kept suffix byte-identically.
 type eventFrame struct {
@@ -93,10 +81,17 @@ type eventFrame struct {
 	payload []byte
 }
 
-// appendJobEventFS is appendJobEvent over an explicit filesystem seam
-// (nil = the real filesystem) with an optional retention cap: when
-// maxBytes > 0 and the log exceeds it after the append, the oldest
-// events rotate out behind an EventTruncate marker (see rotateEvents).
+// appendJobEventFS durably appends ev to dir's event log on fsys (nil =
+// the real filesystem), assigning the next sequence number from the
+// replayed maximum. Open-append-close per record keeps the log
+// single-writer-at-a-time under the supervisor / worker temporal
+// handoff (neither holds a stale write offset across the other's
+// appends) and makes restart replay idempotent by construction. The
+// fsync cost is one frame per supervision transition or CEGAR
+// iteration — noise next to the checkpoint commit each iteration
+// already pays. When maxBytes > 0 and the log exceeds it after the
+// append, the oldest events rotate out behind an EventTruncate marker
+// (see rotateEvents).
 func appendJobEventFS(fsys checkpoint.FS, dir string, maxBytes int64, ev JobEvent) (uint64, error) {
 	var last uint64
 	var kept []eventFrame

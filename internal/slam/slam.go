@@ -213,11 +213,6 @@ func VerifyCtx(ctx context.Context, src, entry string, cfg Config) (*Result, err
 	return VerifyProgramCtx(ctx, prog, entry, cfg)
 }
 
-// VerifyProgram runs the CEGAR loop on a parsed program.
-func VerifyProgram(prog *cast.Program, entry string, cfg Config) (*Result, error) {
-	return VerifyProgramCtx(context.Background(), prog, entry, cfg)
-}
-
 // VerifyProgramCtx runs the CEGAR loop on a parsed program under a
 // cancellation context and the resource limits in cfg.Limits.
 func VerifyProgramCtx(ctx context.Context, prog *cast.Program, entry string, cfg Config) (*Result, error) {

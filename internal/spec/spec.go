@@ -131,15 +131,6 @@ func Parse(src string) (*Spec, error) {
 	return sp, nil
 }
 
-// MustParse panics on error.
-func MustParse(src string) *Spec {
-	sp, err := Parse(src)
-	if err != nil {
-		panic("spec.MustParse: " + err.Error())
-	}
-	return sp
-}
-
 // parseStates parses "int name = value;" declarations.
 func parseStates(span []ctok.Token) ([]StateVar, error) {
 	var out []StateVar

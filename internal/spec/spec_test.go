@@ -9,6 +9,15 @@ import (
 	"predabs/internal/ctype"
 )
 
+// MustParse panics on error.
+func MustParse(src string) *Spec {
+	sp, err := Parse(src)
+	if err != nil {
+		panic("spec.MustParse: " + err.Error())
+	}
+	return sp
+}
+
 const lockSpec = `
 state {
   int locked = 0;

@@ -66,13 +66,6 @@ func Bool(key string, val bool) Field {
 	return f
 }
 
-// DurNS builds a duration field in nanoseconds. By convention duration
-// field keys end in "_ns" so schema-aware consumers (and the golden-test
-// normalizer) can identify wall-clock-dependent values.
-func DurNS(key string, d time.Duration) Field {
-	return Field{Key: key, kind: fieldInt, num: int64(d)}
-}
-
 // chromeEvent is one retained event for the Chrome trace_event export.
 type chromeEvent struct {
 	cat, name string
@@ -158,21 +151,6 @@ func (t *Tracer) Event(cat, name string, fields ...Field) {
 		return
 	}
 	t.emit(cat, name, time.Since(t.start), -1, 0, fields)
-}
-
-// SpanAt emits a span retroactively from an explicit start time and
-// duration — used for stages measured before the caller had a tracer in
-// hand (e.g. predabs.Load's parse/alias timings replayed by the CLIs).
-// Starts earlier than the tracer's own epoch are clamped to 0.
-func (t *Tracer) SpanAt(cat, name string, start time.Time, d time.Duration, fields ...Field) {
-	if t == nil {
-		return
-	}
-	ts := start.Sub(t.start)
-	if ts < 0 {
-		ts = 0
-	}
-	t.emit(cat, name, ts, d, 0, fields)
 }
 
 // ProverQuery records one theorem-prover query: its kind ("valid" or

@@ -31,7 +31,6 @@ import (
 	"predabs/internal/cnorm"
 	"predabs/internal/cparse"
 	"predabs/internal/ctype"
-	"predabs/internal/newton"
 	"predabs/internal/prover"
 	"predabs/internal/slam"
 	"predabs/internal/trace"
@@ -84,12 +83,6 @@ type Program struct {
 
 	parseTime time.Duration
 	aliasTime time.Duration
-}
-
-// LoadStats reports the wall time of the frontend stages run by Load:
-// parsing/type checking/normalization, and the points-to analysis.
-func (p *Program) LoadStats() (parse, aliasAnalysis time.Duration) {
-	return p.parseTime, p.aliasTime
 }
 
 // Load parses, type checks and normalizes MiniC source, then runs the
@@ -508,31 +501,4 @@ func VerifySpec(src, specSrc, entry string, cfg VerifyConfig) (*VerifyResult, er
 // VerifyCtx.
 func VerifySpecCtx(ctx context.Context, src, specSrc, entry string, cfg VerifyConfig) (*VerifyResult, error) {
 	return slam.VerifySpecCtx(ctx, src, specSrc, entry, cfg)
-}
-
-// PathFeasibility runs Newton alone on the first counterexample of the
-// abstraction built from the given predicates; exposed for tooling and
-// tests.
-func (p *Program) PathFeasibility(predicates, entry string) (feasible bool, newPreds map[string][]string, err error) {
-	bprog, err := p.Abstract(predicates, DefaultOptions())
-	if err != nil {
-		return false, nil, err
-	}
-	ch, err := bebop.Check(bprog.prog, entry)
-	if err != nil {
-		return false, nil, err
-	}
-	f, bad := ch.ErrorReachable()
-	if !bad {
-		return false, nil, fmt.Errorf("predabs: no counterexample to analyze")
-	}
-	trace, ok := ch.Trace(entry, f)
-	if !ok {
-		return false, nil, fmt.Errorf("predabs: trace extraction failed")
-	}
-	nres, err := newton.Analyze(p.norm, p.alias, prover.New(), trace, nil, nil)
-	if err != nil {
-		return false, nil, err
-	}
-	return nres.Feasible, nres.NewPreds, nil
 }
