@@ -1,8 +1,9 @@
 // Package bdd implements reduced ordered binary decision diagrams with the
 // operations the Bebop model checker needs: boolean connectives,
-// existential quantification, variable renaming, restriction and
-// satisfying-assignment enumeration. The paper's Bebop represents reachable-state
-// sets and transfer functions with BDDs (Section 2.2).
+// existential quantification, variable renaming, restriction,
+// satisfying-assignment enumeration and evaluation. The paper's Bebop
+// represents reachable-state sets and transfer functions with BDDs
+// (Section 2.2).
 //
 // A Manager keeps its nodes in one flat store indexed by node id, with
 // two open-addressed tables beside it: the unique table (node ids,
@@ -428,6 +429,21 @@ func (m *Manager) restrict(g int32, v int, val bool) int32 {
 	}
 	m.memo[g] = memoEntry{m.gen, r}
 	return r
+}
+
+// Eval evaluates f under a total assignment (indexed by variable; a
+// variable past its end reads false) with one walk from the root, and
+// creates no nodes.
+func (m *Manager) Eval(f int, assignment []bool) bool {
+	for f > 1 {
+		n := m.nodes[f]
+		if int(n.v) < len(assignment) && assignment[n.v] {
+			f = int(n.hi)
+		} else {
+			f = int(n.lo)
+		}
+	}
+	return f == 1
 }
 
 // AllSat enumerates satisfying assignments of f projected onto vars: each

@@ -37,20 +37,6 @@ func TestCanonicity(t *testing.T) {
 	}
 }
 
-// Eval evaluates f under a total assignment (indexed by variable): the
-// truth-table oracle the properties below check BDDs against.
-func (m *Manager) Eval(f int, assignment []bool) bool {
-	for f > 1 {
-		n := m.nodes[f]
-		if int(n.v) < len(assignment) && assignment[n.v] {
-			f = int(n.hi)
-		} else {
-			f = int(n.lo)
-		}
-	}
-	return f == 1
-}
-
 // randomFormula builds a random BDD and a mirror evaluator function.
 func randomFormula(m *Manager, r *rand.Rand, depth int) (int, func([]bool) bool) {
 	if depth == 0 || r.Intn(4) == 0 {

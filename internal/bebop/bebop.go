@@ -34,6 +34,7 @@ const (
 type varSlot struct {
 	name string
 	base int // BDD variable index of colEntry
+	pos  int // index in every procInfo.slots that holds the slot
 }
 
 func (s varSlot) col(c column) int { return s.base + int(c) }
@@ -44,6 +45,9 @@ type procInfo struct {
 	params []varSlot
 	locals []varSlot
 	rets   []varSlot // return-value slots
+	// slots is the procedure's scope: globals, then params, then locals.
+	// A concrete state of the procedure is a []bool in this order.
+	slots []varSlot
 	// scope maps names to slots (globals included).
 	scope map[string]varSlot
 	// succs[i] lists the successor statement indices of statement i.
@@ -166,36 +170,34 @@ func CheckLimited(prog *bp.Program, entry string, tr *trace.Tracer, bt *budget.T
 // layout allocates BDD variables: four columns per variable slot;
 // globals first, then per-procedure params, locals and return slots.
 func (c *Checker) layout() {
-	alloc := func(name string) varSlot {
+	alloc := func(name string, pos int) varSlot {
 		base := c.m.NumVars()
 		for i := 0; i < numColumns; i++ {
 			c.m.AddVar()
 		}
-		return varSlot{name: name, base: base}
+		return varSlot{name: name, base: base, pos: pos}
 	}
-	for _, g := range c.Prog.Globals {
-		c.glob = append(c.glob, alloc(g))
+	for i, g := range c.Prog.Globals {
+		c.glob = append(c.glob, alloc(g, i))
 	}
 	for _, pr := range c.Prog.Procs {
 		pi := &procInfo{proc: pr, scope: map[string]varSlot{}}
-		for _, s := range c.glob {
-			pi.scope[s.name] = s
-		}
+		pi.slots = append(pi.slots, c.glob...)
 		for _, p := range pr.Params {
-			s := alloc(pr.Name + "::" + p)
-			s.name = p
+			s := alloc(p, len(pi.slots))
 			pi.params = append(pi.params, s)
-			pi.scope[p] = s
+			pi.slots = append(pi.slots, s)
 		}
 		for _, l := range pr.Locals {
-			s := alloc(pr.Name + "::" + l)
-			s.name = l
+			s := alloc(l, len(pi.slots))
 			pi.locals = append(pi.locals, s)
-			pi.scope[l] = s
+			pi.slots = append(pi.slots, s)
+		}
+		for _, s := range pi.slots {
+			pi.scope[s.name] = s
 		}
 		for i := 0; i < pr.NRet; i++ {
-			s := alloc(fmt.Sprintf("%s::$ret%d", pr.Name, i))
-			pi.rets = append(pi.rets, s)
+			pi.rets = append(pi.rets, alloc(fmt.Sprintf("%s::$ret%d", pr.Name, i), -1))
 		}
 		c.procs[pr.Name] = pi
 	}
@@ -304,16 +306,6 @@ func (c *Checker) exprBDD(pi *procInfo, e bp.Expr, col column, nondet *[]int) in
 	return c.m.False()
 }
 
-// scopeSlots returns every slot in the procedure's scope (globals,
-// params, locals), deterministically ordered.
-func (c *Checker) scopeSlots(pi *procInfo) []varSlot {
-	out := make([]varSlot, 0, len(c.glob)+len(pi.params)+len(pi.locals))
-	out = append(out, c.glob...)
-	out = append(out, pi.params...)
-	out = append(out, pi.locals...)
-	return out
-}
-
 func colVars(slots []varSlot, col column) []int {
 	out := make([]int, len(slots))
 	for i, s := range slots {
@@ -346,7 +338,7 @@ func (c *Checker) assignRelation(pi *procInfo, lhs []string, rhs []bp.Expr) int 
 		val := c.exprBDD(pi, rhs[i], colCurrent, &nondet)
 		rel = c.m.And(rel, c.m.Iff(c.m.Var(slot.col(colNext)), val))
 	}
-	for _, s := range c.scopeSlots(pi) {
+	for _, s := range pi.slots {
 		if !assigned[s.name] {
 			rel = c.m.And(rel, c.m.Iff(c.m.Var(s.col(colNext)), c.m.Var(s.col(colCurrent))))
 		}
@@ -361,10 +353,9 @@ func (c *Checker) assignRelation(pi *procInfo, lhs []string, rhs []bp.Expr) int 
 
 // image applies a (current→next) relation to a path-edge set.
 func (c *Checker) image(pi *procInfo, pe, rel int) int {
-	slots := c.scopeSlots(pi)
 	conj := c.m.And(pe, rel)
-	ex := c.m.Exists(conj, colVars(slots, colCurrent))
-	return c.m.Replace(ex, renameMap(slots, colNext, colCurrent))
+	ex := c.m.Exists(conj, colVars(pi.slots, colCurrent))
+	return c.m.Replace(ex, renameMap(pi.slots, colNext, colCurrent))
 }
 
 type workItem struct {
@@ -554,8 +545,7 @@ func (c *Checker) applyCall(pi *procInfo, w workItem, s *bp.Stmt, push func(work
 	}
 
 	// Seed the callee's entry: inputs are (current globals, bound params).
-	slots := c.scopeSlots(pi)
-	inputs := c.m.Exists(combined, append(colVars(slots, colEntry), colVars(pi.locals, colCurrent)...))
+	inputs := c.m.Exists(combined, append(colVars(pi.slots, colEntry), colVars(pi.locals, colCurrent)...))
 	inputs = c.m.Exists(inputs, colVars(pi.params, colCurrent))
 	// inputs is over (gC, callee params in colScratch). Move both to the
 	// entry columns.
@@ -671,8 +661,7 @@ func (c *Checker) ErrorReachable() (Failure, bool) {
 func (c *Checker) Reachable(proc string, stmt int) int {
 	pi := c.procs[proc]
 	pe := c.pathEdges[proc][stmt]
-	slots := c.scopeSlots(pi)
-	return c.m.Exists(pe, colVars(slots, colEntry))
+	return c.m.Exists(pe, colVars(pi.slots, colEntry))
 }
 
 // StmtAtLabel resolves a label to its statement index.
@@ -688,13 +677,12 @@ func (c *Checker) StmtAtLabel(proc, label string) (int, bool) {
 // valuations of the in-scope variables (globals, params, locals).
 func (c *Checker) InvariantRows(proc string, stmt int) ([]string, [][]byte) {
 	pi := c.procs[proc]
-	slots := c.scopeSlots(pi)
-	names := make([]string, len(slots))
-	for i, s := range slots {
+	names := make([]string, len(pi.slots))
+	for i, s := range pi.slots {
 		names[i] = s.name
 	}
 	reach := c.Reachable(proc, stmt)
-	rows := c.m.AllSat(reach, colVars(slots, colCurrent))
+	rows := c.m.AllSat(reach, colVars(pi.slots, colCurrent))
 	return names, rows
 }
 
@@ -732,7 +720,7 @@ func (c *Checker) StateReachable(proc string, stmt int, state map[string]bool) b
 		return false
 	}
 	f := c.Reachable(proc, stmt)
-	for _, s := range c.scopeSlots(pi) {
+	for _, s := range pi.slots {
 		v, ok := state[s.name]
 		if !ok {
 			continue

@@ -354,7 +354,7 @@ end`
 	}
 	idx, _ := checker.StmtAtLabel("main", "L")
 	pi := checker.procs["main"]
-	slots := checker.scopeSlots(pi)
+	slots := pi.slots
 	reach := checker.Reachable("main", idx)
 
 	for seed := int64(0); seed < 300; seed++ {

@@ -1,11 +1,10 @@
 package bebop
 
 import (
-	"fmt"
-	"sort"
-	"strings"
+	"slices"
 
 	"predabs/internal/bp"
+	"predabs/internal/trace"
 )
 
 // Step is one element of a counterexample trace: a statement executed in
@@ -17,133 +16,183 @@ type Step struct {
 	State map[string]bool
 }
 
+// The trace search's bounds: the configurations it may try, and how many
+// calls below the entry procedure it may descend.
+const (
+	traceFuel     = 500000
+	traceMaxDepth = 64
+)
+
 // traceSearcher performs a depth-first search for a concrete path to a
 // failing assertion, pruned by Bebop's reachable-state sets so it only
 // explores states the fixpoint proved reachable.
+//
+// A state is one []bool over a procedure's scope slots (procInfo.slots).
+// The search never writes a state after building it, so branches, path
+// steps and the visited set share states freely.
 type traceSearcher struct {
-	c       *Checker
-	target  Failure
-	visited map[string]bool
-	fuel    int
-	found   []Step
+	c      *Checker
+	target Failure
+	fuel   int
+	// reach caches Reachable(proc, stmt) for the search.
+	reach map[*procInfo][]int
+	// vals is the BDD variable assignment inReach evaluates Reach under.
+	vals []bool
+	// ctxs numbers call-site chains; 0 is the entry's empty chain.
+	ctxs    map[callSite]int
+	visited map[visitKey][][]bool
+	states  int // configurations entered into visited
+	found   []pathStep
 }
+
+// callSite extends the call-site chain ctx by the call at (pi, pc).
+type callSite struct {
+	ctx int
+	pi  *procInfo
+	pc  int
+}
+
+// visitKey buckets configurations. A call-site chain fixes the procedure
+// and the call depth, so (chain, pc, state) is the whole configuration;
+// the states in one bucket are compared in full.
+type visitKey struct {
+	ctx, pc int
+	hash    uint64
+}
+
+// pathStep is one step of the path under construction.
+type pathStep struct {
+	pi *procInfo
+	pc int
+	st []bool
+}
+
+// contFn is the continuation a return statement invokes with the
+// callee's final state and its return values.
+type contFn func(st, rets []bool, path []pathStep) bool
 
 // Trace reconstructs a concrete execution path from the entry procedure
 // to the failing assertion. ok is false if the search exhausted its
 // budget (which should not happen for genuine failures at Bebop scale).
 func (c *Checker) Trace(entry string, f Failure) ([]Step, bool) {
+	span := c.tr.Begin("bebop", "trace")
 	ts := &traceSearcher{
 		c:       c,
 		target:  f,
-		visited: map[string]bool{},
-		fuel:    500000,
+		fuel:    traceFuel,
+		reach:   map[*procInfo][]int{},
+		vals:    make([]bool, c.m.NumVars()),
+		ctxs:    map[callSite]int{},
+		visited: map[visitKey][][]bool{},
 	}
-	epi := c.procs[entry]
-	// Enumerate viable initial states from the entry's reachable set at
-	// statement 0.
-	if len(epi.proc.Stmts) == 0 {
-		return nil, false
-	}
-	for _, st := range ts.viableStates(entry, 0) {
-		frame := map[string]bool{}
-		globals := map[string]bool{}
-		for _, g := range c.glob {
-			globals[g.name] = st[g.name]
-		}
-		for _, s := range append(append([]varSlot{}, epi.params...), epi.locals...) {
-			frame[s.name] = st[s.name]
-		}
-		if ts.run(entry, 0, frame, globals) {
-			return ts.found, true
-		}
-	}
-	return nil, false
+	steps := ts.search(c.procs[entry])
+	span.End(trace.Int("steps", len(steps)), trace.Int("states", ts.states))
+	return steps, steps != nil
 }
 
-// viableStates enumerates concrete states in Reach(proc, stmt).
-func (ts *traceSearcher) viableStates(proc string, stmt int) []map[string]bool {
-	c := ts.c
-	pi := c.procs[proc]
-	slots := c.scopeSlots(pi)
-	reach := c.Reachable(proc, stmt)
-	rows := c.m.AllSat(reach, colVars(slots, colCurrent))
-	out := make([]map[string]bool, 0, len(rows))
-	for _, row := range rows {
-		st := map[string]bool{}
-		for i, s := range slots {
-			st[s.name] = row[i] == 1
+// search tries each state in Reach(entry, 0) as the initial state and
+// renders the first path found.
+func (ts *traceSearcher) search(pi *procInfo) []Step {
+	// Returning from the entry procedure ends a path that missed the
+	// target.
+	fallOff := func([]bool, []bool, []pathStep) bool { return false }
+	for _, row := range ts.c.m.AllSat(ts.reachAt(pi, 0), colVars(pi.slots, colCurrent)) {
+		st := make([]bool, len(row))
+		for i, b := range row {
+			st[i] = b == 1
 		}
-		out = append(out, st)
+		if !ts.step(pi, 0, st, 0, 0, fallOff, nil) {
+			continue
+		}
+		out := make([]Step, len(ts.found))
+		for i, p := range ts.found {
+			state := make(map[string]bool, len(p.pi.slots))
+			for j, s := range p.pi.slots {
+				state[s.name] = p.st[j]
+			}
+			out[i] = Step{Proc: p.pi.proc.Name, Stmt: p.pc, BP: p.pi.proc.Stmts[p.pc], State: state}
+		}
+		return out
 	}
-	return out
+	return nil
 }
 
-// inReach checks that a concrete state is inside Reach(proc, stmt).
-func (ts *traceSearcher) inReach(proc string, stmt int, frame, globals map[string]bool) bool {
-	c := ts.c
-	pi := c.procs[proc]
-	slots := c.scopeSlots(pi)
-	reach := c.Reachable(proc, stmt)
-	f := reach
-	for _, s := range slots {
-		val, ok := frame[s.name]
-		if !ok {
-			val = globals[s.name]
+// reachAt returns Reachable(pi, stmt), computing it once per search.
+func (ts *traceSearcher) reachAt(pi *procInfo, stmt int) int {
+	rs := ts.reach[pi]
+	if rs == nil {
+		rs = make([]int, len(pi.proc.Stmts))
+		for i := range rs {
+			rs[i] = -1
 		}
-		f = c.m.Restrict(f, s.col(colCurrent), val)
-		if c.m.IsFalse(f) {
+		ts.reach[pi] = rs
+	}
+	if rs[stmt] < 0 {
+		rs[stmt] = ts.c.Reachable(pi.proc.Name, stmt)
+	}
+	return rs[stmt]
+}
+
+// inReach checks that a concrete state is inside Reach(pi, stmt).
+func (ts *traceSearcher) inReach(pi *procInfo, stmt int, st []bool) bool {
+	for i, s := range pi.slots {
+		ts.vals[s.col(colCurrent)] = st[i]
+	}
+	return ts.c.m.Eval(ts.reachAt(pi, stmt), ts.vals)
+}
+
+// visit records the configuration and reports whether it is new.
+func (ts *traceSearcher) visit(ctx, pc int, st []bool) bool {
+	h := uint64(14695981039346656037) // FNV-1a
+	for _, b := range st {
+		if b {
+			h ^= 1
+		}
+		h *= 1099511628211
+	}
+	k := visitKey{ctx: ctx, pc: pc, hash: h}
+	for _, seen := range ts.visited[k] {
+		if slices.Equal(seen, st) {
 			return false
 		}
 	}
-	return !c.m.IsFalse(f)
+	ts.visited[k] = append(ts.visited[k], st)
+	ts.states++
+	return true
 }
 
-func stateKey(proc string, pc int, frame, globals map[string]bool, depth int) string {
-	var b strings.Builder
-	fmt.Fprintf(&b, "%s|%d|%d|", proc, pc, depth)
-	writeBits := func(m map[string]bool) {
-		keys := make([]string, 0, len(m))
-		for k := range m {
-			keys = append(keys, k)
-		}
-		sort.Strings(keys)
-		for _, k := range keys {
-			if m[k] {
-				b.WriteByte('1')
-			} else {
-				b.WriteByte('0')
-			}
-		}
+// context numbers the call-site chain ctx extended by the call at (pi, pc).
+func (ts *traceSearcher) context(ctx int, pi *procInfo, pc int) int {
+	site := callSite{ctx, pi, pc}
+	id, ok := ts.ctxs[site]
+	if !ok {
+		id = len(ts.ctxs) + 1
+		ts.ctxs[site] = id
 	}
-	writeBits(globals)
-	b.WriteByte('|')
-	writeBits(frame)
-	return b.String()
+	return id
 }
 
-func cloneState(m map[string]bool) map[string]bool {
-	out := make(map[string]bool, len(m))
-	for k, v := range m {
-		out[k] = v
-	}
-	return out
-}
-
-// evalChoices evaluates an expression under all resolutions of * and
-// unresolved choose, returning the set of possible values.
-func evalChoices(e bp.Expr, get func(string) bool) []bool {
+// eval evaluates an expression in state st under all resolutions of *
+// and unresolved choose, returning the set of possible values in the
+// order the search tries them.
+func (pi *procInfo) eval(e bp.Expr, st []bool) []bool {
 	switch e := e.(type) {
 	case bp.Const:
 		return []bool{e.Val}
 	case bp.Ref:
-		return []bool{get(e.Name)}
+		s, ok := pi.scope[e.Name]
+		return []bool{ok && st[s.pos]}
 	case bp.Unknown:
 		return []bool{false, true}
 	case bp.Not:
-		return mapVals(evalChoices(e.X, get), func(v bool) bool { return !v })
+		var out []bool
+		for _, v := range pi.eval(e.X, st) {
+			out = appendVal(out, !v)
+		}
+		return out
 	case bp.Bin:
-		xs := evalChoices(e.X, get)
-		ys := evalChoices(e.Y, get)
+		xs := pi.eval(e.X, st)
+		ys := pi.eval(e.Y, st)
 		var out []bool
 		for _, x := range xs {
 			for _, y := range ys {
@@ -163,8 +212,8 @@ func evalChoices(e bp.Expr, get func(string) bool) []bool {
 		}
 		return out
 	case bp.Choose:
-		pos := evalChoices(e.Pos, get)
-		neg := evalChoices(e.Neg, get)
+		pos := pi.eval(e.Pos, st)
+		neg := pi.eval(e.Neg, st)
 		var out []bool
 		for _, p := range pos {
 			if p {
@@ -185,37 +234,23 @@ func evalChoices(e bp.Expr, get func(string) bool) []bool {
 	return []bool{false}
 }
 
-func mapVals(in []bool, f func(bool) bool) []bool {
-	var out []bool
-	for _, v := range in {
-		out = appendVal(out, f(v))
-	}
-	return out
-}
-
 func appendVal(out []bool, v bool) []bool {
-	for _, x := range out {
-		if x == v {
-			return out
-		}
+	if slices.Contains(out, v) {
+		return out
 	}
 	return append(out, v)
 }
 
-// enumerateAssignments expands all nondeterministic outcomes of a parallel
-// assignment.
-func enumerateAssignments(lhs []string, rhs []bp.Expr, get func(string) bool) [][]bool {
-	options := make([][]bool, len(rhs))
-	for i, e := range rhs {
-		options[i] = evalChoices(e, get)
-	}
+// evalAll expands all nondeterministic outcomes of a list of
+// expressions, one row per outcome.
+func (pi *procInfo) evalAll(es []bp.Expr, st []bool) [][]bool {
 	out := [][]bool{{}}
-	for _, opts := range options {
+	for _, e := range es {
+		vals := pi.eval(e, st)
 		var next [][]bool
 		for _, partial := range out {
-			for _, v := range opts {
-				row := append(append([]bool{}, partial...), v)
-				next = append(next, row)
+			for _, v := range vals {
+				next = append(next, append(slices.Clone(partial), v))
 			}
 		}
 		out = next
@@ -223,180 +258,89 @@ func enumerateAssignments(lhs []string, rhs []bp.Expr, get func(string) bool) []
 	return out
 }
 
-// cont is the continuation invoked at return statements, carrying the
-// return values in frame["$ret<i>"] and the trace so far.
-type contFn func(frame, globals map[string]bool, trace []Step) bool
-
-// run is the DFS over configurations.
-// Returning true means ts.found holds a complete trace.
-func (ts *traceSearcher) run(proc string, pc int, frame, globals map[string]bool) bool {
-	return ts.step(proc, pc, frame, globals, 0, "",
-		func(map[string]bool, map[string]bool, []Step) bool {
-			// Falling off the entry procedure without hitting the target.
-			return false
-		}, nil)
+// set writes vals into st's slots for the names in lhs, in order.
+func (pi *procInfo) set(st []bool, lhs []string, vals []bool) {
+	for i, name := range lhs {
+		st[pi.scope[name].pos] = vals[i]
+	}
 }
 
-// step executes from (proc, pc). ctx is the call-site chain, making the
-// visited set context-sensitive so alternate continuations are explored.
-func (ts *traceSearcher) step(proc string, pc int, frame, globals map[string]bool,
-	depth int, ctx string, cont contFn, trace []Step) bool {
+// enforceHolds reports whether some resolution of the procedure's
+// enforce invariant holds in st.
+func (pi *procInfo) enforceHolds(st []bool) bool {
+	return pi.enfC == 1 || slices.Contains(pi.eval(pi.proc.Enforce, st), true)
+}
 
-	c := ts.c
-	pi := c.procs[proc]
+// step executes from (pi, pc) in state st at call depth depth, under
+// the call-site chain ctx, which makes the visited set context-sensitive
+// so alternate continuations are explored. Returning true means ts.found
+// holds a complete path.
+func (ts *traceSearcher) step(pi *procInfo, pc int, st []bool, depth, ctx int, cont contFn, path []pathStep) bool {
 	for {
 		ts.fuel--
-		if ts.fuel <= 0 || depth > 64 {
+		if ts.fuel <= 0 || depth > traceMaxDepth || pc >= len(pi.proc.Stmts) {
 			return false
 		}
-		if pc >= len(pi.proc.Stmts) {
+		if !ts.visit(ctx, pc, st) || !ts.inReach(pi, pc, st) {
 			return false
 		}
-		key := ctx + "\x00" + stateKey(proc, pc, frame, globals, depth)
-		if ts.visited[key] {
-			return false
-		}
-		ts.visited[key] = true
-		if !ts.inReach(proc, pc, frame, globals) {
-			return false
-		}
-
 		s := pi.proc.Stmts[pc]
-		get := func(name string) bool {
-			if v, ok := frame[name]; ok {
-				return v
-			}
-			return globals[name]
-		}
-		set := func(name string, v bool) {
-			if _, ok := frame[name]; ok {
-				frame[name] = v
-				return
-			}
-			if _, ok := globals[name]; ok {
-				globals[name] = v
-				return
-			}
-			frame[name] = v
-		}
-		snapshot := func() map[string]bool {
-			st := cloneState(globals)
-			for k, v := range frame {
-				st[k] = v
-			}
-			return st
-		}
-		trace = append(trace, Step{Proc: proc, Stmt: pc, BP: s, State: snapshot()})
+		path = append(path, pathStep{pi, pc, st})
 
 		// Target reached?
-		if proc == ts.target.Proc && pc == ts.target.Stmt && s.Kind == bp.Assert {
-			for _, v := range evalChoices(s.Cond, get) {
-				if !v {
-					ts.found = append([]Step{}, trace...)
-					return true
-				}
-			}
+		if pi.proc.Name == ts.target.Proc && pc == ts.target.Stmt && s.Kind == bp.Assert &&
+			slices.Contains(pi.eval(s.Cond, st), false) {
+			ts.found = slices.Clone(path)
+			return true
 		}
 
 		switch s.Kind {
 		case bp.Skip:
 			pc++
-		case bp.Assume:
-			ok := false
-			for _, v := range evalChoices(s.Cond, get) {
-				if v {
-					ok = true
-				}
-			}
-			if !ok {
+		case bp.Assume, bp.Assert:
+			// A failing assert that is not the target ends the path.
+			if !slices.Contains(pi.eval(s.Cond, st), true) {
 				return false
 			}
 			pc++
-		case bp.Assert:
-			ok := false
-			for _, v := range evalChoices(s.Cond, get) {
-				if v {
-					ok = true
-				}
-			}
-			if !ok {
-				return false // failing assert that is not the target: stop
-			}
-			pc++
 		case bp.Goto:
-			for _, tgt := range s.Targets {
-				idx, _ := pi.proc.LabelIndex(tgt)
-				if ts.step(proc, idx, cloneState(frame), cloneState(globals), depth, ctx, cont, trace) {
+			for _, next := range pi.succs[pc] {
+				if ts.step(pi, next, st, depth, ctx, cont, path) {
 					return true
 				}
 			}
 			return false
 		case bp.Assign:
-			rows := enumerateAssignments(s.Lhs, s.Rhs, get)
-			if len(rows) == 1 {
-				for i, name := range s.Lhs {
-					set(name, rows[0][i])
-				}
-				if pi.enfC != 1 && !enforceHolds(pi, frame, globals) {
-					return false
-				}
-				pc++
-				continue
-			}
-			for _, row := range rows {
-				f2, g2 := cloneState(frame), cloneState(globals)
-				for i, name := range s.Lhs {
-					setIn(f2, g2, name, row[i])
-				}
-				if pi.enfC != 1 && !enforceHolds(pi, f2, g2) {
-					continue
-				}
-				if ts.step(proc, pc+1, f2, g2, depth, ctx, cont, trace) {
+			for _, row := range pi.evalAll(s.Rhs, st) {
+				next := slices.Clone(st)
+				pi.set(next, s.Lhs, row)
+				if pi.enforceHolds(next) && ts.step(pi, pc+1, next, depth, ctx, cont, path) {
 					return true
 				}
 			}
 			return false
 		case bp.Call:
-			callee := c.procs[s.Callee]
-			// Evaluate arguments (possibly nondeterministic).
-			argRows := enumerateAssignments(callee.proc.Params, s.Args, get)
-			innerCtx := fmt.Sprintf("%s%s:%d/", ctx, proc, pc)
-			for _, args := range argRows {
-				// Enumerate viable callee local initializations via the
-				// callee's entry reachable set.
-				for _, init := range ts.calleeInits(s.Callee, args, globals) {
-					pcNext := pc
-					sNext := s
-					fOuter := cloneState(frame)
-					done := ts.step(s.Callee, 0, init, cloneState(globals), depth+1, innerCtx,
-						func(retFrame, retGlobals map[string]bool, retTrace []Step) bool {
-							// Back in the caller: bind returns, continue.
-							f3 := cloneState(fOuter)
-							g3 := cloneState(retGlobals)
-							for i, name := range sNext.CallLhs {
-								setIn(f3, g3, name, retFrame[fmt.Sprintf("$ret%d", i)])
-							}
-							if pi.enfC != 1 && !enforceHolds(pi, f3, g3) {
-								return false
-							}
-							return ts.step(proc, pcNext+1, f3, g3, depth, ctx, cont, retTrace)
-						}, trace)
-					if done {
+			callee := ts.c.procs[s.Callee]
+			inner := ts.context(ctx, pi, pc)
+			back := func(calleeSt, rets []bool, path []pathStep) bool {
+				// Back in the caller: take the callee's globals, bind
+				// the returns, continue.
+				next := slices.Clone(st)
+				copy(next, calleeSt[:len(ts.c.glob)])
+				pi.set(next, s.CallLhs, rets)
+				return pi.enforceHolds(next) && ts.step(pi, pc+1, next, depth, ctx, cont, path)
+			}
+			for _, args := range pi.evalAll(s.Args, st) {
+				for _, init := range ts.calleeInits(callee, args, st) {
+					if ts.step(callee, 0, init, depth+1, inner, back, path) {
 						return true
 					}
 				}
 			}
 			return false
 		case bp.Return:
-			// Encode return values for the continuation.
-			retFrame := cloneState(frame)
-			rows := enumerateAssignments(retNames(len(s.RetVals)), s.RetVals, get)
-			for _, row := range rows {
-				rf := cloneState(retFrame)
-				for i := range s.RetVals {
-					rf[fmt.Sprintf("$ret%d", i)] = row[i]
-				}
-				if cont(rf, cloneState(globals), trace) {
+			for _, rets := range pi.evalAll(s.RetVals, st) {
+				if cont(st, rets, path) {
 					return true
 				}
 			}
@@ -405,76 +349,27 @@ func (ts *traceSearcher) step(proc string, pc int, frame, globals map[string]boo
 	}
 }
 
-func retNames(n int) []string {
-	out := make([]string, n)
-	for i := range out {
-		out[i] = fmt.Sprintf("$ret%d", i)
-	}
-	return out
-}
-
-func setIn(frame, globals map[string]bool, name string, v bool) {
-	if _, ok := frame[name]; ok {
-		frame[name] = v
-		return
-	}
-	if _, ok := globals[name]; ok {
-		globals[name] = v
-		return
-	}
-	frame[name] = v
-}
-
-func enforceHolds(pi *procInfo, frame, globals map[string]bool) bool {
-	if pi.proc.Enforce == nil {
-		return true
-	}
-	get := func(name string) bool {
-		if v, ok := frame[name]; ok {
-			return v
-		}
-		return globals[name]
-	}
-	vals := evalChoices(pi.proc.Enforce, get)
-	for _, v := range vals {
-		if v {
-			return true
-		}
-	}
-	return false
-}
-
-// calleeInits enumerates callee frames (params bound to args, locals
-// filtered by the callee's reachable entry states under the current
-// globals).
-func (ts *traceSearcher) calleeInits(callee string, args []bool, globals map[string]bool) []map[string]bool {
+// calleeInits enumerates the callee's entry states for a call from
+// state st: the caller's globals, the params bound to args, and each
+// valuation of the locals the callee's entry reachable set allows.
+func (ts *traceSearcher) calleeInits(pi *procInfo, args, st []bool) [][]bool {
 	c := ts.c
-	pi := c.procs[callee]
-	if len(pi.proc.Stmts) == 0 {
-		return nil
-	}
-	reach := c.Reachable(callee, 0)
-	f := reach
-	for _, g := range c.glob {
-		f = c.m.Restrict(f, g.col(colCurrent), globals[g.name])
+	f := ts.reachAt(pi, 0)
+	for i, g := range c.glob {
+		f = c.m.Restrict(f, g.col(colCurrent), st[i])
 	}
 	for i, p := range pi.params {
 		f = c.m.Restrict(f, p.col(colCurrent), args[i])
 	}
-	if c.m.IsFalse(f) {
-		return nil
-	}
-	rows := c.m.AllSat(f, colVars(pi.locals, colCurrent))
-	var out []map[string]bool
-	for _, row := range rows {
-		frame := map[string]bool{}
-		for i, p := range pi.proc.Params {
-			frame[p] = args[i]
+	var out [][]bool
+	for _, row := range c.m.AllSat(f, colVars(pi.locals, colCurrent)) {
+		init := make([]bool, 0, len(pi.slots))
+		init = append(init, st[:len(c.glob)]...)
+		init = append(init, args...)
+		for _, b := range row {
+			init = append(init, b == 1)
 		}
-		for i, l := range pi.locals {
-			frame[l.name] = row[i] == 1
-		}
-		out = append(out, frame)
+		out = append(out, init)
 	}
 	return out
 }

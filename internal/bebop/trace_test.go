@@ -1,7 +1,9 @@
 package bebop
 
 import (
+	"fmt"
 	"math/rand"
+	"strings"
 	"testing"
 
 	"predabs/internal/bp"
@@ -24,10 +26,8 @@ func validateTrace(t *testing.T, c *Checker, trace []Step, f Failure) {
 		t.Fatalf("trace must end at an assert, got %s", bp.StmtString(last.BP))
 	}
 	// Every step's state must be inside Bebop's reachable set.
-	ts := &traceSearcher{c: c}
 	for i, step := range trace {
-		frame := step.State
-		if !ts.inReach(step.Proc, step.Stmt, frame, frame) {
+		if !c.StateReachable(step.Proc, step.Stmt, step.State) {
 			t.Fatalf("step %d (%s:%d) state outside reachable set", i, step.Proc, step.Stmt)
 		}
 	}
@@ -190,5 +190,46 @@ end`
 	}
 	if !found {
 		t.Fatal("interpreter cannot reproduce the failure")
+	}
+}
+
+// chainProgram builds n procedures p0 → p1 → … → p(n-1), where only the
+// last holds a failing assert.
+func chainProgram(n int) string {
+	var b strings.Builder
+	for i := 0; i < n-1; i++ {
+		fmt.Fprintf(&b, "void p%d() begin\n  p%d();\n  return;\nend\n\n", i, i+1)
+	}
+	fmt.Fprintf(&b, "void p%d() begin\n  assert(false);\n  return;\nend\n", n-1)
+	return b.String()
+}
+
+// The trace search descends at most 64 calls below the entry: a failure
+// 64 calls deep has a trace, one 65 calls deep has none (rather than a
+// partial one), though Bebop still reports it.
+func TestTraceDepthBound(t *testing.T) {
+	for _, tc := range []struct {
+		n     int
+		found bool
+	}{{65, true}, {66, false}} {
+		c := check(t, chainProgram(tc.n), "p0")
+		f, bad := c.ErrorReachable()
+		if !bad {
+			t.Fatalf("chain of %d: Bebop misses the failing assert", tc.n)
+		}
+		trace, ok := c.Trace("p0", f)
+		if ok != tc.found {
+			t.Fatalf("chain of %d: trace found = %v, want %v", tc.n, ok, tc.found)
+		}
+		if !ok {
+			if trace != nil {
+				t.Fatalf("chain of %d: partial trace of %d steps", tc.n, len(trace))
+			}
+			continue
+		}
+		validateTrace(t, c, trace, f)
+		if len(trace) != tc.n {
+			t.Fatalf("chain of %d: trace has %d steps, want one per call plus the assert", tc.n, len(trace))
+		}
 	}
 }

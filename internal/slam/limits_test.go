@@ -1,6 +1,7 @@
 package slam
 
 import (
+	"bytes"
 	"context"
 	"errors"
 	"strings"
@@ -10,6 +11,7 @@ import (
 	"predabs/internal/budget"
 	"predabs/internal/cparse"
 	"predabs/internal/form"
+	"predabs/internal/trace"
 )
 
 // correlatedSrc needs CEGAR refinement (the classic SLAM example), so a
@@ -107,6 +109,30 @@ func TestStagePanicBecomesStageError(t *testing.T) {
 	}
 	if !strings.Contains(err.Error(), "prover exploded") {
 		t.Errorf("panic value lost: %v", err)
+	}
+}
+
+// panicSink crashes when the tracer writes the counterexample search's
+// span, standing in for a bug in that search.
+type panicSink struct{}
+
+func (panicSink) Write(p []byte) (int, error) {
+	if bytes.Contains(p, []byte(`"cat":"bebop","name":"trace"`)) {
+		panic("trace search exploded")
+	}
+	return len(p), nil
+}
+
+func TestTracePanicBecomesBebopStageError(t *testing.T) {
+	cfg := DefaultConfig()
+	cfg.Tracer = trace.New(trace.Config{JSONL: panicSink{}})
+	_, err := VerifySpec(correlatedSrc, lockSpec, "main", cfg)
+	var se *StageError
+	if !errors.As(err, &se) {
+		t.Fatalf("error is %T (%v), want *StageError", err, err)
+	}
+	if !se.Panicked || se.Stage != "bebop" || !strings.Contains(err.Error(), "trace search exploded") {
+		t.Fatalf("StageError = %v, want the panic in stage bebop", se)
 	}
 }
 

@@ -134,7 +134,8 @@ type Report struct {
 	CubesSkipped int `json:"cubes_skipped"`
 
 	// StageNS maps pipeline stage names (parse, alias, signatures,
-	// abstract, cube-search, check, newton) to cumulative wall time.
+	// abstract, cube-search, check, newton) to cumulative wall time;
+	// check covers Bebop's fixpoint and its counterexample search.
 	StageNS map[string]int64 `json:"stage_ns"`
 
 	// Procs is the per-procedure abstraction rollup, in first-abstracted
@@ -327,7 +328,7 @@ func (a *aggregator) consume(cat, name string, dur time.Duration, fields []Field
 		a.noteQuery(fields, dur)
 	case "bebop":
 		switch name {
-		case "check":
+		case "check", "trace":
 			a.stageNS["check"] += int64(dur)
 		case "fixpoint":
 			a.stageNS["fixpoint"] += int64(dur)

@@ -34,7 +34,7 @@ var Taxonomy = map[string][]string{
 	// complete fields. The default cube engine emits none of these.
 	"abs.enum": {"session"},
 	"prover":   {"query"},
-	"bebop":    {"check", "fixpoint", "iter"},
+	"bebop":    {"check", "fixpoint", "iter", "trace"},
 	"newton":   {"analyze"},
 	"slam":     {"iteration", "outcome"},
 	"degrade":  {"limit"},
@@ -63,12 +63,15 @@ var Taxonomy = map[string][]string{
 // RequiredFields maps "cat/name" to the fields every such event must
 // carry and their JSON types ("string", "count" — an integer ≥ 0 — or
 // "bool"). A prover.query event always reports its search effort: nodes
-// and leaves are 0 for a cache hit.
+// and leaves are 0 for a cache hit. A bebop.trace span reports the
+// counterexample's steps (0 when none was found) and the states its
+// search visited.
 var RequiredFields = map[string]map[string]string{
 	"prover/query": {
 		"kind": "string", "size": "count", "verdict": "bool", "cache_hit": "bool",
 		"gave_up": "bool", "nodes": "count", "leaves": "count", "desc": "string",
 	},
+	"bebop/trace": {"steps": "count", "states": "count"},
 }
 
 // rawEvent mirrors one JSONL line for validation.

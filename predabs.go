@@ -88,26 +88,7 @@ type Program struct {
 // Load parses, type checks and normalizes MiniC source, then runs the
 // flow-insensitive points-to analysis.
 func Load(src string) (*Program, error) {
-	start := time.Now()
-	parsed, err := cparse.Parse(src)
-	if err != nil {
-		return nil, fmt.Errorf("predabs: parse: %w", err)
-	}
-	info, err := ctype.Check(parsed)
-	if err != nil {
-		return nil, fmt.Errorf("predabs: type check: %w", err)
-	}
-	norm, err := cnorm.Normalize(info)
-	if err != nil {
-		return nil, fmt.Errorf("predabs: normalize: %w", err)
-	}
-	parseTime := time.Since(start)
-	aliasStart := time.Now()
-	aa := alias.Analyze(norm)
-	return &Program{
-		norm: norm, alias: aa,
-		parseTime: parseTime, aliasTime: time.Since(aliasStart),
-	}, nil
+	return load(src, alias.Options{OpenCallers: true})
 }
 
 // LoadGhostAliasing loads like Load, but entry-point parameters are NOT
@@ -119,6 +100,12 @@ func Load(src string) (*Program, error) {
 // treatment — use it only for ghost-style observer parameters; see the
 // Figure 3 discussion in EXPERIMENTS.md.
 func LoadGhostAliasing(src string) (*Program, error) {
+	return load(src, alias.Options{OpenCallers: false})
+}
+
+// load is the body of Load and LoadGhostAliasing, which differ only in
+// the alias options.
+func load(src string, opts alias.Options) (*Program, error) {
 	start := time.Now()
 	parsed, err := cparse.Parse(src)
 	if err != nil {
@@ -134,16 +121,12 @@ func LoadGhostAliasing(src string) (*Program, error) {
 	}
 	parseTime := time.Since(start)
 	aliasStart := time.Now()
-	aa := alias.AnalyzeOpts(norm, alias.Options{OpenCallers: false})
+	aa := alias.AnalyzeOpts(norm, opts)
 	return &Program{
 		norm: norm, alias: aa,
 		parseTime: parseTime, aliasTime: time.Since(aliasStart),
 	}, nil
 }
-
-// StageTime is a named wall-time measurement (per-procedure abstraction
-// times in AbstractStats).
-type StageTime = abstract.ProcTime
 
 // AbstractStats reports the cost of one abstraction run: the columns of
 // the paper's Tables 1 and 2, plus the per-stage timings and prover
@@ -158,15 +141,12 @@ type AbstractStats struct {
 	// cache answers add none. SolverTime sums across cube-search workers
 	// (it can exceed AbstractTime when Options.Jobs > 1).
 	prover.Stats
-	// CubesChecked counts cube implication candidates examined.
-	CubesChecked int
-	// CubesSkipped counts enforce candidates never submitted because
-	// their predicates share no symbol the prover relates (such a cube
-	// is satisfiable whenever its parts are).
-	CubesSkipped int
-	// CubeRounds counts prover-backed cube-search rounds (one per cube
-	// size that produced candidates).
-	CubeRounds int
+	// abstractCounters carries the abstraction's counters: CubesChecked,
+	// CubesSkipped and CubeRounds for the cube search, SignatureTime and
+	// CubeSearchTime, per-procedure ProcTimes and ProcCubes, and the
+	// DegradedProcs a resource limit truncated (their statements are
+	// soundly weaker than the most precise abstraction).
+	abstractCounters
 	// Predicates is the number of input predicates.
 	Predicates int
 
@@ -175,30 +155,17 @@ type AbstractStats struct {
 	ParseTime time.Duration
 	// AliasTime covers the points-to analysis (from Load).
 	AliasTime time.Duration
-	// SignatureTime covers the signature pass (Section 4.5.2).
-	SignatureTime time.Duration
 	// AbstractTime covers the whole abstraction run.
 	AbstractTime time.Duration
-	// CubeSearchTime is the portion of AbstractTime spent in the
-	// prover-backed cube search F_V/G_V (the paper's dominant cost).
-	CubeSearchTime time.Duration
-	// ProcTimes lists the abstraction wall time of each procedure.
-	ProcTimes []StageTime
-	// ProcCubes lists each procedure's cube-search rounds and candidate
-	// cubes, in program order.
-	ProcCubes []ProcCubeStat
 
-	// DegradedProcs lists procedures whose cube search was truncated by
-	// a resource limit: their statements are soundly weaker than the
-	// most precise abstraction.
-	DegradedProcs []string
 	// Degradations lists every sound weakening taken under a resource
 	// limit during this run.
 	Degradations []DegradeEvent
 }
 
-// ProcCubeStat re-exports the per-procedure cube-search counters.
-type ProcCubeStat = abstract.ProcCubeStat
+// abstractCounters names abstract.Stats apart from prover.Stats, so that
+// AbstractStats can embed both.
+type abstractCounters = abstract.Stats
 
 // BooleanProgram is the result of predicate abstraction: BP(P, E).
 type BooleanProgram struct {
@@ -281,20 +248,13 @@ func (p *Program) AbstractCheckpointed(ctx context.Context, predicates string, o
 	return &BooleanProgram{
 		prog: res.BP,
 		stats: AbstractStats{
-			Stats:          pv.Stats(),
-			CubesChecked:   res.Stats.CubesChecked,
-			CubesSkipped:   res.Stats.CubesSkipped,
-			CubeRounds:     res.Stats.CubeRounds,
-			Predicates:     n,
-			ParseTime:      p.parseTime,
-			AliasTime:      p.aliasTime,
-			SignatureTime:  res.Stats.SignatureTime,
-			AbstractTime:   abstractTime,
-			CubeSearchTime: res.Stats.CubeSearchTime,
-			ProcTimes:      append([]StageTime{}, res.Stats.ProcTimes...),
-			ProcCubes:      append([]ProcCubeStat{}, res.Stats.ProcCubes...),
-			DegradedProcs:  append([]string{}, res.Stats.DegradedProcs...),
-			Degradations:   bt.Events(),
+			Stats:            pv.Stats(),
+			abstractCounters: res.Stats,
+			Predicates:       n,
+			ParseTime:        p.parseTime,
+			AliasTime:        p.aliasTime,
+			AbstractTime:     abstractTime,
+			Degradations:     bt.Events(),
 		},
 	}, nil
 }

@@ -11,6 +11,7 @@ import (
 	"strings"
 	"testing"
 
+	"predabs/internal/abstract"
 	"predabs/internal/prover"
 	"predabs/internal/trace"
 )
@@ -186,7 +187,7 @@ type reportAggregates struct {
 	ProverCalls           int
 	CubeRounds            int
 	CubesChecked          int
-	Procs                 []ProcCubeStat
+	Procs                 []abstract.ProcCubeStat
 	BebopIterations       int
 	BebopIterationsByProc map[string]int
 	MaxWorklist           int
@@ -209,7 +210,7 @@ func aggregatesOf(rep *trace.Report) reportAggregates {
 		NewtonRounds:          rep.NewtonRounds,
 	}
 	for _, p := range rep.Procs {
-		a.Procs = append(a.Procs, ProcCubeStat{Name: p.Name, Rounds: p.Rounds, Cubes: p.Cubes})
+		a.Procs = append(a.Procs, abstract.ProcCubeStat{Name: p.Name, Rounds: p.Rounds, Cubes: p.Cubes})
 	}
 	return a
 }
@@ -294,9 +295,9 @@ func TestReportTotalsMatchStats(t *testing.T) {
 						s.BlockingClauses, s.ModelsExtracted)
 				}
 			}
-			var repProcs []ProcCubeStat
+			var repProcs []abstract.ProcCubeStat
 			for _, p := range rep.Procs {
-				repProcs = append(repProcs, ProcCubeStat{Name: p.Name, Rounds: p.Rounds, Cubes: p.Cubes})
+				repProcs = append(repProcs, abstract.ProcCubeStat{Name: p.Name, Rounds: p.Rounds, Cubes: p.Cubes})
 			}
 			if !reflect.DeepEqual(repProcs, s.ProcCubes) {
 				t.Errorf("per-proc cube stats: report %+v != stats %+v", repProcs, s.ProcCubes)
