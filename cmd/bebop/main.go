@@ -14,7 +14,6 @@ import (
 	"flag"
 	"fmt"
 	"os"
-	"sort"
 	"strings"
 
 	"predabs"
@@ -101,14 +100,7 @@ func run() (code int) {
 		s := res.Stats()
 		fmt.Fprintf(os.Stderr, "fixpoint iterations: %d\nfixpoint time: %v\n",
 			s.Iterations, s.FixpointTime)
-		procs := make([]string, 0, len(s.IterationsByProc))
-		for p := range s.IterationsByProc {
-			procs = append(procs, p)
-		}
-		sort.Strings(procs)
-		for _, p := range procs {
-			fmt.Fprintf(os.Stderr, "  proc %s: %d\n", p, s.IterationsByProc[p])
-		}
+		obs.WriteProcIterations(os.Stderr, s.IterationsByProc)
 	}
 	if *invariant != "" {
 		parts := strings.SplitN(*invariant, ":", 2)

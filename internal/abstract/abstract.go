@@ -187,7 +187,6 @@ type Abstractor struct {
 	// Per-procedure degradation state (reset by beginProc). cubesUsed
 	// counts upward against the budget's CubeBudget limit so that a
 	// zero-value Abstractor (unit tests drive fv directly) is unlimited.
-	curProc      string
 	cubesUsed    int
 	procDegraded bool
 	degradeLimit string
@@ -510,8 +509,7 @@ type translator struct {
 // beginProc resets the per-procedure degradation state: each procedure
 // gets a fresh cube budget, so one pathological procedure cannot starve
 // the rest of the program of precision.
-func (ab *Abstractor) beginProc(name string) {
-	ab.curProc = name
+func (ab *Abstractor) beginProc() {
 	ab.procDegraded = false
 	ab.degradeLimit = ""
 	ab.cubesUsed = 0
@@ -559,7 +557,7 @@ func (ab *Abstractor) takeCubes(cands [][]literal) [][]literal {
 
 func (ab *Abstractor) abstractProc(f *cast.FuncDef) (*bp.Proc, error) {
 	sig := ab.sigs[f.Name]
-	ab.beginProc(f.Name)
+	ab.beginProc()
 	defer func() {
 		if ab.procDegraded {
 			ab.Stats.DegradedProcs = append(ab.Stats.DegradedProcs, f.Name)

@@ -335,11 +335,8 @@ func (ab *Abstractor) rounds(domain []Pred, want cubeVerdict, keep func([]litera
 // implied by phi (Section 4.1). It inherits fv's parallelism and
 // determinism guarantees.
 func (ab *Abstractor) gv(fn string, preds []Pred, phi form.Formula) bp.Expr {
-	inner := ab.fv(fn, preds, form.NNF(form.MkNot(phi)))
-	return bpNot(inner)
+	return bp.MkNot(ab.fv(fn, preds, form.NNF(form.MkNot(phi))))
 }
-
-func bpNot(e bp.Expr) bp.Expr { return bp.MkNot(e) }
 
 // cubeFormula conjoins the cube's literals as a formula.
 func cubeFormula(domain []Pred, cube []literal) form.Formula {

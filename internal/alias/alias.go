@@ -26,9 +26,6 @@ type node struct {
 	parent *node
 	pts    *node
 	fields map[string]*node
-	// isVarCell marks cells that are the direct cell of a named variable
-	// (used only for diagnostics).
-	name string
 }
 
 func (n *node) find() *node {
@@ -185,7 +182,7 @@ func (a *Analysis) varCell(fn, name string) *node {
 	if n, ok := a.vars[key]; ok {
 		return n
 	}
-	n := &node{name: name}
+	n := &node{}
 	a.vars[key] = n
 	return n
 }

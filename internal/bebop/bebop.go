@@ -39,7 +39,10 @@ type varSlot struct {
 
 func (s varSlot) col(c column) int { return s.base + int(c) }
 
-// procInfo caches per-procedure layout and CFG information.
+// procInfo is one procedure's record: its variable layout, CFG and
+// enforce invariant, and the fixpoint state the worklist grows for it.
+// After layout the fixpoint tells variables apart by slot, never by
+// name, so a local or parameter may shadow a global.
 type procInfo struct {
 	proc   *bp.Proc
 	params []varSlot
@@ -52,12 +55,24 @@ type procInfo struct {
 	scope map[string]varSlot
 	// succs[i] lists the successor statement indices of statement i.
 	succs [][]int
-	// preds is the reverse of succs.
-	preds [][]int
 	// enforce is the invariant BDD over colCurrent (1 if none).
 	enfC int
 	// enfP is the invariant over colNext.
 	enfP int
+	// callers lists the call sites of this procedure in program order:
+	// the items to requeue when its summary grows.
+	callers []workItem
+
+	// pathEdges[stmt] is the path-edge BDD over (entry, current).
+	pathEdges []int
+	// summary is over (entry globals and params in colScratch, next
+	// globals, current rets).
+	summary int
+	// entrySeed accumulates the entry states seeded so far.
+	entrySeed int
+	// reach caches reachable at each statement once the fixpoint is
+	// done; 0 (false) means not computed yet.
+	reach []int
 }
 
 // Failure locates a reachable assertion violation.
@@ -71,7 +86,7 @@ type Failure struct {
 // reachable-state sets, assertion reachability, counterexample traces).
 //
 // A Checker is not safe for concurrent use: both the fixpoint and the
-// query methods (Reachable, InvariantRows, Trace, ...) mutate the shared
+// query methods (InvariantRows, HoldsAt, Trace, ...) mutate the shared
 // BDD manager's node and memo tables. Run independent checks on
 // independent Checkers.
 type Checker struct {
@@ -81,13 +96,6 @@ type Checker struct {
 	procs map[string]*procInfo
 	// scratchNondet is a pool of BDD variables for * and choose.
 	scratchNondet []int
-
-	// pathEdges[proc][stmt] is the path-edge BDD over (entry, current).
-	pathEdges map[string][]int
-	// summaries[proc] is over (entry globals+params, next globals, ret).
-	summaries map[string]int
-	// entrySeeds[proc] accumulates seeded entry conditions.
-	entrySeeds map[string]int
 
 	// Failures lists reachable assertion violations.
 	Failures []Failure
@@ -149,9 +157,6 @@ func CheckLimited(prog *bp.Program, entry string, tr *trace.Tracer, bt *budget.T
 		Prog:             prog,
 		m:                bdd.New(0),
 		procs:            map[string]*procInfo{},
-		pathEdges:        map[string][]int{},
-		summaries:        map[string]int{},
-		entrySeeds:       map[string]int{},
 		IterationsByProc: map[string]int{},
 		tr:               tr,
 	}
@@ -181,7 +186,12 @@ func (c *Checker) layout() {
 		c.glob = append(c.glob, alloc(g, i))
 	}
 	for _, pr := range c.Prog.Procs {
-		pi := &procInfo{proc: pr, scope: map[string]varSlot{}}
+		pi := &procInfo{
+			proc:      pr,
+			scope:     map[string]varSlot{},
+			pathEdges: make([]int, len(pr.Stmts)),
+			reach:     make([]int, len(pr.Stmts)),
+		}
 		pi.slots = append(pi.slots, c.glob...)
 		for _, p := range pr.Params {
 			s := alloc(p, len(pi.slots))
@@ -207,13 +217,18 @@ func (c *Checker) layout() {
 	}
 }
 
+// buildCFGs fills in each record's successor lists, its callers (in
+// program order) and its enforce BDDs.
 func (c *Checker) buildCFGs() {
 	for _, pr := range c.Prog.Procs {
 		pi := c.procs[pr.Name]
 		n := len(pr.Stmts)
 		pi.succs = make([][]int, n)
-		pi.preds = make([][]int, n)
 		for i, s := range pr.Stmts {
+			if s.Kind == bp.Call {
+				callee := c.procs[s.Callee]
+				callee.callers = append(callee.callers, workItem{pi, i})
+			}
 			switch s.Kind {
 			case bp.Goto:
 				for _, tgt := range s.Targets {
@@ -228,11 +243,6 @@ func (c *Checker) buildCFGs() {
 				}
 			}
 		}
-		for i, ss := range pi.succs {
-			for _, j := range ss {
-				pi.preds[j] = append(pi.preds[j], i)
-			}
-		}
 		pi.enfC = 1
 		pi.enfP = 1
 		if pr.Enforce != nil {
@@ -242,13 +252,14 @@ func (c *Checker) buildCFGs() {
 	}
 }
 
-// nondetVar hands out a scratch variable for one * occurrence.
-func (c *Checker) nondetVar(used *int) int {
-	for *used >= len(c.scratchNondet) {
+// nondetVar hands out the next scratch variable for one * occurrence
+// and appends it to *nondet.
+func (c *Checker) nondetVar(nondet *[]int) int {
+	for len(*nondet) >= len(c.scratchNondet) {
 		c.scratchNondet = append(c.scratchNondet, c.m.AddVar())
 	}
-	v := c.scratchNondet[*used]
-	*used++
+	v := c.scratchNondet[len(*nondet)]
+	*nondet = append(*nondet, v)
 	return v
 }
 
@@ -272,10 +283,7 @@ func (c *Checker) exprBDD(pi *procInfo, e bp.Expr, col column, nondet *[]int) in
 		if nondet == nil {
 			return c.m.True() // deterministic context: treat as true-assume
 		}
-		used := len(*nondet)
-		v := c.nondetVar(&used)
-		*nondet = append(*nondet, v)
-		return c.m.Var(v)
+		return c.m.Var(c.nondetVar(nondet))
 	case bp.Not:
 		return c.m.Not(c.exprBDD(pi, e.X, col, nondet))
 	case bp.Bin:
@@ -297,11 +305,8 @@ func (c *Checker) exprBDD(pi *procInfo, e bp.Expr, col column, nondet *[]int) in
 		if nondet == nil {
 			return pos
 		}
-		used := len(*nondet)
-		v := c.nondetVar(&used)
-		*nondet = append(*nondet, v)
 		// pos ? true : (neg ? false : ν)
-		return c.m.Or(pos, c.m.And(c.m.Not(neg), c.m.Var(v)))
+		return c.m.Or(pos, c.m.And(c.m.Not(neg), c.m.Var(c.nondetVar(nondet))))
 	}
 	return c.m.False()
 }
@@ -326,20 +331,20 @@ func renameMap(slots []varSlot, from, to column) map[int]int {
 // parallel assignment, including the frame condition and the enforce
 // invariant on the next state.
 func (c *Checker) assignRelation(pi *procInfo, lhs []string, rhs []bp.Expr) int {
-	assigned := map[string]bool{}
+	assigned := make([]bool, len(pi.slots))
 	rel := c.m.True()
 	var nondet []int
 	for i, name := range lhs {
-		assigned[name] = true
 		slot, ok := pi.scope[name]
 		if !ok {
 			continue
 		}
+		assigned[slot.pos] = true
 		val := c.exprBDD(pi, rhs[i], colCurrent, &nondet)
 		rel = c.m.And(rel, c.m.Iff(c.m.Var(slot.col(colNext)), val))
 	}
 	for _, s := range pi.slots {
-		if !assigned[s.name] {
+		if !assigned[s.pos] {
 			rel = c.m.And(rel, c.m.Iff(c.m.Var(s.col(colNext)), c.m.Var(s.col(colCurrent))))
 		}
 	}
@@ -358,12 +363,12 @@ func (c *Checker) image(pi *procInfo, pe, rel int) int {
 	return c.m.Replace(ex, renameMap(pi.slots, colNext, colCurrent))
 }
 
+// workItem is one statement of one procedure on the worklist.
 type workItem struct {
-	proc string
+	pi   *procInfo
 	stmt int
 }
 
-// run executes the RHS-style worklist to a fixpoint.
 // cancelPollStride is how many worklist items run between cancellation
 // polls (BDD-node checks are O(1) and run every item).
 const cancelPollStride = 32
@@ -375,23 +380,9 @@ func (c *Checker) degrade(bt *budget.Tracker, limit, detail string) {
 	bt.Degrade("bebop", limit, detail)
 }
 
+// run executes the RHS-style worklist to a fixpoint.
 func (c *Checker) run(entry string, bt *budget.Tracker) {
 	maxNodes := bt.Limits().BDDMaxNodes
-	for name, pi := range c.procs {
-		c.pathEdges[name] = make([]int, len(pi.proc.Stmts))
-		c.summaries[name] = c.m.False()
-		c.entrySeeds[name] = c.m.False()
-	}
-
-	// Callers index: who calls whom, for summary-growth requeueing.
-	callSites := map[string][]workItem{}
-	for _, pr := range c.Prog.Procs {
-		for i, s := range pr.Stmts {
-			if s.Kind == bp.Call {
-				callSites[s.Callee] = append(callSites[s.Callee], workItem{pr.Name, i})
-			}
-		}
-	}
 
 	var queue []workItem
 	inQueue := map[workItem]bool{}
@@ -404,8 +395,7 @@ func (c *Checker) run(entry string, bt *budget.Tracker) {
 
 	// Seed the entry procedure: unconstrained globals and parameters.
 	epi := c.procs[entry]
-	seed := pi0Seed(c, epi)
-	c.seedEntry(entry, seed, push)
+	c.seedEntry(epi, c.entryStates(c.m.True(), epi), push)
 
 	for len(queue) > 0 {
 		// Resource limits: stopping the worklist early leaves the path
@@ -423,24 +413,25 @@ func (c *Checker) run(entry string, bt *budget.Tracker) {
 		w := queue[0]
 		queue = queue[1:]
 		inQueue[w] = false
+		pi := w.pi
+		name := pi.proc.Name
 		c.Iterations++
-		c.IterationsByProc[w.proc]++
-		c.tr.Event("bebop", "iter", trace.Str("proc", w.proc),
+		c.IterationsByProc[name]++
+		c.tr.Event("bebop", "iter", trace.Str("proc", name),
 			trace.Int("worklist", len(queue)), trace.Int("bdd_nodes", c.m.NumNodes()))
 
-		pi := c.procs[w.proc]
-		pe := c.pathEdges[w.proc][w.stmt]
+		pe := pi.pathEdges[w.stmt]
 		if pe == 0 {
 			continue
 		}
 		s := pi.proc.Stmts[w.stmt]
 
 		propagate := func(to int, newPE int) {
-			old := c.pathEdges[w.proc][to]
+			old := pi.pathEdges[to]
 			union := c.m.Or(old, newPE)
 			if union != old {
-				c.pathEdges[w.proc][to] = union
-				push(workItem{w.proc, to})
+				pi.pathEdges[to] = union
+				push(workItem{pi, to})
 			}
 		}
 
@@ -463,7 +454,7 @@ func (c *Checker) run(entry string, bt *budget.Tracker) {
 			cond := c.exprBDD(pi, s.Cond, colCurrent, &nondet)
 			fail := c.m.Exists(c.m.And(pe, c.m.Not(cond)), nondet)
 			if !c.m.IsFalse(fail) {
-				c.recordFailure(w.proc, w.stmt)
+				c.recordFailure(name, w.stmt)
 			}
 			pass := c.m.Exists(c.m.And(pe, cond), nondet)
 			for _, nxt := range pi.succs[w.stmt] {
@@ -476,16 +467,14 @@ func (c *Checker) run(entry string, bt *budget.Tracker) {
 				propagate(nxt, out)
 			}
 		case bp.Call:
-			out, grewCallee := c.applyCall(pi, w, s, push)
-			_ = grewCallee
-			if out != 0 && !c.m.IsFalse(out) {
+			if out := c.applyCall(pi, pe, s, push); !c.m.IsFalse(out) {
 				for _, nxt := range pi.succs[w.stmt] {
 					propagate(nxt, out)
 				}
 			}
 		case bp.Return:
-			if c.growSummary(pi, w, s) {
-				for _, cs := range callSites[w.proc] {
+			if c.growSummary(pi, pe, s) {
+				for _, cs := range pi.callers {
 					push(cs)
 				}
 			}
@@ -493,11 +482,11 @@ func (c *Checker) run(entry string, bt *budget.Tracker) {
 	}
 }
 
-// pi0Seed builds the unconstrained initial path edge for the entry
-// procedure: entry columns free, current = entry for globals and params,
-// locals free, enforce holds.
-func pi0Seed(c *Checker, pi *procInfo) int {
-	seed := c.m.True()
+// entryStates conjoins to from the entry condition of pi: globals and
+// params mirrored from the entry into the current columns (locals
+// unconstrained), and enforce.
+func (c *Checker) entryStates(from int, pi *procInfo) int {
+	seed := from
 	for _, s := range c.glob {
 		seed = c.m.And(seed, c.m.Iff(c.m.Var(s.col(colEntry)), c.m.Var(s.col(colCurrent))))
 	}
@@ -509,25 +498,24 @@ func pi0Seed(c *Checker, pi *procInfo) int {
 
 // seedEntry adds entry states (over entry columns of globals and params,
 // mirrored into current columns) for a procedure.
-func (c *Checker) seedEntry(proc string, seed int, push func(workItem)) {
-	old := c.entrySeeds[proc]
-	union := c.m.Or(old, seed)
-	if union == old {
+func (c *Checker) seedEntry(pi *procInfo, seed int, push func(workItem)) {
+	union := c.m.Or(pi.entrySeed, seed)
+	if union == pi.entrySeed {
 		return
 	}
-	c.entrySeeds[proc] = union
-	pe := c.pathEdges[proc][0]
+	pi.entrySeed = union
+	pe := pi.pathEdges[0]
 	pe2 := c.m.Or(pe, seed)
-	if pe2 != pe && len(c.procs[proc].proc.Stmts) > 0 {
-		c.pathEdges[proc][0] = pe2
-		push(workItem{proc, 0})
+	if pe2 != pe && len(pi.proc.Stmts) > 0 {
+		pi.pathEdges[0] = pe2
+		push(workItem{pi, 0})
 	}
 }
 
 // applyCall binds arguments, seeds the callee, and applies the callee's
-// summary, producing the post-call path edges.
-func (c *Checker) applyCall(pi *procInfo, w workItem, s *bp.Stmt, push func(workItem)) (int, bool) {
-	pe := c.pathEdges[w.proc][w.stmt]
+// summary to the path edges pe at the call, producing the post-call
+// path edges.
+func (c *Checker) applyCall(pi *procInfo, pe int, s *bp.Stmt, push func(workItem)) int {
 	callee := c.procs[s.Callee]
 
 	// Bind arguments into the callee's parameter SCRATCH columns. (Not the
@@ -551,31 +539,20 @@ func (c *Checker) applyCall(pi *procInfo, w workItem, s *bp.Stmt, push func(work
 	// entry columns.
 	inputs = c.m.Replace(inputs, renameMap(c.glob, colCurrent, colEntry))
 	inputs = c.m.Replace(inputs, renameMap(callee.params, colScratch, colEntry))
-	// Mirror entries into current columns; locals unconstrained modulo
-	// enforce.
-	seed := inputs
-	for _, sl := range c.glob {
-		seed = c.m.And(seed, c.m.Iff(c.m.Var(sl.col(colEntry)), c.m.Var(sl.col(colCurrent))))
-	}
-	for _, sl := range callee.params {
-		seed = c.m.And(seed, c.m.Iff(c.m.Var(sl.col(colEntry)), c.m.Var(sl.col(colCurrent))))
-	}
-	seed = c.m.And(seed, callee.enfC)
-	c.seedEntry(s.Callee, seed, push)
+	c.seedEntry(callee, c.entryStates(inputs, callee), push)
 
 	// Apply the summary. Summary layout: input globals and input params in
 	// colScratch, output globals in colNext, returns in callee ret
 	// colCurrent.
-	summ := c.summaries[s.Callee]
-	if c.m.IsFalse(summ) {
-		return 0, false
+	if c.m.IsFalse(callee.summary) {
+		return c.m.False()
 	}
 	// Match summary input globals with the caller's current globals.
 	match := c.m.True()
 	for _, g := range c.glob {
 		match = c.m.And(match, c.m.Iff(c.m.Var(g.col(colScratch)), c.m.Var(g.col(colCurrent))))
 	}
-	out := c.m.AndN(combined, match, summ)
+	out := c.m.AndN(combined, match, callee.summary)
 	// Drop old globals, summary inputs, and callee parameter bindings.
 	out = c.m.Exists(out, colVars(c.glob, colCurrent))
 	out = c.m.Exists(out, colVars(c.glob, colScratch))
@@ -585,32 +562,24 @@ func (c *Checker) applyCall(pi *procInfo, w workItem, s *bp.Stmt, push func(work
 	// Copy return values into the call targets.
 	if len(s.CallLhs) > 0 {
 		copyRel := c.m.True()
+		lhsSlots := make([]varSlot, len(s.CallLhs))
 		for i, name := range s.CallLhs {
-			slot := pi.scope[name]
-			copyRel = c.m.And(copyRel, c.m.Iff(c.m.Var(slot.col(colNext)), c.m.Var(callee.rets[i].col(colCurrent))))
+			lhsSlots[i] = pi.scope[name]
+			copyRel = c.m.And(copyRel, c.m.Iff(c.m.Var(lhsSlots[i].col(colNext)), c.m.Var(callee.rets[i].col(colCurrent))))
 		}
 		out = c.m.And(out, copyRel)
-		lhsSlots := make([]varSlot, 0, len(s.CallLhs))
-		for _, name := range s.CallLhs {
-			lhsSlots = append(lhsSlots, pi.scope[name])
-		}
 		out = c.m.Exists(out, colVars(lhsSlots, colCurrent))
 		out = c.m.Exists(out, colVars(callee.rets, colCurrent))
 		out = c.m.Replace(out, renameMap(lhsSlots, colNext, colCurrent))
 	} else {
 		out = c.m.Exists(out, colVars(callee.rets, colCurrent))
 	}
-	out = c.m.And(out, pi.enfC)
-	return out, false
+	return c.m.And(out, pi.enfC)
 }
 
-// growSummary folds a reached return statement into the procedure's
-// summary relation. Reports whether the summary grew.
-func (c *Checker) growSummary(pi *procInfo, w workItem, s *bp.Stmt) bool {
-	pe := c.pathEdges[w.proc][w.stmt]
-	if c.m.IsFalse(pe) {
-		return false
-	}
+// growSummary folds the path edges pe at a reached return statement into
+// the procedure's summary relation. Reports whether the summary grew.
+func (c *Checker) growSummary(pi *procInfo, pe int, s *bp.Stmt) bool {
 	// Attach return values.
 	rel := pe
 	var nondet []int
@@ -630,12 +599,11 @@ func (c *Checker) growSummary(pi *procInfo, w workItem, s *bp.Stmt) bool {
 	// sites can match them without touching their own entry columns.
 	rel = c.m.Replace(rel, renameMap(c.glob, colEntry, colScratch))
 	rel = c.m.Replace(rel, renameMap(pi.params, colEntry, colScratch))
-	old := c.summaries[w.proc]
-	union := c.m.Or(old, rel)
-	if union == old {
+	union := c.m.Or(pi.summary, rel)
+	if union == pi.summary {
 		return false
 	}
-	c.summaries[w.proc] = union
+	pi.summary = union
 	return true
 }
 
@@ -656,12 +624,14 @@ func (c *Checker) ErrorReachable() (Failure, bool) {
 	return c.Failures[0], true
 }
 
-// Reachable returns the reachable current-state set at (proc, stmt) as a
-// BDD over the current columns (entry columns quantified away).
-func (c *Checker) Reachable(proc string, stmt int) int {
-	pi := c.procs[proc]
-	pe := c.pathEdges[proc][stmt]
-	return c.m.Exists(pe, colVars(pi.slots, colEntry))
+// reachable returns the reachable current-state set at (pi, stmt) as a
+// BDD over the current columns (entry columns quantified away), computed
+// once per statement.
+func (c *Checker) reachable(pi *procInfo, stmt int) int {
+	if pi.reach[stmt] == 0 && pi.pathEdges[stmt] != 0 {
+		pi.reach[stmt] = c.m.Exists(pi.pathEdges[stmt], colVars(pi.slots, colEntry))
+	}
+	return pi.reach[stmt]
 }
 
 // StmtAtLabel resolves a label to its statement index.
@@ -681,8 +651,7 @@ func (c *Checker) InvariantRows(proc string, stmt int) ([]string, [][]byte) {
 	for i, s := range pi.slots {
 		names[i] = s.name
 	}
-	reach := c.Reachable(proc, stmt)
-	rows := c.m.AllSat(reach, colVars(pi.slots, colCurrent))
+	rows := c.m.AllSat(c.reachable(pi, stmt), colVars(pi.slots, colCurrent))
 	return names, rows
 }
 
@@ -712,17 +681,18 @@ func (c *Checker) InvariantString(proc string, stmt int) string {
 
 // StateReachable reports whether a (possibly partial) concrete state is
 // compatible with the reachable set at (proc, stmt): variables present in
-// the map are fixed, others existentially quantified. Used by the
+// the map are fixed, others existentially quantified. A name fixes the
+// variable in scope, so a global a local shadows stays free. Used by the
 // abstraction-soundness property tests.
 func (c *Checker) StateReachable(proc string, stmt int, state map[string]bool) bool {
 	pi, ok := c.procs[proc]
 	if !ok || stmt >= len(pi.proc.Stmts) {
 		return false
 	}
-	f := c.Reachable(proc, stmt)
+	f := c.reachable(pi, stmt)
 	for _, s := range pi.slots {
 		v, ok := state[s.name]
-		if !ok {
+		if !ok || pi.scope[s.name] != s {
 			continue
 		}
 		f = c.m.Restrict(f, s.col(colCurrent), v)
@@ -756,8 +726,7 @@ func (c *Checker) StmtsWithOrigin(proc string, origin any) []int {
 func (c *Checker) HoldsAt(proc string, stmt int, e bp.Expr) bool {
 	pi := c.procs[proc]
 	cond := c.exprBDD(pi, e, colCurrent, nil)
-	reach := c.Reachable(proc, stmt)
-	return c.m.IsFalse(c.m.And(reach, c.m.Not(cond)))
+	return c.m.IsFalse(c.m.And(c.reachable(pi, stmt), c.m.Not(cond)))
 }
 
 // LabelledInvariants renders the reachable-state invariant at every

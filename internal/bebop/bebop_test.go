@@ -355,7 +355,7 @@ end`
 	idx, _ := checker.StmtAtLabel("main", "L")
 	pi := checker.procs["main"]
 	slots := pi.slots
-	reach := checker.Reachable("main", idx)
+	reach := checker.reachable(pi, idx)
 
 	for seed := int64(0); seed < 300; seed++ {
 		in := &bpinterp.Interp{

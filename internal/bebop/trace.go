@@ -34,8 +34,6 @@ type traceSearcher struct {
 	c      *Checker
 	target Failure
 	fuel   int
-	// reach caches Reachable(proc, stmt) for the search.
-	reach map[*procInfo][]int
 	// vals is the BDD variable assignment inReach evaluates Reach under.
 	vals []bool
 	// ctxs numbers call-site chains; 0 is the entry's empty chain.
@@ -80,7 +78,6 @@ func (c *Checker) Trace(entry string, f Failure) ([]Step, bool) {
 		c:       c,
 		target:  f,
 		fuel:    traceFuel,
-		reach:   map[*procInfo][]int{},
 		vals:    make([]bool, c.m.NumVars()),
 		ctxs:    map[callSite]int{},
 		visited: map[visitKey][][]bool{},
@@ -96,7 +93,7 @@ func (ts *traceSearcher) search(pi *procInfo) []Step {
 	// Returning from the entry procedure ends a path that missed the
 	// target.
 	fallOff := func([]bool, []bool, []pathStep) bool { return false }
-	for _, row := range ts.c.m.AllSat(ts.reachAt(pi, 0), colVars(pi.slots, colCurrent)) {
+	for _, row := range ts.c.m.AllSat(ts.c.reachable(pi, 0), colVars(pi.slots, colCurrent)) {
 		st := make([]bool, len(row))
 		for i, b := range row {
 			st[i] = b == 1
@@ -117,28 +114,12 @@ func (ts *traceSearcher) search(pi *procInfo) []Step {
 	return nil
 }
 
-// reachAt returns Reachable(pi, stmt), computing it once per search.
-func (ts *traceSearcher) reachAt(pi *procInfo, stmt int) int {
-	rs := ts.reach[pi]
-	if rs == nil {
-		rs = make([]int, len(pi.proc.Stmts))
-		for i := range rs {
-			rs[i] = -1
-		}
-		ts.reach[pi] = rs
-	}
-	if rs[stmt] < 0 {
-		rs[stmt] = ts.c.Reachable(pi.proc.Name, stmt)
-	}
-	return rs[stmt]
-}
-
 // inReach checks that a concrete state is inside Reach(pi, stmt).
 func (ts *traceSearcher) inReach(pi *procInfo, stmt int, st []bool) bool {
 	for i, s := range pi.slots {
 		ts.vals[s.col(colCurrent)] = st[i]
 	}
-	return ts.c.m.Eval(ts.reachAt(pi, stmt), ts.vals)
+	return ts.c.m.Eval(ts.c.reachable(pi, stmt), ts.vals)
 }
 
 // visit records the configuration and reports whether it is new.
@@ -354,7 +335,7 @@ func (ts *traceSearcher) step(pi *procInfo, pc int, st []bool, depth, ctx int, c
 // valuation of the locals the callee's entry reachable set allows.
 func (ts *traceSearcher) calleeInits(pi *procInfo, args, st []bool) [][]bool {
 	c := ts.c
-	f := ts.reachAt(pi, 0)
+	f := c.reachable(pi, 0)
 	for i, g := range c.glob {
 		f = c.m.Restrict(f, g.col(colCurrent), st[i])
 	}

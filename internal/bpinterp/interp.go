@@ -84,7 +84,6 @@ type Interp struct {
 }
 
 type frame struct {
-	proc *bp.Proc
 	vars map[string]bool
 }
 
@@ -125,7 +124,7 @@ func (in *Interp) nondet() bool { return in.Choice.Choose(2) == 1 }
 // call runs a procedure to completion. It returns the status, the return
 // values, and the failure location for AssertFailed.
 func (in *Interp) call(pr *bp.Proc, args []bool) (Status, []bool, string, int) {
-	f := &frame{proc: pr, vars: map[string]bool{}}
+	f := &frame{vars: map[string]bool{}}
 	for i, p := range pr.Params {
 		f.vars[p] = args[i]
 	}

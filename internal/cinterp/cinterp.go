@@ -95,12 +95,14 @@ type instr struct {
 type flattener struct {
 	instrs []instr
 	labels map[string]int
-	// fixups: (instr index, label) pairs resolved at the end.
-	fixups []struct {
-		idx   int
-		label string
-		which byte // 'g', 't', 'f'
-	}
+	// fixups are the gotos whose label flatten resolves at the end.
+	fixups []fixup
+}
+
+// fixup is a goto at instrs[idx] to be pointed at label.
+type fixup struct {
+	idx   int
+	label string
 }
 
 func (fl *flattener) emit(i instr) int {
@@ -134,11 +136,7 @@ func (fl *flattener) stmt(s cast.Stmt) {
 		fl.emit(instr{kind: 't', stmt: s, cond: s.X})
 	case *cast.GotoStmt:
 		idx := fl.emit(instr{kind: 'g', stmt: s})
-		fl.fixups = append(fl.fixups, struct {
-			idx   int
-			label string
-			which byte
-		}{idx, s.Label, 'g'})
+		fl.fixups = append(fl.fixups, fixup{idx, s.Label})
 	case *cast.IfStmt:
 		bIdx := fl.emit(instr{kind: 'b', stmt: s, cond: s.Cond})
 		fl.instrs[bIdx].tTgt = len(fl.instrs)

@@ -31,4 +31,26 @@ type Name struct{}
 func (Name) String() string { return "name" }
 
 // Live is used by cmd/tool: live.
-func Live() string { return fmt.Sprint(Name{}) }
+func Live() string {
+	h := holder{written: 1}
+	h.written = 2
+	seen := map[pair]bool{{1, 2}: true}
+	return fmt.Sprint(Name{}, h.read, len(seen))
+}
+
+// holder's fields draw the write-only rule's verdicts.
+type holder struct {
+	// read is read through a selector in Live: passes.
+	read int
+	// written is set by a composite-literal key and a plain = only:
+	// write-only.
+	written int
+	// tagged is never read: tagged fields are exempt, passes.
+	tagged int `json:"tagged"`
+}
+
+// pair's fields are never named, but every lookup in a map keyed by
+// pair reads them: passes.
+type pair struct {
+	a, b int
+}

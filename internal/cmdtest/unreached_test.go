@@ -1,6 +1,7 @@
 // Unreached-declaration coverage: every top-level function, method,
 // type, variable and constant in a non-test file of the tree must be
-// reached by something that ships or by another directory's tests.
+// reached by something that ships or by another directory's tests, and
+// every unexported struct field must be read somewhere.
 // The check type-checks the module packages from source with go/types
 // and imports the standard library from the export data `go list
 // -export` leaves in the build cache, so it needs no tool beyond the
@@ -54,6 +55,7 @@ func TestUnreachedFixture(t *testing.T) {
 		"fixture.go:8: fixture.Dead is dead",
 		"fixture.go:11: fixture.Recursive is dead",
 		"fixture.go:19: fixture.sameDir is same-dir-tests-only",
+		"fixture.go:47: fixture.holder.written is write-only",
 	}
 	if strings.Join(got, "\n") != strings.Join(want, "\n") {
 		t.Errorf("findings:\n%s\nwant:\n%s", strings.Join(got, "\n"), strings.Join(want, "\n"))
@@ -121,6 +123,13 @@ type decl struct {
 // inside a declaration's own source and in method receivers do not
 // count. Anything else is "dead", or "same-dir-tests-only" when only
 // tests in its own directory use it; allow exempts names by key.
+//
+// A second rule covers the unexported, untagged, named fields of the
+// named struct types declared in non-test files: some code, tests
+// included, must read each one through a selector. A composite-literal
+// key and the left side of a plain = are writes, not reads. The fields
+// of a struct used as a map key are read by every lookup. Anything
+// else is "write-only".
 func unreached(t *testing.T, root string, modDirs []string, allow map[string]string) []string {
 	t.Helper()
 	var order []*listedPkg
@@ -169,6 +178,7 @@ func unreached(t *testing.T, root string, modDirs []string, allow map[string]str
 		})
 	}
 	files := map[string]*ast.File{}
+	assigned := map[*ast.SelectorExpr]bool{} // selectors on the left of a plain =
 	parse := func(dir string, names []string) []*ast.File {
 		var out []*ast.File
 		for _, n := range names {
@@ -180,6 +190,16 @@ func unreached(t *testing.T, root string, modDirs []string, allow map[string]str
 					t.Fatal(err)
 				}
 				files[path] = f
+				ast.Inspect(f, func(n ast.Node) bool {
+					if as, ok := n.(*ast.AssignStmt); ok && as.Tok == token.ASSIGN {
+						for _, lhs := range as.Lhs {
+							if sel, ok := ast.Unparen(lhs).(*ast.SelectorExpr); ok {
+								assigned[sel] = true
+							}
+						}
+					}
+					return true
+				})
 			}
 			out = append(out, f)
 		}
@@ -187,6 +207,21 @@ func unreached(t *testing.T, root string, modDirs []string, allow map[string]str
 	}
 
 	decls := map[token.Pos]*decl{}
+	fields := map[token.Pos]*field{}
+	var keyRead func(types.Type) // marks a map key's fields read
+	keyRead = func(typ types.Type) {
+		switch u := typ.Underlying().(type) {
+		case *types.Struct:
+			for i := 0; i < u.NumFields(); i++ {
+				if f := fields[u.Field(i).Origin().Pos()]; f != nil {
+					f.read = true
+				}
+				keyRead(u.Field(i).Type())
+			}
+		case *types.Array:
+			keyRead(u.Elem())
+		}
+	}
 	receivers := map[token.Pos]bool{} // idents inside method receiver types
 	var inPlay []*types.Interface     // interfaces non-test code uses
 	seenType := map[types.Type]bool{}
@@ -261,9 +296,26 @@ func unreached(t *testing.T, root string, modDirs []string, allow map[string]str
 				collect(tv.Type)
 			}
 		}
+		for sel, s := range info.Selections {
+			if s.Kind() == types.FieldVal && !assigned[sel] {
+				if f := fields[s.Obj().(*types.Var).Origin().Pos()]; f != nil {
+					f.read = true
+				}
+			}
+		}
+		for _, tv := range info.Types {
+			if m, ok := tv.Type.Underlying().(*types.Map); ok {
+				keyRead(m.Key())
+			}
+		}
 	}
 	check := func(path string, fs []*ast.File, over map[string]*types.Package, test bool) *types.Package {
-		info := &types.Info{Defs: map[*ast.Ident]types.Object{}, Uses: map[*ast.Ident]types.Object{}, Types: map[ast.Expr]types.TypeAndValue{}}
+		info := &types.Info{
+			Defs:       map[*ast.Ident]types.Object{},
+			Uses:       map[*ast.Ident]types.Object{},
+			Types:      map[ast.Expr]types.TypeAndValue{},
+			Selections: map[*ast.SelectorExpr]*types.Selection{},
+		}
 		var errs []string
 		conf := types.Config{Importer: imp(over), Error: func(err error) { errs = append(errs, err.Error()) }}
 		pkg, _ := conf.Check(path, fset, fs, info)
@@ -275,6 +327,7 @@ func unreached(t *testing.T, root string, modDirs []string, allow map[string]str
 		}
 		if !test {
 			declare(fset, pkg, fs, info, decls, receivers)
+			declareFields(fset, pkg, fs, fields)
 		}
 		record(info, test)
 		return pkg
@@ -385,6 +438,11 @@ func unreached(t *testing.T, root string, modDirs []string, allow map[string]str
 		}
 		found = append(found, finding{d.pos, d.name + " is " + verdict})
 	}
+	for _, f := range fields {
+		if !f.read {
+			found = append(found, finding{f.pos, f.name + " is write-only"})
+		}
+	}
 	sort.Slice(found, func(i, j int) bool {
 		a, b := found[i].pos, found[j].pos
 		if a.Filename != b.Filename {
@@ -403,6 +461,37 @@ func unreached(t *testing.T, root string, modDirs []string, allow map[string]str
 		}
 	}
 	return out
+}
+
+// field is one unexported struct field under the write-only rule.
+type field struct {
+	name string // import path, enclosing type and field: "predabs/internal/bebop.procInfo.reach"
+	pos  token.Position
+	read bool
+}
+
+// declareFields adds the unexported, untagged, named fields of every
+// named struct type in one package's non-test files, function-local
+// types included, to fields, keyed by the field name's position.
+func declareFields(fset *token.FileSet, pkg *types.Package, files []*ast.File, fields map[token.Pos]*field) {
+	for _, f := range files {
+		ast.Inspect(f, func(n ast.Node) bool {
+			ts, ok := n.(*ast.TypeSpec)
+			if !ok {
+				return true
+			}
+			if st, ok := ts.Type.(*ast.StructType); ok {
+				for _, fd := range st.Fields.List {
+					for _, id := range fd.Names {
+						if fd.Tag == nil && id.Name != "_" && !id.IsExported() {
+							fields[id.Pos()] = &field{name: pkg.Path() + "." + ts.Name.Name + "." + id.Name, pos: fset.Position(id.Pos())}
+						}
+					}
+				}
+			}
+			return true
+		})
+	}
 }
 
 // declare adds the top-level declarations of one package's non-test

@@ -67,7 +67,6 @@ type normalizer struct {
 	decls    []*cast.DeclStmt
 	tempN    int
 	labelN   int
-	usesRet  bool
 	breakLbl []string
 	contLbl  []string
 	usedLbls map[string]bool
@@ -192,7 +191,6 @@ func (n *normalizer) normalizeFunc(f *cast.FuncDef) (*cast.FuncDef, string) {
 	n.decls = nil
 	n.tempN = 0
 	n.labelN = 0
-	n.usesRet = false
 	n.usedLbls = map[string]bool{}
 	n.localTy = map[string]cast.Type{}
 	for _, p := range f.Params {

@@ -162,7 +162,6 @@ func (c *Config) setDefaults() error {
 type fjob struct {
 	id       string
 	key      string
-	dedup    bool
 	admitSeq uint64 // ledger seq of this job's admit record
 	runStart uint64 // ledger seq of its run's creating admit
 	run      *run
@@ -261,7 +260,7 @@ func New(cfg Config) (*Frontend, error) {
 		}
 	}
 	for _, rj := range st.jobs {
-		f.jobs[rj.id] = &fjob{id: rj.id, key: rj.key, dedup: rj.dedup,
+		f.jobs[rj.id] = &fjob{id: rj.id, key: rj.key,
 			admitSeq: rj.admitSeq, runStart: rj.runStart, run: rebuilt[rj.runStart]}
 	}
 	f.nextSeq = len(st.jobs)
@@ -350,7 +349,7 @@ func (f *Frontend) Submit(spec server.JobSpec) (string, error) {
 		}
 		return "", fmt.Errorf("fleet ledger: %w", err)
 	}
-	j := &fjob{id: id, key: key, dedup: !created, admitSeq: rec.Seq, run: r}
+	j := &fjob{id: id, key: key, admitSeq: rec.Seq, run: r}
 	if created {
 		j.runStart = rec.Seq
 	} else {

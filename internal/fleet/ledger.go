@@ -149,7 +149,6 @@ type replayRun struct {
 type replayJob struct {
 	id       string
 	key      string
-	dedup    bool
 	admitSeq uint64
 	runStart uint64
 }
@@ -271,7 +270,7 @@ func (st *replayState) fold(rec Record) {
 			st.runs[rec.Seq] = r
 			st.runStart[rec.Key] = rec.Seq
 		}
-		st.jobs = append(st.jobs, replayJob{id: rec.Job, key: rec.Key, dedup: rec.Dedup,
+		st.jobs = append(st.jobs, replayJob{id: rec.Job, key: rec.Key,
 			admitSeq: rec.Seq, runStart: st.runStart[rec.Key]})
 	case RecDispatch:
 		if r := st.live(rec.Key); r != nil {

@@ -58,7 +58,6 @@ type pathEvent struct {
 	lhs, rhs form.Term
 	cond     form.Formula // for assume events
 	text     string
-	frameFn  string
 }
 
 // frameSep separates the frame qualifier from the variable name.
@@ -181,10 +180,9 @@ func buildEvents(res *cnorm.Result, trace []bebop.Step) ([]pathEvent, error) {
 	type frame struct {
 		fn string
 		id int
-		// pendingLhs is the caller-side result location for the active
+		// callerLhs is the caller-side result location for the active
 		// call, if any.
-		callerLhs   form.Term
-		callerFrame *frame
+		callerLhs form.Term
 	}
 	frameN := 0
 	newFrame := func(fn string) *frame {
@@ -218,7 +216,7 @@ func buildEvents(res *cnorm.Result, trace []bebop.Step) ([]pathEvent, error) {
 				}
 				cond = renameFormula(res, fr.fn, fr.id, cond)
 				events = append(events, pathEvent{
-					cond: cond, frameFn: fr.fn,
+					cond: cond,
 					text: fmt.Sprintf("[%s] assume %s", fr.fn, cond),
 				})
 			case cast.Stmt:
@@ -229,7 +227,7 @@ func buildEvents(res *cnorm.Result, trace []bebop.Step) ([]pathEvent, error) {
 					}
 					cond = renameFormula(res, fr.fn, fr.id, cond)
 					events = append(events, pathEvent{
-						cond: cond, frameFn: fr.fn,
+						cond: cond,
 						text: fmt.Sprintf("[%s] assume %s", fr.fn, cond),
 					})
 				}
@@ -260,7 +258,6 @@ func buildEvents(res *cnorm.Result, trace []bebop.Step) ([]pathEvent, error) {
 				isAssign: true,
 				lhs:      renameTerm(res, fr.fn, fr.id, lhsT),
 				rhs:      renameTerm(res, fr.fn, fr.id, rhsT),
-				frameFn:  fr.fn,
 				text:     fmt.Sprintf("[%s] %s = %s", fr.fn, as.Lhs, as.Rhs),
 			})
 		case bp.Goto, bp.Assert:
@@ -274,7 +271,7 @@ func buildEvents(res *cnorm.Result, trace []bebop.Step) ([]pathEvent, error) {
 						if err == nil {
 							neg := renameFormula(res, fr.fn, fr.id, form.NNF(form.MkNot(cond)))
 							events = append(events, pathEvent{
-								cond: neg, frameFn: fr.fn,
+								cond: neg,
 								text: fmt.Sprintf("[%s] violate %s", fr.fn, asrt.X),
 							})
 						}
@@ -301,7 +298,6 @@ func buildEvents(res *cnorm.Result, trace []bebop.Step) ([]pathEvent, error) {
 				continue
 			}
 			nf := newFrame(callExpr.Name)
-			nf.callerFrame = fr
 			if lhs != nil {
 				if t, err := form.FromExpr(lhs); err == nil {
 					nf.callerLhs = renameTerm(res, fr.fn, fr.id, t)
@@ -321,7 +317,6 @@ func buildEvents(res *cnorm.Result, trace []bebop.Step) ([]pathEvent, error) {
 					isAssign: true,
 					lhs:      form.Var{Name: qualifyFn(nf.id, callExpr.Name, p.Name)},
 					rhs:      renameTerm(res, fr.fn, fr.id, argT),
-					frameFn:  callExpr.Name,
 					text:     fmt.Sprintf("[%s] %s = %s (bind)", callExpr.Name, p.Name, callExpr.Args[j]),
 				})
 			}
@@ -334,7 +329,6 @@ func buildEvents(res *cnorm.Result, trace []bebop.Step) ([]pathEvent, error) {
 						isAssign: true,
 						lhs:      fr.callerLhs,
 						rhs:      form.Var{Name: qualifyFn(fr.id, fr.fn, rv)},
-						frameFn:  fr.fn,
 						text:     fmt.Sprintf("[%s] return %s", fr.fn, rv),
 					})
 				}

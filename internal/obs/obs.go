@@ -13,6 +13,7 @@ import (
 	"io"
 	"os"
 	"runtime/pprof"
+	"sort"
 	"time"
 
 	"predabs/internal/budget"
@@ -162,6 +163,20 @@ func WriteProverStats(w io.Writer, s prover.Stats) {
 	}
 	fmt.Fprintf(w, "prover search nodes: %d\ntheory leaves: %d (memo hits: %d)\nfourier-motzkin runs: %d\nequality probes: %d\ncongruence unions: %d\n",
 		s.SearchNodes, s.TheoryLeaves, s.TheoryMemoHits, s.FMRuns, s.EqualityProbes, s.CCUnions)
+}
+
+// WriteProcIterations renders the per-procedure Bebop worklist
+// iterations that the -stats output of bebop and slam share, one
+// "  proc NAME: N" line per procedure in name order.
+func WriteProcIterations(w io.Writer, byProc map[string]int) {
+	procs := make([]string, 0, len(byProc))
+	for p := range byProc {
+		procs = append(procs, p)
+	}
+	sort.Strings(procs)
+	for _, p := range procs {
+		fmt.Fprintf(w, "  proc %s: %d\n", p, byProc[p])
+	}
 }
 
 // Limits bundles the resource-limit flag values.

@@ -12,7 +12,6 @@ package runner
 import (
 	"fmt"
 	"io"
-	"sort"
 
 	"predabs"
 	"predabs/internal/checkpoint"
@@ -176,9 +175,7 @@ func Run(in Input, stdout, stderr io.Writer) (code int, outcome string) {
 		fmt.Fprintf(stderr, "stage abstraction (c2bp): %v\nstage model checking (bebop): %v\nstage predicate discovery (newton): %v\n",
 			res.AbstractTime, res.CheckTime, res.NewtonTime)
 		fmt.Fprintf(stderr, "bebop iterations: %d\n", res.CheckIterations)
-		for _, p := range sortedProcs(res.CheckIterationsByProc) {
-			fmt.Fprintf(stderr, "  proc %s: %d\n", p, res.CheckIterationsByProc[p])
-		}
+		obs.WriteProcIterations(stderr, res.CheckIterationsByProc)
 	}
 	switch res.Outcome {
 	case predabs.ErrorFound:
@@ -210,15 +207,6 @@ func Run(in Input, stdout, stderr io.Writer) (code int, outcome string) {
 		return ExitUnknown, res.Outcome.String()
 	}
 	return ExitVerified, res.Outcome.String()
-}
-
-func sortedProcs(m map[string]int) []string {
-	out := make([]string, 0, len(m))
-	for p := range m {
-		out = append(out, p)
-	}
-	sort.Strings(out)
-	return out
 }
 
 func fatal(w io.Writer, err error) int {
