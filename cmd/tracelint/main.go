@@ -1,7 +1,9 @@
 // Command tracelint validates a structured trace emitted by the predabs
 // tools with -trace-out: every line must be a JSON object matching the
 // event schema (known category/name taxonomy, non-negative timestamps,
-// span/event duration rules, scalar field values).
+// span/event duration rules, scalar field values, and the fields each
+// event of a kind must carry: a prover.query reports its verdict, cache
+// hit and search effort — nodes, leaves, fm_runs and eq_probes).
 //
 // With -events it instead validates job-event streams — the NDJSON the
 // daemon serves at GET /jobs/{id}/events (exported from each job's

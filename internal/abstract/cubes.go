@@ -9,6 +9,7 @@ import (
 
 	"predabs/internal/bp"
 	"predabs/internal/form"
+	"predabs/internal/prover"
 	"predabs/internal/trace"
 )
 
@@ -51,11 +52,9 @@ func (p Pred) Neg() form.Formula {
 	return p.neg.f
 }
 
-// literal is one signed predicate occurrence in a cube.
-type literal struct {
-	idx int
-	pos bool
-}
+// literal is one signed predicate occurrence in a cube: domain
+// predicate Pred, negated unless Pos.
+type literal = prover.Lit
 
 // cubeVerdict classifies one candidate cube after its prover checks.
 type cubeVerdict int8
@@ -145,7 +144,7 @@ func enumerateCubes(n, size int, keep func([]literal) bool) [][]literal {
 		}
 		for i := start; i <= n-need; i++ {
 			for _, pos := range []bool{true, false} {
-				cube = append(cube, literal{idx: i, pos: pos})
+				cube = append(cube, literal{Pred: i, Pos: pos})
 				rec(i+1, need-1)
 				cube = cube[:len(cube)-1]
 			}
@@ -249,9 +248,10 @@ func (ab *Abstractor) fv(fn string, preds []Pred, phi form.Formula) bp.Expr {
 }
 
 // fvQueries is the cube engine's F_V classifier: Valid(cube, φ), then
-// Valid(cube, ¬φ), per candidate on the worker pool. It first answers
-// the degenerate goals early: a valid φ needs no cubes at all, and an
-// unsatisfiable φ has none.
+// Valid(cube, ¬φ), per candidate on the worker pool, each decided
+// against the domain's one compilation. It first answers the degenerate
+// goals early: a valid φ needs no cubes at all, and an unsatisfiable φ
+// has none.
 func (ab *Abstractor) fvQueries(domain []Pred, phi form.Formula) (classifier, bp.Expr) {
 	if ab.pv.Valid(form.TrueF{}, phi) {
 		return nil, bp.Const{Val: true}
@@ -260,17 +260,49 @@ func (ab *Abstractor) fvQueries(domain []Pred, phi form.Formula) (classifier, bp
 		return nil, bp.Const{Val: false}
 	}
 	notPhi := form.NNF(form.MkNot(phi))
+	dom := ab.cubeDomain(domain)
+	goal, notGoal := dom.Goal(phi), dom.Goal(notPhi)
 	return func(cands [][]literal, verdicts []cubeVerdict) {
 		checkRound(ab.opts.Tracer, len(cands), ab.jobs(), func(i int) {
-			cubeF := cubeFormula(domain, cands[i])
-			if ab.pv.Valid(cubeF, phi) {
+			if checkCube(dom, domain, cands[i], goal, phi) {
 				verdicts[i] = verdictImplicant
-			} else if ab.pv.Valid(cubeF, notPhi) {
+			} else if checkCube(dom, domain, cands[i], notGoal, notPhi) {
 				verdicts[i] = verdictContradiction
 			}
 		})
 	}, nil
 }
+
+// cubeDomain compiles the cube engine's literal domain: each predicate
+// and its negation.
+func (ab *Abstractor) cubeDomain(domain []Pred) *prover.Domain {
+	return prover.NewDomain(ab.pv, len(domain), func(i int) (form.Formula, form.Formula) {
+		return domain[i].F, domain[i].Neg()
+	})
+}
+
+// checkCube asks whether the cube implies goal (whose formula is
+// goalF), or, when goal is nil, whether it is unsatisfiable.
+func checkCube(dom *prover.Domain, domain []Pred, cube []literal, goal *prover.Goal, goalF form.Formula) bool {
+	var v bool
+	if goal != nil {
+		v = dom.Valid(cube, goal)
+	} else {
+		v = dom.Unsat(cube)
+	}
+	if CubeCheckHook != nil {
+		CubeCheckHook(cubeFormula(domain, cube), goalF, dom.Key(cube, goal), v)
+	}
+	return v
+}
+
+// CubeCheckHook, when non-nil, receives every check the cube engine
+// makes of a candidate: the cube's conjunction, the goal (nil for an
+// enforce unsatisfiability check), the check's query-cache key and its
+// verdict. It is a test seam: the differential test re-asks each check
+// through Valid or Unsat. Set it only while no abstraction is running;
+// the cube-search workers call it concurrently.
+var CubeCheckHook func(cube, goal form.Formula, key string, verdict bool)
 
 // classifier assigns a verdict to each candidate of one round: one
 // prover query per cube for the cube engine, model membership for the
@@ -342,10 +374,10 @@ func (ab *Abstractor) gv(fn string, preds []Pred, phi form.Formula) bp.Expr {
 func cubeFormula(domain []Pred, cube []literal) form.Formula {
 	fs := make([]form.Formula, len(cube))
 	for i, l := range cube {
-		if l.pos {
-			fs[i] = domain[l.idx].F
+		if l.Pos {
+			fs[i] = domain[l.Pred].F
 		} else {
-			fs[i] = domain[l.idx].Neg()
+			fs[i] = domain[l.Pred].Neg()
 		}
 	}
 	return form.MkAnd(fs...)
@@ -355,8 +387,8 @@ func cubeFormula(domain []Pred, cube []literal) form.Formula {
 func cubeExpr(domain []Pred, cube []literal) bp.Expr {
 	out := bp.Expr(bp.Const{Val: true})
 	for _, l := range cube {
-		var lit bp.Expr = bp.Ref{Name: domain[l.idx].Name}
-		if !l.pos {
+		var lit bp.Expr = bp.Ref{Name: domain[l.Pred].Name}
+		if !l.Pos {
 			lit = bp.Not{X: lit}
 		}
 		out = bp.MkAnd(out, lit)
@@ -465,13 +497,7 @@ func (ab *Abstractor) enforceExpr(fn string, preds []Pred) bp.Expr {
 	}()
 
 	links := predLinks(preds)
-	classify := func(cands [][]literal, verdicts []cubeVerdict) {
-		checkRound(ab.opts.Tracer, len(cands), ab.jobs(), func(i int) {
-			if ab.pv.Unsat(cubeFormula(preds, cands[i])) {
-				verdicts[i] = verdictContradiction
-			}
-		})
-	}
+	var classify classifier
 	// Engine dispatch, mirroring fv: the model engine replaces the
 	// per-candidate Unsat queries with one enumeration of the
 	// theory-consistent minterms over the scope (models of an
@@ -499,6 +525,15 @@ func (ab *Abstractor) enforceExpr(fn string, preds []Pred) bp.Expr {
 					verdicts[i] = verdictContradiction
 				}
 			}
+		}
+	} else {
+		dom := ab.cubeDomain(preds)
+		classify = func(cands [][]literal, verdicts []cubeVerdict) {
+			checkRound(ab.opts.Tracer, len(cands), ab.jobs(), func(i int) {
+				if checkCube(dom, preds, cands[i], nil, nil) {
+					verdicts[i] = verdictContradiction
+				}
+			})
 		}
 	}
 	disjuncts := ab.rounds(preds, verdictContradiction, func(cube []literal) bool {
@@ -628,9 +663,9 @@ func (g linkGraph) connected(cube []literal) bool {
 	for frontier != 0 {
 		i := bits.TrailingZeros64(frontier)
 		frontier &^= 1 << i
-		row := g[cube[i].idx]
+		row := g[cube[i].Pred]
 		for j := 1; j < k; j++ {
-			if reached&(1<<j) == 0 && row[cube[j].idx] {
+			if reached&(1<<j) == 0 && row[cube[j].Pred] {
 				reached |= 1 << j
 				frontier |= 1 << j
 			}

@@ -28,7 +28,7 @@ func namesOnlyLinks(preds []Pred) linkGraph {
 func allPositive(n int) []literal {
 	cube := make([]literal, n)
 	for i := range cube {
-		cube[i] = literal{idx: i, pos: true}
+		cube[i] = literal{Pred: i, Pos: true}
 	}
 	return cube
 }

@@ -119,13 +119,15 @@ func (e *enumeration) run() {
 
 // close ends the session and its trace span.
 func (e *enumeration) close() {
-	nodes, leaves := e.sess.Effort()
+	eff := e.sess.Effort()
 	e.span.End(trace.Str("kind", e.kind),
 		trace.Int("checks", e.checks),
 		trace.Int("models", len(e.minterms)),
 		trace.Int("cache_hits", e.sess.CacheHits()),
-		trace.Int64("nodes", nodes),
-		trace.Int64("leaves", leaves),
+		trace.Int64("nodes", eff.Nodes),
+		trace.Int64("leaves", eff.Leaves),
+		trace.Int64("fm_runs", eff.FMRuns),
+		trace.Int64("eq_probes", eff.EqProbes),
 		trace.Bool("complete", e.complete))
 	e.sess.Close()
 }
@@ -180,7 +182,7 @@ func (ab *Abstractor) fvModels(domain []Pred, phi form.Formula) (classifier, bp.
 // minterm's truth assignment.
 func compatible(mt []bool, cube []literal) bool {
 	for _, l := range cube {
-		if mt[l.idx] != l.pos {
+		if mt[l.Pred] != l.Pos {
 			return false
 		}
 	}

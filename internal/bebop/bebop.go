@@ -644,15 +644,21 @@ func (c *Checker) StmtAtLabel(proc, label string) (int, bool) {
 }
 
 // InvariantRows enumerates the reachable states at (proc, stmt) as
-// valuations of the in-scope variables (globals, params, locals).
+// valuations of the variables in scope there (globals, params, locals),
+// one column per name: a global that a local or parameter shadows is
+// projected out, so each column names the variable in scope, as
+// Step.State does.
 func (c *Checker) InvariantRows(proc string, stmt int) ([]string, [][]byte) {
 	pi := c.procs[proc]
-	names := make([]string, len(pi.slots))
-	for i, s := range pi.slots {
-		names[i] = s.name
+	var names []string
+	var cols []int
+	for _, s := range pi.slots {
+		if pi.scope[s.name] == s {
+			names = append(names, s.name)
+			cols = append(cols, s.col(colCurrent))
+		}
 	}
-	rows := c.m.AllSat(c.reachable(pi, stmt), colVars(pi.slots, colCurrent))
-	return names, rows
+	return names, c.m.AllSat(c.reachable(pi, stmt), cols)
 }
 
 // InvariantString renders the invariant at (proc, stmt) as a disjunction

@@ -2,6 +2,9 @@ package bebop
 
 import (
 	"math/rand"
+	"slices"
+	"sort"
+	"strings"
 	"testing"
 
 	"predabs/internal/bp"
@@ -66,6 +69,7 @@ void main() begin
   clear();
   g := false;
   raise();
+ L:
   check();
   return;
 end`, true},
@@ -106,5 +110,59 @@ func TestShadowingKeepsGlobalFrame(t *testing.T) {
 				t.Fatalf("interpreter assert failure %v, Bebop %v", interpBad, bebopBad)
 			}
 		})
+	}
+}
+
+// TestShadowedInvariantColumns: at label L of "global too", main's local
+// g shadows the global g, which raise has just set. The invariant there
+// must name each variable in scope once, the local, and list exactly the
+// valuations of it that bpinterp reaches at L.
+func TestShadowedInvariantColumns(t *testing.T) {
+	var src string
+	for _, p := range shadowPrograms {
+		if p.name == "global too" {
+			src = p.src
+		}
+	}
+	prog, err := bp.Parse(src)
+	if err != nil {
+		t.Fatal(err)
+	}
+	c, err := Check(prog, "main")
+	if err != nil {
+		t.Fatal(err)
+	}
+	idx, ok := c.StmtAtLabel("main", "L")
+	if !ok {
+		t.Fatal("no label L in main")
+	}
+	names, _ := c.InvariantRows("main", idx)
+	if !slices.Equal(names, []string{"g"}) {
+		t.Fatalf("InvariantRows columns = %q, want [g]", names)
+	}
+
+	// Probe each valuation of the local at L with an assert that fails
+	// exactly there.
+	var reached []string
+	for _, cube := range []string{"g", "!g"} {
+		probe, err := bp.Parse(strings.Replace(src, " L:\n", " L:\n  assert(!("+cube+"));\n", 1))
+		if err != nil {
+			t.Fatal(err)
+		}
+		for seed := int64(0); seed < 200; seed++ {
+			in := &bpinterp.Interp{Prog: probe, Choice: bpinterp.RandChooser{R: rand.New(rand.NewSource(seed))}}
+			res, err := in.Run("main")
+			if err != nil {
+				t.Fatal(err)
+			}
+			if res.Status == bpinterp.AssertFailed && res.FailProc == "main" {
+				reached = append(reached, cube)
+				break
+			}
+		}
+	}
+	sort.Strings(reached)
+	if got, want := c.InvariantString("main", idx), strings.Join(reached, "  |  "); got != want {
+		t.Errorf("InvariantString at L = %q, bpinterp reaches %q", got, want)
 	}
 }

@@ -8,7 +8,10 @@ import (
 )
 
 // Step is one element of a counterexample trace: a statement executed in
-// some procedure, with the state before it.
+// some procedure, with the state before it. State maps each name in scope
+// in that procedure to the value of the variable it names there: where a
+// local or parameter shadows a global, the local's or parameter's, as in
+// InvariantRows.
 type Step struct {
 	Proc  string
 	Stmt  int

@@ -32,8 +32,10 @@ func (Name) String() string { return "name" }
 
 // Live is used by cmd/tool: live.
 func Live() string {
-	h := holder{written: 1}
+	h := holder{written: 1, grownAt: [][]int{nil}}
 	h.written = 2
+	h.grown = append(h.grown, h.read)
+	h.grownAt[0] = append(h.grownAt[0], 1)
 	seen := map[pair]bool{{1, 2}: true}
 	return fmt.Sprint(Name{}, h.read, len(seen))
 }
@@ -45,6 +47,12 @@ type holder struct {
 	// written is set by a composite-literal key and a plain = only:
 	// write-only.
 	written int
+	// grown is only appended to, as h.grown = append(h.grown, …):
+	// write-only.
+	grown []int
+	// grownAt's elements are only appended to, as h.grownAt[0] =
+	// append(h.grownAt[0], …): write-only.
+	grownAt [][]int
 	// tagged is never read: tagged fields are exempt, passes.
 	tagged int `json:"tagged"`
 }

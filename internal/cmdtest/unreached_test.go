@@ -55,7 +55,9 @@ func TestUnreachedFixture(t *testing.T) {
 		"fixture.go:8: fixture.Dead is dead",
 		"fixture.go:11: fixture.Recursive is dead",
 		"fixture.go:19: fixture.sameDir is same-dir-tests-only",
-		"fixture.go:47: fixture.holder.written is write-only",
+		"fixture.go:49: fixture.holder.written is write-only",
+		"fixture.go:52: fixture.holder.grown is write-only",
+		"fixture.go:55: fixture.holder.grownAt is write-only",
 	}
 	if strings.Join(got, "\n") != strings.Join(want, "\n") {
 		t.Errorf("findings:\n%s\nwant:\n%s", strings.Join(got, "\n"), strings.Join(want, "\n"))
@@ -128,8 +130,9 @@ type decl struct {
 // named struct types declared in non-test files: some code, tests
 // included, must read each one through a selector. A composite-literal
 // key and the left side of a plain = are writes, not reads. The fields
-// of a struct used as a map key are read by every lookup. Anything
-// else is "write-only".
+// of a struct used as a map key are read by every lookup. A field that
+// is only grown, as in x.f = append(x.f, …) or x.f[i] = append(x.f[i],
+// …), is written there, not read. Anything else is "write-only".
 func unreached(t *testing.T, root string, modDirs []string, allow map[string]string) []string {
 	t.Helper()
 	var order []*listedPkg
@@ -192,9 +195,15 @@ func unreached(t *testing.T, root string, modDirs []string, allow map[string]str
 				files[path] = f
 				ast.Inspect(f, func(n ast.Node) bool {
 					if as, ok := n.(*ast.AssignStmt); ok && as.Tok == token.ASSIGN {
-						for _, lhs := range as.Lhs {
+						for i, lhs := range as.Lhs {
 							if sel, ok := ast.Unparen(lhs).(*ast.SelectorExpr); ok {
 								assigned[sel] = true
+							}
+							if len(as.Rhs) == len(as.Lhs) {
+								if grown := selfAppend(lhs, as.Rhs[i]); grown != nil {
+									assigned[grown] = true
+									assigned[indexedSelector(lhs)] = true
+								}
 							}
 						}
 					}
@@ -461,6 +470,37 @@ func unreached(t *testing.T, root string, modDirs []string, allow map[string]str
 		}
 	}
 	return out
+}
+
+// selfAppend returns the selector that rhs appends to when the
+// assignment lhs = rhs only grows it: x.f = append(x.f, …) or
+// x.f[i] = append(x.f[i], …). It returns nil otherwise.
+func selfAppend(lhs, rhs ast.Expr) *ast.SelectorExpr {
+	call, ok := ast.Unparen(rhs).(*ast.CallExpr)
+	if !ok || len(call.Args) == 0 {
+		return nil
+	}
+	if fn, ok := call.Fun.(*ast.Ident); !ok || fn.Name != "append" {
+		return nil
+	}
+	if indexedSelector(lhs) == nil || types.ExprString(ast.Unparen(lhs)) != types.ExprString(ast.Unparen(call.Args[0])) {
+		return nil
+	}
+	return indexedSelector(call.Args[0])
+}
+
+// indexedSelector returns the selector e indexes into (x.f for x.f[i]),
+// or e itself when it is a selector; nil otherwise.
+func indexedSelector(e ast.Expr) *ast.SelectorExpr {
+	for {
+		ix, ok := ast.Unparen(e).(*ast.IndexExpr)
+		if !ok {
+			break
+		}
+		e = ix.X
+	}
+	sel, _ := ast.Unparen(e).(*ast.SelectorExpr)
+	return sel
 }
 
 // field is one unexported struct field under the write-only rule.

@@ -11,8 +11,8 @@
 package form
 
 import (
-	"fmt"
 	"sort"
+	"strconv"
 )
 
 // Term is an integer- or pointer-valued term.
@@ -97,7 +97,7 @@ func (Arith) term()  {}
 func (Neg) term()    {}
 
 // String renders t in C syntax.
-func (t Num) String() string { return fmt.Sprintf("%d", t.V) }
+func (t Num) String() string { return strconv.FormatInt(t.V, 10) }
 
 // String renders t in C syntax.
 func (t Var) String() string { return t.Name }

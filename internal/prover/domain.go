@@ -1,0 +1,288 @@
+package prover
+
+import (
+	"sync"
+
+	"predabs/internal/form"
+)
+
+// A cube search asks one question of many cubes: does the conjunction
+// of some literals imply a goal, or is it unsatisfiable? Every cube of
+// one search draws its literals from one domain — each predicate and its
+// negation — and shares the goal. A Domain answers those checks against
+// one compilation: each literal's canonical strings are rendered once,
+// and each literal and each goal (negated) is compiled once, at the
+// first cache miss that needs it, into one program that the cube-search
+// workers share. A check assembles its cache key from the memoized
+// strings and searches the precompiled roots: the cube's conjuncts, then
+// the goal.
+//
+// The key is exactly Valid's or Unsat's key of the cube's conjunction
+// (MkAnd of its literals), and separate conjunct roots search exactly
+// the tree one And root does (as sessions already rely on), so a check
+// answers, counts, caches and traces exactly as that Valid or Unsat
+// call would.
+
+// Lit is one signed literal of a cube over a Domain: predicate Pred
+// itself when Pos is set, else its negation.
+type Lit struct {
+	Pred int
+	Pos  bool
+}
+
+// Domain is the compiled literal domain of one cube search. It is safe
+// for concurrent use.
+type Domain struct {
+	q Querier
+	// p is the prover behind q; nil when q is not backed by one, and then
+	// every check asks q of the cube's conjunction.
+	p    *Prover
+	lits []domLit // positive literal of predicate i at 2i, negative at 2i+1
+	// parts are the literals' top-level conjuncts, as MkAnd flattens them.
+	parts []conjPart
+
+	mu    sync.Mutex
+	pr    *program // nil until the first miss
+	roots []int32  // part -> compiled root, -1 until compiled
+}
+
+// domLit is one literal: its formula and its conjuncts, parts[from:to].
+type domLit struct {
+	f        form.Formula
+	from, to int32
+	isFalse  bool // one of its conjuncts is the constant false
+}
+
+// conjPart is one top-level conjunct of a literal.
+type conjPart struct {
+	f   form.Formula
+	str string
+}
+
+// Goal is a validity goal of a Domain's checks, compiled negated at its
+// first miss.
+type Goal struct {
+	f    form.Formula
+	str  string
+	root int32 // -1 until compiled; guarded by the domain's mu
+}
+
+// backed is satisfied by *Prover and by every type that embeds one: the
+// queriers whose checks a Domain can run on the prover directly.
+type backed interface{ backing() *Prover }
+
+func (p *Prover) backing() *Prover { return p }
+
+// NewDomain prepares cube checks over n predicates; lit returns
+// predicate i and its negation. When q is not backed by a *Prover (a
+// fault injector, a test fake), each check asks q's Valid or Unsat of
+// the cube's conjunction instead.
+func NewDomain(q Querier, n int, lit func(i int) (pos, neg form.Formula)) *Domain {
+	d := &Domain{q: q, lits: make([]domLit, 2*n)}
+	for i := 0; i < n; i++ {
+		d.lits[2*i].f, d.lits[2*i+1].f = lit(i)
+	}
+	b, ok := q.(backed)
+	if !ok {
+		return d
+	}
+	d.p = b.backing()
+	d.parts = make([]conjPart, 0, len(d.lits))
+	for k := range d.lits {
+		d.flatten(&d.lits[k])
+	}
+	return d
+}
+
+// flatten records l's conjuncts exactly as MkAnd flattens its arguments.
+func (d *Domain) flatten(l *domLit) {
+	l.from = int32(len(d.parts))
+	add := func(g form.Formula) {
+		switch g.(type) {
+		case form.TrueF:
+			return
+		case form.FalseF:
+			l.isFalse = true
+		}
+		d.parts = append(d.parts, conjPart{f: g, str: g.String()})
+	}
+	if a, ok := l.f.(form.And); ok {
+		for _, g := range a.Fs {
+			add(g)
+		}
+	} else {
+		add(l.f)
+	}
+	l.to = int32(len(d.parts))
+}
+
+// Goal prepares f as a goal of the domain's validity checks.
+func (d *Domain) Goal(f form.Formula) *Goal {
+	g := &Goal{f: f, root: -1}
+	if d.p != nil {
+		g.str = f.String()
+	}
+	return g
+}
+
+// Valid reports whether the cube's conjunction implies g: the answer
+// Valid(MkAnd(cube's literals...), g) gives.
+func (d *Domain) Valid(cube []Lit, g *Goal) bool {
+	if d.p == nil {
+		return d.q.Valid(d.conj(cube), g.f)
+	}
+	return d.check("valid", cube, g)
+}
+
+// Unsat reports whether the cube's conjunction is unsatisfiable: the
+// answer Unsat(MkAnd(cube's literals...)) gives.
+func (d *Domain) Unsat(cube []Lit) bool {
+	if d.p == nil {
+		return d.q.Unsat(d.conj(cube))
+	}
+	return d.check("unsat", cube, nil)
+}
+
+// Key returns the query-cache key of the check Valid(cube, g) makes, or
+// Unsat(cube) when g is nil. The domain must be backed by a Prover.
+func (d *Domain) Key(cube []Lit, g *Goal) string {
+	s := getSearcher()
+	defer s.release()
+	return string(d.key(s, cube, g))
+}
+
+// conj is the cube's conjunction as a formula.
+func (d *Domain) conj(cube []Lit) form.Formula {
+	fs := make([]form.Formula, len(cube))
+	for i, l := range cube {
+		fs[i] = d.lit(l).f
+	}
+	return form.MkAnd(fs...)
+}
+
+func (d *Domain) lit(l Lit) *domLit {
+	if l.Pos {
+		return &d.lits[2*l.Pred]
+	}
+	return &d.lits[2*l.Pred+1]
+}
+
+// key assembles the check's cache key in s's buffer and leaves the
+// cube's distinct conjuncts in s.parts, in MkAnd's order.
+func (d *Domain) key(s *searcher, cube []Lit, g *Goal) []byte {
+	s.parts, s.strs = s.parts[:0], s.strs[:0]
+	hasFalse := false
+	for _, l := range cube {
+		dl := d.lit(l)
+		hasFalse = hasFalse || dl.isFalse
+	next:
+		for i := dl.from; i < dl.to; i++ {
+			str := d.parts[i].str
+			for _, seen := range s.strs {
+				if seen == str {
+					continue next
+				}
+			}
+			s.parts = append(s.parts, i)
+			s.strs = append(s.strs, str)
+		}
+	}
+	b := s.keyBuf[:0]
+	if g == nil {
+		b = appendConj(append(b, "U\x00"...), hasFalse, s.strs)
+	} else {
+		b = appendConj(append(b, "V\x00"...), hasFalse, s.strs)
+		b = append(append(b, 0), g.str...)
+	}
+	s.keyBuf = b
+	return b
+}
+
+// check answers one validity (g set) or unsat check of the cube.
+func (d *Domain) check(kind string, cube []Lit, g *Goal) bool {
+	p := d.p
+	p.calls.Add(1)
+	s := getSearcher()
+	b := d.key(s, cube, g)
+	if !p.DisableCache {
+		if v, ok := p.cacheGetBytes(b); ok {
+			p.cacheHits.Add(1)
+			if p.Trace != nil {
+				p.traceSettled(kind, string(b), v, true)
+			}
+			s.release()
+			return v
+		}
+	}
+	key := string(b)
+	if p.cancelled() {
+		if p.Trace != nil {
+			p.traceSettled(kind, key, false, false)
+		}
+		s.release()
+		return false
+	}
+	d.compile(s, g)
+	return p.run(kind, key, s, func() form.Formula {
+		f := d.conj(cube)
+		if g == nil {
+			return f
+		}
+		return form.MkAnd(f, form.MkNot(g.f))
+	})
+}
+
+// compile compiles whatever of s.parts and g is not compiled yet, sets
+// s.roots to the check's roots (the conjuncts in order, then the negated
+// goal) and readies s to search the domain's program. The program only
+// grows, and a search reads only the nodes that existed when it started,
+// so the workers share it.
+func (d *Domain) compile(s *searcher, g *Goal) {
+	d.mu.Lock()
+	defer d.mu.Unlock()
+	if d.pr == nil {
+		d.pr = newProgram(d.p.terms)
+		d.roots = make([]int32, len(d.parts))
+		for i := range d.roots {
+			d.roots[i] = -1
+		}
+	}
+	roots := s.roots[:0]
+	for _, i := range s.parts {
+		if d.roots[i] < 0 {
+			d.roots[i] = d.pr.compile(d.parts[i].f, false)
+		}
+		roots = append(roots, d.roots[i])
+	}
+	if g != nil {
+		if g.root < 0 {
+			g.root = d.pr.compile(g.f, true)
+		}
+		roots = append(roots, g.root)
+	}
+	s.roots = roots
+	s.reset(d.p, d.pr)
+}
+
+// appendConj appends MkAnd(conjuncts...).String() to b, given the
+// strings of the conjuncts as MkAnd flattens them, duplicates dropped;
+// hasFalse reports that one of them is the constant false.
+func appendConj(b []byte, hasFalse bool, live []string) []byte {
+	switch {
+	case hasFalse:
+		return append(b, "false"...)
+	case len(live) == 0:
+		return append(b, "true"...)
+	case len(live) == 1:
+		return append(b, live[0]...)
+	}
+	for i, str := range live {
+		if i > 0 {
+			b = append(b, " && "...)
+		}
+		b = append(b, '(')
+		b = append(b, str...)
+		b = append(b, ')')
+	}
+	return b
+}

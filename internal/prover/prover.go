@@ -71,7 +71,7 @@ type Prover struct {
 	DisableCache bool
 
 	// Trace, when non-nil, receives one prover.query event per Valid/Unsat
-	// call (including cache hits). Set it before sharing the prover between
+	// call and Domain check (including cache hits). Set it before sharing the prover between
 	// goroutines; the tracer itself is concurrency-safe.
 	Trace *trace.Tracer
 
@@ -246,6 +246,15 @@ func (p *Prover) cacheGet(key string) (bool, bool) {
 	return v, ok
 }
 
+// cacheGetBytes is cacheGet of a key under construction.
+func (p *Prover) cacheGetBytes(key []byte) (bool, bool) {
+	s := &p.shards[maphash.Bytes(p.seed, key)&(cacheShards-1)]
+	s.mu.RLock()
+	v, ok := s.m[string(key)]
+	s.mu.RUnlock()
+	return v, ok
+}
+
 // cachePut records a result. Two workers racing on the same key write
 // the same deterministic answer, so last-write-wins is harmless.
 func (p *Prover) cachePut(key string, v bool) {
@@ -293,33 +302,48 @@ func (p *Prover) decide(kind, key string, f, negated form.Formula) bool {
 		if v, ok := p.cacheGet(key); ok {
 			p.cacheHits.Add(1)
 			if p.Trace != nil {
-				p.Trace.ProverQuery(kind, queryDesc(key), len(key), 0, v, true, false, 0, 0)
+				p.traceSettled(kind, key, v, true)
 			}
 			return v
 		}
 	}
 	if p.cancelled() {
 		if p.Trace != nil {
-			p.Trace.ProverQuery(kind, queryDesc(key), len(key), 0, false, false, true, 0, 0)
+			p.traceSettled(kind, key, false, false)
 		}
 		return false
 	}
 	pr := newProgram(p.terms)
-	roots := []int32{pr.compile(f, false)}
+	s := getSearcher()
+	s.roots = append(s.roots[:0], pr.compile(f, false))
 	if negated != nil {
-		roots = append(roots, pr.compile(negated, true))
+		s.roots = append(s.roots, pr.compile(negated, true))
 	}
-	s := newSearcher(p, pr)
-	res, dur := p.search(key, s, roots, func() form.Formula {
+	s.reset(p, pr)
+	return p.run(kind, key, s, func() form.Formula {
 		if negated == nil {
 			return f
 		}
 		return form.MkAnd(f, form.MkNot(negated))
 	})
+}
+
+// run searches one uncached query, the conjunction of s.roots, with a
+// pooled searcher, traces it and releases the searcher.
+func (p *Prover) run(kind, key string, s *searcher, query func() form.Formula) bool {
+	res, dur := p.search(key, s, s.roots, query)
 	if p.Trace != nil {
-		p.Trace.ProverQuery(kind, queryDesc(key), len(key), dur, res, false, s.gaveUp, s.nodes, s.leaves)
+		p.Trace.ProverQuery(kind, queryDesc(key), len(key), dur, res, false, s.gaveUp,
+			trace.Effort{Nodes: s.nodes, Leaves: s.leaves, FMRuns: s.eff.fmRuns, EqProbes: s.eff.probes})
 	}
+	s.release()
 	return res
+}
+
+// traceSettled traces a query answered without a search: from the cache,
+// or given up because the run is cancelled.
+func (p *Prover) traceSettled(kind, key string, verdict, hit bool) {
+	p.Trace.ProverQuery(kind, queryDesc(key), len(key), 0, verdict, hit, !hit, trace.Effort{})
 }
 
 // cancelled is the fast path of a run that is already cancelled: the

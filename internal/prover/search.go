@@ -156,7 +156,13 @@ type searcher struct {
 	trail  []int32  // assigned atom ids, in order
 	lits   []int32  // the path's compiled theory literals, the theory memo key
 	open   []int32  // stack of each open node's still-undetermined roots
-	keyBuf []byte
+	keyBuf []byte   // the theory memo key; a Domain check's cache key
+
+	// A Domain check's scratch: the cube's distinct conjuncts, their
+	// strings and the roots it searches.
+	parts []int32
+	strs  []string
+	roots []int32
 
 	nodes, leaves, memoHits int64
 	eff                     theoryEffort
@@ -164,6 +170,29 @@ type searcher struct {
 
 func newSearcher(p *Prover, pr *program) *searcher {
 	return &searcher{p: p, pr: pr, tree: pr.nodes, occs: pr.occs, snap: pr.tab.snapshot(), assign: make([]int8, len(pr.keys))}
+}
+
+// searcherPool keeps one-shot searchers, and their buffers, between
+// queries.
+var searcherPool = sync.Pool{New: func() any { return new(searcher) }}
+
+func getSearcher() *searcher { return searcherPool.Get().(*searcher) }
+
+// reset readies a pooled searcher for one one-shot search of pr as it
+// stands; pr's formulas must be compiled.
+func (s *searcher) reset(p *Prover, pr *program) {
+	s.p, s.pr, s.tree, s.occs, s.snap = p, pr, pr.nodes, pr.occs, pr.tab.snapshot()
+	s.assign = resize(s.assign, len(pr.keys))
+	s.trail, s.lits, s.open = s.trail[:0], s.lits[:0], s.open[:0]
+	s.st, s.gaveUp = satState{}, false
+	s.nodes, s.leaves, s.memoHits, s.eff = 0, 0, 0, theoryEffort{}
+}
+
+// release returns a pooled searcher, dropping what it referenced.
+func (s *searcher) release() {
+	s.p, s.pr, s.tree, s.occs, s.snap = nil, nil, nil, nil, termSnap{}
+	clear(s.strs)
+	searcherPool.Put(s)
 }
 
 // eval returns the three-valued value of the subtree at i and, when it is

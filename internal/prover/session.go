@@ -1,10 +1,9 @@
 package prover
 
 import (
-	"strings"
-
 	"predabs/internal/budget"
 	"predabs/internal/form"
+	"predabs/internal/trace"
 )
 
 // Verdict is the outcome of one Session.Check.
@@ -132,9 +131,10 @@ type Session struct {
 	hasFalse bool            // some conjunct is the constant false
 	tracked  []trackedAtom
 	keys     map[int32]bool // atom key ids tracked so far
+	live     []string       // cacheKey's scratch: the distinct conjuncts
+	keyBuf   []byte         // cacheKey's scratch
 	hits     int
-	nodes    int64
-	leaves   int64
+	effort   trace.Effort
 	closed   bool
 }
 
@@ -188,35 +188,15 @@ func (s *Session) addConjunct(g form.Formula) {
 // cacheKey is the Unsat cache key of the asserted conjunction: "U\x00"
 // followed by MkAnd(asserted...).String().
 func (s *Session) cacheKey() string {
-	if s.hasFalse {
-		return "U\x00false"
-	}
-	var live []string
-	n := 2
+	live := s.live[:0]
 	for _, c := range s.conj {
 		if !c.dup {
 			live = append(live, c.str)
-			n += len(c.str) + 6
 		}
 	}
-	switch len(live) {
-	case 0:
-		return "U\x00true"
-	case 1:
-		return "U\x00" + live[0]
-	}
-	var b strings.Builder
-	b.Grow(n)
-	b.WriteString("U\x00")
-	for i, str := range live {
-		if i > 0 {
-			b.WriteString(" && ")
-		}
-		b.WriteByte('(')
-		b.WriteString(str)
-		b.WriteByte(')')
-	}
-	return b.String()
+	s.live = live
+	s.keyBuf = appendConj(append(s.keyBuf[:0], "U\x00"...), s.hasFalse, live)
+	return string(s.keyBuf)
 }
 
 // Track registers every atom of f for model extraction: Check keeps
@@ -297,8 +277,10 @@ func (s *Session) Check() (Verdict, *Model, string) {
 		}
 		return form.MkAnd(fs...)
 	})
-	s.nodes += se.nodes
-	s.leaves += se.leaves
+	s.effort.Nodes += se.nodes
+	s.effort.Leaves += se.leaves
+	s.effort.FMRuns += se.eff.fmRuns
+	s.effort.EqProbes += se.eff.probes
 	switch {
 	case se.model != nil:
 		p.modelsExtracted.Add(1)
@@ -319,11 +301,11 @@ func (s *Session) Check() (Verdict, *Model, string) {
 // cache misses across both query styles.
 func (s *Session) CacheHits() int { return s.hits }
 
-// Effort reports the search nodes and theory leaves this session's
-// checks visited (they also count toward the prover's SearchNodes and
-// TheoryLeaves). Trace spans carry them, as prover.query events do for
-// Valid and Unsat.
-func (s *Session) Effort() (nodes, leaves int64) { return s.nodes, s.leaves }
+// Effort reports the search nodes, theory leaves, Fourier–Motzkin runs
+// and equality probes of this session's checks (they also count toward
+// the prover's Stats). Trace spans carry them, as prover.query events do
+// for Valid and Unsat.
+func (s *Session) Effort() trace.Effort { return s.effort }
 
 // Close ends the session. Further use panics. Models already extracted
 // remain valid.

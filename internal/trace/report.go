@@ -112,11 +112,15 @@ type Report struct {
 	CacheMisses  int   `json:"cache_misses"`
 	ProverGaveUp int   `json:"prover_gave_up"`
 	SolverNS     int64 `json:"solver_ns"`
-	// SearchNodes and TheoryLeaves sum the prover's search effort — DPLL
-	// nodes and theory leaves — over the searched prover.query events and
-	// the abs.enum session spans.
-	SearchNodes  int64 `json:"search_nodes"`
-	TheoryLeaves int64 `json:"theory_leaves"`
+	// SearchNodes, TheoryLeaves, FMRuns and EqualityProbes sum the
+	// prover's search effort — DPLL nodes, theory leaves, and the
+	// Fourier–Motzkin runs and equality probes of the leaves checked —
+	// over the searched prover.query events and the abs.enum session
+	// spans.
+	SearchNodes    int64 `json:"search_nodes"`
+	TheoryLeaves   int64 `json:"theory_leaves"`
+	FMRuns         int64 `json:"fm_runs"`
+	EqualityProbes int64 `json:"eq_probes"`
 
 	// Sessions, SessionChecks and ModelsExtracted aggregate the
 	// model-enumeration engine's "abs.enum" spans; all zero (and omitted)
@@ -184,6 +188,8 @@ type aggregator struct {
 	solverNS     int64
 	searchNodes  int64
 	theoryLeaves int64
+	fmRuns       int64
+	eqProbes     int64
 
 	cubeRounds   int
 	cubesChecked int
@@ -417,6 +423,12 @@ func (a *aggregator) noteEffort(fields []Field) {
 	if n, ok := fieldIntVal(fields, "leaves"); ok {
 		a.theoryLeaves += n
 	}
+	if n, ok := fieldIntVal(fields, "fm_runs"); ok {
+		a.fmRuns += n
+	}
+	if n, ok := fieldIntVal(fields, "eq_probes"); ok {
+		a.eqProbes += n
+	}
 }
 
 // noteQuery inserts a query into the bounded top-K list.
@@ -473,16 +485,18 @@ func (t *Tracer) Report() *Report {
 	defer t.mu.Unlock()
 	a := &t.agg
 	r := &Report{
-		Outcome:      a.outcome,
-		Iterations:   a.iterations,
-		Predicates:   a.predicates,
-		ProverCalls:  a.proverCalls,
-		CacheHits:    a.cacheHits,
-		CacheMisses:  a.proverCalls + a.sessionChecks - a.cacheHits,
-		ProverGaveUp: a.proverGaveUp,
-		SolverNS:     a.solverNS,
-		SearchNodes:  a.searchNodes,
-		TheoryLeaves: a.theoryLeaves,
+		Outcome:        a.outcome,
+		Iterations:     a.iterations,
+		Predicates:     a.predicates,
+		ProverCalls:    a.proverCalls,
+		CacheHits:      a.cacheHits,
+		CacheMisses:    a.proverCalls + a.sessionChecks - a.cacheHits,
+		ProverGaveUp:   a.proverGaveUp,
+		SolverNS:       a.solverNS,
+		SearchNodes:    a.searchNodes,
+		TheoryLeaves:   a.theoryLeaves,
+		FMRuns:         a.fmRuns,
+		EqualityProbes: a.eqProbes,
 
 		Sessions:        a.sessions,
 		SessionChecks:   a.sessionChecks,
@@ -550,7 +564,8 @@ func (r *Report) Text() string {
 	}
 	fmt.Fprintf(&b, "cubes checked: %d (in %d search rounds; %d disconnected enforce cubes skipped)\n",
 		r.CubesChecked, r.CubeRounds, r.CubesSkipped)
-	fmt.Fprintf(&b, "prover search: %d nodes, %d theory leaves\n", r.SearchNodes, r.TheoryLeaves)
+	fmt.Fprintf(&b, "prover search: %d nodes, %d theory leaves, %d fourier-motzkin runs, %d equality probes\n",
+		r.SearchNodes, r.TheoryLeaves, r.FMRuns, r.EqualityProbes)
 	fmt.Fprintf(&b, "theory solver time: %v\n", time.Duration(r.SolverNS))
 
 	var stages []string

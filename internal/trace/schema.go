@@ -62,14 +62,15 @@ var Taxonomy = map[string][]string{
 
 // RequiredFields maps "cat/name" to the fields every such event must
 // carry and their JSON types ("string", "count" — an integer ≥ 0 — or
-// "bool"). A prover.query event always reports its search effort: nodes
-// and leaves are 0 for a cache hit. A bebop.trace span reports the
+// "bool"). A prover.query event always reports its search effort:
+// nodes, leaves, fm_runs and eq_probes are 0 for a cache hit. A bebop.trace span reports the
 // counterexample's steps (0 when none was found) and the states its
 // search visited.
 var RequiredFields = map[string]map[string]string{
 	"prover/query": {
 		"kind": "string", "size": "count", "verdict": "bool", "cache_hit": "bool",
-		"gave_up": "bool", "nodes": "count", "leaves": "count", "desc": "string",
+		"gave_up": "bool", "nodes": "count", "leaves": "count",
+		"fm_runs": "count", "eq_probes": "count", "desc": "string",
 	},
 	"bebop/trace": {"steps": "count", "states": "count"},
 }

@@ -153,14 +153,21 @@ func (t *Tracer) Event(cat, name string, fields ...Field) {
 	t.emit(cat, name, time.Since(t.start), -1, 0, fields)
 }
 
+// Effort is one search's work as a prover.query event reports it: DPLL
+// nodes, theory leaves, and the Fourier–Motzkin runs and equality probes
+// of the leaves checked. It is zero for a query no search answered.
+type Effort struct {
+	Nodes, Leaves, FMRuns, EqProbes int64
+}
+
 // ProverQuery records one theorem-prover query: its kind ("valid" or
 // "unsat"), a size proxy (length of the canonical formula key), the
 // query wall time, verdict, whether the memo cache answered it, whether
-// the resource cap fired, the search effort (DPLL nodes and theory
-// leaves; 0 for a cache hit), and a truncated description of the
-// formula. This is a dedicated method (rather than Event with fields)
-// because it is the hottest trace point in the system.
-func (t *Tracer) ProverQuery(kind string, desc string, size int, d time.Duration, verdict, cacheHit, gaveUp bool, nodes, leaves int64) {
+// the resource cap fired, the search effort (zero for a cache hit), and
+// a truncated description of the formula. This is a dedicated method
+// (rather than Event with fields) because it is the hottest trace point
+// in the system.
+func (t *Tracer) ProverQuery(kind string, desc string, size int, d time.Duration, verdict, cacheHit, gaveUp bool, eff Effort) {
 	if t == nil {
 		return
 	}
@@ -174,8 +181,10 @@ func (t *Tracer) ProverQuery(kind string, desc string, size int, d time.Duration
 		Bool("verdict", verdict),
 		Bool("cache_hit", cacheHit),
 		Bool("gave_up", gaveUp),
-		Int64("nodes", nodes),
-		Int64("leaves", leaves),
+		Int64("nodes", eff.Nodes),
+		Int64("leaves", eff.Leaves),
+		Int64("fm_runs", eff.FMRuns),
+		Int64("eq_probes", eff.EqProbes),
 		Str("desc", truncate(desc, maxQueryDesc)),
 	})
 }
