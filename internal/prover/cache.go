@@ -19,7 +19,7 @@ type CacheEntry struct {
 //
 // Only fully decided verdicts live in the cache: queries abandoned on a
 // wall-clock timeout or a run cancellation are never memoized (see
-// decide), so an export never persists an environmental degradation.
+// Prover.search), so an export never persists an environmental degradation.
 // Safe for concurrent use, but an export racing live queries sees an
 // unspecified subset; export at a quiescent point (an iteration
 // boundary) for deterministic content.

@@ -19,9 +19,13 @@ import (
 //
 // The key is exactly Valid's or Unsat's key of the cube's conjunction
 // (MkAnd of its literals), and separate conjunct roots search exactly
-// the tree one And root does (as sessions already rely on), so a check
-// answers, counts, caches and traces exactly as that Valid or Unsat
-// call would.
+// the tree one And root does, so a check answers, counts, caches and
+// traces exactly as that Valid or Unsat call would: all three take one
+// miss path, Prover.ask.
+//
+// A Session keeps its assertions in the same conjunct list: conjParts
+// split off by appendConjuncts, whose distinct strings keep and conjKey
+// assemble into the same key.
 
 // Lit is one signed literal of a cube over a Domain: predicate Pred
 // itself when Pos is set, else its negation.
@@ -38,12 +42,12 @@ type Domain struct {
 	// every check asks q of the cube's conjunction.
 	p    *Prover
 	lits []domLit // positive literal of predicate i at 2i, negative at 2i+1
-	// parts are the literals' top-level conjuncts, as MkAnd flattens them.
+	// parts are the literals' top-level conjuncts; their roots are
+	// compiled, and read, under mu.
 	parts []conjPart
 
-	mu    sync.Mutex
-	pr    *program // nil until the first miss
-	roots []int32  // part -> compiled root, -1 until compiled
+	mu sync.Mutex
+	pr *program // nil until the first miss
 }
 
 // domLit is one literal: its formula and its conjuncts, parts[from:to].
@@ -51,12 +55,6 @@ type domLit struct {
 	f        form.Formula
 	from, to int32
 	isFalse  bool // one of its conjuncts is the constant false
-}
-
-// conjPart is one top-level conjunct of a literal.
-type conjPart struct {
-	f   form.Formula
-	str string
 }
 
 // Goal is a validity goal of a Domain's checks, compiled negated at its
@@ -89,31 +87,12 @@ func NewDomain(q Querier, n int, lit func(i int) (pos, neg form.Formula)) *Domai
 	d.p = b.backing()
 	d.parts = make([]conjPart, 0, len(d.lits))
 	for k := range d.lits {
-		d.flatten(&d.lits[k])
+		l := &d.lits[k]
+		l.from = int32(len(d.parts))
+		d.parts, l.isFalse = appendConjuncts(d.parts, l.f)
+		l.to = int32(len(d.parts))
 	}
 	return d
-}
-
-// flatten records l's conjuncts exactly as MkAnd flattens its arguments.
-func (d *Domain) flatten(l *domLit) {
-	l.from = int32(len(d.parts))
-	add := func(g form.Formula) {
-		switch g.(type) {
-		case form.TrueF:
-			return
-		case form.FalseF:
-			l.isFalse = true
-		}
-		d.parts = append(d.parts, conjPart{f: g, str: g.String()})
-	}
-	if a, ok := l.f.(form.And); ok {
-		for _, g := range a.Fs {
-			add(g)
-		}
-	} else {
-		add(l.f)
-	}
-	l.to = int32(len(d.parts))
 }
 
 // Goal prepares f as a goal of the domain's validity checks.
@@ -148,7 +127,8 @@ func (d *Domain) Unsat(cube []Lit) bool {
 func (d *Domain) Key(cube []Lit, g *Goal) string {
 	s := getSearcher()
 	defer s.release()
-	return string(d.key(s, cube, g))
+	d.key(s, cube, g)
+	return string(s.keyBuf)
 }
 
 // conj is the cube's conjunction as a formula.
@@ -167,63 +147,28 @@ func (d *Domain) lit(l Lit) *domLit {
 	return &d.lits[2*l.Pred+1]
 }
 
-// key assembles the check's cache key in s's buffer and leaves the
-// cube's distinct conjuncts in s.parts, in MkAnd's order.
-func (d *Domain) key(s *searcher, cube []Lit, g *Goal) []byte {
+// key assembles the check's cache key in s.keyBuf and keeps the cube's
+// distinct conjuncts in s.parts, in MkAnd's order.
+func (d *Domain) key(s *searcher, cube []Lit, g *Goal) {
 	s.parts, s.strs = s.parts[:0], s.strs[:0]
 	hasFalse := false
 	for _, l := range cube {
 		dl := d.lit(l)
 		hasFalse = hasFalse || dl.isFalse
-	next:
-		for i := dl.from; i < dl.to; i++ {
-			str := d.parts[i].str
-			for _, seen := range s.strs {
-				if seen == str {
-					continue next
-				}
-			}
-			s.parts = append(s.parts, i)
-			s.strs = append(s.strs, str)
-		}
+		s.keep(d.parts, dl.from, dl.to)
 	}
-	b := s.keyBuf[:0]
 	if g == nil {
-		b = appendConj(append(b, "U\x00"...), hasFalse, s.strs)
-	} else {
-		b = appendConj(append(b, "V\x00"...), hasFalse, s.strs)
-		b = append(append(b, 0), g.str...)
+		s.conjKey("U\x00", hasFalse)
+		return
 	}
-	s.keyBuf = b
-	return b
+	s.keyBuf = append(append(s.conjKey("V\x00", hasFalse), 0), g.str...)
 }
 
 // check answers one validity (g set) or unsat check of the cube.
 func (d *Domain) check(kind string, cube []Lit, g *Goal) bool {
-	p := d.p
-	p.calls.Add(1)
 	s := getSearcher()
-	b := d.key(s, cube, g)
-	if !p.DisableCache {
-		if v, ok := p.cacheGetBytes(b); ok {
-			p.cacheHits.Add(1)
-			if p.Trace != nil {
-				p.traceSettled(kind, string(b), v, true)
-			}
-			s.release()
-			return v
-		}
-	}
-	key := string(b)
-	if p.cancelled() {
-		if p.Trace != nil {
-			p.traceSettled(kind, key, false, false)
-		}
-		s.release()
-		return false
-	}
-	d.compile(s, g)
-	return p.run(kind, key, s, func() form.Formula {
+	d.key(s, cube, g)
+	return d.p.ask(kind, s, func() { d.compile(s, g) }, func() form.Formula {
 		f := d.conj(cube)
 		if g == nil {
 			return f
@@ -242,17 +187,14 @@ func (d *Domain) compile(s *searcher, g *Goal) {
 	defer d.mu.Unlock()
 	if d.pr == nil {
 		d.pr = newProgram(d.p.terms)
-		d.roots = make([]int32, len(d.parts))
-		for i := range d.roots {
-			d.roots[i] = -1
-		}
 	}
 	roots := s.roots[:0]
 	for _, i := range s.parts {
-		if d.roots[i] < 0 {
-			d.roots[i] = d.pr.compile(d.parts[i].f, false)
+		part := &d.parts[i]
+		if part.root < 0 {
+			part.root = d.pr.compile(part.f, false)
 		}
-		roots = append(roots, d.roots[i])
+		roots = append(roots, part.root)
 	}
 	if g != nil {
 		if g.root < 0 {
@@ -264,25 +206,72 @@ func (d *Domain) compile(s *searcher, g *Goal) {
 	s.reset(d.p, d.pr)
 }
 
-// appendConj appends MkAnd(conjuncts...).String() to b, given the
-// strings of the conjuncts as MkAnd flattens them, duplicates dropped;
-// hasFalse reports that one of them is the constant false.
-func appendConj(b []byte, hasFalse bool, live []string) []byte {
+// conjPart is one top-level conjunct of a Domain literal or a Session
+// assertion: its formula, its canonical string and its compiled root.
+type conjPart struct {
+	f    form.Formula
+	str  string
+	root int32 // -1 until compiled
+}
+
+// appendConjuncts appends f's top-level conjuncts to parts, uncompiled,
+// exactly as MkAnd flattens its arguments: a true conjunct is dropped,
+// and isFalse reports a false one.
+func appendConjuncts(parts []conjPart, f form.Formula) (_ []conjPart, isFalse bool) {
+	one := [1]form.Formula{f}
+	fs := one[:]
+	if a, ok := f.(form.And); ok {
+		fs = a.Fs
+	}
+	for _, g := range fs {
+		switch g.(type) {
+		case form.TrueF:
+			continue
+		case form.FalseF:
+			isFalse = true
+		}
+		parts = append(parts, conjPart{f: g, str: g.String(), root: -1})
+	}
+	return parts, isFalse
+}
+
+// keep adds the conjuncts of parts[from:to] that MkAnd keeps to s's
+// scratch: each string once, at its first occurrence. s.parts gets their
+// indices and s.strs their strings.
+func (s *searcher) keep(parts []conjPart, from, to int32) {
+next:
+	for i := from; i < to; i++ {
+		str := parts[i].str
+		for _, seen := range s.strs {
+			if seen == str {
+				continue next
+			}
+		}
+		s.parts = append(s.parts, i)
+		s.strs = append(s.strs, str)
+	}
+}
+
+// conjKey writes tag, then MkAnd(conjuncts...).String() of the kept
+// conjuncts, to s.keyBuf and returns it; hasFalse reports that one of
+// them is the constant false.
+func (s *searcher) conjKey(tag string, hasFalse bool) []byte {
+	b := append(s.keyBuf[:0], tag...)
 	switch {
 	case hasFalse:
-		return append(b, "false"...)
-	case len(live) == 0:
-		return append(b, "true"...)
-	case len(live) == 1:
-		return append(b, live[0]...)
-	}
-	for i, str := range live {
-		if i > 0 {
-			b = append(b, " && "...)
+		b = append(b, "false"...)
+	case len(s.strs) == 0:
+		b = append(b, "true"...)
+	case len(s.strs) == 1:
+		b = append(b, s.strs[0]...)
+	default:
+		for i, str := range s.strs {
+			if i > 0 {
+				b = append(b, " && "...)
+			}
+			b = append(append(append(b, '('), str...), ')')
 		}
-		b = append(b, '(')
-		b = append(b, str...)
-		b = append(b, ')')
 	}
+	s.keyBuf = b
 	return b
 }

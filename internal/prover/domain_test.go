@@ -104,6 +104,29 @@ func TestDomainMatchesQueries(t *testing.T) {
 	}
 }
 
+// TestDomainHitZeroAlloc pins that a warm Domain check answered from the
+// cache, with no tracer, allocates nothing: the key is assembled in a
+// pooled searcher's scratch and looked up without building a string.
+func TestDomainHitZeroAlloc(t *testing.T) {
+	if raceEnabled {
+		t.Skip("the race detector makes sync.Pool drop items")
+	}
+	preds := domainPreds()
+	d := domainOf(New(), preds)
+	g := d.Goal(form.Cmp{Op: form.Le, X: form.Var{Name: "x"}, Y: form.Var{Name: "y"}})
+	cube := []Lit{{Pred: 2, Pos: true}, {Pred: 1, Pos: false}, {Pred: 4, Pos: true}}
+	d.Valid(cube, g)
+	d.Unsat(cube)
+	for name, fn := range map[string]func(){
+		"Valid": func() { d.Valid(cube, g) },
+		"Unsat": func() { d.Unsat(cube) },
+	} {
+		if n := testing.AllocsPerRun(100, fn); n != 0 {
+			t.Errorf("warm Domain.%s hit: %v allocs, want 0", name, n)
+		}
+	}
+}
+
 // recorder is a Querier no Prover backs: it answers through one and
 // records each formula it is asked.
 type recorder struct {

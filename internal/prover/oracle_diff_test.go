@@ -201,7 +201,7 @@ func TestSessionCacheKeyMatchesConjunction(t *testing.T) {
 	var asserted []form.Formula
 	check := func() {
 		t.Helper()
-		if got, want := s.cacheKey(), "U\x00"+form.MkAnd(asserted...).String(); got != want {
+		if got, want := string(s.key(new(searcher))), "U\x00"+form.MkAnd(asserted...).String(); got != want {
 			t.Fatalf("cache key %q, want %q", got, want)
 		}
 	}

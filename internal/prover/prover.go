@@ -237,17 +237,9 @@ func (p *Prover) shard(key string) *cacheShard {
 	return &p.shards[h&(cacheShards-1)]
 }
 
-// cacheGet looks a key up in the striped cache.
-func (p *Prover) cacheGet(key string) (bool, bool) {
-	s := p.shard(key)
-	s.mu.RLock()
-	v, ok := s.m[key]
-	s.mu.RUnlock()
-	return v, ok
-}
-
-// cacheGetBytes is cacheGet of a key under construction.
-func (p *Prover) cacheGetBytes(key []byte) (bool, bool) {
+// cacheGet looks a key, as built in a searcher's buffer, up in the
+// striped cache.
+func (p *Prover) cacheGet(key []byte) (bool, bool) {
 	s := &p.shards[maphash.Bytes(p.seed, key)&(cacheShards-1)]
 	s.mu.RLock()
 	v, ok := s.m[string(key)]
@@ -282,61 +274,59 @@ func queryDesc(key string) string {
 // interface for the cube search: F_V asks Valid(cube, φ) for every
 // candidate cube (Section 4.1). Safe for concurrent use.
 func (p *Prover) Valid(hyp, goal form.Formula) bool {
-	key := "V\x00" + hyp.String() + "\x00" + goal.String()
-	return p.decide("valid", key, hyp, goal)
+	s := getSearcher()
+	b := append(append(s.keyBuf[:0], "V\x00"...), hyp.String()...)
+	s.keyBuf = append(append(b, 0), goal.String()...)
+	return p.ask("valid", s, func() {
+		pr := newProgram(p.terms)
+		s.roots = append(s.roots[:0], pr.compile(hyp, false), pr.compile(goal, true))
+		s.reset(p, pr)
+	}, func() form.Formula { return form.MkAnd(hyp, form.MkNot(goal)) })
 }
 
 // Unsat reports whether f is definitely unsatisfiable (used for the
 // enforce invariant F_V(false) of Section 5.1 and Newton's path
 // conditions). Safe for concurrent use.
 func (p *Prover) Unsat(f form.Formula) bool {
-	return p.decide("unsat", "U\x00"+f.String(), f, nil)
+	s := getSearcher()
+	s.keyBuf = append(append(s.keyBuf[:0], "U\x00"...), f.String()...)
+	return p.ask("unsat", s, func() {
+		pr := newProgram(p.terms)
+		s.roots = append(s.roots[:0], pr.compile(f, false))
+		s.reset(p, pr)
+	}, func() form.Formula { return f })
 }
 
-// decide answers one query — unsatisfiability of f ∧ ¬negated, where a
-// nil negated stands for false — through the cache, the cancellation
-// fast path and the budgeted search.
-func (p *Prover) decide(kind, key string, f, negated form.Formula) bool {
+// ask answers one Valid, Unsat or Domain check whose cache key s.keyBuf
+// holds: from the cache, as given up when the run is cancelled, or by a
+// search of the conjunction of s.roots, which compile sets and readies s
+// to search. query rebuilds the searched formula, for searchHook only.
+// ask counts and traces the query and releases s.
+func (p *Prover) ask(kind string, s *searcher, compile func(), query func() form.Formula) bool {
+	defer s.release()
 	p.calls.Add(1)
 	if !p.DisableCache {
-		if v, ok := p.cacheGet(key); ok {
+		if v, ok := p.cacheGet(s.keyBuf); ok {
 			p.cacheHits.Add(1)
 			if p.Trace != nil {
-				p.traceSettled(kind, key, v, true)
+				p.traceSettled(kind, string(s.keyBuf), v, true)
 			}
 			return v
 		}
 	}
+	key := string(s.keyBuf)
 	if p.cancelled() {
 		if p.Trace != nil {
 			p.traceSettled(kind, key, false, false)
 		}
 		return false
 	}
-	pr := newProgram(p.terms)
-	s := getSearcher()
-	s.roots = append(s.roots[:0], pr.compile(f, false))
-	if negated != nil {
-		s.roots = append(s.roots, pr.compile(negated, true))
-	}
-	s.reset(p, pr)
-	return p.run(kind, key, s, func() form.Formula {
-		if negated == nil {
-			return f
-		}
-		return form.MkAnd(f, form.MkNot(negated))
-	})
-}
-
-// run searches one uncached query, the conjunction of s.roots, with a
-// pooled searcher, traces it and releases the searcher.
-func (p *Prover) run(kind, key string, s *searcher, query func() form.Formula) bool {
-	res, dur := p.search(key, s, s.roots, query)
+	compile()
+	res, dur := p.search(key, s, query)
 	if p.Trace != nil {
 		p.Trace.ProverQuery(kind, queryDesc(key), len(key), dur, res, false, s.gaveUp,
 			trace.Effort{Nodes: s.nodes, Leaves: s.leaves, FMRuns: s.eff.fmRuns, EqProbes: s.eff.probes})
 	}
-	s.release()
 	return res
 }
 
@@ -357,16 +347,16 @@ func (p *Prover) cancelled() bool {
 	return true
 }
 
-// search runs one budgeted DPLL search of the conjunction of roots and
+// search runs one budgeted DPLL search of the conjunction of s.roots and
 // does the bookkeeping every query shares: effort, the search hook, the
 // give-up, timeout and cancel counters, solver time and the cache fill.
 // query rebuilds the searched formula, for the hook only. It reports
 // whether the search proved the conjunction unsatisfiable, and how long
 // it took.
-func (p *Prover) search(key string, s *searcher, roots []int32, query func() form.Formula) (unsat bool, dur time.Duration) {
+func (p *Prover) search(key string, s *searcher, query func() form.Formula) (unsat bool, dur time.Duration) {
 	start := time.Now()
 	s.st = p.newSatState(start)
-	found := s.dfs(roots)
+	found := s.dfs(s.roots)
 	p.searchNodes.Add(s.nodes)
 	p.theoryLeaves.Add(s.leaves)
 	p.memoHits.Add(s.memoHits)
@@ -413,9 +403,9 @@ func (p *Prover) newSatState(start time.Time) satState {
 }
 
 // searchHook, when non-nil, observes every finished search with the
-// formula it decided, the session's tracked atoms (nil for Valid and
-// Unsat) and whether a model was found (or, for Valid and Unsat, the
-// search gave up). Tests set it to replay the corpus's queries through the
+// formula it decided, the session's tracked atoms (nil outside sessions)
+// and whether a model was found (or, outside sessions, whether the search
+// gave up). Tests set it to replay the corpus's queries through the
 // reference solver; it must be set before queries start.
 var searchHook func(q form.Formula, tracked []trackedAtom, s *searcher, found bool)
 

@@ -156,10 +156,10 @@ type searcher struct {
 	trail  []int32  // assigned atom ids, in order
 	lits   []int32  // the path's compiled theory literals, the theory memo key
 	open   []int32  // stack of each open node's still-undetermined roots
-	keyBuf []byte   // the theory memo key; a Domain check's cache key
+	keyBuf []byte   // the query's cache key, then the theory memo key
 
-	// A Domain check's scratch: the cube's distinct conjuncts, their
-	// strings and the roots it searches.
+	// The query's conjunct list: the indices and strings of the distinct
+	// conjuncts it keeps (keep) and the roots it searches.
 	parts []int32
 	strs  []string
 	roots []int32
@@ -168,18 +168,13 @@ type searcher struct {
 	eff                     theoryEffort
 }
 
-func newSearcher(p *Prover, pr *program) *searcher {
-	return &searcher{p: p, pr: pr, tree: pr.nodes, occs: pr.occs, snap: pr.tab.snapshot(), assign: make([]int8, len(pr.keys))}
-}
-
-// searcherPool keeps one-shot searchers, and their buffers, between
-// queries.
+// searcherPool keeps searchers, and their buffers, between queries.
 var searcherPool = sync.Pool{New: func() any { return new(searcher) }}
 
 func getSearcher() *searcher { return searcherPool.Get().(*searcher) }
 
-// reset readies a pooled searcher for one one-shot search of pr as it
-// stands; pr's formulas must be compiled.
+// reset readies a pooled searcher for one search of pr as it stands;
+// pr's formulas must be compiled.
 func (s *searcher) reset(p *Prover, pr *program) {
 	s.p, s.pr, s.tree, s.occs, s.snap = p, pr, pr.nodes, pr.occs, pr.tab.snapshot()
 	s.assign = resize(s.assign, len(pr.keys))
@@ -191,6 +186,7 @@ func (s *searcher) reset(p *Prover, pr *program) {
 // release returns a pooled searcher, dropping what it referenced.
 func (s *searcher) release() {
 	s.p, s.pr, s.tree, s.occs, s.snap = nil, nil, nil, nil, termSnap{}
+	s.models, s.tracked, s.model = false, nil, nil
 	clear(s.strs)
 	searcherPool.Put(s)
 }

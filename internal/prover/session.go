@@ -96,17 +96,6 @@ type trackedAtom struct {
 	occurrence
 }
 
-// conjunct is one top-level conjunct of a session's assertions,
-// compiled once when asserted.
-type conjunct struct {
-	f    form.Formula // as asserted, for searchHook
-	str  string       // canonical string, for the query-cache key
-	root int32        // compiled root in the session's program
-	// dup: an earlier conjunct has the same string, so the conjunction
-	// (which MkAnd deduplicates) does not repeat it.
-	dup bool
-}
-
 // Session is an incremental assertion set over a Prover: assert
 // formulas and extract models from the DPLL core. The model-enumeration
 // abstraction engine uses one session per blocking loop (assert the
@@ -126,13 +115,10 @@ type conjunct struct {
 type Session struct {
 	p        *Prover
 	pr       *program
-	conj     []conjunct
-	seen     map[string]bool // conjunct strings asserted so far
-	hasFalse bool            // some conjunct is the constant false
+	parts    []conjPart // the assertions' top-level conjuncts, compiled
+	hasFalse bool       // some conjunct is the constant false
 	tracked  []trackedAtom
 	keys     map[int32]bool // atom key ids tracked so far
-	live     []string       // cacheKey's scratch: the distinct conjuncts
-	keyBuf   []byte         // cacheKey's scratch
 	hits     int
 	effort   trace.Effort
 	closed   bool
@@ -142,7 +128,7 @@ type Session struct {
 // done; sessions are cheap (no solver process, just a conjunct list).
 func (p *Prover) NewSession() *Session {
 	p.sessions.Add(1)
-	return &Session{p: p, pr: newProgram(p.terms), seen: map[string]bool{}, keys: map[int32]bool{}}
+	return &Session{p: p, pr: newProgram(p.terms), keys: map[int32]bool{}}
 }
 
 // Assert conjoins f onto the session's assertions.
@@ -163,40 +149,22 @@ func (s *Session) Block(f form.Formula) {
 // add splits f into top-level conjuncts exactly as MkAnd flattens its
 // arguments, and compiles each.
 func (s *Session) add(f form.Formula) {
-	switch f := f.(type) {
-	case form.TrueF:
-	case form.And:
-		for _, g := range f.Fs {
-			if _, ok := g.(form.TrueF); !ok {
-				s.addConjunct(g)
-			}
-		}
-	default:
-		s.addConjunct(f)
+	from := len(s.parts)
+	var isFalse bool
+	s.parts, isFalse = appendConjuncts(s.parts, f)
+	s.hasFalse = s.hasFalse || isFalse
+	for i := from; i < len(s.parts); i++ {
+		s.parts[i].root = s.pr.compile(s.parts[i].f, false)
 	}
 }
 
-func (s *Session) addConjunct(g form.Formula) {
-	if _, ok := g.(form.FalseF); ok {
-		s.hasFalse = true
-	}
-	str := g.String()
-	s.conj = append(s.conj, conjunct{f: g, str: str, root: s.pr.compile(g, false), dup: s.seen[str]})
-	s.seen[str] = true
-}
-
-// cacheKey is the Unsat cache key of the asserted conjunction: "U\x00"
-// followed by MkAnd(asserted...).String().
-func (s *Session) cacheKey() string {
-	live := s.live[:0]
-	for _, c := range s.conj {
-		if !c.dup {
-			live = append(live, c.str)
-		}
-	}
-	s.live = live
-	s.keyBuf = appendConj(append(s.keyBuf[:0], "U\x00"...), s.hasFalse, live)
-	return string(s.keyBuf)
+// key assembles in se.keyBuf the Unsat cache key of the asserted
+// conjunction, "U\x00" followed by MkAnd(asserted...).String(), and
+// keeps its distinct conjuncts in se.parts.
+func (s *Session) key(se *searcher) []byte {
+	se.parts, se.strs = se.parts[:0], se.strs[:0]
+	se.keep(s.parts, 0, int32(len(s.parts)))
+	return se.conjKey("U\x00", s.hasFalse)
 }
 
 // Track registers every atom of f for model extraction: Check keeps
@@ -251,9 +219,11 @@ func (s *Session) Check() (Verdict, *Model, string) {
 	s.mustOpen()
 	p := s.p
 	p.sessionChecks.Add(1)
-	key := s.cacheKey()
+	se := getSearcher()
+	defer se.release()
+	b := s.key(se)
 	if !p.DisableCache {
-		if v, ok := p.cacheGet(key); ok && v {
+		if v, ok := p.cacheGet(b); ok && v {
 			p.cacheHits.Add(1)
 			s.hits++
 			return Unsat, nil, ""
@@ -262,17 +232,16 @@ func (s *Session) Check() (Verdict, *Model, string) {
 	if p.cancelled() {
 		return Unknown, nil, budget.LimitDeadline
 	}
-	se := newSearcher(p, s.pr)
-	se.models, se.tracked = true, s.tracked
-	var roots []int32
-	for _, c := range s.conj {
-		if !c.dup {
-			roots = append(roots, c.root)
-		}
+	key := string(b)
+	se.roots = se.roots[:0]
+	for _, i := range se.parts {
+		se.roots = append(se.roots, s.parts[i].root)
 	}
-	unsat, _ := p.search(key, se, roots, func() form.Formula {
-		fs := make([]form.Formula, len(s.conj))
-		for i, c := range s.conj {
+	se.reset(p, s.pr)
+	se.models, se.tracked = true, s.tracked
+	unsat, _ := p.search(key, se, func() form.Formula {
+		fs := make([]form.Formula, len(s.parts))
+		for i, c := range s.parts {
 			fs[i] = c.f
 		}
 		return form.MkAnd(fs...)
@@ -311,7 +280,7 @@ func (s *Session) Effort() trace.Effort { return s.effort }
 // remain valid.
 func (s *Session) Close() {
 	s.closed = true
-	s.pr, s.conj, s.seen, s.tracked, s.keys = nil, nil, nil, nil, nil
+	s.pr, s.parts, s.tracked, s.keys = nil, nil, nil, nil
 }
 
 func (s *Session) mustOpen() {

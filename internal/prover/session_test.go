@@ -175,6 +175,62 @@ func TestSessionCacheInterop(t *testing.T) {
 				tc.asserted, tc.want, hits0, p.CacheHits(), nodes0, p.Stats().SearchNodes)
 		}
 	}
+
+	// Domain checks share the entry too: a session over a cube's literal
+	// formulas answers from Domain.Unsat's refutation of the cube, and
+	// Domain.Unsat of the cube answers from the session's verdict.
+	preds := domainPreds()
+	litOf := func(l Lit) form.Formula {
+		if l.Pos {
+			return preds[l.Pred]
+		}
+		return form.NNF(form.MkNot(preds[l.Pred]))
+	}
+	refuted := []Lit{{Pred: 2, Pos: true}, {Pred: 0, Pos: false}} // p != 0 && x < y, x >= y
+	{
+		p := New()
+		if !domainOf(p, preds).Unsat(refuted) {
+			t.Fatalf("Domain.Unsat(%v) = false", refuted)
+		}
+		s := p.NewSession()
+		for _, l := range refuted {
+			s.Assert(litOf(l))
+		}
+		hits0, nodes0 := p.CacheHits(), p.Stats().SearchNodes
+		if v, _, _ := s.Check(); v != Unsat {
+			t.Fatalf("session over a refuted cube: got %v, want unsat", v)
+		}
+		s.Close()
+		if p.CacheHits() != hits0+1 || p.Stats().SearchNodes != nodes0 {
+			t.Errorf("session after Domain.Unsat: cache hits %d -> %d, search nodes %d -> %d; want one hit and no search",
+				hits0, p.CacheHits(), nodes0, p.Stats().SearchNodes)
+		}
+	}
+	for _, tc := range []struct {
+		cube []Lit
+		want Verdict
+	}{
+		{[]Lit{{Pred: 2, Pos: true}, {Pred: 1, Pos: true}}, Sat},
+		{refuted, Unsat},
+	} {
+		p := New()
+		s := p.NewSession()
+		for _, l := range tc.cube {
+			s.Assert(litOf(l))
+		}
+		if v, _, _ := s.Check(); v != tc.want {
+			t.Fatalf("%v: check got %v, want %v", tc.cube, v, tc.want)
+		}
+		s.Close()
+		hits0, nodes0 := p.CacheHits(), p.Stats().SearchNodes
+		if got := domainOf(p, preds).Unsat(tc.cube); got != (tc.want == Unsat) {
+			t.Errorf("%v: Domain.Unsat after a %v check = %v", tc.cube, tc.want, got)
+		}
+		if p.CacheHits() != hits0+1 || p.Stats().SearchNodes != nodes0 {
+			t.Errorf("%v: Domain.Unsat after a %v check: cache hits %d -> %d, search nodes %d -> %d; want one hit and no search",
+				tc.cube, tc.want, hits0, p.CacheHits(), nodes0, p.Stats().SearchNodes)
+		}
+	}
 }
 
 func TestSessionTimeoutNeverCached(t *testing.T) {

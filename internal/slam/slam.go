@@ -593,8 +593,6 @@ func commitCheckpoint(ckpt *checkpoint.Manager, tracer *tracepkg.Tracer, logf fu
 	span.End(tracepkg.Int("n", iter), tracepkg.Int("cache_entries", len(rec.Cache)))
 }
 
-// poolSections converts the predicate pool into parsed sections, dropping
-// predicates that no longer parse (should not happen).
 // poolScopes lists the predicate scopes in deterministic order: global
 // first, then program function order.
 func poolScopes(res *cnorm.Result) []string {
@@ -605,6 +603,8 @@ func poolScopes(res *cnorm.Result) []string {
 	return scopes
 }
 
+// poolSections converts the predicate pool into parsed sections, dropping
+// predicates that no longer parse (should not happen).
 func poolSections(res *cnorm.Result, pool map[string][]string) []cparse.PredSection {
 	var out []cparse.PredSection
 	for _, scope := range poolScopes(res) {
