@@ -67,8 +67,9 @@ type Options struct {
 	// query and classifies the same candidate cubes by membership, which
 	// needs far fewer prover interactions on predicate-rich procedures.
 	// Both engines emit byte-identical boolean programs on non-degraded
-	// runs. EngineModels requires a prover with incremental sessions
-	// (*prover.Prover); other Queriers silently use the cube engine.
+	// runs. EngineModels opens its sessions on the Prover behind the
+	// Querier (prover.Backing), where faults are injected as on the cube
+	// engine's queries.
 	Engine string
 }
 
@@ -206,9 +207,9 @@ type Abstractor struct {
 const GlobalScope = "global"
 
 // Abstract runs C2bp. The predicate sections use procedure names or
-// "global" as scope names. pv is usually a *prover.Prover; any Querier
-// honoring the prover soundness contract (e.g. a fault-injecting
-// wrapper) yields a sound, if possibly weaker, abstraction.
+// "global" as scope names. pv is a *prover.Prover or a type embedding
+// one; faults injected through Prover.Fault (internal/faultinject) only
+// weaken the abstraction, which stays sound.
 func Abstract(res *cnorm.Result, aa *alias.Analysis, pv prover.Querier,
 	sections []cparse.PredSection, opts Options) (*Result, error) {
 

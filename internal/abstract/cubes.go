@@ -237,7 +237,7 @@ func (ab *Abstractor) fv(fn string, preds []Pred, phi form.Formula) bp.Expr {
 	// Engine dispatch: everything above is shared, and so are the rounds
 	// below; the engines differ only in how a candidate gets its verdict.
 	classifierFor := ab.fvQueries
-	if ab.useModels() {
+	if ab.opts.Engine == EngineModels {
 		classifierFor = ab.fvModels
 	}
 	classify, early := classifierFor(domain, phi)
@@ -276,7 +276,7 @@ func (ab *Abstractor) fvQueries(domain []Pred, phi form.Formula) (classifier, bp
 // cubeDomain compiles the cube engine's literal domain: each predicate
 // and its negation.
 func (ab *Abstractor) cubeDomain(domain []Pred) *prover.Domain {
-	return prover.NewDomain(ab.pv, len(domain), func(i int) (form.Formula, form.Formula) {
+	return prover.NewDomain(prover.Backing(ab.pv), len(domain), func(i int) (form.Formula, form.Formula) {
 		return domain[i].F, domain[i].Neg()
 	})
 }
@@ -509,8 +509,8 @@ func (ab *Abstractor) enforceExpr(fn string, preds []Pred) bp.Expr {
 	// every minterm costs more checks than the handful of connected
 	// candidate queries it would replace — both paths compute the same
 	// verdicts, so the emitted invariant does not depend on the choice.
-	if ab.useModels() && enforceEnumWins(links, ab.maxCubeLen(len(preds))) {
-		e := ab.startEnum(ab.pv.(sessionProver), form.TrueF{}, preds, "enforce")
+	if ab.opts.Engine == EngineModels && enforceEnumWins(links, ab.maxCubeLen(len(preds))) {
+		e := ab.startEnum(form.TrueF{}, preds, "enforce")
 		e.run()
 		e.close()
 		// An interrupted enumeration degrades the procedure and emits no

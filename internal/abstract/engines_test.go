@@ -118,13 +118,3 @@ func TestEnginesJobsInvariance(t *testing.T) {
 		}
 	}
 }
-
-// TestEngineFallbackWithoutSessions pins the graceful fallback: a
-// Querier without session support runs the cube engine even when
-// EngineModels is requested.
-func TestEngineFallbackWithoutSessions(t *testing.T) {
-	ab := &Abstractor{opts: Options{Engine: EngineModels}}
-	if ab.useModels() {
-		t.Fatal("useModels() = true for a nil/plain Querier")
-	}
-}

@@ -8,25 +8,6 @@ import (
 	"predabs/internal/trace"
 )
 
-// sessionProver is the incremental-session capability the
-// model-enumeration engine needs; *prover.Prover satisfies it.
-// Queriers without it (e.g. fault-injection wrappers) silently fall
-// back to the cube engine, which needs only Valid/Unsat.
-type sessionProver interface {
-	prover.Querier
-	NewSession() *prover.Session
-}
-
-// useModels reports whether fv should dispatch to the model-enumeration
-// engine for this run.
-func (ab *Abstractor) useModels() bool {
-	if ab.opts.Engine != EngineModels {
-		return false
-	}
-	_, ok := ab.pv.(sessionProver)
-	return ok
-}
-
 // enumeration is one blocking-clause loop over a base formula: assert
 // it once, then get-model → project onto the predicate domain → block
 // the projection → re-check, until the prover reports unsat (the
@@ -48,10 +29,10 @@ type enumeration struct {
 
 // startEnum opens a session for one enumeration: track every domain
 // predicate (so models always project fully) and assert the base.
-func (ab *Abstractor) startEnum(sp sessionProver, base form.Formula, domain []Pred, kind string) *enumeration {
+func (ab *Abstractor) startEnum(base form.Formula, domain []Pred, kind string) *enumeration {
 	e := &enumeration{ab: ab, domain: domain, kind: kind}
 	e.span = ab.opts.Tracer.Begin("abs.enum", "session")
-	e.sess = sp.NewSession()
+	e.sess = prover.Backing(ab.pv).NewSession()
 	for _, p := range domain {
 		e.sess.Track(p.F)
 	}
@@ -149,14 +130,13 @@ func (e *enumeration) close() {
 // whenever the provers' theory verdicts agree (see DESIGN.md for the
 // incompleteness corner). An interrupted enumeration answers false.
 func (ab *Abstractor) fvModels(domain []Pred, phi form.Formula) (classifier, bp.Expr) {
-	sp := ab.pv.(sessionProver)
-	eS := ab.startEnum(sp, form.NNF(form.MkNot(phi)), domain, "notphi")
+	eS := ab.startEnum(form.NNF(form.MkNot(phi)), domain, "notphi")
 	defer eS.close()
 	if !eS.step() {
 		// ¬φ unsat: φ is valid. Interrupted: false.
 		return nil, bp.Const{Val: eS.complete}
 	}
-	eT := ab.startEnum(sp, phi, domain, "phi")
+	eT := ab.startEnum(phi, domain, "phi")
 	defer eT.close()
 	if !eT.step() || len(domain) == 0 {
 		// φ unsat, or no domain: no consistent cube implies φ.

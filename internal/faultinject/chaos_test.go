@@ -49,10 +49,14 @@ func TestChaosMatrix(t *testing.T) {
 		sub.Runs = 25
 		cfg := profiles[seed%len(profiles)]
 		cfg.Seed = int64(seed)
-		// Exercise both the sequential and the concurrent cube search.
+		// Exercise both the sequential and the concurrent cube search,
+		// and the model-enumeration engine's sessions.
 		opts := abstract.DefaultOptions()
 		if seed%2 == 1 {
 			opts.Jobs = 4
+		}
+		if seed%4 >= 2 {
+			opts.Engine = abstract.EngineModels
 		}
 		t.Run(fmt.Sprintf("seed%02d-%s", seed, sub.Name), func(t *testing.T) {
 			t.Parallel()
@@ -86,6 +90,9 @@ void main(int x) {
 		cfg := profiles[seed%len(profiles)]
 		cfg.Seed = int64(seed)
 		scfg := slam.DefaultConfig()
+		if seed%2 == 1 {
+			scfg.Opts.Engine = abstract.EngineModels
+		}
 		scfg.Prover = faultinject.New(prover.New(), cfg)
 		res, err := slam.Verify(buggy, "main", scfg)
 		if err != nil {

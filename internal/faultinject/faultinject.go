@@ -1,6 +1,7 @@
-// Package faultinject wraps a theorem prover with deterministic,
-// seed-driven fault injection: simulated query timeouts, spurious
-// "cannot prove" failures, forced unknowns, latency spikes, and (for
+// Package faultinject injects deterministic, seed-driven faults into a
+// theorem prover's queries, through the prover's own fault seam
+// (prover.Prover.Fault): simulated query timeouts, spurious "cannot
+// prove" failures, forced unknowns, latency spikes, and (for
 // stage-recovery testing) panics.
 //
 // Every fault decision is a pure function of (seed, fault kind, query
@@ -24,7 +25,6 @@ import (
 	"sync/atomic"
 	"time"
 
-	"predabs/internal/form"
 	"predabs/internal/prover"
 )
 
@@ -68,14 +68,16 @@ type Config struct {
 	Ctx context.Context
 }
 
-// Prover wraps an inner Querier with fault injection. It satisfies
-// prover.Querier itself, so it can stand in anywhere a prover is
-// accepted (slam.Config.Prover, abstract.Abstract, the soundness
-// oracle). Prover statistics of the inner prover pass through via the
-// optional Stats method.
+// Prover is a prover.Prover whose queries fault on the schedule cfg
+// describes: New installs the schedule as the prover's Fault, which
+// every Valid, Unsat and Domain check (Prover.ask) and every
+// Session.Check consults before it counts, looks up or traces the
+// query. It stands in anywhere a prover is accepted
+// (slam.Config.Prover, abstract.Abstract, the soundness oracle), and its
+// statistics are the prover's own.
 type Prover struct {
-	Inner prover.Querier
-	cfg   Config
+	*prover.Prover
+	cfg Config
 
 	injTimeout atomic.Int64
 	injUnknown atomic.Int64
@@ -84,53 +86,38 @@ type Prover struct {
 	injPanic   atomic.Int64
 }
 
-var _ prover.Querier = (*Prover)(nil)
-
-// New wraps inner with the fault schedule cfg describes.
-func New(inner prover.Querier, cfg Config) *Prover {
+// New installs the fault schedule cfg describes on p.
+func New(p *prover.Prover, cfg Config) *Prover {
 	if cfg.Latency <= 0 {
 		cfg.Latency = 50 * time.Microsecond
 	}
-	return &Prover{Inner: inner, cfg: cfg}
+	fp := &Prover{Prover: p, cfg: cfg}
+	p.Fault = fp.fault
+	return fp
 }
 
-// Valid implements prover.Querier. An injected fault forces the sound
-// "could not prove" answer (false); otherwise the inner prover decides.
-func (p *Prover) Valid(hyp, goal form.Formula) bool {
-	key := "valid\x00" + hyp.String() + "\x00" + goal.String()
-	if p.fault(key) {
-		return false
-	}
-	return p.Inner.Valid(hyp, goal)
-}
-
-// Unsat implements prover.Querier; injected faults force false ("could
-// not prove unsatisfiability"), which callers must treat conservatively.
-func (p *Prover) Unsat(f form.Formula) bool {
-	key := "unsat\x00" + f.String()
-	if p.fault(key) {
-		return false
-	}
-	return p.Inner.Unsat(f)
-}
-
-// fault rolls the deterministic dice for one query; reports whether the
-// answer must degrade to "could not prove".
-func (p *Prover) fault(key string) bool {
-	if p.roll(KindPanic, key, p.cfg.PanicRate) {
+// fault rolls the deterministic dice for one query of the given kind
+// ("valid", "unsat", "session") and cache key; reports whether the answer
+// must degrade to "could not prove". The dice read the key without its
+// "V\x00" / "U\x00" tag, after the kind: a Valid(hyp, goal) query, or a
+// Domain check of a cube whose conjunction is hyp, rolls on
+// "valid\x00"+hyp+"\x00"+goal.
+func (p *Prover) fault(kind string, key []byte) bool {
+	key = key[2:]
+	if p.roll(KindPanic, kind, key, p.cfg.PanicRate) {
 		p.injPanic.Add(1)
 		panic("faultinject: injected prover crash")
 	}
-	if p.roll(KindLatency, key, p.cfg.LatencyRate) {
+	if p.roll(KindLatency, kind, key, p.cfg.LatencyRate) {
 		p.injLatency.Add(1)
 		p.sleep()
 	}
 	switch {
-	case p.roll(KindTimeout, key, p.cfg.TimeoutRate):
+	case p.roll(KindTimeout, kind, key, p.cfg.TimeoutRate):
 		p.injTimeout.Add(1)
-	case p.roll(KindUnknown, key, p.cfg.UnknownRate):
+	case p.roll(KindUnknown, kind, key, p.cfg.UnknownRate):
 		p.injUnknown.Add(1)
-	case p.roll(KindFailure, key, p.cfg.FailureRate):
+	case p.roll(KindFailure, kind, key, p.cfg.FailureRate):
 		p.injFailure.Add(1)
 	default:
 		return false
@@ -153,9 +140,9 @@ func (p *Prover) sleep() {
 	}
 }
 
-// roll hashes (seed, fault kind, query key) into [0, 1) and fires when
-// the result falls under rate.
-func (p *Prover) roll(kind, key string, rate float64) bool {
+// roll hashes (seed, fault kind, query kind, query key) into [0, 1) and
+// fires when the result falls under rate.
+func (p *Prover) roll(fault, kind string, key []byte, rate float64) bool {
 	if rate <= 0 {
 		return false
 	}
@@ -169,17 +156,10 @@ func (p *Prover) roll(kind, key string, rate float64) bool {
 		seed[i] = byte(s >> (8 * i))
 	}
 	h.Write(seed[:])
+	h.Write([]byte(fault))
+	h.Write([]byte{0})
 	h.Write([]byte(kind))
 	h.Write([]byte{0})
-	h.Write([]byte(key))
+	h.Write(key)
 	return float64(h.Sum64())/math.MaxUint64 < rate
-}
-
-// Stats passes the inner prover's counters through (the zero Stats when
-// the inner prover does not expose them).
-func (p *Prover) Stats() prover.Stats {
-	if s, ok := p.Inner.(interface{ Stats() prover.Stats }); ok {
-		return s.Stats()
-	}
-	return prover.Stats{}
 }

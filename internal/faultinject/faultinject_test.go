@@ -122,42 +122,38 @@ func TestLatencyRespectsCancellation(t *testing.T) {
 	}
 }
 
-func TestStatsPassThrough(t *testing.T) {
-	inner := prover.New()
-	p := New(inner, Config{Seed: 5})
-	p.Valid(form.TrueF{}, form.TrueF{})
-	if p.Stats().ProverCalls != inner.Calls() || p.Stats().ProverCalls == 0 {
-		t.Errorf("Calls passthrough: wrapper %d inner %d", p.Stats().ProverCalls, inner.Calls())
-	}
-}
-
-// TestSlamStatsThroughWrapper runs one driver through slam on a bare
-// prover and on the same kind of prover behind a fault-free wrapper: the
-// wrapper must pass every counter through, so both runs report the same
-// statistics (solver time aside, which is wall clock). The cube engine
-// keeps the runs alike: the wrapper has no sessions, so under the models
-// engine slam would fall back to cubes for it.
+// TestSlamStatsThroughWrapper runs one driver through slam, under each
+// engine, on a bare prover and on the same kind of prover with a
+// fault-free schedule installed: the schedule must leave every query to
+// the prover, so both runs report the same statistics (solver time
+// aside, which is wall clock), sessions included under the models
+// engine.
 func TestSlamStatsThroughWrapper(t *testing.T) {
 	d := corpus.Drivers()[0]
-	run := func(pv prover.Querier) prover.Stats {
-		cfg := slam.DefaultConfig()
-		cfg.Opts.Jobs = 1
-		cfg.Opts.Engine = abstract.EngineCubes
-		cfg.Prover = pv
-		res, err := slam.VerifySpec(d.Source, d.Spec, d.Entry, cfg)
-		if err != nil {
-			t.Fatal(err)
+	for _, engine := range []string{abstract.EngineCubes, abstract.EngineModels} {
+		run := func(pv prover.Querier) prover.Stats {
+			cfg := slam.DefaultConfig()
+			cfg.Opts.Jobs = 1
+			cfg.Opts.Engine = engine
+			cfg.Prover = pv
+			res, err := slam.VerifySpec(d.Source, d.Spec, d.Entry, cfg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			s := res.Stats
+			s.SolverTime = 0
+			return s
 		}
-		s := res.Stats
-		s.SolverTime = 0
-		return s
-	}
-	bare := run(prover.New())
-	wrapped := run(New(prover.New(), Config{}))
-	if bare.SearchNodes == 0 || bare.TheoryLeaves == 0 {
-		t.Fatalf("%s: bare run did no search: %+v", d.Name, bare)
-	}
-	if wrapped != bare {
-		t.Errorf("%s: stats through the wrapper differ\nwrapped %+v\nbare    %+v", d.Name, wrapped, bare)
+		bare := run(prover.New())
+		wrapped := run(New(prover.New(), Config{}))
+		if bare.SearchNodes == 0 || bare.TheoryLeaves == 0 {
+			t.Fatalf("%s/%s: bare run did no search: %+v", d.Name, engine, bare)
+		}
+		if engine == abstract.EngineModels && wrapped.SessionChecks == 0 {
+			t.Errorf("%s/%s: no session checks through the wrapper: %+v", d.Name, engine, wrapped)
+		}
+		if wrapped != bare {
+			t.Errorf("%s/%s: stats through the wrapper differ\nwrapped %+v\nbare    %+v", d.Name, engine, wrapped, bare)
+		}
 	}
 }

@@ -37,9 +37,6 @@ type Lit struct {
 // Domain is the compiled literal domain of one cube search. It is safe
 // for concurrent use.
 type Domain struct {
-	q Querier
-	// p is the prover behind q; nil when q is not backed by one, and then
-	// every check asks q of the cube's conjunction.
 	p    *Prover
 	lits []domLit // positive literal of predicate i at 2i, negative at 2i+1
 	// parts are the literals' top-level conjuncts; their roots are
@@ -65,27 +62,13 @@ type Goal struct {
 	root int32 // -1 until compiled; guarded by the domain's mu
 }
 
-// backed is satisfied by *Prover and by every type that embeds one: the
-// queriers whose checks a Domain can run on the prover directly.
-type backed interface{ backing() *Prover }
-
-func (p *Prover) backing() *Prover { return p }
-
-// NewDomain prepares cube checks over n predicates; lit returns
-// predicate i and its negation. When q is not backed by a *Prover (a
-// fault injector, a test fake), each check asks q's Valid or Unsat of
-// the cube's conjunction instead.
-func NewDomain(q Querier, n int, lit func(i int) (pos, neg form.Formula)) *Domain {
-	d := &Domain{q: q, lits: make([]domLit, 2*n)}
+// NewDomain prepares cube checks on p over n predicates; lit returns
+// predicate i and its negation.
+func NewDomain(p *Prover, n int, lit func(i int) (pos, neg form.Formula)) *Domain {
+	d := &Domain{p: p, lits: make([]domLit, 2*n), parts: make([]conjPart, 0, 2*n)}
 	for i := 0; i < n; i++ {
 		d.lits[2*i].f, d.lits[2*i+1].f = lit(i)
 	}
-	b, ok := q.(backed)
-	if !ok {
-		return d
-	}
-	d.p = b.backing()
-	d.parts = make([]conjPart, 0, len(d.lits))
 	for k := range d.lits {
 		l := &d.lits[k]
 		l.from = int32(len(d.parts))
@@ -97,33 +80,23 @@ func NewDomain(q Querier, n int, lit func(i int) (pos, neg form.Formula)) *Domai
 
 // Goal prepares f as a goal of the domain's validity checks.
 func (d *Domain) Goal(f form.Formula) *Goal {
-	g := &Goal{f: f, root: -1}
-	if d.p != nil {
-		g.str = f.String()
-	}
-	return g
+	return &Goal{f: f, str: f.String(), root: -1}
 }
 
 // Valid reports whether the cube's conjunction implies g: the answer
 // Valid(MkAnd(cube's literals...), g) gives.
 func (d *Domain) Valid(cube []Lit, g *Goal) bool {
-	if d.p == nil {
-		return d.q.Valid(d.conj(cube), g.f)
-	}
 	return d.check("valid", cube, g)
 }
 
 // Unsat reports whether the cube's conjunction is unsatisfiable: the
 // answer Unsat(MkAnd(cube's literals...)) gives.
 func (d *Domain) Unsat(cube []Lit) bool {
-	if d.p == nil {
-		return d.q.Unsat(d.conj(cube))
-	}
 	return d.check("unsat", cube, nil)
 }
 
 // Key returns the query-cache key of the check Valid(cube, g) makes, or
-// Unsat(cube) when g is nil. The domain must be backed by a Prover.
+// Unsat(cube) when g is nil.
 func (d *Domain) Key(cube []Lit, g *Goal) string {
 	s := getSearcher()
 	defer s.release()

@@ -24,9 +24,9 @@ func domainPreds() []form.Formula {
 	}
 }
 
-// domainOf builds preds' domain over q, with each negation in NNF.
-func domainOf(q Querier, preds []form.Formula) *Domain {
-	return NewDomain(q, len(preds), func(i int) (form.Formula, form.Formula) {
+// domainOf builds preds' domain on p, with each negation in NNF.
+func domainOf(p *Prover, preds []form.Formula) *Domain {
+	return NewDomain(p, len(preds), func(i int) (form.Formula, form.Formula) {
 		return preds[i], form.NNF(form.MkNot(preds[i]))
 	})
 }
@@ -123,48 +123,6 @@ func TestDomainHitZeroAlloc(t *testing.T) {
 	} {
 		if n := testing.AllocsPerRun(100, fn); n != 0 {
 			t.Errorf("warm Domain.%s hit: %v allocs, want 0", name, n)
-		}
-	}
-}
-
-// recorder is a Querier no Prover backs: it answers through one and
-// records each formula it is asked.
-type recorder struct {
-	inner Querier
-	asked []string
-}
-
-func (r *recorder) Valid(hyp, goal form.Formula) bool {
-	r.asked = append(r.asked, "V "+hyp.String()+" => "+goal.String())
-	return r.inner.Valid(hyp, goal)
-}
-
-func (r *recorder) Unsat(f form.Formula) bool {
-	r.asked = append(r.asked, "U "+f.String())
-	return r.inner.Unsat(f)
-}
-
-// TestDomainFallsBackToQuerier: over a Querier no Prover backs, each
-// check is one Valid or Unsat call of the cube's conjunction.
-func TestDomainFallsBackToQuerier(t *testing.T) {
-	preds := domainPreds()
-	r := &recorder{inner: New()}
-	d := domainOf(r, preds)
-	goal := preds[1]
-	g := d.Goal(goal)
-	var want []string
-	for _, cube := range domainCubes(len(preds)) {
-		f := cubeConj(preds, cube)
-		d.Valid(cube, g)
-		d.Unsat(cube)
-		want = append(want, "V "+f.String()+" => "+goal.String(), "U "+f.String())
-	}
-	if len(r.asked) != len(want) {
-		t.Fatalf("querier asked %d times, want %d", len(r.asked), len(want))
-	}
-	for i := range want {
-		if r.asked[i] != want[i] {
-			t.Fatalf("call %d: %s, want %s", i, r.asked[i], want[i])
 		}
 	}
 }

@@ -37,16 +37,21 @@ import (
 )
 
 // Querier is the decision-procedure interface the abstraction stages
-// (cube search, enforce, Newton) depend on. *Prover is the real
-// implementation; internal/faultinject wraps one for chaos testing.
-//
-// Implementations must honor the soundness contract at the top of this
-// package: a true answer means the claim definitely holds, a false
-// answer means "could not prove" and is always safe to return.
+// (cube search, enforce, Newton) depend on. It is sealed: *Prover and
+// the types that embed one satisfy it, so a Prover backs every Querier,
+// and cube checks and sessions run on it directly. An embedding type
+// may override Valid and Unsat; it must honor the soundness contract at
+// the top of this package.
 type Querier interface {
 	Valid(hyp, goal form.Formula) bool
 	Unsat(f form.Formula) bool
+	backing() *Prover
 }
+
+func (p *Prover) backing() *Prover { return p }
+
+// Backing returns the Prover behind q.
+func Backing(q Querier) *Prover { return q.backing() }
 
 // cacheShards stripes the query cache to keep lock contention low under
 // the parallel cube search. Must be a power of two.
@@ -74,6 +79,14 @@ type Prover struct {
 	// call and Domain check (including cache hits). Set it before sharing the prover between
 	// goroutines; the tracer itself is concurrency-safe.
 	Trace *trace.Tracer
+
+	// Fault, when non-nil, is asked first by every Valid, Unsat and Domain
+	// check and every Session.Check, with the query's kind ("valid",
+	// "unsat", "session") and its cache key. True injects a fault: the
+	// query answers "could not prove" (a session check Unknown) and is
+	// neither counted, cached nor traced. internal/faultinject sets it.
+	// Set it before sharing the prover.
+	Fault func(kind string, key []byte) bool
 
 	// Budget, when non-nil, carries the run's cancellation context, its
 	// limits and the degradation log: a cancelled run makes every
@@ -298,12 +311,16 @@ func (p *Prover) Unsat(f form.Formula) bool {
 }
 
 // ask answers one Valid, Unsat or Domain check whose cache key s.keyBuf
-// holds: from the cache, as given up when the run is cancelled, or by a
-// search of the conjunction of s.roots, which compile sets and readies s
-// to search. query rebuilds the searched formula, for searchHook only.
-// ask counts and traces the query and releases s.
+// holds: as injected by Fault, from the cache, as given up when the run
+// is cancelled, or by a search of the conjunction of s.roots, which
+// compile sets and readies s to search. query rebuilds the searched
+// formula, for searchHook only. ask counts and traces every query but a
+// faulted one, and releases s.
 func (p *Prover) ask(kind string, s *searcher, compile func(), query func() form.Formula) bool {
 	defer s.release()
+	if p.Fault != nil && p.Fault(kind, s.keyBuf) {
+		return false
+	}
 	p.calls.Add(1)
 	if !p.DisableCache {
 		if v, ok := p.cacheGet(s.keyBuf); ok {

@@ -202,8 +202,9 @@ func (s *Session) trackAtoms(f form.Formula) {
 //
 //	Unsat, nil, ""      — the conjunction is definitely unsatisfiable;
 //	Sat, model, ""      — a model was found (covering every tracked atom);
-//	Unknown, nil, limit — the search was abandoned; limit is the
-//	                      canonical budget.Limit* name that fired.
+//	Unknown, nil, limit — the search was abandoned, or Prover.Fault
+//	                      injected a fault; limit is the canonical
+//	                      budget.Limit* name that fired.
 //
 // Check shares the Prover's cache under the Unsat keyspace: a cached
 // "definitely unsat" answers without searching; any other cached value
@@ -218,10 +219,13 @@ func (s *Session) trackAtoms(f form.Formula) {
 func (s *Session) Check() (Verdict, *Model, string) {
 	s.mustOpen()
 	p := s.p
-	p.sessionChecks.Add(1)
 	se := getSearcher()
 	defer se.release()
 	b := s.key(se)
+	if p.Fault != nil && p.Fault("session", b) {
+		return Unknown, nil, budget.LimitProverBudget
+	}
+	p.sessionChecks.Add(1)
 	if !p.DisableCache {
 		if v, ok := p.cacheGet(b); ok && v {
 			p.cacheHits.Add(1)

@@ -33,22 +33,32 @@ func (s *Server) workerLoop() {
 	}
 }
 
-// supervise owns one job start to finish: adopt an orphaned result if a
-// previous daemon died between the worker finishing and the ledger
-// recording it, then run attempts under the hard deadline until a
-// result appears or the retry budget runs out. Every attempt resumes
-// from the job's checkpoint journal, so progress is monotone across
-// SIGKILLs and daemon restarts.
+// supervise owns one job start to finish on a busy worker slot. The
+// job's terminal state is published last, after the slot is released,
+// so a client that sees the job finished reads settled metrics.
 func (s *Server) supervise(j *job) {
 	s.met.workersBusy.Inc()
-	defer s.met.workersBusy.Dec()
+	publish := s.runJob(j)
+	s.met.workersBusy.Dec()
+	if publish != nil {
+		publish()
+	}
+}
+
+// runJob adopts an orphaned result if a previous daemon died between
+// the worker finishing and the ledger recording it, then runs attempts
+// under the hard deadline until a result appears or the retry budget
+// runs out. Every attempt resumes from the job's checkpoint journal, so
+// progress is monotone across SIGKILLs and daemon restarts. It returns
+// the publication of the job's terminal state, or nil when the job stays
+// pending.
+func (s *Server) runJob(j *job) (publish func()) {
 	if res, ok := readResult(j.dir, j.hash); ok {
 		s.adopted.Add(1)
 		s.met.adopted.Inc()
 		s.event(j, JobEvent{Type: EventAdopt, Detail: fmt.Sprintf("exit %d", res.ExitCode)})
 		s.cfg.Logf("predabsd: %s: adopting orphaned result (exit %d)", j.id, res.ExitCode)
-		s.finishDone(j, res)
-		return
+		return s.finishDone(j, res)
 	}
 	maxAttempts := s.cfg.Retries + 1
 	for {
@@ -56,8 +66,7 @@ func (s *Server) supervise(j *job) {
 		attempt := j.attempts + 1
 		j.mu.Unlock()
 		if attempt > maxAttempts {
-			s.finishFailed(j, fmt.Sprintf("retry budget exhausted after %d attempts", attempt-1))
-			return
+			return s.finishFailed(j, fmt.Sprintf("retry budget exhausted after %d attempts", attempt-1))
 		}
 		if attempt > 1 {
 			s.retries.Add(1)
@@ -74,8 +83,7 @@ func (s *Server) supervise(j *job) {
 
 		res, failure := s.runAttempt(j, attempt)
 		if res != nil {
-			s.finishDone(j, *res)
-			return
+			return s.finishDone(j, *res)
 		}
 		if s.runCtx.Err() != nil {
 			// Shutdown SIGKILLed this attempt before it could finish.
@@ -94,12 +102,11 @@ func (s *Server) supervise(j *job) {
 			s.event(j, JobEvent{Type: EventState, State: StateQueued, Attempt: attempt,
 				Detail: "attempt preempted by shutdown"})
 			s.cfg.Logf("predabsd: %s: attempt %d preempted by shutdown; job stays journaled for resume", j.id, attempt)
-			return
+			return nil
 		}
 		s.cfg.Logf("predabsd: %s: attempt %d/%d failed: %s", j.id, attempt, maxAttempts, failure)
 		if attempt >= maxAttempts {
-			s.finishFailed(j, fmt.Sprintf("retry budget exhausted after %d attempts (last: %s)", attempt, failure))
-			return
+			return s.finishFailed(j, fmt.Sprintf("retry budget exhausted after %d attempts (last: %s)", attempt, failure))
 		}
 		j.mu.Lock()
 		j.state = StateRetrying
@@ -108,7 +115,7 @@ func (s *Server) supervise(j *job) {
 		if !s.backoff(attempt) {
 			// Shutdown interrupted the backoff: leave the job pending in
 			// the ledger; the next daemon start re-enqueues and resumes it.
-			return
+			return nil
 		}
 	}
 }
@@ -222,35 +229,41 @@ func (s *Server) backoff(attempt int) bool {
 	}
 }
 
-func (s *Server) finishDone(j *job, res WorkerResult) {
+// finishDone records a job's result and returns the publication of its
+// done state.
+func (s *Server) finishDone(j *job, res WorkerResult) (publish func()) {
 	j.mu.Lock()
 	attempts := j.attempts
 	j.mu.Unlock()
-	// Durable records first, in-memory state last: a client that observes
-	// a terminal status can rely on the event stream already ending with
-	// the matching record.
+	// Durable records and counters first, in-memory state last: a client
+	// that observes a terminal status can rely on the event stream
+	// already ending with the matching record, and on /metrics counting
+	// the job.
 	if err := s.ledger.Append(ledgerRecord{Type: "done", ID: j.id, State: StateDone, Exit: res.ExitCode, Outcome: res.Outcome}); err != nil {
 		s.cfg.Logf("predabsd: %s: ledger done record: %v", j.id, err)
 	}
 	s.event(j, JobEvent{Type: EventState, State: StateDone, Attempt: attempts,
 		Detail: res.Outcome})
-	j.mu.Lock()
-	j.state = StateDone
-	j.result = &res
-	j.errmsg = ""
-	j.mu.Unlock()
 	s.completed.Add(1)
 	s.met.completed.Inc()
 	s.met.verdict(res.Outcome).Inc()
 	s.foldRunReport(j)
 	s.cfg.Logf("predabsd: %s: done after %d attempt(s): exit %d outcome %q",
 		j.id, attempts, res.ExitCode, res.Outcome)
+	return func() {
+		j.mu.Lock()
+		j.state = StateDone
+		j.result = &res
+		j.errmsg = ""
+		j.mu.Unlock()
+	}
 }
 
 // finishFailed marks a job out of retry budget. The daemon never
 // invents a verdict: the job's outcome is "unknown", with the reason in
 // the status error — a retried job may report Unknown, never Verified.
-func (s *Server) finishFailed(j *job, detail string) {
+// It returns the publication of the failed state.
+func (s *Server) finishFailed(j *job, detail string) (publish func()) {
 	j.mu.Lock()
 	attempts := j.attempts
 	j.mu.Unlock()
@@ -261,14 +274,16 @@ func (s *Server) finishFailed(j *job, detail string) {
 	}
 	s.event(j, JobEvent{Type: EventState, State: StateFailed, Attempt: attempts,
 		Detail: detail})
-	j.mu.Lock()
-	j.state = StateFailed
-	j.errmsg = detail
-	j.mu.Unlock()
 	s.failed.Add(1)
 	s.met.failed.Inc()
 	s.met.verdict("unknown").Inc()
 	s.cfg.Logf("predabsd: %s: failed: %s", j.id, detail)
+	return func() {
+		j.mu.Lock()
+		j.state = StateFailed
+		j.errmsg = detail
+		j.mu.Unlock()
+	}
 }
 
 // event appends one record to j's durable event log; failures are

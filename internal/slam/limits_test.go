@@ -10,7 +10,8 @@ import (
 
 	"predabs/internal/budget"
 	"predabs/internal/cparse"
-	"predabs/internal/form"
+	"predabs/internal/faultinject"
+	"predabs/internal/prover"
 	"predabs/internal/trace"
 )
 
@@ -86,16 +87,11 @@ func TestIterationExhaustionKeepsPartialResults(t *testing.T) {
 	}
 }
 
-// panicProver crashes on its first query, standing in for a decision
+// A prover that crashes on its first query stands in for a decision
 // procedure bug.
-type panicProver struct{}
-
-func (panicProver) Valid(hyp, goal form.Formula) bool { panic("prover exploded") }
-func (panicProver) Unsat(f form.Formula) bool         { panic("prover exploded") }
-
 func TestStagePanicBecomesStageError(t *testing.T) {
 	cfg := DefaultConfig()
-	cfg.Prover = panicProver{}
+	cfg.Prover = faultinject.New(prover.New(), faultinject.Config{PanicRate: 1})
 	_, err := VerifySpec(correlatedSrc, lockSpec, "main", cfg)
 	if err == nil {
 		t.Fatal("panicking prover produced no error")
@@ -107,7 +103,7 @@ func TestStagePanicBecomesStageError(t *testing.T) {
 	if !se.Panicked || se.Stage != "abstract" {
 		t.Fatalf("StageError = %+v, want panicked in stage abstract", se)
 	}
-	if !strings.Contains(err.Error(), "prover exploded") {
+	if !strings.Contains(err.Error(), "injected prover crash") {
 		t.Errorf("panic value lost: %v", err)
 	}
 }

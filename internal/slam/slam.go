@@ -97,12 +97,12 @@ type Config struct {
 	// a slow or failing hook only delays the boundary it runs on.
 	Progress func(iter, preds int, queries int64, engine string)
 	// Prover overrides the theorem prover — the hook for fault injection
-	// and alternative decision procedures. nil builds a prover.New()
-	// that reads its query timeout from the run's budget tracker. An
-	// override is used as-is (the query timeout in Limits reaches it only
-	// through a Budget of its own); prover statistics appear in the
-	// Result only when the override implements the optional
-	// Stats() prover.Stats method.
+	// (internal/faultinject) and for timing queries. nil builds a
+	// prover.New() that reads its query timeout from the run's budget
+	// tracker. An override is used as-is (the query timeout in Limits
+	// reaches it only through a Budget of its own); the statistics, cache
+	// import and cache export of the Prover behind it appear in the
+	// Result and the checkpoint as the default prover's do.
 	Prover prover.Querier
 }
 
@@ -336,9 +336,7 @@ func verifyProgram(ctx context.Context, prog *cast.Program, entry string, cfg Co
 				addPred(sp.Scope, text)
 			}
 		}
-		if imp, ok := pv.(interface{ ImportCache([]prover.CacheEntry) }); ok {
-			imp.ImportCache(snap.Cache)
-		}
+		prover.Backing(pv).ImportCache(snap.Cache)
 		base = snap.Counters
 		startIter = snap.Iter + 1
 		// Seed the result as if iterations 1..snap.Iter ran here, so
@@ -548,15 +546,12 @@ func verifyProgram(ctx context.Context, prog *cast.Program, entry string, cfg Co
 	return out, nil
 }
 
-// recordProverStats copies the prover's running counters into the result
-// when the Querier exposes them (a Config.Prover override may not). base
-// carries the totals a resumed run inherited from its checkpoint: the
-// fresh process's prover counts only post-resume work, and the sum
-// reproduces the uninterrupted run's totals.
+// recordProverStats copies the prover's running counters into the
+// result. base carries the totals a resumed run inherited from its
+// checkpoint: the fresh process's prover counts only post-resume work,
+// and the sum reproduces the uninterrupted run's totals.
 func recordProverStats(out *Result, pv prover.Querier, base checkpoint.Counters) {
-	if s, ok := pv.(interface{ Stats() prover.Stats }); ok {
-		out.Stats = base.Plus(s.Stats())
-	}
+	out.Stats = base.Plus(prover.Backing(pv).Stats())
 }
 
 // commitCheckpoint journals one iteration boundary. The prover is
@@ -581,9 +576,7 @@ func commitCheckpoint(ckpt *checkpoint.Manager, tracer *tracepkg.Tracer, logf fu
 			Scope: scope, Preds: append([]string{}, pool[scope]...)})
 	}
 	rec.Sigs = abstract.SignatureRecords(abs.Sigs, scopes[1:])
-	if exp, ok := pv.(interface{ ExportCache() []prover.CacheEntry }); ok {
-		rec.Cache = exp.ExportCache()
-	}
+	rec.Cache = prover.Backing(pv).ExportCache()
 	rec.Counters = checkpoint.ProverCounters(out.Stats)
 	rec.Counters.CheckIterations = out.CheckIterations
 	rec.Counters.CheckIterationsByProc = out.CheckIterationsByProc
