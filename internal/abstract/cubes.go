@@ -83,9 +83,9 @@ func (ab *Abstractor) jobs() int {
 const minParallelRound = 4
 
 // checkRound evaluates check(i) for i in [0, n) on a bounded worker
-// pool. Workers pull indices from a shared atomic counter; callers store
-// per-index results, so output order is independent of scheduling. With
-// jobs <= 1 (or a tiny round) it degenerates to the sequential scan,
+// pool, the caller being worker 0. Workers pull indices from a shared
+// atomic counter; callers store per-index results, so output order is
+// independent of scheduling. With jobs <= 1 (or a tiny round) it degenerates to the sequential scan,
 // prover-call-for-prover-call identical to the pre-parallel code.
 //
 // When a tracer is active, each parallel worker's participation in the
@@ -105,24 +105,30 @@ func checkRound(tr *trace.Tracer, n, jobs int, check func(i int)) {
 		return
 	}
 	var next atomic.Int64
+	work := func(w int) {
+		sp := tr.BeginLane(w+1, "cube", "worker")
+		done := 0
+		for {
+			i := int(next.Add(1)) - 1
+			if i >= n {
+				sp.End(trace.Int("cubes", done))
+				return
+			}
+			check(i)
+			done++
+		}
+	}
+	// Worker 0 is the calling goroutine, whose stack the deep search has
+	// already grown; each fresh goroutine would grow its own again.
 	var wg sync.WaitGroup
-	for w := 0; w < jobs; w++ {
+	for w := 1; w < jobs; w++ {
 		wg.Add(1)
 		go func(w int) {
 			defer wg.Done()
-			sp := tr.BeginLane(w+1, "cube", "worker")
-			done := 0
-			for {
-				i := int(next.Add(1)) - 1
-				if i >= n {
-					sp.End(trace.Int("cubes", done))
-					return
-				}
-				check(i)
-				done++
-			}
+			work(w)
 		}(w)
 	}
+	work(0)
 	wg.Wait()
 }
 

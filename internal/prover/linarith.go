@@ -3,6 +3,7 @@ package prover
 import (
 	"bytes"
 	"math"
+	"slices"
 	"strconv"
 
 	"predabs/internal/form"
@@ -73,7 +74,22 @@ type laSystem struct {
 	vars    []int
 	consts  []constNode
 
-	fmRuns, probes int64 // feasible calls and entailsZero probes
+	// The base run's elimination, level by level, and the integer point
+	// of la.base read back from it (witness).
+	levels []fmLevel
+	lvRows []int64 // each level's rows that hold its column, copied
+	wit    []int64 // column -> witness value
+	set    []bool  // column -> wit holds its value
+	taken  []int64 // values the witness and the class constants hold
+	witOK  bool    // wit is an integer point of la.base this round
+
+	fmRuns, probes, fullRounds int64 // feasible calls, entailsZero probes, rounds without a witness
+}
+
+// fmLevel is one elimination step of the base run: the column it
+// eliminated and its rows, the span [from, to) of laSystem.lvRows.
+type fmLevel struct {
+	col, from, to int
 }
 
 // litSpan locates one literal's summed pairs in laSystem.sparse.
@@ -333,9 +349,13 @@ func addOK(a, b int64) (int64, bool) {
 // feasible reports whether the base system, plus the extra row when one
 // is given, has a rational solution (false = definitely infeasible over
 // the integers too). The second result is false when the solver gave up
-// (size cap or int64 overflow).
+// (size cap or int64 overflow). The base run (no extra row) records its
+// elimination levels for witness.
 func (la *laSystem) feasible(extra []int64) (feasible, precise bool) {
 	la.fmRuns++
+	if extra == nil {
+		la.levels, la.lvRows = la.levels[:0], la.lvRows[:0]
+	}
 	switch {
 	case la.baseFalse:
 		return false, true
@@ -394,6 +414,17 @@ func (la *laSystem) feasible(extra []int64) (feasible, precise bool) {
 				next = append(next, work[off:off+stride]...)
 			}
 		}
+		if extra == nil {
+			lv := fmLevel{col: best, from: len(la.lvRows)}
+			for _, off := range la.pos {
+				la.lvRows = append(la.lvRows, work[off:off+stride]...)
+			}
+			for _, off := range la.neg {
+				la.lvRows = append(la.lvRows, work[off:off+stride]...)
+			}
+			lv.to = len(la.lvRows)
+			la.levels = append(la.levels, lv)
+		}
 		for _, a := range la.pos {
 			for _, b := range la.neg {
 				ra, rb := work[a:a+stride], work[b:b+stride]
@@ -424,6 +455,118 @@ func (la *laSystem) feasible(extra []int64) (feasible, precise bool) {
 		}
 		work, next = next, work
 	}
+}
+
+// witness reads an integer point of la.base back from the elimination
+// levels the base run recorded, in reverse elimination order, into
+// la.wit, and reports whether it found one. Each level's column takes an
+// integer between the bounds its rows give with the later columns fixed;
+// a column no level eliminates takes any value. Fourier–Motzkin makes
+// every level's rational interval non-empty; when one holds no integer,
+// or a product leaves int64, there is no witness. Values prefer to differ
+// from the other columns' and from the class constants, so the witness
+// separates as many probes as it can. Call it only after a feasible,
+// precise base run.
+func (la *laSystem) witness(c *cc) bool {
+	w, stride := la.w, la.w+1
+	la.wit, la.set = resize(la.wit, w), resize(la.set, w)
+	la.taken = la.taken[:0]
+	la.consts = collectConstants(c, la.consts[:0])
+	for _, kv := range la.consts {
+		la.taken = append(la.taken, kv.val)
+	}
+	for l := len(la.levels) - 1; l >= 0; l-- {
+		lv := la.levels[l]
+		lo, hi := int64(math.MinInt64), int64(math.MaxInt64)
+		for off := lv.from; off < lv.to; off += stride {
+			row := la.lvRows[off : off+stride]
+			b := row[w]
+			for j, co := range row[:w] {
+				if co == 0 || j == lv.col {
+					continue
+				}
+				if !la.set[j] {
+					la.assign(j, math.MinInt64, math.MaxInt64)
+				}
+				// Normalized rows hold no MinInt64 coefficient.
+				p, ok := mulOK(-co, la.wit[j])
+				if ok {
+					b, ok = addOK(b, p)
+				}
+				if !ok {
+					return false
+				}
+			}
+			// a·x ≤ b: x ≤ ⌊b/a⌋ for a > 0, x ≥ ⌈b/a⌉ for a < 0.
+			if a := row[lv.col]; a > 0 {
+				hi = min(hi, floorDiv(b, a))
+			} else if a == -1 && b == math.MinInt64 {
+				return false
+			} else {
+				lo = max(lo, -floorDiv(b, -a))
+			}
+		}
+		if lo > hi {
+			return false
+		}
+		la.assign(lv.col, lo, hi)
+	}
+	for j := range la.set {
+		if !la.set[j] {
+			la.assign(j, math.MinInt64, math.MaxInt64)
+		}
+	}
+	return true
+}
+
+// assign gives column j a witness value in [lo, hi], the int64 extremes
+// standing for no bound: the point of the interval nearest 0, or the
+// first one stepping inward from it that the witness does not already
+// hold.
+func (la *laSystem) assign(j int, lo, hi int64) {
+	v := min(max(0, lo), hi)
+	u, step, end := v, int64(1), hi
+	if v == hi {
+		step, end = -1, lo
+	}
+	for u != end && slices.Contains(la.taken, u) {
+		u += step
+	}
+	if !slices.Contains(la.taken, u) {
+		v = u
+	}
+	la.wit[j], la.set[j] = v, true
+	la.taken = append(la.taken, v)
+}
+
+// floorDiv returns ⌊n/d⌋ for d > 0.
+func floorDiv(n, d int64) int64 {
+	q := n / d
+	if n%d != 0 && n < 0 {
+		q--
+	}
+	return q
+}
+
+// separates reports whether the witness makes the row expr (coefficients,
+// then the constant) non-zero. The witness is then an integer point of
+// the base system with expr ≤ -1 or expr ≥ 1, so entailsZero(expr), whose
+// Fourier–Motzkin runs are sound for integers, would answer false.
+func (la *laSystem) separates(expr []int64) bool {
+	if !la.witOK {
+		return false
+	}
+	s := expr[la.w]
+	for j, co := range expr[:la.w] {
+		p, ok := mulOK(co, la.wit[j])
+		if ok {
+			s, ok = addOK(s, p)
+		}
+		if !ok {
+			return false
+		}
+	}
+	return s != 0
 }
 
 // entailsZero reports whether the base system entails expr = 0 for the
@@ -461,7 +604,8 @@ func (la *laSystem) entailsZero(expr []int64) bool {
 }
 
 // propagateEqualities probes pairs of LA variables (and constants) for
-// entailed equalities and merges the corresponding congruence classes.
+// entailed equalities and merges the corresponding congruence classes,
+// skipping every pair the round's witness tells apart (see separates).
 // It reports whether any new merge happened.
 func (la *laSystem) propagateEqualities(c *cc) bool {
 	w, stride := la.w, la.w+1
@@ -484,6 +628,9 @@ func (la *laSystem) propagateEqualities(c *cc) bool {
 	// Pairwise variable equalities.
 	for i := 0; i < len(vars) && !c.failed; i++ {
 		for j := i + 1; j < len(vars) && !c.failed; j++ {
+			if la.witOK && la.wit[vars[i]] != la.wit[vars[j]] {
+				continue
+			}
 			ni, nj := la.reps[vars[i]], la.reps[vars[j]]
 			if c.find(ni) == c.find(nj) {
 				continue
@@ -507,7 +654,7 @@ func (la *laSystem) propagateEqualities(c *cc) bool {
 			continue
 		}
 		for _, kv := range la.consts {
-			if kv.val == math.MinInt64 {
+			if kv.val == math.MinInt64 || la.witOK && la.wit[v] != kv.val {
 				continue
 			}
 			clear(expr)

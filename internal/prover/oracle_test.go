@@ -224,9 +224,12 @@ func assignAtom(f form.Formula, key string, val bool) form.Formula {
 
 func oracleTheoryConsistent(lits []lit) bool {
 	c, ok := refAssert(lits)
-	if !ok {
-		return false
-	}
+	return ok && oracleArith(c, lits)
+}
+
+// oracleArith runs the reference linear arithmetic and its LA → CC
+// equality exchange, probing every pair, over the asserted closure.
+func oracleArith(c *refCC, lits []lit) bool {
 	for iter := 0; iter < maxCombineIters; iter++ {
 		cons, neqs := oBuildLA(c, lits)
 		feasible, precise := oLaFeasible(cons)

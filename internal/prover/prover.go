@@ -110,12 +110,13 @@ type Prover struct {
 	modelsExtracted atomic.Int64
 	blockingClauses atomic.Int64
 
-	searchNodes  atomic.Int64
-	theoryLeaves atomic.Int64
-	memoHits     atomic.Int64
-	fmRuns       atomic.Int64
-	eqProbes     atomic.Int64
-	ccUnions     atomic.Int64
+	searchNodes     atomic.Int64
+	theoryLeaves    atomic.Int64
+	memoHits        atomic.Int64
+	fmRuns          atomic.Int64
+	eqProbes        atomic.Int64
+	ccUnions        atomic.Int64
+	fullProbeRounds atomic.Int64
 
 	seed   maphash.Seed
 	shards [cacheShards]cacheShard
@@ -186,6 +187,11 @@ type Stats struct {
 	FMRuns         int
 	EqualityProbes int
 	CCUnions       int
+	// FullProbeRounds counts the Nelson–Oppen rounds whose feasible
+	// linear system yielded no integer witness, so every equality and
+	// disequality was probed rather than only those the witness leaves
+	// open.
+	FullProbeRounds int
 
 	// SolverTime is the cumulative wall time inside the decision
 	// procedures (cache hits excluded). Under the parallel cube search it
@@ -216,6 +222,7 @@ func (p *Prover) Stats() Stats {
 		FMRuns:          int(p.fmRuns.Load()),
 		EqualityProbes:  int(p.eqProbes.Load()),
 		CCUnions:        int(p.ccUnions.Load()),
+		FullProbeRounds: int(p.fullProbeRounds.Load()),
 		SolverTime:      time.Duration(p.theoryNS.Load()),
 	}
 }
@@ -380,6 +387,7 @@ func (p *Prover) search(key string, s *searcher, query func() form.Formula) (uns
 	p.fmRuns.Add(s.eff.fmRuns)
 	p.eqProbes.Add(s.eff.probes)
 	p.ccUnions.Add(s.eff.unions)
+	p.fullProbeRounds.Add(s.eff.fullRounds)
 	if searchHook != nil {
 		searchHook(query(), s.tracked, s, found)
 	}
@@ -549,7 +557,7 @@ const maxProbeVars = 14
 
 // theoryEffort counts the work of the theory leaves a search checked.
 type theoryEffort struct {
-	fmRuns, probes, unions int64
+	fmRuns, probes, unions, fullRounds int64
 }
 
 // theory is one theory check's state: the congruence closure and the
@@ -575,11 +583,12 @@ func theoryConsistent(snap termSnap, ids []int32, eff *theoryEffort) bool {
 }
 
 func (th *theory) check(snap termSnap, ids []int32, eff *theoryEffort) bool {
-	th.la.fmRuns, th.la.probes = 0, 0
+	th.la.fmRuns, th.la.probes, th.la.fullRounds = 0, 0, 0
 	ok := th.assert(snap, ids) && th.arith(snap, ids)
 	eff.unions += th.c.unions
 	eff.fmRuns += th.la.fmRuns
 	eff.probes += th.la.probes
+	eff.fullRounds += th.la.fullRounds
 	return ok
 }
 
@@ -622,9 +631,13 @@ func (th *theory) arith(snap termSnap, ids []int32) bool {
 		if !precise {
 			return true // gave up: cannot prove inconsistency
 		}
+		// Only what the witness leaves open is probed; without one, all.
+		if la.witOK = la.witness(c); !la.witOK {
+			la.fullRounds++
+		}
 		// Disequalities refuted by arithmetic.
 		for off := 0; off < len(la.neqs); off += la.w + 1 {
-			if la.entailsZero(la.neqs[off : off+la.w+1]) {
+			if row := la.neqs[off : off+la.w+1]; !la.separates(row) && la.entailsZero(row) {
 				return false
 			}
 		}
