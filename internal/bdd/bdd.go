@@ -8,8 +8,9 @@
 // A Manager keeps its nodes in one flat store indexed by node id, with
 // two open-addressed tables beside it: the unique table (node ids,
 // hash-consing) and the apply memo (exact: it never drops an entry).
-// Exists, Replace and Restrict memoise on one node-indexed
-// scratch stamped with a generation counter, so a warm manager allocates
+// Exists, AndExists, Replace and Restrict memoise on per-call scratch
+// stamped with a generation counter (node-indexed, plus an
+// open-addressed pair table for AndExists), so a warm manager allocates
 // nothing per call. Every operation recurses low cofactor before high,
 // so a sequence of calls creates the same nodes, with the same ids, on
 // every run.
@@ -49,6 +50,13 @@ type memoEntry struct {
 	r   int32
 }
 
+// pairEntry is one AndExists memo slot: ∃vars (a ∧ b) = r, valid while
+// gen is current; a slot of an older generation counts as empty.
+type pairEntry struct {
+	gen     uint32
+	a, b, r int32
+}
+
 // Manager owns a shared node store for a set of BDDs. It is not safe for
 // concurrent use.
 type Manager struct {
@@ -60,12 +68,19 @@ type Manager struct {
 	applyN int  // filled apply slots
 	// notMemo[f] is 1+¬f, or 0 while ¬f is unknown.
 	notMemo []int32
-	// The per-call scratch of Exists, Replace and Restrict:
-	// memo by node id, the variable set (and Replace's renaming) by
-	// variable. An entry counts only while its stamp equals gen.
-	memo    []memoEntry
-	varGen  []uint32
-	varTo   []int
+	// The per-call scratch of Exists, AndExists, Replace and Restrict:
+	// memo by node id, AndExists's memo by operand pair, the variable
+	// set (and Replace's renaming) by variable. An entry counts only
+	// while its stamp equals gen.
+	memo   []memoEntry
+	pairs  []pairEntry
+	pShift uint // 64 - log2(len(pairs))
+	pairN  int  // pairs entries stamped with gen
+	varGen []uint32
+	varTo  []int
+	// qTop is the deepest quantified variable of the current Exists or
+	// AndExists (-1 for none): a node below it is left as it is.
+	qTop    int32
 	gen     uint32
 	numVars int
 }
@@ -77,6 +92,8 @@ func New(n int) *Manager {
 		uShift:  64 - initialBits,
 		apply:   make([]applyEntry, 1<<initialBits),
 		aShift:  64 - initialBits,
+		pairs:   make([]pairEntry, 1<<initialBits),
+		pShift:  64 - initialBits,
 		numVars: n,
 	}
 	// Node 0 = false, node 1 = true. Terminals never enter the unique
@@ -300,15 +317,6 @@ func (m *Manager) applyOp(op byte, a, b int32) int32 {
 	return r
 }
 
-// AndN folds And over the arguments (true for none).
-func (m *Manager) AndN(fs ...int) int {
-	r := 1
-	for _, f := range fs {
-		r = m.And(r, f)
-	}
-	return r
-}
-
 // begin starts a traversal on the per-call scratch: a fresh generation
 // invalidates every memo entry and variable mark at once. The scratch
 // covers the nodes that exist now, which are all a traversal of an
@@ -317,6 +325,7 @@ func (m *Manager) begin() {
 	m.gen++
 	if m.gen == 0 {
 		clear(m.memo)
+		clear(m.pairs)
 		clear(m.varGen)
 		m.gen = 1
 	}
@@ -334,24 +343,35 @@ func (m *Manager) Exists(f int, vars []int) int {
 	if len(vars) == 0 {
 		return f
 	}
+	m.quantify(vars)
+	return int(m.exists(int32(f)))
+}
+
+// quantify starts a traversal that quantifies vars: it marks each one
+// and records the deepest in qTop.
+func (m *Manager) quantify(vars []int) {
 	m.begin()
+	m.qTop = -1
 	for _, v := range vars {
 		// A variable no node can carry changes nothing.
 		if v >= 0 && v < m.numVars {
 			m.varGen[v] = m.gen
+			m.qTop = max(m.qTop, int32(v))
 		}
 	}
-	return int(m.exists(int32(f)))
 }
 
 func (m *Manager) exists(f int32) int32 {
 	if f <= 1 {
 		return f
 	}
+	n := m.nodes[f]
+	if n.v > m.qTop {
+		return f // no quantified variable below
+	}
 	if e := m.memo[f]; e.gen == m.gen {
 		return e.r
 	}
-	n := m.nodes[f]
 	lo := m.exists(n.lo)
 	hi := m.exists(n.hi)
 	var r int32
@@ -364,9 +384,88 @@ func (m *Manager) exists(f int32) int32 {
 	return r
 }
 
+// AndExists returns ∃vars (a ∧ b), the relational product, in one
+// traversal (CUDD's Cudd_bddAndAbstract): a variable is quantified as
+// soon as the conjunction reaches it, so the full conjunction is never
+// built. It equals Exists(And(a, b), vars).
+func (m *Manager) AndExists(a, b int, vars []int) int {
+	m.quantify(vars)
+	m.pairN = 0
+	return int(m.andExists(int32(a), int32(b)))
+}
+
+func (m *Manager) andExists(f, g int32) int32 {
+	switch {
+	case f == 0 || g == 0:
+		return 0
+	case f == 1 || f == g:
+		return m.exists(g)
+	case g == 1:
+		return m.exists(f)
+	}
+	if f > g {
+		f, g = g, f // ∧ commutes: canonical order doubles memo hits
+	}
+	nf, ng := m.nodes[f], m.nodes[g]
+	v := min(nf.v, ng.v)
+	if v > m.qTop {
+		return m.applyOp(opAnd, f, g) // nothing left to quantify
+	}
+	if e := m.pairs[m.pairSlot(f, g)]; e.gen == m.gen {
+		return e.r
+	}
+	flo, fhi := f, f
+	if nf.v == v {
+		flo, fhi = nf.lo, nf.hi
+	}
+	glo, ghi := g, g
+	if ng.v == v {
+		glo, ghi = ng.lo, ng.hi
+	}
+	lo := m.andExists(flo, glo)
+	var r int32
+	switch {
+	case m.varGen[v] != m.gen:
+		r = m.mk(v, lo, m.andExists(fhi, ghi))
+	case lo == 1:
+		r = 1 // lo ∨ anything
+	default:
+		r = m.applyOp(opOr, lo, m.andExists(fhi, ghi))
+	}
+	// Probe again: the recursion may have filled or regrown the table.
+	m.pairs[m.pairSlot(f, g)] = pairEntry{gen: m.gen, a: f, b: g, r: r}
+	m.pairN++
+	if 2*m.pairN > len(m.pairs) {
+		old := m.pairs
+		m.pairs = make([]pairEntry, 2*len(old))
+		m.pShift--
+		for _, e := range old {
+			if e.gen == m.gen {
+				m.pairs[m.pairSlot(e.a, e.b)] = e
+			}
+		}
+	}
+	return r
+}
+
+// pairSlot returns the AndExists memo slot that holds (a, b) in the
+// current generation, or the stale or empty slot where it belongs.
+// Entries are never removed within a generation, so a probe may stop at
+// the first stale slot.
+func (m *Manager) pairSlot(a, b int32) uint64 {
+	mask := uint64(len(m.pairs) - 1)
+	for i := hash3(a, b, 0) >> m.pShift; ; i = (i + 1) & mask {
+		if e := &m.pairs[i]; e.gen != m.gen || e.a == a && e.b == b {
+			return i
+		}
+	}
+}
+
 // Replace renames variables in f according to the map (variables not in
 // the map are unchanged). Implemented by Shannon recomposition, which is
-// correct for arbitrary (injective) renamings regardless of order.
+// correct for arbitrary (injective) renamings regardless of order; where
+// the new variable still sits above both rebuilt cofactors, as in an
+// order-preserving renaming, the node is made directly.
 func (m *Manager) Replace(f int, rename map[int]int) int {
 	if len(rename) == 0 {
 		return f
@@ -395,7 +494,12 @@ func (m *Manager) replace(f int32) int32 {
 	}
 	lo := m.replace(n.lo)
 	hi := m.replace(n.hi)
-	r := m.ite(int32(m.Var(v)), hi, lo)
+	var r int32
+	if nv := int32(v); 0 <= v && v < m.numVars && nv < m.nodes[lo].v && nv < m.nodes[hi].v {
+		r = m.mk(nv, lo, hi)
+	} else {
+		r = m.ite(int32(m.Var(v)), hi, lo)
+	}
 	m.memo[f] = memoEntry{m.gen, r}
 	return r
 }

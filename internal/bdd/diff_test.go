@@ -36,7 +36,7 @@ func TestMatchesReference(t *testing.T) {
 			var op string
 			var got, want int
 			a, b := pick(), pick()
-			switch k := r.Intn(12); k {
+			switch k := r.Intn(13); k {
 			case 0:
 				v := r.Intn(m.NumVars())
 				op, got, want = "Var", m.Var(v), ref.Var(v)
@@ -72,6 +72,9 @@ func TestMatchesReference(t *testing.T) {
 					t.Fatalf("seed %d step %d: AllSat(%d, %v) rows %v, reference %v", seed, step, a, vs, g, w)
 				}
 				op = "AllSat"
+			case 12:
+				vs := randVars(5)
+				op, got, want = "AndExists", m.AndExists(a, b, vs), ref.AndExists(a, b, vs)
 			}
 			if got != want || m.NumNodes() != ref.NumNodes() {
 				t.Fatalf("seed %d step %d: %s = %d with %d nodes, reference %d with %d nodes",
@@ -80,6 +83,28 @@ func TestMatchesReference(t *testing.T) {
 			if got > 1 && op != "AddVar" {
 				pool = append(pool, got)
 			}
+		}
+	}
+}
+
+// TestAndExistsIsExistsOfAnd checks the relational product against its
+// definition on random BDDs, with variable lists that repeat variables
+// or name ones outside the manager.
+func TestAndExistsIsExistsOfAnd(t *testing.T) {
+	r := rand.New(rand.NewSource(11))
+	for trial := 0; trial < 300; trial++ {
+		m := New(4 + r.Intn(5))
+		a, _ := randomFormula(m, r, 5)
+		b, _ := randomFormula(m, r, 5)
+		vs := make([]int, r.Intn(7))
+		for i := range vs {
+			vs[i] = r.Intn(m.NumVars()+4) - 2
+		}
+		if len(vs) > 1 && r.Intn(2) == 0 {
+			vs[1] = vs[0]
+		}
+		if got, want := m.AndExists(a, b, vs), m.Exists(m.And(a, b), vs); got != want {
+			t.Fatalf("trial %d: AndExists(%d, %d, %v) = %d, Exists(And) = %d", trial, a, b, vs, got, want)
 		}
 	}
 }
@@ -118,10 +143,16 @@ func TestScratchGenerationWrap(t *testing.T) {
 	// the next call would stamp 1 again without the reset.
 	m.Exists(f, []int{2})
 	ref.Exists(rf, []int{2})
+	m.AndExists(f, m.Var(3), []int{2})
+	ref.AndExists(rf, ref.Var(3), []int{2})
 	m.gen = math.MaxUint32
 	for _, vs := range [][]int{{1}, {0, 3}, {2}} {
 		if got, want := m.Exists(f, vs), ref.Exists(rf, vs); got != want {
 			t.Fatalf("Exists %v after wrap = %d, want %d", vs, got, want)
+		}
+		g, rg := m.Var(3), ref.Var(3)
+		if got, want := m.AndExists(f, g, vs), ref.AndExists(rf, rg, vs); got != want {
+			t.Fatalf("AndExists %v after wrap = %d, want %d", vs, got, want)
 		}
 	}
 }
@@ -141,6 +172,7 @@ func TestWarmOperationsAllocateNothing(t *testing.T) {
 		fn   func()
 	}{
 		{"Exists", func() { m.Exists(f, vars) }},
+		{"AndExists", func() { m.AndExists(f, g, vars) }},
 		{"Replace", func() { m.Replace(f, rename) }},
 		{"Restrict", func() { m.Restrict(f, 3, true) }},
 		{"And", func() { m.And(f, g) }},

@@ -214,9 +214,73 @@ func (m *refManager) replace(f int, rename map[int]int, memo map[int]int) int {
 	}
 	lo := m.replace(n.lo, rename, memo)
 	hi := m.replace(n.hi, rename, memo)
-	r := m.ite(m.Var(v), hi, lo)
+	var r int
+	if 0 <= v && v < m.numVars && v < m.nodes[lo].v && v < m.nodes[hi].v {
+		r = m.mk(v, lo, hi)
+	} else {
+		r = m.ite(m.Var(v), hi, lo)
+	}
 	memo[f] = r
 	return r
+}
+
+// AndExists follows the Manager's recursion: the same terminal cases,
+// the same hand-off to And below the deepest quantified variable, low
+// cofactor first, and no high cofactor once a quantified low one is true.
+func (m *refManager) AndExists(a, b int, vars []int) int {
+	set := map[int]bool{}
+	top := -1
+	for _, v := range vars {
+		if v >= 0 && v < m.numVars {
+			set[v] = true
+			top = max(top, v)
+		}
+	}
+	memo := map[int]int{}
+	pairs := map[[2]int]int{}
+	var rec func(f, g int) int
+	rec = func(f, g int) int {
+		switch {
+		case f == 0 || g == 0:
+			return 0
+		case f == 1 || f == g:
+			return m.exists(g, set, memo)
+		case g == 1:
+			return m.exists(f, set, memo)
+		}
+		if f > g {
+			f, g = g, f
+		}
+		nf, ng := m.nodes[f], m.nodes[g]
+		v := min(nf.v, ng.v)
+		if v > top {
+			return m.And(f, g)
+		}
+		if r, ok := pairs[[2]int{f, g}]; ok {
+			return r
+		}
+		flo, fhi := f, f
+		if nf.v == v {
+			flo, fhi = nf.lo, nf.hi
+		}
+		glo, ghi := g, g
+		if ng.v == v {
+			glo, ghi = ng.lo, ng.hi
+		}
+		lo := rec(flo, glo)
+		var r int
+		switch {
+		case !set[v]:
+			r = m.mk(v, lo, rec(fhi, ghi))
+		case lo == 1:
+			r = 1
+		default:
+			r = m.Or(lo, rec(fhi, ghi))
+		}
+		pairs[[2]int{f, g}] = r
+		return r
+	}
+	return rec(a, b)
 }
 
 func (m *refManager) Restrict(f, v int, val bool) int {

@@ -9,6 +9,8 @@ package bebop
 
 import (
 	"fmt"
+	"maps"
+	"slices"
 	"sort"
 	"strings"
 	"time"
@@ -57,11 +59,29 @@ type procInfo struct {
 	succs [][]int
 	// enforce is the invariant BDD over colCurrent (1 if none).
 	enfC int
-	// enfP is the invariant over colNext.
-	enfP int
+	// entryRel mirrors the entry columns of the globals and params into
+	// their current columns, and conjoins enforce: an entry state.
+	entryRel int
 	// callers lists the call sites of this procedure in program order:
 	// the items to requeue when its summary grows.
 	callers []workItem
+
+	// The variable sets and renamings the transfer functions use, built
+	// at layout. entryVars (entry columns of every slot) leave Reach.
+	// As a caller: callQuant (those, plus the current params and
+	// locals) leave a call's inputs. As a callee: seedRename moves the
+	// inputs to the entry columns; sumQuant (current and scratch
+	// globals, scratch params) is what applying the summary quantifies,
+	// sumQuantRets adds the current return slots; retQuant (current
+	// params and locals) and sumRename shape the path edges at a return
+	// into the summary.
+	entryVars, callQuant   []int
+	sumQuant, sumQuantRets []int
+	retQuant               []int
+	seedRename, sumRename  map[int]int
+	// targets[stmt] is what an assignment, or a call with return
+	// targets, quantifies and renames.
+	targets []targetVars
 
 	// pathEdges[stmt] is the path-edge BDD over (entry, current).
 	pathEdges []int
@@ -73,6 +93,15 @@ type procInfo struct {
 	// reach caches reachable at each statement once the fixpoint is
 	// done; 0 (false) means not computed yet.
 	reach []int
+}
+
+// targetVars holds what one assignment or call writes: quant is the
+// current columns of the written slots (for a call, also the callee's
+// current return columns), and toCur renames the written slots' next
+// columns to current.
+type targetVars struct {
+	quant []int
+	toCur map[int]int
 }
 
 // Failure locates a reachable assertion violation.
@@ -94,8 +123,16 @@ type Checker struct {
 	m     *bdd.Manager
 	glob  []varSlot
 	procs map[string]*procInfo
-	// scratchNondet is a pool of BDD variables for * and choose.
+	// scratchNondet is a pool of BDD variables for * and choose. An
+	// expression's nondeterminism uses a prefix of it.
 	scratchNondet []int
+	// match equates the scratch and current columns of every global: it
+	// lines a summary's input globals up with a call site's.
+	match int
+	// globToCur renames every global's next column to its current one.
+	globToCur map[int]int
+	// quant is a reused buffer for a variable set plus nondeterminism.
+	quant []int
 
 	// Failures lists reachable assertion violations.
 	Failures []Failure
@@ -185,6 +222,8 @@ func (c *Checker) layout() {
 	for i, g := range c.Prog.Globals {
 		c.glob = append(c.glob, alloc(g, i))
 	}
+	c.globToCur = renameMap(c.glob, colNext, colCurrent)
+	globCur := colVars(c.glob, colCurrent)
 	for _, pr := range c.Prog.Procs {
 		pi := &procInfo{
 			proc:      pr,
@@ -209,6 +248,16 @@ func (c *Checker) layout() {
 		for i := 0; i < pr.NRet; i++ {
 			pi.rets = append(pi.rets, alloc(fmt.Sprintf("%s::$ret%d", pr.Name, i), -1))
 		}
+		pi.entryVars = colVars(pi.slots, colEntry)
+		pi.retQuant = append(colVars(pi.params, colCurrent), colVars(pi.locals, colCurrent)...)
+		pi.callQuant = append(slices.Clone(pi.entryVars), pi.retQuant...)
+		pi.seedRename = renameMap(c.glob, colCurrent, colEntry)
+		maps.Copy(pi.seedRename, renameMap(pi.params, colScratch, colEntry))
+		pi.sumQuant = slices.Concat(globCur, colVars(c.glob, colScratch), colVars(pi.params, colScratch))
+		pi.sumQuantRets = append(slices.Clone(pi.sumQuant), colVars(pi.rets, colCurrent)...)
+		pi.sumRename = renameMap(c.glob, colCurrent, colNext)
+		maps.Copy(pi.sumRename, renameMap(c.glob, colEntry, colScratch))
+		maps.Copy(pi.sumRename, renameMap(pi.params, colEntry, colScratch))
 		c.procs[pr.Name] = pi
 	}
 	// Nondeterminism scratch pool (grown on demand).
@@ -224,10 +273,27 @@ func (c *Checker) buildCFGs() {
 		pi := c.procs[pr.Name]
 		n := len(pr.Stmts)
 		pi.succs = make([][]int, n)
+		pi.targets = make([]targetVars, n)
 		for i, s := range pr.Stmts {
-			if s.Kind == bp.Call {
+			switch s.Kind {
+			case bp.Assign:
+				var lhs []varSlot
+				for _, name := range s.Lhs {
+					if slot, ok := pi.scope[name]; ok {
+						lhs = append(lhs, slot)
+					}
+				}
+				pi.targets[i] = newTargetVars(lhs, nil)
+			case bp.Call:
 				callee := c.procs[s.Callee]
 				callee.callers = append(callee.callers, workItem{pi, i})
+				if len(s.CallLhs) > 0 {
+					lhs := make([]varSlot, len(s.CallLhs))
+					for j, name := range s.CallLhs {
+						lhs[j] = pi.scope[name]
+					}
+					pi.targets[i] = newTargetVars(lhs, callee.rets)
+				}
 			}
 			switch s.Kind {
 			case bp.Goto:
@@ -244,29 +310,50 @@ func (c *Checker) buildCFGs() {
 			}
 		}
 		pi.enfC = 1
-		pi.enfP = 1
 		if pr.Enforce != nil {
 			pi.enfC = c.exprBDD(pi, pr.Enforce, colCurrent, nil)
-			pi.enfP = c.exprBDD(pi, pr.Enforce, colNext, nil)
 		}
+		pi.entryRel = c.m.And(pi.enfC, c.mirror(pi.slots[:len(c.glob)+len(pi.params)], colEntry))
+	}
+	c.match = c.mirror(c.glob, colScratch)
+}
+
+// mirror returns the BDD that equates each slot's column col with its
+// current column. It conjoins from the last slot up, so each step puts
+// one slot's equality on top of a BDD over later variables.
+func (c *Checker) mirror(slots []varSlot, col column) int {
+	r := c.m.True()
+	for i := len(slots) - 1; i >= 0; i-- {
+		s := slots[i]
+		r = c.m.And(c.m.Iff(c.m.Var(s.col(col)), c.m.Var(s.col(colCurrent))), r)
+	}
+	return r
+}
+
+// newTargetVars builds the targetVars of writing the slots lhs, with
+// rets the callee's return slots for a call.
+func newTargetVars(lhs, rets []varSlot) targetVars {
+	return targetVars{
+		quant: append(colVars(lhs, colCurrent), colVars(rets, colCurrent)...),
+		toCur: renameMap(lhs, colNext, colCurrent),
 	}
 }
 
 // nondetVar hands out the next scratch variable for one * occurrence
-// and appends it to *nondet.
-func (c *Checker) nondetVar(nondet *[]int) int {
-	for len(*nondet) >= len(c.scratchNondet) {
+// and counts it in *nondet.
+func (c *Checker) nondetVar(nondet *int) int {
+	if *nondet == len(c.scratchNondet) {
 		c.scratchNondet = append(c.scratchNondet, c.m.AddVar())
 	}
-	v := c.scratchNondet[len(*nondet)]
-	*nondet = append(*nondet, v)
-	return v
+	*nondet++
+	return c.scratchNondet[*nondet-1]
 }
 
 // exprBDD translates a boolean-program expression into a BDD over the
-// given column. Unknown and unresolved choose consume scratch variables
-// recorded in *nondet (nil means the expression must be deterministic).
-func (c *Checker) exprBDD(pi *procInfo, e bp.Expr, col column, nondet *[]int) int {
+// given column. Unknown and unresolved choose consume scratch variables,
+// counted in *nondet: the expression's are c.scratchNondet[:*nondet].
+// nil means the expression must be deterministic.
+func (c *Checker) exprBDD(pi *procInfo, e bp.Expr, col column, nondet *int) int {
 	switch e := e.(type) {
 	case bp.Const:
 		if e.Val {
@@ -327,40 +414,35 @@ func renameMap(slots []varSlot, from, to column) map[int]int {
 	return m
 }
 
-// assignRelation builds the transition relation (current → next) of a
-// parallel assignment, including the frame condition and the enforce
-// invariant on the next state.
-func (c *Checker) assignRelation(pi *procInfo, lhs []string, rhs []bp.Expr) int {
-	assigned := make([]bool, len(pi.slots))
+// withNondet returns vars followed by the first n scratch variables, in
+// the reused buffer c.quant.
+func (c *Checker) withNondet(vars []int, n int) []int {
+	c.quant = append(append(c.quant[:0], vars...), c.scratchNondet[:n]...)
+	return c.quant
+}
+
+// assignImage applies the parallel assignment at stmt to the path edges
+// pe. Its relation constrains only the next columns of the assigned
+// slots, each to its right-hand side; the image quantifies the assigned
+// slots' current columns (and the nondeterminism), renames their next
+// columns back and conjoins enforce on the result. An unassigned slot
+// keeps its current column, so it needs no frame condition, and enforce
+// on the post-state mentions no quantified column, so it may come last.
+func (c *Checker) assignImage(pi *procInfo, stmt, pe int) int {
+	s := pi.proc.Stmts[stmt]
+	tv := &pi.targets[stmt]
 	rel := c.m.True()
-	var nondet []int
-	for i, name := range lhs {
+	nondet := 0
+	for i, name := range s.Lhs {
 		slot, ok := pi.scope[name]
 		if !ok {
 			continue
 		}
-		assigned[slot.pos] = true
-		val := c.exprBDD(pi, rhs[i], colCurrent, &nondet)
+		val := c.exprBDD(pi, s.Rhs[i], colCurrent, &nondet)
 		rel = c.m.And(rel, c.m.Iff(c.m.Var(slot.col(colNext)), val))
 	}
-	for _, s := range pi.slots {
-		if !assigned[s.pos] {
-			rel = c.m.And(rel, c.m.Iff(c.m.Var(s.col(colNext)), c.m.Var(s.col(colCurrent))))
-		}
-	}
-	rel = c.m.And(rel, pi.enfP)
-	// The scratch nondeterminism variables are free: quantify them out.
-	if len(nondet) > 0 {
-		rel = c.m.Exists(rel, nondet)
-	}
-	return rel
-}
-
-// image applies a (current→next) relation to a path-edge set.
-func (c *Checker) image(pi *procInfo, pe, rel int) int {
-	conj := c.m.And(pe, rel)
-	ex := c.m.Exists(conj, colVars(pi.slots, colCurrent))
-	return c.m.Replace(ex, renameMap(pi.slots, colNext, colCurrent))
+	post := c.m.AndExists(pe, rel, c.withNondet(tv.quant, nondet))
+	return c.m.And(c.m.Replace(post, tv.toCur), pi.enfC)
 }
 
 // workItem is one statement of one procedure on the worklist.
@@ -395,7 +477,7 @@ func (c *Checker) run(entry string, bt *budget.Tracker) {
 
 	// Seed the entry procedure: unconstrained globals and parameters.
 	epi := c.procs[entry]
-	c.seedEntry(epi, c.entryStates(c.m.True(), epi), push)
+	c.seedEntry(epi, c.m.True(), push)
 
 	for len(queue) > 0 {
 		// Resource limits: stopping the worklist early leaves the path
@@ -442,32 +524,31 @@ func (c *Checker) run(entry string, bt *budget.Tracker) {
 			}
 		case bp.Assume:
 			// A nondeterministic condition passes if some resolution does.
-			var nondet []int
+			nondet := 0
 			cond := c.exprBDD(pi, s.Cond, colCurrent, &nondet)
-			filtered := c.m.Exists(c.m.And(pe, cond), nondet)
+			filtered := c.m.AndExists(pe, cond, c.scratchNondet[:nondet])
 			for _, nxt := range pi.succs[w.stmt] {
 				propagate(nxt, filtered)
 			}
 		case bp.Assert:
 			// A nondeterministic assert fails if some resolution fails.
-			var nondet []int
+			nondet := 0
 			cond := c.exprBDD(pi, s.Cond, colCurrent, &nondet)
-			fail := c.m.Exists(c.m.And(pe, c.m.Not(cond)), nondet)
+			fail := c.m.AndExists(pe, c.m.Not(cond), c.scratchNondet[:nondet])
 			if !c.m.IsFalse(fail) {
 				c.recordFailure(name, w.stmt)
 			}
-			pass := c.m.Exists(c.m.And(pe, cond), nondet)
+			pass := c.m.AndExists(pe, cond, c.scratchNondet[:nondet])
 			for _, nxt := range pi.succs[w.stmt] {
 				propagate(nxt, pass)
 			}
 		case bp.Assign:
-			rel := c.assignRelation(pi, s.Lhs, s.Rhs)
-			out := c.image(pi, pe, rel)
+			out := c.assignImage(pi, w.stmt, pe)
 			for _, nxt := range pi.succs[w.stmt] {
 				propagate(nxt, out)
 			}
 		case bp.Call:
-			if out := c.applyCall(pi, pe, s, push); !c.m.IsFalse(out) {
+			if out := c.applyCall(pi, w.stmt, pe, push); !c.m.IsFalse(out) {
 				for _, nxt := range pi.succs[w.stmt] {
 					propagate(nxt, out)
 				}
@@ -482,23 +563,11 @@ func (c *Checker) run(entry string, bt *budget.Tracker) {
 	}
 }
 
-// entryStates conjoins to from the entry condition of pi: globals and
-// params mirrored from the entry into the current columns (locals
-// unconstrained), and enforce.
-func (c *Checker) entryStates(from int, pi *procInfo) int {
-	seed := from
-	for _, s := range c.glob {
-		seed = c.m.And(seed, c.m.Iff(c.m.Var(s.col(colEntry)), c.m.Var(s.col(colCurrent))))
-	}
-	for _, s := range pi.params {
-		seed = c.m.And(seed, c.m.Iff(c.m.Var(s.col(colEntry)), c.m.Var(s.col(colCurrent))))
-	}
-	return c.m.And(seed, pi.enfC)
-}
-
-// seedEntry adds entry states (over entry columns of globals and params,
-// mirrored into current columns) for a procedure.
-func (c *Checker) seedEntry(pi *procInfo, seed int, push func(workItem)) {
+// seedEntry adds the entry states of pi whose entry globals and params
+// satisfy inputs: mirrored into the current columns (locals
+// unconstrained), under enforce.
+func (c *Checker) seedEntry(pi *procInfo, inputs int, push func(workItem)) {
+	seed := c.m.And(inputs, pi.entryRel)
 	union := c.m.Or(pi.entrySeed, seed)
 	if union == pi.entrySeed {
 		return
@@ -513,92 +582,67 @@ func (c *Checker) seedEntry(pi *procInfo, seed int, push func(workItem)) {
 }
 
 // applyCall binds arguments, seeds the callee, and applies the callee's
-// summary to the path edges pe at the call, producing the post-call
+// summary to the path edges pe at the call stmt, producing the post-call
 // path edges.
-func (c *Checker) applyCall(pi *procInfo, pe int, s *bp.Stmt, push func(workItem)) int {
+func (c *Checker) applyCall(pi *procInfo, stmt, pe int, push func(workItem)) int {
+	s := pi.proc.Stmts[stmt]
 	callee := c.procs[s.Callee]
 
 	// Bind arguments into the callee's parameter SCRATCH columns. (Not the
 	// entry columns: on a recursive self-call those are the caller's own
 	// path-edge source and must stay unconstrained.)
 	bind := c.m.True()
-	var nondet []int
+	nondet := 0
 	for j, a := range s.Args {
 		val := c.exprBDD(pi, a, colCurrent, &nondet)
 		bind = c.m.And(bind, c.m.Iff(c.m.Var(callee.params[j].col(colScratch)), val))
 	}
-	combined := c.m.And(pe, bind)
-	if len(nondet) > 0 {
-		combined = c.m.Exists(combined, nondet)
-	}
+	combined := c.m.AndExists(pe, bind, c.scratchNondet[:nondet])
 
-	// Seed the callee's entry: inputs are (current globals, bound params).
-	inputs := c.m.Exists(combined, append(colVars(pi.slots, colEntry), colVars(pi.locals, colCurrent)...))
-	inputs = c.m.Exists(inputs, colVars(pi.params, colCurrent))
-	// inputs is over (gC, callee params in colScratch). Move both to the
-	// entry columns.
-	inputs = c.m.Replace(inputs, renameMap(c.glob, colCurrent, colEntry))
-	inputs = c.m.Replace(inputs, renameMap(callee.params, colScratch, colEntry))
-	c.seedEntry(callee, c.entryStates(inputs, callee), push)
+	// Seed the callee's entry: inputs are (current globals, bound params),
+	// moved to the entry columns.
+	inputs := c.m.Replace(c.m.Exists(combined, pi.callQuant), callee.seedRename)
+	c.seedEntry(callee, inputs, push)
 
 	// Apply the summary. Summary layout: input globals and input params in
 	// colScratch, output globals in colNext, returns in callee ret
-	// colCurrent.
+	// colCurrent. match lines the input globals up with the caller's
+	// current ones; the old globals, the summary inputs and the bound
+	// params then go, and the new globals move to colCurrent.
 	if c.m.IsFalse(callee.summary) {
 		return c.m.False()
 	}
-	// Match summary input globals with the caller's current globals.
-	match := c.m.True()
-	for _, g := range c.glob {
-		match = c.m.And(match, c.m.Iff(c.m.Var(g.col(colScratch)), c.m.Var(g.col(colCurrent))))
+	in := c.m.And(combined, c.match)
+	if len(s.CallLhs) == 0 {
+		out := c.m.AndExists(in, callee.summary, callee.sumQuantRets)
+		return c.m.And(c.m.Replace(out, c.globToCur), pi.enfC)
 	}
-	out := c.m.AndN(combined, match, callee.summary)
-	// Drop old globals, summary inputs, and callee parameter bindings.
-	out = c.m.Exists(out, colVars(c.glob, colCurrent))
-	out = c.m.Exists(out, colVars(c.glob, colScratch))
-	out = c.m.Exists(out, colVars(callee.params, colScratch))
-	// New globals move from colNext to colCurrent.
-	out = c.m.Replace(out, renameMap(c.glob, colNext, colCurrent))
+	out := c.m.Replace(c.m.AndExists(in, callee.summary, callee.sumQuant), c.globToCur)
 	// Copy return values into the call targets.
-	if len(s.CallLhs) > 0 {
-		copyRel := c.m.True()
-		lhsSlots := make([]varSlot, len(s.CallLhs))
-		for i, name := range s.CallLhs {
-			lhsSlots[i] = pi.scope[name]
-			copyRel = c.m.And(copyRel, c.m.Iff(c.m.Var(lhsSlots[i].col(colNext)), c.m.Var(callee.rets[i].col(colCurrent))))
-		}
-		out = c.m.And(out, copyRel)
-		out = c.m.Exists(out, colVars(lhsSlots, colCurrent))
-		out = c.m.Exists(out, colVars(callee.rets, colCurrent))
-		out = c.m.Replace(out, renameMap(lhsSlots, colNext, colCurrent))
-	} else {
-		out = c.m.Exists(out, colVars(callee.rets, colCurrent))
+	copyRel := c.m.True()
+	for i, name := range s.CallLhs {
+		copyRel = c.m.And(copyRel, c.m.Iff(c.m.Var(pi.scope[name].col(colNext)), c.m.Var(callee.rets[i].col(colCurrent))))
 	}
+	tv := &pi.targets[stmt]
+	out = c.m.Replace(c.m.AndExists(out, copyRel, tv.quant), tv.toCur)
 	return c.m.And(out, pi.enfC)
 }
 
 // growSummary folds the path edges pe at a reached return statement into
-// the procedure's summary relation. Reports whether the summary grew.
+// the procedure's summary relation: the return values attached, the
+// current params and locals dropped, the current globals moved to the
+// next columns and the entry globals and params to the scratch ones, so
+// call sites can match them without touching their own entry columns.
+// Reports whether the summary grew.
 func (c *Checker) growSummary(pi *procInfo, pe int, s *bp.Stmt) bool {
-	// Attach return values.
-	rel := pe
-	var nondet []int
+	rets := c.m.True()
+	nondet := 0
 	for i, e := range s.RetVals {
 		val := c.exprBDD(pi, e, colCurrent, &nondet)
-		rel = c.m.And(rel, c.m.Iff(c.m.Var(pi.rets[i].col(colCurrent)), val))
+		rets = c.m.And(rets, c.m.Iff(c.m.Var(pi.rets[i].col(colCurrent)), val))
 	}
-	if len(nondet) > 0 {
-		rel = c.m.Exists(rel, nondet)
-	}
-	// Summary output globals: current → next column.
-	rel = c.m.Replace(rel, renameMap(c.glob, colCurrent, colNext))
-	// Drop locals and current params.
-	rel = c.m.Exists(rel, colVars(pi.locals, colCurrent))
-	rel = c.m.Exists(rel, colVars(pi.params, colCurrent))
-	// Summary inputs: entry → scratch column (globals and params), so call
-	// sites can match them without touching their own entry columns.
-	rel = c.m.Replace(rel, renameMap(c.glob, colEntry, colScratch))
-	rel = c.m.Replace(rel, renameMap(pi.params, colEntry, colScratch))
+	rel := c.m.AndExists(pe, rets, c.withNondet(pi.retQuant, nondet))
+	rel = c.m.Replace(rel, pi.sumRename)
 	union := c.m.Or(pi.summary, rel)
 	if union == pi.summary {
 		return false
@@ -629,7 +673,7 @@ func (c *Checker) ErrorReachable() (Failure, bool) {
 // once per statement.
 func (c *Checker) reachable(pi *procInfo, stmt int) int {
 	if pi.reach[stmt] == 0 && pi.pathEdges[stmt] != 0 {
-		pi.reach[stmt] = c.m.Exists(pi.pathEdges[stmt], colVars(pi.slots, colEntry))
+		pi.reach[stmt] = c.m.Exists(pi.pathEdges[stmt], pi.entryVars)
 	}
 	return pi.reach[stmt]
 }

@@ -44,6 +44,8 @@ type traceSearcher struct {
 	visited map[visitKey][][]bool
 	states  int // configurations entered into visited
 	found   []pathStep
+	// rowBuf holds the row of values the search tries next (row).
+	rowBuf []bool
 }
 
 // callSite extends the call-site chain ctx by the call at (pi, pc).
@@ -156,30 +158,59 @@ func (ts *traceSearcher) context(ctx int, pi *procInfo, pc int) int {
 	return id
 }
 
+// valSet is the set of values an expression can take in a state, in
+// the order the search tries them: the first n of first, !first.
+type valSet struct {
+	n     int
+	first bool
+}
+
+func one(v bool) valSet { return valSet{1, v} }
+
+// at returns the i-th value, i < n.
+func (vs valSet) at(i int) bool { return vs.first != (i == 1) }
+
+// has reports whether v is in the set.
+func (vs valSet) has(v bool) bool { return vs.n == 2 || vs.n == 1 && vs.first == v }
+
+// add appends v unless the set holds it already.
+func (vs valSet) add(v bool) valSet {
+	switch {
+	case vs.n == 0:
+		return one(v)
+	case vs.n == 1 && vs.first != v:
+		vs.n = 2
+	}
+	return vs
+}
+
 // eval evaluates an expression in state st under all resolutions of *
 // and unresolved choose, returning the set of possible values in the
 // order the search tries them.
-func (pi *procInfo) eval(e bp.Expr, st []bool) []bool {
+func (pi *procInfo) eval(e bp.Expr, st []bool) valSet {
 	switch e := e.(type) {
 	case bp.Const:
-		return []bool{e.Val}
+		return one(e.Val)
 	case bp.Ref:
 		s, ok := pi.scope[e.Name]
-		return []bool{ok && st[s.pos]}
+		return one(ok && st[s.pos])
 	case bp.Unknown:
-		return []bool{false, true}
+		return valSet{2, false}
 	case bp.Not:
-		var out []bool
-		for _, v := range pi.eval(e.X, st) {
-			out = appendVal(out, !v)
+		var out valSet
+		xs := pi.eval(e.X, st)
+		for i := 0; i < xs.n; i++ {
+			out = out.add(!xs.at(i))
 		}
 		return out
 	case bp.Bin:
 		xs := pi.eval(e.X, st)
 		ys := pi.eval(e.Y, st)
-		var out []bool
-		for _, x := range xs {
-			for _, y := range ys {
+		var out valSet
+		for i := 0; i < xs.n; i++ {
+			x := xs.at(i)
+			for j := 0; j < ys.n; j++ {
+				y := ys.at(j)
 				var v bool
 				switch e.Op {
 				case bp.And:
@@ -191,55 +222,55 @@ func (pi *procInfo) eval(e bp.Expr, st []bool) []bool {
 				case bp.Iff:
 					v = x == y
 				}
-				out = appendVal(out, v)
+				out = out.add(v)
 			}
 		}
 		return out
 	case bp.Choose:
 		pos := pi.eval(e.Pos, st)
 		neg := pi.eval(e.Neg, st)
-		var out []bool
-		for _, p := range pos {
-			if p {
-				out = appendVal(out, true)
+		var out valSet
+		for i := 0; i < pos.n; i++ {
+			if pos.at(i) {
+				out = out.add(true)
 				continue
 			}
-			for _, n := range neg {
-				if n {
-					out = appendVal(out, false)
-				} else {
-					out = appendVal(out, false)
-					out = appendVal(out, true)
+			for j := 0; j < neg.n; j++ {
+				out = out.add(false)
+				if !neg.at(j) {
+					out = out.add(true)
 				}
 			}
 		}
 		return out
 	}
-	return []bool{false}
+	return one(false)
 }
 
-func appendVal(out []bool, v bool) []bool {
-	if slices.Contains(out, v) {
-		return out
-	}
-	return append(out, v)
-}
-
-// evalAll expands all nondeterministic outcomes of a list of
-// expressions, one row per outcome.
-func (pi *procInfo) evalAll(es []bp.Expr, st []bool) [][]bool {
-	out := [][]bool{{}}
+// evalAll appends the value set of each of es in st to sets and
+// returns them with the number of rows they expand to: one per
+// combination of their values.
+func (pi *procInfo) evalAll(es []bp.Expr, st []bool, sets []valSet) ([]valSet, int) {
+	rows := 1
 	for _, e := range es {
-		vals := pi.eval(e, st)
-		var next [][]bool
-		for _, partial := range out {
-			for _, v := range vals {
-				next = append(next, append(slices.Clone(partial), v))
-			}
-		}
-		out = next
+		vs := pi.eval(e, st)
+		sets = append(sets, vs)
+		rows *= vs.n
 	}
-	return out
+	return sets, rows
+}
+
+// row expands row k < rows of sets into ts.row and returns it. Rows run
+// in the order the search tries them: the first expression's value
+// varies slowest. The search reads a row before it descends, so one
+// buffer serves every depth.
+func (ts *traceSearcher) row(sets []valSet, k int) []bool {
+	ts.rowBuf = slices.Grow(ts.rowBuf[:0], len(sets))[:len(sets)]
+	for i := len(sets) - 1; i >= 0; i-- {
+		ts.rowBuf[i] = sets[i].at(k % sets[i].n)
+		k /= sets[i].n
+	}
+	return ts.rowBuf
 }
 
 // set writes vals into st's slots for the names in lhs, in order.
@@ -252,7 +283,7 @@ func (pi *procInfo) set(st []bool, lhs []string, vals []bool) {
 // enforceHolds reports whether some resolution of the procedure's
 // enforce invariant holds in st.
 func (pi *procInfo) enforceHolds(st []bool) bool {
-	return pi.enfC == 1 || slices.Contains(pi.eval(pi.proc.Enforce, st), true)
+	return pi.enfC == 1 || pi.eval(pi.proc.Enforce, st).has(true)
 }
 
 // step executes from (pi, pc) in state st at call depth depth, under
@@ -273,7 +304,7 @@ func (ts *traceSearcher) step(pi *procInfo, pc int, st []bool, depth, ctx int, c
 
 		// Target reached?
 		if pi.proc.Name == ts.target.Proc && pc == ts.target.Stmt && s.Kind == bp.Assert &&
-			slices.Contains(pi.eval(s.Cond, st), false) {
+			pi.eval(s.Cond, st).has(false) {
 			ts.found = slices.Clone(path)
 			return true
 		}
@@ -283,7 +314,7 @@ func (ts *traceSearcher) step(pi *procInfo, pc int, st []bool, depth, ctx int, c
 			pc++
 		case bp.Assume, bp.Assert:
 			// A failing assert that is not the target ends the path.
-			if !slices.Contains(pi.eval(s.Cond, st), true) {
+			if !pi.eval(s.Cond, st).has(true) {
 				return false
 			}
 			pc++
@@ -295,9 +326,11 @@ func (ts *traceSearcher) step(pi *procInfo, pc int, st []bool, depth, ctx int, c
 			}
 			return false
 		case bp.Assign:
-			for _, row := range pi.evalAll(s.Rhs, st) {
+			var buf [4]valSet
+			sets, rows := pi.evalAll(s.Rhs, st, buf[:0])
+			for k := 0; k < rows; k++ {
 				next := slices.Clone(st)
-				pi.set(next, s.Lhs, row)
+				pi.set(next, s.Lhs, ts.row(sets, k))
 				if pi.enforceHolds(next) && ts.step(pi, pc+1, next, depth, ctx, cont, path) {
 					return true
 				}
@@ -314,8 +347,10 @@ func (ts *traceSearcher) step(pi *procInfo, pc int, st []bool, depth, ctx int, c
 				pi.set(next, s.CallLhs, rets)
 				return pi.enforceHolds(next) && ts.step(pi, pc+1, next, depth, ctx, cont, path)
 			}
-			for _, args := range pi.evalAll(s.Args, st) {
-				for _, init := range ts.calleeInits(callee, args, st) {
+			var buf [4]valSet
+			sets, rows := pi.evalAll(s.Args, st, buf[:0])
+			for k := 0; k < rows; k++ {
+				for _, init := range ts.calleeInits(callee, ts.row(sets, k), st) {
 					if ts.step(callee, 0, init, depth+1, inner, back, path) {
 						return true
 					}
@@ -323,8 +358,10 @@ func (ts *traceSearcher) step(pi *procInfo, pc int, st []bool, depth, ctx int, c
 			}
 			return false
 		case bp.Return:
-			for _, rets := range pi.evalAll(s.RetVals, st) {
-				if cont(st, rets, path) {
+			var buf [4]valSet
+			sets, rows := pi.evalAll(s.RetVals, st, buf[:0])
+			for k := 0; k < rows; k++ {
+				if cont(st, ts.row(sets, k), path) {
 					return true
 				}
 			}

@@ -202,3 +202,13 @@ func TestBoolProcNeedsReturn(t *testing.T) {
 		t.Fatal("bool procedure without return should fail")
 	}
 }
+
+// TestLexAllocatesOnce pins the lexer's one allocation on printed
+// boolean-program text: one-character tokens are slices of the source,
+// and the token slice is sized from it.
+func TestLexAllocatesOnce(t *testing.T) {
+	src := Print(MustParse(sampleSrc))
+	if n := testing.AllocsPerRun(20, func() { _, _ = lexBP(src) }); n != 1 {
+		t.Errorf("lexBP: %v allocs/op, want 1", n)
+	}
+}

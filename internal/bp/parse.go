@@ -18,7 +18,10 @@ type bpToken struct {
 }
 
 func lexBP(src string) ([]bpToken, error) {
-	var toks []bpToken
+	// A printed boolean program holds about one token per 3.5 to 7
+	// bytes, so this is one allocation for the corpus; a denser source
+	// grows the slice.
+	toks := make([]bpToken, 0, len(src)/3+1)
 	line := 1
 	i := 0
 	for i < len(src) {
@@ -86,7 +89,7 @@ func lexBP(src string) ([]bpToken, error) {
 				toks = append(toks, bpToken{two, two, line})
 				i += 2
 			case strings.ContainsRune("();,:!&|*<>", rune(c)):
-				toks = append(toks, bpToken{string(c), string(c), line})
+				toks = append(toks, bpToken{src[i : i+1], src[i : i+1], line})
 				i++
 			default:
 				return nil, fmt.Errorf("line %d: unexpected character %q", line, c)
