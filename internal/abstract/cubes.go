@@ -14,43 +14,23 @@ import (
 )
 
 // Pred pairs a boolean-variable name with the C predicate it stands for.
-// Construct predicates with NewPred; the zero value is still safe to use
-// (Neg falls back to recomputing) but loses the negation memoization.
+// Construct predicates with NewPred.
 type Pred struct {
 	// Name is the boolean program variable name (the predicate's source
 	// text, e.g. "curr->val > v").
 	Name string
 	// F is the predicate as a formula.
-	F form.Formula
-	// neg lazily caches NNF(¬F). It is a pointer cell so the value-type
-	// Pred can memoize across copies, and a sync.Once so concurrent cube
-	// workers can share it safely.
-	neg *negCell
+	F   form.Formula
+	neg form.Formula // NNF(¬F)
 }
 
-// negCell memoizes a predicate's negation in NNF.
-type negCell struct {
-	once sync.Once
-	f    form.Formula
-}
-
-// NewPred builds a predicate entry with a memoization cell for its
-// negation (computed lazily on first use of Neg).
+// NewPred builds a predicate entry and computes its negation.
 func NewPred(name string, f form.Formula) Pred {
-	return Pred{Name: name, F: f, neg: &negCell{}}
+	return Pred{Name: name, F: f, neg: form.NNF(form.MkNot(f))}
 }
 
-// Neg returns NNF(¬F). For predicates built with NewPred the result is
-// computed once and cached (safely under concurrent use); a zero-value
-// Pred recomputes on every call, which is correct but slow — prefer
-// NewPred.
-func (p Pred) Neg() form.Formula {
-	if p.neg == nil {
-		return form.NNF(form.MkNot(p.F))
-	}
-	p.neg.once.Do(func() { p.neg.f = form.NNF(form.MkNot(p.F)) })
-	return p.neg.f
-}
+// Neg returns NNF(¬F).
+func (p Pred) Neg() form.Formula { return p.neg }
 
 // literal is one signed predicate occurrence in a cube: domain
 // predicate Pred, negated unless Pos.

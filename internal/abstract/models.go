@@ -2,7 +2,6 @@ package abstract
 
 import (
 	"predabs/internal/bp"
-	"predabs/internal/budget"
 	"predabs/internal/form"
 	"predabs/internal/prover"
 	"predabs/internal/trace"
@@ -54,7 +53,7 @@ func (e *enumeration) step() bool {
 		return false
 	}
 	e.checks++
-	v, m, limit := e.sess.Check()
+	v, mt, limit := e.sess.Check()
 	switch v {
 	case prover.Unsat:
 		e.complete = true
@@ -63,18 +62,9 @@ func (e *enumeration) step() bool {
 		e.interrupt(limit)
 		return false
 	}
-	mt := make([]bool, len(e.domain))
 	lits := make([]form.Formula, len(e.domain))
 	for i, p := range e.domain {
-		val, ok := m.Eval(p.F)
-		if !ok {
-			// Unreachable (every atom of every domain predicate is
-			// tracked); treat as an incomplete enumeration to stay sound.
-			e.interrupt(budget.LimitProverBudget)
-			return false
-		}
-		mt[i] = val
-		if val {
+		if mt[i] {
 			lits[i] = p.F
 		} else {
 			lits[i] = p.Neg()

@@ -1,10 +1,10 @@
 // Package checkpoint makes the SLAM refinement loop crash-safe: an
 // append-only, checksummed on-disk journal records, per CEGAR iteration,
-// the predicate pool, the per-procedure signatures (E_f/E_r) and a spill
-// of the prover's memo cache. A later run pointed at the same state
-// directory validates the journal, replays the last good iteration and
-// continues from there with a warm prover cache — a resumed run produces
-// byte-identical final reports to an uninterrupted one.
+// the predicate pool and a spill of the prover's memo cache. A later run
+// pointed at the same state directory validates the journal, replays the
+// last good iteration and continues from there with a warm prover cache
+// — a resumed run produces byte-identical final reports to an
+// uninterrupted one.
 //
 // The journal is one owner of the package's framed record log, Log,
 // which also carries predabsd's job ledger, its per-job event logs and
@@ -47,14 +47,14 @@
 //
 // The journal only ever persists facts that are independent of the
 // crash schedule: the predicate pool (candidate predicates are
-// heuristics — any pool yields a sound abstraction), signatures
-// (recomputed on resume; journaled for diagnosis and format pinning)
-// and fully decided prover verdicts. Verdicts abandoned on a wall-clock
-// timeout or a cancellation are never cached in memory (internal/prover)
-// and therefore never reach disk, so no kill/resume schedule can launder
-// a degraded "could not prove" — much less upgrade a buggy program to
-// Verified. The kill/resume chaos harness in internal/faultinject
-// asserts this against the soundness oracle.
+// heuristics — any pool yields a sound abstraction) and fully decided
+// prover verdicts; signatures are recomputed from the pool on resume.
+// Verdicts abandoned on a wall-clock timeout or a cancellation are never
+// cached in memory (internal/prover) and therefore never reach disk, so
+// no kill/resume schedule can launder a degraded "could not prove" —
+// much less upgrade a buggy program to Verified. The kill/resume chaos
+// harness in internal/faultinject asserts this against the soundness
+// oracle.
 package checkpoint
 
 import (
@@ -66,7 +66,6 @@ import (
 	"sort"
 	"sync"
 
-	"predabs/internal/abstract"
 	"predabs/internal/prover"
 )
 
@@ -161,7 +160,6 @@ func (c Counters) Plus(s prover.Stats) prover.Stats {
 type IterationRecord struct {
 	Iter     int
 	Pool     []ScopePreds
-	Sigs     []abstract.SigRecord
 	Cache    []prover.CacheEntry
 	Counters Counters
 }
@@ -172,7 +170,6 @@ type Snapshot struct {
 	// Iter is the last committed iteration; resume starts at Iter+1.
 	Iter int
 	Pool []ScopePreds
-	Sigs []abstract.SigRecord
 	// Cache is the union of all journaled spills, in canonical (sorted
 	// by key) order.
 	Cache    []prover.CacheEntry
@@ -191,12 +188,11 @@ type headerPayload struct {
 }
 
 type iterationPayload struct {
-	Type     string               `json:"type"` // "iteration"
-	Iter     int                  `json:"iter"`
-	Pool     []ScopePreds         `json:"pool"`
-	Sigs     []abstract.SigRecord `json:"sigs,omitempty"`
-	Cache    []prover.CacheEntry  `json:"cache"`
-	Counters Counters             `json:"counters"`
+	Type     string              `json:"type"` // "iteration"
+	Iter     int                 `json:"iter"`
+	Pool     []ScopePreds        `json:"pool"`
+	Cache    []prover.CacheEntry `json:"cache"`
+	Counters Counters            `json:"counters"`
 }
 
 type finalPayload struct {
@@ -341,7 +337,6 @@ func (m *Manager) replay(fsys FS, path string, key CompatKey) ([]string, error) 
 		snap := &Snapshot{
 			Iter:     last.Iter,
 			Pool:     last.Pool,
-			Sigs:     last.Sigs,
 			Counters: last.Counters,
 			Outcome:  outcome,
 		}
@@ -442,7 +437,7 @@ func (m *Manager) AppendIteration(rec IterationRecord) error {
 		}
 	}
 	payload, err := json.Marshal(iterationPayload{
-		Type: "iteration", Iter: rec.Iter, Pool: rec.Pool, Sigs: rec.Sigs,
+		Type: "iteration", Iter: rec.Iter, Pool: rec.Pool,
 		Cache: delta, Counters: rec.Counters,
 	})
 	if err != nil {

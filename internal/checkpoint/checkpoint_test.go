@@ -1,13 +1,14 @@
 package checkpoint
 
 import (
+	"encoding/json"
 	"errors"
 	"os"
 	"path/filepath"
+	"reflect"
 	"strings"
 	"testing"
 
-	"predabs/internal/abstract"
 	"predabs/internal/prover"
 )
 
@@ -25,7 +26,6 @@ func testRecord(iter int) IterationRecord {
 			{Scope: "<global>", Preds: []string{"x > 0"}},
 			{Scope: "main", Preds: []string{"y == x", "y > 0"}},
 		},
-		Sigs: []abstract.SigRecord{{Proc: "main", Ef: []string{"b0"}, Er: []string{"b1"}}},
 		Cache: []prover.CacheEntry{
 			{Key: "U\x00a", Val: false},
 			{Key: "V\x00h\x00g", Val: true},
@@ -71,9 +71,6 @@ func TestRoundTrip(t *testing.T) {
 	if len(snap.Pool) != 2 || snap.Pool[1].Scope != "main" || len(snap.Pool[1].Preds) != 2 {
 		t.Errorf("pool not replayed: %+v", snap.Pool)
 	}
-	if len(snap.Sigs) != 1 || snap.Sigs[0].Proc != "main" {
-		t.Errorf("sigs not replayed: %+v", snap.Sigs)
-	}
 	// Union of both spills, canonical (sorted) order.
 	if len(snap.Cache) != 3 {
 		t.Fatalf("cache union = %d entries, want 3: %+v", len(snap.Cache), snap.Cache)
@@ -91,6 +88,76 @@ func TestRoundTrip(t *testing.T) {
 	}
 	if len(re.Warnings()) != 0 {
 		t.Errorf("unexpected warnings: %v", re.Warnings())
+	}
+}
+
+// TestOpensJournalWithSigs: iteration records once also carried each
+// procedure's signature under "sigs". Resume recomputes signatures, so a
+// journal written that way must open, replay and resume exactly like one
+// without them.
+func TestOpensJournalWithSigs(t *testing.T) {
+	key := testKey()
+	resume := func(t *testing.T, write func(m *Manager)) *Snapshot {
+		t.Helper()
+		dir := t.TempDir()
+		m, err := Create(nil, dir, key)
+		if err != nil {
+			t.Fatal(err)
+		}
+		write(m)
+		if err := m.Close(); err != nil {
+			t.Fatal(err)
+		}
+		re, err := Open(nil, dir, key, false)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if snap := re.Snapshot(); snap == nil || snap.Iter != 1 {
+			t.Fatalf("replayed snapshot %+v, want iteration 1", snap)
+		}
+		rec2 := testRecord(2)
+		rec2.Cache = append(rec2.Cache, prover.CacheEntry{Key: "U\x00b", Val: true})
+		if err := re.AppendIteration(rec2); err != nil {
+			t.Fatal(err)
+		}
+		if err := re.Close(); err != nil {
+			t.Fatal(err)
+		}
+		again, err := Open(nil, dir, key, true)
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer again.Close()
+		if w := again.Warnings(); len(w) != 0 {
+			t.Fatalf("warnings: %v", w)
+		}
+		return again.Snapshot()
+	}
+	want := resume(t, func(m *Manager) {
+		if err := m.AppendIteration(testRecord(1)); err != nil {
+			t.Fatal(err)
+		}
+	})
+	got := resume(t, func(m *Manager) {
+		payload, err := json.Marshal(iterationPayload{Type: "iteration", Iter: 1, Pool: testRecord(1).Pool,
+			Cache: testRecord(1).Cache, Counters: testRecord(1).Counters})
+		if err != nil {
+			t.Fatal(err)
+		}
+		sigs := `"sigs":[{"proc":"main","ef":["b0"],"er":["b1"]}],"cache":`
+		legacy := strings.Replace(string(payload), `"cache":`, sigs, 1)
+		if legacy == string(payload) {
+			t.Fatal("no cache field to put the signatures before")
+		}
+		if err := m.log.Append([]byte(legacy)); err != nil {
+			t.Fatal(err)
+		}
+	})
+	if !reflect.DeepEqual(got, want) {
+		t.Fatalf("journal with signatures resumed to %+v, want %+v", got, want)
+	}
+	if got.Iter != 2 || len(got.Cache) != 3 || got.Counters.ProverCalls != 20 {
+		t.Fatalf("resumed snapshot %+v, want iteration 2, three cache entries, ProverCalls 20", got)
 	}
 }
 

@@ -1,7 +1,6 @@
 package checkpoint
 
 import (
-	"encoding/json"
 	"flag"
 	"fmt"
 	"os"
@@ -19,13 +18,12 @@ import (
 
 var update = flag.Bool("update", false, "rewrite golden files")
 
-// goldenSource/goldenPreds are a fixed subject whose signatures and
-// prover-cache content must serialize identically forever: the
-// compatibility hash and the byte-identical-resume guarantee both ride
-// on this canonical form. If this test fails after a refactor of the
-// Signature computation or the cache export, the journal format has
-// changed — bump formatVersion rather than updating the golden file in
-// place. The cache export also drifts, with unchanged key encoding and
+// goldenSource/goldenPreds are a fixed subject whose prover-cache
+// content must serialize identically forever: the compatibility hash
+// and the byte-identical-resume guarantee both ride on this canonical
+// form. If this test fails after a refactor of the cache export, the
+// journal format has changed — bump formatVersion rather than updating
+// the golden file in place. The cache export also drifts, with unchanged key encoding and
 // ordering, when the abstraction asks a different set of queries; then
 // regenerate it with -update (make golden).
 const goldenSource = `
@@ -53,7 +51,7 @@ main:
   n > 0, got == 1
 `
 
-func goldenAbstraction(t *testing.T) (*abstract.Result, *cnorm.Result, *prover.Prover) {
+func goldenAbstraction(t *testing.T) *prover.Prover {
 	t.Helper()
 	prog, err := cparse.Parse(goldenSource)
 	if err != nil {
@@ -73,11 +71,10 @@ func goldenAbstraction(t *testing.T) (*abstract.Result, *cnorm.Result, *prover.P
 		t.Fatal(err)
 	}
 	pv := prover.New()
-	abs, err := abstract.Abstract(res, aa, pv, secs, abstract.DefaultOptions())
-	if err != nil {
+	if _, err := abstract.Abstract(res, aa, pv, secs, abstract.DefaultOptions()); err != nil {
 		t.Fatal(err)
 	}
-	return abs, res, pv
+	return pv
 }
 
 func checkGolden(t *testing.T, name string, got string) {
@@ -103,28 +100,11 @@ func checkGolden(t *testing.T, name string, got string) {
 	}
 }
 
-// TestGoldenSignatureRecords pins the canonical serialized form of
-// per-procedure signatures (E_f/E_r) — procedure order is program
-// order, predicate order is predicate-file order.
-func TestGoldenSignatureRecords(t *testing.T) {
-	abs, res, _ := goldenAbstraction(t)
-	var procOrder []string
-	for _, f := range res.Prog.Funcs {
-		procOrder = append(procOrder, f.Name)
-	}
-	recs := abstract.SignatureRecords(abs.Sigs, procOrder)
-	data, err := json.MarshalIndent(recs, "", "  ")
-	if err != nil {
-		t.Fatal(err)
-	}
-	checkGolden(t, "signatures.json", string(data)+"\n")
-}
-
 // TestGoldenCacheExport pins the prover-cache export: canonical (sorted
 // by key) ordering and the exact key encoding, independent of shard
 // layout and of the order queries were issued in.
 func TestGoldenCacheExport(t *testing.T) {
-	_, _, pv := goldenAbstraction(t)
+	pv := goldenAbstraction(t)
 	entries := pv.ExportCache()
 	if len(entries) == 0 {
 		t.Fatal("abstraction issued no cacheable queries")
@@ -144,7 +124,7 @@ func TestGoldenCacheExport(t *testing.T) {
 // TestGoldenCacheRoundTrip: importing an export reproduces it exactly —
 // the identity the warm-start path depends on.
 func TestGoldenCacheRoundTrip(t *testing.T) {
-	_, _, pv := goldenAbstraction(t)
+	pv := goldenAbstraction(t)
 	entries := pv.ExportCache()
 	fresh := prover.New()
 	fresh.ImportCache(entries)

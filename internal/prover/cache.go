@@ -44,7 +44,7 @@ func (p *Prover) ExportCache() []CacheEntry {
 // goroutines. Entries with duplicate keys keep the last value.
 func (p *Prover) ImportCache(entries []CacheEntry) {
 	for _, e := range entries {
-		p.cachePut(e.Key, e.Val)
+		p.put(&p.shards, e.Key, e.Val)
 	}
 }
 

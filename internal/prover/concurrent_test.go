@@ -223,14 +223,14 @@ func tableSessionRun(p *Prover) []string {
 		}
 		se.Assert(form.Cmp{Op: form.Ge, X: x, Y: form.Num{V: 0}})
 		for i := 0; i < 10; i++ {
-			v, m, _ := se.Check()
+			v, vals, _ := se.Check()
 			out = append(out, v.String())
 			if v != Sat {
 				break
 			}
 			var lits []form.Formula
-			for _, f := range tracked {
-				if val, _ := m.Eval(f); val {
+			for i, f := range tracked {
+				if vals[i] {
 					lits = append(lits, f)
 				} else {
 					lits = append(lits, form.MkNot(f))

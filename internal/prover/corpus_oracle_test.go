@@ -18,7 +18,7 @@ import (
 // each uncached Valid and Unsat and each Session.Check, under both
 // abstraction engines, on the Table 2 programs and the five drivers —
 // through the reference solver: same verdict, same node and leaf counts,
-// same model.
+// and for a session check the same values of its tracked formulas.
 func TestCorpusQueriesMatchOracle(t *testing.T) {
 	if testing.Short() {
 		t.Skip("replays the whole corpus through the reference solver")

@@ -51,14 +51,21 @@ func TestOracleQuickUnsatValid(t *testing.T) {
 }
 
 // TestOracleQuickSessions replays blocking-clause enumerations over the
-// decodeFormula space: every check's model, verdict and effort must match
-// the reference model search.
+// decodeFormula space: every check's verdict, effort and tracked
+// formulas' values must match the reference model search. Besides
+// single comparisons it tracks compound roots — a conjunction, a
+// disjunction, a negated comparison — and a comparison MkCmp folds to a
+// constant.
 func TestOracleQuickSessions(t *testing.T) {
 	x, y := form.Var{Name: "x"}, form.Var{Name: "y"}
 	tracked := []form.Formula{
 		form.Cmp{Op: form.Gt, X: y, Y: x},
 		form.Cmp{Op: form.Ne, X: x, Y: form.Num{V: 0}},
 		form.Cmp{Op: form.Le, X: x, Y: form.Num{V: 3}},
+		form.MkAnd(form.Cmp{Op: form.Lt, X: x, Y: form.Num{V: 2}}, form.Cmp{Op: form.Eq, X: y, Y: form.Num{V: 1}}),
+		form.MkOr(form.Cmp{Op: form.Eq, X: x, Y: y}, form.Cmp{Op: form.Gt, X: x, Y: form.Num{V: 0}}),
+		form.Not{F: form.Cmp{Op: form.Ge, X: y, Y: form.Num{V: 2}}},
+		form.MkCmp(form.Lt, form.Num{V: 1}, form.Num{V: 2}),
 	}
 	replay(t, func() {
 		p := New()
@@ -78,14 +85,13 @@ func TestOracleQuickSessions(t *testing.T) {
 			s.Assert(decodeFormula(cs))
 			s.Assert(decodeFormula(bs))
 			for i := 0; i < 10; i++ {
-				v, m, _ := s.Check()
+				v, vals, _ := s.Check()
 				if v != Sat {
 					break
 				}
 				var lits []form.Formula
-				for _, f := range tracked {
-					val, _ := m.Eval(f)
-					if val {
+				for j, f := range tracked {
+					if vals[j] {
 						lits = append(lits, f)
 					} else {
 						lits = append(lits, form.MkNot(f))

@@ -2,6 +2,7 @@ package prover
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 	"strconv"
 	"strings"
@@ -36,17 +37,71 @@ func oracleDecide(f form.Formula) (unsat bool, st oracleState) {
 }
 
 // oracleCheck runs the reference model search over f with the given
-// tracked atoms (in registration order).
-func oracleCheck(f form.Formula, tracked []trackedAtom) (Verdict, *Model, oracleState) {
+// tracked formulas (in registration order) and returns the tracked
+// formulas' values at the model it finds.
+func oracleCheck(f form.Formula, tracked []form.Formula) (Verdict, []bool, oracleState) {
 	st := oracleState{budget: maxLeafChecks}
-	m := oracleSatModel(tracked, form.NNF(f), nil, nil, &st)
+	binds, ok := oracleSatModel(oracleTrackedAtoms(tracked), form.NNF(f), nil, nil, &st)
 	switch {
-	case m != nil:
-		return Sat, m, st
+	case ok:
+		vals := make([]bool, len(tracked))
+		for i, g := range tracked {
+			g = form.NNF(g)
+			for _, b := range binds {
+				g = assignAtom(g, b.key, b.val)
+			}
+			switch g.(type) {
+			case form.TrueF:
+				vals[i] = true
+			case form.FalseF:
+			default:
+				panic(fmt.Sprintf("prover: tracked %s not folded by its model: %s", tracked[i], g))
+			}
+		}
+		return Sat, vals, st
 	case st.budget <= 0:
 		return Unknown, nil, st
 	}
 	return Unsat, nil, st
+}
+
+// oracleAtom is one tracked atom of the reference model search: its
+// comparison as first seen in NNF and its canonical key.
+type oracleAtom struct {
+	cmp  form.Cmp
+	key  string
+	flip bool
+}
+
+// oracleTrackedAtoms lists the atoms of the tracked formulas' NNFs in
+// first-seen order, each canonical key once.
+func oracleTrackedAtoms(tracked []form.Formula) []oracleAtom {
+	var out []oracleAtom
+	var walk func(f form.Formula)
+	walk = func(f form.Formula) {
+		switch f := f.(type) {
+		case form.Cmp:
+			key, flip := atomKey(f)
+			for _, a := range out {
+				if a.key == key {
+					return
+				}
+			}
+			out = append(out, oracleAtom{cmp: f, key: key, flip: flip})
+		case form.And:
+			for _, g := range f.Fs {
+				walk(g)
+			}
+		case form.Or:
+			for _, g := range f.Fs {
+				walk(g)
+			}
+		}
+	}
+	for _, f := range tracked {
+		walk(form.NNF(f))
+	}
+	return out
 }
 
 func oracleSat(f form.Formula, lits []lit, st *oracleState) bool {
@@ -79,52 +134,46 @@ type binding struct {
 	val bool // truth of the canonical base atom
 }
 
-func oracleSatModel(tracked []trackedAtom, f form.Formula, lits []lit, binds []binding, st *oracleState) *Model {
+// oracleSatModel returns the bindings of the first consistent leaf.
+func oracleSatModel(tracked []oracleAtom, f form.Formula, lits []lit, binds []binding, st *oracleState) ([]binding, bool) {
 	st.nodes++
 	if st.budget <= 0 {
-		return nil
+		return nil, false
 	}
 	switch f.(type) {
 	case form.FalseF:
-		return nil
+		return nil, false
 	case form.TrueF:
 		ta, ok := nextTracked(tracked, binds)
 		if !ok {
 			st.budget--
 			st.leaves++
-			if oracleTheoryConsistent(lits) {
-				m := &Model{assign: make(map[string]bool, len(binds))}
-				for _, b := range binds {
-					m.assign[b.key] = b.val
-				}
-				return m
-			}
-			return nil
+			return binds, oracleTheoryConsistent(lits)
 		}
 		for _, val := range []bool{true, false} {
-			m := oracleSatModel(tracked, f, append(lits, litOf(ta.cmp, val)),
+			m, ok := oracleSatModel(tracked, f, append(lits, litOf(ta.cmp, val)),
 				append(binds, binding{key: ta.key, val: val != ta.flip}), st)
-			if m != nil {
-				return m
+			if ok {
+				return m, true
 			}
 		}
-		return nil
+		return nil, false
 	}
 	atom := firstAtom(f)
 	key, flip := atomKey(atom)
 	for _, val := range []bool{true, false} {
 		f2 := assignAtom(f, key, val != flip)
-		m := oracleSatModel(tracked, f2, append(lits, litOf(atom, val)),
+		m, ok := oracleSatModel(tracked, f2, append(lits, litOf(atom, val)),
 			append(binds, binding{key: key, val: val != flip}), st)
-		if m != nil {
-			return m
+		if ok {
+			return m, true
 		}
 	}
-	return nil
+	return nil, false
 }
 
 // nextTracked returns the first tracked atom not yet bound on the path.
-func nextTracked(tracked []trackedAtom, binds []binding) (trackedAtom, bool) {
+func nextTracked(tracked []oracleAtom, binds []binding) (oracleAtom, bool) {
 	for _, ta := range tracked {
 		bound := false
 		for _, b := range binds {
@@ -137,7 +186,7 @@ func nextTracked(tracked []trackedAtom, binds []binding) (trackedAtom, bool) {
 			return ta, true
 		}
 	}
-	return trackedAtom{}, false
+	return oracleAtom{}, false
 }
 
 // firstAtom returns the first comparison atom in f (f is in NNF and not a
@@ -581,7 +630,8 @@ func classID(key string) int {
 
 // ReplayAgainstOracle installs a search hook that replays every search
 // the prover finishes through the reference solver and compares the
-// verdict, the node and leaf counts and the model. The returned function
+// verdict, the node and leaf counts and, for a session check, the tracked
+// formulas' values. The returned function
 // uninstalls the hook and reports how many searches were compared and
 // every disagreement. Queries must not run while it is installed or
 // removed.
@@ -589,15 +639,15 @@ func ReplayAgainstOracle() (stop func() (searches int, diffs []string)) {
 	var mu sync.Mutex
 	n := 0
 	var diffs []string
-	searchHook = func(q form.Formula, tracked []trackedAtom, s *searcher, found bool) {
+	searchHook = func(q form.Formula, tracked []form.Formula, s *searcher, found bool) {
 		var d string
-		if s.models {
-			v, m, ost := oracleCheck(q, append([]trackedAtom(nil), tracked...))
+		if s.sess != nil {
+			v, vals, ost := oracleCheck(q, tracked)
 			switch {
 			case (v == Sat) != found:
 				d = fmt.Sprintf("model found: oracle %v, search %v", v == Sat, found)
-			case !sameModel(m, s.model):
-				d = fmt.Sprintf("models differ: oracle %v, search %v", modelOf(m), modelOf(s.model))
+			case !slices.Equal(vals, s.val):
+				d = fmt.Sprintf("valuations differ: oracle %v, search %v", vals, s.val)
 			case int64(ost.nodes) != s.nodes || int64(ost.leaves) != s.leaves:
 				d = fmt.Sprintf("effort differs: oracle %d nodes %d leaves, search %d nodes %d leaves",
 					ost.nodes, ost.leaves, s.nodes, s.leaves)
@@ -626,29 +676,4 @@ func ReplayAgainstOracle() (stop func() (searches int, diffs []string)) {
 		defer mu.Unlock()
 		return n, diffs
 	}
-}
-
-func sameModel(a, b *Model) bool {
-	if (a == nil) != (b == nil) {
-		return false
-	}
-	if a == nil {
-		return true
-	}
-	if len(a.assign) != len(b.assign) {
-		return false
-	}
-	for k, v := range a.assign {
-		if w, ok := b.assign[k]; !ok || w != v {
-			return false
-		}
-	}
-	return true
-}
-
-func modelOf(m *Model) any {
-	if m == nil {
-		return nil
-	}
-	return m.assign
 }

@@ -57,7 +57,8 @@ func Backing(q Querier) *Prover { return q.backing() }
 // the parallel cube search. Must be a power of two.
 const cacheShards = 64
 
-// cacheShard is one stripe of the memo table.
+// cacheShard is one stripe of a striped table: the query cache or the
+// theory-leaf memo.
 type cacheShard struct {
 	mu sync.RWMutex
 	m  map[string]bool
@@ -121,7 +122,7 @@ type Prover struct {
 	seed   maphash.Seed
 	shards [cacheShards]cacheShard
 	terms  *termTable
-	memo   [cacheShards]memoShard
+	memo   [cacheShards]cacheShard
 }
 
 var _ Querier = (*Prover)(nil)
@@ -131,6 +132,7 @@ func New() *Prover {
 	p := &Prover{seed: maphash.MakeSeed(), terms: newTermTable()}
 	for i := range p.shards {
 		p.shards[i].m = map[string]bool{}
+		p.memo[i].m = map[string]bool{}
 	}
 	return p
 }
@@ -251,26 +253,21 @@ func (p *Prover) ModelsExtracted() int { return int(p.modelsExtracted.Load()) }
 // BlockingClauses reports Stats().BlockingClauses.
 func (p *Prover) BlockingClauses() int { return int(p.blockingClauses.Load()) }
 
-// shard picks the cache stripe for a key.
-func (p *Prover) shard(key string) *cacheShard {
-	h := maphash.String(p.seed, key)
-	return &p.shards[h&(cacheShards-1)]
-}
-
-// cacheGet looks a key, as built in a searcher's buffer, up in the
-// striped cache.
-func (p *Prover) cacheGet(key []byte) (bool, bool) {
-	s := &p.shards[maphash.Bytes(p.seed, key)&(cacheShards-1)]
+// get looks a key, as built in a searcher's buffer, up in one of the
+// prover's striped tables: the query cache or the theory-leaf memo.
+func (p *Prover) get(t *[cacheShards]cacheShard, key []byte) (bool, bool) {
+	s := &t[maphash.Bytes(p.seed, key)&(cacheShards-1)]
 	s.mu.RLock()
 	v, ok := s.m[string(key)]
 	s.mu.RUnlock()
 	return v, ok
 }
 
-// cachePut records a result. Two workers racing on the same key write
-// the same deterministic answer, so last-write-wins is harmless.
-func (p *Prover) cachePut(key string, v bool) {
-	s := p.shard(key)
+// put records a result in one of the striped tables. Two workers racing
+// on the same key write the same deterministic answer, so last-write-wins
+// is harmless.
+func (p *Prover) put(t *[cacheShards]cacheShard, key string, v bool) {
+	s := &t[maphash.String(p.seed, key)&(cacheShards-1)]
 	s.mu.Lock()
 	s.m[key] = v
 	s.mu.Unlock()
@@ -330,7 +327,7 @@ func (p *Prover) ask(kind string, s *searcher, compile func(), query func() form
 	}
 	p.calls.Add(1)
 	if !p.DisableCache {
-		if v, ok := p.cacheGet(s.keyBuf); ok {
+		if v, ok := p.get(&p.shards, s.keyBuf); ok {
 			p.cacheHits.Add(1)
 			if p.Trace != nil {
 				p.traceSettled(kind, string(s.keyBuf), v, true)
@@ -389,7 +386,11 @@ func (p *Prover) search(key string, s *searcher, query func() form.Formula) (uns
 	p.ccUnions.Add(s.eff.unions)
 	p.fullProbeRounds.Add(s.eff.fullRounds)
 	if searchHook != nil {
-		searchHook(query(), s.tracked, s, found)
+		var tracked []form.Formula
+		if s.sess != nil {
+			tracked = s.sess.tracked
+		}
+		searchHook(query(), tracked, s, found)
 	}
 	unsat = !found && !s.gaveUp
 	if s.gaveUp {
@@ -409,7 +410,7 @@ func (p *Prover) search(key string, s *searcher, query func() form.Formula) (uns
 	// environmental — the same query could finish within the timeout on a
 	// retry or a faster machine — so they are never memoized.
 	if !p.DisableCache && s.st.stop == stopNone {
-		p.cachePut(key, unsat)
+		p.put(&p.shards, key, unsat)
 	}
 	return unsat, dur
 }
@@ -428,11 +429,11 @@ func (p *Prover) newSatState(start time.Time) satState {
 }
 
 // searchHook, when non-nil, observes every finished search with the
-// formula it decided, the session's tracked atoms (nil outside sessions)
-// and whether a model was found (or, outside sessions, whether the search
-// gave up). Tests set it to replay the corpus's queries through the
-// reference solver; it must be set before queries start.
-var searchHook func(q form.Formula, tracked []trackedAtom, s *searcher, found bool)
+// formula it decided, the session's tracked formulas (nil outside
+// sessions) and whether a model was found (or, outside sessions, whether
+// the search gave up). Tests set it to replay the corpus's queries
+// through the reference solver; it must be set before queries start.
+var searchHook func(q form.Formula, tracked []form.Formula, s *searcher, found bool)
 
 // lit is a theory literal after polarity resolution.
 type lit struct {

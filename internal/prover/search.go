@@ -2,7 +2,6 @@ package prover
 
 import (
 	"encoding/binary"
-	"hash/maphash"
 	"sync"
 
 	"predabs/internal/form"
@@ -57,7 +56,6 @@ type program struct {
 	nodes []cnode
 	occs  []occurrence
 	ids   map[int32]int32 // prover-wide atom key id -> atom id
-	keys  []string        // atom id -> canonical atom key
 }
 
 func newProgram(tab *termTable) *program {
@@ -68,9 +66,8 @@ func newProgram(tab *termTable) *program {
 func (pr *program) occurrence(e atomEntry) occurrence {
 	id, ok := pr.ids[e.akey]
 	if !ok {
-		id = int32(len(pr.keys))
+		id = int32(len(pr.ids))
 		pr.ids[e.akey] = id
-		pr.keys = append(pr.keys, e.key)
 	}
 	return occurrence{atom: id, flip: e.flip, lits: e.lits}
 }
@@ -135,7 +132,6 @@ const (
 // searcher is one DPLL search over a compiled program.
 type searcher struct {
 	p    *Prover
-	pr   *program
 	tree []cnode      // pr.nodes
 	occs []occurrence // pr.occs
 	st   satState
@@ -143,13 +139,13 @@ type searcher struct {
 	// wall-clock stop, so it proved no unsatisfiability.
 	gaveUp bool
 
-	// models selects Session.Check's search: at a leaf, branch on the
-	// still-unassigned tracked atoms before the theory check, and keep a
-	// model of the first consistent leaf. A give-up then reads as "no
-	// model" rather than "maybe satisfiable".
-	models  bool
-	tracked []trackedAtom
-	model   *Model
+	// sess, when set, is the session whose Check runs this search: at a
+	// leaf, branch on its still-unassigned tracked atoms before the theory
+	// check, and at the first consistent leaf keep the values of its
+	// tracked formulas in val. A give-up then reads as "no model" rather
+	// than "maybe satisfiable".
+	sess *Session
+	val  []bool
 
 	snap   termSnap // the compiled table, as of the search's start
 	assign []int8   // atom id -> 0 unassigned, +1 / -1 canonical base true / false
@@ -176,8 +172,8 @@ func getSearcher() *searcher { return searcherPool.Get().(*searcher) }
 // reset readies a pooled searcher for one search of pr as it stands;
 // pr's formulas must be compiled.
 func (s *searcher) reset(p *Prover, pr *program) {
-	s.p, s.pr, s.tree, s.occs, s.snap = p, pr, pr.nodes, pr.occs, pr.tab.snapshot()
-	s.assign = resize(s.assign, len(pr.keys))
+	s.p, s.tree, s.occs, s.snap = p, pr.nodes, pr.occs, pr.tab.snapshot()
+	s.assign = resize(s.assign, len(pr.ids))
 	s.trail, s.lits, s.open = s.trail[:0], s.lits[:0], s.open[:0]
 	s.st, s.gaveUp = satState{}, false
 	s.nodes, s.leaves, s.memoHits, s.eff = 0, 0, 0, theoryEffort{}
@@ -185,8 +181,8 @@ func (s *searcher) reset(p *Prover, pr *program) {
 
 // release returns a pooled searcher, dropping what it referenced.
 func (s *searcher) release() {
-	s.p, s.pr, s.tree, s.occs, s.snap = nil, nil, nil, nil, termSnap{}
-	s.models, s.tracked, s.model = false, nil, nil
+	s.p, s.tree, s.occs, s.snap = nil, nil, nil, termSnap{}
+	s.sess, s.val = nil, nil
 	clear(s.strs)
 	searcherPool.Put(s)
 }
@@ -266,7 +262,7 @@ func (s *searcher) dfs(roots []int32) bool {
 	s.st.tick()
 	if s.st.budget <= 0 || s.st.stop != stopNone {
 		s.gaveUp = true
-		return !s.models
+		return s.sess == nil
 	}
 	base := len(s.open)
 	defer func() { s.open = s.open[:base] }()
@@ -275,17 +271,17 @@ func (s *searcher) dfs(roots []int32) bool {
 	case triFalse:
 		return false
 	case triTrue:
-		if s.models {
-			for i := range s.tracked {
-				ta := &s.tracked[i]
-				if s.assign[ta.atom] != 0 {
+		if s.sess != nil {
+			for i := range s.sess.atoms {
+				o := &s.sess.atoms[i]
+				if s.assign[o.atom] != 0 {
 					continue
 				}
-				// val is the truth of the atom as registered, so a tracked
+				// val is the truth of the atom as first seen, so a tracked
 				// predicate is tried true-first even when its canonical
 				// base is its negation.
 				for _, val := range [2]bool{true, false} {
-					if s.branch(open, &ta.occurrence, val) {
+					if s.branch(open, o, val) {
 						return true
 					}
 				}
@@ -294,7 +290,7 @@ func (s *searcher) dfs(roots []int32) bool {
 		}
 		s.st.budget--
 		s.leaves++
-		if !s.models {
+		if s.sess == nil {
 			return theoryConsistent(s.snap, s.lits, &s.eff)
 		}
 		ok, hit := s.p.theoryCheck(s.snap, s.lits, &s.keyBuf, &s.eff)
@@ -302,7 +298,13 @@ func (s *searcher) dfs(roots []int32) bool {
 			s.memoHits++
 		}
 		if ok {
-			s.model = s.snapshot()
+			// Every tracked atom is assigned, so every tracked formula
+			// has a value.
+			s.val = make([]bool, len(s.sess.roots))
+			for i, r := range s.sess.roots {
+				v, _ := s.eval(r)
+				s.val[i] = v == triTrue
+			}
 		}
 		return ok
 	}
@@ -335,21 +337,6 @@ func (s *searcher) branch(roots []int32, o *occurrence, val bool) bool {
 	return found
 }
 
-// snapshot copies the path's assignment into an immutable model.
-func (s *searcher) snapshot() *Model {
-	m := &Model{tab: s.pr.tab, assign: make(map[string]bool, len(s.trail))}
-	for _, a := range s.trail {
-		m.assign[s.pr.keys[a]] = s.assign[a] > 0
-	}
-	return m
-}
-
-// memoShard is one stripe of the theory-leaf memo.
-type memoShard struct {
-	mu sync.RWMutex
-	m  map[string]bool
-}
-
 // theoryCheck decides a session leaf's literal conjunction through the
 // prover-wide memo, keyed by the compiled literal sequence. The theory
 // check is a pure function of that sequence, so a memoized answer is
@@ -368,19 +355,10 @@ func (p *Prover) theoryCheck(snap termSnap, ids []int32, buf *[]byte, eff *theor
 		b = binary.AppendUvarint(b, uint64(id))
 	}
 	*buf = b
-	sh := &p.memo[maphash.Bytes(p.seed, b)&(cacheShards-1)]
-	sh.mu.RLock()
-	v, ok := sh.m[string(b)]
-	sh.mu.RUnlock()
-	if ok {
+	if v, ok := p.get(&p.memo, b); ok {
 		return v, true
 	}
-	v = theoryConsistent(snap, ids, eff)
-	sh.mu.Lock()
-	if sh.m == nil {
-		sh.m = map[string]bool{}
-	}
-	sh.m[string(b)] = v
-	sh.mu.Unlock()
+	v := theoryConsistent(snap, ids, eff)
+	p.put(&p.memo, string(b), v)
 	return v, false
 }

@@ -33,77 +33,16 @@ func (v Verdict) String() string {
 	return "unknown"
 }
 
-// Model is a satisfying assignment extracted from the DPLL core: a truth
-// value for every atom branched on during the search, keyed by the
-// prover's canonical atom key. Models are immutable snapshots; they stay
-// valid after the session moves on or closes.
-type Model struct {
-	tab    *termTable
-	assign map[string]bool // canonical atom key -> truth of canonical base
-}
-
-// Eval evaluates a formula under the model's atom assignment. ok is
-// false when the formula mentions an atom the model does not assign
-// (an atom that was neither in the checked formula nor Tracked).
-func (m *Model) Eval(f form.Formula) (val, ok bool) {
-	switch f := f.(type) {
-	case form.TrueF:
-		return true, true
-	case form.FalseF:
-		return false, true
-	case form.Cmp:
-		e := m.tab.atom(f)
-		v, has := m.assign[e.key]
-		if !has {
-			return false, false
-		}
-		return v != e.flip, true
-	case form.Not:
-		v, has := m.Eval(f.F)
-		return !v, has
-	case form.And:
-		for _, g := range f.Fs {
-			v, has := m.Eval(g)
-			if !has {
-				return false, false
-			}
-			if !v {
-				return false, true
-			}
-		}
-		return true, true
-	case form.Or:
-		for _, g := range f.Fs {
-			v, has := m.Eval(g)
-			if !has {
-				return false, false
-			}
-			if v {
-				return true, true
-			}
-		}
-		return false, true
-	}
-	return false, false
-}
-
-// trackedAtom is one atom registered via Track: its canonical key and
-// the representative comparison (in NNF, as first seen) that its theory
-// literals are compiled from.
-type trackedAtom struct {
-	key string
-	cmp form.Cmp
-	occurrence
-}
-
 // Session is an incremental assertion set over a Prover: assert
-// formulas and extract models from the DPLL core. The model-enumeration
-// abstraction engine uses one session per blocking loop (assert the
-// query once, then get-model / block / re-check).
+// formulas, track others, and read the tracked formulas' values at the
+// models the DPLL core finds. The model-enumeration abstraction engine
+// uses one session per blocking loop (assert the query once, then
+// get-model / block / re-check).
 //
 // Each Assert or Block is compiled once into the session's program and
-// kept with its canonical string; Check searches the conjunction of
-// everything asserted so far. Assertions are never retracted.
+// kept with its canonical string, and each Track compiles its formula
+// into the same program; Check searches the conjunction of everything
+// asserted so far. Assertions are never retracted.
 //
 // A Session is NOT safe for concurrent use; it is designed for the
 // single coordinating goroutine of the abstraction engine. The
@@ -115,10 +54,11 @@ type trackedAtom struct {
 type Session struct {
 	p        *Prover
 	pr       *program
-	parts    []conjPart // the assertions' top-level conjuncts, compiled
-	hasFalse bool       // some conjunct is the constant false
-	tracked  []trackedAtom
-	keys     map[int32]bool // atom key ids tracked so far
+	parts    []conjPart     // the assertions' top-level conjuncts, compiled
+	hasFalse bool           // some conjunct is the constant false
+	tracked  []form.Formula // Track's formulas, in order
+	roots    []int32        // their compiled roots
+	atoms    []occurrence   // their atoms, each once, first seen first
 	hits     int
 	effort   trace.Effort
 	closed   bool
@@ -128,7 +68,7 @@ type Session struct {
 // done; sessions are cheap (no solver process, just a conjunct list).
 func (p *Prover) NewSession() *Session {
 	p.sessions.Add(1)
-	return &Session{p: p, pr: newProgram(p.terms), keys: map[int32]bool{}}
+	return &Session{p: p, pr: newProgram(p.terms)}
 }
 
 // Assert conjoins f onto the session's assertions.
@@ -167,48 +107,39 @@ func (s *Session) key(se *searcher) []byte {
 	return se.conjKey("U\x00", s.hasFalse)
 }
 
-// Track registers every atom of f for model extraction: Check keeps
-// branching until all tracked atoms have truth values, so the returned
-// model evaluates any formula over tracked atoms. Atoms are recorded in
+// Track compiles f into the session as a tracked formula: Check keeps
+// branching until every atom of every tracked formula has a truth value,
+// and returns the tracked formulas' values. Atoms are registered in
 // first-seen order, which (with the true-before-false branching order)
 // makes the model sequence deterministic.
 func (s *Session) Track(f form.Formula) {
 	s.mustOpen()
-	s.trackAtoms(form.NNF(f))
-}
-
-func (s *Session) trackAtoms(f form.Formula) {
-	switch f := f.(type) {
-	case form.Cmp:
-		e := s.p.terms.atom(f)
-		if !s.keys[e.akey] {
-			s.keys[e.akey] = true
-			s.tracked = append(s.tracked, trackedAtom{key: e.key, cmp: f, occurrence: s.pr.occurrence(e)})
+	from := len(s.pr.occs)
+	s.tracked = append(s.tracked, f)
+	s.roots = append(s.roots, s.pr.compile(form.NNF(f), false))
+next:
+	for _, o := range s.pr.occs[from:] {
+		for _, t := range s.atoms {
+			if t.atom == o.atom {
+				continue next
+			}
 		}
-	case form.Not:
-		s.trackAtoms(f.F)
-	case form.And:
-		for _, g := range f.Fs {
-			s.trackAtoms(g)
-		}
-	case form.Or:
-		for _, g := range f.Fs {
-			s.trackAtoms(g)
-		}
+		s.atoms = append(s.atoms, o)
 	}
 }
 
 // Check decides the conjunction of the session's assertions. It returns:
 //
 //	Unsat, nil, ""      — the conjunction is definitely unsatisfiable;
-//	Sat, model, ""      — a model was found (covering every tracked atom);
+//	Sat, vals, ""       — a model was found; vals[i] is the value of the
+//	                      i-th tracked formula in it;
 //	Unknown, nil, limit — the search was abandoned, or Prover.Fault
 //	                      injected a fault; limit is the canonical
 //	                      budget.Limit* name that fired.
 //
 // Check shares the Prover's cache under the Unsat keyspace: a cached
 // "definitely unsat" answers without searching; any other cached value
-// cannot carry a model, so the search runs. Definitive results are
+// cannot carry a valuation, so the search runs. Definitive results are
 // cached; wall-clock stops (timeout, cancellation) never are.
 //
 // The search is DPLL over the conjunction's boolean skeleton, then over
@@ -216,7 +147,7 @@ func (s *Session) trackAtoms(f form.Formula) {
 // each full leaf. The model is the first one in the deterministic branch
 // order (formula atoms in discovery order, then tracked atoms in
 // registration order; true before false).
-func (s *Session) Check() (Verdict, *Model, string) {
+func (s *Session) Check() (Verdict, []bool, string) {
 	s.mustOpen()
 	p := s.p
 	se := getSearcher()
@@ -227,7 +158,7 @@ func (s *Session) Check() (Verdict, *Model, string) {
 	}
 	p.sessionChecks.Add(1)
 	if !p.DisableCache {
-		if v, ok := p.cacheGet(b); ok && v {
+		if v, ok := p.get(&p.shards, b); ok && v {
 			p.cacheHits.Add(1)
 			s.hits++
 			return Unsat, nil, ""
@@ -242,7 +173,7 @@ func (s *Session) Check() (Verdict, *Model, string) {
 		se.roots = append(se.roots, s.parts[i].root)
 	}
 	se.reset(p, s.pr)
-	se.models, se.tracked = true, s.tracked
+	se.sess = s
 	unsat, _ := p.search(key, se, func() form.Formula {
 		fs := make([]form.Formula, len(s.parts))
 		for i, c := range s.parts {
@@ -255,9 +186,9 @@ func (s *Session) Check() (Verdict, *Model, string) {
 	s.effort.FMRuns += se.eff.fmRuns
 	s.effort.EqProbes += se.eff.probes
 	switch {
-	case se.model != nil:
+	case se.val != nil:
 		p.modelsExtracted.Add(1)
-		return Sat, se.model, ""
+		return Sat, se.val, ""
 	case unsat:
 		return Unsat, nil, ""
 	case se.st.stop == stopTimeout:
@@ -280,11 +211,11 @@ func (s *Session) CacheHits() int { return s.hits }
 // for Valid and Unsat.
 func (s *Session) Effort() trace.Effort { return s.effort }
 
-// Close ends the session. Further use panics. Models already extracted
-// remain valid.
+// Close ends the session. Further use panics. Valuations already
+// returned remain valid.
 func (s *Session) Close() {
 	s.closed = true
-	s.pr, s.parts, s.tracked, s.keys = nil, nil, nil, nil
+	s.pr, s.parts, s.tracked, s.roots, s.atoms = nil, nil, nil, nil, nil
 }
 
 func (s *Session) mustOpen() {

@@ -14,18 +14,19 @@ func TestSessionBasicVerdicts(t *testing.T) {
 	s := p.NewSession()
 	defer s.Close()
 
+	s.Track(pf(t, "x > 0"))
 	s.Assert(pf(t, "x > 0"))
-	v, m, _ := s.Check()
-	if v != Sat || m == nil {
-		t.Fatalf("x > 0: got %v, want sat with model", v)
+	v, vals, _ := s.Check()
+	if v != Sat || len(vals) != 1 {
+		t.Fatalf("x > 0: got %v %v, want sat with one value", v, vals)
 	}
-	if got, ok := m.Eval(pf(t, "x > 0")); !ok || !got {
-		t.Errorf("model does not satisfy x > 0 (got %v, ok %v)", got, ok)
+	if !vals[0] {
+		t.Errorf("model does not satisfy x > 0")
 	}
 
 	s.Assert(pf(t, "x < 0"))
-	v, m, _ = s.Check()
-	if v != Unsat || m != nil {
+	v, vals, _ = s.Check()
+	if v != Unsat || vals != nil {
 		t.Fatalf("x > 0 && x < 0: got %v, want unsat", v)
 	}
 
@@ -44,21 +45,18 @@ func TestSessionTrackedModelExtraction(t *testing.T) {
 	// model to assign it a consistent truth value.
 	s.Track(pf(t, "y <= 0"))
 	s.Track(pf(t, "x == y"))
+	s.Track(pf(t, "x > 3"))
 	s.Assert(pf(t, "x > 3"))
-	v, m, _ := s.Check()
-	if v != Sat {
-		t.Fatalf("got %v, want sat", v)
+	v, vals, _ := s.Check()
+	if v != Sat || len(vals) != 3 {
+		t.Fatalf("got %v %v, want sat with three values", v, vals)
 	}
-	for _, q := range []string{"y <= 0", "x == y", "x > 3"} {
-		if _, ok := m.Eval(pf(t, q)); !ok {
-			t.Errorf("model does not assign %q", q)
-		}
+	if !vals[2] {
+		t.Errorf("model does not satisfy the asserted x > 3")
 	}
 	// The model must be theory-consistent as a whole: x > 3 && x == y
 	// forces y > 3, so y <= 0 must be false under the model.
-	xy, _ := m.Eval(pf(t, "x == y"))
-	yneg, _ := m.Eval(pf(t, "y <= 0"))
-	if xy && yneg {
+	if yneg, xy := vals[0], vals[1]; xy && yneg {
 		t.Errorf("model assigns x == y and y <= 0 under x > 3: theory-inconsistent")
 	}
 }
@@ -78,21 +76,20 @@ func TestSessionBlockingEnumeration(t *testing.T) {
 
 	var seen []string
 	for {
-		v, m, _ := s.Check()
+		v, vals, _ := s.Check()
 		if v == Unsat {
 			break
 		}
 		if v != Sat {
 			t.Fatalf("got %v, want sat|unsat", v)
 		}
+		if len(vals) != len(preds) {
+			t.Fatalf("valuation %v, want one value per tracked predicate", vals)
+		}
 		key := ""
 		var lits []form.Formula
-		for _, q := range preds {
-			val, ok := m.Eval(q)
-			if !ok {
-				t.Fatalf("model misses tracked predicate %s", q)
-			}
-			if val {
+		for i, q := range preds {
+			if vals[i] {
 				key += "1"
 				lits = append(lits, q)
 			} else {
@@ -305,13 +302,12 @@ func TestSessionDeterministicModels(t *testing.T) {
 		s.Assert(pf(t, "x + y > 0"))
 		var out []string
 		for i := 0; i < 3; i++ {
-			v, m, _ := s.Check()
+			v, vals, _ := s.Check()
 			if v != Sat {
 				out = append(out, v.String())
 				break
 			}
-			a, _ := m.Eval(pf(t, "x > 1"))
-			b, _ := m.Eval(pf(t, "y > 2"))
+			a, b := vals[0], vals[1]
 			key := ""
 			for _, bit := range []bool{a, b} {
 				if bit {
@@ -371,15 +367,14 @@ func TestSessionCheckIsFastEnough(t *testing.T) {
 	start := time.Now()
 	n := 0
 	for {
-		v, m, _ := s.Check()
+		v, vals, _ := s.Check()
 		if v != Sat {
 			break
 		}
 		n++
 		var lits []form.Formula
-		for _, q := range preds {
-			val, _ := m.Eval(pf(t, q))
-			if val {
+		for i, q := range preds {
+			if vals[i] {
 				lits = append(lits, pf(t, q))
 			} else {
 				lits = append(lits, form.NNF(form.MkNot(pf(t, q))))

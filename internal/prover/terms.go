@@ -60,9 +60,8 @@ type clit struct {
 
 // atomEntry is one comparison's compilation.
 type atomEntry struct {
-	key  string // canonical atom key (atomKey)
-	akey int32  // id of key
-	flip bool   // the comparison is the negation of the canonical base
+	akey int32 // id of the canonical atom key (atomKey)
+	flip bool  // the comparison is the negation of the canonical base
 	lits [2]int32
 }
 
@@ -118,7 +117,7 @@ func (t *termTable) atom(c form.Cmp) atomEntry {
 		ak = int32(len(t.akeys))
 		t.akeys[key] = ak
 	}
-	e = atomEntry{key: key, akey: ak, flip: flip, lits: [2]int32{t.lit(litOf(c, true)), t.lit(litOf(c, false))}}
+	e = atomEntry{akey: ak, flip: flip, lits: [2]int32{t.lit(litOf(c, true)), t.lit(litOf(c, false))}}
 	t.atoms[c] = e
 	return e
 }

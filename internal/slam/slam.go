@@ -513,7 +513,7 @@ func verifyProgram(ctx context.Context, prog *cast.Program, entry string, cfg Co
 		// every fully decided prover verdict — is journaled durably
 		// before the next round starts. Iterations that end the run
 		// instead are covered by the final record.
-		commitCheckpoint(ckpt, tracer, logf, iter, res, pool, abs, pv, out)
+		commitCheckpoint(ckpt, tracer, logf, iter, res, pool, pv, out)
 		if cfg.Progress != nil {
 			poolSize := 0
 			for _, preds := range pool {
@@ -561,21 +561,19 @@ func recordProverStats(out *Result, pv prover.Querier, base checkpoint.Counters)
 // continues un-checkpointed — a verification answer is never sacrificed
 // to a full disk.
 func commitCheckpoint(ckpt *checkpoint.Manager, tracer *tracepkg.Tracer, logf func(string, ...any),
-	iter int, res *cnorm.Result, pool map[string][]string, abs *abstract.Result, pv prover.Querier, out *Result) {
+	iter int, res *cnorm.Result, pool map[string][]string, pv prover.Querier, out *Result) {
 	if ckpt == nil || ckpt.ReadOnly() {
 		return
 	}
 	span := tracer.Begin("checkpoint", "commit")
-	scopes := poolScopes(res)
 	rec := checkpoint.IterationRecord{Iter: iter}
-	for _, scope := range scopes {
+	for _, scope := range poolScopes(res) {
 		if len(pool[scope]) == 0 {
 			continue
 		}
 		rec.Pool = append(rec.Pool, checkpoint.ScopePreds{
 			Scope: scope, Preds: append([]string{}, pool[scope]...)})
 	}
-	rec.Sigs = abstract.SignatureRecords(abs.Sigs, scopes[1:])
 	rec.Cache = prover.Backing(pv).ExportCache()
 	rec.Counters = checkpoint.ProverCounters(out.Stats)
 	rec.Counters.CheckIterations = out.CheckIterations

@@ -231,11 +231,6 @@ func (p *Program) AbstractCheckpointed(ctx context.Context, predicates string, o
 			rec.Pool = append(rec.Pool, checkpoint.ScopePreds{
 				Scope: sec.Name, Preds: append([]string{}, sec.Texts...)})
 		}
-		var procOrder []string
-		for _, f := range p.norm.Prog.Funcs {
-			procOrder = append(procOrder, f.Name)
-		}
-		rec.Sigs = abstract.SignatureRecords(res.Sigs, procOrder)
 		rec.Counters = checkpoint.ProverCounters(pv.Stats())
 		ckpt.AppendIteration(rec)
 		ckpt.AppendFinal("abstracted", "")
