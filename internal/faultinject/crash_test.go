@@ -13,10 +13,13 @@ package faultinject_test
 
 import (
 	"bytes"
+	"encoding/binary"
 	"fmt"
+	"hash/crc32"
 	"os"
 	"os/exec"
 	"path/filepath"
+	"regexp"
 	"strings"
 	"sync"
 	"syscall"
@@ -345,6 +348,11 @@ func TestCorruptJournalColdStartsWithDiagnostic(t *testing.T) {
 // tail is truncated back to the last intact record (repair diagnostic)
 // or the whole journal is rejected (cold-start diagnostic). A flip that
 // silently survives into a wrong answer fails the sweep.
+//
+// Two journals are swept: the one slam writes now (under written/), and
+// the same journal with the "sigs" field iteration records carried
+// before the journal stopped recording signatures, which the reader
+// still accepts and so must still repair or reject like any other.
 func TestCorruptJournalBitFlipSweep(t *testing.T) {
 	bin := slamBin(t)
 	p := corpus.Drivers()[1] // ioctl
@@ -361,37 +369,78 @@ func TestCorruptJournalBitFlipSweep(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-
-	// A deterministic sweep: every region of the file gets hit without
-	// running the journal's length in executions.
-	step := len(pristine)/24 + 1
-	for off := 0; off < len(pristine); off += step {
-		off := off
-		t.Run(fmt.Sprintf("offset%d", off), func(t *testing.T) {
-			t.Parallel()
-			state := filepath.Join(t.TempDir(), "state")
-			if err := os.MkdirAll(state, 0o755); err != nil {
-				t.Fatal(err)
-			}
-			raw := append([]byte(nil), pristine...)
-			raw[off] ^= 1 << (off % 8)
-			if err := os.WriteFile(filepath.Join(state, checkpoint.JournalName), raw, 0o644); err != nil {
-				t.Fatal(err)
-			}
-			res := runSlam(t, bin, nil, "-state", state, "-spec", spec, "-entry", p.Entry, src)
-			if res.stdout != ref.stdout || res.code != ref.code {
-				t.Errorf("bit flip at %d led to a divergent answer (exit %d, want %d):\n got: %q\nwant: %q\nstderr: %s",
-					off, res.code, ref.code, res.stdout, ref.stdout, res.stderr)
-			}
-			diagnosed := strings.Contains(res.stderr, "cold-starting with a fresh journal") ||
-				strings.Contains(res.stderr, "journal tail invalid")
-			if !diagnosed {
-				// The flip may land in bytes replay never re-reads (it
-				// stops at the last intact record boundary) — but then the
-				// replayed state must have been fully intact, which the
-				// byte-identical check above already enforced.
-				t.Logf("bit flip at %d produced no diagnostic (replay stopped before it)", off)
-			}
-		})
+	var procs []string
+	for _, m := range procDef.FindAllStringSubmatch(p.Source, -1) {
+		procs = append(procs, m[1])
 	}
+
+	sweep := func(t *testing.T, pristine []byte) {
+		// A deterministic sweep: every region of the file gets hit
+		// without running the journal's length in executions.
+		step := len(pristine)/24 + 1
+		for off := 0; off < len(pristine); off += step {
+			off := off
+			t.Run(fmt.Sprintf("offset%d", off), func(t *testing.T) {
+				t.Parallel()
+				state := filepath.Join(t.TempDir(), "state")
+				if err := os.MkdirAll(state, 0o755); err != nil {
+					t.Fatal(err)
+				}
+				raw := append([]byte(nil), pristine...)
+				raw[off] ^= 1 << (off % 8)
+				if err := os.WriteFile(filepath.Join(state, checkpoint.JournalName), raw, 0o644); err != nil {
+					t.Fatal(err)
+				}
+				res := runSlam(t, bin, nil, "-state", state, "-spec", spec, "-entry", p.Entry, src)
+				if res.stdout != ref.stdout || res.code != ref.code {
+					t.Errorf("bit flip at %d led to a divergent answer (exit %d, want %d):\n got: %q\nwant: %q\nstderr: %s",
+						off, res.code, ref.code, res.stdout, ref.stdout, res.stderr)
+				}
+				diagnosed := strings.Contains(res.stderr, "cold-starting with a fresh journal") ||
+					strings.Contains(res.stderr, "journal tail invalid")
+				if !diagnosed {
+					// The flip may land in bytes replay never re-reads (it
+					// stops at the last intact record boundary) — but then
+					// the replayed state must have been fully intact, which
+					// the byte-identical check above already enforced.
+					t.Logf("bit flip at %d produced no diagnostic (replay stopped before it)", off)
+				}
+			})
+		}
+	}
+	t.Run("written", func(t *testing.T) { sweep(t, pristine) })
+	sweep(t, withSigs(t, pristine, procs))
+}
+
+// procDef matches a top-level C function definition and captures its name.
+var procDef = regexp.MustCompile(`(?m)^(?:void|int) (\w+)\(`)
+
+// withSigs returns the journal raw with a "sigs" field in its first
+// iteration record, as the journal once recorded signatures: one entry
+// per procedure in source order, before "cache". At the first iteration
+// no procedure has formal or return predicates, so each entry names only
+// its procedure. The record is re-framed (little-endian u32 length and
+// CRC32 of the payload ahead of it); every other byte is kept.
+func withSigs(t *testing.T, raw []byte, procs []string) []byte {
+	t.Helper()
+	start := bytes.Index(raw, []byte(`{"type":"iteration"`))
+	if start < checkpoint.FrameOverhead {
+		t.Fatal("no iteration record in the journal")
+	}
+	n := int(binary.LittleEndian.Uint32(raw[start-checkpoint.FrameOverhead:]))
+	payload := raw[start : start+n]
+	entries := make([]string, len(procs))
+	for i, proc := range procs {
+		entries[i] = fmt.Sprintf(`{"proc":%q}`, proc)
+	}
+	sigs := `"sigs":[` + strings.Join(entries, ",") + `],"cache":`
+	legacy := bytes.Replace(payload, []byte(`"cache":`), []byte(sigs), 1)
+	if len(legacy) == len(payload) {
+		t.Fatal("no cache field to put the signatures before")
+	}
+	out := append([]byte(nil), raw[:start-checkpoint.FrameOverhead]...)
+	out = binary.LittleEndian.AppendUint32(out, uint32(len(legacy)))
+	out = binary.LittleEndian.AppendUint32(out, crc32.ChecksumIEEE(legacy))
+	out = append(out, legacy...)
+	return append(out, raw[start+n:]...)
 }
