@@ -167,7 +167,6 @@ type Signature struct {
 // Result is the output of Abstract.
 type Result struct {
 	BP    *bp.Program
-	Sigs  map[string]*Signature
 	Stats Stats
 	// GlobalPreds and LocalPreds echo the parsed predicate scoping.
 	GlobalPreds []Pred
@@ -269,7 +268,6 @@ func Abstract(res *cnorm.Result, aa *alias.Analysis, pv prover.Querier,
 	}
 	return &Result{
 		BP:          prog,
-		Sigs:        ab.sigs,
 		Stats:       ab.Stats,
 		GlobalPreds: ab.globalPreds,
 		LocalPreds:  ab.localPreds,
@@ -768,7 +766,7 @@ func (tr *translator) assign(s *cast.AssignStmt) {
 	var rhs []bp.Expr
 	for _, p := range tr.scope {
 		wpPos, okPos := wp.AssignmentOK(tr.oracle, lhsT, rhsT, p.F)
-		if tr.ab.opts.SkipUnchanged && okPos && form.FormulaEq(wpPos, p.F) {
+		if tr.ab.opts.SkipUnchanged && okPos && wpPos.String() == p.key {
 			// Optimization 2: the predicate is definitely unchanged.
 			continue
 		}
@@ -805,7 +803,7 @@ func (tr *translator) havoc(s *cast.AssignStmt, comment string) {
 		}
 		// Any predicate with indirect locations may also be affected.
 		if !affected {
-			for _, loc := range form.ReadLocations(p.F) {
+			for _, loc := range p.reads {
 				if _, isVar := loc.(form.Var); !isVar {
 					affected = true
 					break
@@ -988,7 +986,7 @@ func (tr *translator) call(origin cast.Stmt, lhs cast.Expr, c *cast.Call) {
 func (tr *translator) predNeedsUpdate(p Pred, lhsTerm form.Term, argTerms []form.Term) bool {
 	// Mentions the result location?
 	if lhsTerm != nil {
-		for _, loc := range form.ReadLocations(p.F) {
+		for _, loc := range p.reads {
 			if form.TermEq(loc, lhsTerm) || tr.ab.aa.MayAlias(tr.f.Name, loc, lhsTerm) {
 				return true
 			}
@@ -1001,7 +999,7 @@ func (tr *translator) predNeedsUpdate(p Pred, lhsTerm form.Term, argTerms []form
 		}
 	}
 	// Mentions memory reachable from a pointer actual?
-	for _, loc := range form.ReadLocations(p.F) {
+	for _, loc := range p.reads {
 		if _, isVar := loc.(form.Var); isVar {
 			continue // locals can't be changed through the heap unless aliased
 		}

@@ -181,7 +181,17 @@ foo:
 // TestFigure2Signatures checks E_f and E_r from Section 4.5.2.
 func TestFigure2Signatures(t *testing.T) {
 	out, _ := pipeline(t, fooBarSrc, fooBarPreds, DefaultOptions())
-	sig := out.Sigs["bar"]
+	// The signature pass of Abstract, on a fresh Abstractor.
+	ab := newAbstractor(t, fooBarSrc, DefaultOptions())
+	sections, err := cparse.ParsePredFile(fooBarPreds)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := ab.loadPredicates(sections); err != nil {
+		t.Fatal(err)
+	}
+	ab.computeModifiedFormals()
+	sig := ab.signature(ab.res.Prog.Func("bar"))
 	if sig == nil {
 		t.Fatal("no signature for bar")
 	}

@@ -22,11 +22,20 @@ type Pred struct {
 	// F is the predicate as a formula.
 	F   form.Formula
 	neg form.Formula // NNF(¬F)
+	// key, nnfKey and negKey are the canonical strings of F, NNF(F) and
+	// NNF(¬F); the syntactic checks compare formulas by them.
+	key, nnfKey, negKey string
+	// reads are F's read locations (form.ReadLocations).
+	reads []form.Term
 }
 
-// NewPred builds a predicate entry and computes its negation.
+// NewPred builds a predicate entry and computes its negation, its
+// canonical strings and its read locations once.
 func NewPred(name string, f form.Formula) Pred {
-	return Pred{Name: name, F: f, neg: form.NNF(form.MkNot(f))}
+	neg := form.NNF(form.MkNot(f))
+	return Pred{Name: name, F: f, neg: neg,
+		key: f.String(), nnfKey: form.NNF(f).String(), negKey: neg.String(),
+		reads: form.ReadLocations(f)}
 }
 
 // Neg returns NNF(¬F).
@@ -164,12 +173,12 @@ func (ab *Abstractor) fv(fn string, preds []Pred, phi form.Formula) bp.Expr {
 	// Optimization 4 (syntactic heuristics): an exact predicate or negated
 	// predicate match needs no prover calls.
 	if ab.opts.SyntacticHeuristics {
-		phiN := form.NNF(phi)
+		key, nnfKey := phi.String(), form.NNF(phi).String()
 		for _, p := range preds {
-			if form.FormulaEq(p.F, phi) || form.FormulaEq(form.NNF(p.F), phiN) {
+			if p.key == key || p.nnfKey == nnfKey {
 				return bp.Ref{Name: p.Name}
 			}
-			if form.FormulaEq(p.Neg(), phiN) {
+			if p.negKey == nnfKey {
 				return bp.Not{X: bp.Ref{Name: p.Name}}
 			}
 		}
@@ -425,7 +434,7 @@ func (ab *Abstractor) cone(fn string, preds []Pred, phi form.Formula) []Pred {
 			if ab.predTouches(fn, p, locs) {
 				included[i] = true
 				changed = true
-				locs = append(locs, form.ReadLocations(p.F)...)
+				locs = append(locs, p.reads...)
 			}
 		}
 	}
@@ -441,7 +450,7 @@ func (ab *Abstractor) cone(fn string, preds []Pred, phi form.Formula) []Pred {
 // predTouches reports whether the predicate mentions one of the locations
 // or a may-alias of one.
 func (ab *Abstractor) predTouches(fn string, p Pred, locs []form.Term) bool {
-	for _, pl := range form.ReadLocations(p.F) {
+	for _, pl := range p.reads {
 		for _, l := range locs {
 			if form.TermEq(pl, l) || ab.aa.MayAlias(fn, pl, l) {
 				return true

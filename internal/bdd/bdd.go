@@ -6,19 +6,25 @@
 // (Section 2.2).
 //
 // A Manager keeps its nodes in one flat store indexed by node id, with
-// two open-addressed tables beside it: the unique table (node ids,
-// hash-consing) and the apply memo (exact: it never drops an entry).
-// Exists, AndExists, Replace and Restrict memoise on per-call scratch
-// stamped with a generation counter (node-indexed, plus an
-// open-addressed pair table for AndExists), so a warm manager allocates
-// nothing per call. Every operation recurses low cofactor before high,
-// so a sequence of calls creates the same nodes, with the same ids, on
-// every run.
+// two tables beside it: the unique table (open-addressed node ids,
+// hash-consing) and the computed table, which memoises every operation.
+// The computed table is direct-mapped and lossy, as in CUDD: a lookup
+// probes one slot and a store overwrites it. And, Or, Xor and Not results
+// hold for the manager's lifetime; Exists, AndExists, Replace and
+// Restrict stamp theirs with a generation counter, so they lapse when
+// the call ends. A warm manager allocates nothing per call.
+//
+// Every operation recurses low cofactor before high. An evicted result
+// is recomputed from nodes that already exist, so mk creates the same
+// nodes in the same order whatever the table keeps: a sequence of calls
+// creates the same nodes, with the same ids, on every run and at every
+// table size.
 package bdd
 
 import (
 	"fmt"
 	"math"
+	"math/bits"
 )
 
 // terminalVar orders terminals below every real variable.
@@ -28,34 +34,45 @@ const terminalVar = math.MaxInt32
 // variable so tests can lower it).
 var maxNodes = math.MaxInt32
 
-// The unique table and the apply memo start at 2^initialBits slots and
-// double at load ½.
+// The unique table starts at 2^initialBits slots and doubles at load ½.
+// The computed table has a quarter as many slots, at most maxCacheSlots
+// (a power of two; a variable so tests can shrink the table to one slot).
 const initialBits = 6
+
+var maxCacheSlots = 1 << 30
 
 type node struct {
 	v      int32 // variable index
 	lo, hi int32 // cofactor node ids
 }
 
-// applyEntry is one apply-memo slot: op(a, b) = r. op 0 marks an empty
-// slot.
-type applyEntry struct {
+// cacheEntry is one computed-table slot: the operation tag applied to
+// (a, b) gave r. Tag 0 marks an empty slot.
+type cacheEntry struct {
 	a, b, r int32
-	op      byte
+	tag     uint32
 }
 
-// memoEntry is one per-call scratch slot, valid while gen is current.
-type memoEntry struct {
-	gen uint32
-	r   int32
-}
+// Tags of the operations whose results hold across calls.
+const (
+	opAnd uint32 = 1 + iota
+	opOr
+	opXor
+	opNot
+)
 
-// pairEntry is one AndExists memo slot: ∃vars (a ∧ b) = r, valid while
-// gen is current; a slot of an older generation counts as empty.
-type pairEntry struct {
-	gen     uint32
-	a, b, r int32
-}
+// Kinds of the per-call operations, whose results depend on the call's
+// variable set, renaming or restriction: their entries are tagged
+// gen*8+kind, which is above every cross-call tag since gen >= 1.
+const (
+	kindExists uint32 = iota
+	kindAndExists
+	kindReplace
+	kindRestrict
+)
+
+// maxGen keeps gen*8+kind within a uint32.
+const maxGen = 1<<29 - 1
 
 // Manager owns a shared node store for a set of BDDs. It is not safe for
 // concurrent use.
@@ -63,19 +80,10 @@ type Manager struct {
 	nodes  []node
 	unique []int32 // node ids by hash of (v, lo, hi); 0 is empty
 	uShift uint    // 64 - log2(len(unique))
-	apply  []applyEntry
-	aShift uint // 64 - log2(len(apply))
-	applyN int  // filled apply slots
-	// notMemo[f] is 1+¬f, or 0 while ¬f is unknown.
-	notMemo []int32
-	// The per-call scratch of Exists, AndExists, Replace and Restrict:
-	// memo by node id, AndExists's memo by operand pair, the variable
-	// set (and Replace's renaming) by variable. An entry counts only
-	// while its stamp equals gen.
-	memo   []memoEntry
-	pairs  []pairEntry
-	pShift uint // 64 - log2(len(pairs))
-	pairN  int  // pairs entries stamped with gen
+	cache  []cacheEntry
+	cShift uint // 64 - log2(len(cache))
+	// The variable set of the current Exists or AndExists (and Replace's
+	// renaming), by variable: a mark counts only while it equals gen.
 	varGen []uint32
 	varTo  []int
 	// qTop is the deepest quantified variable of the current Exists or
@@ -90,12 +98,9 @@ func New(n int) *Manager {
 	m := &Manager{
 		unique:  make([]int32, 1<<initialBits),
 		uShift:  64 - initialBits,
-		apply:   make([]applyEntry, 1<<initialBits),
-		aShift:  64 - initialBits,
-		pairs:   make([]pairEntry, 1<<initialBits),
-		pShift:  64 - initialBits,
 		numVars: n,
 	}
+	m.resizeCache()
 	// Node 0 = false, node 1 = true. Terminals never enter the unique
 	// table, so id 0 can mark its empty slots.
 	m.nodes = append(m.nodes, node{v: terminalVar}, node{v: terminalVar})
@@ -170,8 +175,48 @@ func (m *Manager) mk(v, lo, hi int32) int32 {
 			n := m.nodes[j]
 			m.unique[m.find(n.v, n.lo, n.hi)] = int32(j)
 		}
+		m.resizeCache()
 	}
 	return id
+}
+
+// resizeCache sizes the computed table to a quarter of the unique table
+// and re-inserts its cross-call entries (a later one evicts an earlier
+// one from a shared slot). Per-call entries are dropped, which costs only
+// recomputation.
+func (m *Manager) resizeCache() {
+	n := max(1, min(len(m.unique)/4, maxCacheSlots))
+	if n == len(m.cache) {
+		return
+	}
+	old := m.cache
+	m.cache = make([]cacheEntry, n)
+	m.cShift = uint(64 - bits.TrailingZeros(uint(n)))
+	for _, e := range old {
+		if e.tag != 0 && e.tag <= opNot {
+			*m.slot(e.a, e.b, e.tag) = e
+		}
+	}
+}
+
+// slot returns the computed-table slot of (a, b) under tag.
+func (m *Manager) slot(a, b int32, tag uint32) *cacheEntry {
+	return &m.cache[hash3(a, b, int32(tag))>>m.cShift]
+}
+
+// lookup returns the cached result of (a, b) under tag, if the slot
+// still holds it.
+func (m *Manager) lookup(a, b int32, tag uint32) (int32, bool) {
+	e := m.slot(a, b, tag)
+	return e.r, e.tag == tag && e.a == a && e.b == b
+}
+
+// store caches r for (a, b) under tag, evicting the slot's entry. The
+// slot is found afresh, after the recursion that computed r may have
+// resized the table.
+func (m *Manager) store(a, b int32, tag uint32, r int32) int32 {
+	*m.slot(a, b, tag) = cacheEntry{a: a, b: b, r: r, tag: tag}
+	return r
 }
 
 // Var returns the BDD for variable i. Every node's variable is thus in
@@ -193,23 +238,12 @@ func (m *Manager) not(f int32) int32 {
 	case 1:
 		return 0
 	}
-	if int(f) < len(m.notMemo) && m.notMemo[f] != 0 {
-		return m.notMemo[f] - 1
+	if r, ok := m.lookup(f, 0, opNot); ok {
+		return r
 	}
 	n := m.nodes[f]
-	r := m.mk(n.v, m.not(n.lo), m.not(n.hi))
-	if int(f) >= len(m.notMemo) {
-		m.notMemo = append(m.notMemo, make([]int32, len(m.nodes)-len(m.notMemo))...)
-	}
-	m.notMemo[f] = r + 1
-	return r
+	return m.store(f, 0, opNot, m.mk(n.v, m.not(n.lo), m.not(n.hi)))
 }
-
-const (
-	opAnd byte = 1 + iota
-	opOr
-	opXor
-)
 
 // And returns a ∧ b.
 func (m *Manager) And(a, b int) int { return int(m.applyOp(opAnd, int32(a), int32(b))) }
@@ -231,18 +265,7 @@ func (m *Manager) ite(f, g, h int32) int32 {
 	return m.applyOp(opOr, m.applyOp(opAnd, f, g), m.applyOp(opAnd, m.not(f), h))
 }
 
-// applySlot returns the apply-memo slot that holds op(a, b), or the empty
-// slot where it belongs.
-func (m *Manager) applySlot(op byte, a, b int32) uint64 {
-	mask := uint64(len(m.apply) - 1)
-	for i := hash3(a, b, int32(op)) >> m.aShift; ; i = (i + 1) & mask {
-		if e := &m.apply[i]; e.op == 0 || e.op == op && e.a == a && e.b == b {
-			return i
-		}
-	}
-}
-
-func (m *Manager) applyOp(op byte, a, b int32) int32 {
+func (m *Manager) applyOp(op uint32, a, b int32) int32 {
 	switch op {
 	case opAnd:
 		if a == 0 || b == 0 {
@@ -284,8 +307,8 @@ func (m *Manager) applyOp(op byte, a, b int32) int32 {
 	if a > b {
 		a, b = b, a // all three ops commute: canonical order doubles cache hits
 	}
-	if e := m.apply[m.applySlot(op, a, b)]; e.op != 0 {
-		return e.r
+	if r, ok := m.lookup(a, b, op); ok {
+		return r
 	}
 	na, nb := m.nodes[a], m.nodes[b]
 	v := na.v
@@ -300,37 +323,23 @@ func (m *Manager) applyOp(op byte, a, b int32) int32 {
 	if nb.v == v {
 		blo, bhi = nb.lo, nb.hi
 	}
-	r := m.mk(v, m.applyOp(op, alo, blo), m.applyOp(op, ahi, bhi))
-	// Probe again: the recursion may have filled or regrown the table.
-	m.apply[m.applySlot(op, a, b)] = applyEntry{a: a, b: b, r: r, op: op}
-	m.applyN++
-	if 2*m.applyN > len(m.apply) {
-		old := m.apply
-		m.apply = make([]applyEntry, 2*len(old))
-		m.aShift--
-		for _, e := range old {
-			if e.op != 0 {
-				m.apply[m.applySlot(e.op, e.a, e.b)] = e
-			}
-		}
-	}
-	return r
+	return m.store(a, b, op, m.mk(v, m.applyOp(op, alo, blo), m.applyOp(op, ahi, bhi)))
 }
 
-// begin starts a traversal on the per-call scratch: a fresh generation
-// invalidates every memo entry and variable mark at once. The scratch
-// covers the nodes that exist now, which are all a traversal of an
-// existing BDD visits; traversals never nest.
+// begin starts a per-call traversal: a fresh generation lapses every
+// per-call entry and variable mark at once. When the generation would
+// overflow its tag bits, it restarts at 1 and the per-call entries and
+// marks of the old generations are dropped. Traversals never nest.
 func (m *Manager) begin() {
 	m.gen++
-	if m.gen == 0 {
-		clear(m.memo)
-		clear(m.pairs)
+	if m.gen > maxGen {
+		for i := range m.cache {
+			if m.cache[i].tag > opNot {
+				m.cache[i] = cacheEntry{}
+			}
+		}
 		clear(m.varGen)
 		m.gen = 1
-	}
-	if n := len(m.nodes); len(m.memo) < n {
-		m.memo = append(m.memo, make([]memoEntry, n-len(m.memo))...)
 	}
 	if n := m.numVars; len(m.varGen) < n {
 		m.varGen = append(m.varGen, make([]uint32, n-len(m.varGen))...)
@@ -369,19 +378,16 @@ func (m *Manager) exists(f int32) int32 {
 	if n.v > m.qTop {
 		return f // no quantified variable below
 	}
-	if e := m.memo[f]; e.gen == m.gen {
-		return e.r
+	tag := m.gen<<3 | kindExists
+	if r, ok := m.lookup(f, 0, tag); ok {
+		return r
 	}
 	lo := m.exists(n.lo)
 	hi := m.exists(n.hi)
-	var r int32
 	if m.varGen[n.v] == m.gen {
-		r = m.applyOp(opOr, lo, hi)
-	} else {
-		r = m.mk(n.v, lo, hi)
+		return m.store(f, 0, tag, m.applyOp(opOr, lo, hi))
 	}
-	m.memo[f] = memoEntry{m.gen, r}
-	return r
+	return m.store(f, 0, tag, m.mk(n.v, lo, hi))
 }
 
 // AndExists returns ∃vars (a ∧ b), the relational product, in one
@@ -390,7 +396,6 @@ func (m *Manager) exists(f int32) int32 {
 // built. It equals Exists(And(a, b), vars).
 func (m *Manager) AndExists(a, b int, vars []int) int {
 	m.quantify(vars)
-	m.pairN = 0
 	return int(m.andExists(int32(a), int32(b)))
 }
 
@@ -411,8 +416,9 @@ func (m *Manager) andExists(f, g int32) int32 {
 	if v > m.qTop {
 		return m.applyOp(opAnd, f, g) // nothing left to quantify
 	}
-	if e := m.pairs[m.pairSlot(f, g)]; e.gen == m.gen {
-		return e.r
+	tag := m.gen<<3 | kindAndExists
+	if r, ok := m.lookup(f, g, tag); ok {
+		return r
 	}
 	flo, fhi := f, f
 	if nf.v == v {
@@ -423,42 +429,13 @@ func (m *Manager) andExists(f, g int32) int32 {
 		glo, ghi = ng.lo, ng.hi
 	}
 	lo := m.andExists(flo, glo)
-	var r int32
 	switch {
 	case m.varGen[v] != m.gen:
-		r = m.mk(v, lo, m.andExists(fhi, ghi))
+		return m.store(f, g, tag, m.mk(v, lo, m.andExists(fhi, ghi)))
 	case lo == 1:
-		r = 1 // lo ∨ anything
-	default:
-		r = m.applyOp(opOr, lo, m.andExists(fhi, ghi))
+		return m.store(f, g, tag, 1) // lo ∨ anything
 	}
-	// Probe again: the recursion may have filled or regrown the table.
-	m.pairs[m.pairSlot(f, g)] = pairEntry{gen: m.gen, a: f, b: g, r: r}
-	m.pairN++
-	if 2*m.pairN > len(m.pairs) {
-		old := m.pairs
-		m.pairs = make([]pairEntry, 2*len(old))
-		m.pShift--
-		for _, e := range old {
-			if e.gen == m.gen {
-				m.pairs[m.pairSlot(e.a, e.b)] = e
-			}
-		}
-	}
-	return r
-}
-
-// pairSlot returns the AndExists memo slot that holds (a, b) in the
-// current generation, or the stale or empty slot where it belongs.
-// Entries are never removed within a generation, so a probe may stop at
-// the first stale slot.
-func (m *Manager) pairSlot(a, b int32) uint64 {
-	mask := uint64(len(m.pairs) - 1)
-	for i := hash3(a, b, 0) >> m.pShift; ; i = (i + 1) & mask {
-		if e := &m.pairs[i]; e.gen != m.gen || e.a == a && e.b == b {
-			return i
-		}
-	}
+	return m.store(f, g, tag, m.applyOp(opOr, lo, m.andExists(fhi, ghi)))
 }
 
 // Replace renames variables in f according to the map (variables not in
@@ -484,8 +461,9 @@ func (m *Manager) replace(f int32) int32 {
 	if f <= 1 {
 		return f
 	}
-	if e := m.memo[f]; e.gen == m.gen {
-		return e.r
+	tag := m.gen<<3 | kindReplace
+	if r, ok := m.lookup(f, 0, tag); ok {
+		return r
 	}
 	n := m.nodes[f]
 	v := int(n.v)
@@ -494,14 +472,10 @@ func (m *Manager) replace(f int32) int32 {
 	}
 	lo := m.replace(n.lo)
 	hi := m.replace(n.hi)
-	var r int32
 	if nv := int32(v); 0 <= v && v < m.numVars && nv < m.nodes[lo].v && nv < m.nodes[hi].v {
-		r = m.mk(nv, lo, hi)
-	} else {
-		r = m.ite(int32(m.Var(v)), hi, lo)
+		return m.store(f, 0, tag, m.mk(nv, lo, hi))
 	}
-	m.memo[f] = memoEntry{m.gen, r}
-	return r
+	return m.store(f, 0, tag, m.ite(int32(m.Var(v)), hi, lo))
 }
 
 // Restrict fixes variable v to value val in f.
@@ -514,25 +488,21 @@ func (m *Manager) restrict(g int32, v int, val bool) int32 {
 	if g <= 1 {
 		return g
 	}
-	if e := m.memo[g]; e.gen == m.gen {
-		return e.r
-	}
 	n := m.nodes[g]
-	var r int32
 	switch {
 	case int(n.v) == v:
 		if val {
-			r = n.hi
-		} else {
-			r = n.lo
+			return n.hi
 		}
+		return n.lo
 	case int(n.v) > v:
-		r = g
-	default:
-		r = m.mk(n.v, m.restrict(n.lo, v, val), m.restrict(n.hi, v, val))
+		return g
 	}
-	m.memo[g] = memoEntry{m.gen, r}
-	return r
+	tag := m.gen<<3 | kindRestrict
+	if r, ok := m.lookup(g, 0, tag); ok {
+		return r
+	}
+	return m.store(g, 0, tag, m.mk(n.v, m.restrict(n.lo, v, val), m.restrict(n.hi, v, val)))
 }
 
 // Eval evaluates f under a total assignment (indexed by variable; a

@@ -1,7 +1,6 @@
 package bdd
 
 import (
-	"math"
 	"math/rand"
 	"reflect"
 	"strings"
@@ -12,7 +11,25 @@ import (
 // reference through one seeded operation sequence and requires, after
 // every operation, the same result and the same node count. Bebop's
 // -bdd-max-nodes cut-off and its node-count metric depend on this order.
+// It runs with the default computed table and with a one-slot table,
+// where almost every entry is evicted before it is read.
 func TestMatchesReference(t *testing.T) {
+	t.Run("default", matchesReference)
+	t.Run("one-slot", func(t *testing.T) {
+		defer oneSlotTable()()
+		matchesReference(t)
+	})
+}
+
+// oneSlotTable shrinks the computed table of managers made from now on
+// to its minimum, one slot, and returns the undo.
+func oneSlotTable() func() {
+	n := maxCacheSlots
+	maxCacheSlots = 1
+	return func() { maxCacheSlots = n }
+}
+
+func matchesReference(t *testing.T) {
 	for seed := int64(1); seed <= 40; seed++ {
 		r := rand.New(rand.NewSource(seed))
 		n := 3 + r.Intn(6)
@@ -134,26 +151,99 @@ func overlappingRename(r *rand.Rand, n int) map[int]int {
 }
 
 // TestScratchGenerationWrap checks that a wrapped generation counter
-// does not revive stale per-call memo entries.
+// does not revive stale per-call entries, and that the wrap keeps the
+// cross-call ones.
 func TestScratchGenerationWrap(t *testing.T) {
 	m, ref := New(5), newRef(5)
 	f := m.Xor(m.And(m.Var(0), m.Var(2)), m.Or(m.Var(1), m.Not(m.Var(4))))
 	rf := ref.Xor(ref.And(ref.Var(0), ref.Var(2)), ref.Or(ref.Var(1), ref.Not(ref.Var(4))))
-	// Stamp memo entries with generation 1, then wrap the counter so
-	// the next call would stamp 1 again without the reset.
+	// Tag entries with generations 1 and 2, then set the counter to its
+	// last value so the next call wraps to 1 and would tag 1 again
+	// without the drop.
 	m.Exists(f, []int{2})
 	ref.Exists(rf, []int{2})
 	m.AndExists(f, m.Var(3), []int{2})
 	ref.AndExists(rf, ref.Var(3), []int{2})
-	m.gen = math.MaxUint32
-	for _, vs := range [][]int{{1}, {0, 3}, {2}} {
+	m.gen = maxGen
+	kept := 0
+	for _, e := range m.cache {
+		if e.tag != 0 && e.tag <= opNot {
+			kept++
+		}
+	}
+	for i, vs := range [][]int{{1}, {0, 3}, {2}} {
 		if got, want := m.Exists(f, vs), ref.Exists(rf, vs); got != want {
 			t.Fatalf("Exists %v after wrap = %d, want %d", vs, got, want)
+		}
+		if i == 0 {
+			for _, e := range m.cache {
+				if e.tag > opNot && e.tag>>3 != m.gen {
+					t.Fatalf("entry of generation %d survived the wrap to %d", e.tag>>3, m.gen)
+				}
+				if e.tag != 0 && e.tag <= opNot {
+					kept--
+				}
+			}
+			if kept > 0 {
+				t.Fatalf("the wrap dropped %d cross-call entries", kept)
+			}
 		}
 		g, rg := m.Var(3), ref.Var(3)
 		if got, want := m.AndExists(f, g, vs), ref.AndExists(rf, rg, vs); got != want {
 			t.Fatalf("AndExists %v after wrap = %d, want %d", vs, got, want)
 		}
+	}
+}
+
+// TestTableSizeKeepsNodeIDs runs one seeded operation sequence with the
+// default computed table and with a one-slot table, and requires the
+// same results and the same node store, id for id.
+func TestTableSizeKeepsNodeIDs(t *testing.T) {
+	run := func() ([]int, []node, int) {
+		r := rand.New(rand.NewSource(5))
+		m := New(10)
+		pool := []int{0, 1}
+		var out []int
+		for step := 0; step < 3000; step++ {
+			a, b := pool[r.Intn(len(pool))], pool[r.Intn(len(pool))]
+			vs := r.Perm(m.NumVars())[:r.Intn(4)]
+			var got int
+			switch r.Intn(8) {
+			case 0:
+				got = m.Var(r.Intn(m.NumVars()))
+			case 1:
+				got = m.And(a, b)
+			case 2:
+				got = m.Or(a, b)
+			case 3:
+				got = m.Iff(a, b)
+			case 4:
+				got = m.Exists(a, vs)
+			case 5:
+				got = m.AndExists(a, b, vs)
+			case 6:
+				got = m.Replace(a, overlappingRename(r, m.NumVars()))
+			case 7:
+				got = m.Restrict(a, r.Intn(m.NumVars()), r.Intn(2) == 0)
+			}
+			out = append(out, got)
+			if got > 1 {
+				pool = append(pool, got)
+			}
+		}
+		return out, m.nodes, len(m.cache)
+	}
+	want, wantNodes, slots := run()
+	defer oneSlotTable()()
+	got, gotNodes, minSlots := run()
+	if minSlots != 1 || slots <= 1 {
+		t.Fatalf("computed tables of %d and %d slots, want many and one", slots, minSlots)
+	}
+	if !reflect.DeepEqual(got, want) {
+		t.Fatal("a one-slot computed table changed an operation's result")
+	}
+	if !reflect.DeepEqual(gotNodes, wantNodes) {
+		t.Fatalf("a one-slot computed table changed the node store (%d nodes, want %d)", len(gotNodes), len(wantNodes))
 	}
 }
 

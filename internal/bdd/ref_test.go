@@ -17,7 +17,7 @@ type refNode struct {
 type refTriple struct{ v, lo, hi int }
 
 type refApplyKey struct {
-	op   byte
+	op   uint32
 	a, b int
 }
 
@@ -96,7 +96,7 @@ func (m *refManager) ite(f, g, h int) int {
 	return m.Or(m.And(f, g), m.And(m.Not(f), h))
 }
 
-func (m *refManager) applyOp(op byte, a, b int) int {
+func (m *refManager) applyOp(op uint32, a, b int) int {
 	switch op {
 	case opAnd:
 		if a == 0 || b == 0 {

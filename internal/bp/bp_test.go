@@ -1,6 +1,7 @@
 package bp
 
 import (
+	"os"
 	"strings"
 	"testing"
 )
@@ -204,11 +205,33 @@ func TestBoolProcNeedsReturn(t *testing.T) {
 }
 
 // TestLexAllocatesOnce pins the lexer's one allocation on printed
-// boolean-program text: one-character tokens are slices of the source,
-// and the token slice is sized from it.
+// boolean-program text: tokens hold offsets into the source, and the
+// token slice is sized from it.
 func TestLexAllocatesOnce(t *testing.T) {
 	src := Print(MustParse(sampleSrc))
 	if n := testing.AllocsPerRun(20, func() { _, _ = lexBP(src) }); n != 1 {
 		t.Errorf("lexBP: %v allocs/op, want 1", n)
+	}
+}
+
+// parsed keeps BenchmarkParse's result live.
+var parsed *Program
+
+// BenchmarkParse parses the boolean program C2bp prints for the paper's
+// Figure 1 partition example.
+func BenchmarkParse(b *testing.B) {
+	raw, err := os.ReadFile("../../testdata/figure1_partition.bp.golden")
+	if err != nil {
+		b.Fatal(err)
+	}
+	src := string(raw)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		prog, err := Parse(src)
+		if err != nil {
+			b.Fatal(err)
+		}
+		parsed = prog
 	}
 }

@@ -2,6 +2,8 @@ package bp
 
 import (
 	"fmt"
+	"math"
+	"slices"
 	"strconv"
 	"strings"
 )
@@ -11,17 +13,92 @@ import (
 // while/do/od sugar (desugared to assumes and gotos at parse time, per
 // paper Section 4.4).
 
+// tokKind is a token's kind: an identifier, a number, a keyword or a
+// punctuation mark, or the end of the input.
+type tokKind byte
+
+const (
+	tEOF tokKind = iota
+	tID
+	tNum
+	tDecl
+	tBegin
+	tEnd
+	tEnforce
+	tSkip
+	tGoto
+	tAssume
+	tAssert
+	tReturn
+	tIf
+	tThen
+	tElse
+	tFi
+	tWhile
+	tDo
+	tOd
+	tChoose
+	tTrue
+	tFalse
+	tBool
+	tVoid
+	tIff     // <=>
+	tAssign  // :=
+	tImplies // =>
+	tLParen
+	tRParen
+	tSemi
+	tComma
+	tColon
+	tBang
+	tAmp
+	tBar
+	tStar
+	tLess
+	tGreater
+)
+
+// kindText spells each kind in error messages: the keyword or mark
+// itself, or "id", "num" and "eof".
+var kindText = [...]string{
+	tEOF: "eof", tID: "id", tNum: "num",
+	tDecl: "decl", tBegin: "begin", tEnd: "end", tEnforce: "enforce",
+	tSkip: "skip", tGoto: "goto", tAssume: "assume", tAssert: "assert",
+	tReturn: "return", tIf: "if", tThen: "then", tElse: "else", tFi: "fi",
+	tWhile: "while", tDo: "do", tOd: "od", tChoose: "choose",
+	tTrue: "true", tFalse: "false", tBool: "bool", tVoid: "void",
+	tIff: "<=>", tAssign: ":=", tImplies: "=>",
+	tLParen: "(", tRParen: ")", tSemi: ";", tComma: ",", tColon: ":",
+	tBang: "!", tAmp: "&", tBar: "|", tStar: "*", tLess: "<", tGreater: ">",
+}
+
+// keywords maps each keyword's spelling to its kind.
+var keywords = func() map[string]tokKind {
+	m := map[string]tokKind{}
+	for k := tDecl; k <= tVoid; k++ {
+		m[kindText[k]] = k
+	}
+	return m
+}()
+
+// bpToken is one token: its kind, its text as the source range
+// [from, to), and its line. It holds no pointer.
 type bpToken struct {
-	kind string // "id", "num", punctuation/keyword spelling, "eof"
-	text string
-	line int
+	from, to, line int32
+	kind           tokKind
 }
 
 func lexBP(src string) ([]bpToken, error) {
+	if len(src) > math.MaxInt32 {
+		return nil, fmt.Errorf("boolean program of %d bytes is too long", len(src))
+	}
 	// A printed boolean program holds about one token per 3.5 to 7
 	// bytes, so this is one allocation for the corpus; a denser source
 	// grows the slice.
 	toks := make([]bpToken, 0, len(src)/3+1)
+	tok := func(k tokKind, from, to, line int) {
+		toks = append(toks, bpToken{from: int32(from), to: int32(to), line: int32(line), kind: k})
+	}
 	line := 1
 	i := 0
 	for i < len(src) {
@@ -47,7 +124,7 @@ func lexBP(src string) ([]bpToken, error) {
 			if j >= len(src) {
 				return nil, fmt.Errorf("line %d: unterminated {name}", line)
 			}
-			toks = append(toks, bpToken{"id", src[i+1 : j], line})
+			tok(tID, i+1, j, line)
 			i = j + 1
 		case c == '_' || ('a' <= c && c <= 'z') || ('A' <= c && c <= 'Z'):
 			j := i
@@ -55,52 +132,53 @@ func lexBP(src string) ([]bpToken, error) {
 				('A' <= src[j] && src[j] <= 'Z') || ('0' <= src[j] && src[j] <= '9')) {
 				j++
 			}
-			word := src[i:j]
-			switch word {
-			case "decl", "begin", "end", "enforce", "skip", "goto", "assume",
-				"assert", "return", "if", "then", "else", "fi", "while", "do",
-				"od", "choose", "true", "false", "bool", "void":
-				toks = append(toks, bpToken{word, word, line})
-			default:
-				toks = append(toks, bpToken{"id", word, line})
+			k, ok := keywords[src[i:j]]
+			if !ok {
+				k = tID
 			}
+			tok(k, i, j, line)
 			i = j
 		case '0' <= c && c <= '9':
 			j := i
 			for j < len(src) && '0' <= src[j] && src[j] <= '9' {
 				j++
 			}
-			toks = append(toks, bpToken{"num", src[i:j], line})
+			tok(tNum, i, j, line)
 			i = j
 		default:
-			two := ""
-			if i+1 < len(src) {
-				two = src[i : i+2]
-			}
-			three := ""
-			if i+2 < len(src) {
-				three = src[i : i+3]
-			}
-			switch {
-			case three == "<=>":
-				toks = append(toks, bpToken{"<=>", three, line})
-				i += 3
-			case two == ":=" || two == "=>":
-				toks = append(toks, bpToken{two, two, line})
-				i += 2
-			case strings.ContainsRune("();,:!&|*<>", rune(c)):
-				toks = append(toks, bpToken{src[i : i+1], src[i : i+1], line})
-				i++
-			default:
+			k, n := punct(src[i:])
+			if n == 0 {
 				return nil, fmt.Errorf("line %d: unexpected character %q", line, c)
 			}
+			tok(k, i, i+n, line)
+			i += n
 		}
 	}
-	toks = append(toks, bpToken{"eof", "", line})
+	tok(tEOF, len(src), len(src), line)
 	return toks, nil
 }
 
+// punct returns the kind and length of the punctuation mark s starts
+// with, or length 0 if it starts with none.
+func punct(s string) (tokKind, int) {
+	switch {
+	case strings.HasPrefix(s, "<=>"):
+		return tIff, 3
+	case strings.HasPrefix(s, ":="):
+		return tAssign, 2
+	case strings.HasPrefix(s, "=>"):
+		return tImplies, 2
+	}
+	for k := tLParen; k <= tGreater; k++ {
+		if s[0] == kindText[k][0] {
+			return k, 1
+		}
+	}
+	return 0, 0
+}
+
 type bpParser struct {
+	src    string
 	toks   []bpToken
 	pos    int
 	labelN int
@@ -112,7 +190,7 @@ func Parse(src string) (*Program, error) {
 	if err != nil {
 		return nil, err
 	}
-	p := &bpParser{toks: toks}
+	p := &bpParser{src: src, toks: toks}
 	prog, err := p.program()
 	if err != nil {
 		return nil, err
@@ -130,13 +208,13 @@ func ParseExpr(src string) (Expr, error) {
 	if err != nil {
 		return nil, err
 	}
-	p := &bpParser{toks: toks}
+	p := &bpParser{src: src, toks: toks}
 	e, err := p.expr()
 	if err != nil {
 		return nil, err
 	}
-	if p.peek().kind != "eof" {
-		return nil, fmt.Errorf("line %d: unexpected %q after expression", p.peek().line, p.peek().text)
+	if t := p.peek(); t.kind != tEOF {
+		return nil, fmt.Errorf("line %d: unexpected %q after expression", t.line, p.text(t))
 	}
 	return e, nil
 }
@@ -152,23 +230,26 @@ func MustParse(src string) *Program {
 
 func (p *bpParser) peek() bpToken { return p.toks[p.pos] }
 
+// text returns a token's source text ("" at the end of the input).
+func (p *bpParser) text(t bpToken) string { return p.src[t.from:t.to] }
+
 func (p *bpParser) next() bpToken {
 	t := p.toks[p.pos]
-	if t.kind != "eof" {
+	if t.kind != tEOF {
 		p.pos++
 	}
 	return t
 }
 
-func (p *bpParser) expect(kind string) (bpToken, error) {
+func (p *bpParser) expect(kind tokKind) (bpToken, error) {
 	t := p.peek()
 	if t.kind != kind {
-		return t, fmt.Errorf("line %d: expected %q, found %q", t.line, kind, t.text)
+		return t, fmt.Errorf("line %d: expected %q, found %q", t.line, kindText[kind], p.text(t))
 	}
 	return p.next(), nil
 }
 
-func (p *bpParser) accept(kind string) bool {
+func (p *bpParser) accept(kind tokKind) bool {
 	if p.peek().kind == kind {
 		p.next()
 		return true
@@ -178,17 +259,17 @@ func (p *bpParser) accept(kind string) bool {
 
 func (p *bpParser) program() (*Program, error) {
 	prog := &Program{}
-	for p.accept("decl") {
+	for p.accept(tDecl) {
 		names, err := p.idList()
 		if err != nil {
 			return nil, err
 		}
 		prog.Globals = append(prog.Globals, names...)
-		if _, err := p.expect(";"); err != nil {
+		if _, err := p.expect(tSemi); err != nil {
 			return nil, err
 		}
 	}
-	for p.peek().kind != "eof" {
+	for p.peek().kind != tEOF {
 		pr, err := p.proc()
 		if err != nil {
 			return nil, err
@@ -201,12 +282,12 @@ func (p *bpParser) program() (*Program, error) {
 func (p *bpParser) idList() ([]string, error) {
 	var out []string
 	for {
-		t, err := p.expect("id")
+		t, err := p.expect(tID)
 		if err != nil {
 			return nil, err
 		}
-		out = append(out, t.text)
-		if !p.accept(",") {
+		out = append(out, p.text(t))
+		if !p.accept(tComma) {
 			return out, nil
 		}
 	}
@@ -215,75 +296,75 @@ func (p *bpParser) idList() ([]string, error) {
 func (p *bpParser) proc() (*Proc, error) {
 	pr := &Proc{}
 	switch p.peek().kind {
-	case "void":
+	case tVoid:
 		p.next()
-	case "bool":
+	case tBool:
 		p.next()
 		pr.NRet = 1
-		if p.accept("<") {
-			t, err := p.expect("num")
+		if p.accept(tLess) {
+			t, err := p.expect(tNum)
 			if err != nil {
 				return nil, err
 			}
-			n, err := strconv.Atoi(t.text)
+			n, err := strconv.Atoi(p.text(t))
 			if err != nil || n < 1 {
-				return nil, fmt.Errorf("line %d: bad return arity %q", t.line, t.text)
+				return nil, fmt.Errorf("line %d: bad return arity %q", t.line, p.text(t))
 			}
 			pr.NRet = n
-			if _, err := p.expect(">"); err != nil {
+			if _, err := p.expect(tGreater); err != nil {
 				return nil, err
 			}
 		}
 	default:
-		return nil, fmt.Errorf("line %d: expected procedure type, found %q", p.peek().line, p.peek().text)
+		return nil, fmt.Errorf("line %d: expected procedure type, found %q", p.peek().line, p.text(p.peek()))
 	}
-	name, err := p.expect("id")
+	name, err := p.expect(tID)
 	if err != nil {
 		return nil, err
 	}
-	pr.Name = name.text
-	if _, err := p.expect("("); err != nil {
+	pr.Name = p.text(name)
+	if _, err := p.expect(tLParen); err != nil {
 		return nil, err
 	}
-	if p.peek().kind != ")" {
+	if p.peek().kind != tRParen {
 		params, err := p.idList()
 		if err != nil {
 			return nil, err
 		}
 		pr.Params = params
 	}
-	if _, err := p.expect(")"); err != nil {
+	if _, err := p.expect(tRParen); err != nil {
 		return nil, err
 	}
-	if _, err := p.expect("begin"); err != nil {
+	if _, err := p.expect(tBegin); err != nil {
 		return nil, err
 	}
-	for p.accept("decl") {
+	for p.accept(tDecl) {
 		names, err := p.idList()
 		if err != nil {
 			return nil, err
 		}
 		pr.Locals = append(pr.Locals, names...)
-		if _, err := p.expect(";"); err != nil {
+		if _, err := p.expect(tSemi); err != nil {
 			return nil, err
 		}
 	}
-	if p.accept("enforce") {
+	if p.accept(tEnforce) {
 		e, err := p.expr()
 		if err != nil {
 			return nil, err
 		}
 		pr.Enforce = e
-		if _, err := p.expect(";"); err != nil {
+		if _, err := p.expect(tSemi); err != nil {
 			return nil, err
 		}
 	}
-	stmts, err := p.stmtSeq(map[string]bool{"end": true})
+	stmts, err := p.stmtSeq(tEnd)
 	if err != nil {
 		return nil, err
 	}
 	pr.Stmts = stmts
-	if _, err := p.expect("end"); err != nil {
+	if _, err := p.expect(tEnd); err != nil {
 		return nil, err
 	}
 	// Implicit trailing return for void procedures that fall off the end.
@@ -301,9 +382,9 @@ func (p *bpParser) freshLabel() string {
 }
 
 // stmtSeq parses statements until one of the stop keywords.
-func (p *bpParser) stmtSeq(stop map[string]bool) ([]*Stmt, error) {
+func (p *bpParser) stmtSeq(stop ...tokKind) ([]*Stmt, error) {
 	var out []*Stmt
-	for !stop[p.peek().kind] && p.peek().kind != "eof" {
+	for k := p.peek().kind; k != tEOF && !slices.Contains(stop, k); k = p.peek().kind {
 		ss, err := p.stmt()
 		if err != nil {
 			return nil, err
@@ -316,8 +397,8 @@ func (p *bpParser) stmtSeq(stop map[string]bool) ([]*Stmt, error) {
 // stmt parses one statement, possibly desugaring into several.
 func (p *bpParser) stmt() ([]*Stmt, error) {
 	var labels []string
-	for p.peek().kind == "id" && p.toks[p.pos+1].kind == ":" {
-		labels = append(labels, p.next().text)
+	for p.peek().kind == tID && p.toks[p.pos+1].kind == tColon {
+		labels = append(labels, p.text(p.next()))
 		p.next() // ':'
 	}
 	attach := func(ss []*Stmt, err error) ([]*Stmt, error) {
@@ -332,106 +413,106 @@ func (p *bpParser) stmt() ([]*Stmt, error) {
 
 	t := p.peek()
 	switch t.kind {
-	case "skip":
+	case tSkip:
 		p.next()
-		_, err := p.expect(";")
+		_, err := p.expect(tSemi)
 		return attach([]*Stmt{{Kind: Skip}}, err)
-	case "goto":
+	case tGoto:
 		p.next()
 		targets, err := p.idList()
 		if err != nil {
 			return nil, err
 		}
-		_, err = p.expect(";")
+		_, err = p.expect(tSemi)
 		return attach([]*Stmt{{Kind: Goto, Targets: targets}}, err)
-	case "assume", "assert":
+	case tAssume, tAssert:
 		p.next()
-		if _, err := p.expect("("); err != nil {
+		if _, err := p.expect(tLParen); err != nil {
 			return nil, err
 		}
 		e, err := p.expr()
 		if err != nil {
 			return nil, err
 		}
-		if _, err := p.expect(")"); err != nil {
+		if _, err := p.expect(tRParen); err != nil {
 			return nil, err
 		}
-		if _, err := p.expect(";"); err != nil {
+		if _, err := p.expect(tSemi); err != nil {
 			return nil, err
 		}
 		kind := Assume
-		if t.kind == "assert" {
+		if t.kind == tAssert {
 			kind = Assert
 		}
 		return attach([]*Stmt{{Kind: kind, Cond: e}}, nil)
-	case "return":
+	case tReturn:
 		p.next()
 		var vals []Expr
-		if p.peek().kind != ";" {
+		if p.peek().kind != tSemi {
 			var err error
 			vals, err = p.exprList()
 			if err != nil {
 				return nil, err
 			}
 		}
-		_, err := p.expect(";")
+		_, err := p.expect(tSemi)
 		return attach([]*Stmt{{Kind: Return, RetVals: vals}}, err)
-	case "if":
+	case tIf:
 		return attach(p.ifStmt())
-	case "while":
+	case tWhile:
 		return attach(p.whileStmt())
-	case "id":
+	case tID:
 		// Call without results, or (parallel) assignment / call with
 		// results.
-		if p.toks[p.pos+1].kind == "(" {
-			callee := p.next().text
+		if p.toks[p.pos+1].kind == tLParen {
+			callee := p.text(p.next())
 			args, err := p.callArgs()
 			if err != nil {
 				return nil, err
 			}
-			_, err = p.expect(";")
+			_, err = p.expect(tSemi)
 			return attach([]*Stmt{{Kind: Call, Callee: callee, Args: args}}, err)
 		}
 		lhs, err := p.idList()
 		if err != nil {
 			return nil, err
 		}
-		if _, err := p.expect(":="); err != nil {
+		if _, err := p.expect(tAssign); err != nil {
 			return nil, err
 		}
 		// Call on the right?
-		if p.peek().kind == "id" && p.toks[p.pos+1].kind == "(" {
-			callee := p.next().text
+		if p.peek().kind == tID && p.toks[p.pos+1].kind == tLParen {
+			callee := p.text(p.next())
 			args, err := p.callArgs()
 			if err != nil {
 				return nil, err
 			}
-			_, err = p.expect(";")
+			_, err = p.expect(tSemi)
 			return attach([]*Stmt{{Kind: Call, Callee: callee, Args: args, CallLhs: lhs}}, err)
 		}
 		rhs, err := p.exprList()
 		if err != nil {
 			return nil, err
 		}
-		_, err = p.expect(";")
+		_, err = p.expect(tSemi)
 		return attach([]*Stmt{{Kind: Assign, Lhs: lhs, Rhs: rhs}}, err)
 	}
-	return nil, fmt.Errorf("line %d: unexpected %q", t.line, t.text)
+	return nil, fmt.Errorf("line %d: unexpected %q", t.line, p.text(t))
 }
 
 func (p *bpParser) callArgs() ([]Expr, error) {
-	if _, err := p.expect("("); err != nil {
+	if _, err := p.expect(tLParen); err != nil {
 		return nil, err
 	}
 	var args []Expr
-	if p.peek().kind != ")" {
+	if p.peek().kind != tRParen {
 		var err error
 		args, err = p.exprList()
 		if err != nil {
 			return nil, err
 		}
 	}
-	_, err := p.expect(")")
+	_, err := p.expect(tRParen)
 	return args, err
 }
 
@@ -447,31 +528,31 @@ func (p *bpParser) callArgs() ([]Expr, error) {
 //	Le: skip;
 func (p *bpParser) ifStmt() ([]*Stmt, error) {
 	p.next() // if
-	if _, err := p.expect("("); err != nil {
+	if _, err := p.expect(tLParen); err != nil {
 		return nil, err
 	}
 	cond, err := p.expr()
 	if err != nil {
 		return nil, err
 	}
-	if _, err := p.expect(")"); err != nil {
+	if _, err := p.expect(tRParen); err != nil {
 		return nil, err
 	}
-	if _, err := p.expect("then"); err != nil {
+	if _, err := p.expect(tThen); err != nil {
 		return nil, err
 	}
-	thenS, err := p.stmtSeq(map[string]bool{"else": true, "fi": true})
+	thenS, err := p.stmtSeq(tElse, tFi)
 	if err != nil {
 		return nil, err
 	}
 	var elseS []*Stmt
-	if p.accept("else") {
-		elseS, err = p.stmtSeq(map[string]bool{"fi": true})
+	if p.accept(tElse) {
+		elseS, err = p.stmtSeq(tFi)
 		if err != nil {
 			return nil, err
 		}
 	}
-	if _, err := p.expect("fi"); err != nil {
+	if _, err := p.expect(tFi); err != nil {
 		return nil, err
 	}
 	lt, lf, le := p.freshLabel(), p.freshLabel(), p.freshLabel()
@@ -488,24 +569,24 @@ func (p *bpParser) ifStmt() ([]*Stmt, error) {
 // whileStmt desugars while (e) do S od similarly.
 func (p *bpParser) whileStmt() ([]*Stmt, error) {
 	p.next() // while
-	if _, err := p.expect("("); err != nil {
+	if _, err := p.expect(tLParen); err != nil {
 		return nil, err
 	}
 	cond, err := p.expr()
 	if err != nil {
 		return nil, err
 	}
-	if _, err := p.expect(")"); err != nil {
+	if _, err := p.expect(tRParen); err != nil {
 		return nil, err
 	}
-	if _, err := p.expect("do"); err != nil {
+	if _, err := p.expect(tDo); err != nil {
 		return nil, err
 	}
-	body, err := p.stmtSeq(map[string]bool{"od": true})
+	body, err := p.stmtSeq(tOd)
 	if err != nil {
 		return nil, err
 	}
-	if _, err := p.expect("od"); err != nil {
+	if _, err := p.expect(tOd); err != nil {
 		return nil, err
 	}
 	lh, lb, le := p.freshLabel(), p.freshLabel(), p.freshLabel()
@@ -537,7 +618,7 @@ func (p *bpParser) exprList() ([]Expr, error) {
 			return nil, err
 		}
 		out = append(out, e)
-		if !p.accept(",") {
+		if !p.accept(tComma) {
 			return out, nil
 		}
 	}
@@ -551,7 +632,7 @@ func (p *bpParser) iffExpr() (Expr, error) {
 	if err != nil {
 		return nil, err
 	}
-	for p.accept("<=>") {
+	for p.accept(tIff) {
 		r, err := p.impExpr()
 		if err != nil {
 			return nil, err
@@ -566,7 +647,7 @@ func (p *bpParser) impExpr() (Expr, error) {
 	if err != nil {
 		return nil, err
 	}
-	if p.accept("=>") {
+	if p.accept(tImplies) {
 		r, err := p.impExpr() // right associative
 		if err != nil {
 			return nil, err
@@ -581,7 +662,7 @@ func (p *bpParser) orExpr() (Expr, error) {
 	if err != nil {
 		return nil, err
 	}
-	for p.accept("|") {
+	for p.accept(tBar) {
 		r, err := p.andExpr()
 		if err != nil {
 			return nil, err
@@ -596,7 +677,7 @@ func (p *bpParser) andExpr() (Expr, error) {
 	if err != nil {
 		return nil, err
 	}
-	for p.accept("&") {
+	for p.accept(tAmp) {
 		r, err := p.unary()
 		if err != nil {
 			return nil, err
@@ -609,53 +690,53 @@ func (p *bpParser) andExpr() (Expr, error) {
 func (p *bpParser) unary() (Expr, error) {
 	t := p.peek()
 	switch t.kind {
-	case "!":
+	case tBang:
 		p.next()
 		x, err := p.unary()
 		if err != nil {
 			return nil, err
 		}
 		return Not{X: x}, nil
-	case "*":
+	case tStar:
 		p.next()
 		return Unknown{}, nil
-	case "true":
+	case tTrue:
 		p.next()
 		return Const{true}, nil
-	case "false":
+	case tFalse:
 		p.next()
 		return Const{false}, nil
-	case "choose":
+	case tChoose:
 		p.next()
-		if _, err := p.expect("("); err != nil {
+		if _, err := p.expect(tLParen); err != nil {
 			return nil, err
 		}
 		pos, err := p.expr()
 		if err != nil {
 			return nil, err
 		}
-		if _, err := p.expect(","); err != nil {
+		if _, err := p.expect(tComma); err != nil {
 			return nil, err
 		}
 		neg, err := p.expr()
 		if err != nil {
 			return nil, err
 		}
-		if _, err := p.expect(")"); err != nil {
+		if _, err := p.expect(tRParen); err != nil {
 			return nil, err
 		}
 		return Choose{Pos: pos, Neg: neg}, nil
-	case "id":
+	case tID:
 		p.next()
-		return Ref{Name: t.text}, nil
-	case "(":
+		return Ref{Name: p.text(t)}, nil
+	case tLParen:
 		p.next()
 		e, err := p.expr()
 		if err != nil {
 			return nil, err
 		}
-		_, err = p.expect(")")
+		_, err = p.expect(tRParen)
 		return e, err
 	}
-	return nil, fmt.Errorf("line %d: expected expression, found %q", t.line, t.text)
+	return nil, fmt.Errorf("line %d: expected expression, found %q", t.line, p.text(t))
 }

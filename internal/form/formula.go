@@ -128,9 +128,6 @@ func (f Or) String() string {
 	return strings.Join(parts, " || ")
 }
 
-// FormulaEq reports structural equality via canonical strings.
-func FormulaEq(a, b Formula) bool { return a.String() == b.String() }
-
 // MkAnd builds a flattened, simplified conjunction.
 func MkAnd(fs ...Formula) Formula {
 	var out []Formula
