@@ -27,10 +27,15 @@ verify-extended: verify lint-docs metrics-lint chaos crash corrupt serve-chaos f
 # Golden regeneration: rewrite the files that pin prover query counts
 # after a change that alters which queries the abstraction asks — the
 # corpus outputs (only calls= and session_checks= may move; every
-# sha256=, verdict= and iterations= field must stay) and the golden
-# subject's prover-cache export. Review the diff before committing.
+# sha256=, verdict= and iterations= field must stay), the lock
+# example's trace event stream and run report (only the prover/query
+# and cube/search spans, the cube and reuse counts of the abstract/proc
+# spans, and the report's prover-call, cache, cube and search-effort
+# counters may move; every boolean program, verdict, Bebop and Newton
+# line must stay) and the golden subject's prover-cache export. Review
+# the diff before committing.
 golden:
-	UPDATE_GOLDEN=1 $(GO) test -count=1 -run 'TestEngineDifferential(Table2|Drivers)' .
+	UPDATE_GOLDEN=1 $(GO) test -count=1 -run 'TestEngineDifferential(Table2|Drivers)|TestSlamTraceJSONLGolden|TestSlamReportTextGolden' .
 	$(GO) test -count=1 -run 'TestGoldenCacheExport' ./internal/checkpoint/ -update
 
 # Chaos gate: the deterministic fault-injection matrix (seeded prover

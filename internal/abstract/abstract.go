@@ -113,6 +113,13 @@ type Stats struct {
 	// CubeRounds counts prover-backed search rounds (one per cube size
 	// that produced candidates, across every F_V/G_V/enforce invocation).
 	CubeRounds int
+	// FVReused and EnforceReused count the F_V results and enforce
+	// invariants served from a scope record instead of searched: an
+	// earlier procedure asked the same question of the same predicate
+	// list. Their cubes count against the procedure's cube budget but not
+	// in CubesChecked or CubeRounds.
+	FVReused      int
+	EnforceReused int
 	// Assignments, Calls and Conditionals count translated C statements.
 	Assignments  int
 	Calls        int
@@ -198,6 +205,13 @@ type Abstractor struct {
 	// excluded from return predicates (footnote 4).
 	modifiedFormals map[string]map[string]bool
 
+	// scopes holds one record per distinct ordered predicate list, keyed
+	// by the predicates' names and canonical strings (see scope). It
+	// lives for one Abstract call.
+	scopes map[string]*scope
+	// maskBuf is cone's scratch inclusion bitmask.
+	maskBuf []byte
+
 	Stats Stats
 }
 
@@ -249,14 +263,16 @@ func Abstract(res *cnorm.Result, aa *alias.Analysis, pv prover.Querier,
 	for _, f := range res.Prog.Funcs {
 		procStart := time.Now()
 		procSpan := tracer.Begin("abstract", "proc")
-		rounds0, cubes0 := ab.Stats.CubeRounds, ab.Stats.CubesChecked
+		s0 := ab.Stats
 		pr, err := ab.abstractProc(f)
 		if err != nil {
 			return nil, err
 		}
-		rounds, cubes := ab.Stats.CubeRounds-rounds0, ab.Stats.CubesChecked-cubes0
+		rounds, cubes := ab.Stats.CubeRounds-s0.CubeRounds, ab.Stats.CubesChecked-s0.CubesChecked
 		procSpan.End(trace.Str("proc", f.Name),
-			trace.Int("rounds", rounds), trace.Int("cubes", cubes))
+			trace.Int("rounds", rounds), trace.Int("cubes", cubes),
+			trace.Int("reused", ab.Stats.FVReused-s0.FVReused),
+			trace.Int("enforce_reused", ab.Stats.EnforceReused-s0.EnforceReused))
 		ab.Stats.ProcCubes = append(ab.Stats.ProcCubes,
 			ProcCubeStat{Name: f.Name, Rounds: rounds, Cubes: cubes})
 		ab.Stats.ProcTimes = append(ab.Stats.ProcTimes,
@@ -495,7 +511,7 @@ type translator struct {
 	ab     *Abstractor
 	f      *cast.FuncDef
 	sig    *Signature
-	scope  []Pred // globals + locals of f (cube-search domain)
+	scope  *scope // globals + locals of f (cube-search domain)
 	oracle fnOracle
 
 	stmts         []*bp.Stmt
@@ -569,8 +585,11 @@ func (ab *Abstractor) abstractProc(f *cast.FuncDef) (*bp.Proc, error) {
 		sig:    sig,
 		oracle: fnOracle{aa: ab.aa, fn: f.Name},
 	}
-	tr.scope = append(tr.scope, ab.globalPreds...)
-	tr.scope = append(tr.scope, ab.localPreds[f.Name]...)
+	preds := ab.globalPreds
+	if locals := ab.localPreds[f.Name]; len(locals) > 0 {
+		preds = append(preds[:len(preds):len(preds)], locals...)
+	}
+	tr.scope = ab.scopeOf(preds)
 
 	tr.block(f.Body)
 	// Final return (paper form: procedures end with return of E_r).
@@ -589,7 +608,7 @@ func (ab *Abstractor) abstractProc(f *cast.FuncDef) (*bp.Proc, error) {
 	}
 	pr.Locals = append(pr.Locals, tr.extraLocals...)
 	if ab.opts.EmitEnforce {
-		pr.Enforce = ab.enforceExpr(f.Name, tr.scope)
+		pr.Enforce = ab.enforceExpr(tr.scope)
 	}
 	pr.Stmts = tr.stmts
 	return pr, nil
@@ -764,7 +783,7 @@ func (tr *translator) assign(s *cast.AssignStmt) {
 
 	var lhs []string
 	var rhs []bp.Expr
-	for _, p := range tr.scope {
+	for _, p := range tr.scope.preds {
 		wpPos, okPos := wp.AssignmentOK(tr.oracle, lhsT, rhsT, p.F)
 		if tr.ab.opts.SkipUnchanged && okPos && wpPos.String() == p.key {
 			// Optimization 2: the predicate is definitely unchanged.
@@ -794,7 +813,7 @@ func (tr *translator) havoc(s *cast.AssignStmt, comment string) {
 	collectExprVars(s.Lhs, vars)
 	var lhs []string
 	var rhs []bp.Expr
-	for _, p := range tr.scope {
+	for _, p := range tr.scope.preds {
 		affected := false
 		for _, v := range form.FormulaVars(p.F) {
 			if vars[v] {
@@ -959,18 +978,19 @@ func (tr *translator) call(origin cast.Stmt, lhs cast.Expr, c *cast.Call) {
 	// Domain: unchanged predicates (E') plus the translated return
 	// predicates (T).
 	var domain []Pred
-	for _, p := range tr.scope {
+	for _, p := range tr.scope.preds {
 		if !inUpd[p.Name] {
 			domain = append(domain, p)
 		}
 	}
 	domain = append(domain, tempPreds...)
+	dsc := tr.ab.scopeOf(domain)
 
 	var updLhs []string
 	var updRhs []bp.Expr
 	for _, p := range updPreds {
-		pos := tr.ab.fv(tr.f.Name, domain, p.F)
-		neg := tr.ab.fv(tr.f.Name, domain, p.Neg())
+		pos := tr.ab.fv(tr.f.Name, dsc, p.F)
+		neg := tr.ab.fv(tr.f.Name, dsc, p.Neg())
 		updLhs = append(updLhs, p.Name)
 		updRhs = append(updRhs, mkChoose(pos, neg))
 	}

@@ -67,7 +67,7 @@ func TestFVPrimeImplicantsOnly(t *testing.T) {
 	}
 	// F(x < 5): {x<5} is an implicant; {x==1} too; but {x==1 & x<5} must be
 	// pruned as a superset of both.
-	got := ab.fv("f", preds, mkFormula(t, "x < 5"))
+	got := ab.fv("f", ab.scopeOf(preds), mkFormula(t, "x < 5"))
 	s := got.String()
 	if !strings.Contains(s, "{x < 5}") || !strings.Contains(s, "{x == 1}") {
 		t.Fatalf("missing singleton implicants: %s", s)
@@ -91,7 +91,7 @@ func TestFVUnderapproximates(t *testing.T) {
 		mkPred(t, "y < 0"),
 	}
 	phi := mkFormula(t, "x > 5")
-	got := ab.fv("f", preds, phi)
+	got := ab.fv("f", ab.scopeOf(preds), phi)
 	// x > 10 implies x > 5; nothing else does alone.
 	if got.String() != "{x > 10}" {
 		t.Errorf("F(x>5) = %s, want {x > 10}", got)
@@ -106,29 +106,32 @@ func TestGVOverapproximates(t *testing.T) {
 	}
 	// G(x > 5) = ¬F(x <= 5) = ¬(!{x>0}) = {x>0} ... plus any longer cubes
 	// pruned: x>5 implies x>0.
-	got := ab.gv("f", preds, mkFormula(t, "x > 5"))
+	got := ab.gv("f", ab.scopeOf(preds), mkFormula(t, "x > 5"))
 	if !strings.Contains(got.String(), "x > 0") {
 		t.Errorf("G(x>5) = %s, expected to mention x > 0", got)
 	}
 }
 
 func TestCubeLengthLimitChangesPrecision(t *testing.T) {
-	ab := newAbstractor(t, "void f(int a, int b, int c) { a = b; }", DefaultOptions())
-	ab.opts.SyntacticHeuristics = false
-	preds := []Pred{
-		mkPred(t, "a > 0"),
-		mkPred(t, "b > 0"),
-		mkPred(t, "c > 0"),
+	// Each cube length gets its own Abstractor, as each Abstract call
+	// does: a scope record's results hold for one set of options.
+	fvAt := func(k int) bp.Expr {
+		ab := newAbstractor(t, "void f(int a, int b, int c) { a = b; }", DefaultOptions())
+		ab.opts.SyntacticHeuristics = false
+		ab.opts.MaxCubeLen = k
+		preds := []Pred{
+			mkPred(t, "a > 0"),
+			mkPred(t, "b > 0"),
+			mkPred(t, "c > 0"),
+		}
+		return ab.fv("f", ab.scopeOf(preds), mkFormula(t, "a + b + c > 0"))
 	}
-	phi := mkFormula(t, "a + b + c > 0")
 	// Only the 3-cube {a>0 & b>0 & c>0} implies φ.
-	ab.opts.MaxCubeLen = 2
-	weak := ab.fv("f", preds, phi)
+	weak := fvAt(2)
 	if _, ok := weak.(bp.Const); !ok || weak.String() != "false" {
 		t.Fatalf("k=2 should find nothing: %s", weak)
 	}
-	ab.opts.MaxCubeLen = 3
-	strong := ab.fv("f", preds, phi)
+	strong := fvAt(3)
 	if !strings.Contains(strong.String(), "{a > 0} & {b > 0}") {
 		t.Errorf("k=3 should find the triple cube: %s", strong)
 	}

@@ -149,20 +149,13 @@ func enumerateCubes(n, size int, keep func([]literal) bool) [][]literal {
 	return out
 }
 
-// fv computes F_V(phi): the largest disjunction of cubes over preds that
-// implies phi (Section 4.1), as a boolean-program expression.
-//
-// The cube space is enumerated in sized rounds (Section 5.2,
-// optimization 1) so pruning sees short implicants first, yielding prime
-// implicants only. Within one round the candidate cubes are checked
-// against the prover on a bounded worker pool (Options.Jobs wide): the
-// superset pruning can never fire between two cubes of the same size
-// (equal-size containment means equality, and enumeration never repeats
-// a cube), so the recorded implicant/contradiction sets only change at
-// round boundaries and the round's checks are order-independent. Results
-// are merged back in canonical enumeration order, making the output
-// byte-identical to the sequential scan for any worker count.
-func (ab *Abstractor) fv(fn string, preds []Pred, phi form.Formula) bp.Expr {
+// fv computes F_V(phi): the largest disjunction of cubes over the
+// scope's predicates that implies phi (Section 4.1), as a
+// boolean-program expression. The search over phi's cone domain runs
+// once per Abstract call: its result is kept in the domain's scope
+// record and served to every later call that asks the same phi of the
+// same domain (see scope).
+func (ab *Abstractor) fv(fn string, sc *scope, phi form.Formula) bp.Expr {
 	switch phi.(type) {
 	case form.TrueF:
 		return bp.Const{Val: true}
@@ -171,10 +164,12 @@ func (ab *Abstractor) fv(fn string, preds []Pred, phi form.Formula) bp.Expr {
 	}
 
 	// Optimization 4 (syntactic heuristics): an exact predicate or negated
-	// predicate match needs no prover calls.
+	// predicate match needs no prover calls. phi's canonical string also
+	// keys the memo.
+	key := phi.String()
 	if ab.opts.SyntacticHeuristics {
-		key, nnfKey := phi.String(), form.NNF(phi).String()
-		for _, p := range preds {
+		nnfKey := form.NNF(phi).String()
+		for _, p := range sc.preds {
 			if p.key == key || p.nnfKey == nnfKey {
 				return bp.Ref{Name: p.Name}
 			}
@@ -191,13 +186,13 @@ func (ab *Abstractor) fv(fn string, preds []Pred, phi form.Formula) bp.Expr {
 		case form.And:
 			out := bp.Expr(bp.Const{Val: true})
 			for _, g := range phi.Fs {
-				out = bp.MkAnd(out, ab.fv(fn, preds, g))
+				out = bp.MkAnd(out, ab.fv(fn, sc, g))
 			}
 			return out
 		case form.Or:
 			out := bp.Expr(bp.Const{Val: false})
 			for _, g := range phi.Fs {
-				out = bp.MkOr(out, ab.fv(fn, preds, g))
+				out = bp.MkOr(out, ab.fv(fn, sc, g))
 			}
 			return out
 		}
@@ -213,33 +208,64 @@ func (ab *Abstractor) fv(fn string, preds []Pred, phi form.Formula) bp.Expr {
 		return bp.Const{Val: false}
 	}
 
-	// Everything below is prover-backed cube search; time it as one stage.
+	// Optimization 3: cone of influence. The cone is purely syntactic, so
+	// computing it before the degenerate checks costs no queries, and the
+	// model engine's sessions track exactly the cube domain's atoms.
+	dom := sc
+	if ab.opts.ConeOfInfluence {
+		dom = ab.cone(fn, sc, phi)
+	}
+	if r, ok := dom.fv[key]; ok && ab.reuse(r.cubes) {
+		ab.Stats.FVReused++
+		if ReuseHook != nil {
+			ReuseHook("fv", r.e, func() bp.Expr {
+				fresh := ab.fresh()
+				return fresh.fvSearch(fresh.scopeOf(dom.preds), phi)
+			})
+		}
+		return r.e
+	}
+	m := ab.mark()
+	e := ab.fvSearch(dom, phi)
+	if r, ok := ab.record(m, e); ok {
+		if dom.fv == nil {
+			dom.fv = map[string]reusable{}
+		}
+		dom.fv[key] = r
+	}
+	return e
+}
+
+// fvSearch is fv's prover-backed cube search over the domain dom.
+//
+// The cube space is enumerated in sized rounds (Section 5.2,
+// optimization 1) so pruning sees short implicants first, yielding prime
+// implicants only. Within one round the candidate cubes are checked
+// against the prover on a bounded worker pool (Options.Jobs wide): the
+// superset pruning can never fire between two cubes of the same size
+// (equal-size containment means equality, and enumeration never repeats
+// a cube), so the recorded implicant/contradiction sets only change at
+// round boundaries and the round's checks are order-independent. Results
+// are merged back in canonical enumeration order, making the output
+// byte-identical to the sequential scan for any worker count.
+func (ab *Abstractor) fvSearch(dom *scope, phi form.Formula) bp.Expr {
 	searchStart := time.Now()
 	searchSpan := ab.opts.Tracer.Begin("cube", "search")
 	defer func() {
 		ab.Stats.CubeSearchTime += time.Since(searchStart)
 		searchSpan.End()
 	}()
-
-	// Optimization 3: cone of influence. The cone is purely syntactic, so
-	// computing it before the degenerate checks costs no queries, and the
-	// model engine's sessions track exactly the cube domain's atoms.
-	domain := preds
-	if ab.opts.ConeOfInfluence {
-		domain = ab.cone(fn, preds, phi)
-	}
-
-	// Engine dispatch: everything above is shared, and so are the rounds
-	// below; the engines differ only in how a candidate gets its verdict.
+	// Engine dispatch: the rounds below are shared; the engines differ
+	// only in how a candidate gets its verdict.
 	classifierFor := ab.fvQueries
 	if ab.opts.Engine == EngineModels {
 		classifierFor = ab.fvModels
 	}
-	classify, early := classifierFor(domain, phi)
+	classify, early := classifierFor(dom, phi)
 	if early != nil {
 		return early
 	}
-	return bp.OrAll(ab.rounds(domain, verdictImplicant, nil, classify))
+	return bp.OrAll(ab.rounds(dom.preds, verdictImplicant, nil, classify))
 }
 
 // fvQueries is the cube engine's F_V classifier: Valid(cube, φ), then
@@ -247,7 +273,7 @@ func (ab *Abstractor) fv(fn string, preds []Pred, phi form.Formula) bp.Expr {
 // against the domain's one compilation. It first answers the degenerate
 // goals early: a valid φ needs no cubes at all, and an unsatisfiable φ
 // has none.
-func (ab *Abstractor) fvQueries(domain []Pred, phi form.Formula) (classifier, bp.Expr) {
+func (ab *Abstractor) fvQueries(sc *scope, phi form.Formula) (classifier, bp.Expr) {
 	if ab.pv.Valid(form.TrueF{}, phi) {
 		return nil, bp.Const{Val: true}
 	}
@@ -255,25 +281,17 @@ func (ab *Abstractor) fvQueries(domain []Pred, phi form.Formula) (classifier, bp
 		return nil, bp.Const{Val: false}
 	}
 	notPhi := form.NNF(form.MkNot(phi))
-	dom := ab.cubeDomain(domain)
+	dom := sc.domain(ab.pv)
 	goal, notGoal := dom.Goal(phi), dom.Goal(notPhi)
 	return func(cands [][]literal, verdicts []cubeVerdict) {
 		checkRound(ab.opts.Tracer, len(cands), ab.jobs(), func(i int) {
-			if checkCube(dom, domain, cands[i], goal, phi) {
+			if checkCube(dom, sc.preds, cands[i], goal, phi) {
 				verdicts[i] = verdictImplicant
-			} else if checkCube(dom, domain, cands[i], notGoal, notPhi) {
+			} else if checkCube(dom, sc.preds, cands[i], notGoal, notPhi) {
 				verdicts[i] = verdictContradiction
 			}
 		})
 	}, nil
-}
-
-// cubeDomain compiles the cube engine's literal domain: each predicate
-// and its negation.
-func (ab *Abstractor) cubeDomain(domain []Pred) *prover.Domain {
-	return prover.NewDomain(prover.Backing(ab.pv), len(domain), func(i int) (form.Formula, form.Formula) {
-		return domain[i].F, domain[i].Neg()
-	})
 }
 
 // checkCube asks whether the cube implies goal (whose formula is
@@ -361,8 +379,8 @@ func (ab *Abstractor) rounds(domain []Pred, want cubeVerdict, keep func([]litera
 // gv computes G_V(phi) = ¬F_V(¬phi): the strongest expressible formula
 // implied by phi (Section 4.1). It inherits fv's parallelism and
 // determinism guarantees.
-func (ab *Abstractor) gv(fn string, preds []Pred, phi form.Formula) bp.Expr {
-	return bp.MkNot(ab.fv(fn, preds, form.NNF(form.MkNot(phi))))
+func (ab *Abstractor) gv(fn string, sc *scope, phi form.Formula) bp.Expr {
+	return bp.MkNot(ab.fv(fn, sc, form.NNF(form.MkNot(phi))))
 }
 
 // cubeFormula conjoins the cube's literals as a formula.
@@ -420,31 +438,49 @@ func containsAll(cube, sub []literal) bool {
 
 // cone restricts the predicate domain to those that can possibly be part
 // of a cube implying phi: predicates mentioning a location of phi or an
-// alias of one, iterated to a fixpoint (Section 5.2, optimization 3).
-func (ab *Abstractor) cone(fn string, preds []Pred, phi form.Formula) []Pred {
+// alias of one, iterated to a fixpoint (Section 5.2, optimization 3). It
+// returns the record of the restricted list.
+func (ab *Abstractor) cone(fn string, sc *scope, phi form.Formula) *scope {
 	locs := form.ReadLocations(phi)
-	included := make([]bool, len(preds))
+	mask := ab.maskBuf[:0]
+	for i := 0; i < len(sc.preds); i += 8 {
+		mask = append(mask, 0)
+	}
+	n := 0
 	changed := true
 	for changed {
 		changed = false
-		for i, p := range preds {
-			if included[i] {
+		for i, p := range sc.preds {
+			if mask[i/8]&(1<<(i%8)) != 0 {
 				continue
 			}
 			if ab.predTouches(fn, p, locs) {
-				included[i] = true
+				mask[i/8] |= 1 << (i % 8)
+				n++
 				changed = true
 				locs = append(locs, p.reads...)
 			}
 		}
 	}
-	var out []Pred
-	for i, p := range preds {
-		if included[i] {
+	ab.maskBuf = mask
+	if n == len(sc.preds) {
+		return sc
+	}
+	if c := sc.cones[string(mask)]; c != nil {
+		return c
+	}
+	out := make([]Pred, 0, n)
+	for i, p := range sc.preds {
+		if mask[i/8]&(1<<(i%8)) != 0 {
 			out = append(out, p)
 		}
 	}
-	return out
+	c := ab.scopeOf(out)
+	if sc.cones == nil {
+		sc.cones = map[string]*scope{}
+	}
+	sc.cones[string(mask)] = c
+	return c
 }
 
 // predTouches reports whether the predicate mentions one of the locations
@@ -460,11 +496,13 @@ func (ab *Abstractor) predTouches(fn string, p Pred, locs []form.Term) bool {
 	return false
 }
 
-// enforceExpr computes the per-procedure data invariant ¬F_{V}(false)
-// (Section 5.1): F_V(false) is the disjunction of minimal inconsistent
-// cubes over the predicates, which the enforce statement rules out. It
-// runs fv's rounds, on the same worker pool and with the same
-// deterministic merge, and asks only about connected candidates.
+// enforceExpr computes the data invariant ¬F_{V}(false) of a
+// procedure whose predicates are the scope's (Section 5.1): F_V(false)
+// is the disjunction of minimal inconsistent cubes over the predicates,
+// which the enforce statement rules out. It runs fv's rounds, on the
+// same worker pool and with the same deterministic merge, and asks only
+// about connected candidates. The search runs once per scope record;
+// later procedures of the same scope are served its result.
 //
 // A candidate that survives superset pruning but is not connected under
 // linkGraph is skipped without a verdict. Its connected components are
@@ -475,7 +513,7 @@ func (ab *Abstractor) predTouches(fn string, p Pred, locs []form.Term) bool {
 // could never be inconsistent. A sub-cube whose query gave up is not
 // known satisfiable; skipping its supersets then only leaves disjuncts
 // out of the invariant, which is sound.
-func (ab *Abstractor) enforceExpr(fn string, preds []Pred) bp.Expr {
+func (ab *Abstractor) enforceExpr(sc *scope) bp.Expr {
 	// A degraded procedure emits no (or a partial) enforce invariant.
 	// Every cube the search did record is genuinely unsatisfiable, so a
 	// partial disjunction only prunes impossible states — sound; pruning
@@ -483,6 +521,26 @@ func (ab *Abstractor) enforceExpr(fn string, preds []Pred) bp.Expr {
 	if ab.degraded() {
 		return nil
 	}
+	if r := sc.enforce; r != nil && ab.reuse(r.cubes) {
+		ab.Stats.EnforceReused++
+		if ReuseHook != nil {
+			ReuseHook("enforce", r.e, func() bp.Expr {
+				fresh := ab.fresh()
+				return fresh.enforceSearch(fresh.scopeOf(sc.preds))
+			})
+		}
+		return r.e
+	}
+	m := ab.mark()
+	e := ab.enforceSearch(sc)
+	if r, ok := ab.record(m, e); ok {
+		sc.enforce = &r
+	}
+	return e
+}
+
+// enforceSearch is enforceExpr's cube search over the scope.
+func (ab *Abstractor) enforceSearch(sc *scope) bp.Expr {
 	searchStart := time.Now()
 	searchSpan := ab.opts.Tracer.Begin("cube", "enforce")
 	skipped0 := ab.Stats.CubesSkipped
@@ -491,7 +549,7 @@ func (ab *Abstractor) enforceExpr(fn string, preds []Pred) bp.Expr {
 		searchSpan.End(trace.Int("skipped", ab.Stats.CubesSkipped-skipped0))
 	}()
 
-	links := predLinks(preds)
+	preds, links := sc.preds, sc.linkGraph()
 	var classify classifier
 	// Engine dispatch, mirroring fv: the model engine replaces the
 	// per-candidate Unsat queries with one enumeration of the
@@ -522,7 +580,7 @@ func (ab *Abstractor) enforceExpr(fn string, preds []Pred) bp.Expr {
 			}
 		}
 	} else {
-		dom := ab.cubeDomain(preds)
+		dom := sc.domain(ab.pv)
 		classify = func(cands [][]literal, verdicts []cubeVerdict) {
 			checkRound(ab.opts.Tracer, len(cands), ab.jobs(), func(i int) {
 				if checkCube(dom, preds, cands[i], nil, nil) {

@@ -154,7 +154,7 @@ func TestEnforceEnumWinsGuard(t *testing.T) {
 func TestEnforceSkipsDisconnectedCubes(t *testing.T) {
 	ab := newAbstractor(t, `int f(int x, int y) { return x; }`, DefaultOptions())
 	preds := []Pred{mkPred(t, "x == 0"), mkPred(t, "y == 0")}
-	if inv := ab.enforceExpr("f", preds); inv != nil {
+	if inv := ab.enforceExpr(ab.scopeOf(preds)); inv != nil {
 		t.Errorf("enforce invariant %v, want none", inv)
 	}
 	if ab.Stats.CubesChecked != 4 || ab.Stats.CubesSkipped != 4 {

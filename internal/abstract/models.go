@@ -119,7 +119,8 @@ func (e *enumeration) close() {
 // rounds then emit a disjunction byte-identical to the cube engine's
 // whenever the provers' theory verdicts agree (see DESIGN.md for the
 // incompleteness corner). An interrupted enumeration answers false.
-func (ab *Abstractor) fvModels(domain []Pred, phi form.Formula) (classifier, bp.Expr) {
+func (ab *Abstractor) fvModels(sc *scope, phi form.Formula) (classifier, bp.Expr) {
+	domain := sc.preds
 	eS := ab.startEnum(form.NNF(form.MkNot(phi)), domain, "notphi")
 	defer eS.close()
 	if !eS.step() {

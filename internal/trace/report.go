@@ -136,6 +136,11 @@ type Report struct {
 	// enforce candidates never submitted because their predicates share
 	// no symbol the prover relates.
 	CubesSkipped int `json:"cubes_skipped"`
+	// FVReused and EnforceReused sum the "reused" and "enforce_reused"
+	// fields of the abstract/proc spans: F_V results and enforce
+	// invariants served from a scope record instead of searched.
+	FVReused      int `json:"fv_reused"`
+	EnforceReused int `json:"enforce_reused"`
 
 	// StageNS maps pipeline stage names (parse, alias, signatures,
 	// abstract, cube-search, check, newton) to cumulative wall time;
@@ -191,9 +196,11 @@ type aggregator struct {
 	fmRuns       int64
 	eqProbes     int64
 
-	cubeRounds   int
-	cubesChecked int
-	cubesSkipped int
+	cubeRounds    int
+	cubesChecked  int
+	cubesSkipped  int
+	fvReused      int
+	enforceReused int
 
 	sessions        int
 	sessionChecks   int
@@ -283,6 +290,12 @@ func (a *aggregator) consume(cat, name string, dur time.Duration, fields []Field
 			}
 			if n, ok := fieldIntVal(fields, "cubes"); ok {
 				pc.Cubes += int(n)
+			}
+			if n, ok := fieldIntVal(fields, "reused"); ok {
+				a.fvReused += int(n)
+			}
+			if n, ok := fieldIntVal(fields, "enforce_reused"); ok {
+				a.enforceReused += int(n)
 			}
 		}
 	case "cube":
@@ -502,10 +515,12 @@ func (t *Tracer) Report() *Report {
 		SessionChecks:   a.sessionChecks,
 		ModelsExtracted: a.modelsExtracted,
 
-		CubeRounds:   a.cubeRounds,
-		CubesChecked: a.cubesChecked,
-		CubesSkipped: a.cubesSkipped,
-		StageNS:      map[string]int64{},
+		CubeRounds:    a.cubeRounds,
+		CubesChecked:  a.cubesChecked,
+		CubesSkipped:  a.cubesSkipped,
+		FVReused:      a.fvReused,
+		EnforceReused: a.enforceReused,
+		StageNS:       map[string]int64{},
 
 		BebopIterations: a.bebopIters,
 		MaxWorklist:     a.maxWorklist,
@@ -562,8 +577,8 @@ func (r *Report) Text() string {
 		fmt.Fprintf(&b, "prover sessions: %d (checks: %d, models extracted: %d)\n",
 			r.Sessions, r.SessionChecks, r.ModelsExtracted)
 	}
-	fmt.Fprintf(&b, "cubes checked: %d (in %d search rounds; %d disconnected enforce cubes skipped)\n",
-		r.CubesChecked, r.CubeRounds, r.CubesSkipped)
+	fmt.Fprintf(&b, "cubes checked: %d (in %d search rounds; %d disconnected enforce cubes skipped; reused %d F_V results, %d enforce invariants)\n",
+		r.CubesChecked, r.CubeRounds, r.CubesSkipped, r.FVReused, r.EnforceReused)
 	fmt.Fprintf(&b, "prover search: %d nodes, %d theory leaves, %d fourier-motzkin runs, %d equality probes\n",
 		r.SearchNodes, r.TheoryLeaves, r.FMRuns, r.EqualityProbes)
 	fmt.Fprintf(&b, "theory solver time: %v\n", time.Duration(r.SolverNS))

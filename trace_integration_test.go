@@ -268,6 +268,8 @@ func TestReportTotalsMatchStats(t *testing.T) {
 				{"cubes checked", rep.CubesChecked, s.CubesChecked},
 				{"cubes skipped", rep.CubesSkipped, s.CubesSkipped},
 				{"cube rounds", rep.CubeRounds, s.CubeRounds},
+				{"F_V reused", rep.FVReused, s.FVReused},
+				{"enforce reused", rep.EnforceReused, s.EnforceReused},
 				{"predicates", rep.Predicates, s.Predicates},
 				{"sessions", rep.Sessions, s.ProverSessions},
 				{"session checks", rep.SessionChecks, s.SessionChecks},
