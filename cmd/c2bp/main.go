@@ -127,11 +127,12 @@ func run() (code int) {
 	fmt.Print(bprog.Text())
 	if *stats {
 		s := bprog.Stats()
-		fmt.Fprintf(os.Stderr, "predicates: %d\ntheorem prover calls: %d\nprover cache hits: %d\nprover cache misses: %d\nprover gave up: %d\ncubes checked: %d (reused %d F_V results, %d enforce invariants)\ncube-search rounds: %d\nenforce cubes skipped: %d\n",
-			s.Predicates, s.ProverCalls, s.CacheHits, s.CacheMisses(), s.ProverGaveUp, s.CubesChecked, s.FVReused, s.EnforceReused, s.CubeRounds, s.CubesSkipped)
+		fmt.Fprintf(os.Stderr, "predicates: %d\ntheorem prover calls: %d\nprover cache hits: %d\nprover cache misses: %d\nprover gave up: %d\n",
+			s.Predicates, s.ProverCalls, s.CacheHits, s.CacheMisses(), s.ProverGaveUp)
+		obs.WriteCubeStats(os.Stderr, s.CubeStats)
 		obs.WriteProverStats(os.Stderr, s.Stats)
-		fmt.Fprintf(os.Stderr, "stage parse+check+normalize: %v\nstage alias analysis: %v\nstage signatures: %v\nstage abstraction: %v\n  of which cube search: %v\n  of which theory solving: %v\n",
-			s.ParseTime, s.AliasTime, s.SignatureTime, s.AbstractTime, s.CubeSearchTime, s.SolverTime)
+		fmt.Fprintf(os.Stderr, "stage parse+check+normalize: %v\nstage alias analysis: %v\nstage signatures: %v\nstage abstraction: %v\n  of which theory solving: %v\n",
+			s.ParseTime, s.AliasTime, s.SignatureTime, s.AbstractTime, s.SolverTime)
 		for _, pt := range s.ProcTimes {
 			fmt.Fprintf(os.Stderr, "  proc %s: %v\n", pt.Name, pt.D)
 		}

@@ -10,7 +10,8 @@ import (
 // output of C2bp is byte-identical whether the cube search runs on one
 // worker or eight: the parallel rounds merge their prover verdicts in
 // canonical enumeration order, so scheduling must never leak into the
-// output. Runs over the whole Table 2 golden corpus.
+// output. Runs over the whole Table 2 golden corpus under both engines;
+// the models engine's enforce search runs on the same worker pool.
 func TestParallelAbstractionDeterminism(t *testing.T) {
 	for _, p := range corpus.Table2() {
 		p := p
@@ -19,23 +20,28 @@ func TestParallelAbstractionDeterminism(t *testing.T) {
 			if p.GhostAliasing {
 				load = LoadGhostAliasing
 			}
-			texts := map[int]string{}
-			for _, jobs := range []int{1, 8} {
-				prog, err := load(p.Source)
-				if err != nil {
-					t.Fatal(err)
-				}
-				opts := DefaultOptions()
-				opts.Jobs = jobs
-				bprog, err := prog.Abstract(p.Preds, opts)
-				if err != nil {
-					t.Fatal(err)
-				}
-				texts[jobs] = bprog.Text()
-			}
-			if texts[1] != texts[8] {
-				t.Errorf("%s: -j 1 and -j 8 outputs differ:\n--- j=1 ---\n%s\n--- j=8 ---\n%s",
-					p.Name, texts[1], texts[8])
+			for _, engine := range []string{EngineCubes, EngineModels} {
+				t.Run(engine, func(t *testing.T) {
+					texts := map[int]string{}
+					for _, jobs := range []int{1, 8} {
+						prog, err := load(p.Source)
+						if err != nil {
+							t.Fatal(err)
+						}
+						opts := DefaultOptions()
+						opts.Engine = engine
+						opts.Jobs = jobs
+						bprog, err := prog.Abstract(p.Preds, opts)
+						if err != nil {
+							t.Fatal(err)
+						}
+						texts[jobs] = bprog.Text()
+					}
+					if texts[1] != texts[8] {
+						t.Errorf("%s: -j 1 and -j 8 outputs differ:\n--- j=1 ---\n%s\n--- j=8 ---\n%s",
+							p.Name, texts[1], texts[8])
+					}
+				})
 			}
 		})
 	}

@@ -103,6 +103,31 @@ func DefaultOptions() Options {
 // columns come from here plus prover.Prover.Calls) and per-stage wall
 // times for the -stats observability surface of cmd/c2bp and cmd/slam.
 type Stats struct {
+	CubeStats
+	// Assignments, Calls and Conditionals count translated C statements.
+	Assignments  int
+	Calls        int
+	Conditionals int
+
+	// SignatureTime is the wall time of the first pass computing every
+	// procedure's (E_f, E_r) signature (Section 4.5.2).
+	SignatureTime time.Duration
+	// ProcTimes records the wall time spent abstracting each procedure,
+	// in program order.
+	ProcTimes []ProcTime
+	// ProcCubes records per-procedure cube-search activity (rounds and
+	// candidate cubes), in program order.
+	ProcCubes []ProcCubeStat
+
+	// DegradedProcs names the procedures whose abstraction hit the cube
+	// budget or the run deadline (their remaining transfer functions are
+	// the trivially sound fallback), in program order.
+	DegradedProcs []string
+}
+
+// CubeStats are the cube search's counters, which slam sums over its
+// CEGAR iterations and both -stats outputs print (obs.WriteCubeStats).
+type CubeStats struct {
 	// CubesChecked counts cube implication candidates submitted to the
 	// prover-backed search (after superset pruning).
 	CubesChecked int
@@ -120,29 +145,20 @@ type Stats struct {
 	// in CubesChecked or CubeRounds.
 	FVReused      int
 	EnforceReused int
-	// Assignments, Calls and Conditionals count translated C statements.
-	Assignments  int
-	Calls        int
-	Conditionals int
-
-	// SignatureTime is the wall time of the first pass computing every
-	// procedure's (E_f, E_r) signature (Section 4.5.2).
-	SignatureTime time.Duration
 	// CubeSearchTime is the cumulative wall time of the prover-backed
 	// cube search (F_V/G_V rounds plus enforce invariants) — the cost the
 	// paper's optimizations 1-5 attack.
 	CubeSearchTime time.Duration
-	// ProcTimes records the wall time spent abstracting each procedure,
-	// in program order.
-	ProcTimes []ProcTime
-	// ProcCubes records per-procedure cube-search activity (rounds and
-	// candidate cubes), in program order.
-	ProcCubes []ProcCubeStat
+}
 
-	// DegradedProcs names the procedures whose abstraction hit the cube
-	// budget or the run deadline (their remaining transfer functions are
-	// the trivially sound fallback), in program order.
-	DegradedProcs []string
+// Add adds o's counters to s.
+func (s *CubeStats) Add(o CubeStats) {
+	s.CubesChecked += o.CubesChecked
+	s.CubesSkipped += o.CubesSkipped
+	s.CubeRounds += o.CubeRounds
+	s.FVReused += o.FVReused
+	s.EnforceReused += o.EnforceReused
+	s.CubeSearchTime += o.CubeSearchTime
 }
 
 // ProcTime is the abstraction wall time of one procedure.

@@ -550,44 +550,13 @@ func (ab *Abstractor) enforceSearch(sc *scope) bp.Expr {
 	}()
 
 	preds, links := sc.preds, sc.linkGraph()
-	var classify classifier
-	// Engine dispatch, mirroring fv: the model engine replaces the
-	// per-candidate Unsat queries with one enumeration of the
-	// theory-consistent minterms over the scope (models of an
-	// unconstrained session), and a cube is unsatisfiable exactly when no
-	// consistent minterm is compatible with it. On the driver corpus,
-	// whose spec-state predicates are heavily mutually exclusive, the
-	// minterm set is far smaller than the candidate set. The guard keeps
-	// small or loosely linked scopes on the cube path, where enumerating
-	// every minterm costs more checks than the handful of connected
-	// candidate queries it would replace — both paths compute the same
-	// verdicts, so the emitted invariant does not depend on the choice.
-	if ab.opts.Engine == EngineModels && enforceEnumWins(links, ab.maxCubeLen(len(preds))) {
-		e := ab.startEnum(form.TrueF{}, preds, "enforce")
-		e.run()
-		e.close()
-		// An interrupted enumeration degrades the procedure and emits no
-		// invariant — weaker than the cube path, which keeps the
-		// contradictions it already proved, but sound.
-		if !e.complete {
-			return nil
-		}
-		classify = func(cands [][]literal, verdicts []cubeVerdict) {
-			for i, cube := range cands {
-				if !compatibleAny(e.minterms, cube) {
-					verdicts[i] = verdictContradiction
-				}
+	dom := sc.domain(ab.pv)
+	classify := func(cands [][]literal, verdicts []cubeVerdict) {
+		checkRound(ab.opts.Tracer, len(cands), ab.jobs(), func(i int) {
+			if checkCube(dom, preds, cands[i], nil, nil) {
+				verdicts[i] = verdictContradiction
 			}
-		}
-	} else {
-		dom := sc.domain(ab.pv)
-		classify = func(cands [][]literal, verdicts []cubeVerdict) {
-			checkRound(ab.opts.Tracer, len(cands), ab.jobs(), func(i int) {
-				if checkCube(dom, preds, cands[i], nil, nil) {
-					verdicts[i] = verdictContradiction
-				}
-			})
-		}
+		})
 	}
 	disjuncts := ab.rounds(preds, verdictContradiction, func(cube []literal) bool {
 		if links.connected(cube) {
@@ -603,33 +572,6 @@ func (ab *Abstractor) enforceSearch(sc *scope) bp.Expr {
 		return nil
 	}
 	return bp.MkNot(bp.OrAll(disjuncts))
-}
-
-// enforceEnumWins reports whether minterm enumeration can beat the
-// per-candidate search on a scope whose predicates are linked by links:
-// its worst case is every minterm consistent (2^n sat checks plus the
-// closing unsat), while the cube engine's worst case is one query per
-// connected candidate with no pruning. When the enumeration's worst
-// case is not strictly smaller — n == 1, a scope of mostly unlinked
-// predicates, or large n against the maxLen-bounded candidate count —
-// the cube path preserves the model engine's never-more-queries
-// guarantee.
-func enforceEnumWins(links linkGraph, maxLen int) bool {
-	n := len(links)
-	if n >= 30 {
-		return false // 2^n dwarfs any candidate count long before here
-	}
-	enumWorst := int64(1)<<uint(n) + 1
-	candWorst := int64(0)
-	for size := 1; size <= maxLen && candWorst <= enumWorst; size++ {
-		enumerateCubes(n, size, func(cube []literal) bool {
-			if links.connected(cube) {
-				candWorst++
-			}
-			return false
-		})
-	}
-	return enumWorst < candWorst
 }
 
 // SkippedCubeHook, when non-nil, receives the formula of every enforce

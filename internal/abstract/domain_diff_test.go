@@ -11,13 +11,15 @@ import (
 	"predabs/internal/prover"
 )
 
-// TestCubeChecksMatchQueries is the differential test of the cube
-// engine's compiled literal domain against the per-cube queries it
-// replaced: for every F_V and enforce check on the corpus — the Table 2
-// programs, and every CEGAR iteration of the drivers — the check's cache
+// TestCubeChecksMatchQueries is the differential test of the compiled
+// literal domain against the per-cube queries it replaced: for every
+// F_V and enforce check on the corpus — the Table 2 programs under both
+// engines, and every CEGAR iteration of the drivers — the check's cache
 // key must be the one Valid(cube, goal) or Unsat(cube) of the cube's
 // conjunction uses, and its verdict the one a prover without a cache
-// gives that call.
+// gives that call. Under the models engine only the enforce checks reach
+// the domain, on the worker pool, over a prover whose term table the
+// engine's sessions also grow.
 func TestCubeChecksMatchQueries(t *testing.T) {
 	ref := prover.New()
 	ref.DisableCache = true
@@ -47,17 +49,25 @@ func TestCubeChecksMatchQueries(t *testing.T) {
 	}
 	defer func() { abstract.CubeCheckHook = nil }()
 
-	for _, p := range corpus.Table2() {
-		load := predabs.Load
-		if p.GhostAliasing {
-			load = predabs.LoadGhostAliasing
+	for _, engine := range []string{predabs.EngineCubes, predabs.EngineModels} {
+		before := checks
+		for _, p := range corpus.Table2() {
+			load := predabs.Load
+			if p.GhostAliasing {
+				load = predabs.LoadGhostAliasing
+			}
+			prog, err := load(p.Source)
+			if err != nil {
+				t.Fatalf("%s: %v", p.Name, err)
+			}
+			opts := predabs.DefaultOptions()
+			opts.Engine = engine
+			if _, err := prog.Abstract(p.Preds, opts); err != nil {
+				t.Fatalf("%s %s: %v", engine, p.Name, err)
+			}
 		}
-		prog, err := load(p.Source)
-		if err != nil {
-			t.Fatalf("%s: %v", p.Name, err)
-		}
-		if _, err := prog.Abstract(p.Preds, predabs.DefaultOptions()); err != nil {
-			t.Fatalf("%s: %v", p.Name, err)
+		if checks == before {
+			t.Errorf("the %s engine made no cube checks on Table 2", engine)
 		}
 	}
 	for _, d := range corpus.Drivers() {

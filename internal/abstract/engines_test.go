@@ -101,8 +101,9 @@ func TestEnginesByteIdentical(t *testing.T) {
 }
 
 // TestEnginesJobsInvariance pins the model engine's determinism across
-// worker counts: the enumeration loop is sequential, so -j must not
-// change a byte of output.
+// worker counts: the enumeration loop is sequential and the enforce
+// search merges its worker-pool rounds in canonical order, so -j must
+// not change a byte of output.
 func TestEnginesJobsInvariance(t *testing.T) {
 	var want string
 	for _, jobs := range []int{1, 4, 8} {

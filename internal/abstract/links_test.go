@@ -112,42 +112,6 @@ func TestLinkRelationSplitsIndependentPredicates(t *testing.T) {
 	}
 }
 
-// TestEnforceEnumWinsGuard pins the model engine's enforce guard: a
-// scope of unlinked predicates stays on the cube path (its connected
-// candidates are only the singletons), and a fully linked scope gets
-// the same decision as the unfiltered Σ C(n,k)·2^k bill.
-func TestEnforceEnumWinsGuard(t *testing.T) {
-	unlinked := predLinks([]Pred{mkPred(t, "x < y"), mkPred(t, "z > 1")})
-	if enforceEnumWins(unlinked, 2) {
-		t.Error("two unlinked predicates: 4 singleton queries beat 5 enumeration checks, want the cube path")
-	}
-	// The guard before connectivity filtering: 2^n + 1 against the
-	// bill of every candidate.
-	unfiltered := func(n, maxLen int) bool {
-		enumWorst := int64(1)<<uint(n) + 1
-		candWorst, binom := int64(0), int64(1)
-		for k := 1; k <= maxLen && k <= n; k++ {
-			binom = binom * int64(n-k+1) / int64(k)
-			candWorst += binom << uint(k)
-		}
-		return enumWorst < candWorst
-	}
-	for n := 1; n <= 14; n++ {
-		full := make(linkGraph, n)
-		for i := range full {
-			full[i] = make([]bool, n)
-			for j := range full[i] {
-				full[i][j] = i != j
-			}
-		}
-		for maxLen := 1; maxLen <= n; maxLen++ {
-			if got, want := enforceEnumWins(full, maxLen), unfiltered(n, maxLen); got != want {
-				t.Errorf("fully linked n=%d maxLen=%d: enum wins %v, want %v", n, maxLen, got, want)
-			}
-		}
-	}
-}
-
 // TestEnforceSkipsDisconnectedCubes: over two unlinked predicates the
 // enforce search asks only the four singletons and skips the four
 // pairs, and the skipped count reaches Stats.

@@ -46,8 +46,8 @@ func (ab *Abstractor) startEnum(base form.Formula, domain []Pred, kind string) *
 // Soundness under budgets: an interrupted enumeration makes every
 // absence-of-model verdict untrustworthy, so the interruption degrades
 // the whole procedure, exactly like an exhausted cube budget — F_V
-// answers false, the weakest sound value, and enforce emits no
-// invariant, instead of emitting unproven cubes.
+// answers false, the weakest sound value, instead of emitting unproven
+// cubes.
 func (e *enumeration) step() bool {
 	if e.complete || e.limit != "" {
 		return false

@@ -359,9 +359,8 @@ end`
 
 	for seed := int64(0); seed < 300; seed++ {
 		in := &bpinterp.Interp{
-			Prog:        prog,
-			Choice:      bpinterp.RandChooser{R: rand.New(rand.NewSource(seed))},
-			RecordTrace: true,
+			Prog:   prog,
+			Choice: bpinterp.RandChooser{R: rand.New(rand.NewSource(seed))},
 		}
 		res, err := in.Run("main")
 		if err != nil {

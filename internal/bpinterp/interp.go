@@ -52,20 +52,12 @@ func (s Status) String() string {
 	return "?"
 }
 
-// TraceEntry records one executed statement.
-type TraceEntry struct {
-	Proc string
-	Stmt int
-}
-
 // Result is the outcome of a run.
 type Result struct {
 	Status Status
 	// FailProc/FailStmt locate a failed assert.
 	FailProc string
 	FailStmt int
-	Steps    int
-	Trace    []TraceEntry
 	// Globals holds the final global values (Completed runs).
 	Globals map[string]bool
 }
@@ -75,11 +67,8 @@ type Interp struct {
 	Prog     *bp.Program
 	Choice   Chooser
 	MaxSteps int
-	// RecordTrace enables trace collection.
-	RecordTrace bool
 
 	steps  int
-	trace  []TraceEntry
 	global map[string]bool
 }
 
@@ -98,7 +87,6 @@ func (in *Interp) Run(entry string) (*Result, error) {
 		in.MaxSteps = 100000
 	}
 	in.steps = 0
-	in.trace = nil
 	in.global = map[string]bool{}
 	for _, g := range in.Prog.Globals {
 		in.global[g] = in.nondet()
@@ -112,8 +100,6 @@ func (in *Interp) Run(entry string) (*Result, error) {
 		Status:   status,
 		FailProc: failP,
 		FailStmt: failS,
-		Steps:    in.steps,
-		Trace:    in.trace,
 		Globals:  in.global,
 	}
 	return res, nil
@@ -147,9 +133,6 @@ func (in *Interp) call(pr *bp.Proc, args []bool) (Status, []bool, string, int) {
 			return OutOfFuel, nil, "", 0
 		}
 		s := pr.Stmts[pc]
-		if in.RecordTrace {
-			in.trace = append(in.trace, TraceEntry{Proc: pr.Name, Stmt: pc})
-		}
 		switch s.Kind {
 		case bp.Skip:
 			pc++

@@ -6,9 +6,12 @@
 package cmdtest
 
 import (
+	"encoding/json"
 	"os"
 	"os/exec"
 	"path/filepath"
+	"regexp"
+	"strconv"
 	"strings"
 	"testing"
 )
@@ -246,7 +249,8 @@ void main(void) {
 
 // TestSlamObservabilityFlags drives the full observability surface in one
 // run: JSONL trace (validated by tracelint), Chrome export, text and JSON
-// reports, and the annotated -explain rendering of the error path.
+// reports, -stats, whose cubes-checked count must be the JSON report's,
+// and the annotated -explain rendering of the error path.
 func TestSlamObservabilityFlags(t *testing.T) {
 	cFile := write(t, "bad.c", lockBadC)
 	sFile := write(t, "lock.slic", lockSpec)
@@ -258,7 +262,7 @@ func TestSlamObservabilityFlags(t *testing.T) {
 	out, code := run(t, "slam",
 		"-spec", sFile, "-entry", "main",
 		"-trace-out", jsonl, "-trace-chrome", chrome,
-		"-report", "-report-json", report, "-explain", cFile)
+		"-report", "-report-json", report, "-stats", "-explain", cFile)
 	if code != 1 {
 		t.Fatalf("exit %d (want 1):\n%s", code, out)
 	}
@@ -290,6 +294,24 @@ func TestSlamObservabilityFlags(t *testing.T) {
 		if len(data) == 0 || data[0] != '{' {
 			t.Errorf("%s does not look like JSON: %.40q", f, data)
 		}
+	}
+
+	// The text report's line reads "cubes checked: N (in R search
+	// rounds; ...)", the -stats line "cubes checked: N (reused ...)".
+	m := regexp.MustCompile(`(?m)^cubes checked: (\d+) \(reused `).FindStringSubmatch(out)
+	if m == nil {
+		t.Fatalf("-stats has no cubes checked line:\n%s", out)
+	}
+	checked, _ := strconv.Atoi(m[1])
+	data, _ := os.ReadFile(report)
+	var rep struct {
+		CubesChecked int `json:"cubes_checked"`
+	}
+	if err := json.Unmarshal(data, &rep); err != nil {
+		t.Fatal(err)
+	}
+	if checked == 0 || checked != rep.CubesChecked {
+		t.Errorf("-stats cubes checked %d, report cubes_checked %d", checked, rep.CubesChecked)
 	}
 }
 

@@ -34,6 +34,7 @@ func (Name) String() string { return "name" }
 func Live() string {
 	h := holder{written: 1, grownAt: [][]int{nil}}
 	h.written = 2
+	h.Exported = 3
 	h.grown = append(h.grown, h.read)
 	h.grownAt[0] = append(h.grownAt[0], 1)
 	seen := map[pair]bool{{1, 2}: true}
@@ -53,8 +54,12 @@ type holder struct {
 	// grownAt's elements are only appended to, as h.grownAt[0] =
 	// append(h.grownAt[0], …): write-only.
 	grownAt [][]int
-	// tagged is never read: tagged fields are exempt, passes.
+	// tagged is never read, but encoding/json reads tagged fields:
+	// passes.
 	tagged int `json:"tagged"`
+	// Exported is set by a plain = only; being exported does not exempt
+	// it: write-only.
+	Exported int
 }
 
 // pair's fields are never named, but every lookup in a map keyed by

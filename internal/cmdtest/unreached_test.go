@@ -1,7 +1,7 @@
 // Unreached-declaration coverage: every top-level function, method,
 // type, variable and constant in a non-test file of the tree must be
 // reached by something that ships or by another directory's tests, and
-// every unexported struct field must be read somewhere.
+// every untagged struct field must be read somewhere.
 // The check type-checks the module packages from source with go/types
 // and imports the standard library from the export data `go list
 // -export` leaves in the build cache, so it needs no tool beyond the
@@ -55,9 +55,10 @@ func TestUnreachedFixture(t *testing.T) {
 		"fixture.go:8: fixture.Dead is dead",
 		"fixture.go:11: fixture.Recursive is dead",
 		"fixture.go:19: fixture.sameDir is same-dir-tests-only",
-		"fixture.go:49: fixture.holder.written is write-only",
-		"fixture.go:52: fixture.holder.grown is write-only",
-		"fixture.go:55: fixture.holder.grownAt is write-only",
+		"fixture.go:50: fixture.holder.written is write-only",
+		"fixture.go:53: fixture.holder.grown is write-only",
+		"fixture.go:56: fixture.holder.grownAt is write-only",
+		"fixture.go:62: fixture.holder.Exported is write-only",
 	}
 	if strings.Join(got, "\n") != strings.Join(want, "\n") {
 		t.Errorf("findings:\n%s\nwant:\n%s", strings.Join(got, "\n"), strings.Join(want, "\n"))
@@ -126,9 +127,10 @@ type decl struct {
 // count. Anything else is "dead", or "same-dir-tests-only" when only
 // tests in its own directory use it; allow exempts names by key.
 //
-// A second rule covers the unexported, untagged, named fields of the
-// named struct types declared in non-test files: some code, tests
-// included, must read each one through a selector. A composite-literal
+// A second rule covers the untagged, named fields, exported or not, of
+// the named struct types declared in non-test files: some code, tests
+// included, must read each one through a selector. Tagged fields are
+// exempt, because encoding/json reads them. A composite-literal
 // key and the left side of a plain = are writes, not reads. The fields
 // of a struct used as a map key are read by every lookup. A field that
 // is only grown, as in x.f = append(x.f, …) or x.f[i] = append(x.f[i],
@@ -503,16 +505,16 @@ func indexedSelector(e ast.Expr) *ast.SelectorExpr {
 	return sel
 }
 
-// field is one unexported struct field under the write-only rule.
+// field is one struct field under the write-only rule.
 type field struct {
 	name string // import path, enclosing type and field: "predabs/internal/bebop.procInfo.reach"
 	pos  token.Position
 	read bool
 }
 
-// declareFields adds the unexported, untagged, named fields of every
-// named struct type in one package's non-test files, function-local
-// types included, to fields, keyed by the field name's position.
+// declareFields adds the untagged, named fields of every named struct
+// type in one package's non-test files, function-local types included,
+// to fields, keyed by the field name's position.
 func declareFields(fset *token.FileSet, pkg *types.Package, files []*ast.File, fields map[token.Pos]*field) {
 	for _, f := range files {
 		ast.Inspect(f, func(n ast.Node) bool {
@@ -523,7 +525,7 @@ func declareFields(fset *token.FileSet, pkg *types.Package, files []*ast.File, f
 			if st, ok := ts.Type.(*ast.StructType); ok {
 				for _, fd := range st.Fields.List {
 					for _, id := range fd.Names {
-						if fd.Tag == nil && id.Name != "_" && !id.IsExported() {
+						if fd.Tag == nil && id.Name != "_" {
 							fields[id.Pos()] = &field{name: pkg.Path() + "." + ts.Name.Name + "." + id.Name, pos: fset.Position(id.Pos())}
 						}
 					}

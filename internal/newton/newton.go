@@ -41,8 +41,6 @@ type Result struct {
 	// exponentially); neither verdict is claimed and no predicates are
 	// proposed, so SLAM answers Unknown.
 	GaveUp bool
-	// Condition is the accumulated path condition over the initial state.
-	Condition form.Formula
 	// InfeasibleIndex is the backward-step count (from the end of the
 	// path) at which the condition became unsatisfiable; -1 when the path
 	// was feasible or the analysis gave up.
@@ -122,7 +120,6 @@ func analyze(res *cnorm.Result, aa *alias.Analysis, pv prover.Querier, trace []b
 				fmt.Sprintf("gave up %d steps into the backward sweep", len(snapshots)))
 			out.GaveUp = true
 			out.Feasible = false
-			out.Condition = phi
 			return out, nil
 		}
 		e := events[i]
@@ -137,7 +134,6 @@ func analyze(res *cnorm.Result, aa *alias.Analysis, pv prover.Querier, trace []b
 				fmt.Sprintf("path condition exceeded %d chars after %d backward steps", maxCondSize, len(snapshots)))
 			out.GaveUp = true
 			out.Feasible = false
-			out.Condition = phi
 			return out, nil
 		}
 		if pv.Unsat(phi) {
@@ -146,7 +142,6 @@ func analyze(res *cnorm.Result, aa *alias.Analysis, pv prover.Querier, trace []b
 			// a budget (unbounded harvesting floods the next abstraction
 			// round; SLAM's Newton similarly limits predicates).
 			out.Feasible = false
-			out.Condition = phi
 			out.InfeasibleIndex = len(snapshots) - 1
 			if !e.isAssign {
 				harvest(res, e.cond, out.NewPreds)
@@ -165,11 +160,9 @@ func analyze(res *cnorm.Result, aa *alias.Analysis, pv prover.Querier, trace []b
 		bt.Degrade("newton", budget.LimitDeadline, "sweep finished under cancellation; feasibility not claimed")
 		out.GaveUp = true
 		out.Feasible = false
-		out.Condition = phi
 		return out, nil
 	}
 	out.Feasible = true
-	out.Condition = phi
 	return out, nil
 }
 

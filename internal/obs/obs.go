@@ -16,6 +16,7 @@ import (
 	"sort"
 	"time"
 
+	"predabs/internal/abstract"
 	"predabs/internal/budget"
 	"predabs/internal/checkpoint"
 	"predabs/internal/prover"
@@ -163,6 +164,13 @@ func WriteProverStats(w io.Writer, s prover.Stats) {
 	}
 	fmt.Fprintf(w, "prover search nodes: %d\ntheory leaves: %d (memo hits: %d)\nfourier-motzkin runs: %d\nequality probes: %d\nfull-probe rounds (no witness): %d\ncongruence unions: %d\n",
 		s.SearchNodes, s.TheoryLeaves, s.TheoryMemoHits, s.FMRuns, s.EqualityProbes, s.FullProbeRounds, s.CCUnions)
+}
+
+// WriteCubeStats renders the cube search's counters, which the -stats
+// output of c2bp and slam share.
+func WriteCubeStats(w io.Writer, s abstract.CubeStats) {
+	fmt.Fprintf(w, "cubes checked: %d (reused %d F_V results, %d enforce invariants)\ncube-search rounds: %d\nenforce cubes skipped: %d\ncube search time: %v\n",
+		s.CubesChecked, s.FVReused, s.EnforceReused, s.CubeRounds, s.CubesSkipped, s.CubeSearchTime)
 }
 
 // WriteProcIterations renders the per-procedure Bebop worklist

@@ -169,8 +169,9 @@ func Run(in Input, stdout, stderr io.Writer) (code int, outcome string) {
 	fmt.Fprintf(stdout, "RESULT: %s (iterations: %d, predicates: %d, prover calls: %d)\n",
 		res.Outcome, res.Iterations, res.PredCount, res.ProverCalls)
 	if in.Stats {
-		fmt.Fprintf(stderr, "prover calls: %d\nprover cache hits: %d\ntheory solver time: %v\nenforce cubes skipped: %d\n",
-			res.ProverCalls, res.CacheHits, res.SolverTime, res.CubesSkipped)
+		fmt.Fprintf(stderr, "prover calls: %d\nprover cache hits: %d\ntheory solver time: %v\n",
+			res.ProverCalls, res.CacheHits, res.SolverTime)
+		obs.WriteCubeStats(stderr, res.CubeStats)
 		obs.WriteProverStats(stderr, res.Stats)
 		fmt.Fprintf(stderr, "stage abstraction (c2bp): %v\nstage model checking (bebop): %v\nstage predicate discovery (newton): %v\n",
 			res.AbstractTime, res.CheckTime, res.NewtonTime)

@@ -78,7 +78,7 @@ type Config struct {
 	Limits budget.Limits
 	// Checkpoint persists refinement state across process deaths: each
 	// iteration boundary appends one durable journal record (predicate
-	// pool, per-procedure signatures, prover-cache spill), and when the
+	// pool, prover-cache spill, the run's counters), and when the
 	// manager replayed a snapshot on open, the loop resumes after the
 	// last committed iteration with the pool and prover cache warm. A
 	// resumed run produces byte-identical deterministic results
@@ -129,10 +129,11 @@ type Result struct {
 	// checkpoint.Counters); give-ups, effort and solver time count this
 	// process's work only.
 	prover.Stats
-	// CubesSkipped counts, across this process's rounds, the enforce
-	// candidates the abstraction never submitted because their
-	// predicates share no symbol the prover relates.
-	CubesSkipped int
+	// CubeStats sums the abstraction's cube-search counters over this
+	// process's rounds: cubes checked and skipped, search rounds, F_V
+	// results and enforce invariants served from a scope record, and
+	// cube-search time.
+	abstract.CubeStats
 	// AbstractTime, CheckTime and NewtonTime are the per-stage wall
 	// times accumulated across all CEGAR iterations (C2bp, Bebop with
 	// its counterexample search, Newton respectively), the paper's "C2bp
@@ -412,7 +413,7 @@ func verifyProgram(ctx context.Context, prog *cast.Program, entry string, cfg Co
 			return nil, fmt.Errorf("slam (iteration %d): %w", iter, err)
 		}
 		out.FinalBP = abs.BP
-		out.CubesSkipped += abs.Stats.CubesSkipped
+		out.CubeStats.Add(abs.Stats.CubeStats)
 		recordProverStats(out, pv, base)
 
 		// Bebop's stage covers the fixpoint and, when an assertion can
@@ -509,10 +510,10 @@ func verifyProgram(ctx context.Context, prog *cast.Program, entry string, cfg Co
 			return out, nil
 		}
 		// Commit point: the iteration refined the abstraction, so the
-		// state entering iteration iter+1 — grown pool, signatures,
-		// every fully decided prover verdict — is journaled durably
-		// before the next round starts. Iterations that end the run
-		// instead are covered by the final record.
+		// state entering iteration iter+1 — grown pool, every fully
+		// decided prover verdict, the run's counters — is journaled
+		// durably before the next round starts. Iterations that end the
+		// run instead are covered by the final record.
 		commitCheckpoint(ckpt, tracer, logf, iter, res, pool, pv, out)
 		if cfg.Progress != nil {
 			poolSize := 0

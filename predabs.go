@@ -193,10 +193,12 @@ func (p *Program) AbstractCtx(ctx context.Context, predicates string, opts Optio
 // AbstractCheckpointed is AbstractCtx with a durable checkpoint
 // attached: the prover's memo cache warm-starts from the journal's
 // replayed snapshot, and on success one iteration record (predicates,
-// signatures, cache spill) plus a final record are committed — so a
-// later c2bp (or slam) run over the same inputs skips straight to cache
-// hits. A nil manager behaves exactly like AbstractCtx. Persistence
-// errors are reported via ckpt.Err(), never by failing the abstraction.
+// cache spill, prover counters) plus a final record are committed — so
+// a later c2bp run over the same inputs skips straight to cache hits.
+// The journal's compatibility key names the tool, so a c2bp journal
+// never warm-starts a slam run. A nil manager behaves exactly like
+// AbstractCtx. Persistence errors are reported via ckpt.Err(), never by
+// failing the abstraction.
 func (p *Program) AbstractCheckpointed(ctx context.Context, predicates string, opts Options, lim Limits, ckpt *checkpoint.Manager) (*BooleanProgram, error) {
 	sections, err := cparse.ParsePredFile(predicates)
 	if err != nil {

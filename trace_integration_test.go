@@ -310,12 +310,31 @@ func TestReportTotalsMatchStats(t *testing.T) {
 			cfg.Opts.Jobs = 1
 			cfg.Opts.Engine = engine
 			cfg.Prover = pv
+			cfg.Tracer = trace.New(trace.Config{})
 			res, err := VerifySpec(lockBadSrc, lockSpecSrc, "main", cfg)
 			if err != nil {
 				t.Fatal(err)
 			}
 			if res.Stats != pv.Stats() {
 				t.Errorf("slam result stats %+v != its prover's %+v", res.Stats, pv.Stats())
+			}
+			slamRep := cfg.Tracer.Report()
+			for _, c := range []struct {
+				name      string
+				rep, stat int
+			}{
+				{"cubes checked", slamRep.CubesChecked, res.CubesChecked},
+				{"cubes skipped", slamRep.CubesSkipped, res.CubesSkipped},
+				{"cube rounds", slamRep.CubeRounds, res.CubeRounds},
+				{"F_V reused", slamRep.FVReused, res.FVReused},
+				{"enforce reused", slamRep.EnforceReused, res.EnforceReused},
+			} {
+				if c.rep != c.stat {
+					t.Errorf("slam %s: report %d != result %d", c.name, c.rep, c.stat)
+				}
+			}
+			if res.CubesChecked == 0 {
+				t.Error("slam checked no cubes")
 			}
 			if engine == EngineModels && res.SessionChecks == 0 {
 				t.Error("models engine made no session checks in slam")
