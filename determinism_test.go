@@ -10,7 +10,9 @@ import (
 // output of C2bp is byte-identical whether the cube search runs on one
 // worker or eight: the parallel rounds merge their prover verdicts in
 // canonical enumeration order, so scheduling must never leak into the
-// output. Runs over the whole Table 2 golden corpus under both engines;
+// output. The checks answered by counter-models must not depend on the
+// worker count either: a round's models join their goals only at its
+// end. Runs over the whole Table 2 golden corpus under both engines;
 // the models engine's enforce search runs on the same worker pool.
 func TestParallelAbstractionDeterminism(t *testing.T) {
 	for _, p := range corpus.Table2() {
@@ -22,7 +24,7 @@ func TestParallelAbstractionDeterminism(t *testing.T) {
 			}
 			for _, engine := range []string{EngineCubes, EngineModels} {
 				t.Run(engine, func(t *testing.T) {
-					texts := map[int]string{}
+					texts, answers := map[int]string{}, map[int]int{}
 					for _, jobs := range []int{1, 8} {
 						prog, err := load(p.Source)
 						if err != nil {
@@ -36,10 +38,17 @@ func TestParallelAbstractionDeterminism(t *testing.T) {
 							t.Fatal(err)
 						}
 						texts[jobs] = bprog.Text()
+						answers[jobs] = bprog.Stats().ModelAnswers
 					}
 					if texts[1] != texts[8] {
 						t.Errorf("%s: -j 1 and -j 8 outputs differ:\n--- j=1 ---\n%s\n--- j=8 ---\n%s",
 							p.Name, texts[1], texts[8])
+					}
+					if answers[1] != answers[8] {
+						t.Errorf("%s: model answers differ: -j 1 %d, -j 8 %d", p.Name, answers[1], answers[8])
+					}
+					if answers[1] == 0 {
+						t.Errorf("%s: no check was answered by a counter-model", p.Name)
 					}
 				})
 			}

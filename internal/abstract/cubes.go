@@ -251,9 +251,10 @@ func (ab *Abstractor) fv(fn string, sc *scope, phi form.Formula) bp.Expr {
 func (ab *Abstractor) fvSearch(dom *scope, phi form.Formula) bp.Expr {
 	searchStart := time.Now()
 	searchSpan := ab.opts.Tracer.Begin("cube", "search")
+	answers0 := prover.Backing(ab.pv).ModelAnswers()
 	defer func() {
 		ab.Stats.CubeSearchTime += time.Since(searchStart)
-		searchSpan.End()
+		searchSpan.End(trace.Int("model_answers", prover.Backing(ab.pv).ModelAnswers()-answers0))
 	}()
 	// Engine dispatch: the rounds below are shared; the engines differ
 	// only in how a candidate gets its verdict.
@@ -272,17 +273,21 @@ func (ab *Abstractor) fvSearch(dom *scope, phi form.Formula) bp.Expr {
 // Valid(cube, ¬φ), per candidate on the worker pool, each decided
 // against the domain's one compilation. It first answers the degenerate
 // goals early: a valid φ needs no cubes at all, and an unsatisfiable φ
-// has none.
+// has none. The validity of φ is the check of the empty cube, a round of
+// its own, whose counter-model of ¬φ serves the first round's checks.
 func (ab *Abstractor) fvQueries(sc *scope, phi form.Formula) (classifier, bp.Expr) {
-	if ab.pv.Valid(form.TrueF{}, phi) {
+	dom := sc.domain(ab.pv)
+	goal := dom.Goal(phi)
+	valid := checkCube(dom, sc.preds, nil, goal, phi)
+	dom.EndRound()
+	if valid {
 		return nil, bp.Const{Val: true}
 	}
 	if ab.pv.Valid(phi, form.FalseF{}) {
 		return nil, bp.Const{Val: false}
 	}
 	notPhi := form.NNF(form.MkNot(phi))
-	dom := sc.domain(ab.pv)
-	goal, notGoal := dom.Goal(phi), dom.Goal(notPhi)
+	notGoal := dom.Goal(notPhi)
 	return func(cands [][]literal, verdicts []cubeVerdict) {
 		checkRound(ab.opts.Tracer, len(cands), ab.jobs(), func(i int) {
 			if checkCube(dom, sc.preds, cands[i], goal, phi) {
@@ -291,31 +296,33 @@ func (ab *Abstractor) fvQueries(sc *scope, phi form.Formula) (classifier, bp.Exp
 				verdicts[i] = verdictContradiction
 			}
 		})
+		dom.EndRound()
 	}, nil
 }
 
 // checkCube asks whether the cube implies goal (whose formula is
-// goalF), or, when goal is nil, whether it is unsatisfiable.
+// goalF), or, when goalF is nil, whether it is unsatisfiable.
 func checkCube(dom *prover.Domain, domain []Pred, cube []literal, goal *prover.Goal, goalF form.Formula) bool {
 	var v bool
-	if goal != nil {
+	if goalF != nil {
 		v = dom.Valid(cube, goal)
 	} else {
-		v = dom.Unsat(cube)
+		v = dom.Unsat(cube, goal)
 	}
 	if CubeCheckHook != nil {
-		CubeCheckHook(cubeFormula(domain, cube), goalF, dom.Key(cube, goal), v)
+		CubeCheckHook(cubeFormula(domain, cube), goalF, dom.Key(cube, goal), v, goal.Covers(cube))
 	}
 	return v
 }
 
 // CubeCheckHook, when non-nil, receives every check the cube engine
 // makes of a candidate: the cube's conjunction, the goal (nil for an
-// enforce unsatisfiability check), the check's query-cache key and its
-// verdict. It is a test seam: the differential test re-asks each check
-// through Valid or Unsat. Set it only while no abstraction is running;
-// the cube-search workers call it concurrently.
-var CubeCheckHook func(cube, goal form.Formula, key string, verdict bool)
+// enforce unsatisfiability check), the check's query-cache key, its
+// verdict and whether a counter-model of an earlier check answered it.
+// It is a test seam: the differential test re-asks each check through
+// Valid or Unsat. Set it only while no abstraction is running; the
+// cube-search workers call it concurrently.
+var CubeCheckHook func(cube, goal form.Formula, key string, verdict, model bool)
 
 // classifier assigns a verdict to each candidate of one round: one
 // prover query per cube for the cube engine, model membership for the
@@ -543,20 +550,23 @@ func (ab *Abstractor) enforceExpr(sc *scope) bp.Expr {
 func (ab *Abstractor) enforceSearch(sc *scope) bp.Expr {
 	searchStart := time.Now()
 	searchSpan := ab.opts.Tracer.Begin("cube", "enforce")
-	skipped0 := ab.Stats.CubesSkipped
+	skipped0, answers0 := ab.Stats.CubesSkipped, prover.Backing(ab.pv).ModelAnswers()
 	defer func() {
 		ab.Stats.CubeSearchTime += time.Since(searchStart)
-		searchSpan.End(trace.Int("skipped", ab.Stats.CubesSkipped-skipped0))
+		searchSpan.End(trace.Int("skipped", ab.Stats.CubesSkipped-skipped0),
+			trace.Int("model_answers", prover.Backing(ab.pv).ModelAnswers()-answers0))
 	}()
 
 	preds, links := sc.preds, sc.linkGraph()
 	dom := sc.domain(ab.pv)
+	sat := dom.Goal(nil)
 	classify := func(cands [][]literal, verdicts []cubeVerdict) {
 		checkRound(ab.opts.Tracer, len(cands), ab.jobs(), func(i int) {
-			if checkCube(dom, preds, cands[i], nil, nil) {
+			if checkCube(dom, preds, cands[i], sat, nil) {
 				verdicts[i] = verdictContradiction
 			}
 		})
+		dom.EndRound()
 	}
 	disjuncts := ab.rounds(preds, verdictContradiction, func(cube []literal) bool {
 		if links.connected(cube) {

@@ -17,16 +17,18 @@ import (
 // engines, and every CEGAR iteration of the drivers — the check's cache
 // key must be the one Valid(cube, goal) or Unsat(cube) of the cube's
 // conjunction uses, and its verdict the one a prover without a cache
-// gives that call. Under the models engine only the enforce checks reach
-// the domain, on the worker pool, over a prover whose term table the
-// engine's sessions also grow.
+// gives that call. That covers every check a counter-model of an
+// earlier check answered without a search; there must be some, and
+// neither side may give up. Under the models engine only the enforce
+// checks reach the domain, on the worker pool, over a prover whose term
+// table the engine's sessions also grow.
 func TestCubeChecksMatchQueries(t *testing.T) {
 	ref := prover.New()
 	ref.DisableCache = true
 	var mu sync.Mutex
-	checks := 0
+	checks, models := 0, 0
 	var diffs []string
-	abstract.CubeCheckHook = func(cube, goal form.Formula, key string, verdict bool) {
+	abstract.CubeCheckHook = func(cube, goal form.Formula, key string, verdict, model bool) {
 		var want string
 		var v bool
 		if goal == nil {
@@ -37,6 +39,9 @@ func TestCubeChecksMatchQueries(t *testing.T) {
 		mu.Lock()
 		defer mu.Unlock()
 		checks++
+		if model {
+			models++
+		}
 		if len(diffs) >= 20 {
 			return
 		}
@@ -49,8 +54,9 @@ func TestCubeChecksMatchQueries(t *testing.T) {
 	}
 	defer func() { abstract.CubeCheckHook = nil }()
 
+	var gaveUp int
 	for _, engine := range []string{predabs.EngineCubes, predabs.EngineModels} {
-		before := checks
+		before, modelsBefore := checks, models
 		for _, p := range corpus.Table2() {
 			load := predabs.Load
 			if p.GhostAliasing {
@@ -62,18 +68,29 @@ func TestCubeChecksMatchQueries(t *testing.T) {
 			}
 			opts := predabs.DefaultOptions()
 			opts.Engine = engine
-			if _, err := prog.Abstract(p.Preds, opts); err != nil {
+			bprog, err := prog.Abstract(p.Preds, opts)
+			if err != nil {
 				t.Fatalf("%s %s: %v", engine, p.Name, err)
 			}
+			gaveUp += bprog.Stats().ProverGaveUp
 		}
 		if checks == before {
 			t.Errorf("the %s engine made no cube checks on Table 2", engine)
 		}
+		if models == modelsBefore {
+			t.Errorf("no counter-model answered a check of the %s engine on Table 2", engine)
+		}
 	}
+	modelsBefore := models
 	for _, d := range corpus.Drivers() {
-		if _, err := predabs.VerifySpec(d.Source, d.Spec, d.Entry, predabs.DefaultVerifyConfig()); err != nil {
+		res, err := predabs.VerifySpec(d.Source, d.Spec, d.Entry, predabs.DefaultVerifyConfig())
+		if err != nil {
 			t.Fatalf("%s: %v", d.Name, err)
 		}
+		gaveUp += res.Stats.ProverGaveUp
+	}
+	if models == modelsBefore {
+		t.Error("no counter-model answered a check of the drivers' CEGAR runs")
 	}
 	for _, d := range diffs {
 		t.Error(d)
@@ -81,5 +98,8 @@ func TestCubeChecksMatchQueries(t *testing.T) {
 	if checks == 0 {
 		t.Fatal("the corpus made no cube checks")
 	}
-	t.Logf("%d cube checks match their queries", checks)
+	if gaveUp != 0 || ref.GaveUp() != 0 {
+		t.Errorf("queries gave up: %d on the corpus, %d on the reference", gaveUp, ref.GaveUp())
+	}
+	t.Logf("%d cube checks match their queries, %d of them answered by a counter-model", checks, models)
 }

@@ -100,22 +100,34 @@ func TestEnginesByteIdentical(t *testing.T) {
 	}
 }
 
-// TestEnginesJobsInvariance pins the model engine's determinism across
-// worker counts: the enumeration loop is sequential and the enforce
-// search merges its worker-pool rounds in canonical order, so -j must
-// not change a byte of output.
+// TestEnginesJobsInvariance pins both engines' determinism across
+// worker counts: the enumeration loop is sequential and the cube rounds
+// merge their worker-pool verdicts in canonical order, so -j must not
+// change a byte of output. Counter-models join their goals only at a
+// round's end, so the checks they answer must not change either.
 func TestEnginesJobsInvariance(t *testing.T) {
-	var want string
-	for _, jobs := range []int{1, 4, 8} {
-		opts := DefaultOptions()
-		opts.Engine = EngineModels
-		opts.Jobs = jobs
-		res, _ := pipeline(t, partitionSrc, partitionPreds, opts)
-		got := bp.Print(res.BP)
-		if want == "" {
-			want = got
-		} else if got != want {
-			t.Fatalf("jobs=%d changed the model engine's output", jobs)
+	for _, engine := range []string{EngineCubes, EngineModels} {
+		var want string
+		answers := -1
+		for _, jobs := range []int{1, 4, 8} {
+			opts := DefaultOptions()
+			opts.Engine = engine
+			opts.Jobs = jobs
+			res, pv := pipeline(t, partitionSrc, partitionPreds, opts)
+			got := bp.Print(res.BP)
+			if want == "" {
+				want, answers = got, pv.ModelAnswers()
+				continue
+			}
+			if got != want {
+				t.Fatalf("jobs=%d changed the %s engine's output", jobs, engine)
+			}
+			if pv.ModelAnswers() != answers {
+				t.Errorf("%s engine: jobs=%d made %d model answers, jobs=1 %d", engine, jobs, pv.ModelAnswers(), answers)
+			}
+		}
+		if answers == 0 {
+			t.Errorf("the %s engine made no model answers on partition", engine)
 		}
 	}
 }

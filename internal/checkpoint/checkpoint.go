@@ -115,6 +115,7 @@ type ScopePreds struct {
 type Counters struct {
 	ProverCalls           int            `json:"prover_calls"`
 	CacheHits             int            `json:"cache_hits"`
+	ModelAnswers          int            `json:"model_answers,omitempty"`
 	CheckIterations       int            `json:"check_iterations"`
 	CheckIterationsByProc map[string]int `json:"check_iterations_by_proc,omitempty"`
 
@@ -128,11 +129,14 @@ type Counters struct {
 
 // ProverCounters journals the prover counters of s a resume continues
 // from. Give-ups, search and theory effort and solver time are not
-// journaled: they count one process's work only.
+// journaled: they count one process's work only. Model answers are, with
+// the calls they are part of, so that a resumed run's cache misses count
+// searches only.
 func ProverCounters(s prover.Stats) Counters {
 	return Counters{
 		ProverCalls:     s.ProverCalls,
 		CacheHits:       s.CacheHits,
+		ModelAnswers:    s.ModelAnswers,
 		ProverSessions:  s.ProverSessions,
 		SessionChecks:   s.SessionChecks,
 		ModelsExtracted: s.ModelsExtracted,
@@ -146,6 +150,7 @@ func ProverCounters(s prover.Stats) Counters {
 func (c Counters) Plus(s prover.Stats) prover.Stats {
 	s.ProverCalls += c.ProverCalls
 	s.CacheHits += c.CacheHits
+	s.ModelAnswers += c.ModelAnswers
 	s.ProverSessions += c.ProverSessions
 	s.SessionChecks += c.SessionChecks
 	s.ModelsExtracted += c.ModelsExtracted

@@ -17,6 +17,7 @@ package prover
 
 type ccNode struct {
 	key    int32 // key id, to reset nodeOf
+	term   int32 // the compiled term first added under key; -1 for *(&v)
 	label  int32 // function symbol; -1 for a nullary node
 	args   [2]int32
 	parent int32 // union-find
@@ -85,9 +86,9 @@ func (c *cc) find(i int32) int32 {
 	return root
 }
 
-func (c *cc) newNode(key, label, a0, a1 int32) int32 {
+func (c *cc) newNode(term, key, label, a0, a1 int32) int32 {
 	id := int32(len(c.nodes))
-	c.nodes = append(c.nodes, ccNode{key: key, label: label, args: [2]int32{a0, a1},
+	c.nodes = append(c.nodes, ccNode{key: key, term: term, label: label, args: [2]int32{a0, a1},
 		parent: id, size: 1, useHead: -1, useTail: -1, addrVar: -1})
 	c.nodeOf[key] = id
 	for _, a := range [2]int32{a0, a1} {
@@ -144,7 +145,7 @@ func (c *cc) add(t int32) int32 {
 		return id
 	}
 	if ct.label < 0 {
-		id := c.newNode(ct.key, -1, -1, -1)
+		id := c.newNode(t, ct.key, -1, -1, -1)
 		c.nodes[id].hasNum, c.nodes[id].numVal = ct.isNum, ct.num
 		return id
 	}
@@ -152,7 +153,7 @@ func (c *cc) add(t int32) int32 {
 	if ct.args[1] >= 0 {
 		y = c.add(ct.args[1])
 	}
-	id := c.newNode(ct.key, ct.label, x, y)
+	id := c.newNode(t, ct.key, ct.label, x, y)
 	if ct.addrVar >= 0 {
 		c.nodes[id].addrVar = ct.addrVar
 		// &v is never NULL: assert addr(v) != 0.
@@ -164,7 +165,7 @@ func (c *cc) add(t int32) int32 {
 		// *p = v.
 		dv := c.nodeOf[ct.derefKey]
 		if dv < 0 {
-			dv = c.newNode(ct.derefKey, labelDeref, id, -1)
+			dv = c.newNode(-1, ct.derefKey, labelDeref, id, -1)
 		}
 		c.pending = append(c.pending, [2]int32{dv, x})
 		c.propagate()

@@ -307,7 +307,7 @@ func TestConcurrentDomain(t *testing.T) {
 	cubes := domainCubes(len(preds))
 	goals := []form.Formula{form.Cmp{Op: form.Le, X: form.Var{Name: "x"}, Y: form.Var{Name: "y"}}, preds[1]}
 	ask := func(d *Domain, gs []*Goal, cube []Lit) [3]bool {
-		return [3]bool{d.Valid(cube, gs[0]), d.Valid(cube, gs[1]), d.Unsat(cube)}
+		return [3]bool{d.Valid(cube, gs[0]), d.Valid(cube, gs[1]), d.Unsat(cube, nil)}
 	}
 	goalsOf := func(d *Domain) []*Goal { return []*Goal{d.Goal(goals[0]), d.Goal(goals[1])} }
 

@@ -26,6 +26,13 @@ import (
 // A Session keeps its assertions in the same conjunct list: conjParts
 // split off by appendConjuncts, whose distinct strings keep and conjKey
 // assemble into the same key.
+//
+// Each Goal also keeps the counter-models its failed checks found
+// (model.go), its pool: a check whose every literal one of them makes
+// true is answered "not implied" (or "satisfiable") before its key is
+// built, and counted as a prover call. The models of one round of checks
+// join their goals only at EndRound, so a check's answer never depends
+// on which worker ran which candidate of its round.
 
 // Lit is one signed literal of a cube over a Domain: predicate Pred
 // itself when Pos is set, else its negation.
@@ -43,8 +50,16 @@ type Domain struct {
 	// compiled, and read, under mu.
 	parts []conjPart
 
-	mu sync.Mutex
-	pr *program // nil until the first miss
+	// pools: the domain is small enough (at most 64 predicates) for its
+	// goals to keep counter-model bitmasks.
+	pools bool
+
+	mu    sync.Mutex
+	pr    *program // nil until the first miss
+	goals []*Goal  // each canonical string once; "" for Unsat checks
+	// The counter-models of the round's checks so far (EndRound).
+	pending     []pendingModel
+	pendingLits []Lit
 }
 
 // domLit is one literal: its formula and its conjuncts, parts[from:to].
@@ -55,17 +70,19 @@ type domLit struct {
 }
 
 // Goal is a validity goal of a Domain's checks, compiled negated at its
-// first miss.
+// first miss, or — with no formula — the goal of its unsatisfiability
+// checks. It keeps the counter-models of its checks.
 type Goal struct {
-	f    form.Formula
-	str  string
-	root int32 // -1 until compiled; guarded by the domain's mu
+	f      form.Formula // nil for Unsat checks
+	str    string
+	root   int32       // -1 until compiled; guarded by the domain's mu
+	models [][2]uint64 // its counter-models' literal bitmasks (model.go)
 }
 
 // NewDomain prepares cube checks on p over n predicates; lit returns
 // predicate i and its negation.
 func NewDomain(p *Prover, n int, lit func(i int) (pos, neg form.Formula)) *Domain {
-	d := &Domain{p: p, lits: make([]domLit, 2*n), parts: make([]conjPart, 0, 2*n)}
+	d := &Domain{p: p, lits: make([]domLit, 2*n), parts: make([]conjPart, 0, 2*n), pools: n <= 64}
 	for i := 0; i < n; i++ {
 		d.lits[2*i].f, d.lits[2*i+1].f = lit(i)
 	}
@@ -78,9 +95,25 @@ func NewDomain(p *Prover, n int, lit func(i int) (pos, neg form.Formula)) *Domai
 	return d
 }
 
-// Goal prepares f as a goal of the domain's validity checks.
+// Goal prepares f as a goal of the domain's validity checks, or, when f
+// is nil, the goal of its unsatisfiability checks. A goal is made once
+// per canonical string, so the checks of every search that asks the same
+// goal of the domain share its compilation and its counter-models.
 func (d *Domain) Goal(f form.Formula) *Goal {
-	return &Goal{f: f, str: f.String(), root: -1}
+	str := ""
+	if f != nil {
+		str = f.String()
+	}
+	d.mu.Lock()
+	defer d.mu.Unlock()
+	for _, g := range d.goals {
+		if g.str == str {
+			return g
+		}
+	}
+	g := &Goal{f: f, str: str, root: -1}
+	d.goals = append(d.goals, g)
+	return g
 }
 
 // Valid reports whether the cube's conjunction implies g: the answer
@@ -90,13 +123,14 @@ func (d *Domain) Valid(cube []Lit, g *Goal) bool {
 }
 
 // Unsat reports whether the cube's conjunction is unsatisfiable: the
-// answer Unsat(MkAnd(cube's literals...)) gives.
-func (d *Domain) Unsat(cube []Lit) bool {
-	return d.check("unsat", cube, nil)
+// answer Unsat(MkAnd(cube's literals...)) gives. g, when not nil, is a
+// goal made by Goal(nil) that keeps the checks' counter-models.
+func (d *Domain) Unsat(cube []Lit, g *Goal) bool {
+	return d.check("unsat", cube, g)
 }
 
 // Key returns the query-cache key of the check Valid(cube, g) makes, or
-// Unsat(cube) when g is nil.
+// Unsat(cube) when g is nil or has no formula.
 func (d *Domain) Key(cube []Lit, g *Goal) string {
 	s := getSearcher()
 	defer s.release()
@@ -130,20 +164,49 @@ func (d *Domain) key(s *searcher, cube []Lit, g *Goal) {
 		hasFalse = hasFalse || dl.isFalse
 		s.keep(d.parts, dl.from, dl.to)
 	}
-	if g == nil {
+	if g == nil || g.f == nil {
 		s.conjKey("U\x00", hasFalse)
 		return
 	}
 	s.keyBuf = append(append(s.conjKey("V\x00", hasFalse), 0), g.str...)
 }
 
-// check answers one validity (g set) or unsat check of the cube.
+// check answers one validity or unsat check of the cube: as injected
+// by Fault, which is asked first, from g's pool, which is consulted
+// before the key is built, or through the one miss path, where a
+// consistent leaf of its search stages a counter-model for g.
 func (d *Domain) check(kind string, cube []Lit, g *Goal) bool {
-	s := getSearcher()
-	d.key(s, cube, g)
-	return d.p.ask(kind, s, func() { d.compile(s, g) }, func() form.Formula {
+	p, s := d.p, getSearcher()
+	pooled := g != nil && d.pools
+	keyed := p.Fault != nil
+	if keyed {
+		d.key(s, cube, g)
+		if p.Fault(kind, s.keyBuf) {
+			s.release()
+			return false
+		}
+	}
+	if pooled && g.Covers(cube) {
+		p.calls.Add(1)
+		p.modelAnswers.Add(1)
+		if p.Trace != nil {
+			if !keyed {
+				d.key(s, cube, g)
+			}
+			p.Trace.ProverModelAnswer(kind, queryDesc(string(s.keyBuf)), len(s.keyBuf))
+		}
+		s.release()
+		return false
+	}
+	if !keyed {
+		d.key(s, cube, g)
+	}
+	if pooled {
+		s.dom, s.goal, s.cube = d, g, cube
+	}
+	return p.answer(kind, s, func() { d.compile(s, g) }, func() form.Formula {
 		f := d.conj(cube)
-		if g == nil {
+		if g == nil || g.f == nil {
 			return f
 		}
 		return form.MkAnd(f, form.MkNot(g.f))
@@ -160,6 +223,12 @@ func (d *Domain) compile(s *searcher, g *Goal) {
 	defer d.mu.Unlock()
 	if d.pr == nil {
 		d.pr = newProgram(d.p.terms)
+		if d.pools {
+			// A counter-model values every literal of the domain.
+			for i := range d.parts {
+				d.parts[i].root = d.pr.compile(d.parts[i].f, false)
+			}
+		}
 	}
 	roots := s.roots[:0]
 	for _, i := range s.parts {
@@ -169,7 +238,7 @@ func (d *Domain) compile(s *searcher, g *Goal) {
 		}
 		roots = append(roots, part.root)
 	}
-	if g != nil {
+	if g != nil && g.f != nil {
 		if g.root < 0 {
 			g.root = d.pr.compile(g.f, true)
 		}

@@ -90,7 +90,7 @@ func TestDomainMatchesQueries(t *testing.T) {
 		if got, want := d.Key(cube, nil), "U\x00"+f.String(); got != want {
 			t.Errorf("Key = %q, want %q", got, want)
 		}
-		if got, want := d.Unsat(cube), viaQueries.Unsat(f); got != want {
+		if got, want := d.Unsat(cube, nil), viaQueries.Unsat(f); got != want {
 			t.Errorf("Unsat(%s) = %v, want %v", f, got, want)
 		}
 	}
@@ -116,10 +116,10 @@ func TestDomainHitZeroAlloc(t *testing.T) {
 	g := d.Goal(form.Cmp{Op: form.Le, X: form.Var{Name: "x"}, Y: form.Var{Name: "y"}})
 	cube := []Lit{{Pred: 2, Pos: true}, {Pred: 1, Pos: false}, {Pred: 4, Pos: true}}
 	d.Valid(cube, g)
-	d.Unsat(cube)
+	d.Unsat(cube, nil)
 	for name, fn := range map[string]func(){
 		"Valid": func() { d.Valid(cube, g) },
-		"Unsat": func() { d.Unsat(cube) },
+		"Unsat": func() { d.Unsat(cube, nil) },
 	} {
 		if n := testing.AllocsPerRun(100, fn); n != 0 {
 			t.Errorf("warm Domain.%s hit: %v allocs, want 0", name, n)

@@ -47,7 +47,7 @@ func TestFaultNotCountedCachedOrTraced(t *testing.T) {
 		v, _, l := sess.Check()
 		limit = l
 		return fmt.Sprint(v == Unsat, p.Valid(one, one), p.Unsat(form.MkAnd(one, two)),
-			d.Valid(cube, g), d.Unsat([]Lit{{Pred: 0, Pos: true}, {Pred: 1, Pos: true}}))
+			d.Valid(cube, g), d.Unsat([]Lit{{Pred: 0, Pos: true}, {Pred: 1, Pos: true}}, nil))
 	}
 
 	calls := recordFaults(p, func(string, []byte) bool { return true })
@@ -107,7 +107,7 @@ func TestDomainFaultMatchesQueries(t *testing.T) {
 		if got, want := d.Valid(cube, g), viaQueries.Valid(f, goal); got != want {
 			t.Errorf("Valid(%s => %s) = %v, want %v", f, goal, got, want)
 		}
-		if got, want := d.Unsat(cube), viaQueries.Unsat(f); got != want {
+		if got, want := d.Unsat(cube, nil), viaQueries.Unsat(f); got != want {
 			t.Errorf("Unsat(%s) = %v, want %v", f, got, want)
 		}
 	}

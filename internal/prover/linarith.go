@@ -81,7 +81,11 @@ type laSystem struct {
 	wit    []int64 // column -> witness value
 	set    []bool  // column -> wit holds its value
 	taken  []int64 // values the witness and the class constants hold
-	witOK  bool    // wit is an integer point of la.base this round
+	// free are the columns a level's interval gave their first values,
+	// and freeVal those values, for retryFree.
+	free    []int
+	freeVal []int64
+	witOK   bool // wit is an integer point of la.base this round
 
 	fmRuns, probes, fullRounds int64 // feasible calls, entailsZero probes, rounds without a witness
 }
@@ -462,13 +466,16 @@ func (la *laSystem) feasible(extra []int64) (feasible, precise bool) {
 // la.wit, and reports whether it found one. Each level's column takes an
 // integer between the bounds its rows give with the later columns fixed;
 // a column no level eliminates takes any value. Fourier–Motzkin makes
-// every level's rational interval non-empty; when one holds no integer,
-// or a product leaves int64, there is no witness. Values prefer to differ
-// from the other columns' and from the class constants, so the witness
-// separates as many probes as it can. Call it only after a feasible,
-// precise base run.
+// every level's rational interval non-empty; when one holds no integer
+// and the level's rows hold columns no level eliminates, those free
+// columns are retried over a bounded window of values (2a = 3b + 1 needs
+// an odd b). When no value of the window gives an integer, or a product
+// leaves int64, there is no witness. Values prefer to differ from the
+// other columns' and from the class constants, so the witness separates
+// as many probes as it can. Call it only after a feasible, precise base
+// run.
 func (la *laSystem) witness(c *cc) bool {
-	w, stride := la.w, la.w+1
+	w := la.w
 	la.wit, la.set = resize(la.wit, w), resize(la.set, w)
 	la.taken = la.taken[:0]
 	la.consts = collectConstants(c, la.consts[:0])
@@ -477,36 +484,12 @@ func (la *laSystem) witness(c *cc) bool {
 	}
 	for l := len(la.levels) - 1; l >= 0; l-- {
 		lv := la.levels[l]
-		lo, hi := int64(math.MinInt64), int64(math.MaxInt64)
-		for off := lv.from; off < lv.to; off += stride {
-			row := la.lvRows[off : off+stride]
-			b := row[w]
-			for j, co := range row[:w] {
-				if co == 0 || j == lv.col {
-					continue
-				}
-				if !la.set[j] {
-					la.assign(j, math.MinInt64, math.MaxInt64)
-				}
-				// Normalized rows hold no MinInt64 coefficient.
-				p, ok := mulOK(-co, la.wit[j])
-				if ok {
-					b, ok = addOK(b, p)
-				}
-				if !ok {
-					return false
-				}
-			}
-			// a·x ≤ b: x ≤ ⌊b/a⌋ for a > 0, x ≥ ⌈b/a⌉ for a < 0.
-			if a := row[lv.col]; a > 0 {
-				hi = min(hi, floorDiv(b, a))
-			} else if a == -1 && b == math.MinInt64 {
-				return false
-			} else {
-				lo = max(lo, -floorDiv(b, -a))
-			}
+		la.free = la.free[:0]
+		lo, hi, ok := la.interval(lv)
+		if ok && lo > hi && len(la.free) > 0 {
+			lo, hi, ok = la.retryFree(lv)
 		}
-		if lo > hi {
+		if !ok || lo > hi {
 			return false
 		}
 		la.assign(lv.col, lo, hi)
@@ -517,6 +500,85 @@ func (la *laSystem) witness(c *cc) bool {
 		}
 	}
 	return true
+}
+
+// interval returns the bounds level lv's rows give its column with every
+// other column fixed, first giving each column not yet set a value and
+// recording it in la.free. ok is false when a product leaves int64.
+func (la *laSystem) interval(lv fmLevel) (lo, hi int64, ok bool) {
+	w, stride := la.w, la.w+1
+	lo, hi = math.MinInt64, math.MaxInt64
+	for off := lv.from; off < lv.to; off += stride {
+		row := la.lvRows[off : off+stride]
+		b := row[w]
+		for j, co := range row[:w] {
+			if co == 0 || j == lv.col {
+				continue
+			}
+			if !la.set[j] {
+				la.assign(j, math.MinInt64, math.MaxInt64)
+				la.free = append(la.free, j)
+			}
+			// Normalized rows hold no MinInt64 coefficient.
+			p, ok := mulOK(-co, la.wit[j])
+			if ok {
+				b, ok = addOK(b, p)
+			}
+			if !ok {
+				return 0, 0, false
+			}
+		}
+		// a·x ≤ b: x ≤ ⌊b/a⌋ for a > 0, x ≥ ⌈b/a⌉ for a < 0.
+		if a := row[lv.col]; a > 0 {
+			hi = min(hi, floorDiv(b, a))
+		} else if a == -1 && b == math.MinInt64 {
+			return 0, 0, false
+		} else {
+			lo = max(lo, -floorDiv(b, -a))
+		}
+	}
+	return lo, hi, true
+}
+
+// witnessWindow is how far retryFree moves a free column from its first
+// value, either way; witnessTrials caps its trials over all the level's
+// free columns together.
+const (
+	witnessWindow = 8
+	witnessTrials = 64
+)
+
+// retryFree moves the free columns la.free of level lv, an odometer over
+// offsets 1, -1, 2, -2, ... up to witnessWindow from their first values,
+// until the level's interval holds an integer. It returns that interval,
+// or an empty one when no trial gives one.
+func (la *laSystem) retryFree(lv fmLevel) (lo, hi int64, ok bool) {
+	const radix = 2*witnessWindow + 1
+	la.freeVal = la.freeVal[:0]
+	for _, j := range la.free {
+		la.freeVal = append(la.freeVal, la.wit[j])
+	}
+	for t := 1; t < witnessTrials; t++ {
+		n := t
+		for i, j := range la.free {
+			d := int64(n % radix)
+			n /= radix
+			off := (d + 1) / 2
+			if d%2 == 0 {
+				off = -off
+			}
+			if la.wit[j], ok = addOK(la.freeVal[i], off); !ok {
+				return 0, 0, false
+			}
+		}
+		if n > 0 {
+			break // every combination of the window tried
+		}
+		if lo, hi, ok = la.interval(lv); !ok || lo <= hi {
+			return lo, hi, ok
+		}
+	}
+	return 1, 0, true
 }
 
 // assign gives column j a witness value in [lo, hi], the int64 extremes

@@ -105,6 +105,8 @@ type Prover struct {
 	timeouts  atomic.Int64
 	cancels   atomic.Int64
 	theoryNS  atomic.Int64
+	// modelAnswers counts Domain checks a counter-model answered.
+	modelAnswers atomic.Int64
 
 	sessions        atomic.Int64
 	sessionChecks   atomic.Int64
@@ -147,6 +149,11 @@ type Stats struct {
 	// CacheHits counts queries answered from the memo cache (the paper's
 	// optimization 5).
 	CacheHits int
+	// ModelAnswers counts cube checks answered "not implied" (or
+	// "satisfiable") by a counter-model an earlier check of the same goal
+	// found, with no cache lookup and no search. Like a cache hit, each
+	// is one of the ProverCalls.
+	ModelAnswers int
 	// ProverGaveUp counts queries abandoned on resource caps (answered
 	// conservatively: "could not prove"). It includes timeouts and
 	// cancellations.
@@ -202,8 +209,11 @@ type Stats struct {
 }
 
 // CacheMisses is the number of queries that reached the decision
-// procedures: calls plus session checks, less cache hits.
-func (s Stats) CacheMisses() int { return s.ProverCalls + s.SessionChecks - s.CacheHits }
+// procedures: calls plus session checks, less cache hits and model
+// answers.
+func (s Stats) CacheMisses() int {
+	return s.ProverCalls + s.SessionChecks - s.CacheHits - s.ModelAnswers
+}
 
 // Stats snapshots every counter. Each is loaded once; under concurrent
 // queries the fields may come from slightly different instants.
@@ -211,6 +221,7 @@ func (p *Prover) Stats() Stats {
 	return Stats{
 		ProverCalls:     int(p.calls.Load()),
 		CacheHits:       int(p.cacheHits.Load()),
+		ModelAnswers:    int(p.modelAnswers.Load()),
 		ProverGaveUp:    int(p.gaveUp.Load()),
 		ProverTimeouts:  int(p.timeouts.Load()),
 		ProverCancels:   int(p.cancels.Load()),
@@ -234,6 +245,9 @@ func (p *Prover) Calls() int { return int(p.calls.Load()) }
 
 // CacheHits reports Stats().CacheHits.
 func (p *Prover) CacheHits() int { return int(p.cacheHits.Load()) }
+
+// ModelAnswers reports Stats().ModelAnswers.
+func (p *Prover) ModelAnswers() int { return int(p.modelAnswers.Load()) }
 
 // GaveUp reports Stats().ProverGaveUp.
 func (p *Prover) GaveUp() int { return int(p.gaveUp.Load()) }
@@ -321,10 +335,17 @@ func (p *Prover) Unsat(f form.Formula) bool {
 // formula, for searchHook only. ask counts and traces every query but a
 // faulted one, and releases s.
 func (p *Prover) ask(kind string, s *searcher, compile func(), query func() form.Formula) bool {
-	defer s.release()
 	if p.Fault != nil && p.Fault(kind, s.keyBuf) {
+		s.release()
 		return false
 	}
+	return p.answer(kind, s, compile, query)
+}
+
+// answer is ask past the fault injection: it counts the query and
+// answers it from the cache or by a search.
+func (p *Prover) answer(kind string, s *searcher, compile func(), query func() form.Formula) bool {
+	defer s.release()
 	p.calls.Add(1)
 	if !p.DisableCache {
 		if v, ok := p.get(&p.shards, s.keyBuf); ok {
@@ -563,10 +584,15 @@ type theoryEffort struct {
 
 // theory is one theory check's state: the congruence closure and the
 // linear arithmetic, whose storage is reset rather than reallocated from
-// check to check.
+// check to check, and the scratch of the counter-model a consistent leaf
+// may yield.
 type theory struct {
 	c  cc
 	la laSystem
+	// fixed: the check ended at the combination's fixpoint with an
+	// integer witness, so the classes and the witness are final.
+	fixed bool
+	m     cmodel
 }
 
 // theoryPool hands each leaf a warmed theory state.
@@ -585,6 +611,7 @@ func theoryConsistent(snap termSnap, ids []int32, eff *theoryEffort) bool {
 
 func (th *theory) check(snap termSnap, ids []int32, eff *theoryEffort) bool {
 	th.la.fmRuns, th.la.probes, th.la.fullRounds = 0, 0, 0
+	th.fixed = false
 	ok := th.assert(snap, ids) && th.arith(snap, ids)
 	eff.unions += th.c.unions
 	eff.fmRuns += th.la.fmRuns
@@ -647,6 +674,7 @@ func (th *theory) arith(snap termSnap, ids []int32) bool {
 			if c.failed {
 				return false
 			}
+			th.fixed = la.witOK
 			return true // fixpoint
 		}
 		if c.failed {

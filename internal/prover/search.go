@@ -147,6 +147,13 @@ type searcher struct {
 	sess *Session
 	val  []bool
 
+	// dom, when set, is the Domain whose check of cube against goal this
+	// search runs for: its first consistent leaf stages a counter-model
+	// of the goal (modelOf) over dom's literals.
+	dom  *Domain
+	goal *Goal
+	cube []Lit
+
 	snap   termSnap // the compiled table, as of the search's start
 	assign []int8   // atom id -> 0 unassigned, +1 / -1 canonical base true / false
 	trail  []int32  // assigned atom ids, in order
@@ -183,6 +190,7 @@ func (s *searcher) reset(p *Prover, pr *program) {
 func (s *searcher) release() {
 	s.p, s.tree, s.occs, s.snap = nil, nil, nil, termSnap{}
 	s.sess, s.val = nil, nil
+	s.dom, s.goal, s.cube = nil, nil, nil
 	clear(s.strs)
 	searcherPool.Put(s)
 }
@@ -291,6 +299,9 @@ func (s *searcher) dfs(roots []int32) bool {
 		s.st.budget--
 		s.leaves++
 		if s.sess == nil {
+			if s.dom != nil {
+				return s.leafModel()
+			}
 			return theoryConsistent(s.snap, s.lits, &s.eff)
 		}
 		ok, hit := s.p.theoryCheck(s.snap, s.lits, &s.keyBuf, &s.eff)
@@ -314,6 +325,21 @@ func (s *searcher) dfs(roots []int32) bool {
 		}
 	}
 	return false
+}
+
+// leafModel is theoryConsistent for a search that keeps counter-models:
+// a consistent leaf's model, when one checks out, is staged for the goal
+// before the theory state goes back to its pool.
+func (s *searcher) leafModel() bool {
+	th := theoryPool.Get().(*theory)
+	ok := th.check(s.snap, s.lits, &s.eff)
+	if ok {
+		if pos, neg, kept := s.modelOf(th); kept {
+			s.dom.stage(s.goal, s.cube, pos, neg)
+		}
+	}
+	theoryPool.Put(th)
+	return ok
 }
 
 // branch assigns the occurrence's atom so that the occurrence reads val,

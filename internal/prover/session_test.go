@@ -186,7 +186,7 @@ func TestSessionCacheInterop(t *testing.T) {
 	refuted := []Lit{{Pred: 2, Pos: true}, {Pred: 0, Pos: false}} // p != 0 && x < y, x >= y
 	{
 		p := New()
-		if !domainOf(p, preds).Unsat(refuted) {
+		if !domainOf(p, preds).Unsat(refuted, nil) {
 			t.Fatalf("Domain.Unsat(%v) = false", refuted)
 		}
 		s := p.NewSession()
@@ -220,7 +220,7 @@ func TestSessionCacheInterop(t *testing.T) {
 		}
 		s.Close()
 		hits0, nodes0 := p.CacheHits(), p.Stats().SearchNodes
-		if got := domainOf(p, preds).Unsat(tc.cube); got != (tc.want == Unsat) {
+		if got := domainOf(p, preds).Unsat(tc.cube, nil); got != (tc.want == Unsat) {
 			t.Errorf("%v: Domain.Unsat after a %v check = %v", tc.cube, tc.want, got)
 		}
 		if p.CacheHits() != hits0+1 || p.Stats().SearchNodes != nodes0 {

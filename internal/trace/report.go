@@ -109,6 +109,7 @@ type Report struct {
 
 	ProverCalls  int   `json:"prover_calls"`
 	CacheHits    int   `json:"cache_hits"`
+	ModelAnswers int   `json:"model_answers"`
 	CacheMisses  int   `json:"cache_misses"`
 	ProverGaveUp int   `json:"prover_gave_up"`
 	SolverNS     int64 `json:"solver_ns"`
@@ -189,6 +190,7 @@ type aggregator struct {
 
 	proverCalls  int
 	cacheHits    int
+	modelAnswers int
 	proverGaveUp int
 	solverNS     int64
 	searchNodes  int64
@@ -336,6 +338,10 @@ func (a *aggregator) consume(cat, name string, dur time.Duration, fields []Field
 		a.proverCalls++
 		if fieldBoolVal(fields, "cache_hit") {
 			a.cacheHits++
+			return
+		}
+		if fieldBoolVal(fields, "model_answer") {
+			a.modelAnswers++
 			return
 		}
 		if fieldBoolVal(fields, "gave_up") {
@@ -503,7 +509,8 @@ func (t *Tracer) Report() *Report {
 		Predicates:     a.predicates,
 		ProverCalls:    a.proverCalls,
 		CacheHits:      a.cacheHits,
-		CacheMisses:    a.proverCalls + a.sessionChecks - a.cacheHits,
+		ModelAnswers:   a.modelAnswers,
+		CacheMisses:    a.proverCalls + a.sessionChecks - a.cacheHits - a.modelAnswers,
 		ProverGaveUp:   a.proverGaveUp,
 		SolverNS:       a.solverNS,
 		SearchNodes:    a.searchNodes,
@@ -571,8 +578,8 @@ func (r *Report) Text() string {
 		fmt.Fprintf(&b, "outcome: %s (CEGAR iterations: %d)\n", r.Outcome, r.Iterations)
 	}
 	fmt.Fprintf(&b, "predicates: %d\n", r.Predicates)
-	fmt.Fprintf(&b, "theorem prover calls: %d (cache hits: %d, misses: %d, gave up: %d)\n",
-		r.ProverCalls, r.CacheHits, r.CacheMisses, r.ProverGaveUp)
+	fmt.Fprintf(&b, "theorem prover calls: %d (cache hits: %d, model answers: %d, misses: %d, gave up: %d)\n",
+		r.ProverCalls, r.CacheHits, r.ModelAnswers, r.CacheMisses, r.ProverGaveUp)
 	if r.Sessions > 0 {
 		fmt.Fprintf(&b, "prover sessions: %d (checks: %d, models extracted: %d)\n",
 			r.Sessions, r.SessionChecks, r.ModelsExtracted)

@@ -189,6 +189,28 @@ func (t *Tracer) ProverQuery(kind string, desc string, size int, d time.Duration
 	})
 }
 
+// ProverModelAnswer records a cube check answered by a counter-model of
+// an earlier check: a prover.query event with the "not implied" verdict,
+// no search effort and the field model_answer set.
+func (t *Tracer) ProverModelAnswer(kind string, desc string, size int) {
+	if t == nil {
+		return
+	}
+	t.emit("prover", "query", time.Since(t.start), 0, 0, []Field{
+		Str("kind", kind),
+		Int("size", size),
+		Bool("verdict", false),
+		Bool("cache_hit", false),
+		Bool("model_answer", true),
+		Bool("gave_up", false),
+		Int64("nodes", 0),
+		Int64("leaves", 0),
+		Int64("fm_runs", 0),
+		Int64("eq_probes", 0),
+		Str("desc", truncate(desc, maxQueryDesc)),
+	})
+}
+
 // Degrade records the first firing of a resource limit: the stage that
 // degraded, the canonical limit name, and a short detail (procedure or
 // query description). internal/budget deduplicates repeats, so each

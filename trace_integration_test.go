@@ -263,6 +263,7 @@ func TestReportTotalsMatchStats(t *testing.T) {
 			}{
 				{"prover calls", rep.ProverCalls, s.ProverCalls},
 				{"cache hits", rep.CacheHits, s.CacheHits},
+				{"model answers", rep.ModelAnswers, s.ModelAnswers},
 				{"cache misses", rep.CacheMisses, s.CacheMisses()},
 				{"gave up", rep.ProverGaveUp, s.ProverGaveUp},
 				{"cubes checked", rep.CubesChecked, s.CubesChecked},
