@@ -10,9 +10,10 @@ import (
 // output of C2bp is byte-identical whether the cube search runs on one
 // worker or eight: the parallel rounds merge their prover verdicts in
 // canonical enumeration order, so scheduling must never leak into the
-// output. The checks answered by counter-models must not depend on the
-// worker count either: a round's models join their goals only at its
-// end. Runs over the whole Table 2 golden corpus under both engines;
+// output. The checks answered by counter-models, and the goal
+// evaluations that pool them, must not depend on the worker count
+// either: a round's models join the domain's store only at its end, in
+// candidate order. Runs over the whole Table 2 golden corpus under both engines;
 // the models engine's enforce search runs on the same worker pool.
 func TestParallelAbstractionDeterminism(t *testing.T) {
 	for _, p := range corpus.Table2() {
@@ -24,7 +25,7 @@ func TestParallelAbstractionDeterminism(t *testing.T) {
 			}
 			for _, engine := range []string{EngineCubes, EngineModels} {
 				t.Run(engine, func(t *testing.T) {
-					texts, answers := map[int]string{}, map[int]int{}
+					texts, answers, evals := map[int]string{}, map[int]int{}, map[int]int{}
 					for _, jobs := range []int{1, 8} {
 						prog, err := load(p.Source)
 						if err != nil {
@@ -39,6 +40,7 @@ func TestParallelAbstractionDeterminism(t *testing.T) {
 						}
 						texts[jobs] = bprog.Text()
 						answers[jobs] = bprog.Stats().ModelAnswers
+						evals[jobs] = bprog.Stats().ModelEvals
 					}
 					if texts[1] != texts[8] {
 						t.Errorf("%s: -j 1 and -j 8 outputs differ:\n--- j=1 ---\n%s\n--- j=8 ---\n%s",
@@ -46,6 +48,9 @@ func TestParallelAbstractionDeterminism(t *testing.T) {
 					}
 					if answers[1] != answers[8] {
 						t.Errorf("%s: model answers differ: -j 1 %d, -j 8 %d", p.Name, answers[1], answers[8])
+					}
+					if evals[1] != evals[8] {
+						t.Errorf("%s: model evaluations differ: -j 1 %d, -j 8 %d", p.Name, evals[1], evals[8])
 					}
 					if answers[1] == 0 {
 						t.Errorf("%s: no check was answered by a counter-model", p.Name)

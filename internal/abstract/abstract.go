@@ -227,6 +227,12 @@ type Abstractor struct {
 	scopes map[string]*scope
 	// maskBuf is cone's scratch inclusion bitmask.
 	maskBuf []byte
+	// cubeBuf, cands and verdicts are one round's scratch: the
+	// candidates end to end, each candidate's slice of cubeBuf, and
+	// their verdicts.
+	cubeBuf  []literal
+	cands    [][]literal
+	verdicts []cubeVerdict
 
 	Stats Stats
 }

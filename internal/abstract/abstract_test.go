@@ -1,6 +1,7 @@
 package abstract
 
 import (
+	"slices"
 	"strings"
 	"testing"
 
@@ -491,5 +492,45 @@ func TestGeneratedProgramReparses(t *testing.T) {
 	printed := bp.Print(out.BP)
 	if _, err := bp.Parse(printed); err != nil {
 		t.Fatalf("generated program does not reparse: %v\n%s", err, printed)
+	}
+}
+
+// TestEnumerateCubesOrder pins enumerateCubes against a direct
+// recursion over the canonical order (ascending predicates, the
+// positive literal first), with a filter that rejects every third
+// candidate, and requires the filter to see each candidate in place.
+func TestEnumerateCubesOrder(t *testing.T) {
+	for n := 0; n <= 6; n++ {
+		for size := 1; size <= n+1; size++ {
+			var want []literal
+			calls := 0
+			var rec func(cube []literal, start int)
+			rec = func(cube []literal, start int) {
+				if len(cube) == size {
+					if calls++; calls%3 != 0 {
+						want = append(want, cube...)
+					}
+					return
+				}
+				for i := start; i < n; i++ {
+					for _, pos := range []bool{true, false} {
+						rec(append(cube, literal{Pred: i, Pos: pos}), i+1)
+					}
+				}
+			}
+			rec(nil, 0)
+			calls = 0
+			prefix := []literal{{Pred: 9, Pos: true}}
+			got := enumerateCubes(slices.Clone(prefix), n, size, func(cube []literal) bool {
+				if len(cube) != size {
+					t.Fatalf("n=%d size=%d: the filter saw %v", n, size, cube)
+				}
+				calls++
+				return calls%3 != 0
+			})
+			if !slices.Equal(got[:1], prefix) || !slices.Equal(got[1:], want) {
+				t.Fatalf("n=%d size=%d: enumerated %v, want %v after %v", n, size, got, want, prefix)
+			}
+		}
 	}
 }

@@ -121,32 +121,48 @@ func checkRound(tr *trace.Tracer, n, jobs int, check func(i int)) {
 	wg.Wait()
 }
 
-// enumerateCubes generates every signed cube of exactly size literals
-// over predicate indices [0, n), in the canonical order (ascending
-// indices; positive literal before negative at each position), keeping
-// those that pass the filter. This order is the contract that makes the
-// parallel search deterministic: rounds are merged back in it.
-func enumerateCubes(n, size int, keep func([]literal) bool) [][]literal {
-	var out [][]literal
-	cube := make([]literal, 0, size)
-	var rec func(start, need int)
-	rec = func(start, need int) {
-		if need == 0 {
-			if keep(cube) {
-				out = append(out, append([]literal(nil), cube...))
-			}
-			return
+// enumerateCubes appends to buf, end to end, every signed cube of
+// exactly size literals over predicate indices [0, n) that passes the
+// filter, in the canonical order (ascending indices; positive literal
+// before negative at each position). This order is the contract that
+// makes the parallel search deterministic: rounds are merged back in it.
+// The cube being built lives at buf's tail, so the filter sees it in
+// place and nothing is allocated per candidate.
+func enumerateCubes(buf []literal, n, size int, keep func([]literal) bool) []literal {
+	if size > n {
+		return buf
+	}
+	base := len(buf)
+	for i := range size {
+		buf = append(buf, literal{Pred: i, Pos: true})
+	}
+	for {
+		if keep(buf[base : base+size]) {
+			base += size
+			buf = append(buf, buf[base-size:base]...)
 		}
-		for i := start; i <= n-need; i++ {
-			for _, pos := range []bool{true, false} {
-				cube = append(cube, literal{Pred: i, Pos: pos})
-				rec(i+1, need-1)
-				cube = cube[:len(cube)-1]
+		// Step to the next cube: the last position that can still move
+		// flips its sign or, when negative, takes the next predicate;
+		// the positions after it restart just above it.
+		cube := buf[base : base+size]
+		j := size - 1
+		for ; j >= 0; j-- {
+			if cube[j].Pos {
+				cube[j].Pos = false
+				break
 			}
+			if cube[j].Pred < n-size+j {
+				cube[j] = literal{Pred: cube[j].Pred + 1, Pos: true}
+				break
+			}
+		}
+		if j < 0 {
+			return buf[:base]
+		}
+		for k := j + 1; k < size; k++ {
+			cube[k] = literal{Pred: cube[k-1].Pred + 1, Pos: true}
 		}
 	}
-	rec(0, size)
-	return out
 }
 
 // fv computes F_V(phi): the largest disjunction of cubes over the
@@ -251,10 +267,12 @@ func (ab *Abstractor) fv(fn string, sc *scope, phi form.Formula) bp.Expr {
 func (ab *Abstractor) fvSearch(dom *scope, phi form.Formula) bp.Expr {
 	searchStart := time.Now()
 	searchSpan := ab.opts.Tracer.Begin("cube", "search")
-	answers0 := prover.Backing(ab.pv).ModelAnswers()
+	pv := prover.Backing(ab.pv)
+	answers0, evals0 := pv.ModelAnswers(), pv.ModelEvals()
 	defer func() {
 		ab.Stats.CubeSearchTime += time.Since(searchStart)
-		searchSpan.End(trace.Int("model_answers", prover.Backing(ab.pv).ModelAnswers()-answers0))
+		searchSpan.End(trace.Int("model_answers", pv.ModelAnswers()-answers0),
+			trace.Int("model_evals", pv.ModelEvals()-evals0))
 	}()
 	// Engine dispatch: the rounds below are shared; the engines differ
 	// only in how a candidate gets its verdict.
@@ -272,22 +290,23 @@ func (ab *Abstractor) fvSearch(dom *scope, phi form.Formula) bp.Expr {
 // fvQueries is the cube engine's F_V classifier: Valid(cube, φ), then
 // Valid(cube, ¬φ), per candidate on the worker pool, each decided
 // against the domain's one compilation. It first answers the degenerate
-// goals early: a valid φ needs no cubes at all, and an unsatisfiable φ
-// has none. The validity of φ is the check of the empty cube, a round of
-// its own, whose counter-model of ¬φ serves the first round's checks.
+// goals early, in a round of their own: a valid φ needs no cubes at all,
+// and an unsatisfiable φ has none. Both are checks of the empty cube, of
+// φ and of ¬φ, so their counter-models, of ¬φ and of φ, join the
+// domain's store before the first round.
 func (ab *Abstractor) fvQueries(sc *scope, phi form.Formula) (classifier, bp.Expr) {
 	dom := sc.domain(ab.pv)
 	goal := dom.Goal(phi)
-	valid := checkCube(dom, sc.preds, nil, goal, phi)
-	dom.EndRound()
-	if valid {
+	if checkCube(dom, sc.preds, nil, goal, phi) {
 		return nil, bp.Const{Val: true}
-	}
-	if ab.pv.Valid(phi, form.FalseF{}) {
-		return nil, bp.Const{Val: false}
 	}
 	notPhi := form.NNF(form.MkNot(phi))
 	notGoal := dom.Goal(notPhi)
+	unsat := checkCube(dom, sc.preds, nil, notGoal, notPhi)
+	dom.EndRound(goal, notGoal)
+	if unsat {
+		return nil, bp.Const{Val: false}
+	}
 	return func(cands [][]literal, verdicts []cubeVerdict) {
 		checkRound(ab.opts.Tracer, len(cands), ab.jobs(), func(i int) {
 			if checkCube(dom, sc.preds, cands[i], goal, phi) {
@@ -296,7 +315,7 @@ func (ab *Abstractor) fvQueries(sc *scope, phi form.Formula) (classifier, bp.Exp
 				verdicts[i] = verdictContradiction
 			}
 		})
-		dom.EndRound()
+		dom.EndRound(goal, notGoal)
 	}, nil
 }
 
@@ -310,7 +329,8 @@ func checkCube(dom *prover.Domain, domain []Pred, cube []literal, goal *prover.G
 		v = dom.Unsat(cube, goal)
 	}
 	if CubeCheckHook != nil {
-		CubeCheckHook(cubeFormula(domain, cube), goalF, dom.Key(cube, goal), v, goal.Covers(cube))
+		model, cross := goal.Covers(cube)
+		CubeCheckHook(cubeFormula(domain, cube), goalF, dom.Key(cube, goal), v, model, cross)
 	}
 	return v
 }
@@ -318,11 +338,12 @@ func checkCube(dom *prover.Domain, domain []Pred, cube []literal, goal *prover.G
 // CubeCheckHook, when non-nil, receives every check the cube engine
 // makes of a candidate: the cube's conjunction, the goal (nil for an
 // enforce unsatisfiability check), the check's query-cache key, its
-// verdict and whether a counter-model of an earlier check answered it.
-// It is a test seam: the differential test re-asks each check through
-// Valid or Unsat. Set it only while no abstraction is running; the
-// cube-search workers call it concurrently.
-var CubeCheckHook func(cube, goal form.Formula, key string, verdict, model bool)
+// verdict, whether a counter-model of an earlier check answered it, and
+// whether that model was found by a check of another goal. It is a test
+// seam: the differential test re-asks each check through Valid or
+// Unsat. Set it only while no abstraction is running; the cube-search
+// workers call it concurrently.
+var CubeCheckHook func(cube, goal form.Formula, key string, verdict, model, cross bool)
 
 // classifier assigns a verdict to each candidate of one round: one
 // prover query per cube for the cube engine, model membership for the
@@ -350,7 +371,9 @@ func (ab *Abstractor) maxCubeLen(n int) int {
 // merge live here, the engines produce byte-identical disjunct lists
 // whenever their classifiers agree.
 func (ab *Abstractor) rounds(domain []Pred, want cubeVerdict, keep func([]literal) bool, classify classifier) []bp.Expr {
+	// The decided cubes are copied out of the round's buffer, end to end.
 	var decided [][]literal
+	var decidedLits []literal
 	var disjuncts []bp.Expr
 	for size := 1; size <= ab.maxCubeLen(len(domain)); size++ {
 		// A mid-search limit keeps the cubes found so far: each one
@@ -358,9 +381,14 @@ func (ab *Abstractor) rounds(domain []Pred, want cubeVerdict, keep func([]litera
 		if ab.degraded() {
 			break
 		}
-		cands := enumerateCubes(len(domain), size, func(cube []literal) bool {
+		ab.cubeBuf = enumerateCubes(ab.cubeBuf[:0], len(domain), size, func(cube []literal) bool {
 			return !supersetOfAny(cube, decided) && (keep == nil || keep(cube))
 		})
+		cands := ab.cands[:0]
+		for i := 0; i < len(ab.cubeBuf); i += size {
+			cands = append(cands, ab.cubeBuf[i:i+size:i+size])
+		}
+		ab.cands = cands
 		cands = ab.takeCubes(cands)
 		if len(cands) == 0 {
 			continue
@@ -368,12 +396,15 @@ func (ab *Abstractor) rounds(domain []Pred, want cubeVerdict, keep func([]litera
 		ab.Stats.CubesChecked += len(cands)
 		ab.Stats.CubeRounds++
 		roundSpan := ab.opts.Tracer.Begin("cube", "round")
-		verdicts := make([]cubeVerdict, len(cands))
+		verdicts := append(ab.verdicts[:0], make([]cubeVerdict, len(cands))...)
+		ab.verdicts = verdicts
 		classify(cands, verdicts)
 		roundSpan.End(trace.Int("len", size), trace.Int("candidates", len(cands)))
 		for i, v := range verdicts {
 			if v != verdictNone {
-				decided = append(decided, cands[i])
+				from := len(decidedLits)
+				decidedLits = append(decidedLits, cands[i]...)
+				decided = append(decided, decidedLits[from:len(decidedLits):len(decidedLits)])
 			}
 			if v == want {
 				disjuncts = append(disjuncts, cubeExpr(domain, cands[i]))
@@ -550,11 +581,13 @@ func (ab *Abstractor) enforceExpr(sc *scope) bp.Expr {
 func (ab *Abstractor) enforceSearch(sc *scope) bp.Expr {
 	searchStart := time.Now()
 	searchSpan := ab.opts.Tracer.Begin("cube", "enforce")
-	skipped0, answers0 := ab.Stats.CubesSkipped, prover.Backing(ab.pv).ModelAnswers()
+	pv := prover.Backing(ab.pv)
+	skipped0, answers0, evals0 := ab.Stats.CubesSkipped, pv.ModelAnswers(), pv.ModelEvals()
 	defer func() {
 		ab.Stats.CubeSearchTime += time.Since(searchStart)
 		searchSpan.End(trace.Int("skipped", ab.Stats.CubesSkipped-skipped0),
-			trace.Int("model_answers", prover.Backing(ab.pv).ModelAnswers()-answers0))
+			trace.Int("model_answers", pv.ModelAnswers()-answers0),
+			trace.Int("model_evals", pv.ModelEvals()-evals0))
 	}()
 
 	preds, links := sc.preds, sc.linkGraph()
@@ -566,7 +599,7 @@ func (ab *Abstractor) enforceSearch(sc *scope) bp.Expr {
 				verdicts[i] = verdictContradiction
 			}
 		})
-		dom.EndRound()
+		dom.EndRound(sat)
 	}
 	disjuncts := ab.rounds(preds, verdictContradiction, func(cube []literal) bool {
 		if links.connected(cube) {

@@ -19,16 +19,19 @@ import (
 // conjunction uses, and its verdict the one a prover without a cache
 // gives that call. That covers every check a counter-model of an
 // earlier check answered without a search; there must be some, and
-// neither side may give up. Under the models engine only the enforce
-// checks reach the domain, on the worker pool, over a prover whose term
-// table the engine's sessions also grow.
+// neither side may give up. Under the cube engine some of them must be
+// answered by a model another goal's check found, on Table 2 and on the
+// drivers. Under the models engine only the enforce checks reach the
+// domain, on the worker pool, over a prover whose term table the
+// engine's sessions also grow; their only goal is the Unsat goal, so
+// every model that answers one is its own.
 func TestCubeChecksMatchQueries(t *testing.T) {
 	ref := prover.New()
 	ref.DisableCache = true
 	var mu sync.Mutex
-	checks, models := 0, 0
+	checks, models, crosses := 0, 0, 0
 	var diffs []string
-	abstract.CubeCheckHook = func(cube, goal form.Formula, key string, verdict, model bool) {
+	abstract.CubeCheckHook = func(cube, goal form.Formula, key string, verdict, model, cross bool) {
 		var want string
 		var v bool
 		if goal == nil {
@@ -41,6 +44,9 @@ func TestCubeChecksMatchQueries(t *testing.T) {
 		checks++
 		if model {
 			models++
+		}
+		if cross {
+			crosses++
 		}
 		if len(diffs) >= 20 {
 			return
@@ -56,7 +62,7 @@ func TestCubeChecksMatchQueries(t *testing.T) {
 
 	var gaveUp int
 	for _, engine := range []string{predabs.EngineCubes, predabs.EngineModels} {
-		before, modelsBefore := checks, models
+		before, modelsBefore, crossesBefore := checks, models, crosses
 		for _, p := range corpus.Table2() {
 			load := predabs.Load
 			if p.GhostAliasing {
@@ -80,8 +86,11 @@ func TestCubeChecksMatchQueries(t *testing.T) {
 		if models == modelsBefore {
 			t.Errorf("no counter-model answered a check of the %s engine on Table 2", engine)
 		}
+		if engine == predabs.EngineCubes && crosses == crossesBefore {
+			t.Errorf("no other goal's counter-model answered a check of the %s engine on Table 2", engine)
+		}
 	}
-	modelsBefore := models
+	modelsBefore, crossesBefore := models, crosses
 	for _, d := range corpus.Drivers() {
 		res, err := predabs.VerifySpec(d.Source, d.Spec, d.Entry, predabs.DefaultVerifyConfig())
 		if err != nil {
@@ -92,6 +101,9 @@ func TestCubeChecksMatchQueries(t *testing.T) {
 	if models == modelsBefore {
 		t.Error("no counter-model answered a check of the drivers' CEGAR runs")
 	}
+	if crosses == crossesBefore {
+		t.Error("no other goal's counter-model answered a check of the drivers' CEGAR runs")
+	}
 	for _, d := range diffs {
 		t.Error(d)
 	}
@@ -101,5 +113,5 @@ func TestCubeChecksMatchQueries(t *testing.T) {
 	if gaveUp != 0 || ref.GaveUp() != 0 {
 		t.Errorf("queries gave up: %d on the corpus, %d on the reference", gaveUp, ref.GaveUp())
 	}
-	t.Logf("%d cube checks match their queries, %d of them answered by a counter-model", checks, models)
+	t.Logf("%d cube checks match their queries, %d of them answered by a counter-model, %d by another goal's", checks, models, crosses)
 }

@@ -103,12 +103,13 @@ func TestEnginesByteIdentical(t *testing.T) {
 // TestEnginesJobsInvariance pins both engines' determinism across
 // worker counts: the enumeration loop is sequential and the cube rounds
 // merge their worker-pool verdicts in canonical order, so -j must not
-// change a byte of output. Counter-models join their goals only at a
-// round's end, so the checks they answer must not change either.
+// change a byte of output. Counter-models join the domain's store only
+// at a round's end, in candidate order, so neither the checks they
+// answer nor the goal evaluations made to pool them may change either.
 func TestEnginesJobsInvariance(t *testing.T) {
 	for _, engine := range []string{EngineCubes, EngineModels} {
 		var want string
-		answers := -1
+		answers, evals := -1, -1
 		for _, jobs := range []int{1, 4, 8} {
 			opts := DefaultOptions()
 			opts.Engine = engine
@@ -116,7 +117,7 @@ func TestEnginesJobsInvariance(t *testing.T) {
 			res, pv := pipeline(t, partitionSrc, partitionPreds, opts)
 			got := bp.Print(res.BP)
 			if want == "" {
-				want, answers = got, pv.ModelAnswers()
+				want, answers, evals = got, pv.ModelAnswers(), pv.ModelEvals()
 				continue
 			}
 			if got != want {
@@ -124,6 +125,9 @@ func TestEnginesJobsInvariance(t *testing.T) {
 			}
 			if pv.ModelAnswers() != answers {
 				t.Errorf("%s engine: jobs=%d made %d model answers, jobs=1 %d", engine, jobs, pv.ModelAnswers(), answers)
+			}
+			if pv.ModelEvals() != evals {
+				t.Errorf("%s engine: jobs=%d made %d model evaluations, jobs=1 %d", engine, jobs, pv.ModelEvals(), evals)
 			}
 		}
 		if answers == 0 {

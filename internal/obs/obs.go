@@ -162,7 +162,7 @@ func WriteProverStats(w io.Writer, s prover.Stats) {
 		fmt.Fprintf(w, "prover sessions: %d\nsession checks: %d\nmodels extracted: %d\nblocking clauses: %d\n",
 			s.ProverSessions, s.SessionChecks, s.ModelsExtracted, s.BlockingClauses)
 	}
-	fmt.Fprintf(w, "prover model answers: %d\n", s.ModelAnswers)
+	fmt.Fprintf(w, "prover model answers: %d\nprover model evaluations: %d\n", s.ModelAnswers, s.ModelEvals)
 	fmt.Fprintf(w, "prover search nodes: %d\ntheory leaves: %d (memo hits: %d)\nfourier-motzkin runs: %d\nequality probes: %d\nfull-probe rounds (no witness): %d\ncongruence unions: %d\n",
 		s.SearchNodes, s.TheoryLeaves, s.TheoryMemoHits, s.FMRuns, s.EqualityProbes, s.FullProbeRounds, s.CCUnions)
 }

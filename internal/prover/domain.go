@@ -27,12 +27,13 @@ import (
 // split off by appendConjuncts, whose distinct strings keep and conjKey
 // assemble into the same key.
 //
-// Each Goal also keeps the counter-models its failed checks found
-// (model.go), its pool: a check whose every literal one of them makes
-// true is answered "not implied" (or "satisfiable") before its key is
-// built, and counted as a prover call. The models of one round of checks
-// join their goals only at EndRound, so a check's answer never depends
-// on which worker ran which candidate of its round.
+// The domain also keeps every counter-model its failed checks found
+// (model.go), and each Goal the pool of those that falsify it: a check
+// whose every literal one of them makes true is answered "not implied"
+// (or "satisfiable") with no key or search, and counted as a prover
+// call. The models of one round of checks join the store only at
+// EndRound, so a check's answer never depends on which worker ran which
+// candidate.
 
 // Lit is one signed literal of a cube over a Domain: predicate Pred
 // itself when Pos is set, else its negation.
@@ -57,9 +58,16 @@ type Domain struct {
 	mu    sync.Mutex
 	pr    *program // nil until the first miss
 	goals []*Goal  // each canonical string once; "" for Unsat checks
-	// The counter-models of the round's checks so far (EndRound).
-	pending     []pendingModel
-	pendingLits []Lit
+	// The model store (model.go): models[:joined] in order, the rest
+	// found by the round's checks so far; vals and rows are the models'
+	// arena, roundLits the cubes of the round's models, and valNums the
+	// distinct valuations of models[:joined], sorted.
+	models    []storedModel
+	joined    int
+	vals      []modelVal
+	rows      []tabEntry
+	roundLits []Lit
+	valNums   []valNum
 }
 
 // domLit is one literal: its formula and its conjuncts, parts[from:to].
@@ -70,13 +78,21 @@ type domLit struct {
 }
 
 // Goal is a validity goal of a Domain's checks, compiled negated at its
-// first miss, or — with no formula — the goal of its unsatisfiability
-// checks. It keeps the counter-models of its checks.
+// first miss or its first model evaluation, or — with no formula — the
+// goal of its unsatisfiability checks. It keeps the pool of the
+// domain's counter-models that falsify it.
 type Goal struct {
-	f      form.Formula // nil for Unsat checks
-	str    string
-	root   int32       // -1 until compiled; guarded by the domain's mu
-	models [][2]uint64 // its counter-models' literal bitmasks (model.go)
+	f    form.Formula // nil for Unsat checks
+	str  string
+	idx  int32 // creation order within the domain
+	root int32 // -1 until compiled; guarded by the domain's mu
+	// The pool (model.go): the valuations of the models its own checks
+	// found, and of the others that falsify it, each once; has is the
+	// set of their numbers in the domain, and seen counts the stored
+	// models it has caught up on.
+	own, cross []uint64
+	has        []uint64
+	seen       int
 }
 
 // NewDomain prepares cube checks on p over n predicates; lit returns
@@ -96,9 +112,11 @@ func NewDomain(p *Prover, n int, lit func(i int) (pos, neg form.Formula)) *Domai
 }
 
 // Goal prepares f as a goal of the domain's validity checks, or, when f
-// is nil, the goal of its unsatisfiability checks. A goal is made once
-// per canonical string, so the checks of every search that asks the same
-// goal of the domain share its compilation and its counter-models.
+// is nil, the goal of its unsatisfiability checks, caught up on the
+// domain's counter-models. A goal is made once per canonical string, so
+// the checks of every search that asks the same goal of the domain share
+// its compilation and its pool. Call it when no check of the domain is
+// running.
 func (d *Domain) Goal(f form.Formula) *Goal {
 	str := ""
 	if f != nil {
@@ -106,13 +124,18 @@ func (d *Domain) Goal(f form.Formula) *Goal {
 	}
 	d.mu.Lock()
 	defer d.mu.Unlock()
-	for _, g := range d.goals {
-		if g.str == str {
-			return g
+	var g *Goal
+	for _, h := range d.goals {
+		if h.str == str {
+			g = h
+			break
 		}
 	}
-	g := &Goal{f: f, str: str, root: -1}
-	d.goals = append(d.goals, g)
+	if g == nil {
+		g = &Goal{f: f, str: str, idx: int32(len(d.goals)), root: -1}
+		d.goals = append(d.goals, g)
+	}
+	d.catchUp(g)
 	return g
 }
 
@@ -123,8 +146,9 @@ func (d *Domain) Valid(cube []Lit, g *Goal) bool {
 }
 
 // Unsat reports whether the cube's conjunction is unsatisfiable: the
-// answer Unsat(MkAnd(cube's literals...)) gives. g, when not nil, is a
-// goal made by Goal(nil) that keeps the checks' counter-models.
+// answer Unsat(MkAnd(cube's literals...)) gives. g, when not nil, is the
+// goal made by Goal(nil), whose pool answers the checks and whose checks'
+// counter-models the domain keeps.
 func (d *Domain) Unsat(cube []Lit, g *Goal) bool {
 	return d.check("unsat", cube, g)
 }
@@ -174,10 +198,18 @@ func (d *Domain) key(s *searcher, cube []Lit, g *Goal) {
 // check answers one validity or unsat check of the cube: as injected
 // by Fault, which is asked first, from g's pool, which is consulted
 // before the key is built, or through the one miss path, where a
-// consistent leaf of its search stages a counter-model for g.
+// consistent leaf of its search stores a counter-model in the domain.
+// With neither Fault nor Trace set, a pool hit takes no searcher.
 func (d *Domain) check(kind string, cube []Lit, g *Goal) bool {
-	p, s := d.p, getSearcher()
+	p := d.p
 	pooled := g != nil && d.pools
+	plain := p.Fault == nil && p.Trace == nil
+	if pooled && plain && g.covers(cube) {
+		p.calls.Add(1)
+		p.modelAnswers.Add(1)
+		return false
+	}
+	s := getSearcher()
 	keyed := p.Fault != nil
 	if keyed {
 		d.key(s, cube, g)
@@ -186,7 +218,7 @@ func (d *Domain) check(kind string, cube []Lit, g *Goal) bool {
 			return false
 		}
 	}
-	if pooled && g.Covers(cube) {
+	if pooled && !plain && g.covers(cube) {
 		p.calls.Add(1)
 		p.modelAnswers.Add(1)
 		if p.Trace != nil {

@@ -1,6 +1,7 @@
 package prover
 
 import (
+	"cmp"
 	"math"
 	"slices"
 
@@ -26,8 +27,9 @@ import (
 // cube whose literals the model makes true is answered "not implied"
 // (or "satisfiable") without a search. The model therefore evaluates
 // every literal of its domain, extending the tables with fresh values
-// for terms the leaf never met, and its pool keeps only the two
-// bitmasks of the literals it makes true.
+// for terms the leaf never met, and is kept in its domain's store: it
+// answers the checks of every goal of the domain that it falsifies, not
+// only the goal whose search found it.
 
 // freshGap spaces the values given to terms the witness leaves free, so
 // that small offsets of one (x+1 for a fresh x) stay clear of another.
@@ -62,15 +64,8 @@ type cmodel struct {
 // start readies m to value the terms of th's consistent leaf over snap.
 // Fresh values start past every witness value and class constant.
 func (m *cmodel) start(snap termSnap, th *theory) {
-	m.snap, m.c, m.la = snap, &th.c, &th.la
-	if m.gen++; m.gen == 0 {
-		clear(m.keyGen)
-		clear(m.clsGen)
-		m.gen = 1
-	}
-	m.keyGen, m.keyVal = growTo(m.keyGen, snap.nkeys), growTo(m.keyVal, snap.nkeys)
-	m.clsGen, m.clsVal = growTo(m.clsGen, len(th.c.nodes)), growTo(m.clsVal, len(th.c.nodes))
-	m.seen, m.tab, m.bad = m.seen[:0], m.tab[:0], false
+	m.c, m.la = &th.c, &th.la
+	m.begin(snap, len(th.c.nodes))
 	top := int64(0)
 	for _, v := range m.la.wit[:m.la.w] {
 		top = max(top, absSat(v))
@@ -80,6 +75,43 @@ func (m *cmodel) start(snap termSnap, th *theory) {
 			top = max(top, absSat(n.numVal))
 		}
 	}
+	m.freshFrom(top)
+}
+
+// load readies m as a stored model, its valued terms vals and its table
+// rows, over snap, which may hold terms the model never valued: value
+// gives them values past every stored one.
+func (m *cmodel) load(snap termSnap, vals []modelVal, rows []tabEntry) {
+	m.c, m.la = nil, nil
+	m.begin(snap, 0)
+	m.tab = append(m.tab, rows...)
+	top := int64(0)
+	for _, mv := range vals {
+		key := snap.terms[mv.term].key
+		m.keyGen[key], m.keyVal[key] = m.gen, mv.val
+		m.seen = append(m.seen, mv.term)
+		top = max(top, absSat(mv.val))
+	}
+	m.freshFrom(top)
+}
+
+// begin empties m for a model over snap whose leaf has nodes congruence
+// nodes.
+func (m *cmodel) begin(snap termSnap, nodes int) {
+	m.snap = snap
+	if m.gen++; m.gen == 0 {
+		clear(m.keyGen)
+		clear(m.clsGen)
+		m.gen = 1
+	}
+	m.keyGen, m.keyVal = growTo(m.keyGen, snap.nkeys), growTo(m.keyVal, snap.nkeys)
+	m.clsGen, m.clsVal = growTo(m.clsGen, nodes), growTo(m.clsVal, nodes)
+	m.seen, m.tab = m.seen[:0], m.tab[:0]
+}
+
+// freshFrom starts the fresh values past top, the largest magnitude the
+// model holds so far.
+func (m *cmodel) freshFrom(top int64) {
 	m.fresh = top - top%freshGap + freshGap
 	m.bad = top > math.MaxInt64/2
 }
@@ -135,9 +167,10 @@ func (m *cmodel) setClass(r int32, v int64) {
 	m.clsGen[r], m.clsVal[r] = m.gen, v
 }
 
-// node returns the leaf's congruence node of a key, or -1.
+// node returns the leaf's congruence node of a key, or -1; a stored
+// model, which has no leaf, has none.
 func (m *cmodel) node(key int32) int32 {
-	if int(key) < len(m.c.nodeOf) {
+	if m.c != nil && int(key) < len(m.c.nodeOf) {
 		return m.c.nodeOf[key]
 	}
 	return -1
@@ -314,10 +347,17 @@ func (m *cmodel) eval(tree []cnode, occs []occurrence, i int32) bool {
 // re-derives every value from the tables rather than trusting how they
 // were built.
 func (m *cmodel) check() bool {
+	return m.checkFrom(0)
+}
+
+// checkFrom is check for a model whose terms seen[:from] already checked
+// out: values and table rows added since cannot change what they read.
+func (m *cmodel) checkFrom(from int) bool {
 	if m.bad {
 		return false
 	}
-	for i, t := range m.seen {
+	for i := from; i < len(m.seen); i++ {
+		t := m.seen[i]
 		ct := &m.snap.terms[t]
 		v := m.keyVal[ct.key]
 		switch {
@@ -360,42 +400,41 @@ func (m *cmodel) check() bool {
 }
 
 // modelOf builds the model of a consistent leaf whose theory state is
-// th and returns the bitmasks of the domain literals it makes true, or
-// ok false when no model checks out. The leaf's literals and the
-// query's roots must all hold.
-func (s *searcher) modelOf(th *theory) (pos, neg uint64, ok bool) {
+// th and returns its valuation of the domain's predicates (bit i set
+// when predicate i holds), or ok false when no model checks out. The
+// leaf's literals and the query's roots must all hold.
+func (s *searcher) modelOf(th *theory) (val uint64, ok bool) {
 	m := &th.m
 	if !m.build(s.snap, th, s.lits) {
-		return 0, 0, false
+		return 0, false
 	}
 	for _, r := range s.roots {
 		if !m.eval(s.tree, s.occs, r) {
-			return 0, 0, false
+			return 0, false
 		}
 	}
 	// A predicate's negative literal, NNF(¬p), has p's terms and the
-	// opposite value, so the positive literals decide both masks.
+	// opposite value, so the positive literals decide the valuation.
 	d := s.dom
-	n := len(d.lits) / 2
-	for i := 0; i < n; i++ {
+	for i := range len(d.lits) / 2 {
 		if m.conj(s, d, &d.lits[2*i]) {
-			pos |= 1 << i
+			val |= 1 << i
 		}
 	}
-	neg = ^pos & (1<<n - 1)
 	if !m.check() {
-		return 0, 0, false
+		return 0, false
 	}
 	if modelHook != nil {
-		modelHook(m, pos, neg)
+		modelHook(m, val)
 	}
-	return pos, neg, true
+	return val, true
 }
 
 // modelHook, when non-nil, observes every counter-model a search keeps,
-// with its literal bitmasks. Tests set it to check the model against an
-// independent evaluator; it must be set before queries start.
-var modelHook func(m *cmodel, pos, neg uint64)
+// with its valuation of the domain's predicates. Tests set it to check
+// the model against an independent evaluator; it must be set before
+// queries start.
+var modelHook func(m *cmodel, val uint64)
 
 // build values the terms of th's consistent leaf and reports whether
 // every literal of the leaf holds. It needs the leaf's final classes and
@@ -423,20 +462,139 @@ func (m *cmodel) conj(s *searcher, d *Domain, l *domLit) bool {
 	return v
 }
 
-// A Goal's models are the literal bitmasks of the counter-models its
-// failed checks found, each valuation once. Checks read them without
-// locking; the models of a round's checks wait in the domain's pending
-// list, under its mutex, and join their goals only when the round ends
-// (Domain.EndRound), so that within a round every check sees the same
-// models whatever the worker count.
+// The model store. A Domain keeps every counter-model its checks found,
+// in one arena: each model's valued terms (term id and value) and table
+// rows are spans of the domain's vals and rows. Every model values every
+// predicate of the domain, so its valuation is one word, and a cube is
+// inside it when each literal agrees with it.
+//
+// A goal's pool is the set of valuations of the stored models that
+// falsify the goal: those its own checks found, and those of other
+// goals' checks under which its negated root evaluates true (every model
+// counts for the Unsat goal). The domain numbers its distinct
+// valuations, so a goal skips a model whose valuation its pool holds
+// with one bit test. Checks read pools without locking. The models of a
+// round of checks are stored under the domain's mutex as they are
+// found, and join the store only when the round ends (EndRound): sorted
+// by the cube whose check found them, then by their goal's creation, so
+// that what a later check sees does not depend on which worker ran
+// which candidate. A goal then catches up on the models it has not
+// seen, between rounds.
 
-// pendingModel is a model staged during a round: its goal, the cube
-// whose check found it (pendingLits[from:to], for ordering) and its
-// bitmasks.
-type pendingModel struct {
-	g        *Goal
-	from, to int32
-	val      [2]uint64
+// modelVal is one valued term of a stored model.
+type modelVal struct {
+	term int32
+	val  int64
+}
+
+// storedModel is one model of the store: the goal whose check found it,
+// that check's cube (a span of the round's cube literals, for ordering),
+// its spans of the domain's vals and rows, its valuation and the
+// valuation's number in the domain.
+type storedModel struct {
+	g                *Goal
+	cube, vals, rows [2]int32
+	val              uint64
+	vid              int32
+}
+
+// valNum numbers one distinct valuation of a domain's models.
+type valNum struct {
+	val uint64
+	vid int32
+}
+
+// store keeps the model m that the check of cube against g found, with
+// its valuation, until the round ends.
+func (d *Domain) store(g *Goal, cube []Lit, val uint64, m *cmodel) {
+	d.mu.Lock()
+	defer d.mu.Unlock()
+	sm := storedModel{g: g, val: val}
+	sm.cube[0], sm.vals[0], sm.rows[0] = int32(len(d.roundLits)), int32(len(d.vals)), int32(len(d.rows))
+	d.roundLits = append(d.roundLits, cube...)
+	for _, t := range m.seen {
+		d.vals = append(d.vals, modelVal{term: t, val: m.keyVal[m.snap.terms[t].key]})
+	}
+	d.rows = append(d.rows, m.tab...)
+	sm.cube[1], sm.vals[1], sm.rows[1] = int32(len(d.roundLits)), int32(len(d.vals)), int32(len(d.rows))
+	d.models = append(d.models, sm)
+}
+
+// EndRound ends a round of checks over the domain: the models they
+// found join the store, in candidate order (the cubes' enumeration
+// order: by predicate, the positive literal first), then in their goals'
+// creation order, and each of goals catches up on the store. Call it
+// when no check of the domain is running.
+func (d *Domain) EndRound(goals ...*Goal) {
+	d.mu.Lock()
+	defer d.mu.Unlock()
+	slices.SortStableFunc(d.models[d.joined:], func(a, b storedModel) int {
+		if c := cubeCmp(d.roundLits[a.cube[0]:a.cube[1]], d.roundLits[b.cube[0]:b.cube[1]]); c != 0 {
+			return c
+		}
+		return int(a.g.idx - b.g.idx)
+	})
+	for i := range d.models[d.joined:] {
+		d.models[d.joined+i].vid = d.number(d.models[d.joined+i].val)
+	}
+	d.joined, d.roundLits = len(d.models), d.roundLits[:0]
+	for _, g := range goals {
+		d.catchUp(g)
+	}
+}
+
+// catchUp adds to g's pool the valuations of the stored models it has
+// not seen that falsify it. d.mu must be held, and no check running.
+func (d *Domain) catchUp(g *Goal) {
+	var th *theory // the evaluations' scratch, over snap
+	var snap termSnap
+	for ; g.seen < d.joined; g.seen++ {
+		sm := &d.models[g.seen]
+		w, bit := int(sm.vid/64), uint64(1)<<(sm.vid%64)
+		if w < len(g.has) && g.has[w]&bit != 0 {
+			continue
+		}
+		switch {
+		case sm.g == g:
+			g.own = append(g.own, sm.val)
+		case g.f == nil:
+			g.cross = append(g.cross, sm.val)
+		default:
+			if th == nil {
+				if g.root < 0 {
+					g.root = d.pr.compile(g.f, true)
+				}
+				th, snap = theoryPool.Get().(*theory), d.p.terms.snapshot()
+				defer theoryPool.Put(th)
+			}
+			if !d.falsifies(&th.m, snap, sm, g) {
+				continue
+			}
+			g.cross = append(g.cross, sm.val)
+		}
+		g.has = growTo(g.has, w+1)
+		g.has[w] |= bit
+	}
+}
+
+// falsifies evaluates g's negated root under the stored model, in m and
+// over snap, valuing the terms the model never met, and reports whether
+// it holds in a model that still checks out.
+func (d *Domain) falsifies(m *cmodel, snap termSnap, sm *storedModel, g *Goal) bool {
+	d.p.modelEvals.Add(1)
+	m.load(snap, d.vals[sm.vals[0]:sm.vals[1]], d.rows[sm.rows[0]:sm.rows[1]])
+	n := len(m.seen)
+	return m.eval(d.pr.nodes, d.pr.occs, g.root) && m.checkFrom(n)
+}
+
+// number returns the number of a valuation among the domain's distinct
+// valuations, numbering it next when it is new.
+func (d *Domain) number(val uint64) int32 {
+	i, ok := slices.BinarySearchFunc(d.valNums, val, func(n valNum, v uint64) int { return cmp.Compare(n.val, v) })
+	if !ok {
+		d.valNums = slices.Insert(d.valNums, i, valNum{val: val, vid: int32(len(d.valNums))})
+	}
+	return d.valNums[i].vid
 }
 
 // masks returns the cube's positive and negative literal bitmasks.
@@ -451,51 +609,35 @@ func masks(cube []Lit) (pos, neg uint64) {
 	return pos, neg
 }
 
-// Covers reports whether one of g's counter-models makes every literal
-// of the cube true: whether a check of the cube against g, made in the
-// same round without an injected fault, is answered without a search.
-func (g *Goal) Covers(cube []Lit) bool {
-	if len(g.models) == 0 {
-		return false
-	}
-	pos, neg := masks(cube)
-	for _, v := range g.models {
-		if pos&^v[0] == 0 && neg&^v[1] == 0 {
+// inside reports whether a valuation in set makes every literal of the
+// cube with bitmasks pos and neg true.
+func inside(set []uint64, pos, neg uint64) bool {
+	for _, v := range set {
+		if pos&^v == 0 && neg&v == 0 {
 			return true
 		}
 	}
 	return false
 }
 
-// stage keeps a model that the check of cube against g found until the
-// round ends.
-func (d *Domain) stage(g *Goal, cube []Lit, pos, neg uint64) {
-	d.mu.Lock()
-	from := int32(len(d.pendingLits))
-	d.pendingLits = append(d.pendingLits, cube...)
-	d.pending = append(d.pending, pendingModel{g: g, from: from, to: int32(len(d.pendingLits)), val: [2]uint64{pos, neg}})
-	d.mu.Unlock()
+// Covers reports whether a model in g's pool makes every literal of the
+// cube true: whether a check of the cube against g, made in the same
+// round without an injected fault, is answered without a search. cross
+// reports that only valuations that joined the pool from another goal's
+// models do.
+func (g *Goal) Covers(cube []Lit) (covered, cross bool) {
+	pos, neg := masks(cube)
+	if inside(g.own, pos, neg) {
+		return true, false
+	}
+	covered = inside(g.cross, pos, neg)
+	return covered, covered
 }
 
-// EndRound ends a round of checks over the domain: the counter-models
-// they found join their goals, in candidate order (the cubes'
-// enumeration order: by predicate, the positive literal first), each
-// valuation once per goal. Call it when no check of the round is still
-// running.
-func (d *Domain) EndRound() {
-	if len(d.pending) == 0 {
-		return
-	}
-	slices.SortFunc(d.pending, func(a, b pendingModel) int {
-		return cubeCmp(d.pendingLits[a.from:a.to], d.pendingLits[b.from:b.to])
-	})
-	for _, pm := range d.pending {
-		if g := pm.g; !slices.Contains(g.models, pm.val) {
-			g.models = append(g.models, pm.val)
-		}
-	}
-	clear(d.pending)
-	d.pending, d.pendingLits = d.pending[:0], d.pendingLits[:0]
+// covers is Covers without the origin, for the check's hot path.
+func (g *Goal) covers(cube []Lit) bool {
+	covered, _ := g.Covers(cube)
+	return covered
 }
 
 // cubeCmp orders cubes of one size as enumerateCubes generates them.

@@ -3,6 +3,7 @@ package prover
 import (
 	"fmt"
 	"math/rand"
+	"slices"
 	"testing"
 	"testing/quick"
 
@@ -257,18 +258,12 @@ func TestLeafModelsSatisfyLeaves(t *testing.T) {
 	}
 }
 
-// TestCubeModelsSatisfyQueries runs random cube checks over a domain of
-// the quick-check atoms and some pointer atoms, against goals from the
-// quick-check formula space, a round at a time. Every counter-model a
-// search keeps must satisfy its query, the cube's conjunction and the
-// negated goal (or the cube alone for an Unsat check), under the
-// independent evaluator, and its bitmasks must be the predicates' values
-// there. Every check a model answers must get the verdict a cache-less
-// prover gives.
-func TestCubeModelsSatisfyQueries(t *testing.T) {
+// modelPreds is a domain of the quick-check atoms and some pointer
+// atoms.
+func modelPreds() []form.Formula {
 	x, y := form.Var{Name: "x"}, form.Var{Name: "y"}
 	p, q := form.Var{Name: "p"}, form.Var{Name: "q"}
-	preds := []form.Formula{
+	return []form.Formula{
 		form.Cmp{Op: form.Lt, X: x, Y: y},
 		form.Cmp{Op: form.Eq, X: x, Y: form.Num{V: 0}},
 		form.Cmp{Op: form.Ge, X: y, Y: form.Num{V: 1}},
@@ -280,6 +275,18 @@ func TestCubeModelsSatisfyQueries(t *testing.T) {
 		form.Cmp{Op: form.Gt, X: form.Sel{X: form.Deref{X: q}, Field: "f"}, Y: form.Arith{Op: form.OpMul, X: x, Y: y}},
 		form.Cmp{Op: form.Ne, X: q, Y: form.Num{V: 0}},
 	}
+}
+
+// TestCubeModelsSatisfyQueries runs random cube checks over a domain of
+// the quick-check atoms and some pointer atoms, against goals from the
+// quick-check formula space, a round at a time. Every counter-model a
+// search keeps must satisfy its query, the cube's conjunction and the
+// negated goal (or the cube alone for an Unsat check), under the
+// independent evaluator, and its bitmasks must be the predicates' values
+// there. Every check a model answers must get the verdict a cache-less
+// prover gives.
+func TestCubeModelsSatisfyQueries(t *testing.T) {
+	preds := modelPreds()
 	pv := New()
 	d := domainOf(pv, preds)
 	ref := New()
@@ -288,7 +295,7 @@ func TestCubeModelsSatisfyQueries(t *testing.T) {
 	var cur form.Formula
 	var failure error
 	models := 0
-	modelHook = func(m *cmodel, pos, neg uint64) {
+	modelHook = func(m *cmodel, val uint64) {
 		models++
 		fm := newFormModel(m, pv.terms)
 		if v, err := fm.formula(cur); err != nil || !v {
@@ -297,11 +304,11 @@ func TestCubeModelsSatisfyQueries(t *testing.T) {
 		}
 		for i, f := range preds {
 			for _, side := range []struct {
-				f    form.Formula
-				mask uint64
-			}{{f, pos}, {form.NNF(form.MkNot(f)), neg}} {
+				f     form.Formula
+				holds bool
+			}{{f, val&(1<<i) != 0}, {form.NNF(form.MkNot(f)), val&(1<<i) == 0}} {
 				v, err := fm.formula(side.f)
-				if err != nil || v != (side.mask&(1<<i) != 0) {
+				if err != nil || v != side.holds {
 					failure = fmt.Errorf("query %s: the model's bit for %s is not its value (%v)", cur, side.f, err)
 					return
 				}
@@ -310,7 +317,7 @@ func TestCubeModelsSatisfyQueries(t *testing.T) {
 	}
 	defer func() { modelHook = nil }()
 
-	answered := 0
+	answered, crossed := 0, 0
 	cfg := &quick.Config{MaxCount: 60, Rand: rand.New(rand.NewSource(31))}
 	if err := quick.Check(func(gb []byte, picks []uint16) bool {
 		if len(gb) > 5 {
@@ -323,11 +330,12 @@ func TestCubeModelsSatisfyQueries(t *testing.T) {
 				cube := randomCube(pick, len(preds), round+1)
 				conj := cubeConj(preds, cube)
 				for _, unsat := range []bool{false, true} {
-					covered := g.Covers(cube)
+					covered, cross := g.Covers(cube)
 					cur = form.MkAnd(conj, form.MkNot(goalF))
 					var v, want bool
 					if unsat {
-						covered, cur = sat.Covers(cube), conj
+						covered, cross = sat.Covers(cube)
+						cur = conj
 						v, want = d.Unsat(cube, sat), ref.Unsat(conj)
 					} else {
 						v, want = d.Valid(cube, g), ref.Valid(conj, goalF)
@@ -338,6 +346,9 @@ func TestCubeModelsSatisfyQueries(t *testing.T) {
 					}
 					if covered {
 						answered++
+						if cross {
+							crossed++
+						}
 						if v || want {
 							t.Errorf("a counter-model answered %s, which the prover proves", cur)
 							return false
@@ -345,15 +356,15 @@ func TestCubeModelsSatisfyQueries(t *testing.T) {
 					}
 				}
 			}
-			d.EndRound()
+			d.EndRound(g, sat)
 		}
 		return true
 	}, cfg); err != nil {
 		t.Fatal(err)
 	}
-	t.Logf("%d models kept, %d checks answered by one", models, answered)
-	if models == 0 || answered == 0 {
-		t.Fatalf("%d models kept, %d checks answered by one", models, answered)
+	t.Logf("%d models kept, %d checks answered by one, %d by another goal's", models, answered, crossed)
+	if models == 0 || answered == 0 || crossed == 0 {
+		t.Fatalf("%d models kept, %d checks answered by one, %d by another goal's", models, answered, crossed)
 	}
 }
 
@@ -365,4 +376,130 @@ func randomCube(pick uint16, n, size int) []Lit {
 		cube = append(cube, Lit{Pred: i, Pos: r.Intn(2) == 0})
 	}
 	return cube
+}
+
+// TestStoredModelsDecideNewGoals fills a domain's store with the
+// counter-models of every cube check against two goals and the Unsat
+// goal, then asks goals the checks never saw: new variables, new
+// applications over values the models hold, a new field and a new
+// address. For every stored model it re-evaluates each new goal's
+// negated root as catch-up does; wherever the extended model checks out,
+// the verdict must be the independent form-level evaluator's, and the
+// goal's pool must hold exactly the valuations of the models that
+// falsify it. Then it corrupts one stored value (of a numeral, computed
+// term or application) or one table row at a time, and cmodel.check
+// must reject the model.
+func TestStoredModelsDecideNewGoals(t *testing.T) {
+	x, y, z, w := form.Var{Name: "x"}, form.Var{Name: "y"}, form.Var{Name: "z"}, form.Var{Name: "w"}
+	p, q := form.Var{Name: "p"}, form.Var{Name: "q"}
+	preds := modelPreds()
+	pv := New()
+	d := domainOf(pv, preds)
+	gs := []*Goal{d.Goal(form.Cmp{Op: form.Le, X: x, Y: y}), d.Goal(preds[6]), d.Goal(nil)}
+	for _, cube := range domainCubes(len(preds)) {
+		d.Valid(cube, gs[0])
+		d.Valid(cube, gs[1])
+		d.Unsat(cube, gs[2])
+	}
+	d.EndRound(gs...)
+	if d.joined == 0 {
+		t.Fatal("no check kept a model")
+	}
+
+	goals := []form.Formula{
+		form.Cmp{Op: form.Eq, X: z, Y: form.Arith{Op: form.OpAdd, X: x, Y: form.Num{V: 1}}},
+		form.Cmp{Op: form.Lt, X: form.Deref{X: x}, Y: y},
+		form.Cmp{Op: form.Ne, X: form.Sel{X: form.Deref{X: p}, Field: "g"}, Y: form.Num{V: 0}},
+		form.Cmp{Op: form.Ne, X: form.AddrOf{X: z}, Y: p},
+		form.Cmp{Op: form.Le, X: form.Idx{X: p, I: x}, Y: form.Deref{X: form.Deref{X: q}}},
+		form.Cmp{Op: form.Gt, X: form.Arith{Op: form.OpMul, X: x, Y: z}, Y: w},
+		form.Cmp{Op: form.Eq, X: form.Deref{X: form.AddrOf{X: w}}, Y: w},
+		form.Or{Fs: []form.Formula{
+			form.Cmp{Op: form.Eq, X: form.Deref{X: p}, Y: form.Sel{X: form.Deref{X: q}, Field: "f"}},
+			form.Cmp{Op: form.Lt, X: form.Arith{Op: form.OpSub, X: y, Y: x}, Y: form.Neg{X: w}},
+		}},
+	}
+	var th theory
+	m := &th.m
+	compared, extended, falsified := 0, 0, 0
+	for _, f := range goals {
+		g := d.Goal(f)
+		notF := form.NNF(form.MkNot(f))
+		justified := map[uint64]bool{}
+		for i := range d.models[:d.joined] {
+			sm := &d.models[i]
+			m.load(pv.terms.snapshot(), d.vals[sm.vals[0]:sm.vals[1]], d.rows[sm.rows[0]:sm.rows[1]])
+			n := len(m.seen)
+			got := m.eval(d.pr.nodes, d.pr.occs, g.root)
+			if len(m.seen) > n {
+				extended++
+				if !m.check() {
+					continue
+				}
+			}
+			want, err := newFormModel(m, pv.terms).formula(notF)
+			if err != nil || got != want {
+				t.Fatalf("%s under stored model %d: compiled %v, form-level %v (%v)", notF, i, got, want, err)
+			}
+			compared++
+			if got {
+				falsified++
+				justified[sm.val] = true
+				if !slices.Contains(g.cross, sm.val) {
+					t.Errorf("%s: the pool lacks the valuation %b of a model that falsifies it", f, sm.val)
+				}
+			}
+		}
+		for _, v := range g.cross {
+			if !justified[v] {
+				t.Errorf("%s: the pool holds the valuation %b, which no stored model that falsifies it has", f, v)
+			}
+		}
+		if len(g.own) != 0 {
+			t.Errorf("%s: a goal no check asked holds own models", f)
+		}
+	}
+	t.Logf("%d stored models, %d evaluations compared (%d valued new terms), %d falsified their goal", d.joined, compared, extended, falsified)
+	if compared == 0 || extended == 0 || falsified == 0 {
+		t.Fatalf("%d evaluations compared, %d valued new terms, %d falsified their goal", compared, extended, falsified)
+	}
+
+	values, rows := 0, 0
+	snap := pv.terms.snapshot()
+	for i := range d.models[:d.joined] {
+		sm := &d.models[i]
+		vals := slices.Clone(d.vals[sm.vals[0]:sm.vals[1]])
+		tab := slices.Clone(d.rows[sm.rows[0]:sm.rows[1]])
+		if m.load(snap, vals, tab); !m.check() {
+			t.Fatalf("stored model %d no longer checks out", i)
+		}
+		keys := map[int32]int{}
+		for _, mv := range vals {
+			keys[snap.terms[mv.term].key]++
+		}
+		for j := range vals {
+			ct := &snap.terms[vals[j].term]
+			if (ct.label < 0 && !ct.isNum) || keys[ct.key] > 1 {
+				continue
+			}
+			vals[j].val++
+			if m.load(snap, vals, tab); m.check() {
+				t.Fatalf("stored model %d with the value of term %d corrupted checks out", i, vals[j].term)
+			}
+			vals[j].val--
+			values++
+		}
+		for j := range tab {
+			tab[j].v++
+			if m.load(snap, vals, tab); m.check() {
+				t.Fatalf("stored model %d with table row %+v corrupted checks out", i, tab[j])
+			}
+			tab[j].v--
+			rows++
+		}
+	}
+	t.Logf("%d stored values and %d table rows corrupted", values, rows)
+	if values == 0 || rows == 0 {
+		t.Fatalf("%d stored values and %d table rows corrupted", values, rows)
+	}
 }

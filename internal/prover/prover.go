@@ -105,8 +105,10 @@ type Prover struct {
 	timeouts  atomic.Int64
 	cancels   atomic.Int64
 	theoryNS  atomic.Int64
-	// modelAnswers counts Domain checks a counter-model answered.
+	// modelAnswers counts Domain checks a counter-model answered, and
+	// modelEvals the goals evaluated under another goal's model.
 	modelAnswers atomic.Int64
+	modelEvals   atomic.Int64
 
 	sessions        atomic.Int64
 	sessionChecks   atomic.Int64
@@ -150,10 +152,14 @@ type Stats struct {
 	// optimization 5).
 	CacheHits int
 	// ModelAnswers counts cube checks answered "not implied" (or
-	// "satisfiable") by a counter-model an earlier check of the same goal
-	// found, with no cache lookup and no search. Like a cache hit, each
-	// is one of the ProverCalls.
+	// "satisfiable") by a counter-model an earlier check over the same
+	// domain found, with no cache lookup and no search. Like a cache hit,
+	// each is one of the ProverCalls.
 	ModelAnswers int
+	// ModelEvals counts the evaluations of a goal under a counter-model
+	// another goal's check found, which decide whether the model joins
+	// the goal's pool.
+	ModelEvals int
 	// ProverGaveUp counts queries abandoned on resource caps (answered
 	// conservatively: "could not prove"). It includes timeouts and
 	// cancellations.
@@ -222,6 +228,7 @@ func (p *Prover) Stats() Stats {
 		ProverCalls:     int(p.calls.Load()),
 		CacheHits:       int(p.cacheHits.Load()),
 		ModelAnswers:    int(p.modelAnswers.Load()),
+		ModelEvals:      int(p.modelEvals.Load()),
 		ProverGaveUp:    int(p.gaveUp.Load()),
 		ProverTimeouts:  int(p.timeouts.Load()),
 		ProverCancels:   int(p.cancels.Load()),
@@ -248,6 +255,9 @@ func (p *Prover) CacheHits() int { return int(p.cacheHits.Load()) }
 
 // ModelAnswers reports Stats().ModelAnswers.
 func (p *Prover) ModelAnswers() int { return int(p.modelAnswers.Load()) }
+
+// ModelEvals reports Stats().ModelEvals.
+func (p *Prover) ModelEvals() int { return int(p.modelEvals.Load()) }
 
 // GaveUp reports Stats().ProverGaveUp.
 func (p *Prover) GaveUp() int { return int(p.gaveUp.Load()) }

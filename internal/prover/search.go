@@ -148,8 +148,8 @@ type searcher struct {
 	val  []bool
 
 	// dom, when set, is the Domain whose check of cube against goal this
-	// search runs for: its first consistent leaf stages a counter-model
-	// of the goal (modelOf) over dom's literals.
+	// search runs for: its first consistent leaf's counter-model
+	// (modelOf), valued over dom's literals, joins dom's store.
 	dom  *Domain
 	goal *Goal
 	cube []Lit
@@ -328,14 +328,14 @@ func (s *searcher) dfs(roots []int32) bool {
 }
 
 // leafModel is theoryConsistent for a search that keeps counter-models:
-// a consistent leaf's model, when one checks out, is staged for the goal
-// before the theory state goes back to its pool.
+// a consistent leaf's model, when one checks out, is stored in the
+// domain before the theory state goes back to its pool.
 func (s *searcher) leafModel() bool {
 	th := theoryPool.Get().(*theory)
 	ok := th.check(s.snap, s.lits, &s.eff)
 	if ok {
-		if pos, neg, kept := s.modelOf(th); kept {
-			s.dom.stage(s.goal, s.cube, pos, neg)
+		if val, kept := s.modelOf(th); kept {
+			s.dom.store(s.goal, s.cube, val, &th.m)
 		}
 	}
 	theoryPool.Put(th)

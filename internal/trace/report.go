@@ -110,6 +110,7 @@ type Report struct {
 	ProverCalls  int   `json:"prover_calls"`
 	CacheHits    int   `json:"cache_hits"`
 	ModelAnswers int   `json:"model_answers"`
+	ModelEvals   int   `json:"model_evals"` // summed over the cube/search and cube/enforce spans
 	CacheMisses  int   `json:"cache_misses"`
 	ProverGaveUp int   `json:"prover_gave_up"`
 	SolverNS     int64 `json:"solver_ns"`
@@ -191,6 +192,7 @@ type aggregator struct {
 	proverCalls  int
 	cacheHits    int
 	modelAnswers int
+	modelEvals   int
 	proverGaveUp int
 	solverNS     int64
 	searchNodes  int64
@@ -306,6 +308,9 @@ func (a *aggregator) consume(cat, name string, dur time.Duration, fields []Field
 			a.stageNS["cube-search"] += int64(dur)
 			if n, ok := fieldIntVal(fields, "skipped"); ok {
 				a.cubesSkipped += int(n)
+			}
+			if n, ok := fieldIntVal(fields, "model_evals"); ok {
+				a.modelEvals += int(n)
 			}
 		case "round":
 			a.cubeRounds++
@@ -510,6 +515,7 @@ func (t *Tracer) Report() *Report {
 		ProverCalls:    a.proverCalls,
 		CacheHits:      a.cacheHits,
 		ModelAnswers:   a.modelAnswers,
+		ModelEvals:     a.modelEvals,
 		CacheMisses:    a.proverCalls + a.sessionChecks - a.cacheHits - a.modelAnswers,
 		ProverGaveUp:   a.proverGaveUp,
 		SolverNS:       a.solverNS,
@@ -578,8 +584,8 @@ func (r *Report) Text() string {
 		fmt.Fprintf(&b, "outcome: %s (CEGAR iterations: %d)\n", r.Outcome, r.Iterations)
 	}
 	fmt.Fprintf(&b, "predicates: %d\n", r.Predicates)
-	fmt.Fprintf(&b, "theorem prover calls: %d (cache hits: %d, model answers: %d, misses: %d, gave up: %d)\n",
-		r.ProverCalls, r.CacheHits, r.ModelAnswers, r.CacheMisses, r.ProverGaveUp)
+	fmt.Fprintf(&b, "theorem prover calls: %d (cache hits: %d, model answers: %d, misses: %d, gave up: %d), model evaluations: %d\n",
+		r.ProverCalls, r.CacheHits, r.ModelAnswers, r.CacheMisses, r.ProverGaveUp, r.ModelEvals)
 	if r.Sessions > 0 {
 		fmt.Fprintf(&b, "prover sessions: %d (checks: %d, models extracted: %d)\n",
 			r.Sessions, r.SessionChecks, r.ModelsExtracted)

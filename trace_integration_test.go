@@ -264,6 +264,7 @@ func TestReportTotalsMatchStats(t *testing.T) {
 				{"prover calls", rep.ProverCalls, s.ProverCalls},
 				{"cache hits", rep.CacheHits, s.CacheHits},
 				{"model answers", rep.ModelAnswers, s.ModelAnswers},
+				{"model evaluations", rep.ModelEvals, s.ModelEvals},
 				{"cache misses", rep.CacheMisses, s.CacheMisses()},
 				{"gave up", rep.ProverGaveUp, s.ProverGaveUp},
 				{"cubes checked", rep.CubesChecked, s.CubesChecked},
