@@ -19,8 +19,8 @@ bench-module:
 verify: build test bench-module
 
 # Extended gate: static analysis plus the race detector over the whole
-# tree (exercises the parallel cube search and the concurrent tracer),
-# then the fault-injection matrix and the cancellation leak check.
+# tree (exercises the shared prover and the concurrent tracer), then
+# the fault-injection matrix and the cancellation leak check.
 verify-extended: verify lint-docs metrics-lint chaos crash corrupt serve-chaos fleet-chaos disk-chaos leakcheck
 	$(GO) test -race ./...
 
@@ -46,8 +46,8 @@ chaos:
 
 # Crash gate: the kill/resume matrix — the real slam binary SIGKILLed at
 # every checkpoint commit point (full and torn frames), resumed, and
-# required to reproduce the uninterrupted run byte-for-byte at -j 1 and
-# -j 8, with the buggy subject never laundered into "verified".
+# required to reproduce the uninterrupted run byte-for-byte, each cell
+# twice, with the buggy subject never laundered into "verified".
 crash:
 	$(GO) test -count=1 -run 'TestCrash' ./internal/faultinject/
 
@@ -94,7 +94,7 @@ disk-chaos:
 metrics-lint:
 	$(GO) test -race -count=1 -run 'TestPromExpositionGolden|TestDisabledMetricsZeroAlloc|TestRegistryConcurrentStress' ./internal/metrics/
 
-# Leak gate: concurrent cancellation mid-cube-search at -j 8 must leave
+# Leak gate: concurrent cancellation mid-cube-search must leave
 # no goroutine behind and keep the degraded report deterministic, and
 # the daemon must return to its goroutine/fd baseline after drains,
 # deadline SIGKILLs, retry exhaustion, and shutdowns racing submitters.

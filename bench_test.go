@@ -316,27 +316,6 @@ func BenchmarkAblationHeuristics(b *testing.B) {
 	}
 }
 
-// BenchmarkCubeSearch compares the sequential cube search (-j 1) with
-// the bounded-worker-pool parallel search on the most prover-intensive
-// Table 2 subject. The outputs are byte-identical (see
-// TestParallelAbstractionDeterminism); only wall-clock should move.
-// Run with: go test -run Bench -bench CubeSearch
-func BenchmarkCubeSearch(b *testing.B) {
-	p, _ := corpus.ByName("qsort")
-	for _, j := range []int{1, 2, 4, 8} {
-		j := j
-		b.Run(fmt.Sprintf("j=%d", j), func(b *testing.B) {
-			opts := abstract.DefaultOptions()
-			opts.Jobs = j
-			var calls int
-			for i := 0; i < b.N; i++ {
-				_, calls = abstractOnce(b, p, opts)
-			}
-			b.ReportMetric(float64(calls), "proverCalls")
-		})
-	}
-}
-
 // BenchmarkBebopOnly isolates the model checker: the paper reports "Bebop
 // ran in under 10 seconds on the boolean program output by C2bp" for all
 // subjects; here it is milliseconds.

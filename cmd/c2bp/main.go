@@ -36,18 +36,13 @@ func run() (code int) {
 	maxCube := flag.Int("maxcube", 3, "maximum cube length in the F computation (0 = unlimited)")
 	noCone := flag.Bool("nocone", false, "disable the cone-of-influence optimization")
 	noEnforce := flag.Bool("noenforce", false, "do not emit enforce invariants")
-	jobs := flag.Int("j", 0, "cube-search worker pool size (0 = GOMAXPROCS, 1 = sequential)")
 	absEngine := flag.String("abs-engine", "cubes", "abstraction engine: cubes (per-cube prover queries) or models (incremental model enumeration)")
 	stats := flag.Bool("stats", false, "print abstraction statistics and per-stage timings to stderr")
 	obsFlags := obs.Register()
 	flag.Parse()
 
 	if *predFile == "" || flag.NArg() != 1 {
-		fmt.Fprintln(os.Stderr, "usage: c2bp [-j N] [-stats] -preds <predfile> <source.c>")
-		return 2
-	}
-	if *jobs < 0 {
-		fmt.Fprintf(os.Stderr, "c2bp: flag -j: %d: must not be negative (0 = GOMAXPROCS)\n", *jobs)
+		fmt.Fprintln(os.Stderr, "usage: c2bp [-stats] -preds <predfile> <source.c>")
 		return 2
 	}
 	if *maxCube < 0 {
@@ -84,7 +79,6 @@ func run() (code int) {
 	opts.MaxCubeLen = *maxCube
 	opts.ConeOfInfluence = !*noCone
 	opts.EmitEnforce = !*noEnforce
-	opts.Jobs = *jobs
 	if *absEngine == "" {
 		*absEngine = predabs.EngineCubes
 	}
@@ -94,9 +88,8 @@ func run() (code int) {
 		finish()
 		return fatalFile(*predFile, err)
 	}
-	// The key pins what this abstraction computes; -j and wall-clock
-	// limits stay out (worker-count-independent output, environmental
-	// degradations never persisted).
+	// The key pins what this abstraction computes; wall-clock limits
+	// stay out (environmental degradations are never persisted).
 	ckpt, err := obsFlags.OpenCheckpoint(checkpoint.CompatKey{
 		Tool: "c2bp", Version: predabs.Version,
 		Program: string(src), Spec: string(preds),

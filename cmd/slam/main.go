@@ -40,7 +40,6 @@ func run() (code int) {
 	specFile := flag.String("spec", "", "SLIC-style specification file (optional; without it, asserts in the source are checked)")
 	entry := flag.String("entry", "main", "entry procedure")
 	maxIters := flag.Int("maxiters", 10, "maximum abstraction refinement iterations")
-	jobs := flag.Int("j", 0, "cube-search worker pool size (0 = GOMAXPROCS, 1 = sequential)")
 	absEngine := flag.String("abs-engine", "cubes", "abstraction engine: cubes (per-cube prover queries) or models (incremental model enumeration)")
 	stats := flag.Bool("stats", false, "print per-stage timings and prover statistics to stderr")
 	explain := flag.Bool("explain", false, "render a found error path as an annotated source-level trace")
@@ -50,10 +49,6 @@ func run() (code int) {
 
 	if flag.NArg() != 1 {
 		fmt.Fprintln(os.Stderr, "usage: slam [-spec file] -entry <proc> <source.c>")
-		return 2
-	}
-	if *jobs < 0 {
-		fmt.Fprintf(os.Stderr, "slam: flag -j: %d: must not be negative (0 = GOMAXPROCS)\n", *jobs)
 		return 2
 	}
 	if *maxIters <= 0 {
@@ -88,7 +83,6 @@ func run() (code int) {
 		HasSpec:    *specFile != "",
 		Entry:      *entry,
 		MaxIters:   *maxIters,
-		Jobs:       *jobs,
 		Engine:     *absEngine,
 		Stats:      *stats,
 		Explain:    *explain,

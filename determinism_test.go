@@ -6,15 +6,14 @@ import (
 	"predabs/internal/corpus"
 )
 
-// TestParallelAbstractionDeterminism asserts that the boolean-program
-// output of C2bp is byte-identical whether the cube search runs on one
-// worker or eight: the parallel rounds merge their prover verdicts in
-// canonical enumeration order, so scheduling must never leak into the
-// output. The checks answered by counter-models, and the goal
-// evaluations that pool them, must not depend on the worker count
-// either: a round's models join the domain's store only at its end, in
-// candidate order. Runs over the whole Table 2 golden corpus under both engines;
-// the models engine's enforce search runs on the same worker pool.
+// TestParallelAbstractionDeterminism asserts that two runs of C2bp over
+// the same input agree byte for byte on the boolean program, and on the
+// prover's work behind it: the checks answered by counter-models, the
+// goal evaluations that pool them, the cache hits and the search effort
+// (DPLL nodes and theory leaves). A round's models join the domain's
+// store only at its end, in candidate order, so nothing a check sees
+// depends on anything but its input. Runs over the whole Table 2 golden
+// corpus under both engines.
 func TestParallelAbstractionDeterminism(t *testing.T) {
 	for _, p := range corpus.Table2() {
 		p := p
@@ -25,34 +24,40 @@ func TestParallelAbstractionDeterminism(t *testing.T) {
 			}
 			for _, engine := range []string{EngineCubes, EngineModels} {
 				t.Run(engine, func(t *testing.T) {
-					texts, answers, evals := map[int]string{}, map[int]int{}, map[int]int{}
-					for _, jobs := range []int{1, 8} {
+					var texts [2]string
+					var stats [2]AbstractStats
+					for run := range texts {
 						prog, err := load(p.Source)
 						if err != nil {
 							t.Fatal(err)
 						}
 						opts := DefaultOptions()
 						opts.Engine = engine
-						opts.Jobs = jobs
 						bprog, err := prog.Abstract(p.Preds, opts)
 						if err != nil {
 							t.Fatal(err)
 						}
-						texts[jobs] = bprog.Text()
-						answers[jobs] = bprog.Stats().ModelAnswers
-						evals[jobs] = bprog.Stats().ModelEvals
+						texts[run], stats[run] = bprog.Text(), bprog.Stats()
 					}
-					if texts[1] != texts[8] {
-						t.Errorf("%s: -j 1 and -j 8 outputs differ:\n--- j=1 ---\n%s\n--- j=8 ---\n%s",
-							p.Name, texts[1], texts[8])
+					if texts[0] != texts[1] {
+						t.Errorf("%s: outputs of two runs differ:\n--- run 1 ---\n%s\n--- run 2 ---\n%s",
+							p.Name, texts[0], texts[1])
 					}
-					if answers[1] != answers[8] {
-						t.Errorf("%s: model answers differ: -j 1 %d, -j 8 %d", p.Name, answers[1], answers[8])
+					for _, c := range []struct {
+						name string
+						a, b int
+					}{
+						{"model answers", stats[0].ModelAnswers, stats[1].ModelAnswers},
+						{"model evaluations", stats[0].ModelEvals, stats[1].ModelEvals},
+						{"cache hits", stats[0].CacheHits, stats[1].CacheHits},
+						{"search nodes", stats[0].SearchNodes, stats[1].SearchNodes},
+						{"theory leaves", stats[0].TheoryLeaves, stats[1].TheoryLeaves},
+					} {
+						if c.a != c.b {
+							t.Errorf("%s: %s differ: run 1 %d, run 2 %d", p.Name, c.name, c.a, c.b)
+						}
 					}
-					if evals[1] != evals[8] {
-						t.Errorf("%s: model evaluations differ: -j 1 %d, -j 8 %d", p.Name, evals[1], evals[8])
-					}
-					if answers[1] == 0 {
+					if stats[0].ModelAnswers == 0 {
 						t.Errorf("%s: no check was answered by a counter-model", p.Name)
 					}
 				})
@@ -61,27 +66,31 @@ func TestParallelAbstractionDeterminism(t *testing.T) {
 	}
 }
 
-// TestParallelAbstractionStatsDeterminism pins the deterministic subset
-// of the statistics: the cube candidates submitted to the prover must
-// not depend on the worker count (prover cache hits may, since workers
-// race on first computation of a shared query).
+// TestParallelAbstractionStatsDeterminism pins every count of the
+// statistics across two runs: the cube candidates submitted to the
+// prover, the cube rounds, and every prover counter. Only the wall
+// times may differ.
 func TestParallelAbstractionStatsDeterminism(t *testing.T) {
 	p, _ := corpus.ByName("partition")
-	checked := map[int]int{}
-	for _, jobs := range []int{1, 8} {
+	var runs [2]AbstractStats
+	for run := range runs {
 		prog, err := Load(p.Source)
 		if err != nil {
 			t.Fatal(err)
 		}
-		opts := DefaultOptions()
-		opts.Jobs = jobs
-		bprog, err := prog.Abstract(p.Preds, opts)
+		bprog, err := prog.Abstract(p.Preds, DefaultOptions())
 		if err != nil {
 			t.Fatal(err)
 		}
-		checked[jobs] = bprog.Stats().CubesChecked
+		runs[run] = bprog.Stats()
 	}
-	if checked[1] != checked[8] {
-		t.Errorf("CubesChecked differs: j=1 %d, j=8 %d", checked[1], checked[8])
+	a, b := runs[0].Stats, runs[1].Stats
+	a.SolverTime, b.SolverTime = 0, 0
+	if a != b {
+		t.Errorf("prover counters differ:\nrun 1 %+v\nrun 2 %+v", a, b)
+	}
+	if runs[0].CubesChecked != runs[1].CubesChecked || runs[0].CubeRounds != runs[1].CubeRounds {
+		t.Errorf("cube search differs: run 1 %d cubes in %d rounds, run 2 %d in %d",
+			runs[0].CubesChecked, runs[0].CubeRounds, runs[1].CubesChecked, runs[1].CubeRounds)
 	}
 }

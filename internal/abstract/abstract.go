@@ -23,8 +23,7 @@ import (
 	"predabs/internal/wp"
 )
 
-// Options are the precision/efficiency knobs from Section 5.2, plus the
-// parallelism knob for the prover-backed cube search.
+// Options are the precision/efficiency knobs from Section 5.2.
 type Options struct {
 	// MaxCubeLen bounds cube length in the F computation (paper: k=3
 	// "provides the needed precision in most cases"). <= 0 means
@@ -41,14 +40,12 @@ type Options struct {
 	FOnAtoms bool
 	// EmitEnforce computes per-procedure enforce invariants (Section 5.1).
 	EmitEnforce bool
-	// Jobs bounds the worker pool for the parallel cube search (the
-	// paper's dominant cost, Section 4.1). <= 0 means GOMAXPROCS; 1
-	// restores the strictly sequential scan. The boolean-program output
-	// is byte-identical for every value.
+	// Jobs is ignored: the cube search is sequential. The field stays
+	// only because the benchmark harness (cmd/bench) still sets it.
 	Jobs int
 	// Tracer receives structured events (per-procedure spans, cube-search
-	// rounds, worker lanes). nil disables tracing at zero cost. A pointer
-	// keeps Options comparable.
+	// rounds). nil disables tracing at zero cost. A pointer keeps Options
+	// comparable.
 	Tracer *trace.Tracer
 	// Budget, when non-nil, carries the run deadline/cancellation, the
 	// limits and the degradation log (internal/budget). Its CubeBudget
@@ -57,9 +54,9 @@ type Options struct {
 	// degrade soundly: F_V answers false, so assignments become the
 	// trivially sound choose(*,*) havoc and assumes become assume(true).
 	// The budget is consumed by truncating candidate lists in canonical
-	// enumeration order, so the (weaker) output stays byte-identical for
-	// every Jobs value. A cancelled run degrades every remaining procedure
-	// the same sound way. A pointer keeps Options comparable.
+	// enumeration order, so the (weaker) output is deterministic. A
+	// cancelled run degrades every remaining procedure the same sound
+	// way. A pointer keeps Options comparable.
 	Budget *budget.Tracker
 	// Engine selects the prover-backed F_V search: EngineCubes (or "")
 	// enumerates candidate cubes with one Valid query each (the paper's
@@ -197,10 +194,8 @@ type Result struct {
 }
 
 // Abstractor holds the state of one abstraction run. It is not safe for
-// concurrent use — the cube search spawns its own worker goroutines
-// internally (Options.Jobs), and they share only the concurrency-safe
-// Prover; all Abstractor state is mutated by the single coordinating
-// goroutine.
+// concurrent use: one goroutine runs the whole abstraction, cube search
+// included.
 type Abstractor struct {
 	res  *cnorm.Result
 	aa   *alias.Analysis
@@ -553,8 +548,7 @@ func (ab *Abstractor) beginProc() {
 }
 
 // degraded reports whether the current procedure's prover-backed search
-// has degraded, folding in a run cancellation first. Called only from
-// the coordinating goroutine (never from cube workers).
+// has degraded, folding in a run cancellation first.
 func (ab *Abstractor) degraded() bool {
 	if !ab.procDegraded && ab.opts.Budget.Cancelled() {
 		ab.markDegraded(budget.LimitDeadline)
@@ -571,8 +565,8 @@ func (ab *Abstractor) markDegraded(limit string) {
 
 // takeCubes spends the procedure's cube budget on a canonical candidate
 // list, truncating it (in enumeration order, so partial output is
-// byte-identical for every worker count) and marking the procedure
-// degraded when the budget runs dry.
+// deterministic) and marking the procedure degraded when the budget runs
+// dry.
 func (ab *Abstractor) takeCubes(cands [][]literal) [][]literal {
 	limit := ab.opts.Budget.Limits().CubeBudget
 	if limit <= 0 {

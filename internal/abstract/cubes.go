@@ -2,9 +2,6 @@ package abstract
 
 import (
 	"math/bits"
-	"runtime"
-	"sync"
-	"sync/atomic"
 	"time"
 
 	"predabs/internal/bp"
@@ -58,74 +55,12 @@ const (
 	verdictContradiction
 )
 
-// jobs resolves the worker-pool width for the parallel cube search
-// (Options.Jobs; <= 0 means GOMAXPROCS).
-func (ab *Abstractor) jobs() int {
-	if ab.opts.Jobs > 0 {
-		return ab.opts.Jobs
-	}
-	return runtime.GOMAXPROCS(0)
-}
-
-// minParallelRound is the smallest round worth fanning out: spawning
-// workers for a handful of cubes costs more than the prover calls save.
-const minParallelRound = 4
-
-// checkRound evaluates check(i) for i in [0, n) on a bounded worker
-// pool, the caller being worker 0. Workers pull indices from a shared
-// atomic counter; callers store per-index results, so output order is
-// independent of scheduling. With jobs <= 1 (or a tiny round) it degenerates to the sequential scan,
-// prover-call-for-prover-call identical to the pre-parallel code.
-//
-// When a tracer is active, each parallel worker's participation in the
-// round is emitted as a cube.worker span on its own lane (Chrome tid
-// w+1), so the workers render as parallel rows in Perfetto.
-func checkRound(tr *trace.Tracer, n, jobs int, check func(i int)) {
-	if jobs > n {
-		jobs = n
-	}
-	if n < minParallelRound {
-		jobs = 1
-	}
-	if jobs <= 1 {
-		for i := 0; i < n; i++ {
-			check(i)
-		}
-		return
-	}
-	var next atomic.Int64
-	work := func(w int) {
-		sp := tr.BeginLane(w+1, "cube", "worker")
-		done := 0
-		for {
-			i := int(next.Add(1)) - 1
-			if i >= n {
-				sp.End(trace.Int("cubes", done))
-				return
-			}
-			check(i)
-			done++
-		}
-	}
-	// Worker 0 is the calling goroutine, whose stack the deep search has
-	// already grown; each fresh goroutine would grow its own again.
-	var wg sync.WaitGroup
-	for w := 1; w < jobs; w++ {
-		wg.Add(1)
-		go func(w int) {
-			defer wg.Done()
-			work(w)
-		}(w)
-	}
-	work(0)
-	wg.Wait()
-}
-
 // enumerateCubes appends to buf, end to end, every signed cube of
 // exactly size literals over predicate indices [0, n) that passes the
 // filter, in the canonical order (ascending indices; positive literal
-// before negative at each position). This order is the contract that
-// makes the parallel search deterministic: rounds are merged back in it.
+// before negative at each position): the order the search checks a
+// round's candidates in, and the order its models join the domain's
+// store.
 // The cube being built lives at buf's tail, so the filter sees it in
 // place and nothing is allocated per candidate.
 func enumerateCubes(buf []literal, n, size int, keep func([]literal) bool) []literal {
@@ -256,14 +191,10 @@ func (ab *Abstractor) fv(fn string, sc *scope, phi form.Formula) bp.Expr {
 //
 // The cube space is enumerated in sized rounds (Section 5.2,
 // optimization 1) so pruning sees short implicants first, yielding prime
-// implicants only. Within one round the candidate cubes are checked
-// against the prover on a bounded worker pool (Options.Jobs wide): the
-// superset pruning can never fire between two cubes of the same size
-// (equal-size containment means equality, and enumeration never repeats
-// a cube), so the recorded implicant/contradiction sets only change at
-// round boundaries and the round's checks are order-independent. Results
-// are merged back in canonical enumeration order, making the output
-// byte-identical to the sequential scan for any worker count.
+// implicants only. The superset pruning can never fire between two cubes
+// of the same size (equal-size containment means equality, and
+// enumeration never repeats a cube), so the recorded
+// implicant/contradiction sets only change at round boundaries.
 func (ab *Abstractor) fvSearch(dom *scope, phi form.Formula) bp.Expr {
 	searchStart := time.Now()
 	searchSpan := ab.opts.Tracer.Begin("cube", "search")
@@ -288,7 +219,7 @@ func (ab *Abstractor) fvSearch(dom *scope, phi form.Formula) bp.Expr {
 }
 
 // fvQueries is the cube engine's F_V classifier: Valid(cube, φ), then
-// Valid(cube, ¬φ), per candidate on the worker pool, each decided
+// Valid(cube, ¬φ), per candidate in enumeration order, each decided
 // against the domain's one compilation. It first answers the degenerate
 // goals early, in a round of their own: a valid φ needs no cubes at all,
 // and an unsatisfiable φ has none. Both are checks of the empty cube, of
@@ -308,13 +239,13 @@ func (ab *Abstractor) fvQueries(sc *scope, phi form.Formula) (classifier, bp.Exp
 		return nil, bp.Const{Val: false}
 	}
 	return func(cands [][]literal, verdicts []cubeVerdict) {
-		checkRound(ab.opts.Tracer, len(cands), ab.jobs(), func(i int) {
-			if checkCube(dom, sc.preds, cands[i], goal, phi) {
+		for i, cube := range cands {
+			if checkCube(dom, sc.preds, cube, goal, phi) {
 				verdicts[i] = verdictImplicant
-			} else if checkCube(dom, sc.preds, cands[i], notGoal, notPhi) {
+			} else if checkCube(dom, sc.preds, cube, notGoal, notPhi) {
 				verdicts[i] = verdictContradiction
 			}
-		})
+		}
 		dom.EndRound(goal, notGoal)
 	}, nil
 }
@@ -341,8 +272,7 @@ func checkCube(dom *prover.Domain, domain []Pred, cube []literal, goal *prover.G
 // verdict, whether a counter-model of an earlier check answered it, and
 // whether that model was found by a check of another goal. It is a test
 // seam: the differential test re-asks each check through Valid or
-// Unsat. Set it only while no abstraction is running; the cube-search
-// workers call it concurrently.
+// Unsat. Set it only while no abstraction is running.
 var CubeCheckHook func(cube, goal form.Formula, key string, verdict, model, cross bool)
 
 // classifier assigns a verdict to each candidate of one round: one
@@ -415,8 +345,7 @@ func (ab *Abstractor) rounds(domain []Pred, want cubeVerdict, keep func([]litera
 }
 
 // gv computes G_V(phi) = ¬F_V(¬phi): the strongest expressible formula
-// implied by phi (Section 4.1). It inherits fv's parallelism and
-// determinism guarantees.
+// implied by phi (Section 4.1).
 func (ab *Abstractor) gv(fn string, sc *scope, phi form.Formula) bp.Expr {
 	return bp.MkNot(ab.fv(fn, sc, form.NNF(form.MkNot(phi))))
 }
@@ -537,9 +466,8 @@ func (ab *Abstractor) predTouches(fn string, p Pred, locs []form.Term) bool {
 // enforceExpr computes the data invariant ¬F_{V}(false) of a
 // procedure whose predicates are the scope's (Section 5.1): F_V(false)
 // is the disjunction of minimal inconsistent cubes over the predicates,
-// which the enforce statement rules out. It runs fv's rounds, on the
-// same worker pool and with the same deterministic merge, and asks only
-// about connected candidates. The search runs once per scope record;
+// which the enforce statement rules out. It runs fv's rounds and asks
+// only about connected candidates. The search runs once per scope record;
 // later procedures of the same scope are served its result.
 //
 // A candidate that survives superset pruning but is not connected under
@@ -594,11 +522,11 @@ func (ab *Abstractor) enforceSearch(sc *scope) bp.Expr {
 	dom := sc.domain(ab.pv)
 	sat := dom.Goal(nil)
 	classify := func(cands [][]literal, verdicts []cubeVerdict) {
-		checkRound(ab.opts.Tracer, len(cands), ab.jobs(), func(i int) {
-			if checkCube(dom, preds, cands[i], sat, nil) {
+		for i, cube := range cands {
+			if checkCube(dom, preds, cube, sat, nil) {
 				verdicts[i] = verdictContradiction
 			}
-		})
+		}
 		dom.EndRound(sat)
 	}
 	disjuncts := ab.rounds(preds, verdictContradiction, func(cube []literal) bool {

@@ -1,7 +1,6 @@
 package abstract_test
 
 import (
-	"sync"
 	"testing"
 
 	"predabs"
@@ -22,13 +21,12 @@ import (
 // neither side may give up. Under the cube engine some of them must be
 // answered by a model another goal's check found, on Table 2 and on the
 // drivers. Under the models engine only the enforce checks reach the
-// domain, on the worker pool, over a prover whose term table the
+// domain, over a prover whose term table the
 // engine's sessions also grow; their only goal is the Unsat goal, so
 // every model that answers one is its own.
 func TestCubeChecksMatchQueries(t *testing.T) {
 	ref := prover.New()
 	ref.DisableCache = true
-	var mu sync.Mutex
 	checks, models, crosses := 0, 0, 0
 	var diffs []string
 	abstract.CubeCheckHook = func(cube, goal form.Formula, key string, verdict, model, cross bool) {
@@ -39,8 +37,6 @@ func TestCubeChecksMatchQueries(t *testing.T) {
 		} else {
 			want, v = "V\x00"+cube.String()+"\x00"+goal.String(), ref.Valid(cube, goal)
 		}
-		mu.Lock()
-		defer mu.Unlock()
 		checks++
 		if model {
 			models++

@@ -4,6 +4,7 @@ import (
 	"testing"
 
 	"predabs/internal/bp"
+	"predabs/internal/prover"
 )
 
 // engineCases are small program/predicate pairs exercised by the
@@ -100,37 +101,30 @@ func TestEnginesByteIdentical(t *testing.T) {
 	}
 }
 
-// TestEnginesJobsInvariance pins both engines' determinism across
-// worker counts: the enumeration loop is sequential and the cube rounds
-// merge their worker-pool verdicts in canonical order, so -j must not
-// change a byte of output. Counter-models join the domain's store only
-// at a round's end, in candidate order, so neither the checks they
-// answer nor the goal evaluations made to pool them may change either.
+// TestEnginesJobsInvariance pins both engines' determinism: two runs
+// over the same input must agree on every byte of output, and on the
+// prover's work behind it. Counter-models join the domain's store only
+// at a round's end, in candidate order, so the checks they answer, the
+// goal evaluations made to pool them, the cache hits and the search
+// effort all repeat exactly.
 func TestEnginesJobsInvariance(t *testing.T) {
 	for _, engine := range []string{EngineCubes, EngineModels} {
-		var want string
-		answers, evals := -1, -1
-		for _, jobs := range []int{1, 4, 8} {
+		var outs [2]string
+		var stats [2]prover.Stats
+		for run := range outs {
 			opts := DefaultOptions()
 			opts.Engine = engine
-			opts.Jobs = jobs
 			res, pv := pipeline(t, partitionSrc, partitionPreds, opts)
-			got := bp.Print(res.BP)
-			if want == "" {
-				want, answers, evals = got, pv.ModelAnswers(), pv.ModelEvals()
-				continue
-			}
-			if got != want {
-				t.Fatalf("jobs=%d changed the %s engine's output", jobs, engine)
-			}
-			if pv.ModelAnswers() != answers {
-				t.Errorf("%s engine: jobs=%d made %d model answers, jobs=1 %d", engine, jobs, pv.ModelAnswers(), answers)
-			}
-			if pv.ModelEvals() != evals {
-				t.Errorf("%s engine: jobs=%d made %d model evaluations, jobs=1 %d", engine, jobs, pv.ModelEvals(), evals)
-			}
+			outs[run], stats[run] = bp.Print(res.BP), pv.Stats()
+			stats[run].SolverTime = 0
 		}
-		if answers == 0 {
+		if outs[0] != outs[1] {
+			t.Fatalf("two runs of the %s engine differ", engine)
+		}
+		if stats[0] != stats[1] {
+			t.Errorf("%s engine: prover counters differ:\nrun 1 %+v\nrun 2 %+v", engine, stats[0], stats[1])
+		}
+		if stats[0].ModelAnswers == 0 {
 			t.Errorf("the %s engine made no model answers on partition", engine)
 		}
 	}

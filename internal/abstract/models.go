@@ -12,8 +12,7 @@ import (
 // the projection → re-check, until the prover reports unsat (the
 // minterm set is complete) or gives up (it is not, and the procedure
 // degrades). Minterms come out in the prover's deterministic first-model
-// order, independent of Options.Jobs — the loop is inherently
-// sequential, so the engine's output needs no parallel merge at all.
+// order.
 type enumeration struct {
 	ab       *Abstractor
 	sess     *prover.Session

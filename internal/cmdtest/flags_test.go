@@ -25,7 +25,7 @@ func TestFlagValidationExitCodes(t *testing.T) {
 		args []string
 		want string // stderr substring naming the rejected flag
 	}{
-		{"slam", []string{"-j", "-1", missing}, "flag -j"},
+		{"slam", []string{"-j", "1", missing}, "flag provided but not defined: -j"},
 		{"slam", []string{"-maxiters", "0", missing}, "flag -maxiters"},
 		{"slam", []string{"-maxiters", "-3", missing}, "flag -maxiters"},
 		{"slam", []string{"-timeout", "0s", missing}, "flag -timeout"},
@@ -33,7 +33,7 @@ func TestFlagValidationExitCodes(t *testing.T) {
 		{"slam", []string{"-query-timeout", "-1ms", missing}, "flag -query-timeout"},
 		{"slam", []string{"-cube-budget", "-1", missing}, "flag -cube-budget"},
 		{"slam", []string{"-bdd-max-nodes", "-1", missing}, "flag -bdd-max-nodes"},
-		{"c2bp", []string{"-j", "-2", "-preds", missing, missing}, "flag -j"},
+		{"c2bp", []string{"-j", "1", "-preds", missing, missing}, "flag provided but not defined: -j"},
 		{"c2bp", []string{"-maxcube", "-1", "-preds", missing, missing}, "flag -maxcube"},
 		{"c2bp", []string{"-timeout", "0s", "-preds", missing, missing}, "flag -timeout"},
 		{"bebop", []string{"-timeout", "-1s", missing}, "flag -timeout"},
@@ -50,11 +50,10 @@ func TestFlagValidationExitCodes(t *testing.T) {
 		}
 	}
 
-	// The zero values stay valid defaults: -j 0 means GOMAXPROCS, and an
-	// omitted -timeout means no deadline.
+	// The defaults stay valid: an omitted -timeout means no deadline.
 	src := write(t, "ok.c", flagsProbeC)
-	if out, code := run(t, "slam", "-j", "0", "-entry", "main", src); code != 0 {
-		t.Errorf("slam -j 0: exit %d\n%s", code, out)
+	if out, code := run(t, "slam", "-entry", "main", src); code != 0 {
+		t.Errorf("slam: exit %d\n%s", code, out)
 	}
 }
 

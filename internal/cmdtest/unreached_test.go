@@ -27,12 +27,15 @@ import (
 )
 
 // unreachedAllow names the facade API kept although only the tests
-// beside it reach it. Each entry says why it stays.
+// beside it reach it, and the fields kept although nothing reads them.
+// Each entry says why it stays.
 var unreachedAllow = map[string]string{
 	"predabs.Verify":     "the package doc's SLAM entry point for programs whose properties are asserts",
 	"predabs.Outcome":    "the type of VerifyResult.Outcome, which callers compare with the verdict constants",
 	"predabs.Verified":   "the verdict a caller compares with to read a proof; ErrorFound and Unknown have callers",
 	"predabs.StageError": "the error type the README promises for a failed stage; callers unwrap it with errors.As",
+	"predabs/internal/abstract.Options.Jobs": "ignored (the cube search is sequential), but cmd/bench still sets it, " +
+		"so it goes with the next change to the benchmark",
 }
 
 // TestUnreachedDeclarations runs the rule over the root module (with
@@ -134,7 +137,8 @@ type decl struct {
 // key and the left side of a plain = are writes, not reads. The fields
 // of a struct used as a map key are read by every lookup. A field that
 // is only grown, as in x.f = append(x.f, …) or x.f[i] = append(x.f[i],
-// …), is written there, not read. Anything else is "write-only".
+// …), is written there, not read. Anything else is "write-only", unless
+// allow names the field.
 func unreached(t *testing.T, root string, modDirs []string, allow map[string]string) []string {
 	t.Helper()
 	var order []*listedPkg
@@ -450,6 +454,13 @@ func unreached(t *testing.T, root string, modDirs []string, allow map[string]str
 		found = append(found, finding{d.pos, d.name + " is " + verdict})
 	}
 	for _, f := range fields {
+		if _, ok := allow[f.name]; ok {
+			allowed[f.name] = true
+			if f.read {
+				found = append(found, finding{f.pos, f.name + " is allowlisted but read; drop the entry"})
+			}
+			continue
+		}
 		if !f.read {
 			found = append(found, finding{f.pos, f.name + " is write-only"})
 		}

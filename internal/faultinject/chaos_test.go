@@ -49,12 +49,9 @@ func TestChaosMatrix(t *testing.T) {
 		sub.Runs = 25
 		cfg := profiles[seed%len(profiles)]
 		cfg.Seed = int64(seed)
-		// Exercise both the sequential and the concurrent cube search,
-		// and the model-enumeration engine's sessions.
+		// Exercise both the cube engine and the model-enumeration
+		// engine's sessions.
 		opts := abstract.DefaultOptions()
-		if seed%2 == 1 {
-			opts.Jobs = 4
-		}
 		if seed%4 >= 2 {
 			opts.Engine = abstract.EngineModels
 		}

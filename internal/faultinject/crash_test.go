@@ -2,7 +2,7 @@
 // mid-commit via the deterministic checkpoint crash hook, resumes from
 // the surviving journal and asserts the resumed run is byte-identical
 // to an uninterrupted one — at every commit point, in full-frame and
-// torn-frame variants, sequentially and at -j 8. The companion
+// torn-frame variants, each twice. The companion
 // TestCorrupt* tests feed deliberately damaged journals (bit flips,
 // truncation, wrong compatibility hash) back to slam and assert they
 // are detected and recovered from — truncation to the last good record
@@ -128,8 +128,8 @@ func crashEnv(commit int, torn bool) []string {
 }
 
 // TestCrashResumeByteIdentical is the kill/resume matrix: every Table 1
-// driver × every commit point × {full frame, torn frame} × {-j 1, -j 8}.
-// The resumed run's stdout and exit code must match the uninterrupted
+// driver × every commit point × {full frame, torn frame}, each cell run
+// twice. The resumed run's stdout and exit code must match the uninterrupted
 // reference exactly — including the error-path lines for the buggy
 // floppy driver — which pins both the warm-started determinism and the
 // counter bookkeeping across the process boundary.
@@ -152,16 +152,16 @@ func TestCrashResumeByteIdentical(t *testing.T) {
 					ref.code, ref.killed, wantCode, ref.stdout, ref.stderr)
 			}
 
-			for _, jobs := range []string{"1", "8"} {
+			for run := 1; run <= 2; run++ {
 				for commit := 1; commit <= maxKillPoints; commit++ {
 					for _, torn := range []bool{false, true} {
-						name := fmt.Sprintf("j%s-commit%d", jobs, commit)
+						name := fmt.Sprintf("run%d-commit%d", run, commit)
 						if torn {
 							name += "-torn"
 						}
 						state := filepath.Join(t.TempDir(), "state")
 						crash := runSlam(t, bin, crashEnv(commit, torn),
-							"-state", state, "-spec", spec, "-entry", p.Entry, "-j", jobs, src)
+							"-state", state, "-spec", spec, "-entry", p.Entry, src)
 						if !crash.killed {
 							// Fewer commit points than the kill index: the
 							// hook never fired and the run completed — it
@@ -173,7 +173,7 @@ func TestCrashResumeByteIdentical(t *testing.T) {
 							continue
 						}
 
-						args := []string{"-state", state, "-spec", spec, "-entry", p.Entry, "-j", jobs, src}
+						args := []string{"-state", state, "-spec", spec, "-entry", p.Entry, src}
 						if !torn {
 							// A torn final frame may leave zero committed
 							// iterations (commit 1), where -resume rightly

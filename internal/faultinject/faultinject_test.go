@@ -133,7 +133,6 @@ func TestSlamStatsThroughWrapper(t *testing.T) {
 	for _, engine := range []string{abstract.EngineCubes, abstract.EngineModels} {
 		run := func(pv prover.Querier) prover.Stats {
 			cfg := slam.DefaultConfig()
-			cfg.Opts.Jobs = 1
 			cfg.Opts.Engine = engine
 			cfg.Prover = pv
 			res, err := slam.VerifySpec(d.Source, d.Spec, d.Entry, cfg)

@@ -15,7 +15,7 @@ type CacheEntry struct {
 // sorted by Key ascending. The ordering is part of the checkpoint
 // compatibility contract (a golden test pins it), so resumed runs and
 // fresh runs serialize the same cache state byte-identically regardless
-// of shard layout or worker interleaving.
+// of shard layout or query interleaving.
 //
 // Only fully decided verdicts live in the cache: queries abandoned on a
 // wall-clock timeout or a run cancellation are never memoized (see

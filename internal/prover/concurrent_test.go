@@ -295,56 +295,3 @@ func TestImportExportCacheConcurrent(t *testing.T) {
 		}
 	}
 }
-
-// TestConcurrentDomain shares one compiled domain between 8 goroutines,
-// as the cube-search workers do: each asks every cube's checks, from its
-// own starting point, while the others compile literals and goals into
-// the shared program at their misses. Every verdict must equal the one a
-// sequential pass over a fresh prover's domain gives.
-func TestConcurrentDomain(t *testing.T) {
-	const workers = 8
-	preds := domainPreds()
-	cubes := domainCubes(len(preds))
-	goals := []form.Formula{form.Cmp{Op: form.Le, X: form.Var{Name: "x"}, Y: form.Var{Name: "y"}}, preds[1]}
-	ask := func(d *Domain, gs []*Goal, cube []Lit) [3]bool {
-		return [3]bool{d.Valid(cube, gs[0]), d.Valid(cube, gs[1]), d.Unsat(cube, nil)}
-	}
-	goalsOf := func(d *Domain) []*Goal { return []*Goal{d.Goal(goals[0]), d.Goal(goals[1])} }
-
-	seq := domainOf(New(), preds)
-	seqGoals := goalsOf(seq)
-	want := make([][3]bool, len(cubes))
-	for i, cube := range cubes {
-		want[i] = ask(seq, seqGoals, cube)
-	}
-
-	// Without the cache every check searches the shared program.
-	p := New()
-	p.DisableCache = true
-	shared := domainOf(p, preds)
-	sharedGoals := goalsOf(shared)
-	var wg sync.WaitGroup
-	errs := make(chan string, workers)
-	for w := 0; w < workers; w++ {
-		w := w
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for k := range cubes {
-				i := (k + w*len(cubes)/workers) % len(cubes)
-				if got := ask(shared, sharedGoals, cubes[i]); got != want[i] {
-					errs <- fmt.Sprintf("worker %d: cube %v: verdicts %v, sequential %v", w, cubes[i], got, want[i])
-					return
-				}
-			}
-		}()
-	}
-	wg.Wait()
-	close(errs)
-	for e := range errs {
-		t.Error(e)
-	}
-	if got, want := p.Calls(), workers*3*len(cubes); got != want {
-		t.Errorf("Calls = %d, want %d", got, want)
-	}
-}

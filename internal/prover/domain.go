@@ -1,8 +1,6 @@
 package prover
 
 import (
-	"sync"
-
 	"predabs/internal/form"
 )
 
@@ -12,10 +10,9 @@ import (
 // negation — and shares the goal. A Domain answers those checks against
 // one compilation: each literal's canonical strings are rendered once,
 // and each literal and each goal (negated) is compiled once, at the
-// first cache miss that needs it, into one program that the cube-search
-// workers share. A check assembles its cache key from the memoized
-// strings and searches the precompiled roots: the cube's conjuncts, then
-// the goal.
+// first cache miss that needs it, into one program. A check assembles
+// its cache key from the memoized strings and searches the precompiled
+// roots: the cube's conjuncts, then the goal.
 //
 // The key is exactly Valid's or Unsat's key of the cube's conjunction
 // (MkAnd of its literals), and separate conjunct roots search exactly
@@ -32,8 +29,7 @@ import (
 // whose every literal one of them makes true is answered "not implied"
 // (or "satisfiable") with no key or search, and counted as a prover
 // call. The models of one round of checks join the store only at
-// EndRound, so a check's answer never depends on which worker ran which
-// candidate.
+// EndRound, so a check's answer depends only on earlier rounds.
 
 // Lit is one signed literal of a cube over a Domain: predicate Pred
 // itself when Pos is set, else its negation.
@@ -42,20 +38,18 @@ type Lit struct {
 	Pos  bool
 }
 
-// Domain is the compiled literal domain of one cube search. It is safe
-// for concurrent use.
+// Domain is the compiled literal domain of one cube search. It is not
+// safe for concurrent use.
 type Domain struct {
 	p    *Prover
 	lits []domLit // positive literal of predicate i at 2i, negative at 2i+1
-	// parts are the literals' top-level conjuncts; their roots are
-	// compiled, and read, under mu.
+	// parts are the literals' top-level conjuncts.
 	parts []conjPart
 
 	// pools: the domain is small enough (at most 64 predicates) for its
 	// goals to keep counter-model bitmasks.
 	pools bool
 
-	mu    sync.Mutex
 	pr    *program // nil until the first miss
 	goals []*Goal  // each canonical string once; "" for Unsat checks
 	// The model store (model.go): models[:joined] in order, the rest
@@ -85,7 +79,7 @@ type Goal struct {
 	f    form.Formula // nil for Unsat checks
 	str  string
 	idx  int32 // creation order within the domain
-	root int32 // -1 until compiled; guarded by the domain's mu
+	root int32 // -1 until compiled
 	// The pool (model.go): the valuations of the models its own checks
 	// found, and of the others that falsify it, each once; has is the
 	// set of their numbers in the domain, and seen counts the stored
@@ -115,15 +109,12 @@ func NewDomain(p *Prover, n int, lit func(i int) (pos, neg form.Formula)) *Domai
 // is nil, the goal of its unsatisfiability checks, caught up on the
 // domain's counter-models. A goal is made once per canonical string, so
 // the checks of every search that asks the same goal of the domain share
-// its compilation and its pool. Call it when no check of the domain is
-// running.
+// its compilation and its pool.
 func (d *Domain) Goal(f form.Formula) *Goal {
 	str := ""
 	if f != nil {
 		str = f.String()
 	}
-	d.mu.Lock()
-	defer d.mu.Unlock()
 	var g *Goal
 	for _, h := range d.goals {
 		if h.str == str {
@@ -247,12 +238,8 @@ func (d *Domain) check(kind string, cube []Lit, g *Goal) bool {
 
 // compile compiles whatever of s.parts and g is not compiled yet, sets
 // s.roots to the check's roots (the conjuncts in order, then the negated
-// goal) and readies s to search the domain's program. The program only
-// grows, and a search reads only the nodes that existed when it started,
-// so the workers share it.
+// goal) and readies s to search the domain's program.
 func (d *Domain) compile(s *searcher, g *Goal) {
-	d.mu.Lock()
-	defer d.mu.Unlock()
 	if d.pr == nil {
 		d.pr = newProgram(d.p.terms)
 		if d.pools {

@@ -473,13 +473,11 @@ func (m *cmodel) conj(s *searcher, d *Domain, l *domLit) bool {
 // goals' checks under which its negated root evaluates true (every model
 // counts for the Unsat goal). The domain numbers its distinct
 // valuations, so a goal skips a model whose valuation its pool holds
-// with one bit test. Checks read pools without locking. The models of a
-// round of checks are stored under the domain's mutex as they are
-// found, and join the store only when the round ends (EndRound): sorted
-// by the cube whose check found them, then by their goal's creation, so
-// that what a later check sees does not depend on which worker ran
-// which candidate. A goal then catches up on the models it has not
-// seen, between rounds.
+// with one bit test. The models of a round of checks are kept as they
+// are found, and join the store only when the round ends (EndRound):
+// sorted by the cube whose check found them, then by their goal's
+// creation. A goal then catches up on the models it has not seen,
+// between rounds.
 
 // modelVal is one valued term of a stored model.
 type modelVal struct {
@@ -507,8 +505,6 @@ type valNum struct {
 // store keeps the model m that the check of cube against g found, with
 // its valuation, until the round ends.
 func (d *Domain) store(g *Goal, cube []Lit, val uint64, m *cmodel) {
-	d.mu.Lock()
-	defer d.mu.Unlock()
 	sm := storedModel{g: g, val: val}
 	sm.cube[0], sm.vals[0], sm.rows[0] = int32(len(d.roundLits)), int32(len(d.vals)), int32(len(d.rows))
 	d.roundLits = append(d.roundLits, cube...)
@@ -523,11 +519,8 @@ func (d *Domain) store(g *Goal, cube []Lit, val uint64, m *cmodel) {
 // EndRound ends a round of checks over the domain: the models they
 // found join the store, in candidate order (the cubes' enumeration
 // order: by predicate, the positive literal first), then in their goals'
-// creation order, and each of goals catches up on the store. Call it
-// when no check of the domain is running.
+// creation order, and each of goals catches up on the store.
 func (d *Domain) EndRound(goals ...*Goal) {
-	d.mu.Lock()
-	defer d.mu.Unlock()
 	slices.SortStableFunc(d.models[d.joined:], func(a, b storedModel) int {
 		if c := cubeCmp(d.roundLits[a.cube[0]:a.cube[1]], d.roundLits[b.cube[0]:b.cube[1]]); c != 0 {
 			return c
@@ -544,7 +537,7 @@ func (d *Domain) EndRound(goals ...*Goal) {
 }
 
 // catchUp adds to g's pool the valuations of the stored models it has
-// not seen that falsify it. d.mu must be held, and no check running.
+// not seen that falsify it.
 func (d *Domain) catchUp(g *Goal) {
 	var th *theory // the evaluations' scratch, over snap
 	var snap termSnap

@@ -20,8 +20,9 @@
 // optimization 5), session theory-leaf verdicts in a second striped memo
 // keyed by the compiled literal sequence, the compiled table only grows
 // under its own lock while searches read snapshots of it, and the
-// statistics counters are atomic, so the parallel cube search in
-// internal/abstract can share one instance across workers.
+// statistics counters are atomic, so goroutines can share one instance.
+// A Domain, by contrast, belongs to the one goroutine that runs its cube
+// search.
 package prover
 
 import (
@@ -53,8 +54,8 @@ func (p *Prover) backing() *Prover { return p }
 // Backing returns the Prover behind q.
 func Backing(q Querier) *Prover { return q.backing() }
 
-// cacheShards stripes the query cache to keep lock contention low under
-// the parallel cube search. Must be a power of two.
+// cacheShards stripes the query cache to keep lock contention low when
+// goroutines share a prover. Must be a power of two.
 const cacheShards = 64
 
 // cacheShard is one stripe of a striped table: the query cache or the
@@ -209,8 +210,8 @@ type Stats struct {
 	FullProbeRounds int
 
 	// SolverTime is the cumulative wall time inside the decision
-	// procedures (cache hits excluded). Under the parallel cube search it
-	// sums across workers, so it can exceed elapsed time.
+	// procedures (cache hits excluded). When goroutines share the prover
+	// it sums across them, so it can exceed elapsed time.
 	SolverTime time.Duration
 }
 
@@ -287,7 +288,7 @@ func (p *Prover) get(t *[cacheShards]cacheShard, key []byte) (bool, bool) {
 	return v, ok
 }
 
-// put records a result in one of the striped tables. Two workers racing
+// put records a result in one of the striped tables. Two goroutines racing
 // on the same key write the same deterministic answer, so last-write-wins
 // is harmless.
 func (p *Prover) put(t *[cacheShards]cacheShard, key string, v bool) {

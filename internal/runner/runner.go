@@ -37,12 +37,10 @@ type Input struct {
 	Entry string
 	// MaxIters bounds the refinement iterations (cmd/slam -maxiters).
 	MaxIters int
-	// Jobs sizes the cube-search worker pool (cmd/slam -j).
-	Jobs int
 	// Engine selects the abstraction engine (cmd/slam -abs-engine):
 	// predabs.EngineCubes, predabs.EngineModels, or "" for the default
-	// cube engine. Unlike Jobs it changes what the run computes along the
-	// way (prover cache contents, budget degradations), so it feeds the
+	// cube engine. It changes what the run computes along the way
+	// (prover cache contents, budget degradations), so it feeds the
 	// checkpoint compatibility key.
 	Engine string
 	// Stats, Explain and Verbose mirror the slam flags of the same name.
@@ -115,7 +113,6 @@ func Run(in Input, stdout, stderr io.Writer) (code int, outcome string) {
 	}
 	cfg := predabs.DefaultVerifyConfig()
 	cfg.MaxIterations = in.MaxIters
-	cfg.Opts.Jobs = in.Jobs
 	cfg.Opts.Engine = engine
 	cfg.Tracer = tracer
 	cfg.Limits = flags.Limits()
@@ -126,9 +123,8 @@ func Run(in Input, stdout, stderr io.Writer) (code int, outcome string) {
 		}
 	}
 	// The compatibility key covers everything that changes what the run
-	// computes. -j and the wall-clock limits are deliberately absent:
-	// results are worker-count-independent, and wall-clock degradations
-	// are never persisted.
+	// computes. The wall-clock limits are deliberately absent: wall-clock
+	// degradations are never persisted.
 	key := checkpoint.CompatKey{
 		Tool: "slam", Version: predabs.Version,
 		Program: in.Source, Spec: in.Spec, Entry: in.Entry,

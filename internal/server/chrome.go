@@ -15,7 +15,7 @@ import (
 // wall-clock timestamps) and each worker attempt's trace JSONL
 // (timestamps relative to that worker's tracer start). The merged export
 // is one Chrome trace_event JSON document where the daemon occupies lane
-// 0 and every attempt's worker lanes render under it, rebased onto the
+// 0 and attempt N's pipeline lane N renders under it, rebased onto the
 // job's wall-clock timeline using the attempt's spawn event as its epoch.
 
 // mergedEvent is one Chrome trace_event record of the merged export.
@@ -35,22 +35,15 @@ type mergedEvent struct {
 
 // workerTraceLine mirrors the trace package's JSONL record shape (see
 // internal/trace.emit): ts/dur are nanoseconds since the worker tracer
-// started, tid 0 is the worker's pipeline lane.
+// started.
 type workerTraceLine struct {
 	TS     int64           `json:"ts"`
 	Type   string          `json:"type"`
 	Dur    int64           `json:"dur"`
 	Cat    string          `json:"cat"`
 	Name   string          `json:"name"`
-	Tid    int             `json:"tid"`
 	Fields json.RawMessage `json:"fields"`
 }
-
-// attemptLaneStride spaces the merged thread ids of successive attempts:
-// attempt N's worker tid K renders as N*stride+K. Worker tids are cube
-// worker indices (bounded by -j, far below the stride), so lanes of
-// different attempts can never collide.
-const attemptLaneStride = 1000
 
 func (s *Server) handleChromeTrace(w http.ResponseWriter, r *http.Request) {
 	s.mu.Lock()
@@ -72,8 +65,8 @@ func (s *Server) handleChromeTrace(w http.ResponseWriter, r *http.Request) {
 }
 
 // mergeChromeTrace builds the merged event list: the daemon supervision
-// lane from the job's event log, then one set of worker lanes per
-// attempt that left a trace file, each rebased to its spawn timestamp.
+// lane from the job's event log, then one pipeline lane per attempt that
+// left a trace file, each rebased to its spawn timestamp.
 func mergeChromeTrace(dir string, evs []JobEvent) []mergedEvent {
 	t0 := evs[0].TS // job epoch: everything is rendered relative to this
 	last := evs[len(evs)-1].TS
@@ -128,7 +121,7 @@ func mergeChromeTrace(dir string, evs []JobEvent) []mergedEvent {
 		})
 	}
 
-	// Worker lanes. Failed attempts' traces are archived as
+	// Attempt lanes. Failed attempts' traces are archived as
 	// trace-attempt-N.jsonl; the final attempt keeps trace.jsonl, so it
 	// belongs to the highest spawned attempt without an archive.
 	maxAttempt := 0
@@ -151,6 +144,7 @@ func mergeChromeTrace(dir string, evs []JobEvent) []mergedEvent {
 		if err != nil {
 			continue
 		}
+		lanes[n] = fmt.Sprintf("attempt %d pipeline", n)
 		sc := bufio.NewScanner(f)
 		sc.Buffer(make([]byte, 0, 64*1024), 4<<20)
 		for sc.Scan() {
@@ -158,16 +152,8 @@ func mergeChromeTrace(dir string, evs []JobEvent) []mergedEvent {
 			if json.Unmarshal(sc.Bytes(), &line) != nil {
 				continue
 			}
-			tid := n*attemptLaneStride + line.Tid
-			if _, seen := lanes[tid]; !seen {
-				name := fmt.Sprintf("attempt %d pipeline", n)
-				if line.Tid != 0 {
-					name = fmt.Sprintf("attempt %d cube worker %d", n, line.Tid)
-				}
-				lanes[tid] = name
-			}
 			me := mergedEvent{
-				Tid: tid, Ts: micros(epoch + line.TS),
+				Tid: n, Ts: micros(epoch + line.TS),
 				Cat: line.Cat, Name: line.Name, Args: line.Fields,
 			}
 			if line.Type == "span" {
@@ -181,7 +167,7 @@ func mergeChromeTrace(dir string, evs []JobEvent) []mergedEvent {
 	}
 
 	// Lane metadata last, in tid order, so every tid Perfetto encounters
-	// has a human name ("attempt 2 cube worker 1", not a bare number).
+	// has a human name ("attempt 2 pipeline", not a bare number).
 	tids := make([]int, 0, len(lanes))
 	for tid := range lanes {
 		tids = append(tids, tid)

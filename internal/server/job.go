@@ -60,9 +60,6 @@ type JobSpec struct {
 	Entry string `json:"entry,omitempty"`
 	// MaxIters bounds refinement iterations (default 10).
 	MaxIters int `json:"max_iters,omitempty"`
-	// Jobs sizes the cube-search worker pool inside the worker process
-	// (0 = GOMAXPROCS). Verdicts are worker-count-independent.
-	Jobs int `json:"jobs,omitempty"`
 	// AbsEngine selects the abstraction engine ("cubes" or "models";
 	// empty means "cubes"). It participates in the spec hash, so changing
 	// it changes job identity — a recycled job directory can never serve
@@ -108,9 +105,6 @@ func (s *JobSpec) Normalize() error {
 	}
 	if s.MaxIters < 0 {
 		return fmt.Errorf("max_iters: %d: must be positive", s.MaxIters)
-	}
-	if s.Jobs < 0 {
-		return fmt.Errorf("jobs: %d: must not be negative", s.Jobs)
 	}
 	if !predabs.ValidEngine(s.AbsEngine) {
 		return fmt.Errorf("abs_engine: %q: must be %q or %q",
@@ -239,7 +233,6 @@ func RunWorker(dir string, stderr io.Writer) int {
 		HasSpec:    spec.Spec != "",
 		Entry:      spec.Entry,
 		MaxIters:   spec.MaxIters,
-		Jobs:       spec.Jobs,
 		Engine:     spec.AbsEngine,
 		Explain:    spec.Explain,
 		Progress:   progress,

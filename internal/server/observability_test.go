@@ -375,8 +375,8 @@ func TestEventLogSurvivesRestart(t *testing.T) {
 
 // TestChromeTraceMergesAttemptLanes retries a crashing job to a verdict
 // and checks the merged Chrome export: one daemon lane with the
-// supervision span and per-attempt spans, plus distinct worker lanes for
-// each attempt's trace (archived for failed attempts, live for the
+// supervision span and per-attempt spans, plus a distinct pipeline lane
+// for each attempt's trace (archived for failed attempts, live for the
 // final one).
 func TestChromeTraceMergesAttemptLanes(t *testing.T) {
 	drv := corpus.Drivers()[1]
@@ -418,7 +418,7 @@ func TestChromeTraceMergesAttemptLanes(t *testing.T) {
 
 	lanes := map[string]bool{} // thread_name metadata values
 	daemonSpans := map[string]bool{}
-	workerTids := map[int]bool{}
+	attemptLanes := map[int]bool{}
 	for _, ev := range doc.TraceEvents {
 		if ev.Ph == "M" && ev.Name == "thread_name" {
 			var meta struct {
@@ -431,7 +431,7 @@ func TestChromeTraceMergesAttemptLanes(t *testing.T) {
 			daemonSpans[ev.Name] = true
 		}
 		if ev.Tid != 0 && ev.Ph != "M" {
-			workerTids[ev.Tid/1000] = true // lane stride groups tids by attempt
+			attemptLanes[ev.Tid] = true // attempt N's pipeline lane is tid N
 		}
 	}
 	if !daemonSpans["supervise"] {
@@ -442,11 +442,11 @@ func TestChromeTraceMergesAttemptLanes(t *testing.T) {
 			t.Errorf("daemon lane missing the attempt %d span", n)
 		}
 	}
-	// Every attempt left worker events in its own lane group: the failed
+	// Every attempt left worker events on its own lane: the failed
 	// attempts' archived traces and the final attempt's live trace.
-	if len(workerTids) < 2 {
-		t.Fatalf("merged trace has worker lanes for %d attempts, want at least 2 (lanes: %v)",
-			len(workerTids), lanes)
+	if len(attemptLanes) < 2 {
+		t.Fatalf("merged trace has pipeline lanes for %d attempts, want at least 2 (lanes: %v)",
+			len(attemptLanes), lanes)
 	}
 	if !lanes["attempt 1 pipeline"] || !lanes[fmt.Sprintf("attempt %d pipeline", st.Attempts)] {
 		t.Fatalf("per-attempt pipeline lanes missing; named lanes: %v", lanes)

@@ -219,7 +219,6 @@ func TestSubmitValidation(t *testing.T) {
 		{},                                    // empty source
 		{Source: verifiedSrc, MaxIters: -1},   // negative limit
 		{Source: verifiedSrc, CubeBudget: -5}, // negative limit
-		{Source: verifiedSrc, Jobs: -1},       // negative worker count
 		{Source: verifiedSrc, Env: []string{"X=1"}}, // env without -allow-job-env
 	}
 	for i, spec := range bad {
@@ -230,18 +229,25 @@ func TestSubmitValidation(t *testing.T) {
 
 	ts := httptest.NewServer(s.Handler())
 	defer ts.Close()
-	for name, body := range map[string]string{
-		"malformed":     `{"source": `,
-		"unknown-field": `{"source": "void main() {}", "bogus": 1}`,
-		"empty-source":  `{"entry": "main"}`,
+	for name, c := range map[string]struct{ body, names string }{
+		"malformed":     {`{"source": `, ""},
+		"unknown-field": {`{"source": "void main() {}", "bogus": 1}`, `"bogus"`},
+		"empty-source":  {`{"entry": "main"}`, "source"},
+		// jobs is not a JobSpec field: the cube search has no worker pool.
+		"jobs-field": {`{"source": "void main() {}", "jobs": 2}`, `"jobs"`},
 	} {
-		resp, err := http.Post(ts.URL+"/jobs", "application/json", strings.NewReader(body))
+		resp, err := http.Post(ts.URL+"/jobs", "application/json", strings.NewReader(c.body))
 		if err != nil {
 			t.Fatal(err)
 		}
+		var msg struct{ Error string }
+		json.NewDecoder(resp.Body).Decode(&msg)
 		resp.Body.Close()
 		if resp.StatusCode != http.StatusBadRequest {
 			t.Errorf("%s: HTTP %d, want 400", name, resp.StatusCode)
+		}
+		if !strings.Contains(msg.Error, c.names) {
+			t.Errorf("%s: error %q does not name %s", name, msg.Error, c.names)
 		}
 	}
 	if c := s.CounterSnapshot(); c.Submitted != 0 {
@@ -407,6 +413,85 @@ func TestRestartResumesJournaledJobs(t *testing.T) {
 		t.Fatalf("restarted daemon reused job ID %s", id)
 	}
 	await(t, s2, id2, 30*time.Second)
+}
+
+// TestLedgerWithJobsFieldReplays starts a daemon over a data dir that a
+// daemon with a cube-search worker pool left behind: every admit record
+// and job.json carries "jobs":2, a field JobSpec no longer has. Job 1
+// was admitted and never ran; job 2 finished with error-found. Replay
+// must ignore the field: job 1 re-runs to the verdict a direct run
+// gives, and job 2 keeps its durable verdict. Neither may error or be
+// lost.
+func TestLedgerWithJobsFieldReplays(t *testing.T) {
+	dataDir := t.TempDir()
+	oldSpec := func(src string) string {
+		quoted, err := json.Marshal(src)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return `{"source":` + string(quoted) + `,"entry":"main","max_iters":10,"jobs":2}`
+	}
+	for id, src := range map[string]string{"job-000001": verifiedSrc, "job-000002": buggySrc} {
+		dir := filepath.Join(dataDir, "jobs", id)
+		if err := os.MkdirAll(dir, 0o755); err != nil {
+			t.Fatal(err)
+		}
+		if err := os.WriteFile(filepath.Join(dir, "job.json"), []byte(oldSpec(src)), 0o644); err != nil {
+			t.Fatal(err)
+		}
+	}
+	records := []string{
+		`{"type":"admit","id":"job-000001","spec":` + oldSpec(verifiedSrc) + `}`,
+		`{"type":"admit","id":"job-000002","spec":` + oldSpec(buggySrc) + `}`,
+		`{"type":"attempt","id":"job-000002","attempt":1}`,
+		`{"type":"done","id":"job-000002","state":"done","exit":1,"outcome":"error-found"}`,
+	}
+	payloads := make([][]byte, len(records))
+	for i, r := range records {
+		payloads[i] = []byte(r)
+	}
+	// The job ledger's format-1 magic, as the daemon writes it.
+	if err := checkpoint.RewriteLog(nil, filepath.Join(dataDir, server.LedgerName), "PREDABSLGR1\x00", payloads); err != nil {
+		t.Fatal(err)
+	}
+
+	s := newServer(t, func(c *server.Config) { c.DataDir = dataDir })
+	if c := s.CounterSnapshot(); c.Resumed != 1 {
+		t.Fatalf("daemon resumed %d jobs from the old ledger, want 1", c.Resumed)
+	}
+	st := await(t, s, "job-000001", 30*time.Second)
+	refOut, refCode := direct(t, server.JobSpec{Source: verifiedSrc})
+	if st.State != server.StateDone || st.Stdout != refOut || st.ExitCode != refCode {
+		t.Fatalf("replayed pending job: state %q error %q exit %d, want done with the direct run's verdict (exit %d):\n%s",
+			st.State, st.Error, st.ExitCode, refCode, st.Stdout)
+	}
+	done, ok := s.Status("job-000002")
+	if !ok || done.State != server.StateDone || done.Outcome != "error-found" || done.ExitCode != 1 {
+		t.Fatalf("replayed finished job lost its verdict: %+v (found %t)", done, ok)
+	}
+}
+
+// TestSpecHashWithoutJobsUnchanged pins the content address of specs
+// that never carried jobs: the values below are what SpecHash gave while
+// JobSpec still had its omitempty jobs field, so a daemon and a fleet
+// frontend on either side of its removal agree on every such spec.
+func TestSpecHashWithoutJobsUnchanged(t *testing.T) {
+	for _, c := range []struct {
+		spec server.JobSpec
+		want string
+	}{
+		{server.JobSpec{Source: "void main() {}", Entry: "main", MaxIters: 10},
+			"a78cb9e0ead045878ee3010f990675e26812b534e76444b9af4a684637b19fbe"},
+		{server.JobSpec{Source: "void main(int x) { assert(x == x); }", Spec: "state { int s = 0; }",
+			Entry: "main", MaxIters: 7, AbsEngine: "models", Explain: true, TimeoutMS: 1500,
+			QueryTimeoutMS: 20, CubeBudget: 300, BDDMaxNodes: 5000, AttemptTimeoutMS: 60000,
+			Env: []string{"K=V"}},
+			"514359c9ff4f719fe71ab34bc2d79ee46431d5088425f0afd92a8b16e9736751"},
+	} {
+		if got := server.SpecHash(c.spec); got != c.want {
+			t.Errorf("SpecHash(%+v) = %s, want %s", c.spec, got, c.want)
+		}
+	}
 }
 
 // TestShutdownKillRefundsFinalAttempt forces shutdown's SIGKILL onto a

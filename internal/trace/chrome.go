@@ -1,9 +1,7 @@
 package trace
 
 import (
-	"fmt"
 	"io"
-	"sort"
 	"strconv"
 )
 
@@ -11,8 +9,8 @@ import (
 // array format (the "JSON Array Format" of the trace-event spec), which
 // Perfetto and chrome://tracing load directly. Spans become "X"
 // (complete) events with microsecond timestamps; instants become "i"
-// events. Lanes (Span tids) map to Chrome thread ids, so the parallel
-// cube-search workers render as separate rows.
+// events. Every event sits on one lane (Chrome thread id 0), named
+// "pipeline".
 //
 // The tracer must have been created with Config.RetainChrome; otherwise
 // the export is empty (an empty, still-loadable trace).
@@ -34,9 +32,7 @@ func (t *Tracer) WriteChrome(w io.Writer) error {
 		if i > 0 {
 			b = append(b, ',', '\n')
 		}
-		b = append(b, `{"pid":1,"tid":`...)
-		b = strconv.AppendInt(b, int64(e.tid), 10)
-		b = append(b, `,"ts":`...)
+		b = append(b, `{"pid":1,"tid":0,"ts":`...)
 		// Chrome timestamps are microseconds; keep sub-µs precision as a
 		// decimal fraction.
 		b = appendMicros(b, e.ts)
@@ -59,29 +55,8 @@ func (t *Tracer) WriteChrome(w io.Writer) error {
 			return err
 		}
 	}
-	// Name the lanes so Perfetto shows "cube worker N" instead of bare
-	// tids.
-	laneSet := map[int]bool{}
-	for _, e := range events {
-		laneSet[e.tid] = true
-	}
-	lanes := make([]int, 0, len(laneSet))
-	for tid := range laneSet {
-		lanes = append(lanes, tid)
-	}
-	sort.Ints(lanes)
-	needComma := len(events) > 0
-	for _, tid := range lanes {
-		name := "pipeline"
-		if tid != 0 {
-			name = fmt.Sprintf("cube worker %d", tid)
-		}
-		meta := fmt.Sprintf("{\"pid\":1,\"tid\":%d,\"ph\":\"M\",\"name\":\"thread_name\",\"args\":{\"name\":%q}}", tid, name)
-		if needComma {
-			meta = ",\n" + meta
-		}
-		needComma = true
-		if _, err := io.WriteString(w, meta); err != nil {
+	if len(events) > 0 {
+		if _, err := io.WriteString(w, ",\n"+`{"pid":1,"tid":0,"ph":"M","name":"thread_name","args":{"name":"pipeline"}}`); err != nil {
 			return err
 		}
 	}

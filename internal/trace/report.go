@@ -96,7 +96,7 @@ type CheckpointInfo struct {
 
 // Report is the end-of-run aggregation of the event stream: the paper's
 // Table 1/2 cost columns plus latency detail. The deterministic subset
-// (counts, not wall times) is identical for any cube-search worker count;
+// (counts, not wall times) is identical run to run;
 // TestReportAggregateDeterminism pins that.
 type Report struct {
 	// Outcome is the slam verdict ("verified", "error-found", "unknown"),

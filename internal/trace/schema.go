@@ -16,7 +16,6 @@ import (
 //	 "dur": <ns int ≥ 0>,           required iff type == "span"
 //	 "cat": <known category>,       required
 //	 "name": <known name for cat>,  required
-//	 "tid": <int ≥ 1>,              optional (lane; 0 is implied)
 //	 "fields": {k: str|num|bool}}   optional
 //
 // Categories and event names form a closed taxonomy (Taxonomy). Adding a
@@ -28,7 +27,7 @@ import (
 var Taxonomy = map[string][]string{
 	"frontend": {"parse", "alias"},
 	"abstract": {"run", "signatures", "proc", "predicates"},
-	"cube":     {"search", "enforce", "round", "worker"},
+	"cube":     {"search", "enforce", "round"},
 	// Model-enumeration abstraction engine (-abs-engine=models): one
 	// "session" span per blocking-clause loop, with kind/checks/models/
 	// complete fields. The default cube engine emits none of these.
@@ -82,7 +81,6 @@ type rawEvent struct {
 	Dur    *int64                     `json:"dur"`
 	Cat    string                     `json:"cat"`
 	Name   string                     `json:"name"`
-	Tid    *int64                     `json:"tid"`
 	Fields map[string]json.RawMessage `json:"fields"`
 }
 
@@ -115,9 +113,6 @@ func ValidateLine(line []byte) error {
 	}
 	if !containsStr(names, e.Name) {
 		return fmt.Errorf("unknown name %q in category %q", e.Name, e.Cat)
-	}
-	if e.Tid != nil && *e.Tid < 1 {
-		return fmt.Errorf("explicit tid must be >= 1")
 	}
 	for k, typ := range RequiredFields[e.Cat+"/"+e.Name] {
 		if err := checkFieldType(e.Fields[k], typ); err != nil {

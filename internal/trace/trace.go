@@ -9,8 +9,7 @@
 //   - a JSONL event log (one self-describing JSON object per line, see
 //     schema.go for the schema and Validate for the checker);
 //   - a Chrome trace_event export (WriteChrome) loadable in Perfetto or
-//     chrome://tracing, where the parallel cube-search workers render as
-//     separate lanes;
+//     chrome://tracing;
 //   - an end-of-run aggregation (Report) rolling the events up into the
 //     paper's Table 1/2 cost columns plus prover-latency histograms and
 //     the top-K most expensive queries and procedures.
@@ -19,7 +18,7 @@
 // returns immediately, and allocates nothing (guarded by
 // TestNilTracerZeroAlloc), so pipeline code can thread a tracer
 // unconditionally. All methods on a non-nil Tracer are safe for
-// concurrent use; the parallel cube-search workers share one instance.
+// concurrent use.
 package trace
 
 import (
@@ -69,8 +68,7 @@ func Bool(key string, val bool) Field {
 // chromeEvent is one retained event for the Chrome trace_event export.
 type chromeEvent struct {
 	cat, name string
-	ts, dur   int64 // nanoseconds since tracer start; dur < 0 = instant
-	tid       int
+	ts, dur   int64  // nanoseconds since tracer start; dur < 0 = instant
 	args      string // pre-rendered JSON object ("" = none)
 }
 
@@ -113,26 +111,15 @@ type Span struct {
 	cat   string
 	name  string
 	start time.Duration // since t.start
-	tid   int
 }
 
-// Begin opens a span on lane 0. Close it with End; the span is emitted
+// Begin opens a span. Close it with End; the span is emitted
 // (with its duration) at End time.
 func (t *Tracer) Begin(cat, name string) Span {
 	if t == nil {
 		return Span{}
 	}
 	return Span{t: t, cat: cat, name: name, start: time.Since(t.start)}
-}
-
-// BeginLane opens a span on an explicit lane (Chrome tid). The parallel
-// cube-search workers use one lane per worker so they render as separate
-// rows in Perfetto.
-func (t *Tracer) BeginLane(lane int, cat, name string) Span {
-	if t == nil {
-		return Span{}
-	}
-	return Span{t: t, cat: cat, name: name, start: time.Since(t.start), tid: lane}
 }
 
 // End closes the span, emitting one "span" record carrying the start
@@ -142,7 +129,7 @@ func (s Span) End(fields ...Field) {
 		return
 	}
 	dur := time.Since(s.t.start) - s.start
-	s.t.emit(s.cat, s.name, s.start, dur, s.tid, fields)
+	s.t.emit(s.cat, s.name, s.start, dur, fields)
 }
 
 // Event emits an instant (zero-duration) record.
@@ -150,7 +137,7 @@ func (t *Tracer) Event(cat, name string, fields ...Field) {
 	if t == nil {
 		return
 	}
-	t.emit(cat, name, time.Since(t.start), -1, 0, fields)
+	t.emit(cat, name, time.Since(t.start), -1, fields)
 }
 
 // Effort is one search's work as a prover.query event reports it: DPLL
@@ -175,7 +162,7 @@ func (t *Tracer) ProverQuery(kind string, desc string, size int, d time.Duration
 	if ts < 0 {
 		ts = 0
 	}
-	t.emit("prover", "query", ts, d, 0, []Field{
+	t.emit("prover", "query", ts, d, []Field{
 		Str("kind", kind),
 		Int("size", size),
 		Bool("verdict", verdict),
@@ -196,7 +183,7 @@ func (t *Tracer) ProverModelAnswer(kind string, desc string, size int) {
 	if t == nil {
 		return
 	}
-	t.emit("prover", "query", time.Since(t.start), 0, 0, []Field{
+	t.emit("prover", "query", time.Since(t.start), 0, []Field{
 		Str("kind", kind),
 		Int("size", size),
 		Bool("verdict", false),
@@ -242,7 +229,7 @@ func truncate(s string, n int) string {
 // emit serializes one record to the JSONL sink, retains it for the
 // Chrome export, and feeds the aggregator. It must not retain the fields
 // slice (so callers' variadic backing arrays can live on the stack).
-func (t *Tracer) emit(cat, name string, ts, dur time.Duration, tid int, fields []Field) {
+func (t *Tracer) emit(cat, name string, ts, dur time.Duration, fields []Field) {
 	t.mu.Lock()
 	defer t.mu.Unlock()
 
@@ -266,10 +253,6 @@ func (t *Tracer) emit(cat, name string, ts, dur time.Duration, tid int, fields [
 		b = appendJSONString(b, cat)
 		b = append(b, `,"name":`...)
 		b = appendJSONString(b, name)
-		if tid != 0 {
-			b = append(b, `,"tid":`...)
-			b = strconv.AppendInt(b, int64(tid), 10)
-		}
 		if args != "" {
 			b = append(b, `,"fields":`...)
 			b = append(b, args...)
@@ -280,7 +263,7 @@ func (t *Tracer) emit(cat, name string, ts, dur time.Duration, tid int, fields [
 	}
 	if t.retain {
 		t.events = append(t.events, chromeEvent{
-			cat: cat, name: name, ts: int64(ts), dur: int64(dur), tid: tid, args: args,
+			cat: cat, name: name, ts: int64(ts), dur: int64(dur), args: args,
 		})
 	}
 }

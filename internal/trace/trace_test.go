@@ -18,10 +18,6 @@ func TestNilTracerZeroAlloc(t *testing.T) {
 			s := tr.Begin("cube", "round")
 			s.End(Int("candidates", 12), Bool("changed", true))
 		},
-		"BeginLane/End": func() {
-			s := tr.BeginLane(3, "cube", "worker")
-			s.End()
-		},
 		"Event": func() {
 			tr.Event("bebop", "iter", Str("proc", "main"), Int("worklist", 7), Int("bdd_nodes", 100))
 		},
@@ -46,11 +42,9 @@ func emitSample(tr *Tracer) {
 	proc := tr.Begin("abstract", "proc")
 	cs := tr.Begin("cube", "search")
 	rd := tr.Begin("cube", "round")
-	w := tr.BeginLane(1, "cube", "worker")
 	tr.ProverQuery("valid", "p & q => r", 11, 3*time.Microsecond, true, false, false, Effort{Nodes: 5, Leaves: 2, FMRuns: 4, EqProbes: 1})
 	tr.ProverQuery("valid", "p & q => r", 11, 0, true, true, false, Effort{})
 	tr.ProverQuery("unsat", strings.Repeat("x", 500), 500, 90*time.Microsecond, false, false, true, Effort{Nodes: 7, Leaves: 3, FMRuns: 6, EqProbes: 2})
-	w.End()
 	rd.End(Int("candidates", 3), Int("len", 1))
 	cs.End()
 	proc.End(Str("proc", "main"), Int("rounds", 1), Int("cubes", 3))
@@ -102,7 +96,8 @@ func TestValidateLineRejections(t *testing.T) {
 		`{"ts":1,"type":"span","dur":1,"cat":"cube","name":"nope"}`,              // unknown name
 		`{"ts":1,"type":"span","dur":1,"cat":"cache","name":"lookup"}`,           // unknown category (cache)
 		`{"ts":1,"type":"huh","cat":"cube","name":"round"}`,                      // bad type
-		`{"ts":1,"type":"event","cat":"cube","name":"round","tid":0}`,            // explicit tid 0
+		`{"ts":1,"type":"event","cat":"cube","name":"round","tid":1}`,            // lane (tid) is not a key
+		`{"ts":1,"type":"span","dur":1,"cat":"cube","name":"worker"}`,            // not a cube trace point
 		`{"ts":1,"type":"event","cat":"cube","name":"round","extra":1}`,          // unknown key
 		`{"ts":1,"type":"event","cat":"cube","name":"round","fields":{"x":[1]}}`, // non-scalar field
 		`{"ts":0,"type":"span","dur":42,"cat":"prover","name":"query","fields":{"kind":"valid","size":9,"verdict":true,"cache_hit":false,"gave_up":false,"leaves":1,"fm_runs":0,"eq_probes":0,"desc":"x"}}`,            // no nodes
@@ -114,7 +109,7 @@ func TestValidateLineRejections(t *testing.T) {
 			t.Errorf("ValidateLine accepted invalid line: %s", line)
 		}
 	}
-	good := `{"ts":0,"type":"span","dur":42,"cat":"prover","name":"query","tid":2,"fields":{"kind":"valid","size":9,"verdict":true,"cache_hit":false,"gave_up":false,"nodes":3,"leaves":1,"fm_runs":2,"eq_probes":0,"desc":"x > 0 => x >= 0"}}`
+	good := `{"ts":0,"type":"span","dur":42,"cat":"prover","name":"query","fields":{"kind":"valid","size":9,"verdict":true,"cache_hit":false,"gave_up":false,"nodes":3,"leaves":1,"fm_runs":2,"eq_probes":0,"desc":"x > 0 => x >= 0"}}`
 	if err := ValidateLine([]byte(good)); err != nil {
 		t.Errorf("ValidateLine rejected valid line: %v", err)
 	}
@@ -228,12 +223,11 @@ func TestWriteChrome(t *testing.T) {
 		t.Fatal("chrome export has no events")
 	}
 	phases := map[string]int{}
-	lanes := map[float64]bool{}
 	for _, e := range doc.TraceEvents {
 		ph, _ := e["ph"].(string)
 		phases[ph]++
-		if tid, ok := e["tid"].(float64); ok {
-			lanes[tid] = true
+		if tid, ok := e["tid"].(float64); !ok || tid != 0 {
+			t.Errorf("event off the pipeline lane (tid 0): %v", e)
 		}
 		if _, ok := e["pid"]; !ok {
 			t.Errorf("event missing pid: %v", e)
@@ -247,9 +241,6 @@ func TestWriteChrome(t *testing.T) {
 	}
 	if phases["M"] == 0 {
 		t.Error("no thread_name metadata events in chrome export")
-	}
-	if !lanes[1] {
-		t.Error("cube worker lane (tid 1) missing from chrome export")
 	}
 
 	// A nil tracer still writes a loadable (empty) document.
@@ -266,15 +257,15 @@ func TestConcurrentEmission(t *testing.T) {
 	var buf bytes.Buffer
 	tr := New(Config{JSONL: &buf, RetainChrome: true})
 	done := make(chan struct{})
-	for w := 0; w < 8; w++ {
-		go func(w int) {
+	for range 8 {
+		go func() {
 			defer func() { done <- struct{}{} }()
 			for i := 0; i < 50; i++ {
-				s := tr.BeginLane(w+1, "cube", "worker")
+				s := tr.Begin("cube", "round")
 				tr.ProverQuery("valid", "f", 1, time.Microsecond, true, false, false, Effort{Nodes: 1, Leaves: 1})
 				s.End()
 			}
-		}(w)
+		}()
 	}
 	for w := 0; w < 8; w++ {
 		<-done

@@ -138,8 +138,8 @@ type AbstractStats struct {
 	// that reached the decision procedures. Search and theory effort
 	// count this process's work only; a run warm-started from a
 	// checkpoint does not inherit them, and the queries its restored
-	// cache answers add none. SolverTime sums across cube-search workers
-	// (it can exceed AbstractTime when Options.Jobs > 1).
+	// cache answers add none. SolverTime is the time inside the
+	// decision procedures, part of AbstractTime.
 	prover.Stats
 	// abstractCounters carries the abstraction's counters: CubesChecked,
 	// CubesSkipped and CubeRounds for the cube search, SignatureTime and
@@ -175,8 +175,6 @@ type BooleanProgram struct {
 
 // Abstract runs C2bp on the program with the given predicate input file
 // (sections "procname: e1, e2, ..." and optionally "global: ...").
-// Opts.Jobs controls the cube-search worker pool; the output is
-// byte-identical for every value.
 func (p *Program) Abstract(predicates string, opts Options) (*BooleanProgram, error) {
 	return p.AbstractCtx(context.Background(), predicates, opts, Limits{})
 }
@@ -184,8 +182,9 @@ func (p *Program) Abstract(predicates string, opts Options) (*BooleanProgram, er
 // AbstractCtx is Abstract under a cancellation context and resource
 // limits. Hitting a limit (or the context's deadline) truncates the cube
 // search, which weakens the emitted boolean program but keeps it a sound
-// abstraction; the truncations appear in Stats().Degradations. The
-// truncated output is still byte-identical for every Opts.Jobs value.
+// abstraction; the truncations appear in Stats().Degradations. A cube
+// budget truncates the search in its canonical order, so its output is
+// deterministic.
 func (p *Program) AbstractCtx(ctx context.Context, predicates string, opts Options, lim Limits) (*BooleanProgram, error) {
 	return p.AbstractCheckpointed(ctx, predicates, opts, lim, nil)
 }

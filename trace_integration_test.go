@@ -37,12 +37,11 @@ event ReleaseLock entry { if (locked == 0) { abort; } locked = 0; }
 // runTracedSlam runs the lock example through the full SLAM pipeline with
 // a tracer attached, returning the result, the finished tracer and the
 // JSONL it wrote.
-func runTracedSlam(t *testing.T, jobs int) (*VerifyResult, *trace.Tracer, *bytes.Buffer) {
+func runTracedSlam(t *testing.T) (*VerifyResult, *trace.Tracer, *bytes.Buffer) {
 	t.Helper()
 	var buf bytes.Buffer
 	tr := trace.New(trace.Config{JSONL: &buf})
 	cfg := DefaultVerifyConfig()
-	cfg.Opts.Jobs = jobs
 	cfg.Tracer = tr
 	res, err := VerifySpec(lockBadSrc, lockSpecSrc, "main", cfg)
 	if err != nil {
@@ -66,16 +65,12 @@ func normalizeTraceEvents(t *testing.T, jsonl []byte) string {
 			Name   string         `json:"name"`
 			TS     json.Number    `json:"ts"`
 			Dur    json.Number    `json:"dur"`
-			Tid    json.Number    `json:"tid"`
 			Fields map[string]any `json:"fields"`
 		}
 		if err := dec.Decode(&ev); err != nil {
 			t.Fatalf("decode trace line: %v", err)
 		}
 		fmt.Fprintf(&b, "%s %s/%s", ev.Type, ev.Cat, ev.Name)
-		if ev.Tid != "" {
-			fmt.Fprintf(&b, " tid=%s", ev.Tid)
-		}
 		keys := make([]string, 0, len(ev.Fields))
 		for k := range ev.Fields {
 			if strings.HasSuffix(k, "_ns") {
@@ -113,10 +108,9 @@ func compareGolden(t *testing.T, got, path string) {
 // TestSlamTraceJSONLGolden pins the structured event stream of a full
 // SLAM run: every line must pass the schema validator, and the
 // timing-stripped event sequence (categories, names and counter fields)
-// is compared against a golden file. Jobs=1 keeps the stream fully
-// deterministic.
+// is compared against a golden file.
 func TestSlamTraceJSONLGolden(t *testing.T) {
-	_, _, buf := runTracedSlam(t, 1)
+	_, _, buf := runTracedSlam(t)
 	if n, err := trace.Validate(bytes.NewReader(buf.Bytes())); err != nil {
 		t.Fatalf("schema validation failed after %d lines: %v", n, err)
 	} else if n == 0 {
@@ -143,7 +137,7 @@ func maskDurations(text string) string {
 // top-query list are timing-dependent, so only their presence is
 // asserted.
 func TestSlamReportTextGolden(t *testing.T) {
-	_, tr, _ := runTracedSlam(t, 1)
+	_, tr, _ := runTracedSlam(t)
 	text := tr.Report().Text()
 	for _, section := range []string{"prover latency histogram:", "most expensive prover queries:"} {
 		if !strings.Contains(text, section) {
@@ -176,15 +170,19 @@ func sortCostSections(text string) string {
 	return strings.Join(lines, "\n")
 }
 
-// reportAggregates is the subset of the report that must not depend on
-// the cube-search worker count: every counter, but no wall time, no
-// cache split (workers race on first computation of shared queries) and
-// no event total (worker-lane spans scale with the pool size).
+// reportAggregates is the subset of the report that must repeat run to
+// run: every counter and the event total, but no wall time.
 type reportAggregates struct {
 	Outcome               string
 	Iterations            int
 	Predicates            int
 	ProverCalls           int
+	CacheHits             int
+	ModelAnswers          int
+	ModelEvals            int
+	SearchNodes           int64
+	TheoryLeaves          int64
+	Events                int
 	CubeRounds            int
 	CubesChecked          int
 	Procs                 []abstract.ProcCubeStat
@@ -201,6 +199,12 @@ func aggregatesOf(rep *trace.Report) reportAggregates {
 		Iterations:            rep.Iterations,
 		Predicates:            rep.Predicates,
 		ProverCalls:           rep.ProverCalls,
+		CacheHits:             rep.CacheHits,
+		ModelAnswers:          rep.ModelAnswers,
+		ModelEvals:            rep.ModelEvals,
+		SearchNodes:           rep.SearchNodes,
+		TheoryLeaves:          rep.TheoryLeaves,
+		Events:                rep.Events,
 		CubeRounds:            rep.CubeRounds,
 		CubesChecked:          rep.CubesChecked,
 		BebopIterations:       rep.BebopIterations,
@@ -216,18 +220,18 @@ func aggregatesOf(rep *trace.Report) reportAggregates {
 }
 
 // TestReportAggregateDeterminism asserts the report aggregates are
-// identical for a sequential and an 8-worker cube search: scheduling may
-// reshuffle event timing and the cache hit/miss split, but never the
-// counters the paper's tables are built from.
+// identical across two runs: event timing may differ, but never the
+// counters the paper's tables are built from, the cache hit/miss split
+// or the search effort.
 func TestReportAggregateDeterminism(t *testing.T) {
-	runs := map[int]reportAggregates{}
-	for _, jobs := range []int{1, 8} {
-		_, tr, _ := runTracedSlam(t, jobs)
-		runs[jobs] = aggregatesOf(tr.Report())
+	var runs [2]reportAggregates
+	for run := range runs {
+		_, tr, _ := runTracedSlam(t)
+		runs[run] = aggregatesOf(tr.Report())
 	}
-	if !reflect.DeepEqual(runs[1], runs[8]) {
-		t.Errorf("report aggregates differ between -j 1 and -j 8:\n--- j=1 ---\n%+v\n--- j=8 ---\n%+v",
-			runs[1], runs[8])
+	if !reflect.DeepEqual(runs[0], runs[1]) {
+		t.Errorf("report aggregates differ between two runs:\n--- run 1 ---\n%+v\n--- run 2 ---\n%+v",
+			runs[0], runs[1])
 	}
 }
 
@@ -248,7 +252,6 @@ func TestReportTotalsMatchStats(t *testing.T) {
 				t.Fatal(err)
 			}
 			opts := DefaultOptions()
-			opts.Jobs = 1
 			opts.Engine = engine
 			opts.Tracer = tr
 			bprog, err = prog.Abstract(partitionPreds, opts)
@@ -309,7 +312,6 @@ func TestReportTotalsMatchStats(t *testing.T) {
 
 			pv := prover.New()
 			cfg := DefaultVerifyConfig()
-			cfg.Opts.Jobs = 1
 			cfg.Opts.Engine = engine
 			cfg.Prover = pv
 			cfg.Tracer = trace.New(trace.Config{})
@@ -362,7 +364,7 @@ func TestReportTotalsMatchStats(t *testing.T) {
 // TestSlamResultMatchesReport asserts the slam Result totals agree with
 // the trace aggregation for the same run.
 func TestSlamResultMatchesReport(t *testing.T) {
-	res, tr, _ := runTracedSlam(t, 1)
+	res, tr, _ := runTracedSlam(t)
 	rep := tr.Report()
 	if rep.Outcome != res.Outcome.String() {
 		t.Errorf("outcome: report %q != result %q", rep.Outcome, res.Outcome)
@@ -384,7 +386,7 @@ func TestSlamResultMatchesReport(t *testing.T) {
 // TestExplainAnnotatedTrace exercises the source-level rendering of a
 // counterexample: locations, branch annotations and predicate valuations.
 func TestExplainAnnotatedTrace(t *testing.T) {
-	res, _, _ := runTracedSlam(t, 1)
+	res, _, _ := runTracedSlam(t)
 	if res.Outcome != ErrorFound {
 		t.Fatalf("outcome %v, want error-found", res.Outcome)
 	}
