@@ -17,7 +17,6 @@ import (
 	"strings"
 
 	"predabs"
-	"predabs/internal/checkpoint"
 	"predabs/internal/obs"
 )
 
@@ -38,7 +37,7 @@ func run() (code int) {
 	allInvariants := flag.Bool("invariants", false, "print the invariant at every labelled statement")
 	showTrace := flag.Bool("trace", false, "print a counterexample trace for a reachable violation")
 	stats := flag.Bool("stats", false, "print fixpoint statistics to stderr")
-	obsFlags := obs.Register()
+	obsFlags := obs.Register(obs.BDDLimit)
 	flag.Parse()
 
 	if flag.NArg() != 1 {
@@ -61,37 +60,12 @@ func run() (code int) {
 	if err != nil {
 		return fatal(err)
 	}
-	// Bebop recomputes its fixpoint from scratch (no prover cache to
-	// spill), so the journal records only the final verdict — but the
-	// state directory is still validated, so a corrupted or foreign
-	// journal is diagnosed here rather than silently trusted by a later
-	// slam run.
-	ckpt, err := obsFlags.OpenCheckpoint(checkpoint.CompatKey{
-		Tool: "bebop", Version: predabs.Version,
-		Program: string(src), Entry: *entry,
-		BDDMaxNodes: int64(obsFlags.BDDMaxNodes),
-	}, tracer)
-	if err != nil {
-		finish()
-		return fatal(err)
-	}
-	defer ckpt.Close()
 	ctx, cancel := obsFlags.Context()
 	defer cancel()
 	res, err := bprog.CheckCtx(ctx, *entry, tracer, obsFlags.Limits())
 	if err != nil {
 		finish()
 		return fatal(err)
-	}
-	outcome := "no-violation"
-	limit := ""
-	if _, _, bad := res.ErrorReachable(); bad {
-		outcome = "violation"
-	} else if reason, degraded := res.Degraded(); degraded {
-		outcome, limit = "unknown", reason
-	}
-	if err := ckpt.AppendFinal(outcome, limit); err != nil {
-		fmt.Fprintln(os.Stderr, "bebop: warning: checkpoint final record failed:", err)
 	}
 	if err := finish(); err != nil {
 		fmt.Fprintln(os.Stderr, "bebop:", err)

@@ -14,7 +14,6 @@ import (
 	"os"
 
 	"predabs"
-	"predabs/internal/checkpoint"
 	"predabs/internal/cparse"
 	"predabs/internal/obs"
 )
@@ -38,7 +37,7 @@ func run() (code int) {
 	noEnforce := flag.Bool("noenforce", false, "do not emit enforce invariants")
 	absEngine := flag.String("abs-engine", "cubes", "abstraction engine: cubes (per-cube prover queries) or models (incremental model enumeration)")
 	stats := flag.Bool("stats", false, "print abstraction statistics and per-stage timings to stderr")
-	obsFlags := obs.Register()
+	obsFlags := obs.Register(obs.ProverLimits)
 	flag.Parse()
 
 	if *predFile == "" || flag.NArg() != 1 {
@@ -88,31 +87,12 @@ func run() (code int) {
 		finish()
 		return fatalFile(*predFile, err)
 	}
-	// The key pins what this abstraction computes; wall-clock limits
-	// stay out (environmental degradations are never persisted).
-	ckpt, err := obsFlags.OpenCheckpoint(checkpoint.CompatKey{
-		Tool: "c2bp", Version: predabs.Version,
-		Program: string(src), Spec: string(preds),
-		MaxCubeLen:  opts.MaxCubeLen,
-		CubeBudget:  int64(obsFlags.CubeBudget),
-		BDDMaxNodes: int64(obsFlags.BDDMaxNodes),
-		AbsEngine:   opts.Engine,
-		Extra:       fmt.Sprintf("cone=%t/enforce=%t", opts.ConeOfInfluence, opts.EmitEnforce),
-	}, tracer)
-	if err != nil {
-		finish()
-		return fatal(err)
-	}
-	defer ckpt.Close()
 	ctx, cancel := obsFlags.Context()
 	defer cancel()
-	bprog, err := prog.AbstractCheckpointed(ctx, string(preds), opts, obsFlags.Limits(), ckpt)
+	bprog, err := prog.AbstractCtx(ctx, string(preds), opts, obsFlags.Limits())
 	if err != nil {
 		finish()
 		return fatalFile(flag.Arg(0), err)
-	}
-	if err := ckpt.Err(); err != nil {
-		fmt.Fprintln(os.Stderr, "c2bp: warning: checkpointing disabled:", err)
 	}
 	if err := finish(); err != nil {
 		fmt.Fprintln(os.Stderr, "c2bp:", err)

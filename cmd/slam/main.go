@@ -44,7 +44,7 @@ func run() (code int) {
 	stats := flag.Bool("stats", false, "print per-stage timings and prover statistics to stderr")
 	explain := flag.Bool("explain", false, "render a found error path as an annotated source-level trace")
 	verbose := flag.Bool("v", false, "log each refinement iteration")
-	obsFlags := obs.Register()
+	obsFlags := obs.Register(obs.ProverLimits | obs.BDDLimit | obs.Checkpoint)
 	flag.Parse()
 
 	if flag.NArg() != 1 {

@@ -6,17 +6,15 @@ import (
 	"fmt"
 )
 
-// CompatKey identifies what a journal is valid FOR. Two runs may share a
-// journal only when every field matches: same program text, same spec,
-// same entry point, same tool and version, and the same values for the
-// deterministic limits (they change which verdicts the run computes and
-// caches).
+// CompatKey identifies what a journal is valid FOR. Only the SLAM loop
+// journals (slam and predabsd workers, both through the runner package).
+// Two runs may share a journal only when every field matches: same
+// program text, same spec, same entry point, same tool and version, and
+// the same values for the deterministic limits (they change which
+// verdicts the run computes and caches).
 //
 // Deliberately excluded:
 //
-//   - The worker count -j: results are j-independent (the determinism
-//     tests pin that), and a run checkpointed at one -j must resume at
-//     any other.
 //   - The wall-clock limits -timeout/-query-timeout: their degradations
 //     are environmental and never persisted, so differing wall-clock
 //     budgets cannot make journaled state stale.
@@ -25,7 +23,7 @@ import (
 //     identical for every value — and the prime resume use case is
 //     continuing a budget-stopped run with a larger budget.
 type CompatKey struct {
-	Tool    string // "slam", "c2bp", "bebop"
+	Tool    string // "slam"
 	Version string
 	Program string // full source text
 	Spec    string // predicate/spec file text ("" when none)
@@ -46,15 +44,13 @@ type CompatKey struct {
 	// not warm-start the other. Callers normalize "" to "cubes" so the
 	// default spelled explicitly and implicitly hashes the same.
 	AbsEngine string
-
-	// Extra fingerprints tool-specific deterministic knobs that have no
-	// dedicated field (e.g. c2bp's -nocone/-noenforce).
-	Extra string
 }
 
 // Hash returns the compatibility hash: a hex SHA-256 over an injective
 // encoding of every field (length-prefixed, so no concatenation of
-// fields can collide with another split).
+// fields can collide with another split). The encoding ends with an
+// empty slot where a since-removed free-form field sat, so journals
+// written before its removal keep their hash and still resume.
 func (k CompatKey) Hash() string {
 	h := sha256.New()
 	put := func(s string) {
@@ -69,6 +65,6 @@ func (k CompatKey) Hash() string {
 	put(k.Entry)
 	put(fmt.Sprintf("%d/%d/%d", k.MaxCubeLen, k.CubeBudget, k.BDDMaxNodes))
 	put(k.AbsEngine)
-	put(k.Extra)
+	put("")
 	return hex.EncodeToString(h.Sum(nil))
 }

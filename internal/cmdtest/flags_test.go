@@ -20,11 +20,12 @@ const flagsProbeC = `void main(int x) { if (x > 3) { assert(x > 1); } }`
 // validation fires before I/O.
 func TestFlagValidationExitCodes(t *testing.T) {
 	missing := filepath.Join(t.TempDir(), "does-not-exist")
-	cases := []struct {
+	type flagCase struct {
 		bin  string
 		args []string
 		want string // stderr substring naming the rejected flag
-	}{
+	}
+	cases := []flagCase{
 		{"slam", []string{"-j", "1", missing}, "flag provided but not defined: -j"},
 		{"slam", []string{"-maxiters", "0", missing}, "flag -maxiters"},
 		{"slam", []string{"-maxiters", "-3", missing}, "flag -maxiters"},
@@ -38,6 +39,14 @@ func TestFlagValidationExitCodes(t *testing.T) {
 		{"c2bp", []string{"-timeout", "0s", "-preds", missing, missing}, "flag -timeout"},
 		{"bebop", []string{"-timeout", "-1s", missing}, "flag -timeout"},
 		{"bebop", []string{"-bdd-max-nodes", "-7", missing}, "flag -bdd-max-nodes"},
+	}
+	// Journaling is the SLAM loop's alone, and each tool takes only the
+	// limits its pipeline reads: c2bp runs no Bebop, bebop no prover.
+	for _, f := range []string{"-state", "-resume", "-no-persist", "-bdd-max-nodes"} {
+		cases = append(cases, flagCase{"c2bp", []string{f, "1", "-preds", missing, missing}, "flag provided but not defined: " + f})
+	}
+	for _, f := range []string{"-state", "-resume", "-no-persist", "-query-timeout", "-cube-budget"} {
+		cases = append(cases, flagCase{"bebop", []string{f, "1", missing}, "flag provided but not defined: " + f})
 	}
 	for _, c := range cases {
 		name := c.bin + " " + strings.Join(c.args[:len(c.args)-1], " ")
@@ -54,6 +63,30 @@ func TestFlagValidationExitCodes(t *testing.T) {
 	src := write(t, "ok.c", flagsProbeC)
 	if out, code := run(t, "slam", "-entry", "main", src); code != 0 {
 		t.Errorf("slam: exit %d\n%s", code, out)
+	}
+
+	// slam keeps all twelve shared flags: a journaling run with every
+	// sink and limit set, then a read-only resume of its journal with
+	// the same deterministic limits.
+	dir := t.TempDir()
+	state := filepath.Join(dir, "state")
+	shared := func(tag string) []string {
+		return []string{
+			"-trace-out", filepath.Join(dir, tag+".jsonl"),
+			"-trace-chrome", filepath.Join(dir, tag+".json"),
+			"-report", "-report-json", filepath.Join(dir, tag+"-report.json"),
+			"-pprof", filepath.Join(dir, tag+".prof"),
+			"-timeout", "1m", "-query-timeout", "1m",
+			"-cube-budget", "1000", "-bdd-max-nodes", "100000",
+			"-state", state,
+		}
+	}
+	if out, code := run(t, "slam", append(shared("first"), "-entry", "main", src)...); code != 0 {
+		t.Errorf("slam with the shared flags: exit %d\n%s", code, out)
+	}
+	resume := append(shared("resume"), "-resume", "-no-persist", "-entry", "main", src)
+	if out, code := run(t, "slam", resume...); code != 0 || !strings.Contains(out, "resumed after iteration") {
+		t.Errorf("slam -resume -no-persist: exit %d\n%s", code, out)
 	}
 }
 

@@ -6,7 +6,7 @@
 //
 // Every fault decision is a pure function of (seed, fault kind, query
 // kind, formula text), so a fault schedule replays identically across
-// processes, goroutine schedules and worker counts — the property that
+// processes and goroutine schedules — the property that
 // makes the chaos matrix debuggable: a failing seed is a reproducible
 // test case, not a flake.
 //

@@ -63,8 +63,25 @@ type Flags struct {
 	NoPersist bool
 }
 
-// Register declares the shared flags on the default flag set.
-func Register() *Flags {
+// Group names a set of flags beyond the observability sinks and
+// -timeout, which every CLI takes. A CLI registers only the groups whose
+// values its pipeline reads.
+type Group int
+
+const (
+	// ProverLimits is -query-timeout and -cube-budget (tools that run
+	// C2bp's prover queries).
+	ProverLimits Group = 1 << iota
+	// BDDLimit is -bdd-max-nodes (tools that run Bebop).
+	BDDLimit
+	// Checkpoint is -state, -resume and -no-persist (the SLAM loop, the
+	// one pipeline that carries state across iterations).
+	Checkpoint
+)
+
+// Register declares the observability flags, -timeout and the given
+// groups on the default flag set.
+func Register(groups Group) *Flags {
 	f := &Flags{}
 	flag.StringVar(&f.TraceOut, "trace-out", "", "write structured JSONL trace events to `file`")
 	flag.StringVar(&f.ChromeOut, "trace-chrome", "", "write a Chrome trace_event JSON (Perfetto-loadable) to `file`")
@@ -72,27 +89,27 @@ func Register() *Flags {
 	flag.StringVar(&f.ReportJSON, "report-json", "", "write the end-of-run report as JSON to `file`")
 	flag.StringVar(&f.CPUProfile, "pprof", "", "write a CPU profile to `file`")
 	flag.DurationVar(&f.Timeout, "timeout", 0, "whole-run wall-clock deadline (0 = none); the run degrades soundly and reports partial results")
-	flag.DurationVar(&f.QueryTimeout, "query-timeout", 0, "per-prover-query deadline (0 = none); timed-out queries count as \"could not prove\"")
-	flag.IntVar(&f.CubeBudget, "cube-budget", 0, "max prover-backed cube candidates per procedure (0 = unlimited)")
-	flag.IntVar(&f.BDDMaxNodes, "bdd-max-nodes", 0, "Bebop BDD node ceiling (0 = unlimited); exceeding it truncates the fixpoint")
-	flag.StringVar(&f.State, "state", "", "checkpoint state `dir`: journal refinement state there and warm-start from a compatible journal")
-	flag.BoolVar(&f.Resume, "resume", false, "require a valid compatible journal in -state (error instead of cold start)")
-	flag.BoolVar(&f.NoPersist, "no-persist", false, "warm-start from -state read-only; never write the journal")
+	if groups&ProverLimits != 0 {
+		flag.DurationVar(&f.QueryTimeout, "query-timeout", 0, "per-prover-query deadline (0 = none); timed-out queries count as \"could not prove\"")
+		flag.IntVar(&f.CubeBudget, "cube-budget", 0, "max prover-backed cube candidates per procedure (0 = unlimited)")
+	}
+	if groups&BDDLimit != 0 {
+		flag.IntVar(&f.BDDMaxNodes, "bdd-max-nodes", 0, "Bebop BDD node ceiling (0 = unlimited); exceeding it truncates the fixpoint")
+	}
+	if groups&Checkpoint != 0 {
+		flag.StringVar(&f.State, "state", "", "checkpoint state `dir`: journal refinement state there and warm-start from a compatible journal")
+		flag.BoolVar(&f.Resume, "resume", false, "require a valid compatible journal in -state (error instead of cold start)")
+		flag.BoolVar(&f.NoPersist, "no-persist", false, "warm-start from -state read-only; never write the journal")
+	}
 	return f
 }
 
-// OpenCheckpoint applies the -state/-resume/-no-persist semantics for
-// key, returning the manager to hand to the pipeline (nil when -state is
-// unset). Diagnostics — torn-tail repairs, rejected journals — go to
-// stderr and the tracer; a corrupt or incompatible journal under plain
+// OpenCheckpointW applies the -state/-resume/-no-persist semantics for
+// key, returning the manager to hand to the SLAM loop (nil when -state
+// is unset). Diagnostics — torn-tail repairs, rejected journals — go to
+// w and the tracer; a corrupt or incompatible journal under plain
 // -state cold-starts with a fresh journal, under -resume it is fatal.
-func (f *Flags) OpenCheckpoint(key checkpoint.CompatKey, tracer *trace.Tracer) (*checkpoint.Manager, error) {
-	return f.OpenCheckpointW(os.Stderr, key, tracer)
-}
-
-// OpenCheckpointW is OpenCheckpoint with the diagnostic stream made
-// explicit, for callers that do not own the process stderr (the runner
-// package, predabsd workers).
+// The runner package calls it for slam and predabsd workers alike.
 func (f *Flags) OpenCheckpointW(w io.Writer, key checkpoint.CompatKey, tracer *trace.Tracer) (*checkpoint.Manager, error) {
 	if f.State == "" {
 		if f.Resume || f.NoPersist {

@@ -27,7 +27,6 @@ import (
 	"predabs/internal/bebop"
 	"predabs/internal/bp"
 	"predabs/internal/budget"
-	"predabs/internal/checkpoint"
 	"predabs/internal/cnorm"
 	"predabs/internal/cparse"
 	"predabs/internal/ctype"
@@ -135,11 +134,8 @@ type AbstractStats struct {
 	// Stats carries the prover's counters: ProverCalls is the number of
 	// theorem-prover queries, CacheHits the queries answered from the
 	// memo cache (the paper's optimization 5), and CacheMisses() the ones
-	// that reached the decision procedures. Search and theory effort
-	// count this process's work only; a run warm-started from a
-	// checkpoint does not inherit them, and the queries its restored
-	// cache answers add none. SolverTime is the time inside the
-	// decision procedures, part of AbstractTime.
+	// that reached the decision procedures. SolverTime is the time
+	// inside the decision procedures, part of AbstractTime.
 	prover.Stats
 	// abstractCounters carries the abstraction's counters: CubesChecked,
 	// CubesSkipped and CubeRounds for the cube search, SignatureTime and
@@ -186,19 +182,6 @@ func (p *Program) Abstract(predicates string, opts Options) (*BooleanProgram, er
 // budget truncates the search in its canonical order, so its output is
 // deterministic.
 func (p *Program) AbstractCtx(ctx context.Context, predicates string, opts Options, lim Limits) (*BooleanProgram, error) {
-	return p.AbstractCheckpointed(ctx, predicates, opts, lim, nil)
-}
-
-// AbstractCheckpointed is AbstractCtx with a durable checkpoint
-// attached: the prover's memo cache warm-starts from the journal's
-// replayed snapshot, and on success one iteration record (predicates,
-// cache spill, prover counters) plus a final record are committed — so
-// a later c2bp run over the same inputs skips straight to cache hits.
-// The journal's compatibility key names the tool, so a c2bp journal
-// never warm-starts a slam run. A nil manager behaves exactly like
-// AbstractCtx. Persistence errors are reported via ckpt.Err(), never by
-// failing the abstraction.
-func (p *Program) AbstractCheckpointed(ctx context.Context, predicates string, opts Options, lim Limits, ckpt *checkpoint.Manager) (*BooleanProgram, error) {
 	sections, err := cparse.ParsePredFile(predicates)
 	if err != nil {
 		return nil, fmt.Errorf("predabs: predicates: %w", err)
@@ -213,30 +196,12 @@ func (p *Program) AbstractCheckpointed(ctx context.Context, predicates string, o
 	pv := prover.New()
 	pv.Trace = opts.Tracer
 	pv.Budget = bt
-	if snap := ckpt.Snapshot(); snap != nil {
-		restoreSpan := opts.Tracer.Begin("checkpoint", "restore")
-		pv.ImportCache(snap.Cache)
-		restoreSpan.End(trace.Int("iteration", snap.Iter),
-			trace.Int("cache_entries", len(snap.Cache)))
-	}
 	start := time.Now()
 	res, err := abstract.Abstract(p.norm, p.alias, pv, sections, opts)
 	if err != nil {
 		return nil, fmt.Errorf("predabs: abstraction: %w", err)
 	}
 	abstractTime := time.Since(start)
-	if ckpt != nil && !ckpt.ReadOnly() {
-		commitSpan := opts.Tracer.Begin("checkpoint", "commit")
-		rec := checkpoint.IterationRecord{Iter: 1, Cache: pv.ExportCache()}
-		for _, sec := range sections {
-			rec.Pool = append(rec.Pool, checkpoint.ScopePreds{
-				Scope: sec.Name, Preds: append([]string{}, sec.Texts...)})
-		}
-		rec.Counters = checkpoint.ProverCounters(pv.Stats())
-		ckpt.AppendIteration(rec)
-		ckpt.AppendFinal("abstracted", "")
-		commitSpan.End(trace.Int("n", 1), trace.Int("cache_entries", len(rec.Cache)))
-	}
 	n := 0
 	for _, sec := range sections {
 		n += len(sec.Exprs)
